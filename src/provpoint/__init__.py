@@ -24,7 +24,6 @@ from .mechanisms import (
     ppr_utility,
     pprn_utility,
     pps_utility,
-    ppsn_allocate,
     ppsn_utility,
     run_campaign,
     settle,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .mechanisms import single_market_payoff
 from .model import (
     AgentProfile,
     BeliefSide,
@@ -185,27 +186,22 @@ def pprx_utility(agent: AgentProfile, side: BeliefSide, amount: float, total: fl
                  provisioned: bool) -> float:
     """Refund-bonus contribution utility with the belief reward attached to
     the branch the agent's reported side wins."""
-    share = amount / total * contribution_budget if total > 0 else 0.0
-    if side is BeliefSide.PROVISION_LIKELY:
-        if provisioned:
-            return agent.valuation - amount + belief_reward
-        return share
-    if provisioned:
-        return agent.valuation - amount
-    return share + belief_reward
+    value = single_market_payoff(agent, provisioned, amount, total,
+                                 contribution_budget)
+    if (side is BeliefSide.PROVISION_LIKELY) == provisioned:
+        return value + belief_reward
+    return value
 
 
 def ppsx_utility(agent: AgentProfile, side: BeliefSide, rec: ContributionRecord,
                  belief_reward: float, provisioned: bool) -> float:
     """Securities contribution utility with the belief reward attached to
     the branch the agent's reported side wins."""
-    if side is BeliefSide.PROVISION_LIKELY:
-        if provisioned:
-            return agent.valuation - rec.amount + belief_reward
-        return rec.securities - rec.amount
-    if provisioned:
-        return agent.valuation - rec.amount
-    return rec.securities - rec.amount + belief_reward
+    value = single_market_payoff(agent, provisioned, rec.amount, 0.0, None,
+                                 rec.securities)
+    if (side is BeliefSide.PROVISION_LIKELY) == provisioned:
+        return value + belief_reward
+    return value
 
 
 def run_two_phase(config: CampaignConfig, agents: list[AgentProfile], actions,

@@ -57,6 +57,16 @@ class CostFunction:
         # q = b*ln(e^(c/b) - e^(a/b)) rearranged through log1p for stability
         return charge + b * math.log1p(-math.exp((self.fixed_leg - charge) / b))
 
+    def issued_at(self, raised: float) -> float:
+        """Securities outstanding once ``raised`` money has been paid in.
+
+        Allocations compose (buying x then y issues what buying x + y does),
+        so a market's issuance is a function of the money it has raised.
+        """
+        if raised <= 0.0:
+            return 0.0
+        return self.inverse_cost(raised + self.cost(0.0))
+
     def securities_for(self, amount: float, issued: float) -> float:
         """Securities bought by paying ``amount`` when ``issued`` are outstanding."""
         if amount < 0:

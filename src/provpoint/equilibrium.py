@@ -47,6 +47,8 @@ from dataclasses import dataclass, field
 
 from .costfn import CostFunction
 from .mechanisms import (
+    DualMarketState,
+    new_states,
     ppr_utility,
     pprn_utility,
     pps_utility,
@@ -219,13 +221,15 @@ class ProfileEntry:
     amount: float
     tick: int
     market: Market
-    issued_at_entry: float = 0.0
-    securities: float = 0.0
 
 
 @dataclass
 class EquilibriumProfile:
-    """A concrete candidate play: per-agent amounts, ticks, and markets."""
+    """A concrete candidate play: per-agent amounts, ticks, and markets.
+
+    ``expected_verdict`` is the verdict the replay kernel reaches on these
+    plays, in the engine's (tick, agent id) order.
+    """
 
     entries: dict[int, ProfileEntry] = field(default_factory=dict)
     feasible: bool = True
@@ -312,9 +316,6 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
             for a in negatives:
                 profile.entries[a.id] = ProfileEntry(fill_against[a.id], deadline,
                                                      Market.AGAINST)
-            _, total_for, total_against = aggregate_valuations(agents)
-            profile.expected_verdict = (Verdict.PROVISIONED if total_for >= total_against
-                                        else Verdict.REJECTED)
         else:  # PPR / PPRx: one market, everyone delays to the deadline
             bounds = {a.id: contribution_bound(config, a,
                                                belief_reward=rewards.get(a.id, 0.0))
@@ -328,53 +329,67 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
                 return profile
             for a in agents:
                 profile.entries[a.id] = ProfileEntry(fill[a.id], deadline, Market.FOR)
-            profile.expected_verdict = Verdict.PROVISIONED
+        profile.expected_verdict = replayed_verdict(config, agents, profile)
         return profile
 
-    # Securities family: replay arrivals, halt at the first filled target.
-    cf = CostFunction.from_params(config.cost_params)  # type: ignore[arg-type]
+    # Securities family: the prescribed play rolled out from empty markets.
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
-    raised = {Market.FOR: 0.0, Market.AGAINST: 0.0}
-    issued = {Market.FOR: 0.0, Market.AGAINST: 0.0}
-    verdict: Verdict | None = None
-    for agent in order:
-        market = derive_preference(agent) if mech.dual_market else Market.FOR
-        if verdict is not None:
-            profile.entries[agent.id] = ProfileEntry(
-                0.0, agent.arrival_contribution, market,
-                issued_at_entry=_pricing_issuance(mech, issued, market))
-            continue
-        q_price = _pricing_issuance(mech, issued, market)
-        bound = contribution_bound(config, agent, issued=q_price,
-                                   belief_reward=rewards.get(agent.id, 0.0))
-        remaining = config.target(market) - raised[market]
-        amount = min(bound, remaining)
-        securities = cf.securities_for(amount, q_price)
-        profile.entries[agent.id] = ProfileEntry(
-            amount, agent.arrival_contribution, market,
-            issued_at_entry=q_price, securities=securities)
-        issued[market] += cf.securities_for(amount, issued[market])
-        raised[market] = (config.target(market) if amount >= remaining
-                          else raised[market] + amount)
-        if raised[market] >= config.target(market):
-            verdict = (Verdict.PROVISIONED if market is Market.FOR
-                       else Verdict.REJECTED)
-    if verdict is None:
+    book = new_states(config)
+    plays = _rollout(config, book, order, rewards)
+    for agent, (market, amount) in zip(order, plays):
+        profile.entries[agent.id] = ProfileEntry(amount, agent.arrival_contribution,
+                                                 market)
+    if book.verdict is None:
         profile.feasible = False
         profile.reason = ("arrival-order bounds exhaust all agents with no target "
-                          f"reached (raised {raised[Market.FOR]:.6g} / "
-                          f"{raised[Market.AGAINST]:.6g})")
+                          f"reached (raised {book.market_for.raised:.6g} / "
+                          f"{book.market_against.raised:.6g})")
         return profile
-    profile.expected_verdict = verdict
+    profile.expected_verdict = book.verdict
     return profile
 
 
-def _pricing_issuance(mech: Mechanism, issued: dict[Market, float],
-                      market: Market) -> float:
-    """Issuance the allocation prices against: the min leg when dual."""
-    if mech.dual_market:
-        return min(issued[Market.FOR], issued[Market.AGAINST])
-    return issued[market]
+def _own_market(config: CampaignConfig, agent: AgentProfile) -> Market:
+    """The market an agent's equilibrium play goes to: its preference's."""
+    return derive_preference(agent) if config.mechanism.dual_market else Market.FOR
+
+
+def _play_order(agents: list[AgentProfile],
+                profile: EquilibriumProfile) -> list[AgentProfile]:
+    """The engine's processing order for a profile: entry tick, then id."""
+    return sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
+
+
+def _path(order: list[AgentProfile], profile: EquilibriumProfile,
+          book: DualMarketState):
+    """Replay the profile's plays through ``book`` along ``order``.
+
+    Yields each position with ``book`` as that agent found it; the agent's
+    play is applied when the walk resumes, so read the book before then.
+    """
+    for idx, agent in enumerate(order):
+        yield idx
+        entry = profile.entries[agent.id]
+        if not book.closed:
+            book.play(entry.market, entry.amount)
+
+
+def replayed_verdict(config: CampaignConfig, agents: list[AgentProfile],
+                     profile: EquilibriumProfile) -> Verdict:
+    """The verdict the engine reaches on the profile's plays."""
+    book = new_states(config)
+    for _ in _path(_play_order(agents, profile), profile, book):
+        pass
+    return book.verdict or Verdict.EXPIRED
+
+
+def _entry_issuance(config: CampaignConfig, agents: list[AgentProfile],
+                    profile: EquilibriumProfile) -> dict[int, float]:
+    """Issuance each agent's allocation is priced at on the profile's path."""
+    order = _play_order(agents, profile)
+    book = new_states(config)
+    return {order[idx].id: book.price_issuance(profile.entries[order[idx].id].market)
+            for idx in _path(order, profile, book)}
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +547,11 @@ class _Slot:
     amount: float
     others_for: float
     others_against: float
-    issued_for: float = 0.0
-    issued_against: float = 0.0
+    issued: float = 0.0  # issuance the agent's allocation is priced at
     belief_reward: float = 0.0
     bound: float = 0.0  # strategy-set cap at this slot's issuance
     closed: bool = False  # a target was already met when this agent moved
     rival_viable: bool = False  # the other market fills without this agent
-
-    def pricing_issuance(self, config: CampaignConfig) -> float:
-        if config.mechanism.dual_market:
-            return min(self.issued_for, self.issued_against)
-        return self.issued_for
 
     def others_on(self, market: Market) -> float:
         return self.others_for if market is Market.FOR else self.others_against
@@ -568,7 +577,7 @@ def _expected_utility(config: CampaignConfig, slot: _Slot, market: Market,
     effective = max(0.0, min(amount, capacity))
     securities = 0.0
     if config.mechanism.uses_securities and cf is not None:
-        securities = cf.securities_for(effective, slot.pricing_issuance(config))
+        securities = cf.securities_for(effective, slot.issued)
     total_for = slot.others_for + (effective if market is Market.FOR else 0.0)
     total_against = slot.others_against + (effective if market is Market.AGAINST else 0.0)
     rival_viable = slot.rival_viable if market is slot.market else slot.side_fills(config)
@@ -587,7 +596,7 @@ def _flip_delta(config: CampaignConfig, slot: _Slot, cf: CostFunction | None) ->
     on either side by construction, so this is zero at equilibrium)."""
     securities = 0.0
     if config.mechanism.uses_securities and cf is not None:
-        securities = cf.securities_for(slot.amount, slot.pricing_issuance(config))
+        securities = cf.securities_for(slot.amount, slot.issued)
     total_for = slot.others_for + (slot.amount if slot.market is Market.FOR else 0.0)
     total_against = slot.others_against + (
         slot.amount if slot.market is Market.AGAINST else 0.0)
@@ -651,57 +660,22 @@ def _sweep_slot(config: CampaignConfig, slot: _Slot, cf: CostFunction | None,
     return found
 
 
-def _simultaneous_slots(config: CampaignConfig, agents: list[AgentProfile],
-                        profile: EquilibriumProfile) -> list[_Slot]:
-    total_for = profile.total(Market.FOR)
-    total_against = profile.total(Market.AGAINST)
-    slots = []
-    for agent in agents:
-        entry = profile.entries[agent.id]
-        reward = profile.belief_rewards.get(agent.id, 0.0)
-        others_for = total_for - (entry.amount if entry.market is Market.FOR else 0.0)
-        others_against = total_against - (
-            entry.amount if entry.market is Market.AGAINST else 0.0)
-        rival_viable = False
-        if config.mechanism.dual_market:
-            rival = entry.market.other
-            rival_total = others_against if rival is Market.AGAINST else others_for
-            rival_viable = _met(rival_total, config.target(rival))
-        slots.append(_Slot(
-            agent=agent,
-            market=entry.market,
-            amount=entry.amount,
-            others_for=others_for,
-            others_against=others_against,
-            belief_reward=reward,
-            bound=contribution_bound(config, agent, belief_reward=reward),
-            rival_viable=rival_viable,
-        ))
-    return slots
-
-
-def _sequential_slots(config: CampaignConfig, agents: list[AgentProfile],
-                      profile: EquilibriumProfile,
-                      cf: CostFunction) -> list[_Slot]:
-    """Replay the profile in play order (entry tick, then agent id); each
-    agent's slot sees the issuance at its turn and everyone else's amounts
-    at settlement."""
-    order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
+def _slots(config: CampaignConfig, agents: list[AgentProfile],
+           profile: EquilibriumProfile) -> list[_Slot]:
+    """One decision slot per agent against everyone else's amounts at
+    settlement. Sequential mechanisms replay the profile in play order, so
+    each slot sees the markets as its agent found them; deadline mechanisms'
+    agents all move at once, against empty markets."""
+    sequential = config.mechanism.sequential
+    order = _play_order(agents, profile) if sequential else agents
     final_for = profile.total(Market.FOR)
     final_against = profile.total(Market.AGAINST)
-    issued = {Market.FOR: 0.0, Market.AGAINST: 0.0}
-    raised = {Market.FOR: 0.0, Market.AGAINST: 0.0}
+    book = new_states(config)
     slots = []
-    for idx, agent in enumerate(order):
+    for idx in (_path(order, profile, book) if sequential else range(len(order))):
+        agent = order[idx]
         entry = profile.entries[agent.id]
-        closed = any(
-            _met(raised[m], config.target(m))
-            for m in ((Market.FOR, Market.AGAINST) if config.mechanism.dual_market
-                      else (Market.FOR,))
-        )
         reward = profile.belief_rewards.get(agent.id, 0.0)
-        q_price = (min(issued.values()) if config.mechanism.dual_market
-                   else issued[Market.FOR])
         others_for = final_for - (entry.amount if entry.market is Market.FOR else 0.0)
         others_against = final_against - (
             entry.amount if entry.market is Market.AGAINST else 0.0)
@@ -709,31 +683,29 @@ def _sequential_slots(config: CampaignConfig, agents: list[AgentProfile],
         if config.mechanism.dual_market:
             rival = entry.market.other
             rival_total = others_against if rival is Market.AGAINST else others_for
-            rival_viable = (_met(rival_total, config.target(rival))
-                            or _rival_fills(config, cf, dict(raised), entry.market,
-                                            order[idx + 1:],
-                                            profile.belief_rewards))
+            rival_viable = _met(rival_total, config.target(rival)) or (
+                sequential and _rival_fills(config, book, entry.market,
+                                            order[idx + 1:], profile.belief_rewards))
+        q_price = book.price_issuance(entry.market)
         slots.append(_Slot(
             agent=agent,
             market=entry.market,
             amount=entry.amount,
             others_for=others_for,
             others_against=others_against,
-            issued_for=issued[Market.FOR],
-            issued_against=issued[Market.AGAINST],
+            issued=q_price,
             belief_reward=reward,
             bound=contribution_bound(config, agent, issued=q_price,
                                      belief_reward=reward),
-            closed=closed,
+            closed=book.closed,
             rival_viable=rival_viable,
         ))
-        issued[entry.market] += cf.securities_for(entry.amount, issued[entry.market])
-        raised[entry.market] += entry.amount
     return slots
 
 
 def _indifference_checks(config: CampaignConfig, agents: list[AgentProfile],
-                         profile: EquilibriumProfile) -> list[IndifferenceCheck]:
+                         profile: EquilibriumProfile,
+                         entry_issuance: dict[int, float]) -> list[IndifferenceCheck]:
     """Evaluate each bound's defining equation (branch utilities, or their
     belief-weighted versions where the theory weights them) at the bound,
     with denominators at the filled targets."""
@@ -743,8 +715,7 @@ def _indifference_checks(config: CampaignConfig, agents: list[AgentProfile],
     checks: list[IndifferenceCheck] = []
     for agent in agents:
         reward = profile.belief_rewards.get(agent.id, 0.0)
-        entry = profile.entries.get(agent.id)
-        issued = entry.issued_at_entry if entry is not None else 0.0
+        issued = entry_issuance[agent.id]
         bound = contribution_bound(config, agent, issued=issued, belief_reward=reward)
         theta = agent.valuation
         clamped = False
@@ -801,12 +772,12 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
         feasible=profile.feasible,
     )
     if profile.feasible:
+        issued = _entry_issuance(config, agents, profile)
         for agent in agents:
-            entry = profile.entries[agent.id]
             report.bounds[agent.id] = contribution_bound(
-                config, agent, issued=entry.issued_at_entry,
+                config, agent, issued=issued[agent.id],
                 belief_reward=profile.belief_rewards.get(agent.id, 0.0))
-        report.indifference = _indifference_checks(config, agents, profile)
+        report.indifference = _indifference_checks(config, agents, profile, issued)
     else:
         report.notes.append(profile.reason or "profile infeasible")
     return report, step, eps
@@ -825,13 +796,10 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
         return report
     cf = (CostFunction.from_params(config.cost_params)
           if config.cost_params is not None else None)
-    if config.mechanism.sequential:
-        slots = _sequential_slots(config, agents, profile, cf)  # type: ignore[arg-type]
-    else:
-        slots = _simultaneous_slots(config, agents, profile)
+    if not config.mechanism.sequential:
         report.notes.append(
             "timing deviations vacuous: refund schedule is time-invariant")
-    for slot in slots:
+    for slot in _slots(config, agents, profile):
         if _expiry_corner(config, slot):
             if EXPIRY_CORNER_NOTE not in report.notes:
                 report.notes.append(EXPIRY_CORNER_NOTE)
@@ -846,97 +814,73 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
 # ---------------------------------------------------------------------------
 
 
-def _issuance_at(cf: CostFunction, raised: float) -> float:
-    """Issuance implied by money raised; allocations compose so the state of
-    a market is fully determined by its raised total."""
-    if raised <= 0.0:
-        return 0.0
-    return cf.inverse_cost(raised + cf.cost(0.0))
-
-
-def _rollout(config: CampaignConfig, cf: CostFunction,
-             followers: list[AgentProfile], rewards: dict[int, float],
-             raised: dict[Market, float]) -> list[tuple[Market, float]]:
-    """Forward-simulate the prescribed play of the remaining arrivals from a
-    given raised state; returns their (market, amount) plays."""
-    mech = config.mechanism
-    state = dict(raised)
+def _rollout(config: CampaignConfig, book: DualMarketState,
+             followers: list[AgentProfile],
+             rewards: dict[int, float]) -> list[tuple[Market, float]]:
+    """Play the remaining arrivals' prescribed strategy (the bound at the
+    current price, clipped to the remaining target) forward through
+    ``book``; returns their (market, amount) plays."""
     plays: list[tuple[Market, float]] = []
-    markets = (Market.FOR, Market.AGAINST) if mech.dual_market else (Market.FOR,)
-    done = any(_met(state[m], config.target(m)) for m in markets)
     for agent in followers:
-        market = derive_preference(agent) if mech.dual_market else Market.FOR
-        if done:
-            plays.append((market, 0.0))
-            continue
-        issued = {m: _issuance_at(cf, state[m]) for m in state}
-        q_price = (min(issued.values()) if mech.dual_market
-                   else issued[Market.FOR])
-        bound = contribution_bound(config, agent, issued=q_price,
-                                   belief_reward=rewards.get(agent.id, 0.0))
-        remaining = config.target(market) - state[market]
-        amount = max(0.0, min(bound, remaining))
+        market = _own_market(config, agent)
+        amount = 0.0
+        if not book.closed:
+            bound = contribution_bound(config, agent,
+                                       issued=book.price_issuance(market),
+                                       belief_reward=rewards.get(agent.id, 0.0))
+            amount = book.play(market, bound)
         plays.append((market, amount))
-        state[market] += amount
-        if _met(state[market], config.target(market)):
-            done = True
     return plays
 
 
-def _rival_fills(config: CampaignConfig, cf: CostFunction,
-                 state: dict[Market, float], own_market: Market,
-                 followers: list[AgentProfile],
-                 rewards: dict[int, float]) -> bool:
+def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Market,
+                 followers: list[AgentProfile], rewards: dict[int, float]) -> bool:
     """Whether the rival market's coalition, playing its prescribed
     strategy from this state, still reaches its target (the agent's own
-    side frozen; issuance coupling priced conservatively at the state)."""
+    side frozen; issuance coupling priced at the frozen leg)."""
     rival = own_market.other
-    target = config.target(rival)
-    raised = state[rival]
-    if _met(raised, target):
-        return True
-    issued_own = _issuance_at(cf, state[own_market])
+    book = book.copy()
     for agent in followers:
-        if derive_preference(agent) is not rival:
-            continue
-        q_price = min(issued_own, _issuance_at(cf, raised))
-        bound = contribution_bound(config, agent, issued=q_price,
-                                   belief_reward=rewards.get(agent.id, 0.0))
-        raised += max(0.0, min(bound, target - raised))
-        if _met(raised, target):
-            return True
-    return False
+        if book.closed:
+            break
+        if derive_preference(agent) is rival:
+            bound = contribution_bound(config, agent,
+                                       issued=book.price_issuance(rival),
+                                       belief_reward=rewards.get(agent.id, 0.0))
+            book.play(rival, bound)
+    return book.market(rival).met
 
 
-def _probe_states(config: CampaignConfig, cf: CostFunction,
-                  on_path: dict[Market, float], agent: AgentProfile,
-                  own_market: Market, rewards: dict[int, float],
-                  max_states: int) -> tuple[list[dict[Market, float]], bool]:
-    """On-path raised state plus synthetic remaining-target states, including
-    one engineered to trigger the late-arrival clipping branch."""
+def _probe_states(config: CampaignConfig, on_path: DualMarketState,
+                  agent: AgentProfile, own_market: Market, reward: float,
+                  max_states: int) -> tuple[list[DualMarketState], bool]:
+    """On-path markets (first) plus synthetic remaining-target states,
+    including one engineered to trigger the late-arrival clipping branch."""
     target = config.target(own_market)
-    states: list[dict[Market, float]] = [dict(on_path)]
-    q_on = _issuance_at(cf, on_path[own_market])
-    bound = contribution_bound(config, agent, issued=q_on,
-                               belief_reward=rewards.get(agent.id, 0.0))
+    raised = {Market.FOR: on_path.market_for.raised,
+              Market.AGAINST: on_path.market_against.raised}
+    states: list[dict[Market, float]] = [dict(raised)]
+    bound = contribution_bound(config, agent, issued=on_path.issued(own_market),
+                               belief_reward=reward)
     for fraction in (1.0, 0.8, 0.6, 0.4, 0.2):
-        state = dict(on_path)
+        state = dict(raised)
         state[own_market] = (1.0 - fraction) * target
         states.append(state)
     if bound > 0.0:
-        clip = dict(on_path)
+        clip = dict(raised)
         clip[own_market] = max(0.0, target - 0.5 * bound)
         states.append(clip)
     if config.mechanism.dual_market:
         other = own_market.other
-        state = dict(on_path)
+        state = dict(raised)
         state[other] = 0.5 * config.target(other)
         states.append(state)
     unique: list[dict[Market, float]] = []
     for state in states:
         if state not in unique:
             unique.append(state)
-    return unique[:max_states], len(unique) > max_states
+    return ([on_path.at(state[Market.FOR], state[Market.AGAINST])
+             for state in unique[:max_states]], len(unique) > max_states)
 
 
 def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
@@ -957,59 +901,52 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     if not profile.feasible:
         return report
     cf = CostFunction.from_params(config.cost_params)  # type: ignore[arg-type]
-    mech = config.mechanism
     rewards = profile.belief_rewards
-    order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
-
-    on_path = {Market.FOR: 0.0, Market.AGAINST: 0.0}
-    for idx, agent in enumerate(order):
-        own_market = derive_preference(agent) if mech.dual_market else Market.FOR
-        probes, truncated = _probe_states(config, cf, on_path, agent, own_market,
-                                          rewards, max_states_per_agent)
+    order = _play_order(agents, profile)
+    on_path = new_states(config)
+    for idx in _path(order, profile, on_path):
+        agent = order[idx]
+        followers = order[idx + 1:]
+        own_market = _own_market(config, agent)
+        reward = rewards.get(agent.id, 0.0)
+        probes, truncated = _probe_states(config, on_path, agent, own_market,
+                                          reward, max_states_per_agent)
         report.partial = report.partial or truncated
         for state in probes:
-            markets = ((Market.FOR, Market.AGAINST) if mech.dual_market
-                       else (Market.FOR,))
-            closed = any(_met(state[m], config.target(m)) for m in markets)
-            issued = {m: _issuance_at(cf, state[m]) for m in state}
-            q_price = (min(issued.values()) if mech.dual_market
-                       else issued[Market.FOR])
+            closed = state.closed
+            q_price = state.price_issuance(own_market)
             bound = 0.0
             if not closed:
                 bound = contribution_bound(config, agent, issued=q_price,
-                                           belief_reward=rewards.get(agent.id, 0.0))
-            if state == on_path:
+                                           belief_reward=reward)
+            after = state.copy()  # the markets once the agent has played
+            if state is probes[0]:
                 # on the path itself, the checked action and the fixed
                 # follower plays come from the profile being certified
                 prescribed = profile.entries[agent.id].amount
                 follower_plays = [
                     (profile.entries[a.id].market, profile.entries[a.id].amount)
-                    for a in order[idx + 1:]
+                    for a in followers
                 ]
-            else:
-                prescribed = 0.0
                 if not closed:
-                    prescribed = max(0.0, min(bound, config.target(own_market)
-                                              - state[own_market]))
-                follower_plays = _rollout(
-                    config, cf, order[idx + 1:], rewards,
-                    {own_market: state[own_market] + prescribed,
-                     own_market.other: state[own_market.other]})
-            others_for = state[Market.FOR] + sum(
+                    after.play(own_market, prescribed)
+            else:
+                prescribed = 0.0 if closed else after.play(own_market, bound)
+                follower_plays = _rollout(config, after.copy(), followers, rewards)
+            others_for = state.market_for.raised + sum(
                 x for m, x in follower_plays if m is Market.FOR)
-            others_against = state[Market.AGAINST] + sum(
+            others_against = state.market_against.raised + sum(
                 x for m, x in follower_plays if m is Market.AGAINST)
-            rival_viable = mech.dual_market and _rival_fills(
-                config, cf, state, own_market, order[idx + 1:], rewards)
+            rival_viable = config.mechanism.dual_market and _rival_fills(
+                config, state, own_market, followers, rewards)
             slot = _Slot(
                 agent=agent, market=own_market, amount=prescribed,
                 others_for=others_for, others_against=others_against,
-                issued_for=issued[Market.FOR], issued_against=issued[Market.AGAINST],
-                belief_reward=rewards.get(agent.id, 0.0), bound=bound,
+                issued=q_price, belief_reward=reward, bound=bound,
                 closed=closed, rival_viable=rival_viable,
             )
-            prefix = (f"[state raised_for={state[Market.FOR]:.6g} "
-                      f"raised_against={state[Market.AGAINST]:.6g}] ")
+            prefix = (f"[state raised_for={state.market_for.raised:.6g} "
+                      f"raised_against={state.market_against.raised:.6g}] ")
             if _expiry_corner(config, slot):
                 if EXPIRY_CORNER_NOTE not in report.notes:
                     report.notes.append(EXPIRY_CORNER_NOTE)
@@ -1017,38 +954,34 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             report.deviations.extend(
                 _sweep_slot(config, slot, cf, step, eps, detail_prefix=prefix))
             if not closed:
-                post_state = dict(state)
-                post_state[own_market] += prescribed
                 report.deviations.extend(_delay_deviations(
-                    config, cf, slot, post_state, follower_plays, eps, prefix))
-        entry = profile.entries[agent.id]
-        on_path[entry.market] += entry.amount
+                    config, cf, slot, state, after, follower_plays, eps, prefix))
     report.certified = not report.deviations
     return report
 
 
 def _delay_deviations(config: CampaignConfig, cf: CostFunction, slot: _Slot,
-                      state: dict[Market, float],
+                      before: DualMarketState, after: DualMarketState,
                       follower_plays: list[tuple[Market, float]], epsilon: float,
                       prefix: str) -> list[Deviation]:
     """Reprice the prescribed contribution after each number of later
-    arrivals (stopping once a target would close the book); allocations
-    never improve with waiting, so any gain is a defect worth reporting."""
+    arrivals; allocations never improve with waiting, so any gain is a
+    defect worth reporting. ``after`` holds the agent's contribution and
+    stops the walk once a target would close the book; ``before`` leaves it
+    out and prices the delayed allocation."""
     base = _expected_utility(config, slot, slot.market, slot.amount, cf)
     found: list[Deviation] = []
-    issued = {Market.FOR: slot.issued_for, Market.AGAINST: slot.issued_against}
-    raised = dict(state)
-    markets = ((Market.FOR, Market.AGAINST) if config.mechanism.dual_market
-               else (Market.FOR,))
+    before, after = before.copy(), after.copy()
     for waited, (market, amount) in enumerate(follower_plays, start=1):
-        issued[market] += cf.securities_for(amount, issued[market])
-        raised[market] += amount
-        if any(_met(raised[m], config.target(m)) for m in markets):
+        if not after.closed:
+            after.play(market, amount)
+        if after.closed:
             break  # book closes; no later slot exists for the contribution
+        before.play(market, amount)
         delayed = _Slot(
             agent=slot.agent, market=slot.market, amount=slot.amount,
             others_for=slot.others_for, others_against=slot.others_against,
-            issued_for=issued[Market.FOR], issued_against=issued[Market.AGAINST],
+            issued=before.price_issuance(slot.market),
             belief_reward=slot.belief_reward, bound=slot.bound,
             rival_viable=slot.rival_viable,
         )

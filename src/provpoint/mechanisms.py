@@ -1,16 +1,23 @@
-"""Market engines and settlement for the refund-bonus and securities families.
+"""Market replay kernel, campaign engine, payoff rule and settlement.
 
-The engine processes a time-ordered action list, halts the moment any
-market's target is reached (truncating the crossing contribution so the
-total equals the target exactly), and hands the frozen ledgers to ``settle``
-which applies each mechanism's utility structure.
+Every mechanism races one or two markets to their targets, and a market's
+state is fixed by the money it has raised: ``DualMarketState.play`` is the
+one function that advances it (a play of at least the remaining amount
+fills the market exactly, and a filled market closes the book), and
+securities issuance is derived from the raised total by
+``CostFunction.issued_at``. The engine replays a time-ordered action list
+through it, discards everything after the first fill, and hands the frozen
+ledgers to ``settle``.
+
+Payoffs follow one rule for all six mechanisms: an agent receives its
+valuation exactly when the project is provisioned, pays its contribution,
+and gets money back (``returned``) unless its own market won.
 
 Verdict conventions:
   * a FOR-market fill provisions the project, an AGAINST-market fill rejects
     it, and hitting the deadline with neither filled expires the campaign;
-  * on expiry both sides settle through their refund branch and nobody
-    receives a valuation term (the project neither happened nor was its
-    rejection certified).
+  * on expiry both sides are refunded and nobody receives a valuation term
+    (the project neither happened nor was its rejection certified).
 
 Refund-bonus timing never matters (the bonus split only reads amounts), so
 ticks are recorded in the ledger but do not enter those utilities.
@@ -26,21 +33,19 @@ from .model import (
     CampaignConfig,
     ContributionRecord,
     Market,
-    Mechanism,
     Outcome,
     Payout,
     Verdict,
-    derive_preference,
 )
 
 
 @dataclass
 class MarketState:
-    """Running state of one market: target, money raised, securities issued."""
+    """One market: its target, the money raised so far, and the contributions
+    the engine accepted into it."""
 
     target: float
     raised: float = 0.0
-    issued: float = 0.0
     ledger: list[ContributionRecord] = field(default_factory=list)
 
     @property
@@ -51,52 +56,106 @@ class MarketState:
     def met(self) -> bool:
         return self.raised >= self.target
 
-    def record(self, rec: ContributionRecord) -> None:
-        if rec.amount > self.remaining + 1e-9 * max(1.0, self.target):
-            raise ValueError("contribution overshoots the market target")
-        self.ledger.append(rec)
-        # assign rather than accumulate at the boundary so met-checks are exact
-        if rec.amount >= self.remaining:
-            self.raised = self.target
-        else:
-            self.raised += rec.amount
-        self.issued += rec.issued_delta
-
 
 @dataclass
 class DualMarketState:
-    """Paired provision/rejection markets coupled only through min-leg refunds."""
+    """Replay kernel: the provision and rejection markets of one campaign.
+
+    The state is the money each market has raised; issuance, allocation
+    prices and the verdict are derived from it. ``cf`` is set for the
+    securities family, and ``min_leg`` prices allocations at the smaller
+    market's issuance (the dual-market securities mechanism).
+    """
 
     market_for: MarketState
     market_against: MarketState
+    cf: CostFunction | None = None
+    min_leg: bool = False
 
     def market(self, side: Market) -> MarketState:
         return self.market_for if side is Market.FOR else self.market_against
 
     @property
-    def min_issued(self) -> float:
-        return min(self.market_for.issued, self.market_against.issued)
+    def closed(self) -> bool:
+        """A target has been reached; the book accepts no further play."""
+        return self.market_for.met or self.market_against.met
 
     @property
-    def any_met(self) -> bool:
-        return self.market_for.met or self.market_against.met
+    def verdict(self) -> Verdict | None:
+        """The verdict a filled market decided; None while both are open."""
+        if self.market_for.met:
+            return Verdict.PROVISIONED
+        if self.market_against.met:
+            return Verdict.REJECTED
+        return None
+
+    def issued(self, side: Market) -> float:
+        """Securities issued on one market (zero without a cost function)."""
+        if self.cf is None:
+            return 0.0
+        return self.cf.issued_at(self.market(side).raised)
+
+    def price_issuance(self, side: Market) -> float:
+        """Issuance an allocation on ``side`` is priced at; with ``min_leg``,
+        the smaller leg's, so a contribution earns the same on either side."""
+        if self.min_leg:
+            side = (Market.FOR if self.market_for.raised <= self.market_against.raised
+                    else Market.AGAINST)
+        return self.issued(side)
+
+    def at(self, raised_for: float, raised_against: float) -> DualMarketState:
+        """The same markets, ledger-free, with the given money raised."""
+        return DualMarketState(MarketState(self.market_for.target, raised_for),
+                               MarketState(self.market_against.target, raised_against),
+                               self.cf, self.min_leg)
+
+    def copy(self) -> DualMarketState:
+        return self.at(self.market_for.raised, self.market_against.raised)
+
+    def play(self, side: Market, amount: float) -> float:
+        """Pay ``amount`` into ``side`` and return the amount accepted.
+
+        This is the only place market state advances. A play of at least the
+        remaining amount is truncated to it and fills the market exactly (the
+        total is assigned, not accumulated, so the fill is exact).
+        """
+        if amount < 0:
+            raise ValueError("contribution amount must be nonnegative")
+        if self.closed:
+            raise ValueError("market closed: a target has already been reached")
+        state = self.market(side)
+        remaining = state.remaining
+        if amount >= remaining:
+            state.raised = state.target
+            return remaining
+        state.raised += amount
+        return amount
 
 
 def new_states(config: CampaignConfig) -> DualMarketState:
-    """Fresh market state for a config; single-market configs get an inert
-    AGAINST leg with an unreachable target so the engine logic stays uniform."""
-    if config.mechanism.dual_market:
+    """Empty markets for a config; single-market configs get an inert
+    AGAINST leg with an unreachable target so the kernel stays uniform."""
+    mech = config.mechanism
+    cf = (CostFunction.from_params(config.cost_params)
+          if config.cost_params is not None else None)
+    if mech.dual_market:
         h_for, h_against = config.provision_point_pair  # type: ignore[misc]
-        return DualMarketState(MarketState(h_for), MarketState(h_against))
-    assert config.provision_point is not None
-    return DualMarketState(
-        MarketState(config.provision_point), MarketState(float("inf"))
-    )
+    else:
+        assert config.provision_point is not None
+        h_for, h_against = config.provision_point, float("inf")
+    return DualMarketState(MarketState(h_for), MarketState(h_against), cf,
+                           min_leg=mech.dual_market)
 
 
 # ---------------------------------------------------------------------------
-# Utility structures
+# Payoff rule
 # ---------------------------------------------------------------------------
+
+
+# Bound once: every member lookup on an enum class costs a few hundred ns on
+# Python 3.11, and the certifier evaluates payoffs ~36k times per run.
+_FOR = Market.FOR
+_PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
 
 
 def refund_share(amount: float, pool: float, budget: float) -> float:
@@ -106,21 +165,48 @@ def refund_share(amount: float, pool: float, budget: float) -> float:
     return amount / pool * budget
 
 
+def returned(market: Market, verdict: Verdict, amount: float, pool: float,
+             budget: float | None, securities: float = 0.0) -> float:
+    """Money handed back at settlement on a contribution of ``amount`` to
+    ``market``: nothing when that market won; otherwise the stake plus its
+    share of the bonus ``budget`` over the ``pool`` of all contributions
+    (refund-bonus family), or the ``securities`` it bought (securities
+    family, which has no bonus budget)."""
+    if verdict is (_PROVISIONED if market is _FOR else _REJECTED):
+        return 0.0
+    if budget is None:
+        return securities
+    return amount + refund_share(amount, pool, budget)
+
+
+def payoff(agent: AgentProfile, verdict: Verdict, amount: float,
+           refund: float) -> float:
+    """Valuation when provisioned, less the contribution, plus the refund."""
+    valuation = agent.valuation if verdict is _PROVISIONED else 0.0
+    return valuation - amount + refund
+
+
+def single_market_payoff(agent: AgentProfile, provisioned: bool, amount: float,
+                         pool: float, budget: float | None,
+                         securities: float = 0.0) -> float:
+    """Payoff of a contribution to the one market of PPR, PPS, PPRx, PPSx."""
+    verdict = _PROVISIONED if provisioned else _EXPIRED
+    return payoff(agent, verdict, amount,
+                  returned(_FOR, verdict, amount, pool, budget, securities))
+
+
 def ppr_utility(agent: AgentProfile, amount: float, total: float, budget: float,
                 provisioned: bool) -> float:
     """Single-market refund-bonus utility: valuation minus contribution on
     provision, else the proportional bonus (contribution itself returned)."""
-    if provisioned:
-        return agent.valuation - amount
-    return refund_share(amount, total, budget)
+    return single_market_payoff(agent, provisioned, amount, total, budget)
 
 
 def pps_utility(agent: AgentProfile, rec: ContributionRecord, provisioned: bool) -> float:
     """Single-market securities utility: valuation minus contribution on
     provision, else securities minus contribution (nonnegative by slope > 1)."""
-    if provisioned:
-        return agent.valuation - rec.amount
-    return rec.securities - rec.amount
+    return single_market_payoff(agent, provisioned, rec.amount, 0.0, None,
+                                rec.securities)
 
 
 def pprn_utility(agent: AgentProfile, reported: Market, amount: float,
@@ -135,56 +221,14 @@ def pprn_utility(agent: AgentProfile, reported: Market, amount: float,
     plus bonus when the project goes through anyway, and on expiry collects
     the bonus without any valuation term.
     """
-    pool = total_for + total_against
-    if reported is Market.FOR:
-        if verdict is Verdict.PROVISIONED:
-            return agent.valuation - amount
-        return refund_share(amount, pool, budget)
-    if verdict is Verdict.REJECTED:
-        return -amount
-    if verdict is Verdict.PROVISIONED:
-        return agent.valuation + refund_share(amount, pool, budget)
-    return refund_share(amount, pool, budget)
-
-
-def ppsn_allocate(dual: DualMarketState, cf: CostFunction, agent_id: int,
-                  amount: float, market: Market, tick: int) -> ContributionRecord:
-    """Apply one dual-market securities contribution under min-leg refunds.
-
-    The reward allocation prices against the smaller of the two markets'
-    issued quantities, so a contribution earns the same refund on either
-    side; only the chosen market's own issuance advances.
-    """
-    if amount < 0:
-        raise ValueError("contribution amount must be nonnegative")
-    if dual.any_met:
-        raise ValueError("market closed: a target has already been reached")
-    state = dual.market(market)
-    q_min = dual.min_issued
-    rec = ContributionRecord(
-        agent_id=agent_id,
-        amount=amount,
-        tick=tick,
-        market=market,
-        securities=cf.securities_for(amount, q_min),
-        q_at_allocation=q_min,
-        issued_delta=cf.securities_for(amount, state.issued),
-    )
-    state.record(rec)
-    return rec
+    return payoff(agent, verdict, amount,
+                  returned(reported, verdict, amount, total_for + total_against, budget))
 
 
 def ppsn_utility(agent: AgentProfile, rec: ContributionRecord, verdict: Verdict) -> float:
     """Dual-market securities utility for one allocated contribution."""
-    if rec.market is Market.FOR:
-        if verdict is Verdict.PROVISIONED:
-            return agent.valuation - rec.amount
-        return rec.securities - rec.amount
-    if verdict is Verdict.REJECTED:
-        return -rec.amount
-    if verdict is Verdict.PROVISIONED:
-        return agent.valuation + rec.securities - rec.amount
-    return rec.securities - rec.amount
+    return payoff(agent, verdict, rec.amount,
+                  returned(rec.market, verdict, rec.amount, 0.0, None, rec.securities))
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +248,20 @@ class Action:
 
 def run_campaign(config: CampaignConfig,
                  actions: list[Action]) -> tuple[Verdict, DualMarketState]:
-    """Process actions in time order and race the markets to their targets.
+    """Replay actions in time order and race the markets to their targets.
 
     Requires the list pre-sorted by (tick, agent id); simultaneous actions
     resolve in agent-id order so replays are deterministic. Processing stops
     the moment a target is reached: the crossing contribution is truncated so
     the winning total equals its target exactly and all later actions are
-    discarded. The FOR market is checked first in the (unreachable) case of a
-    single action satisfying both races.
+    discarded. Each accepted contribution is recorded with the allocation it
+    bought at the issuance before it.
     """
     mech = config.mechanism
-    cf = (CostFunction.from_params(config.cost_params)
-          if config.cost_params is not None else None)
     keys = [(a.tick, a.agent_id) for a in actions]
     if keys != sorted(keys):
         raise ValueError("actions must be sorted by (tick, agent id)")
     dual = new_states(config)
-    verdict = Verdict.EXPIRED
     for action in actions:
         if action.amount < 0:
             raise ValueError(f"agent {action.agent_id}: negative contribution")
@@ -233,47 +274,32 @@ def run_campaign(config: CampaignConfig,
             raise ValueError(
                 f"agent {action.agent_id}: {mech.value} has no rejection market"
             )
-        state = dual.market(action.market)
-        amount = min(action.amount, state.remaining)
-        if mech is Mechanism.PPSN:
-            ppsn_allocate(dual, cf, action.agent_id, amount, action.market, action.tick)  # type: ignore[arg-type]
-        elif mech.uses_securities:
-            assert cf is not None
-            rec = ContributionRecord(
-                agent_id=action.agent_id,
-                amount=amount,
-                tick=action.tick,
-                market=action.market,
-                securities=cf.securities_for(amount, state.issued),
-                q_at_allocation=state.issued,
-                issued_delta=cf.securities_for(amount, state.issued),
-            )
-            state.record(rec)
-        else:
-            state.record(ContributionRecord(
-                agent_id=action.agent_id,
-                amount=amount,
-                tick=action.tick,
-                market=action.market,
-            ))
-        if dual.market_for.met:
-            verdict = Verdict.PROVISIONED
+        q_price = dual.price_issuance(action.market)
+        amount = dual.play(action.market, action.amount)
+        dual.market(action.market).ledger.append(ContributionRecord(
+            agent_id=action.agent_id,
+            amount=amount,
+            tick=action.tick,
+            market=action.market,
+            securities=(dual.cf.securities_for(amount, q_price)
+                        if dual.cf is not None else 0.0),
+            q_at_allocation=q_price,
+        ))
+        if dual.closed:
             break
-        if dual.market_against.met:
-            verdict = Verdict.REJECTED
-            break
-    return verdict, dual
+    return dual.verdict or Verdict.EXPIRED, dual
 
 
 def settle(config: CampaignConfig, agents: list[AgentProfile], verdict: Verdict,
            dual: DualMarketState,
            belief_rewards: dict[int, float] | None = None) -> Outcome:
-    """Assemble per-agent realized utilities from the frozen ledgers.
+    """Apply the payoff rule to the frozen ledgers.
 
-    Agents without a ledger entry settle at zero contribution on their true
-    preference (free riders still collect the valuation term the verdict
-    implies). Two-phase mechanisms must supply the belief-phase rewards of
-    the winning side; single-phase mechanisms must not.
+    Every agent collects its valuation exactly when the project is
+    provisioned, including free riders without a ledger entry; each record
+    pays back what ``returned`` says. Two-phase mechanisms must supply the
+    belief-phase rewards of the winning side; single-phase mechanisms must
+    not.
     """
     mech = config.mechanism
     if mech.two_phase and belief_rewards is None:
@@ -281,73 +307,29 @@ def settle(config: CampaignConfig, agents: list[AgentProfile], verdict: Verdict,
     if not mech.two_phase and belief_rewards is not None:
         raise ValueError(f"{mech.value} settlement does not take belief_rewards")
     rewards = belief_rewards or {}
-    provisioned = verdict is Verdict.PROVISIONED
     total_for = dual.market_for.raised
     total_against = dual.market_against.raised
     pool = total_for + total_against
+    budget = config.bonus_budget
 
-    by_agent: dict[int, list[ContributionRecord]] = {a.id: [] for a in agents}
+    contributed = {a.id: 0.0 for a in agents}
+    refunded = dict(contributed)
     for state in (dual.market_for, dual.market_against):
         for rec in state.ledger:
-            if rec.agent_id not in by_agent:
+            if rec.agent_id not in contributed:
                 raise ValueError(f"ledger references unknown agent {rec.agent_id}")
-            by_agent[rec.agent_id].append(rec)
-
-    payouts: dict[int, Payout] = {}
-    for agent in agents:
-        recs = by_agent[agent.id] or [ContributionRecord(
-            agent_id=agent.id, amount=0.0, tick=config.deadline_contribution,
-            market=derive_preference(agent) if mech.dual_market else Market.FOR,
-        )]
-        valuation = 0.0
-        contribution = 0.0
-        refund = 0.0
-        for rec in recs:
-            contribution += rec.amount
-            if mech in (Mechanism.PPR, Mechanism.PPRX):
-                budget = (config.refund_budget if mech is Mechanism.PPR
-                          else config.contribution_budget)
-                if provisioned:
-                    valuation = agent.valuation
-                else:
-                    refund += rec.amount + refund_share(rec.amount, pool, budget)  # type: ignore[arg-type]
-            elif mech in (Mechanism.PPS, Mechanism.PPSX):
-                if provisioned:
-                    valuation = agent.valuation
-                else:
-                    refund += rec.securities
-            elif mech is Mechanism.PPRN:
-                if rec.market is Market.FOR:
-                    if provisioned:
-                        valuation = agent.valuation
-                    else:
-                        refund += rec.amount + refund_share(
-                            rec.amount, pool, config.refund_budget)  # type: ignore[arg-type]
-                else:
-                    if verdict is Verdict.PROVISIONED:
-                        valuation = agent.valuation
-                        refund += rec.amount + refund_share(
-                            rec.amount, pool, config.refund_budget)  # type: ignore[arg-type]
-                    elif verdict is Verdict.EXPIRED:
-                        refund += rec.amount + refund_share(
-                            rec.amount, pool, config.refund_budget)  # type: ignore[arg-type]
-            else:  # PPSN
-                if rec.market is Market.FOR:
-                    if provisioned:
-                        valuation = agent.valuation
-                    else:
-                        refund += rec.securities
-                else:
-                    if verdict is Verdict.PROVISIONED:
-                        valuation = agent.valuation
-                        refund += rec.securities
-                    elif verdict is Verdict.EXPIRED:
-                        refund += rec.securities
-        payouts[agent.id] = Payout(
-            valuation_term=valuation,
-            contribution=contribution,
-            refund=refund,
+            contributed[rec.agent_id] += rec.amount
+            refunded[rec.agent_id] += returned(rec.market, verdict, rec.amount,
+                                               pool, budget, rec.securities)
+    provisioned = verdict is Verdict.PROVISIONED
+    payouts = {
+        agent.id: Payout(
+            valuation_term=agent.valuation if provisioned else 0.0,
+            contribution=contributed[agent.id],
+            refund=refunded[agent.id],
             belief_reward=rewards.get(agent.id, 0.0),
         )
+        for agent in agents
+    }
     return Outcome(verdict=verdict, total_for=total_for,
                    total_against=total_against, payouts=payouts)

@@ -196,6 +196,14 @@ class CampaignConfig:
         return self.provision_point
 
     @property
+    def bonus_budget(self) -> float | None:
+        """Pool the refund-bonus family splits over refunded stakes; None
+        for the securities family, whose refunds are securities."""
+        if self.refund_budget is not None:
+            return self.refund_budget
+        return self.contribution_budget
+
+    @property
     def target_sum(self) -> float:
         """Sum of all targets; the refund denominator scale for dual markets."""
         if self.provision_point_pair is not None:
@@ -208,10 +216,9 @@ class CampaignConfig:
 class ContributionRecord:
     """One accepted contribution and what it bought.
 
-    ``securities`` is the refund-relevant allocation (computed against the
-    min-leg quantity in the dual-market securities mechanism), while
-    ``issued_delta`` is how much the chosen market's own issuance advanced.
-    Both stay zero for the refund-bonus family.
+    ``securities`` is the refund-relevant allocation, priced at
+    ``q_at_allocation`` (the min-leg issuance in the dual-market securities
+    mechanism). Both stay zero for the refund-bonus family.
     """
 
     agent_id: int
@@ -220,7 +227,6 @@ class ContributionRecord:
     market: Market
     securities: float = 0.0
     q_at_allocation: float = 0.0
-    issued_delta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.amount < 0:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from . import reports
 from .beliefs import (
+    BeliefReport,
     bbr_rewards,
     default_report,
     score_reports,
@@ -22,8 +23,8 @@ from .equilibrium import (
     construct_profile,
     certify_ne,
     certify_spe,
+    replayed_verdict,
 )
-from .costfn import CostFunction
 from .mechanisms import Action, run_campaign, settle
 from .model import (
     BeliefSide,
@@ -70,39 +71,31 @@ def profile_from_actions(scenario: Scenario) -> EquilibriumProfile:
     if config.mechanism.two_phase:
         profile.belief_rewards = conditional_rewards(scenario)
     by_agent = {a.agent_id: a for a in actions}
-    cf = (CostFunction.from_params(config.cost_params)
-          if config.cost_params is not None else None)
-    issued = {Market.FOR: 0.0, Market.AGAINST: 0.0}
-    ordered = sorted(scenario.agents,
-                     key=lambda a: (by_agent[a.id].tick if a.id in by_agent
-                                    else config.deadline_contribution, a.id))
-    for agent in ordered:
+    for agent in scenario.agents:
         action = by_agent.get(agent.id)
-        market = (action.market if action is not None
-                  else (derive_preference(agent) if config.mechanism.dual_market
-                        else Market.FOR))
-        amount = action.amount if action is not None else 0.0
-        tick = action.tick if action is not None else config.deadline_contribution
-        q_price = 0.0
-        if cf is not None:
-            q_price = (min(issued.values()) if config.mechanism.dual_market
-                       else issued[Market.FOR])
-        profile.entries[agent.id] = ProfileEntry(
-            amount=amount, tick=tick, market=market, issued_at_entry=q_price,
-            securities=cf.securities_for(amount, q_price) if cf else 0.0)
-        if cf is not None:
-            issued[market] += cf.securities_for(amount, issued[market])
+        if action is None:
+            market = (derive_preference(agent) if config.mechanism.dual_market
+                      else Market.FOR)
+            entry = ProfileEntry(0.0, config.deadline_contribution, market)
+        else:
+            entry = ProfileEntry(action.amount, action.tick, action.market)
+        profile.entries[agent.id] = entry
+    profile.expected_verdict = replayed_verdict(config, scenario.agents, profile)
     return profile
+
+
+def belief_reports(scenario: Scenario) -> list[BeliefReport]:
+    """The scenario's explicit reports, or truthful defaults when it has none."""
+    if scenario.explicit_reports is None:
+        return [default_report(a) for a in scenario.agents]
+    return scenario.explicit_reports
 
 
 def conditional_rewards(scenario: Scenario) -> dict[int, float]:
     """Per-agent belief reward conditional on its side winning, from the
     scenario's reports (or truthful defaults)."""
     config = scenario.config
-    scenario_reports = scenario.explicit_reports
-    if scenario_reports is None:
-        scenario_reports = [default_report(a) for a in scenario.agents]
-    ledger = score_reports(scenario_reports)
+    ledger = score_reports(belief_reports(scenario))
     rewards: dict[int, float] = {}
     for side in BeliefSide:
         rewards.update(side_rewards(ledger, side, config.belief_budget))  # type: ignore[arg-type]
@@ -149,9 +142,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
                    else actions_from_profile(profile))
         verdict, dual = run_campaign(config, actions)
         if config.mechanism.two_phase:
-            scenario_reports = (scenario.explicit_reports
-                                or [default_report(a) for a in scenario.agents])
-            ledger = score_reports(scenario_reports)
+            ledger = score_reports(belief_reports(scenario))
             rewards = bbr_rewards(ledger, winning_side_for(verdict),
                                   config.belief_budget)  # type: ignore[arg-type]
             result.outcome = settle(config, scenario.agents, verdict, dual,
@@ -210,8 +201,7 @@ def _settlement_metadata(scenario: Scenario, dual) -> tuple[dict[int, str],
             securities[rec.agent_id] = securities.get(rec.agent_id, 0.0) + rec.securities
     report_sides: dict[int, BeliefSide] = {}
     if config.mechanism.two_phase:
-        for rep in (scenario.explicit_reports
-                    or [default_report(a) for a in scenario.agents]):
+        for rep in belief_reports(scenario):
             report_sides[rep.agent_id] = rep.side
     for agent in scenario.agents:
         if config.mechanism.two_phase:

@@ -14,6 +14,7 @@ the stdlib Mersenne Twister (``random.Random``).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,6 +71,33 @@ def _enum_value(enum_cls, raw, context: str):
         raise ScenarioError(f"{context}: '{raw}' is not one of: {valid}") from None
 
 
+def _number(raw, context: str) -> float:
+    """A numeric field as a float; NaN and the infinities are refused."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{context}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"{context}: must be finite")
+    return value
+
+
+def _integer(raw, context: str) -> int:
+    """An integer field (ids, ticks, the seed); NaN and the infinities are
+    refused."""
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise ScenarioError(f"{context}: must be finite")
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{context}: expected an integer, got {raw!r}") from None
+
+
+def _optional(data: dict, key: str, context: str, convert=_number):
+    raw = data.get(key)
+    return None if raw is None else convert(raw, f"{context}.{key}")
+
+
 def parse_scenario_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario: top level must be an object")
@@ -79,37 +107,36 @@ def parse_scenario_dict(data: dict) -> Scenario:
             f"scenario.version: expected {SCENARIO_VERSION}, got {version!r}")
 
     raw_cfg = _require(data, "config", "scenario")
-    mech = _enum_value(Mechanism, _require(raw_cfg, "mechanism", "scenario.config"),
-                       "scenario.config.mechanism")
+    ctx = "scenario.config"
+    mech = _enum_value(Mechanism, _require(raw_cfg, "mechanism", ctx), f"{ctx}.mechanism")
     pair = raw_cfg.get("provision_point_pair")
     if pair is not None:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ScenarioError(
-                "scenario.config.provision_point_pair: expected [for, against]")
-        pair = (float(pair[0]), float(pair[1]))
+            raise ScenarioError(f"{ctx}.provision_point_pair: expected [for, against]")
+        pair = tuple(_number(x, f"{ctx}.provision_point_pair[{i}]")
+                     for i, x in enumerate(pair))
     cost_raw = raw_cfg.get("cost_params")
+    cost_values = None if cost_raw is None else (
+        _number(cost_raw.get("liquidity", 1.0), f"{ctx}.cost_params.liquidity"),
+        _number(cost_raw.get("fixed_leg", 0.0), f"{ctx}.cost_params.fixed_leg"))
+    amounts = {name: _optional(raw_cfg, name, ctx)
+               for name in ("provision_point", "refund_budget", "belief_budget",
+                            "contribution_budget")}
+    deadline = _integer(raw_cfg.get("deadline_contribution", 0),
+                        f"{ctx}.deadline_contribution")
+    deadline_belief = _optional(raw_cfg, "deadline_belief", ctx, _integer)
     try:
-        cost = None if cost_raw is None else CostParams(
-            liquidity=float(cost_raw.get("liquidity", 1.0)),
-            fixed_leg=float(cost_raw.get("fixed_leg", 0.0)))
+        cost = None if cost_values is None else CostParams(*cost_values)
         config = CampaignConfig(
             mechanism=mech,
-            provision_point=(None if raw_cfg.get("provision_point") is None
-                             else float(raw_cfg["provision_point"])),
-            provision_point_pair=pair,
-            refund_budget=(None if raw_cfg.get("refund_budget") is None
-                           else float(raw_cfg["refund_budget"])),
-            belief_budget=(None if raw_cfg.get("belief_budget") is None
-                           else float(raw_cfg["belief_budget"])),
-            contribution_budget=(None if raw_cfg.get("contribution_budget") is None
-                                 else float(raw_cfg["contribution_budget"])),
-            deadline_contribution=int(raw_cfg.get("deadline_contribution", 0)),
-            deadline_belief=(None if raw_cfg.get("deadline_belief") is None
-                             else int(raw_cfg["deadline_belief"])),
+            provision_point_pair=pair,  # type: ignore[arg-type]
+            deadline_contribution=deadline,
+            deadline_belief=deadline_belief,
             cost_params=cost,
+            **amounts,
         )
     except ValueError as exc:
-        raise ScenarioError(f"scenario.config: {exc}") from None
+        raise ScenarioError(f"{ctx}: {exc}") from None
 
     raw_agents = _require(data, "agents", "scenario")
     if not isinstance(raw_agents, list) or not raw_agents:
@@ -119,15 +146,19 @@ def parse_scenario_dict(data: dict) -> Scenario:
         context = f"scenario.agents[{i}]"
         side = _enum_value(BeliefSide, raw.get("belief_side", "provision_likely"),
                            f"{context}.belief_side")
+        values = {
+            "id": _integer(_require(raw, "id", context), f"{context}.id"),
+            "valuation": _number(_require(raw, "valuation", context),
+                                 f"{context}.valuation"),
+            "belief_epsilon": _number(raw.get("belief_epsilon", 0.0),
+                                      f"{context}.belief_epsilon"),
+            "arrival_belief": _integer(raw.get("arrival_belief", 0),
+                                       f"{context}.arrival_belief"),
+            "arrival_contribution": _integer(raw.get("arrival_contribution", 0),
+                                             f"{context}.arrival_contribution"),
+        }
         try:
-            agents.append(AgentProfile(
-                id=int(_require(raw, "id", context)),
-                valuation=float(_require(raw, "valuation", context)),
-                belief_epsilon=float(raw.get("belief_epsilon", 0.0)),
-                belief_side=side,
-                arrival_belief=int(raw.get("arrival_belief", 0)),
-                arrival_contribution=int(raw.get("arrival_contribution", 0)),
-            ))
+            agents.append(AgentProfile(belief_side=side, **values))
         except ValueError as exc:
             raise ScenarioError(f"{context}: {exc}") from None
     ids = [a.id for a in agents]
@@ -142,10 +173,11 @@ def parse_scenario_dict(data: dict) -> Scenario:
             market = _enum_value(Market, raw.get("market", "for"),
                                  f"{context}.market")
             actions.append(Action(
-                agent_id=int(_require(raw, "agent_id", context)),
-                amount=float(_require(raw, "amount", context)),
+                agent_id=_integer(_require(raw, "agent_id", context),
+                                  f"{context}.agent_id"),
+                amount=_number(_require(raw, "amount", context), f"{context}.amount"),
                 market=market,
-                tick=int(raw.get("tick", 0)),
+                tick=_integer(raw.get("tick", 0), f"{context}.tick"),
             ))
 
     reports = None
@@ -153,13 +185,17 @@ def parse_scenario_dict(data: dict) -> Scenario:
         reports = []
         for i, raw in enumerate(data["explicit_reports"]):
             context = f"scenario.explicit_reports[{i}]"
+            values = {
+                "agent_id": _integer(_require(raw, "agent_id", context),
+                                     f"{context}.agent_id"),
+                "information": _integer(_require(raw, "information", context),
+                                        f"{context}.information"),
+                "prediction": _number(_require(raw, "prediction", context),
+                                      f"{context}.prediction"),
+                "tick": _integer(raw.get("tick", 0), f"{context}.tick"),
+            }
             try:
-                reports.append(BeliefReport(
-                    agent_id=int(_require(raw, "agent_id", context)),
-                    information=int(_require(raw, "information", context)),
-                    prediction=float(_require(raw, "prediction", context)),
-                    tick=int(raw.get("tick", 0)),
-                ))
+                reports.append(BeliefReport(**values))
             except ValueError as exc:
                 raise ScenarioError(f"{context}: {exc}") from None
 
@@ -172,7 +208,7 @@ def parse_scenario_dict(data: dict) -> Scenario:
     )
     scenario = Scenario(config=config, agents=agents, explicit_actions=actions,
                         explicit_reports=reports, analysis=flags,
-                        seed=int(data.get("seed", 0)))
+                        seed=_integer(data.get("seed", 0), "scenario.seed"))
     validate_scenario(scenario)
     return scenario
 
@@ -221,6 +257,10 @@ def validate_scenario(scenario: Scenario) -> None:
         if not mech.two_phase:
             raise ScenarioError(
                 f"scenario.explicit_reports: {mech.value} has no belief phase")
+        if len(scenario.explicit_reports) < 3:
+            raise ScenarioError(
+                "scenario.explicit_reports: belief scoring requires at least 3 "
+                f"reports, got {len(scenario.explicit_reports)}")
         for i, rep in enumerate(scenario.explicit_reports):
             context = f"scenario.explicit_reports[{i}]"
             if rep.agent_id not in known:

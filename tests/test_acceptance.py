@@ -105,12 +105,16 @@ def test_criterion_2_ppsn_spe():
         assert report.certified, (seed, report.deviations[:3])
         for agent in agents:
             entry = profile.entries[agent.id]
-            bound = contribution_bound(config, agent,
-                                       issued=entry.issued_at_entry)
-            if 0.0 < entry.amount < bound * (1 - 1e-9):
+            # report bounds are priced at the issuance the agent found
+            if 0.0 < entry.amount < report.bounds[agent.id] * (1 - 1e-9):
                 clip_seen = True
         # preference flip leaves the symmetric-belief expectation unchanged
-        cf = CostFunction.from_params(config.cost_params)
+        _, dual = run_campaign(config, sorted(
+            [Action(i, e.amount, e.market, e.tick)
+             for i, e in profile.entries.items() if e.amount > 0],
+            key=lambda a: (a.tick, a.agent_id)))
+        allocated = {r.agent_id: r.securities
+                     for r in dual.market_for.ledger + dual.market_against.ledger}
         epsilon = scale * 1e-6
         for agent in agents:
             entry = profile.entries[agent.id]
@@ -118,10 +122,10 @@ def test_criterion_2_ppsn_spe():
                 continue
             stay = ContributionRecord(agent_id=agent.id, amount=entry.amount,
                                       tick=0, market=entry.market,
-                                      securities=entry.securities)
+                                      securities=allocated[agent.id])
             flip = ContributionRecord(agent_id=agent.id, amount=entry.amount,
                                       tick=0, market=entry.market.other,
-                                      securities=entry.securities)
+                                      securities=allocated[agent.id])
             eu_stay = 0.5 * (ppsn_utility(agent, stay, Verdict.PROVISIONED)
                              + ppsn_utility(agent, stay, Verdict.REJECTED))
             eu_flip = 0.5 * (ppsn_utility(agent, flip, Verdict.PROVISIONED)

@@ -1,0 +1,107 @@
+"""The profile, the engine, settlement and the utility functions agree
+about the outcome of the same play, for every mechanism."""
+
+import math
+
+import pytest
+
+from provpoint.beliefs import (
+    bbr_rewards,
+    pprx_utility,
+    ppsx_utility,
+    score_reports,
+    winning_side_for,
+)
+from provpoint.equilibrium import construct_profile
+from provpoint.mechanisms import (
+    Action,
+    ppr_utility,
+    pprn_utility,
+    pps_utility,
+    ppsn_utility,
+    run_campaign,
+    settle,
+)
+from provpoint.model import Mechanism, Verdict
+from provpoint.runner import actions_from_profile, belief_reports, conditional_rewards
+from provpoint.scenario import ScenarioTemplate, generate_scenario
+
+# first seed per mechanism; the refund-bonus and dual-market securities
+# ones are the acceptance suite's
+FIRST_SEED = {Mechanism.PPRN: 0, Mechanism.PPSN: 100, Mechanism.PPRX: 200,
+              Mechanism.PPSX: 300, Mechanism.PPR: 400, Mechanism.PPS: 500}
+
+
+def generated(mech, count=20):
+    for seed in range(FIRST_SEED[mech], FIRST_SEED[mech] + count):
+        template = ScenarioTemplate(mechanism=mech, agent_count=3 + seed % 8)
+        yield generate_scenario(template, seed=seed)
+
+
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_profile_verdict_is_engine_verdict(mech):
+    verdicts = set()
+    for scenario in generated(mech):
+        profile = construct_profile(scenario.config, scenario.agents)
+        assert profile.feasible
+        verdict, _ = run_campaign(scenario.config, actions_from_profile(profile))
+        assert profile.expected_verdict is verdict
+        verdicts.add(verdict)
+    if mech.dual_market:
+        # both sides win somewhere, so the tie order is exercised
+        assert verdicts == {Verdict.PROVISIONED, Verdict.REJECTED}
+
+
+def utility_at(scenario, agent, rec, verdict, dual, reward):
+    """The mechanism's utility function for one record at ``verdict``."""
+    config = scenario.config
+    mech = config.mechanism
+    provisioned = verdict is Verdict.PROVISIONED
+    total_for, total_against = dual.market_for.raised, dual.market_against.raised
+    if mech is Mechanism.PPR:
+        return ppr_utility(agent, rec.amount, total_for, config.refund_budget,
+                           provisioned)
+    if mech is Mechanism.PPRN:
+        return pprn_utility(agent, rec.market, rec.amount, total_for, total_against,
+                            config.refund_budget, verdict)
+    if mech is Mechanism.PPS:
+        return pps_utility(agent, rec, provisioned)
+    if mech is Mechanism.PPSN:
+        return ppsn_utility(agent, rec, verdict)
+    side = {r.agent_id: r.side for r in belief_reports(scenario)}[agent.id]
+    if mech is Mechanism.PPRX:
+        return pprx_utility(agent, side, rec.amount, total_for,
+                            config.contribution_budget, reward, provisioned)
+    return ppsx_utility(agent, side, rec, reward, provisioned)
+
+
+@pytest.mark.parametrize("share", [1.0, 0.5])
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_settlement_matches_utility(mech, share):
+    """Equilibrium play (share 1) fills a target; halved stakes expire."""
+    checked = 0
+    for scenario in generated(mech):
+        config, agents = scenario.config, scenario.agents
+        profile = construct_profile(config, agents)
+        actions = [Action(a.agent_id, a.amount * share, a.market, a.tick)
+                   for a in actions_from_profile(profile)]
+        verdict, dual = run_campaign(config, actions)
+        rewards, conditional = None, {}
+        if mech.two_phase:
+            ledger = score_reports(belief_reports(scenario))
+            rewards = bbr_rewards(ledger, winning_side_for(verdict),
+                                  config.belief_budget)
+            conditional = conditional_rewards(scenario)
+        outcome = settle(config, agents, verdict, dual, belief_rewards=rewards)
+        records = dual.market_for.ledger + dual.market_against.ledger
+        for agent in agents:
+            mine = [r for r in records if r.agent_id == agent.id]
+            if len(mine) != 1:
+                continue
+            expected = utility_at(scenario, agent, mine[0], verdict, dual,
+                                  conditional.get(agent.id, 0.0))
+            realized = outcome.payouts[agent.id].realized
+            assert math.isclose(realized, expected, rel_tol=1e-9, abs_tol=1e-12), (
+                scenario.seed, agent.id, verdict, realized, expected)
+            checked += 1
+    assert checked > 0

@@ -139,3 +139,35 @@ def test_explicit_actions_scenario(tmp_path):
     rows = (out / "ledger.csv").read_text().splitlines()[1:]
     # second contribution truncated to meet the target exactly
     assert rows[1].split(",")[3] == "4.0"
+
+
+def one_error_line(capsys, needle):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
+def test_short_explicit_reports_exit_code(tmp_path, capsys):
+    scenario = generate_scenario(
+        ScenarioTemplate(mechanism=Mechanism.PPRX, agent_count=4), seed=9)
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    raw = json.loads(path.read_text())
+    raw["explicit_reports"] = []
+    path.write_text(json.dumps(raw))
+    for verb in ("run", "certify"):
+        assert main([verb, "--scenario", str(path)]) == 1
+        one_error_line(capsys, "scenario.explicit_reports")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_scenario_exit_code(pprn_scenario, tmp_path, capsys, value):
+    text = pprn_scenario.read_text()
+    raw = json.loads(text)
+    raw["agents"][0]["valuation"] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw).replace('"@"', value))
+    for verb in ("check", "run", "certify"):
+        assert main([verb, "--scenario", str(path),
+                     "--out", str(tmp_path / verb)]) == 1
+        one_error_line(capsys, "scenario.agents[0].valuation: must be finite")

@@ -251,9 +251,10 @@ def test_certify_spe_ppsn():
     assert profile.feasible
     report = certify_spe(config, agents, profile)
     assert report.certified, report.deviations[:3]
-    # the second optimist clips to the remaining target on path
-    assert profile.entries[1].amount < contribution_bound(
-        config, agents[1], issued=profile.entries[1].issued_at_entry)
+    # the second optimist clips to the remaining target on path; its report
+    # bound is priced at the min leg it found, the untouched rejection side
+    assert profile.entries[1].amount < report.bounds[1]
+    assert report.bounds[1] == contribution_bound(config, agents[1], issued=0.0)
 
 
 def test_certify_spe_post_target_arrival_plays_zero():
@@ -289,9 +290,9 @@ def test_certify_spe_flags_overbound_play():
     second = profile.entries[1]
     assert second.amount > 0.6
     profile.entries[0] = ProfileEntry(first.amount + 0.6, first.tick,
-                                      first.market, first.issued_at_entry)
+                                      first.market)
     profile.entries[1] = ProfileEntry(second.amount - 0.6, second.tick,
-                                      second.market, second.issued_at_entry)
+                                      second.market)
     report = certify_spe(config, agents, profile)
     assert not report.certified
     assert any(d.agent_id == 0 and d.kind == "contribution"

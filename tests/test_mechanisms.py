@@ -5,12 +5,10 @@ import pytest
 from provpoint.costfn import CostFunction
 from provpoint.mechanisms import (
     Action,
-    DualMarketState,
-    MarketState,
+    new_states,
     ppr_utility,
     pprn_utility,
     pps_utility,
-    ppsn_allocate,
     ppsn_utility,
     run_campaign,
     settle,
@@ -30,8 +28,11 @@ def agent(theta, aid=0, **kw):
     return AgentProfile(id=aid, valuation=theta, **kw)
 
 
-def fresh_dual(h_for=100.0, h_against=100.0):
-    return DualMarketState(MarketState(h_for), MarketState(h_against))
+def ppsn_book_config(h_for=100.0, h_against=100.0):
+    return CampaignConfig(mechanism=Mechanism.PPSN,
+                          provision_point_pair=(h_for, h_against),
+                          cost_params=CostParams(liquidity=1.0),
+                          deadline_contribution=10)
 
 
 # ---------------------------------------------------------------------------
@@ -80,47 +81,61 @@ def test_pprn_utility_reported_against():
 
 
 def test_ppsn_allocate_first_contribution():
-    cf = CostFunction()
-    dual = fresh_dual()
-    rec = ppsn_allocate(dual, cf, 0, 1.0, Market.FOR, tick=0)
+    _, dual = run_campaign(ppsn_book_config(), [Action(0, 1.0, Market.FOR, 0)])
+    rec = dual.market_for.ledger[0]
     assert rec.securities == pytest.approx(math.log(2 * math.e - 1), rel=1e-12)
     assert rec.q_at_allocation == 0.0
     assert dual.market_for.raised == 1.0
-    assert dual.market_for.issued == pytest.approx(rec.securities)
-    assert dual.market_against.issued == 0.0
+    # issuance is derived from money raised, and matches what was bought
+    assert dual.issued(Market.FOR) == pytest.approx(rec.securities, rel=1e-12)
+    assert dual.issued(Market.AGAINST) == 0.0
 
 
 def test_ppsn_allocate_zero_amount():
-    cf = CostFunction()
-    dual = fresh_dual()
-    rec = ppsn_allocate(dual, cf, 0, 0.0, Market.FOR, tick=0)
+    _, dual = run_campaign(ppsn_book_config(), [Action(0, 0.0, Market.FOR, 0)])
+    rec = dual.market_for.ledger[0]
     assert rec.securities == 0.0
     assert dual.market_for.raised == 0.0
-    assert dual.market_for.issued == 0.0
+    assert dual.issued(Market.FOR) == 0.0
 
 
 def test_ppsn_allocate_min_leg_coupling():
     # while the other market's issuance is still smaller, repeat buyers on
     # one side keep pricing at the untouched min leg and get equal rewards
-    cf = CostFunction()
-    dual = fresh_dual()
-    first = ppsn_allocate(dual, cf, 0, 1.0, Market.FOR, tick=0)
-    second = ppsn_allocate(dual, cf, 1, 1.0, Market.FOR, tick=1)
+    _, dual = run_campaign(ppsn_book_config(), [
+        Action(0, 1.0, Market.FOR, 0),
+        Action(1, 1.0, Market.FOR, 1),
+        Action(2, 4.0, Market.AGAINST, 2),
+        Action(3, 1.0, Market.FOR, 3),
+    ])
+    first, second, third = dual.market_for.ledger
     assert second.q_at_allocation == 0.0
     assert second.securities == pytest.approx(first.securities, rel=1e-12)
-    # once the against leg leads the min, a later buyer is priced higher
-    ppsn_allocate(dual, cf, 2, 4.0, Market.AGAINST, tick=2)
-    third = ppsn_allocate(dual, cf, 3, 1.0, Market.FOR, tick=3)
+    # once the against leg leads, the min leg is the 2.0 raised for
+    # provision and a later buyer is priced higher
+    assert third.q_at_allocation == pytest.approx(CostFunction().issued_at(2.0),
+                                                  rel=1e-12)
     assert third.q_at_allocation > 0.0
     assert third.securities < first.securities
 
 
 def test_ppsn_allocate_rejects_after_close():
-    cf = CostFunction()
-    dual = fresh_dual(h_for=1.0)
-    ppsn_allocate(dual, cf, 0, 1.0, Market.FOR, tick=0)
+    book = new_states(ppsn_book_config(h_for=1.0))
+    book.play(Market.FOR, 1.0)
     with pytest.raises(ValueError, match="closed"):
-        ppsn_allocate(dual, cf, 1, 0.5, Market.AGAINST, tick=1)
+        book.play(Market.AGAINST, 0.5)
+
+
+def test_play_truncates_overshoot_to_exact_fill():
+    # a play past the remaining amount is cut to it; the total never
+    # exceeds the target and equals it exactly
+    book = new_states(ppsn_book_config(h_for=1.0))
+    assert book.play(Market.FOR, 0.3) == 0.3
+    assert book.play(Market.FOR, 5.0) == pytest.approx(0.7)
+    assert book.market_for.raised == 1.0
+    assert book.verdict is Verdict.PROVISIONED
+    with pytest.raises(ValueError, match="nonnegative"):
+        new_states(ppsn_book_config()).play(Market.FOR, -1.0)
 
 
 def test_ppsn_utility():

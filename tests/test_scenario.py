@@ -187,3 +187,103 @@ def test_template_from_dict():
     with pytest.raises(ScenarioError, match="fill_fraction"):
         template_from_dict({"mechanism": "PPR", "agent_count": 3,
                             "fill_fraction": 0.95})
+
+
+MINIMAL_PPRX = {
+    "version": 1,
+    "config": {"mechanism": "PPRx", "provision_point": 10.0,
+               "belief_budget": 2.0, "contribution_budget": 1.0,
+               "deadline_contribution": 4, "deadline_belief": 2},
+    "agents": [{"id": i, "valuation": 8.0} for i in range(3)],
+}
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_short_explicit_reports_rejected(count):
+    data = json.loads(json.dumps(MINIMAL_PPRX))
+    data["explicit_reports"] = [
+        {"agent_id": i, "information": 0, "prediction": 0.5} for i in range(count)]
+    with pytest.raises(ScenarioError,
+                       match=rf"^scenario\.explicit_reports: .*at least 3.*got {count}"):
+        parse_scenario_dict(data)
+    data["explicit_reports"] = [
+        {"agent_id": i, "information": 0, "prediction": 0.5} for i in range(3)]
+    assert len(parse_scenario_dict(data).explicit_reports) == 3
+
+
+PPS_CONFIG = {"mechanism": "PPS", "provision_point": 10.0,
+              "cost_params": {"liquidity": 5.0, "fixed_leg": 0.0},
+              "deadline_contribution": 4}
+PPRN_CONFIG = {"mechanism": "PPRN", "provision_point_pair": [10.0, 5.0],
+               "refund_budget": 2.0, "deadline_contribution": 4}
+
+
+def with_value(base, path, value, config=None):
+    data = json.loads(json.dumps(base))
+    if config is not None:
+        data["config"] = json.loads(json.dumps(config))
+    if path[0] == "explicit_actions":
+        data["explicit_actions"] = [{"agent_id": 0, "amount": 1.0, "tick": 1}]
+    if path[0] == "explicit_reports":
+        data["explicit_reports"] = [
+            {"agent_id": i, "information": 0, "prediction": 0.5} for i in range(3)]
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+NUMERIC_FIELDS = [
+    (MINIMAL_PPR, None, ("config", "provision_point")),
+    (MINIMAL_PPR, None, ("config", "refund_budget")),
+    (MINIMAL_PPR, None, ("config", "deadline_contribution")),
+    (MINIMAL_PPR, None, ("agents", 0, "id")),
+    (MINIMAL_PPR, None, ("agents", 0, "valuation")),
+    (MINIMAL_PPR, None, ("agents", 0, "belief_epsilon")),
+    (MINIMAL_PPR, None, ("agents", 0, "arrival_belief")),
+    (MINIMAL_PPR, None, ("agents", 1, "arrival_contribution")),
+    (MINIMAL_PPR, None, ("explicit_actions", 0, "agent_id")),
+    (MINIMAL_PPR, None, ("explicit_actions", 0, "amount")),
+    (MINIMAL_PPR, None, ("explicit_actions", 0, "tick")),
+    (MINIMAL_PPR, None, ("seed",)),
+    (MINIMAL_PPR, PPS_CONFIG, ("config", "cost_params", "liquidity")),
+    (MINIMAL_PPR, PPS_CONFIG, ("config", "cost_params", "fixed_leg")),
+    (MINIMAL_PPR, PPRN_CONFIG, ("config", "provision_point_pair", 1)),
+    (MINIMAL_PPRX, None, ("config", "belief_budget")),
+    (MINIMAL_PPRX, None, ("config", "contribution_budget")),
+    (MINIMAL_PPRX, None, ("config", "deadline_belief")),
+    (MINIMAL_PPRX, None, ("explicit_reports", 2, "agent_id")),
+    (MINIMAL_PPRX, None, ("explicit_reports", 2, "information")),
+    (MINIMAL_PPRX, None, ("explicit_reports", 2, "prediction")),
+    (MINIMAL_PPRX, None, ("explicit_reports", 2, "tick")),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("base,config,path", NUMERIC_FIELDS)
+def test_non_finite_numbers_rejected(base, config, path, value):
+    data = with_value(base, path, value, config)
+    dotted = ".".join(f"[{k}]" if isinstance(k, int) else k for k in path)
+    dotted = dotted.replace(".[", "[")
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_dict(data)
+    assert str(info.value) == f"scenario.{dotted}: must be finite"
+
+
+def test_non_numeric_values_name_the_field():
+    data = json.loads(json.dumps(MINIMAL_PPR))
+    data["agents"][0]["valuation"] = None
+    with pytest.raises(ScenarioError,
+                       match=r"^scenario\.agents\[0\]\.valuation: expected a number"):
+        parse_scenario_dict(data)
+    data = json.loads(json.dumps(MINIMAL_PPR))
+    data["config"]["deadline_contribution"] = "soon"
+    with pytest.raises(ScenarioError, match=r"^scenario\.config\.deadline_contribution: "
+                                            "expected an integer"):
+        parse_scenario_dict(data)
+    data = json.loads(json.dumps(MINIMAL_PPR))
+    del data["agents"][0]["id"]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_dict(data)
+    assert str(info.value) == "scenario.agents[0]: missing required field 'id'"
