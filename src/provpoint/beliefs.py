@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mechanisms import single_market_payoff
+from .mechanisms import run_campaign, settle, single_market_payoff
 from .model import (
     AgentProfile,
     BeliefSide,
@@ -214,8 +214,6 @@ def run_two_phase(config: CampaignConfig, agents: list[AgentProfile], actions,
     against the belief deadline and the campaign engine enforces its own.
     Returns the scored belief ledger and the settled outcome.
     """
-    from .mechanisms import run_campaign, settle
-
     if not config.mechanism.two_phase:
         raise ValueError(f"{config.mechanism.value} has no belief phase")
     if len(agents) < 3:

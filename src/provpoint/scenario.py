@@ -93,9 +93,20 @@ def _integer(raw, context: str) -> int:
         raise ScenarioError(f"{context}: expected an integer, got {raw!r}") from None
 
 
-def _optional(data: dict, key: str, context: str, convert=_number):
-    raw = data.get(key)
-    return None if raw is None else convert(raw, f"{context}.{key}")
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, context: str, convert=_number, default=_REQUIRED):
+    """``data[key]`` converted, naming ``context.key`` in any error. A missing
+    key takes ``default`` (an optional field, None when absent or null) or
+    is an error when there is none."""
+    if default is _REQUIRED:
+        raw = _require(data, key, context)
+    else:
+        raw = data.get(key, default)
+        if raw is None and default is None:
+            return None
+    return convert(raw, f"{context}.{key}")
 
 
 def parse_scenario_dict(data: dict) -> Scenario:
@@ -117,14 +128,13 @@ def parse_scenario_dict(data: dict) -> Scenario:
                      for i, x in enumerate(pair))
     cost_raw = raw_cfg.get("cost_params")
     cost_values = None if cost_raw is None else (
-        _number(cost_raw.get("liquidity", 1.0), f"{ctx}.cost_params.liquidity"),
-        _number(cost_raw.get("fixed_leg", 0.0), f"{ctx}.cost_params.fixed_leg"))
-    amounts = {name: _optional(raw_cfg, name, ctx)
+        _field(cost_raw, "liquidity", f"{ctx}.cost_params", default=1.0),
+        _field(cost_raw, "fixed_leg", f"{ctx}.cost_params", default=0.0))
+    amounts = {name: _field(raw_cfg, name, ctx, default=None)
                for name in ("provision_point", "refund_budget", "belief_budget",
                             "contribution_budget")}
-    deadline = _integer(raw_cfg.get("deadline_contribution", 0),
-                        f"{ctx}.deadline_contribution")
-    deadline_belief = _optional(raw_cfg, "deadline_belief", ctx, _integer)
+    deadline = _field(raw_cfg, "deadline_contribution", ctx, _integer, default=0)
+    deadline_belief = _field(raw_cfg, "deadline_belief", ctx, _integer, default=None)
     try:
         cost = None if cost_values is None else CostParams(*cost_values)
         config = CampaignConfig(
@@ -147,15 +157,12 @@ def parse_scenario_dict(data: dict) -> Scenario:
         side = _enum_value(BeliefSide, raw.get("belief_side", "provision_likely"),
                            f"{context}.belief_side")
         values = {
-            "id": _integer(_require(raw, "id", context), f"{context}.id"),
-            "valuation": _number(_require(raw, "valuation", context),
-                                 f"{context}.valuation"),
-            "belief_epsilon": _number(raw.get("belief_epsilon", 0.0),
-                                      f"{context}.belief_epsilon"),
-            "arrival_belief": _integer(raw.get("arrival_belief", 0),
-                                       f"{context}.arrival_belief"),
-            "arrival_contribution": _integer(raw.get("arrival_contribution", 0),
-                                             f"{context}.arrival_contribution"),
+            "id": _field(raw, "id", context, _integer),
+            "valuation": _field(raw, "valuation", context),
+            "belief_epsilon": _field(raw, "belief_epsilon", context, default=0.0),
+            "arrival_belief": _field(raw, "arrival_belief", context, _integer, 0),
+            "arrival_contribution": _field(raw, "arrival_contribution", context,
+                                           _integer, 0),
         }
         try:
             agents.append(AgentProfile(belief_side=side, **values))
@@ -173,11 +180,10 @@ def parse_scenario_dict(data: dict) -> Scenario:
             market = _enum_value(Market, raw.get("market", "for"),
                                  f"{context}.market")
             actions.append(Action(
-                agent_id=_integer(_require(raw, "agent_id", context),
-                                  f"{context}.agent_id"),
-                amount=_number(_require(raw, "amount", context), f"{context}.amount"),
+                agent_id=_field(raw, "agent_id", context, _integer),
+                amount=_field(raw, "amount", context),
                 market=market,
-                tick=_integer(raw.get("tick", 0), f"{context}.tick"),
+                tick=_field(raw, "tick", context, _integer, 0),
             ))
 
     reports = None
@@ -186,13 +192,10 @@ def parse_scenario_dict(data: dict) -> Scenario:
         for i, raw in enumerate(data["explicit_reports"]):
             context = f"scenario.explicit_reports[{i}]"
             values = {
-                "agent_id": _integer(_require(raw, "agent_id", context),
-                                     f"{context}.agent_id"),
-                "information": _integer(_require(raw, "information", context),
-                                        f"{context}.information"),
-                "prediction": _number(_require(raw, "prediction", context),
-                                      f"{context}.prediction"),
-                "tick": _integer(raw.get("tick", 0), f"{context}.tick"),
+                "agent_id": _field(raw, "agent_id", context, _integer),
+                "information": _field(raw, "information", context, _integer),
+                "prediction": _field(raw, "prediction", context),
+                "tick": _field(raw, "tick", context, _integer, 0),
             }
             try:
                 reports.append(BeliefReport(**values))
@@ -208,7 +211,7 @@ def parse_scenario_dict(data: dict) -> Scenario:
     )
     scenario = Scenario(config=config, agents=agents, explicit_actions=actions,
                         explicit_reports=reports, analysis=flags,
-                        seed=_integer(data.get("seed", 0), "scenario.seed"))
+                        seed=_field(data, "seed", "scenario", _integer, 0))
     validate_scenario(scenario)
     return scenario
 
