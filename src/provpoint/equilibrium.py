@@ -526,15 +526,16 @@ def _branch_utility(config: CampaignConfig, agent: AgentProfile, market: Market,
     if mech is Mechanism.PPRN:
         return pprn_utility(agent, market, amount, total_for, total_against,
                             config.refund_budget, verdict)  # type: ignore[arg-type]
+    if mech is Mechanism.PPRX:
+        return pprx_utility(agent, agent.belief_side, amount, total_for,
+                            config.contribution_budget, belief_reward, provisioned)  # type: ignore[arg-type]
+    # only the securities utilities read a record; building one is not free
     rec = ContributionRecord(agent_id=agent.id, amount=amount, tick=0,
                              market=market, securities=securities)
     if mech is Mechanism.PPS:
         return pps_utility(agent, rec, provisioned)
     if mech is Mechanism.PPSN:
         return ppsn_utility(agent, rec, verdict)
-    if mech is Mechanism.PPRX:
-        return pprx_utility(agent, agent.belief_side, amount, total_for,
-                            config.contribution_budget, belief_reward, provisioned)  # type: ignore[arg-type]
     return ppsx_utility(agent, agent.belief_side, rec, belief_reward, provisioned)
 
 
