@@ -28,6 +28,8 @@ class CostFunction:
     def __post_init__(self) -> None:
         if self.liquidity <= 0:
             raise ValueError(f"liquidity must be positive, got {self.liquidity}")
+        # cost of the empty market, from which issuance is measured
+        object.__setattr__(self, "opening_cost", self.cost(0.0))
 
     @classmethod
     def from_params(cls, params: CostParams) -> "CostFunction":
@@ -65,7 +67,7 @@ class CostFunction:
         """
         if raised <= 0.0:
             return 0.0
-        return self.inverse_cost(raised + self.cost(0.0))
+        return self.inverse_cost(raised + self.opening_cost)
 
     def securities_for(self, amount: float, issued: float) -> float:
         """Securities bought by paying ``amount`` when ``issued`` are outstanding."""

@@ -70,6 +70,10 @@ from .model import (
 MET_REL_TOL = 1e-9
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
 
+# Bound once for the per-follower sums of the SPE walk: every member lookup
+# on an enum class costs a few hundred ns on Python 3.11.
+_FOR, _AGAINST = Market.FOR, Market.AGAINST
+
 
 # ---------------------------------------------------------------------------
 # Closed-form contribution bounds
@@ -133,7 +137,7 @@ def contribution_bound(config: CampaignConfig, agent: AgentProfile, *,
     if mech is Mechanism.PPRN:
         h_for, h_against = config.provision_point_pair  # type: ignore[misc]
         return bound_pprn(agent, h_for, h_against, config.refund_budget)  # type: ignore[arg-type]
-    cf = CostFunction.from_params(config.cost_params) if config.cost_params else None
+    cf = config.cost_function
     if mech is Mechanism.PPS:
         return bound_pps(agent, cf, issued)  # type: ignore[arg-type]
     if mech is Mechanism.PPSN:
@@ -187,8 +191,9 @@ def check_conditions(config: CampaignConfig,
         add("refund_budget_below_rejection_cap", budget,
             span * (total_against - h_against) / h_against)
     elif mech in (Mechanism.PPS, Mechanism.PPSN):
-        cf = CostFunction.from_params(config.cost_params)
-        base = cf.cost(0.0)
+        cf = config.cost_function
+        assert cf is not None
+        base = cf.opening_cost
         if mech is Mechanism.PPS:
             h0 = config.provision_point
             add("provision_valuation_exceeds_target", h0, total_for)
@@ -335,7 +340,7 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     # Securities family: the prescribed play rolled out from empty markets.
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
     book = new_states(config)
-    plays = _rollout(config, book, order, rewards)
+    plays = _rollout(config, book, _arrivals(config, order, rewards))
     for agent, (market, amount) in zip(order, plays):
         profile.entries[agent.id] = ProfileEntry(amount, agent.arrival_contribution,
                                                  market)
@@ -352,6 +357,13 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
 def _own_market(config: CampaignConfig, agent: AgentProfile) -> Market:
     """The market an agent's equilibrium play goes to: its preference's."""
     return derive_preference(agent) if config.mechanism.dual_market else Market.FOR
+
+
+def _arrivals(config: CampaignConfig, order: list[AgentProfile],
+              rewards: dict[int, float]) -> list[tuple[AgentProfile, Market, float]]:
+    """Each agent of ``order`` with its own market and belief reward, looked
+    up once per walk rather than once per step."""
+    return [(a, _own_market(config, a), rewards.get(a.id, 0.0)) for a in order]
 
 
 def _play_order(agents: list[AgentProfile],
@@ -490,53 +502,35 @@ def _met(total: float, target: float) -> bool:
     return total >= target - MET_REL_TOL * max(1.0, target)
 
 
-def _verdict_distribution(config: CampaignConfig, agent: AgentProfile,
-                          market: Market, own_total: float,
-                          rival_viable: bool) -> list[tuple[Verdict, float]]:
-    """Outcome distribution for an agent playing on ``market``.
-
-    While the agent's own market reaches its target the race is priced by
-    its beliefs; otherwise the alternative is certain. The alternative is
-    the rival market's verdict when that side can still fill (its own
-    coalition's play is not stopped by this agent), expiry otherwise.
-    """
-    own_verdict = (Verdict.PROVISIONED if market is Market.FOR
-                   else Verdict.REJECTED)
-    if config.mechanism.dual_market and rival_viable:
-        alt_verdict = (Verdict.PROVISIONED if market is Market.AGAINST
-                       else Verdict.REJECTED)
-    else:
-        alt_verdict = Verdict.EXPIRED
-    if _met(own_total, config.target(market)):
-        p = _own_win_weight(config, agent)
-        if market is Market.AGAINST:
-            p = 1.0 - p
-        return [(own_verdict, p), (alt_verdict, 1.0 - p)]
-    return [(alt_verdict, 1.0)]
-
-
-def _branch_utility(config: CampaignConfig, agent: AgentProfile, market: Market,
-                    amount: float, securities: float, total_for: float,
-                    total_against: float, belief_reward: float,
-                    verdict: Verdict) -> float:
+def _branch(config: CampaignConfig, agent: AgentProfile, market: Market,
+            belief_reward: float, verdict: Verdict):
+    """The mechanism's utility for ``agent`` on ``market`` under ``verdict``,
+    as ``utility(amount, rec, total_for, total_against)``. ``rec`` is the
+    contribution record only the securities utilities read (None for the
+    refund-bonus family, whose utilities read amounts and totals)."""
     mech = config.mechanism
     provisioned = verdict is Verdict.PROVISIONED
+    side = agent.belief_side
     if mech is Mechanism.PPR:
-        return ppr_utility(agent, amount, total_for, config.refund_budget, provisioned)  # type: ignore[arg-type]
+        budget = config.refund_budget
+        return lambda amount, rec, total_for, total_against: ppr_utility(
+            agent, amount, total_for, budget, provisioned)  # type: ignore[arg-type]
     if mech is Mechanism.PPRN:
-        return pprn_utility(agent, market, amount, total_for, total_against,
-                            config.refund_budget, verdict)  # type: ignore[arg-type]
+        budget = config.refund_budget
+        return lambda amount, rec, total_for, total_against: pprn_utility(
+            agent, market, amount, total_for, total_against, budget, verdict)  # type: ignore[arg-type]
     if mech is Mechanism.PPRX:
-        return pprx_utility(agent, agent.belief_side, amount, total_for,
-                            config.contribution_budget, belief_reward, provisioned)  # type: ignore[arg-type]
-    # only the securities utilities read a record; building one is not free
-    rec = ContributionRecord(agent_id=agent.id, amount=amount, tick=0,
-                             market=market, securities=securities)
+        budget = config.contribution_budget
+        return lambda amount, rec, total_for, total_against: pprx_utility(
+            agent, side, amount, total_for, budget, belief_reward, provisioned)  # type: ignore[arg-type]
     if mech is Mechanism.PPS:
-        return pps_utility(agent, rec, provisioned)
+        return lambda amount, rec, total_for, total_against: pps_utility(
+            agent, rec, provisioned)
     if mech is Mechanism.PPSN:
-        return ppsn_utility(agent, rec, verdict)
-    return ppsx_utility(agent, agent.belief_side, rec, belief_reward, provisioned)
+        return lambda amount, rec, total_for, total_against: ppsn_utility(
+            agent, rec, verdict)
+    return lambda amount, rec, total_for, total_against: ppsx_utility(
+        agent, side, rec, belief_reward, provisioned)
 
 
 @dataclass(frozen=True)
@@ -569,43 +563,75 @@ class _Slot:
         return max(self.bound, self.amount)
 
 
-def _expected_utility(config: CampaignConfig, slot: _Slot, market: Market,
-                      amount: float, cf: CostFunction | None) -> float:
-    """EU of contributing ``amount`` to ``market`` at this slot, everyone
-    else fixed; the amount is truncated to the market's remaining capacity."""
+def _evaluator(config: CampaignConfig, slot: _Slot):
+    """Expected utility of contributing to the slot's own market, everyone
+    else fixed, as ``eu(amount, issued=slot.issued)``.
+
+    The amount is truncated to the market's remaining capacity, and
+    ``issued`` reprices the allocation of a delayed contribution. The
+    outcome distribution is tied to the post-deviation totals: while the
+    agent's own market reaches its target the race is priced by its
+    beliefs; otherwise the alternative is certain. The alternative is the
+    rival market's verdict when that side can still fill (its own
+    coalition's play is not stopped by this agent), expiry otherwise.
+    Everything but the amount and the issuance is fixed for the slot and
+    computed here once.
+    """
+    agent, market, reward = slot.agent, slot.market, slot.belief_reward
+    for_market = market is Market.FOR
+    others_for, others_against = slot.others_for, slot.others_against
     others = slot.others_on(market)
-    capacity = max(0.0, config.target(market) - others)
-    effective = max(0.0, min(amount, capacity))
-    securities = 0.0
-    if config.mechanism.uses_securities and cf is not None:
-        securities = cf.securities_for(effective, slot.issued)
-    total_for = slot.others_for + (effective if market is Market.FOR else 0.0)
-    total_against = slot.others_against + (effective if market is Market.AGAINST else 0.0)
-    rival_viable = slot.rival_viable if market is slot.market else slot.side_fills(config)
-    distribution = _verdict_distribution(
-        config, slot.agent, market, others + effective, rival_viable)
-    return sum(
-        weight * _branch_utility(config, slot.agent, market, effective, securities,
-                                 total_for, total_against, slot.belief_reward, verdict)
-        for verdict, weight in distribution
-    )
+    target = config.target(market)
+    capacity = max(0.0, target - others)
+    met_from = target - MET_REL_TOL * max(1.0, target)  # _met's threshold
+    own_verdict = Verdict.PROVISIONED if for_market else Verdict.REJECTED
+    if config.mechanism.dual_market and slot.rival_viable:
+        alt_verdict = Verdict.REJECTED if for_market else Verdict.PROVISIONED
+    else:
+        alt_verdict = Verdict.EXPIRED
+    own_weight = _own_win_weight(config, agent)
+    if not for_market:
+        own_weight = 1.0 - own_weight
+    alt_weight = 1.0 - own_weight
+    own = _branch(config, agent, market, reward, own_verdict)
+    alt = _branch(config, agent, market, reward, alt_verdict)
+    cf = config.cost_function  # set exactly for the securities family
+
+    def eu(amount: float, issued: float = slot.issued) -> float:
+        effective = max(0.0, min(amount, capacity))
+        # one record serves both branches; only the securities utilities read it
+        rec = None if cf is None else ContributionRecord(
+            agent_id=agent.id, amount=effective, tick=0, market=market,
+            securities=cf.securities_for(effective, issued))
+        if for_market:
+            total_for, total_against = others_for + effective, others_against
+        else:
+            total_for, total_against = others_for, others_against + effective
+        if others + effective >= met_from:
+            return (own_weight * own(effective, rec, total_for, total_against)
+                    + alt_weight * alt(effective, rec, total_for, total_against))
+        return alt(effective, rec, total_for, total_against)
+
+    return eu
 
 
-def _flip_delta(config: CampaignConfig, slot: _Slot, cf: CostFunction | None) -> float:
+def _flip_delta(config: CampaignConfig, slot: _Slot) -> float:
     """Market-flip gain at the prescribed amount under symmetric even-odds
     branch weights, totals held fixed (the dual refund schemes pay the same
     on either side by construction, so this is zero at equilibrium)."""
-    securities = 0.0
-    if config.mechanism.uses_securities and cf is not None:
-        securities = cf.securities_for(slot.amount, slot.issued)
+    cf = config.cost_function  # set exactly for the securities family
+    securities = 0.0 if cf is None else cf.securities_for(slot.amount, slot.issued)
     total_for = slot.others_for + (slot.amount if slot.market is Market.FOR else 0.0)
     total_against = slot.others_against + (
         slot.amount if slot.market is Market.AGAINST else 0.0)
 
     def half_sum(market: Market) -> float:
+        rec = None if cf is None else ContributionRecord(
+            agent_id=slot.agent.id, amount=slot.amount, tick=0, market=market,
+            securities=securities)
         return 0.5 * sum(
-            _branch_utility(config, slot.agent, market, slot.amount, securities,
-                            total_for, total_against, slot.belief_reward, verdict)
+            _branch(config, slot.agent, market, slot.belief_reward, verdict)(
+                slot.amount, rec, total_for, total_against)
             for verdict in (Verdict.PROVISIONED, Verdict.REJECTED)
         )
 
@@ -624,27 +650,31 @@ def _expiry_corner(config: CampaignConfig, slot: _Slot) -> bool:
             and not slot.closed and not slot.rival_viable)
 
 
-def _sweep_slot(config: CampaignConfig, slot: _Slot, cf: CostFunction | None,
+def _closed_play(agent: AgentProfile, amount: float, epsilon: float,
+                 detail_prefix: str = "") -> list[Deviation]:
+    """Book already closed when this agent moved: zero is the only legal
+    play, so a nonzero prescription is itself the defect to report."""
+    if amount > epsilon:
+        return [Deviation(agent.id, "contribution",
+                          detail_prefix + "market closed but profile "
+                          f"prescribes x={amount:.6g}", amount)]
+    return []
+
+
+def _sweep_slot(config: CampaignConfig, slot: _Slot, eu, base: float,
                 grid_step: float, epsilon: float,
                 detail_prefix: str = "") -> list[Deviation]:
-    """Grid-search one agent's unilateral deviations at its slot."""
+    """Grid-search one agent's unilateral deviations at its open slot;
+    ``eu`` is the slot's evaluator and ``base`` its value at the
+    prescribed play."""
     agent = slot.agent
     found: list[Deviation] = []
-    if slot.closed:
-        # Book already closed when this agent moved: zero is the only legal
-        # play, so a nonzero prescription is itself the defect to report.
-        if slot.amount > epsilon:
-            found.append(Deviation(agent.id, "contribution",
-                                   detail_prefix + "market closed but profile "
-                                   f"prescribes x={slot.amount:.6g}", slot.amount))
-        return found
-    base = _expected_utility(config, slot, slot.market, slot.amount, cf)
     sweep_max = slot.sweep_top(config)
     steps = max(1, math.ceil(sweep_max / grid_step))
-    candidates = [min(k * grid_step, sweep_max) for k in range(steps + 1)]
     best_gain, best_x = 0.0, None
-    for x in candidates:
-        gain = _expected_utility(config, slot, slot.market, x, cf) - base
+    for k in range(steps + 1):
+        x = min(k * grid_step, sweep_max)
+        gain = eu(x) - base
         if gain > best_gain:
             best_gain, best_x = gain, x
     if best_gain > epsilon and best_x is not None:
@@ -653,7 +683,7 @@ def _sweep_slot(config: CampaignConfig, slot: _Slot, cf: CostFunction | None,
                                f"{slot.market.value} (was {slot.amount:.6g})",
                                best_gain))
     if config.mechanism.dual_market:
-        delta = _flip_delta(config, slot, cf)
+        delta = _flip_delta(config, slot)
         if delta > epsilon:
             found.append(Deviation(agent.id, "side_flip",
                                    detail_prefix + f"flip to {slot.market.other.value} "
@@ -669,6 +699,7 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
     agents all move at once, against empty markets."""
     sequential = config.mechanism.sequential
     order = _play_order(agents, profile) if sequential else agents
+    arrivals = _arrivals(config, order, profile.belief_rewards) if sequential else []
     final_for = profile.total(Market.FOR)
     final_against = profile.total(Market.AGAINST)
     book = new_states(config)
@@ -686,7 +717,7 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
             rival_total = others_against if rival is Market.AGAINST else others_for
             rival_viable = _met(rival_total, config.target(rival)) or (
                 sequential and _rival_fills(config, book, entry.market,
-                                            order[idx + 1:], profile.belief_rewards))
+                                            arrivals[idx + 1:]))
         q_price = book.price_issuance(entry.market)
         slots.append(_Slot(
             agent=agent,
@@ -711,8 +742,7 @@ def _indifference_checks(config: CampaignConfig, agents: list[AgentProfile],
     belief-weighted versions where the theory weights them) at the bound,
     with denominators at the filled targets."""
     mech = config.mechanism
-    cf = (CostFunction.from_params(config.cost_params)
-          if config.cost_params is not None else None)
+    cf = config.cost_function
     checks: list[IndifferenceCheck] = []
     for agent in agents:
         reward = profile.belief_rewards.get(agent.id, 0.0)
@@ -795,8 +825,6 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
     report, step, eps = _base_report(config, agents, profile, grid_step, epsilon)
     if not profile.feasible:
         return report
-    cf = (CostFunction.from_params(config.cost_params)
-          if config.cost_params is not None else None)
     if not config.mechanism.sequential:
         report.notes.append(
             "timing deviations vacuous: refund schedule is time-invariant")
@@ -805,7 +833,12 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
             if EXPIRY_CORNER_NOTE not in report.notes:
                 report.notes.append(EXPIRY_CORNER_NOTE)
             continue
-        report.deviations.extend(_sweep_slot(config, slot, cf, step, eps))
+        if slot.closed:
+            report.deviations.extend(_closed_play(slot.agent, slot.amount, eps))
+            continue
+        eu = _evaluator(config, slot)
+        report.deviations.extend(
+            _sweep_slot(config, slot, eu, eu(slot.amount), step, eps))
     report.certified = not report.deviations
     return report
 
@@ -816,38 +849,37 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
 
 
 def _rollout(config: CampaignConfig, book: DualMarketState,
-             followers: list[AgentProfile],
-             rewards: dict[int, float]) -> list[tuple[Market, float]]:
+             followers: list[tuple[AgentProfile, Market, float]]
+             ) -> list[tuple[Market, float]]:
     """Play the remaining arrivals' prescribed strategy (the bound at the
     current price, clipped to the remaining target) forward through
-    ``book``; returns their (market, amount) plays."""
+    ``book``; returns their (market, amount) plays. Once the book closes
+    every later arrival plays zero, so the walk stops there."""
     plays: list[tuple[Market, float]] = []
-    for agent in followers:
-        market = _own_market(config, agent)
-        amount = 0.0
-        if not book.closed:
-            bound = contribution_bound(config, agent,
-                                       issued=book.price_issuance(market),
-                                       belief_reward=rewards.get(agent.id, 0.0))
-            amount = book.play(market, bound)
-        plays.append((market, amount))
+    for agent, market, reward in followers:
+        if book.closed:
+            break
+        bound = contribution_bound(config, agent, issued=book.price_issuance(market),
+                                   belief_reward=reward)
+        plays.append((market, book.play(market, bound)))
+    plays.extend((market, 0.0) for _, market, _ in followers[len(plays):])
     return plays
 
 
 def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Market,
-                 followers: list[AgentProfile], rewards: dict[int, float]) -> bool:
+                 followers: list[tuple[AgentProfile, Market, float]]) -> bool:
     """Whether the rival market's coalition, playing its prescribed
     strategy from this state, still reaches its target (the agent's own
     side frozen; issuance coupling priced at the frozen leg)."""
     rival = own_market.other
     book = book.copy()
-    for agent in followers:
+    for agent, market, reward in followers:
         if book.closed:
             break
-        if derive_preference(agent) is rival:
+        if market is rival:
             bound = contribution_bound(config, agent,
                                        issued=book.price_issuance(rival),
-                                       belief_reward=rewards.get(agent.id, 0.0))
+                                       belief_reward=reward)
             book.play(rival, bound)
     return book.market(rival).met
 
@@ -901,92 +933,86 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     report, step, eps = _base_report(config, agents, profile, grid_step, epsilon)
     if not profile.feasible:
         return report
-    cf = CostFunction.from_params(config.cost_params)  # type: ignore[arg-type]
-    rewards = profile.belief_rewards
     order = _play_order(agents, profile)
+    arrivals = _arrivals(config, order, profile.belief_rewards)
+    path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
+                  for a in order]
     on_path = new_states(config)
     for idx in _path(order, profile, on_path):
-        agent = order[idx]
-        followers = order[idx + 1:]
-        own_market = _own_market(config, agent)
-        reward = rewards.get(agent.id, 0.0)
+        agent, own_market, reward = arrivals[idx]
+        followers = arrivals[idx + 1:]
         probes, truncated = _probe_states(config, on_path, agent, own_market,
                                           reward, max_states_per_agent)
         report.partial = report.partial or truncated
         for state in probes:
-            closed = state.closed
+            prefix = (f"[state raised_for={state.market_for.raised:.6g} "
+                      f"raised_against={state.market_against.raised:.6g}] ")
+            if state.closed:
+                # off the path, an arrival at a closed book plays zero
+                if state is probes[0]:
+                    report.deviations.extend(
+                        _closed_play(agent, path_plays[idx][1], eps, prefix))
+                continue
             q_price = state.price_issuance(own_market)
-            bound = 0.0
-            if not closed:
-                bound = contribution_bound(config, agent, issued=q_price,
-                                           belief_reward=reward)
+            bound = contribution_bound(config, agent, issued=q_price,
+                                       belief_reward=reward)
             after = state.copy()  # the markets once the agent has played
             if state is probes[0]:
                 # on the path itself, the checked action and the fixed
                 # follower plays come from the profile being certified
-                prescribed = profile.entries[agent.id].amount
-                follower_plays = [
-                    (profile.entries[a.id].market, profile.entries[a.id].amount)
-                    for a in followers
-                ]
-                if not closed:
-                    after.play(own_market, prescribed)
+                prescribed = path_plays[idx][1]
+                follower_plays = path_plays[idx + 1:]
+                after.play(own_market, prescribed)
             else:
-                prescribed = 0.0 if closed else after.play(own_market, bound)
-                follower_plays = _rollout(config, after.copy(), followers, rewards)
+                prescribed = after.play(own_market, bound)
+                follower_plays = _rollout(config, after.copy(), followers)
             others_for = state.market_for.raised + sum(
-                x for m, x in follower_plays if m is Market.FOR)
+                x for m, x in follower_plays if m is _FOR)
             others_against = state.market_against.raised + sum(
-                x for m, x in follower_plays if m is Market.AGAINST)
+                x for m, x in follower_plays if m is _AGAINST)
             rival_viable = config.mechanism.dual_market and _rival_fills(
-                config, state, own_market, followers, rewards)
+                config, state, own_market, followers)
             slot = _Slot(
                 agent=agent, market=own_market, amount=prescribed,
                 others_for=others_for, others_against=others_against,
                 issued=q_price, belief_reward=reward, bound=bound,
-                closed=closed, rival_viable=rival_viable,
+                rival_viable=rival_viable,
             )
-            prefix = (f"[state raised_for={state.market_for.raised:.6g} "
-                      f"raised_against={state.market_against.raised:.6g}] ")
             if _expiry_corner(config, slot):
                 if EXPIRY_CORNER_NOTE not in report.notes:
                     report.notes.append(EXPIRY_CORNER_NOTE)
                 continue
+            # the sweep and the delay walk share the evaluator and its base
+            eu = _evaluator(config, slot)
+            base = eu(prescribed)
             report.deviations.extend(
-                _sweep_slot(config, slot, cf, step, eps, detail_prefix=prefix))
-            if not closed:
-                report.deviations.extend(_delay_deviations(
-                    config, cf, slot, state, after, follower_plays, eps, prefix))
+                _sweep_slot(config, slot, eu, base, step, eps, detail_prefix=prefix))
+            report.deviations.extend(_delay_deviations(
+                slot, eu, base, state, after, follower_plays, eps, prefix))
     report.certified = not report.deviations
     return report
 
 
-def _delay_deviations(config: CampaignConfig, cf: CostFunction, slot: _Slot,
-                      before: DualMarketState, after: DualMarketState,
+def _delay_deviations(slot: _Slot, eu, base: float, before: DualMarketState,
+                      after: DualMarketState,
                       follower_plays: list[tuple[Market, float]], epsilon: float,
                       prefix: str) -> list[Deviation]:
     """Reprice the prescribed contribution after each number of later
     arrivals; allocations never improve with waiting, so any gain is a
     defect worth reporting. ``after`` holds the agent's contribution and
     stops the walk once a target would close the book; ``before`` leaves it
-    out and prices the delayed allocation."""
-    base = _expected_utility(config, slot, slot.market, slot.amount, cf)
+    out and prices the delayed allocation. Only that price changes with the
+    wait, so each wait re-evaluates ``eu`` at the new issuance."""
     found: list[Deviation] = []
+    if after.closed:
+        return found  # the contribution itself closes the book
     before, after = before.copy(), after.copy()
     for waited, (market, amount) in enumerate(follower_plays, start=1):
-        if not after.closed:
-            after.play(market, amount)
+        after.play(market, amount)
         if after.closed:
             break  # book closes; no later slot exists for the contribution
         before.play(market, amount)
-        delayed = _Slot(
-            agent=slot.agent, market=slot.market, amount=slot.amount,
-            others_for=slot.others_for, others_against=slot.others_against,
-            issued=before.price_issuance(slot.market),
-            belief_reward=slot.belief_reward, bound=slot.bound,
-            rival_viable=slot.rival_viable,
-        )
-        gain = _expected_utility(config, delayed, slot.market, slot.amount, cf) - base
+        gain = eu(slot.amount, before.price_issuance(slot.market)) - base
         if gain > epsilon:
             found.append(Deviation(slot.agent.id, "timing",
                                    prefix + f"delay past {waited} later arrivals",

@@ -136,15 +136,13 @@ def new_states(config: CampaignConfig) -> DualMarketState:
     """Empty markets for a config; single-market configs get an inert
     AGAINST leg with an unreachable target so the kernel stays uniform."""
     mech = config.mechanism
-    cf = (CostFunction.from_params(config.cost_params)
-          if config.cost_params is not None else None)
     if mech.dual_market:
         h_for, h_against = config.provision_point_pair  # type: ignore[misc]
     else:
         assert config.provision_point is not None
         h_for, h_against = config.provision_point, float("inf")
-    return DualMarketState(MarketState(h_for), MarketState(h_against), cf,
-                           min_leg=mech.dual_market)
+    return DualMarketState(MarketState(h_for), MarketState(h_against),
+                           config.cost_function, min_leg=mech.dual_market)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .costfn import CostFunction
 
 
 class Mechanism(enum.Enum):
@@ -194,6 +199,16 @@ class CampaignConfig:
             raise ValueError(f"{self.mechanism.value} has no rejection market")
         assert self.provision_point is not None
         return self.provision_point
+
+    @cached_property
+    def cost_function(self) -> CostFunction | None:
+        """The securities family's cost function, built once per config;
+        None for the refund-bonus family."""
+        from .costfn import CostFunction
+
+        if self.cost_params is None:
+            return None
+        return CostFunction.from_params(self.cost_params)
 
     @property
     def bonus_budget(self) -> float | None:

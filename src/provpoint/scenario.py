@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .beliefs import BeliefReport
@@ -71,8 +71,18 @@ def _enum_value(enum_cls, raw, context: str):
         raise ScenarioError(f"{context}: '{raw}' is not one of: {valid}") from None
 
 
+def _object(raw, context: str) -> dict:
+    """A JSON object; a list, string or number in its place is refused."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{context}: expected an object, got {raw!r}")
+    return raw
+
+
 def _number(raw, context: str) -> float:
-    """A numeric field as a float; NaN and the infinities are refused."""
+    """A numeric field as a float; booleans, NaN and the infinities are
+    refused."""
+    if isinstance(raw, bool):
+        raise ScenarioError(f"{context}: expected a number, got {raw!r}")
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -83,14 +93,35 @@ def _number(raw, context: str) -> float:
 
 
 def _integer(raw, context: str) -> int:
-    """An integer field (ids, ticks, the seed); NaN and the infinities are
-    refused."""
+    """An integer field (ids, ticks, the seed); booleans, fractional
+    values, NaN and the infinities are refused."""
     if isinstance(raw, float) and not math.isfinite(raw):
         raise ScenarioError(f"{context}: must be finite")
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ScenarioError(f"{context}: expected an integer, got {raw!r}")
     try:
         return int(raw)
     except (TypeError, ValueError):
         raise ScenarioError(f"{context}: expected an integer, got {raw!r}") from None
+
+
+def _flag(raw, context: str) -> bool:
+    """An analysis switch: JSON true or false, nothing else."""
+    if not isinstance(raw, bool):
+        raise ScenarioError(f"{context}: expected true or false, got {raw!r}")
+    return raw
+
+
+def _entries(data: dict, key: str) -> list[tuple[str, dict]] | None:
+    """The objects of the optional list ``data[key]``, each with its
+    context; None when the list is absent or null."""
+    raw = data.get(key)
+    if raw is None:
+        return None
+    if not isinstance(raw, list):
+        raise ScenarioError(f"scenario.{key}: expected a list, got {raw!r}")
+    return [(f"scenario.{key}[{i}]", _object(entry, f"scenario.{key}[{i}]"))
+            for i, entry in enumerate(raw)]
 
 
 _REQUIRED = object()
@@ -113,12 +144,12 @@ def parse_scenario_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario: top level must be an object")
     version = _require(data, "version", "scenario")
-    if version != SCENARIO_VERSION:
+    if version != SCENARIO_VERSION or isinstance(version, bool):
         raise ScenarioError(
             f"scenario.version: expected {SCENARIO_VERSION}, got {version!r}")
 
-    raw_cfg = _require(data, "config", "scenario")
     ctx = "scenario.config"
+    raw_cfg = _object(_require(data, "config", "scenario"), ctx)
     mech = _enum_value(Mechanism, _require(raw_cfg, "mechanism", ctx), f"{ctx}.mechanism")
     pair = raw_cfg.get("provision_point_pair")
     if pair is not None:
@@ -127,6 +158,8 @@ def parse_scenario_dict(data: dict) -> Scenario:
         pair = tuple(_number(x, f"{ctx}.provision_point_pair[{i}]")
                      for i, x in enumerate(pair))
     cost_raw = raw_cfg.get("cost_params")
+    if cost_raw is not None:
+        cost_raw = _object(cost_raw, f"{ctx}.cost_params")
     cost_values = None if cost_raw is None else (
         _field(cost_raw, "liquidity", f"{ctx}.cost_params", default=1.0),
         _field(cost_raw, "fixed_leg", f"{ctx}.cost_params", default=0.0))
@@ -154,6 +187,7 @@ def parse_scenario_dict(data: dict) -> Scenario:
     agents: list[AgentProfile] = []
     for i, raw in enumerate(raw_agents):
         context = f"scenario.agents[{i}]"
+        raw = _object(raw, context)
         side = _enum_value(BeliefSide, raw.get("belief_side", "provision_likely"),
                            f"{context}.belief_side")
         values = {
@@ -173,10 +207,10 @@ def parse_scenario_dict(data: dict) -> Scenario:
         raise ScenarioError("scenario.agents: agent ids must be unique")
 
     actions = None
-    if data.get("explicit_actions") is not None:
+    raw_actions = _entries(data, "explicit_actions")
+    if raw_actions is not None:
         actions = []
-        for i, raw in enumerate(data["explicit_actions"]):
-            context = f"scenario.explicit_actions[{i}]"
+        for context, raw in raw_actions:
             market = _enum_value(Market, raw.get("market", "for"),
                                  f"{context}.market")
             actions.append(Action(
@@ -187,10 +221,10 @@ def parse_scenario_dict(data: dict) -> Scenario:
             ))
 
     reports = None
-    if data.get("explicit_reports") is not None:
+    raw_reports = _entries(data, "explicit_reports")
+    if raw_reports is not None:
         reports = []
-        for i, raw in enumerate(data["explicit_reports"]):
-            context = f"scenario.explicit_reports[{i}]"
+        for context, raw in raw_reports:
             values = {
                 "agent_id": _field(raw, "agent_id", context, _integer),
                 "information": _field(raw, "information", context, _integer),
@@ -202,13 +236,11 @@ def parse_scenario_dict(data: dict) -> Scenario:
             except ValueError as exc:
                 raise ScenarioError(f"{context}: {exc}") from None
 
-    raw_flags = data.get("analysis", {})
-    flags = AnalysisFlags(
-        run_campaign=bool(raw_flags.get("run_campaign", True)),
-        certify_ne=bool(raw_flags.get("certify_ne", False)),
-        certify_spe=bool(raw_flags.get("certify_spe", False)),
-        conditions_only=bool(raw_flags.get("conditions_only", False)),
-    )
+    raw_flags = data.get("analysis")
+    raw_flags = {} if raw_flags is None else _object(raw_flags, "scenario.analysis")
+    flags = AnalysisFlags(**{
+        f.name: _field(raw_flags, f.name, "scenario.analysis", _flag, f.default)
+        for f in fields(AnalysisFlags)})
     scenario = Scenario(config=config, agents=agents, explicit_actions=actions,
                         explicit_reports=reports, analysis=flags,
                         seed=_field(data, "seed", "scenario", _integer, 0))

@@ -171,3 +171,27 @@ def test_non_finite_scenario_exit_code(pprn_scenario, tmp_path, capsys, value):
         assert main([verb, "--scenario", str(path),
                      "--out", str(tmp_path / verb)]) == 1
         one_error_line(capsys, "scenario.agents[0].valuation: must be finite")
+
+
+@pytest.mark.parametrize("path,value,needle", [
+    (("agents", 0, "arrival_contribution"), 1.5,
+     "scenario.agents[0].arrival_contribution: expected an integer"),
+    (("agents", 0, "valuation"), True, "scenario.agents[0].valuation: expected a number"),
+    (("analysis",), {"certify_spe": "no"},
+     "scenario.analysis.certify_spe: expected true or false"),
+    (("analysis",), [], "scenario.analysis: expected an object"),
+    (("agents", 1), "agent", "scenario.agents[1]: expected an object"),
+])
+def test_mistyped_scenario_exit_code(pprn_scenario, tmp_path, capsys, path, value,
+                                     needle):
+    raw = json.loads(pprn_scenario.read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    for verb in ("check", "run", "certify"):
+        assert main([verb, "--scenario", str(bad),
+                     "--out", str(tmp_path / verb)]) == 1
+        one_error_line(capsys, needle)

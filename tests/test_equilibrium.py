@@ -1,11 +1,17 @@
+import dataclasses
 import math
 
 import pytest
 
+from provpoint import equilibrium
+from provpoint.beliefs import pprx_utility, ppsx_utility
 from provpoint.costfn import CostFunction
 from provpoint.equilibrium import (
     EquilibriumProfile,
     ProfileEntry,
+    _met,
+    _own_win_weight,
+    _Slot,
     bound_ppr,
     bound_pprn,
     bound_pprx,
@@ -20,15 +26,18 @@ from provpoint.equilibrium import (
     contribution_bound,
     contribution_ordering_gap,
 )
+from provpoint.mechanisms import ppr_utility, pprn_utility, pps_utility, ppsn_utility
 from provpoint.model import (
     AgentProfile,
     BeliefSide,
     CampaignConfig,
+    ContributionRecord,
     CostParams,
     Market,
     Mechanism,
     Verdict,
 )
+from provpoint.scenario import ScenarioTemplate, generate_scenario
 
 
 def agent(theta, aid=0, eps=0.0, side=BeliefSide.PROVISION_LIKELY, **kw):
@@ -269,6 +278,29 @@ def test_certify_spe_post_target_arrival_plays_zero():
     assert profile.entries[2].amount == 0.0
     report = certify_spe(config, agents, profile)
     assert report.certified
+    # negative control: a post-fill arrival prescribed a positive play
+    profile.entries[1] = ProfileEntry(1.0, 1, Market.FOR)
+    report = certify_spe(config, agents, profile)
+    assert not report.certified
+    assert any(d.agent_id == 1 and "market closed but profile prescribes x=1" in d.detail
+               for d in report.deviations)
+
+
+def test_certify_spe_flags_allocation_rising_with_issuance(monkeypatch):
+    # negative control for the delay walk: with securities that grow with
+    # issuance, waiting for later arrivals pays, and must be reported
+    config = CampaignConfig(mechanism=Mechanism.PPS, provision_point=10.0,
+                            cost_params=CostParams(liquidity=30.0),
+                            deadline_contribution=5)
+    agents = [agent(6.0, i, arrival_contribution=i) for i in range(4)]
+    profile = construct_profile(config, agents)
+    assert certify_spe(config, agents, profile).certified
+    securities_for = CostFunction.securities_for
+    monkeypatch.setattr(CostFunction, "securities_for",
+                        lambda cf, amount, issued:
+                        securities_for(cf, amount, issued) + issued)
+    report = certify_spe(config, agents, profile)
+    assert any(d.kind == "timing" for d in report.deviations)
 
 
 def test_certify_spe_rejects_simultaneous_mechanisms():
@@ -425,3 +457,145 @@ def test_combined_mechanism_gap():
     ) == pytest.approx(0.6)
     with pytest.raises(ValueError):
         combined_mechanism_gap(agent(1.0), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Slot evaluator against the per-call expected utility it replaced
+# ---------------------------------------------------------------------------
+# The three functions below are the certifier's former per-call expected
+# utility, kept verbatim as the reference: the slot evaluator hoists their
+# slot invariants without changing any arithmetic, so results must be equal
+# with ==, not within a tolerance.
+
+
+def _verdict_distribution(config: CampaignConfig, agent: AgentProfile,
+                          market: Market, own_total: float,
+                          rival_viable: bool) -> list[tuple[Verdict, float]]:
+    """Outcome distribution for an agent playing on ``market``.
+
+    While the agent's own market reaches its target the race is priced by
+    its beliefs; otherwise the alternative is certain. The alternative is
+    the rival market's verdict when that side can still fill (its own
+    coalition's play is not stopped by this agent), expiry otherwise.
+    """
+    own_verdict = (Verdict.PROVISIONED if market is Market.FOR
+                   else Verdict.REJECTED)
+    if config.mechanism.dual_market and rival_viable:
+        alt_verdict = (Verdict.PROVISIONED if market is Market.AGAINST
+                       else Verdict.REJECTED)
+    else:
+        alt_verdict = Verdict.EXPIRED
+    if _met(own_total, config.target(market)):
+        p = _own_win_weight(config, agent)
+        if market is Market.AGAINST:
+            p = 1.0 - p
+        return [(own_verdict, p), (alt_verdict, 1.0 - p)]
+    return [(alt_verdict, 1.0)]
+
+
+def _branch_utility(config: CampaignConfig, agent: AgentProfile, market: Market,
+                    amount: float, securities: float, total_for: float,
+                    total_against: float, belief_reward: float,
+                    verdict: Verdict) -> float:
+    mech = config.mechanism
+    provisioned = verdict is Verdict.PROVISIONED
+    if mech is Mechanism.PPR:
+        return ppr_utility(agent, amount, total_for, config.refund_budget, provisioned)  # type: ignore[arg-type]
+    if mech is Mechanism.PPRN:
+        return pprn_utility(agent, market, amount, total_for, total_against,
+                            config.refund_budget, verdict)  # type: ignore[arg-type]
+    if mech is Mechanism.PPRX:
+        return pprx_utility(agent, agent.belief_side, amount, total_for,
+                            config.contribution_budget, belief_reward, provisioned)  # type: ignore[arg-type]
+    # only the securities utilities read a record; building one is not free
+    rec = ContributionRecord(agent_id=agent.id, amount=amount, tick=0,
+                             market=market, securities=securities)
+    if mech is Mechanism.PPS:
+        return pps_utility(agent, rec, provisioned)
+    if mech is Mechanism.PPSN:
+        return ppsn_utility(agent, rec, verdict)
+    return ppsx_utility(agent, agent.belief_side, rec, belief_reward, provisioned)
+
+
+def _expected_utility(config: CampaignConfig, slot: _Slot, market: Market,
+                      amount: float, cf: CostFunction | None) -> float:
+    """EU of contributing ``amount`` to ``market`` at this slot, everyone
+    else fixed; the amount is truncated to the market's remaining capacity."""
+    others = slot.others_on(market)
+    capacity = max(0.0, config.target(market) - others)
+    effective = max(0.0, min(amount, capacity))
+    securities = 0.0
+    if config.mechanism.uses_securities and cf is not None:
+        securities = cf.securities_for(effective, slot.issued)
+    total_for = slot.others_for + (effective if market is Market.FOR else 0.0)
+    total_against = slot.others_against + (effective if market is Market.AGAINST else 0.0)
+    rival_viable = slot.rival_viable if market is slot.market else slot.side_fills(config)
+    distribution = _verdict_distribution(
+        config, slot.agent, market, others + effective, rival_viable)
+    return sum(
+        weight * _branch_utility(config, slot.agent, market, effective, securities,
+                                 total_for, total_against, slot.belief_reward, verdict)
+        for verdict, weight in distribution
+    )
+
+
+def _flip_delta(config: CampaignConfig, slot: _Slot, cf: CostFunction | None) -> float:
+    """Market-flip gain at the prescribed amount under symmetric even-odds
+    branch weights, totals held fixed (the dual refund schemes pay the same
+    on either side by construction, so this is zero at equilibrium)."""
+    securities = 0.0
+    if config.mechanism.uses_securities and cf is not None:
+        securities = cf.securities_for(slot.amount, slot.issued)
+    total_for = slot.others_for + (slot.amount if slot.market is Market.FOR else 0.0)
+    total_against = slot.others_against + (
+        slot.amount if slot.market is Market.AGAINST else 0.0)
+
+    def half_sum(market: Market) -> float:
+        return 0.5 * sum(
+            _branch_utility(config, slot.agent, market, slot.amount, securities,
+                            total_for, total_against, slot.belief_reward, verdict)
+            for verdict in (Verdict.PROVISIONED, Verdict.REJECTED)
+        )
+
+    return half_sum(slot.market.other) - half_sum(slot.market)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
+                                 seed=n)
+    config, agents = scenario.config, scenario.agents
+    cf = config.cost_function
+    profile = construct_profile(config, agents)
+    slots = equilibrium._slots(config, agents, profile)
+    delayed = []  # (slot, amount, issued, value) of each delay wait
+    if mechanism.sequential:
+        evaluator = equilibrium._evaluator
+
+        def recording(config, slot):
+            eu = evaluator(config, slot)
+            slots.append(slot)
+
+            def recorded(amount, *issued):
+                value = eu(amount, *issued)
+                if issued:
+                    delayed.append((slot, amount, issued[0], value))
+                return value
+            return recorded
+
+        monkeypatch.setattr(equilibrium, "_evaluator", recording)
+        certify_spe(config, agents, profile)
+        monkeypatch.undo()
+        assert delayed or n == 4  # four arrivals may fill before anyone waits
+    for slot in slots:
+        eu = equilibrium._evaluator(config, slot)
+        top = slot.sweep_top(config)
+        for k in range(50):
+            x = top * k / 49
+            assert eu(x) == _expected_utility(config, slot, slot.market, x, cf)
+        if config.mechanism.dual_market:
+            assert equilibrium._flip_delta(config, slot) == _flip_delta(config, slot, cf)
+    for slot, amount, issued, value in delayed:
+        repriced = dataclasses.replace(slot, issued=issued)
+        assert value == _expected_utility(config, repriced, slot.market, amount, cf)

@@ -1,9 +1,12 @@
-"""Byte-for-byte reports of the shipped scenarios.
+"""Byte-for-byte reports of the shipped scenarios and of larger generated ones.
 
 ``tests/golden/<verb>/<scenario>/`` holds every file ``provpoint <verb>``
-writes for ``scenarios/<scenario>.json``. A changed byte here is a change
-in what the program reports and must be documented as such; refresh the
-files only for a deliberate fix.
+writes for ``scenarios/<scenario>.json``. ``tests/golden_generated/<name>/``
+holds the certification and summary ``provpoint certify`` writes for one
+generated scenario per mechanism (``<mechanism>_n<agents>_seed<seed>``),
+large enough that the SPE walks run long past the first few arrivals. A
+changed byte here is a change in what the program reports and must be
+documented as such; refresh the files only for a deliberate fix.
 """
 
 from pathlib import Path
@@ -11,10 +14,13 @@ from pathlib import Path
 import pytest
 
 from provpoint.cli import main
+from provpoint.model import Mechanism
+from provpoint.scenario import ScenarioTemplate, generate_scenario, save_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
+GENERATED = Path(__file__).resolve().parent / "golden_generated"
 
 
 @pytest.mark.parametrize("verb", ["run", "certify"])
@@ -35,3 +41,21 @@ def test_golden_covers_every_shipped_scenario():
     assert len(SCENARIOS) == 5
     files = [p for p in GOLDEN.rglob("*") if p.is_file()]
     assert len(files) == 39
+
+
+@pytest.mark.parametrize("mechanism,agents,seed", [
+    (Mechanism.PPR, 24, 11), (Mechanism.PPRN, 24, 12), (Mechanism.PPRX, 24, 13),
+    (Mechanism.PPS, 64, 14), (Mechanism.PPSN, 64, 15), (Mechanism.PPSX, 64, 16),
+])
+def test_generated_certification_matches_golden(mechanism, agents, seed, tmp_path,
+                                                capsys):
+    scenario = generate_scenario(
+        ScenarioTemplate(mechanism=mechanism, agent_count=agents), seed=seed)
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    assert main(["certify", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    expected_dir = GENERATED / f"{mechanism.value.lower()}_n{agents}_seed{seed}"
+    for file_name in ("certification.json", "summary.txt"):
+        assert ((tmp_path / "out" / file_name).read_bytes()
+                == (expected_dir / file_name).read_bytes()), file_name

@@ -287,3 +287,45 @@ def test_non_numeric_values_name_the_field():
     with pytest.raises(ScenarioError) as info:
         parse_scenario_dict(data)
     assert str(info.value) == "scenario.agents[0]: missing required field 'id'"
+
+
+MISTYPED_FIELDS = [
+    (("agents", 1, "arrival_contribution"), 1.5,
+     "scenario.agents[1].arrival_contribution: expected an integer, got 1.5"),
+    (("agents", 0, "id"), True, "scenario.agents[0].id: expected an integer, got True"),
+    (("config", "deadline_contribution"), 4.5,
+     "scenario.config.deadline_contribution: expected an integer, got 4.5"),
+    (("seed",), False, "scenario.seed: expected an integer, got False"),
+    (("agents", 0, "valuation"), True, "scenario.agents[0].valuation: expected a number, got True"),
+    (("config", "provision_point"), False,
+     "scenario.config.provision_point: expected a number, got False"),
+    (("analysis",), {"certify_spe": "no"},
+     "scenario.analysis.certify_spe: expected true or false, got 'no'"),
+    (("analysis",), {"run_campaign": 1},
+     "scenario.analysis.run_campaign: expected true or false, got 1"),
+    (("analysis",), [], "scenario.analysis: expected an object, got []"),
+    (("agents", 1), 7, "scenario.agents[1]: expected an object, got 7"),
+    (("config",), "PPR", "scenario.config: expected an object, got 'PPR'"),
+    (("explicit_actions",), {"agent_id": 0},
+     "scenario.explicit_actions: expected a list, got {'agent_id': 0}"),
+    (("explicit_actions",), ["0"], "scenario.explicit_actions[0]: expected an object, got '0'"),
+    (("version",), True, "scenario.version: expected 1, got True"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", MISTYPED_FIELDS)
+def test_mistyped_fields_rejected(path, value, message):
+    data = with_value(MINIMAL_PPR, path, value)
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_dict(data)
+    assert str(info.value) == message
+
+
+def test_integral_floats_and_boolean_flags_accepted():
+    data = with_value(MINIMAL_PPR, ("agents", 1, "arrival_contribution"), 2.0)
+    data["analysis"] = {"certify_ne": True, "run_campaign": False}
+    scenario = parse_scenario_dict(data)
+    assert scenario.agents[1].arrival_contribution == 2
+    assert scenario.analysis.certify_ne and not scenario.analysis.run_campaign
+    data["analysis"] = None
+    assert not parse_scenario_dict(data).analysis.certify_spe
