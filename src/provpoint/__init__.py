@@ -32,11 +32,11 @@ from .beliefs import (
     BeliefLedger,
     BeliefReport,
     bbr_rewards,
+    conditional_rewards,
     pprx_utility,
     ppsx_utility,
     quadratic_score,
     rbts_scores,
-    run_two_phase,
     score_reports,
 )
 from .equilibrium import (

@@ -14,15 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mechanisms import run_campaign, settle, single_market_payoff
-from .model import (
-    AgentProfile,
-    BeliefSide,
-    CampaignConfig,
-    ContributionRecord,
-    Outcome,
-    Verdict,
-)
+from .mechanisms import single_market_payoff
+from .model import AgentProfile, BeliefSide, ContributionRecord, Verdict
 
 
 @dataclass(frozen=True)
@@ -53,13 +46,12 @@ class BeliefReport:
 
 @dataclass
 class BeliefLedger:
-    """Frozen belief phase: ordered reports plus scores, weights, rewards."""
+    """Frozen belief phase: ordered reports plus scores and weights, and
+    flags for the degenerate splits settlement met."""
 
     reports: list[BeliefReport]
     scores: dict[int, float] = field(default_factory=dict)
     weights: dict[int, float] = field(default_factory=dict)
-    rewards: dict[int, float] = field(default_factory=dict)
-    winning_side: BeliefSide | None = None
     empty_winning_side: bool = False
     zero_score_split: bool = False
 
@@ -119,6 +111,16 @@ def score_reports(reports: list[BeliefReport]) -> BeliefLedger:
     return ledger
 
 
+def _split(ledger: BeliefLedger, side: BeliefSide,
+           budget: float) -> tuple[dict[int, float], float]:
+    """One side's budget split and the weight total it was split by."""
+    members = [r.agent_id for r in ledger.reports if r.side is side]
+    total = sum(ledger.weights[a] for a in members)
+    if total <= 0.0:
+        return {a: budget / len(members) for a in members}, total
+    return {a: ledger.weights[a] / total * budget for a in members}, total
+
+
 def side_rewards(ledger: BeliefLedger, side: BeliefSide, budget: float) -> dict[int, float]:
     """Budget split among one side's reporters by prefix-normalized weight.
 
@@ -126,13 +128,17 @@ def side_rewards(ledger: BeliefLedger, side: BeliefSide, budget: float) -> dict[
     of the budget is always handed out. Degenerate all-zero weights fall
     back to an equal split.
     """
-    members = [r.agent_id for r in ledger.reports if r.side is side]
-    if not members:
-        return {}
-    total = sum(ledger.weights[a] for a in members)
-    if total <= 0.0:
-        return {a: budget / len(members) for a in members}
-    return {a: ledger.weights[a] / total * budget for a in members}
+    return _split(ledger, side, budget)[0]
+
+
+def conditional_rewards(ledger: BeliefLedger, budget: float) -> dict[int, float]:
+    """Each reporter's reward were its own reported side to win. The
+    contribution bounds price this reward, and ``bbr_rewards`` pays the same
+    split to the side that wins."""
+    rewards: dict[int, float] = {}
+    for side in BeliefSide:
+        rewards.update(side_rewards(ledger, side, budget))
+    return rewards
 
 
 def bbr_rewards(ledger: BeliefLedger, winning_side: BeliefSide,
@@ -144,17 +150,10 @@ def bbr_rewards(ledger: BeliefLedger, winning_side: BeliefSide,
     """
     if budget <= 0:
         raise ValueError(f"belief budget must be positive, got {budget}")
-    ledger.winning_side = winning_side
-    winners = side_rewards(ledger, winning_side, budget)
-    if not winners:
-        ledger.empty_winning_side = True
-        ledger.rewards = {r.agent_id: 0.0 for r in ledger.reports}
-        return ledger.rewards
-    members = [r.agent_id for r in ledger.reports if r.side is winning_side]
-    if sum(ledger.weights[a] for a in members) <= 0.0:
-        ledger.zero_score_split = True
-    ledger.rewards = {r.agent_id: winners.get(r.agent_id, 0.0) for r in ledger.reports}
-    return ledger.rewards
+    winners, total = _split(ledger, winning_side, budget)
+    ledger.empty_winning_side = not winners
+    ledger.zero_score_split = bool(winners) and total <= 0.0
+    return {r.agent_id: winners.get(r.agent_id, 0.0) for r in ledger.reports}
 
 
 def winning_side_for(verdict: Verdict) -> BeliefSide:
@@ -202,36 +201,3 @@ def ppsx_utility(agent: AgentProfile, side: BeliefSide, rec: ContributionRecord,
     if (side is BeliefSide.PROVISION_LIKELY) == provisioned:
         return value + belief_reward
     return value
-
-
-def run_two_phase(config: CampaignConfig, agents: list[AgentProfile], actions,
-                  reports: list[BeliefReport] | None = None
-                  ) -> tuple[BeliefLedger, Outcome]:
-    """Run belief phase then contribution phase and settle both together.
-
-    Reports default to truthful reports at each agent's arrival. The belief
-    phase must close before contributions settle, so report ticks are checked
-    against the belief deadline and the campaign engine enforces its own.
-    Returns the scored belief ledger and the settled outcome.
-    """
-    if not config.mechanism.two_phase:
-        raise ValueError(f"{config.mechanism.value} has no belief phase")
-    if len(agents) < 3:
-        raise ValueError("belief scoring requires at least 3 agents")
-    if reports is None:
-        reports = [default_report(a) for a in agents]
-    known = {a.id for a in agents}
-    for rep in reports:
-        if rep.agent_id not in known:
-            raise ValueError(f"belief report references unknown agent {rep.agent_id}")
-        if rep.tick > config.deadline_belief:
-            raise ValueError(
-                f"agent {rep.agent_id}: report tick {rep.tick} is past the "
-                f"belief deadline {config.deadline_belief}"
-            )
-    ledger = score_reports(reports)
-    verdict, dual = run_campaign(config, actions)
-    rewards = bbr_rewards(ledger, winning_side_for(verdict), config.belief_budget)
-    # settlement keys rewards by reported side; unreported agents get nothing
-    outcome = settle(config, agents, verdict, dual, belief_rewards=rewards)
-    return ledger, outcome

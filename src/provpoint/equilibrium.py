@@ -54,7 +54,13 @@ from .mechanisms import (
     pps_utility,
     ppsn_utility,
 )
-from .beliefs import pprx_utility, ppsx_utility
+from .beliefs import (
+    conditional_rewards,
+    default_report,
+    pprx_utility,
+    ppsx_utility,
+    score_reports,
+)
 from .model import (
     AgentProfile,
     BeliefSide,
@@ -246,19 +252,6 @@ class EquilibriumProfile:
         return sum(e.amount for e in self.entries.values() if e.market is market)
 
 
-def _conditional_belief_rewards(config: CampaignConfig,
-                                agents: list[AgentProfile]) -> dict[int, float]:
-    """Would-be belief rewards under truthful reports at arrival, computed
-    separately within each side (only the verdict-matching side is paid)."""
-    from .beliefs import default_report, score_reports, side_rewards
-
-    ledger = score_reports([default_report(a) for a in agents])
-    rewards: dict[int, float] = {}
-    for side in BeliefSide:
-        rewards.update(side_rewards(ledger, side, config.belief_budget))  # type: ignore[arg-type]
-    return rewards
-
-
 def _fill_side(agents: list[AgentProfile], bounds: dict[int, float], target: float,
                strict: bool) -> dict[int, float] | None:
     """Scale bounds proportionally so the side sums to ``target`` exactly.
@@ -296,7 +289,8 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
         if len(agents) < 3:
             raise ValueError("belief-phase mechanisms require at least 3 agents")
         if belief_rewards is None:
-            belief_rewards = _conditional_belief_rewards(config, agents)
+            truthful = score_reports([default_report(a) for a in agents])
+            belief_rewards = conditional_rewards(truthful, config.belief_budget)  # type: ignore[arg-type]
         profile.belief_rewards = dict(belief_rewards)
     rewards = profile.belief_rewards
 
@@ -736,18 +730,19 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
 
 
 def _indifference_checks(config: CampaignConfig, agents: list[AgentProfile],
-                         profile: EquilibriumProfile,
-                         entry_issuance: dict[int, float]) -> list[IndifferenceCheck]:
+                         profile: EquilibriumProfile, entry_issuance: dict[int, float],
+                         bounds: dict[int, float]) -> list[IndifferenceCheck]:
     """Evaluate each bound's defining equation (branch utilities, or their
-    belief-weighted versions where the theory weights them) at the bound,
-    with denominators at the filled targets."""
+    belief-weighted versions where the theory weights them) at the bound
+    ``bounds`` holds for the agent, with denominators at the filled
+    targets."""
     mech = config.mechanism
     cf = config.cost_function
     checks: list[IndifferenceCheck] = []
     for agent in agents:
         reward = profile.belief_rewards.get(agent.id, 0.0)
         issued = entry_issuance[agent.id]
-        bound = contribution_bound(config, agent, issued=issued, belief_reward=reward)
+        bound = bounds[agent.id]
         theta = agent.valuation
         clamped = False
         if mech is Mechanism.PPR:
@@ -808,7 +803,8 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
             report.bounds[agent.id] = contribution_bound(
                 config, agent, issued=issued[agent.id],
                 belief_reward=profile.belief_rewards.get(agent.id, 0.0))
-        report.indifference = _indifference_checks(config, agents, profile, issued)
+        report.indifference = _indifference_checks(config, agents, profile, issued,
+                                                   report.bounds)
     else:
         report.notes.append(profile.reason or "profile infeasible")
     return report, step, eps

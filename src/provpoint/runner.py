@@ -10,9 +10,10 @@ from . import reports
 from .beliefs import (
     BeliefReport,
     bbr_rewards,
+    conditional_rewards,
     default_report,
     score_reports,
-    side_rewards,
+    side_rewards,  # noqa: F401 -- not called here; perfbench/tracing.py wraps it in runner
     winning_side_for,
 )
 from .equilibrium import (
@@ -52,8 +53,11 @@ class RunResult:
         return all(r.certified for r in self.certifications)
 
 
-def profile_from_actions(scenario: Scenario) -> EquilibriumProfile:
-    """Interpret explicit plays as a candidate profile for certification.
+def profile_from_actions(scenario: Scenario,
+                         belief_rewards: dict[int, float]) -> EquilibriumProfile:
+    """Interpret explicit plays as a candidate profile for certification,
+    priced with the given conditional belief rewards (empty for one-phase
+    mechanisms).
 
     Requires at most one action per agent; agents without an action play
     zero at the deadline on their preferred market.
@@ -67,9 +71,7 @@ def profile_from_actions(scenario: Scenario) -> EquilibriumProfile:
                 "certification of explicit plays requires at most one action "
                 f"per agent; agent {action.agent_id} has several")
         seen.add(action.agent_id)
-    profile = EquilibriumProfile()
-    if config.mechanism.two_phase:
-        profile.belief_rewards = conditional_rewards(scenario)
+    profile = EquilibriumProfile(belief_rewards=dict(belief_rewards))
     by_agent = {a.agent_id: a for a in actions}
     for agent in scenario.agents:
         action = by_agent.get(agent.id)
@@ -89,17 +91,6 @@ def belief_reports(scenario: Scenario) -> list[BeliefReport]:
     if scenario.explicit_reports is None:
         return [default_report(a) for a in scenario.agents]
     return scenario.explicit_reports
-
-
-def conditional_rewards(scenario: Scenario) -> dict[int, float]:
-    """Per-agent belief reward conditional on its side winning, from the
-    scenario's reports (or truthful defaults)."""
-    config = scenario.config
-    ledger = score_reports(belief_reports(scenario))
-    rewards: dict[int, float] = {}
-    for side in BeliefSide:
-        rewards.update(side_rewards(ledger, side, config.belief_budget))  # type: ignore[arg-type]
-    return rewards
 
 
 def actions_from_profile(profile: EquilibriumProfile) -> list[Action]:
@@ -124,13 +115,18 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     result = RunResult(conditions=check_conditions(config, scenario.agents))
 
     profile: EquilibriumProfile | None = None
+    ledger = None
     want_profile = not scenario.analysis.conditions_only
     if want_profile:
+        # the reports are scored once: the profile prices the reward each
+        # reporter would collect, and settlement pays the winning side's
+        rewards: dict[int, float] = {}
+        if config.mechanism.two_phase:
+            ledger = score_reports(belief_reports(scenario))
+            rewards = conditional_rewards(ledger, config.belief_budget)  # type: ignore[arg-type]
         if scenario.explicit_actions is not None:
-            profile = profile_from_actions(scenario)
+            profile = profile_from_actions(scenario, rewards)
         else:
-            rewards = (conditional_rewards(scenario) if config.mechanism.two_phase
-                       else None)
             profile = construct_profile(config, scenario.agents, rewards)
         if not profile.feasible:
             result.notes.append(f"profile infeasible: {profile.reason}")
@@ -141,14 +137,10 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
                    if scenario.explicit_actions is not None
                    else actions_from_profile(profile))
         verdict, dual = run_campaign(config, actions)
-        if config.mechanism.two_phase:
-            ledger = score_reports(belief_reports(scenario))
-            rewards = bbr_rewards(ledger, winning_side_for(verdict),
-                                  config.belief_budget)  # type: ignore[arg-type]
-            result.outcome = settle(config, scenario.agents, verdict, dual,
-                                    belief_rewards=rewards)
-        else:
-            result.outcome = settle(config, scenario.agents, verdict, dual)
+        paid = None if ledger is None else bbr_rewards(
+            ledger, winning_side_for(verdict), config.belief_budget)  # type: ignore[arg-type]
+        result.outcome = settle(config, scenario.agents, verdict, dual,
+                                belief_rewards=paid)
 
     if want_profile:
         if scenario.analysis.certify_ne:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .beliefs import BeliefReport
+from .beliefs import BeliefReport, conditional_rewards, default_report, score_reports
 from .mechanisms import Action
 from .model import (
     AgentProfile,
@@ -124,6 +124,13 @@ def _entries(data: dict, key: str) -> list[tuple[str, dict]] | None:
             for i, entry in enumerate(raw)]
 
 
+def _pair(raw, context: str) -> tuple[float, float]:
+    """A list of exactly two numbers: a range or a pair of targets."""
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+        raise ScenarioError(f"{context}: expected a list of two numbers, got {raw!r}")
+    return _number(raw[0], f"{context}[0]"), _number(raw[1], f"{context}[1]")
+
+
 _REQUIRED = object()
 
 
@@ -151,12 +158,7 @@ def parse_scenario_dict(data: dict) -> Scenario:
     ctx = "scenario.config"
     raw_cfg = _object(_require(data, "config", "scenario"), ctx)
     mech = _enum_value(Mechanism, _require(raw_cfg, "mechanism", ctx), f"{ctx}.mechanism")
-    pair = raw_cfg.get("provision_point_pair")
-    if pair is not None:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ScenarioError(f"{ctx}.provision_point_pair: expected [for, against]")
-        pair = tuple(_number(x, f"{ctx}.provision_point_pair[{i}]")
-                     for i, x in enumerate(pair))
+    pair = _field(raw_cfg, "provision_point_pair", ctx, _pair, default=None)
     cost_raw = raw_cfg.get("cost_params")
     if cost_raw is not None:
         cost_raw = _object(cost_raw, f"{ctx}.cost_params")
@@ -296,10 +298,15 @@ def validate_scenario(scenario: Scenario) -> None:
             raise ScenarioError(
                 "scenario.explicit_reports: belief scoring requires at least 3 "
                 f"reports, got {len(scenario.explicit_reports)}")
+        reported: set[int] = set()
         for i, rep in enumerate(scenario.explicit_reports):
             context = f"scenario.explicit_reports[{i}]"
             if rep.agent_id not in known:
                 raise ScenarioError(f"{context}.agent_id: unknown agent {rep.agent_id}")
+            if rep.agent_id in reported:
+                raise ScenarioError(
+                    f"{context}.agent_id: duplicate report for agent {rep.agent_id}")
+            reported.add(rep.agent_id)
             if rep.tick > config.deadline_belief:  # type: ignore[operator]
                 raise ScenarioError(
                     f"{context}.tick: {rep.tick} is past the belief deadline "
@@ -404,20 +411,21 @@ class ScenarioTemplate:
 
 
 def template_from_dict(data: dict) -> ScenarioTemplate:
-    mech = _enum_value(Mechanism, _require(data, "mechanism", "template"),
-                       "template.mechanism")
-    pair = data.get("provision_point_pair")
+    """Parse a ``gen`` template with the scenario parser's type rules,
+    naming ``template.<field>`` in any error."""
+    ctx = "template"
+    data = _object(data, ctx)
     return ScenarioTemplate(
-        mechanism=mech,
-        agent_count=int(_require(data, "agent_count", "template")),
-        valuation_range=tuple(data.get("valuation_range", (5.0, 20.0))),  # type: ignore[arg-type]
-        epsilon_range=tuple(data.get("epsilon_range", (0.0, 0.25))),  # type: ignore[arg-type]
-        negative_share=float(data.get("negative_share", 0.4)),
-        rejection_share=float(data.get("rejection_share", 0.4)),
-        fill_fraction=float(data.get("fill_fraction", 0.45)),
-        provision_point=(None if data.get("provision_point") is None
-                         else float(data["provision_point"])),
-        provision_point_pair=None if pair is None else (float(pair[0]), float(pair[1])),
+        mechanism=_enum_value(Mechanism, _require(data, "mechanism", ctx),
+                              f"{ctx}.mechanism"),
+        agent_count=_field(data, "agent_count", ctx, _integer),
+        valuation_range=_field(data, "valuation_range", ctx, _pair, (5.0, 20.0)),
+        epsilon_range=_field(data, "epsilon_range", ctx, _pair, (0.0, 0.25)),
+        negative_share=_field(data, "negative_share", ctx, default=0.4),
+        rejection_share=_field(data, "rejection_share", ctx, default=0.4),
+        fill_fraction=_field(data, "fill_fraction", ctx, default=0.45),
+        provision_point=_field(data, "provision_point", ctx, default=None),
+        provision_point_pair=_field(data, "provision_point_pair", ctx, _pair, None),
     )
 
 
@@ -530,35 +538,32 @@ def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
                               refund_budget=max(0.4 * cap, 1e-9),
                               deadline_contribution=deadline)
     # Securities family: liquidity scaled to total valuations keeps issuance
-    # slopes moderate so arrival-order bounds retain headroom.
+    # slopes moderate so arrival-order bounds retain headroom. Targets are
+    # sized off the bounds at zero issuance.
     from .costfn import CostFunction
+    from .equilibrium import bound_pps, bound_ppsn, bound_ppsx, contribution_bound
 
     liquidity = max(1.0, total_for + total_against)
     cost = CostParams(liquidity=liquidity)
     cf = CostFunction.from_params(cost)
     if mech is Mechanism.PPS:
-        capacity = sum(cf.contribution_for(a.valuation, 0.0) for a in agents)
+        capacity = sum(bound_pps(a, cf, 0.0) for a in agents)
         h0 = template.provision_point or fill * capacity
         return CampaignConfig(mechanism=mech, provision_point=h0,
                               cost_params=cost, deadline_contribution=deadline)
     if mech is Mechanism.PPSN:
-        cap_for = sum(cf.contribution_for(a.valuation, 0.0)
+        cap_for = sum(bound_ppsn(a, cf, 0.0)
                       for a in agents if derive_preference(a) is Market.FOR)
-        cap_against = sum(cf.contribution_for(-a.valuation, 0.0)
+        cap_against = sum(bound_ppsn(a, cf, 0.0)
                           for a in agents if derive_preference(a) is Market.AGAINST)
         pair = template.provision_point_pair or (fill * cap_for, fill * cap_against)
         return CampaignConfig(mechanism=mech, provision_point_pair=pair,
                               cost_params=cost, deadline_contribution=deadline)
     # Two-phase mechanisms: size budgets off the aggregate valuation, then
     # the target off the reward-adjusted bounds.
-    from .beliefs import default_report, score_reports, side_rewards
-    from .equilibrium import contribution_bound
-
     belief_budget = 0.3 * net
-    ledger = score_reports([default_report(a) for a in agents])
-    rewards: dict[int, float] = {}
-    for side in BeliefSide:
-        rewards.update(side_rewards(ledger, side, belief_budget))
+    truthful = score_reports([default_report(a) for a in agents])
+    rewards = conditional_rewards(truthful, belief_budget)
     deadline_belief = max(n - 1, max(a.arrival_belief for a in agents))
     deadline = max(deadline, deadline_belief + 1)
     if mech is Mechanism.PPRX:
@@ -580,12 +585,7 @@ def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
             mechanism=mech, provision_point=h0, belief_budget=belief_budget,
             contribution_budget=contribution_budget,
             deadline_contribution=deadline, deadline_belief=deadline_belief)
-    bounds = sum(
-        cf.contribution_for(
-            max(a.valuation + (rewards.get(a.id, 0.0)
-                               if a.belief_side is BeliefSide.PROVISION_LIKELY
-                               else -rewards.get(a.id, 0.0)), 0.0), 0.0)
-        for a in agents)
+    bounds = sum(bound_ppsx(a, cf, 0.0, rewards.get(a.id, 0.0)) for a in agents)
     h0 = template.provision_point or fill * bounds
     if h0 <= 0:
         raise ScenarioError(

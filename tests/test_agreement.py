@@ -6,7 +6,9 @@ import math
 import pytest
 
 from provpoint.beliefs import (
+    BeliefReport,
     bbr_rewards,
+    conditional_rewards,
     pprx_utility,
     ppsx_utility,
     score_reports,
@@ -23,7 +25,7 @@ from provpoint.mechanisms import (
     settle,
 )
 from provpoint.model import Mechanism, Verdict
-from provpoint.runner import actions_from_profile, belief_reports, conditional_rewards
+from provpoint.runner import actions_from_profile, belief_reports, run_scenario
 from provpoint.scenario import ScenarioTemplate, generate_scenario
 
 # first seed per mechanism; the refund-bonus and dual-market securities
@@ -91,7 +93,7 @@ def test_settlement_matches_utility(mech, share):
             ledger = score_reports(belief_reports(scenario))
             rewards = bbr_rewards(ledger, winning_side_for(verdict),
                                   config.belief_budget)
-            conditional = conditional_rewards(scenario)
+            conditional = conditional_rewards(ledger, config.belief_budget)
         outcome = settle(config, agents, verdict, dual, belief_rewards=rewards)
         records = dual.market_for.ledger + dual.market_against.ledger
         for agent in agents:
@@ -105,3 +107,40 @@ def test_settlement_matches_utility(mech, share):
                 scenario.seed, agent.id, verdict, realized, expected)
             checked += 1
     assert checked > 0
+
+
+def shuffled_reports(scenario):
+    """Reports that are not the truthful defaults: every third agent flips
+    its information, predictions move and ticks reverse."""
+    last = scenario.config.deadline_belief
+    return [BeliefReport(agent_id=r.agent_id,
+                         information=1 - r.information if r.agent_id % 3 == 0
+                         else r.information,
+                         prediction=round(1.0 - r.prediction / 2, 3),
+                         tick=last - min(r.tick, last))
+            for r in belief_reports(scenario)]
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("mech", [Mechanism.PPRX, Mechanism.PPSX])
+def test_settlement_pays_the_priced_belief_reward(mech, explicit):
+    """Each winning-side reporter is paid exactly the conditional reward the
+    certifier priced; the losing side is paid nothing."""
+    paid_winners = 0
+    for scenario in generated(mech, count=6):
+        if explicit:
+            scenario.explicit_reports = shuffled_reports(scenario)
+        result = run_scenario(scenario)
+        priced = result.certifications[0].profile.belief_rewards
+        assert result.outcome is not None, scenario.seed
+        winning = winning_side_for(result.outcome.verdict)
+        sides = {r.agent_id: r.side for r in belief_reports(scenario)}
+        assert set(priced) == set(sides)
+        for agent_id, side in sides.items():
+            paid = result.outcome.payouts[agent_id].belief_reward
+            if side is winning:
+                assert paid == priced[agent_id], (scenario.seed, agent_id)
+                paid_winners += 1
+            else:
+                assert paid == 0.0, (scenario.seed, agent_id)
+    assert paid_winners > 0

@@ -11,22 +11,20 @@ from provpoint.beliefs import (
     ppsx_utility,
     quadratic_score,
     rbts_scores,
-    run_two_phase,
     score_reports,
     side_rewards,
     winning_side_for,
 )
 from provpoint.costfn import CostFunction
-from provpoint.mechanisms import Action
 from provpoint.model import (
     AgentProfile,
     BeliefSide,
-    CampaignConfig,
     ContributionRecord,
     Market,
-    Mechanism,
     Verdict,
 )
+from provpoint.runner import run_scenario
+from provpoint.scenario import ScenarioError, parse_scenario_dict
 
 
 def report(aid, info, pred, tick=0):
@@ -231,23 +229,35 @@ def test_ppsx_utility():
 # ---------------------------------------------------------------------------
 
 
-def three_optimists():
-    return [AgentProfile(id=i, valuation=10.0, belief_epsilon=0.1,
-                         belief_side=BeliefSide.PROVISION_LIKELY,
-                         arrival_belief=i, arrival_contribution=i)
-            for i in range(3)]
+def optimist(i):
+    return {"id": i, "valuation": 10.0, "belief_epsilon": 0.1,
+            "belief_side": "provision_likely", "arrival_belief": i,
+            "arrival_contribution": i}
 
 
-def pprx_config(h0=12.0):
-    return CampaignConfig(mechanism=Mechanism.PPRX, provision_point=h0,
-                          belief_budget=6.0, contribution_budget=3.0,
-                          deadline_contribution=8, deadline_belief=4)
+def two_phase_run(agents, actions, reports=None, h0=12.0):
+    """Parse a PPRx scenario with explicit plays (and reports, when given),
+    run it, and return the settled outcome."""
+    data = {
+        "version": 1,
+        "config": {"mechanism": "PPRx", "provision_point": h0, "belief_budget": 6.0,
+                   "contribution_budget": 3.0, "deadline_contribution": 8,
+                   "deadline_belief": 4},
+        "agents": agents,
+        "explicit_actions": actions,
+    }
+    if reports is not None:
+        data["explicit_reports"] = reports
+    return run_scenario(parse_scenario_dict(data)).outcome
+
+
+def stake(i):
+    return {"agent_id": i, "amount": 4.0, "market": "for", "tick": 5}
 
 
 def test_two_phase_provisioned_splits_budget():
-    agents = three_optimists()
-    actions = [Action(i, 4.0, Market.FOR, 5) for i in range(3)]
-    ledger, outcome = run_two_phase(pprx_config(), agents, actions)
+    outcome = two_phase_run([optimist(i) for i in range(3)],
+                            [stake(i) for i in range(3)])
     assert outcome.verdict is Verdict.PROVISIONED
     paid = [outcome.payouts[i].belief_reward for i in range(3)]
     assert sum(paid) == pytest.approx(6.0, rel=1e-9)
@@ -255,10 +265,10 @@ def test_two_phase_provisioned_splits_budget():
 
 
 def test_two_phase_expiry_rewards_rejection_side():
-    agents = three_optimists() + [
-        AgentProfile(id=3, valuation=5.0, belief_epsilon=0.2,
-                     belief_side=BeliefSide.REJECTION_LIKELY)]
-    ledger, outcome = run_two_phase(pprx_config(h0=100.0), agents, [])
+    agents = [optimist(i) for i in range(3)] + [
+        {"id": 3, "valuation": 5.0, "belief_epsilon": 0.2,
+         "belief_side": "rejection_likely"}]
+    outcome = two_phase_run(agents, [], h0=100.0)
     assert outcome.verdict is Verdict.EXPIRED
     assert outcome.payouts[3].belief_reward == pytest.approx(6.0)
     assert all(outcome.payouts[i].belief_reward == 0.0 for i in range(3))
@@ -266,26 +276,25 @@ def test_two_phase_expiry_rewards_rejection_side():
 
 def test_two_phase_earlier_reporter_earns_more():
     # identical reports except the tick: the earlier one weighs more
-    agents = three_optimists()
-    reports = [report(0, 0, 0.4, tick=2), report(1, 0, 0.4, tick=0),
-               report(2, 0, 0.4, tick=1)]
-    actions = [Action(i, 4.0, Market.FOR, 5) for i in range(3)]
-    _, outcome = run_two_phase(pprx_config(), agents, actions, reports)
+    reports = [{"agent_id": i, "information": 0, "prediction": 0.4, "tick": tick}
+               for i, tick in ((0, 2), (1, 0), (2, 1))]
+    outcome = two_phase_run([optimist(i) for i in range(3)],
+                            [stake(i) for i in range(3)], reports)
     rewards = {i: outcome.payouts[i].belief_reward for i in range(3)}
     assert rewards[1] > rewards[2] > rewards[0]
 
 
 def test_two_phase_validation():
-    agents = three_optimists()
-    with pytest.raises(ValueError, match="belief phase"):
-        run_two_phase(CampaignConfig(mechanism=Mechanism.PPR,
-                                     provision_point=1.0, refund_budget=1.0,
-                                     deadline_contribution=2), agents, [])
-    with pytest.raises(ValueError, match="at least 3"):
-        run_two_phase(pprx_config(), agents[:2], [])
-    late = [report(0, 0, 0.5, tick=9), report(1, 0, 0.5), report(2, 0, 0.5)]
-    with pytest.raises(ValueError, match="belief deadline"):
-        run_two_phase(pprx_config(), agents, [], late)
+    # reports for a one-phase mechanism and fewer than 3 agents are refused
+    # too: test_scenario.py checks both
+    agents = [optimist(i) for i in range(3)]
+    reports = [{"agent_id": i, "information": 0, "prediction": 0.5} for i in range(3)]
+    with pytest.raises(ScenarioError, match=r"explicit_reports\[0\]\.agent_id: unknown agent 7"):
+        two_phase_run(agents, [], [dict(reports[0], agent_id=7)] + reports[1:])
+    late = [dict(reports[0], tick=9)] + reports[1:]
+    with pytest.raises(ScenarioError,
+                       match=r"explicit_reports\[0\]\.tick: 9 is past the belief deadline 4"):
+        two_phase_run(agents, [], late)
 
 
 def test_default_report_is_truthful():

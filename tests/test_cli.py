@@ -160,6 +160,41 @@ def test_short_explicit_reports_exit_code(tmp_path, capsys):
         one_error_line(capsys, "scenario.explicit_reports")
 
 
+def test_duplicate_explicit_reports_exit_code(tmp_path, capsys):
+    scenario = generate_scenario(
+        ScenarioTemplate(mechanism=Mechanism.PPRX, agent_count=4), seed=9)
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    raw = json.loads(path.read_text())
+    raw["explicit_reports"] = [
+        {"agent_id": i, "information": 0, "prediction": 0.5} for i in (0, 1, 0)]
+    path.write_text(json.dumps(raw))
+    for verb in ("check", "run", "certify"):
+        assert main([verb, "--scenario", str(path),
+                     "--out", str(tmp_path / verb)]) == 1
+        one_error_line(capsys, "scenario.explicit_reports[2].agent_id: "
+                               "duplicate report for agent 0")
+
+
+@pytest.mark.parametrize("template,needle", [
+    ({"mechanism": "PPR", "agent_count": 4.7},
+     "template.agent_count: expected an integer, got 4.7"),
+    ({"mechanism": "PPR", "agent_count": True},
+     "template.agent_count: expected an integer, got True"),
+    ({"mechanism": "PPR", "agent_count": 4, "valuation_range": [5]},
+     "template.valuation_range: expected a list of two numbers, got [5]"),
+    (["PPR"], "template: expected an object, got ['PPR']"),
+])
+def test_mistyped_template_exit_code(tmp_path, capsys, template, needle):
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps(template))
+    out = tmp_path / "generated.json"
+    assert main(["gen", "--template", str(path), "--seed", "1",
+                 "--out", str(out)]) == 1
+    one_error_line(capsys, needle)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_scenario_exit_code(pprn_scenario, tmp_path, capsys, value):
     text = pprn_scenario.read_text()

@@ -98,7 +98,7 @@ def test_profile_from_actions_rejects_multiple_plays():
         Action(agent_id=0, amount=1.0, market=Market.FOR, tick=2),
     ]
     with pytest.raises(ScenarioError, match="at most one action"):
-        profile_from_actions(scenario)
+        profile_from_actions(scenario, {})
 
 
 def test_infeasible_profile_noted(tmp_path):

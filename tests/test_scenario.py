@@ -211,6 +211,21 @@ def test_short_explicit_reports_rejected(count):
     assert len(parse_scenario_dict(data).explicit_reports) == 3
 
 
+@pytest.mark.parametrize("ids,index,agent", [
+    ([0, 0, 1], 1, 0),
+    ([0, 1, 2, 0], 3, 0),
+    ([2, 1, 2], 2, 2),
+])
+def test_duplicate_explicit_reports_rejected(ids, index, agent):
+    data = json.loads(json.dumps(MINIMAL_PPRX))
+    data["explicit_reports"] = [
+        {"agent_id": i, "information": 0, "prediction": 0.5} for i in ids]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_dict(data)
+    assert str(info.value) == (f"scenario.explicit_reports[{index}].agent_id: "
+                               f"duplicate report for agent {agent}")
+
+
 PPS_CONFIG = {"mechanism": "PPS", "provision_point": 10.0,
               "cost_params": {"liquidity": 5.0, "fixed_leg": 0.0},
               "deadline_contribution": 4}
@@ -329,3 +344,44 @@ def test_integral_floats_and_boolean_flags_accepted():
     assert scenario.analysis.certify_ne and not scenario.analysis.run_campaign
     data["analysis"] = None
     assert not parse_scenario_dict(data).analysis.certify_spe
+
+
+MISTYPED_TEMPLATE_FIELDS = [
+    ("agent_count", 4.7, "template.agent_count: expected an integer, got 4.7"),
+    ("agent_count", True, "template.agent_count: expected an integer, got True"),
+    ("agent_count", [4], "template.agent_count: expected an integer, got [4]"),
+    ("valuation_range", [5], "template.valuation_range: expected a list of two "
+                             "numbers, got [5]"),
+    ("valuation_range", [5, "x"], "template.valuation_range[1]: expected a number, "
+                                  "got 'x'"),
+    ("epsilon_range", 0.1, "template.epsilon_range: expected a list of two "
+                           "numbers, got 0.1"),
+    ("epsilon_range", [0.0, float("nan")], "template.epsilon_range[1]: must be finite"),
+    ("provision_point_pair", [1.0, 2.0, 3.0], "template.provision_point_pair: expected "
+                                              "a list of two numbers, got [1.0, 2.0, 3.0]"),
+    ("provision_point_pair", [False, 2.0], "template.provision_point_pair[0]: expected "
+                                           "a number, got False"),
+    ("negative_share", None, "template.negative_share: expected a number, got None"),
+    ("rejection_share", True, "template.rejection_share: expected a number, got True"),
+    ("fill_fraction", "half", "template.fill_fraction: expected a number, got 'half'"),
+    ("provision_point", float("inf"), "template.provision_point: must be finite"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", MISTYPED_TEMPLATE_FIELDS)
+def test_mistyped_template_fields_rejected(key, value, message):
+    data = {"mechanism": "PPSN", "agent_count": 4, key: value}
+    with pytest.raises(ScenarioError) as info:
+        template_from_dict(data)
+    assert str(info.value) == message
+
+
+def test_template_defaults_and_whole_numbers():
+    template = template_from_dict({"mechanism": "PPR", "agent_count": 3.0,
+                                   "provision_point": None,
+                                   "provision_point_pair": None})
+    assert template == ScenarioTemplate(mechanism=Mechanism.PPR, agent_count=3)
+    assert type(template.agent_count) is int
+    with pytest.raises(ScenarioError) as info:
+        template_from_dict([{"mechanism": "PPR", "agent_count": 3}])
+    assert str(info.value).startswith("template: expected an object")
