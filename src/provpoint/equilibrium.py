@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .costfn import CostFunction
 from .mechanisms import (
@@ -75,6 +76,7 @@ from .model import (
 
 MET_REL_TOL = 1e-9
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
+MAX_PROBE_STATES = 12  # probe states per SPE arrival; more marks the report partial
 
 # Bound once for the per-follower sums of the SPE walk: every member lookup
 # on an enum class costs a few hundred ns on Python 3.11.
@@ -331,11 +333,13 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
         profile.expected_verdict = replayed_verdict(config, agents, profile)
         return profile
 
-    # Securities family: the prescribed play rolled out from empty markets.
+    # Securities family: the prescribed play rolled out from empty markets;
+    # arrivals after the book closes play zero.
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
+    arrivals = _arrivals(config, order, rewards)
     book = new_states(config)
-    plays = _rollout(config, book, _arrivals(config, order, rewards))
-    for agent, (market, amount) in zip(order, plays):
+    amounts = _rollout(config, book, arrivals)
+    for (agent, market, _), amount in zip_longest(arrivals, amounts, fillvalue=0.0):
         profile.entries[agent.id] = ProfileEntry(amount, agent.arrival_contribution,
                                                  market)
     if book.verdict is None:
@@ -348,16 +352,14 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     return profile
 
 
-def _own_market(config: CampaignConfig, agent: AgentProfile) -> Market:
-    """The market an agent's equilibrium play goes to: its preference's."""
-    return derive_preference(agent) if config.mechanism.dual_market else Market.FOR
-
-
 def _arrivals(config: CampaignConfig, order: list[AgentProfile],
               rewards: dict[int, float]) -> list[tuple[AgentProfile, Market, float]]:
-    """Each agent of ``order`` with its own market and belief reward, looked
-    up once per walk rather than once per step."""
-    return [(a, _own_market(config, a), rewards.get(a.id, 0.0)) for a in order]
+    """Each agent of ``order`` with its own market (the one its equilibrium
+    play goes to: its preference's) and belief reward, looked up once per
+    walk rather than once per step."""
+    dual = config.mechanism.dual_market
+    return [(a, derive_preference(a) if dual else Market.FOR, rewards.get(a.id, 0.0))
+            for a in order]
 
 
 def _play_order(agents: list[AgentProfile],
@@ -436,6 +438,7 @@ class EquilibriumReport:
     certified: bool = False
     partial: bool = False
     notes: list[str] = field(default_factory=list)
+    kind: str = "Nash"  # the certifier that produced it; not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -636,12 +639,16 @@ EXPIRY_CORNER_NOTE = ("rejection-side sweep skipped at states where the "
                       "provision side cannot fill (expiry corner)")
 
 
-def _expiry_corner(config: CampaignConfig, slot: _Slot) -> bool:
+def _skip_expiry_corner(config: CampaignConfig, slot: _Slot,
+                        report: EquilibriumReport) -> bool:
     """With the provision side dead, a rejection-side agent is choosing
     between forfeiting its stake and an expiry refund; the equilibrium
-    claims do not reach this corner, so it is reported, not swept."""
-    return (config.mechanism.dual_market and slot.market is Market.AGAINST
-            and not slot.closed and not slot.rival_viable)
+    claims do not reach this corner, so it is noted in ``report``, not swept."""
+    corner = (config.mechanism.dual_market and slot.market is Market.AGAINST
+              and not slot.closed and not slot.rival_viable)
+    if corner and EXPIRY_CORNER_NOTE not in report.notes:
+        report.notes.append(EXPIRY_CORNER_NOTE)
+    return corner
 
 
 def _closed_play(agent: AgentProfile, amount: float, epsilon: float,
@@ -825,9 +832,7 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
         report.notes.append(
             "timing deviations vacuous: refund schedule is time-invariant")
     for slot in _slots(config, agents, profile):
-        if _expiry_corner(config, slot):
-            if EXPIRY_CORNER_NOTE not in report.notes:
-                report.notes.append(EXPIRY_CORNER_NOTE)
+        if _skip_expiry_corner(config, slot, report):
             continue
         if slot.closed:
             report.deviations.extend(_closed_play(slot.agent, slot.amount, eps))
@@ -845,21 +850,19 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
 
 
 def _rollout(config: CampaignConfig, book: DualMarketState,
-             followers: list[tuple[AgentProfile, Market, float]]
-             ) -> list[tuple[Market, float]]:
+             followers: list[tuple[AgentProfile, Market, float]]) -> list[float]:
     """Play the remaining arrivals' prescribed strategy (the bound at the
     current price, clipped to the remaining target) forward through
-    ``book``; returns their (market, amount) plays. Once the book closes
-    every later arrival plays zero, so the walk stops there."""
-    plays: list[tuple[Market, float]] = []
+    ``book``; returns the amounts accepted while the book is open. Once the
+    book closes every later arrival plays zero, so the walk stops there."""
+    amounts: list[float] = []
     for agent, market, reward in followers:
         if book.closed:
             break
         bound = contribution_bound(config, agent, issued=book.price_issuance(market),
                                    belief_reward=reward)
-        plays.append((market, book.play(market, bound)))
-    plays.extend((market, 0.0) for _, market, _ in followers[len(plays):])
-    return plays
+        amounts.append(book.play(market, bound))
+    return amounts
 
 
 def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Market,
@@ -869,53 +872,37 @@ def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Mark
     side frozen; issuance coupling priced at the frozen leg)."""
     rival = own_market.other
     book = book.copy()
-    for agent, market, reward in followers:
-        if book.closed:
-            break
-        if market is rival:
-            bound = contribution_bound(config, agent,
-                                       issued=book.price_issuance(rival),
-                                       belief_reward=reward)
-            book.play(rival, bound)
+    _rollout(config, book, [f for f in followers if f[1] is rival])
     return book.market(rival).met
 
 
 def _probe_states(config: CampaignConfig, on_path: DualMarketState,
-                  agent: AgentProfile, own_market: Market, reward: float,
-                  max_states: int) -> tuple[list[DualMarketState], bool]:
+                  agent: AgentProfile, own_market: Market,
+                  reward: float) -> tuple[list[DualMarketState], bool]:
     """On-path markets (first) plus synthetic remaining-target states,
-    including one engineered to trigger the late-arrival clipping branch."""
+    including one engineered to trigger the late-arrival clipping branch;
+    the second value says whether ``MAX_PROBE_STATES`` cut the list."""
     target = config.target(own_market)
     raised = {Market.FOR: on_path.market_for.raised,
               Market.AGAINST: on_path.market_against.raised}
-    states: list[dict[Market, float]] = [dict(raised)]
     bound = contribution_bound(config, agent, issued=on_path.issued(own_market),
                                belief_reward=reward)
-    for fraction in (1.0, 0.8, 0.6, 0.4, 0.2):
-        state = dict(raised)
-        state[own_market] = (1.0 - fraction) * target
-        states.append(state)
+    states = [raised] + [{**raised, own_market: (1.0 - fraction) * target}
+                         for fraction in (1.0, 0.8, 0.6, 0.4, 0.2)]
     if bound > 0.0:
-        clip = dict(raised)
-        clip[own_market] = max(0.0, target - 0.5 * bound)
-        states.append(clip)
+        states.append({**raised, own_market: max(0.0, target - 0.5 * bound)})
     if config.mechanism.dual_market:
         other = own_market.other
-        state = dict(raised)
-        state[other] = 0.5 * config.target(other)
-        states.append(state)
-    unique: list[dict[Market, float]] = []
-    for state in states:
-        if state not in unique:
-            unique.append(state)
-    return ([on_path.at(state[Market.FOR], state[Market.AGAINST])
-             for state in unique[:max_states]], len(unique) > max_states)
+        states.append({**raised, other: 0.5 * config.target(other)})
+    # as dict keys, repeated states drop out and the first of each keeps its place
+    unique = list({(state[Market.FOR], state[Market.AGAINST]): None for state in states})
+    return ([on_path.at(*state) for state in unique[:MAX_PROBE_STATES]],
+            len(unique) > MAX_PROBE_STATES)
 
 
 def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
                 profile: EquilibriumProfile, grid_step: float | None = None,
-                epsilon: float | None = None,
-                max_states_per_agent: int = 12) -> EquilibriumReport:
+                epsilon: float | None = None) -> EquilibriumReport:
     """Verify the prescribed play is a grid-best response at every probed
     subgame state, walking arrivals with followers' plays rolled out and
     then held fixed (one-shot deviations over a finite horizon).
@@ -927,18 +914,22 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
         raise ValueError(f"{config.mechanism.value} has no sequential subgame "
                          "structure; use certify_ne")
     report, step, eps = _base_report(config, agents, profile, grid_step, epsilon)
+    report.kind = "subgame-perfect"
     if not profile.feasible:
         return report
     order = _play_order(agents, profile)
     arrivals = _arrivals(config, order, profile.belief_rewards)
     path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
                   for a in order]
+    # shut[k]: the book is closed once path play k is made
+    book = new_states(config)
+    shut = [book.closed for _ in _path(order, profile, book)][1:] + [book.closed]
+    closing = shut.index(True) if book.closed else len(order)
     on_path = new_states(config)
     for idx in _path(order, profile, on_path):
         agent, own_market, reward = arrivals[idx]
         followers = arrivals[idx + 1:]
-        probes, truncated = _probe_states(config, on_path, agent, own_market,
-                                          reward, max_states_per_agent)
+        probes, truncated = _probe_states(config, on_path, agent, own_market, reward)
         report.partial = report.partial or truncated
         for state in probes:
             prefix = (f"[state raised_for={state.market_for.raised:.6g} "
@@ -949,34 +940,35 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
                     report.deviations.extend(
                         _closed_play(agent, path_plays[idx][1], eps, prefix))
                 continue
-            q_price = state.price_issuance(own_market)
+            # on the path itself, the checked action and the fixed follower
+            # plays come from the profile being certified
+            market = path_plays[idx][0] if state is probes[0] else own_market
+            q_price = state.price_issuance(market)
             bound = contribution_bound(config, agent, issued=q_price,
                                        belief_reward=reward)
-            after = state.copy()  # the markets once the agent has played
             if state is probes[0]:
-                # on the path itself, the checked action and the fixed
-                # follower plays come from the profile being certified
-                prescribed = path_plays[idx][1]
-                follower_plays = path_plays[idx + 1:]
-                after.play(own_market, prescribed)
+                prescribed, follower_plays = path_plays[idx][1], path_plays[idx + 1:]
+                open_plays = path_plays[idx + 1:closing]
             else:
-                prescribed = after.play(own_market, bound)
-                follower_plays = _rollout(config, after.copy(), followers)
+                after = state.copy()  # the markets once the agent has played
+                prescribed = after.play(market, bound)
+                follower_plays = list(zip((m for _, m, _ in followers),
+                                          _rollout(config, after, followers)))
+                # the rollout stops at the play that closes the book, if any
+                open_plays = follower_plays[:-1] if after.closed else follower_plays
             others_for = state.market_for.raised + sum(
                 x for m, x in follower_plays if m is _FOR)
             others_against = state.market_against.raised + sum(
                 x for m, x in follower_plays if m is _AGAINST)
             rival_viable = config.mechanism.dual_market and _rival_fills(
-                config, state, own_market, followers)
+                config, state, market, followers)
             slot = _Slot(
-                agent=agent, market=own_market, amount=prescribed,
+                agent=agent, market=market, amount=prescribed,
                 others_for=others_for, others_against=others_against,
                 issued=q_price, belief_reward=reward, bound=bound,
                 rival_viable=rival_viable,
             )
-            if _expiry_corner(config, slot):
-                if EXPIRY_CORNER_NOTE not in report.notes:
-                    report.notes.append(EXPIRY_CORNER_NOTE)
+            if _skip_expiry_corner(config, slot, report):
                 continue
             # the sweep and the delay walk share the evaluator and its base
             eu = _evaluator(config, slot)
@@ -984,29 +976,25 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             report.deviations.extend(
                 _sweep_slot(config, slot, eu, base, step, eps, detail_prefix=prefix))
             report.deviations.extend(_delay_deviations(
-                slot, eu, base, state, after, follower_plays, eps, prefix))
+                slot, eu, base, state, open_plays, eps, prefix))
     report.certified = not report.deviations
     return report
 
 
 def _delay_deviations(slot: _Slot, eu, base: float, before: DualMarketState,
-                      after: DualMarketState,
-                      follower_plays: list[tuple[Market, float]], epsilon: float,
+                      open_plays: list[tuple[Market, float]], epsilon: float,
                       prefix: str) -> list[Deviation]:
     """Reprice the prescribed contribution after each number of later
     arrivals; allocations never improve with waiting, so any gain is a
-    defect worth reporting. ``after`` holds the agent's contribution and
-    stops the walk once a target would close the book; ``before`` leaves it
-    out and prices the delayed allocation. Only that price changes with the
-    wait, so each wait re-evaluates ``eu`` at the new issuance."""
+    defect worth reporting. ``open_plays`` are the later plays that leave
+    the book open once the agent has played: past the one that closes it
+    no later slot exists for the contribution. ``before`` leaves the
+    contribution out and prices the delayed allocation. Only that price
+    changes with the wait, so each wait re-evaluates ``eu`` at the new
+    issuance."""
     found: list[Deviation] = []
-    if after.closed:
-        return found  # the contribution itself closes the book
-    before, after = before.copy(), after.copy()
-    for waited, (market, amount) in enumerate(follower_plays, start=1):
-        after.play(market, amount)
-        if after.closed:
-            break  # book closes; no later slot exists for the contribution
+    before = before.copy()
+    for waited, (market, amount) in enumerate(open_plays, start=1):
         before.play(market, amount)
         gain = eu(slot.amount, before.price_issuance(slot.market)) - base
         if gain > epsilon:

@@ -130,10 +130,9 @@ def summary_text(config: CampaignConfig, agents: list[AgentProfile],
                             rows))
     for report in certifications:
         parts.append("")
-        kind = "subgame-perfect" if report.mechanism in ("PPS", "PPSN", "PPSx") else "Nash"
         verdict = "certified" if report.certified else (
             "infeasible" if not report.feasible else "DEVIATIONS FOUND")
-        parts.append(f"{kind} certification: {verdict}"
+        parts.append(f"{report.kind} certification: {verdict}"
                      + (" (partial state coverage)" if report.partial else ""))
         parts.append(f"grid step: {report.grid_step!r}  epsilon: {report.epsilon!r}")
         if report.bounds:

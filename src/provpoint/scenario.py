@@ -13,10 +13,11 @@ the stdlib Mersenne Twister (``random.Random``).
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .beliefs import BeliefReport, conditional_rewards, default_report, score_reports
@@ -79,30 +80,28 @@ def _object(raw, context: str) -> dict:
 
 
 def _number(raw, context: str) -> float:
-    """A numeric field as a float; booleans, NaN and the infinities are
-    refused."""
-    if isinstance(raw, bool):
+    """A numeric field as a float: a JSON number, not a boolean, a string,
+    NaN or an infinity."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"{context}: expected a number, got {raw!r}")
     try:
         value = float(raw)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{context}: expected a number, got {raw!r}") from None
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{context}: must be finite")
     return value
 
 
 def _integer(raw, context: str) -> int:
-    """An integer field (ids, ticks, the seed); booleans, fractional
-    values, NaN and the infinities are refused."""
+    """An integer field (ids, ticks, the seed): a JSON number without a
+    fractional part, not a boolean, a string, NaN or an infinity."""
     if isinstance(raw, float) and not math.isfinite(raw):
         raise ScenarioError(f"{context}: must be finite")
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+    if isinstance(raw, bool) or not (
+            isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
         raise ScenarioError(f"{context}: expected an integer, got {raw!r}")
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{context}: expected an integer, got {raw!r}") from None
+    return int(raw)
 
 
 def _flag(raw, context: str) -> bool:
@@ -326,52 +325,21 @@ def parse_scenario(path: str | Path) -> Scenario:
     return parse_scenario_dict(data)
 
 
+def _plain(value):
+    """``value`` as JSON data: dataclasses as objects without their unset
+    (None) fields, enums by value, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)
+                if getattr(value, f.name) is not None}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    config = scenario.config
-    cfg: dict = {"mechanism": config.mechanism.value,
-                 "deadline_contribution": config.deadline_contribution}
-    if config.provision_point is not None:
-        cfg["provision_point"] = config.provision_point
-    if config.provision_point_pair is not None:
-        cfg["provision_point_pair"] = list(config.provision_point_pair)
-    for name in ("refund_budget", "belief_budget", "contribution_budget",
-                 "deadline_belief"):
-        value = getattr(config, name)
-        if value is not None:
-            cfg[name] = value
-    if config.cost_params is not None:
-        cfg["cost_params"] = {"liquidity": config.cost_params.liquidity,
-                              "fixed_leg": config.cost_params.fixed_leg}
-    data: dict = {
-        "version": SCENARIO_VERSION,
-        "config": cfg,
-        "agents": [
-            {"id": a.id, "valuation": a.valuation,
-             "belief_epsilon": a.belief_epsilon,
-             "belief_side": a.belief_side.value,
-             "arrival_belief": a.arrival_belief,
-             "arrival_contribution": a.arrival_contribution}
-            for a in scenario.agents
-        ],
-        "analysis": {"run_campaign": scenario.analysis.run_campaign,
-                     "certify_ne": scenario.analysis.certify_ne,
-                     "certify_spe": scenario.analysis.certify_spe,
-                     "conditions_only": scenario.analysis.conditions_only},
-        "seed": scenario.seed,
-    }
-    if scenario.explicit_actions is not None:
-        data["explicit_actions"] = [
-            {"agent_id": a.agent_id, "amount": a.amount,
-             "market": a.market.value, "tick": a.tick}
-            for a in scenario.explicit_actions
-        ]
-    if scenario.explicit_reports is not None:
-        data["explicit_reports"] = [
-            {"agent_id": r.agent_id, "information": r.information,
-             "prediction": r.prediction, "tick": r.tick}
-            for r in scenario.explicit_reports
-        ]
-    return data
+    return {"version": SCENARIO_VERSION, **_plain(scenario)}
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -408,6 +376,12 @@ class ScenarioTemplate:
             raise ScenarioError("template.valuation_range: need 0 < low <= high")
         if not 0.0 < self.fill_fraction <= 0.9:
             raise ScenarioError("template.fill_fraction: must lie in (0, 0.9]")
+        for name in ("negative_share", "rejection_share"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ScenarioError(f"template.{name}: must lie in [0, 1]")
+        low, high = self.epsilon_range
+        if not 0.0 <= low <= high <= 0.5:
+            raise ScenarioError("template.epsilon_range: need 0 <= low <= high <= 0.5")
 
 
 def template_from_dict(data: dict) -> ScenarioTemplate:

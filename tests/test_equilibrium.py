@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import zip_longest
 
 import pytest
 
@@ -7,6 +8,7 @@ from provpoint import equilibrium
 from provpoint.beliefs import pprx_utility, ppsx_utility
 from provpoint.costfn import CostFunction
 from provpoint.equilibrium import (
+    Deviation,
     EquilibriumProfile,
     ProfileEntry,
     _met,
@@ -26,7 +28,14 @@ from provpoint.equilibrium import (
     contribution_bound,
     contribution_ordering_gap,
 )
-from provpoint.mechanisms import ppr_utility, pprn_utility, pps_utility, ppsn_utility
+from provpoint.mechanisms import (
+    DualMarketState,
+    new_states,
+    ppr_utility,
+    pprn_utility,
+    pps_utility,
+    ppsn_utility,
+)
 from provpoint.model import (
     AgentProfile,
     BeliefSide,
@@ -599,3 +608,126 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
     for slot, amount, issued, value in delayed:
         repriced = dataclasses.replace(slot, issued=issued)
         assert value == _expected_utility(config, repriced, slot.market, amount, cf)
+
+
+# ---------------------------------------------------------------------------
+# SPE follower walks against the replays they replaced
+# ---------------------------------------------------------------------------
+# The two functions below are the SPE certifier's former rival-fill replay
+# and two-book delay walk, kept verbatim as the reference. The certifier now
+# reads both answers off one follower rollout per probe state, without
+# replaying the followers again, so results must be equal with ==.
+
+
+def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Market,
+                 followers: list[tuple[AgentProfile, Market, float]]) -> bool:
+    """Whether the rival market's coalition, playing its prescribed
+    strategy from this state, still reaches its target (the agent's own
+    side frozen; issuance coupling priced at the frozen leg)."""
+    rival = own_market.other
+    book = book.copy()
+    for agent, market, reward in followers:
+        if book.closed:
+            break
+        if market is rival:
+            bound = contribution_bound(config, agent,
+                                       issued=book.price_issuance(rival),
+                                       belief_reward=reward)
+            book.play(rival, bound)
+    return book.market(rival).met
+
+
+def _delay_deviations(slot: _Slot, eu, base: float, before: DualMarketState,
+                      after: DualMarketState,
+                      follower_plays: list[tuple[Market, float]], epsilon: float,
+                      prefix: str) -> list[Deviation]:
+    """Reprice the prescribed contribution after each number of later
+    arrivals; allocations never improve with waiting, so any gain is a
+    defect worth reporting. ``after`` holds the agent's contribution and
+    stops the walk once a target would close the book; ``before`` leaves it
+    out and prices the delayed allocation. Only that price changes with the
+    wait, so each wait re-evaluates ``eu`` at the new issuance."""
+    found: list[Deviation] = []
+    if after.closed:
+        return found  # the contribution itself closes the book
+    before, after = before.copy(), after.copy()
+    for waited, (market, amount) in enumerate(follower_plays, start=1):
+        after.play(market, amount)
+        if after.closed:
+            break  # book closes; no later slot exists for the contribution
+        before.play(market, amount)
+        gain = eu(slot.amount, before.price_issuance(slot.market)) - base
+        if gain > epsilon:
+            found.append(Deviation(slot.agent.id, "timing",
+                                   prefix + f"delay past {waited} later arrivals",
+                                   gain))
+    return found
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("mechanism", [m for m in Mechanism if m.sequential])
+def test_spe_walks_match_reference(mechanism, n, monkeypatch):
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
+                                 seed=n)
+    config, agents = scenario.config, scenario.agents
+    profile = construct_profile(config, agents)
+    swept = []  # (slot, issuances its delay walk priced) per swept probe state
+    evaluator = equilibrium._evaluator
+
+    def recording(config, slot):
+        eu = evaluator(config, slot)
+        priced: list[float] = []
+        swept.append((slot, priced))
+
+        def recorded(amount, *issued):
+            priced.extend(issued)
+            return eu(amount, *issued)
+        return recorded
+
+    monkeypatch.setattr(equilibrium, "_evaluator", recording)
+    certify_spe(config, agents, profile)
+    monkeypatch.undo()
+
+    # every probe state certify_spe builds, with the follower plays the
+    # former walks were given: the profile's on the path, a rollout off it
+    expected = []
+    order = equilibrium._play_order(agents, profile)
+    arrivals = equilibrium._arrivals(config, order, profile.belief_rewards)
+    path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
+                  for a in order]
+    on_path = new_states(config)
+    for idx in equilibrium._path(order, profile, on_path):
+        agent, own_market, reward = arrivals[idx]
+        followers = arrivals[idx + 1:]
+        probes, _ = equilibrium._probe_states(config, on_path, agent, own_market, reward)
+        for state in probes:
+            if state.closed:
+                continue
+            after = state.copy()
+            if state is probes[0]:
+                market, prescribed = path_plays[idx]
+                after.play(market, prescribed)
+                follower_plays = path_plays[idx + 1:]
+            else:
+                market = own_market
+                prescribed = after.play(market, contribution_bound(
+                    config, agent, issued=state.price_issuance(market),
+                    belief_reward=reward))
+                amounts = equilibrium._rollout(config, after.copy(), followers)
+                follower_plays = [(m, x) for (_, m, _), x in
+                                  zip_longest(followers, amounts, fillvalue=0.0)]
+            rival = _rival_fills(config, state, market, followers)
+            assert equilibrium._rival_fills(config, state, market, followers) == rival
+            rival_viable = config.mechanism.dual_market and rival
+            if config.mechanism.dual_market and market is Market.AGAINST and not rival:
+                continue  # the expiry corner is noted, not swept
+            priced: list[float] = []
+            slot = _Slot(agent=agent, market=market, amount=prescribed,
+                         others_for=0.0, others_against=0.0)
+            _delay_deviations(slot, lambda amount, issued: priced.append(issued) or 0.0,
+                              0.0, state, after, follower_plays, math.inf, "")
+            expected.append((agent.id, market, prescribed, rival_viable, priced))
+    # four arrivals may fill before anyone waits
+    assert any(priced for *_, priced in expected) or n == 4
+    assert [(slot.agent.id, slot.market, slot.amount, slot.rival_viable, priced)
+            for slot, priced in swept] == expected

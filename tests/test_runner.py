@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from provpoint.mechanisms import Action
@@ -8,8 +11,22 @@ from provpoint.scenario import (
     ScenarioError,
     ScenarioTemplate,
     generate_scenario,
+    parse_scenario,
     parse_scenario_dict,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def off_preference_ppsn(tmp_path):
+    """The shipped PPSN scenario with one explicit play: agent 3, who
+    prefers provision, stakes 1.0 on the rejection market first; both
+    certifiers run."""
+    scenario = parse_scenario(SCENARIOS / "ppsn_four_arrivals.json")
+    scenario.explicit_actions = [Action(agent_id=3, amount=1.0,
+                                        market=Market.AGAINST, tick=1)]
+    scenario.analysis = AnalysisFlags(certify_ne=True, certify_spe=True)
+    return run_scenario(scenario, out_dir=tmp_path)
 
 
 def pprn_scenario(**analysis):
@@ -116,3 +133,27 @@ def test_infeasible_profile_noted(tmp_path):
     assert not result.certifications[0].feasible
     summary = (tmp_path / "summary.txt").read_text()
     assert "infeasible" in summary
+
+
+def test_spe_checks_the_on_path_entry_on_its_own_market(tmp_path):
+    # on the path, the subgame-perfect check sweeps the market the entry
+    # stakes on, as the Nash check does, not the agent's preferred one
+    ne, spe = off_preference_ppsn(tmp_path).certifications
+    ne_found = [(d.detail, d.utility_gain) for d in ne.deviations if d.agent_id == 3]
+    on_path = "[state raised_for=0 raised_against=0] "
+    spe_found = [(d.detail.removeprefix(on_path), d.utility_gain)
+                 for d in spe.deviations
+                 if d.agent_id == 3 and d.detail.startswith(on_path)]
+    assert ne_found and ne_found[0][0].endswith("on against (was 1)")
+    assert spe_found == ne_found
+
+
+def test_summary_labels_each_certification_by_its_certifier(tmp_path):
+    result = off_preference_ppsn(tmp_path)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert summary.count("Nash certification: DEVIATIONS FOUND") == 1
+    assert summary.count("subgame-perfect certification: DEVIATIONS FOUND") == 1
+    for i, report in enumerate(result.certifications):
+        written = (tmp_path / f"certification_{i}.json").read_text()
+        assert json.loads(written) == report.to_dict()
+        assert "kind" not in report.to_dict()

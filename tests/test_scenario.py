@@ -325,6 +325,13 @@ MISTYPED_FIELDS = [
      "scenario.explicit_actions: expected a list, got {'agent_id': 0}"),
     (("explicit_actions",), ["0"], "scenario.explicit_actions[0]: expected an object, got '0'"),
     (("version",), True, "scenario.version: expected 1, got True"),
+    (("config", "provision_point"), "10",
+     "scenario.config.provision_point: expected a number, got '10'"),
+    (("agents", 0, "id"), "0", "scenario.agents[0].id: expected an integer, got '0'"),
+    (("agents", 1, "valuation"), "7", "scenario.agents[1].valuation: expected a number, got '7'"),
+    (("agents", 1, "valuation"), 10**400, "scenario.agents[1].valuation: must be finite"),
+    (("config", "deadline_contribution"), "4",
+     "scenario.config.deadline_contribution: expected an integer, got '4'"),
 ]
 
 
@@ -365,6 +372,13 @@ MISTYPED_TEMPLATE_FIELDS = [
     ("rejection_share", True, "template.rejection_share: expected a number, got True"),
     ("fill_fraction", "half", "template.fill_fraction: expected a number, got 'half'"),
     ("provision_point", float("inf"), "template.provision_point: must be finite"),
+    ("agent_count", "4", "template.agent_count: expected an integer, got '4'"),
+    ("provision_point", "10", "template.provision_point: expected a number, got '10'"),
+    ("negative_share", -3, "template.negative_share: must lie in [0, 1]"),
+    ("rejection_share", 7, "template.rejection_share: must lie in [0, 1]"),
+    ("epsilon_range", [0.4, 0.9], "template.epsilon_range: need 0 <= low <= high <= 0.5"),
+    ("epsilon_range", [0.2, 0.1], "template.epsilon_range: need 0 <= low <= high <= 0.5"),
+    ("epsilon_range", [-0.1, 0.1], "template.epsilon_range: need 0 <= low <= high <= 0.5"),
 ]
 
 
