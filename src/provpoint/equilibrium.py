@@ -43,6 +43,7 @@ sweep reprices the allocation at the later slot.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -71,16 +72,16 @@ from .model import (
     Mechanism,
     Verdict,
     aggregate_valuations,
-    derive_preference,
+    own_market,
 )
 
 MET_REL_TOL = 1e-9
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
-MAX_PROBE_STATES = 12  # probe states per SPE arrival; more marks the report partial
 
-# Bound once for the per-follower sums of the SPE walk: every member lookup
-# on an enum class costs a few hundred ns on Python 3.11.
+# Bound once for the per-follower sums of the SPE walk and the utilities:
+# every member lookup on an enum class costs a few hundred ns on Python 3.11.
 _FOR, _AGAINST = Market.FOR, Market.AGAINST
+_PROVISIONED = Verdict.PROVISIONED
 
 
 # ---------------------------------------------------------------------------
@@ -136,29 +137,166 @@ def bound_ppsx(agent: AgentProfile, cf: CostFunction, issued: float,
     return cf.contribution_for(max(quantity, 0.0), issued)
 
 
+# ---------------------------------------------------------------------------
+# One rules row per mechanism
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Rules:
+    """What one mechanism's theory says, each entry a function of the config:
+
+    * ``bound(config, agent, issued, reward)``: the contribution cap;
+    * ``utility(config, agent, market, reward, verdict)``: the utility of a
+      contribution to ``market`` under ``verdict``, as
+      ``u(amount, rec, total_for, total_against)``, where only the
+      securities utilities read the contribution record ``rec``;
+    * ``indifference(config, agent, bound, issued, reward)``: the bound's
+      defining equation at the bound, with denominators at the filled
+      targets, as ``(lhs, rhs, clamped)``;
+    * ``conditions(config, net, totals)``: the existence inequalities as
+      ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market.
+
+    Entries call the ``bound_*`` and ``*_utility`` functions by this
+    module's names when they run, so wrappers on those names see each call.
+    """
+
+    bound: Callable[..., float]
+    utility: Callable[..., Callable[..., float]]
+    indifference: Callable[..., tuple[float, float, bool]]
+    conditions: Callable[..., list[tuple[str, float, float, bool]]]
+
+
+_SIDE_NAMES = {_FOR: "provision", _AGAINST: "rejection"}
+
+
+def _below_valuations(config: CampaignConfig, totals: dict[Market, float]) -> list:
+    """Each market's target strictly below its side's valuations."""
+    return [(f"{_SIDE_NAMES[m]}_valuation_exceeds_target", config.target(m),
+             totals[m], True) for m in config.mechanism.markets]
+
+
+# Row entries too long for a lambda; PPS and PPSN share theirs.
+def _pprn_indifference(config, agent, bound, issued, reward):
+    share = bound / config.target_sum * config.refund_budget
+    if own_market(config, agent) is _FOR:
+        return agent.valuation - bound, share, False
+    return -bound, agent.valuation + share, False
+
+
+def _securities_indifference(config, agent, bound, issued, reward):
+    allocated = config.cost_function.securities_for(bound, issued)
+    if own_market(config, agent) is _FOR:
+        return agent.valuation - bound, allocated - bound, False
+    return -bound, agent.valuation + allocated - bound, False
+
+
+def _securities_conditions(config, net, totals):
+    cf = config.cost_function
+    return _below_valuations(config, totals) + [
+        (f"{_SIDE_NAMES[m]}_securities_affordable",
+         cf.inverse_cost(config.target(m) + cf.opening_cost), totals[m], True)
+        for m in config.mechanism.markets]
+
+
+def _pprx_indifference(config, agent, bound, issued, reward):
+    p = agent.provision_belief
+    q = 1.0 - p
+    theta = agent.valuation
+    share = bound / config.provision_point * config.contribution_budget
+    if agent.belief_side is BeliefSide.PROVISION_LIKELY:
+        return p * (theta - bound + reward), q * share, False
+    return (p * (theta - bound), q * (share + reward),
+            bound == 0.0 and p * theta - q * reward < 0)
+
+
+def _ppsx_indifference(config, agent, bound, issued, reward):
+    allocated = config.cost_function.securities_for(bound, issued)
+    theta = agent.valuation
+    if agent.belief_side is BeliefSide.PROVISION_LIKELY:
+        return theta + reward - bound, allocated - bound, False
+    return (theta - bound, allocated - bound + reward,
+            bound == 0.0 and theta - reward < 0)
+
+
+def _belief_conditions(config, net):
+    return [("target_within_valuation_plus_belief_budget", config.provision_point,
+             net + config.belief_budget, False),
+            ("belief_budget_positive", 0.0, config.belief_budget, True)]
+
+
+RULES: dict[Mechanism, Rules] = {
+    Mechanism.PPR: Rules(
+        bound=lambda config, agent, issued, reward: bound_ppr(
+            agent, config.provision_point, config.refund_budget),
+        utility=lambda config, agent, market, reward, verdict: (
+            lambda amount, rec, total_for, total_against: ppr_utility(
+                agent, amount, total_for, config.refund_budget,
+                verdict is _PROVISIONED)),
+        indifference=lambda config, agent, bound, issued, reward: (
+            agent.valuation - bound,
+            bound / config.provision_point * config.refund_budget, False),
+        conditions=lambda config, net, totals: [
+            *_below_valuations(config, totals),
+            ("refund_budget_positive", 0.0, config.refund_budget, True),
+            ("refund_budget_below_cap", config.refund_budget,
+             totals[_FOR] - config.provision_point, True)]),
+    Mechanism.PPRN: Rules(
+        bound=lambda config, agent, issued, reward: bound_pprn(
+            agent, *config.provision_point_pair, config.refund_budget),
+        utility=lambda config, agent, market, reward, verdict: (
+            lambda amount, rec, total_for, total_against: pprn_utility(
+                agent, market, amount, total_for, total_against,
+                config.refund_budget, verdict)),
+        indifference=_pprn_indifference,
+        conditions=lambda config, net, totals: [
+            *_below_valuations(config, totals),
+            ("refund_budget_positive", 0.0, config.refund_budget, True),
+            *((f"refund_budget_below_{_SIDE_NAMES[m]}_cap", config.refund_budget,
+               config.target_sum * (totals[m] - config.target(m)) / config.target(m),
+               True) for m in config.mechanism.markets)]),
+    Mechanism.PPS: Rules(
+        bound=lambda config, agent, issued, reward: bound_pps(
+            agent, config.cost_function, issued),
+        utility=lambda config, agent, market, reward, verdict: (
+            lambda amount, rec, total_for, total_against: pps_utility(
+                agent, rec, verdict is _PROVISIONED)),
+        indifference=_securities_indifference,
+        conditions=_securities_conditions),
+    Mechanism.PPSN: Rules(
+        bound=lambda config, agent, issued, reward: bound_ppsn(
+            agent, config.cost_function, issued),
+        utility=lambda config, agent, market, reward, verdict: (
+            lambda amount, rec, total_for, total_against: ppsn_utility(
+                agent, rec, verdict)),
+        indifference=_securities_indifference,
+        conditions=_securities_conditions),
+    Mechanism.PPRX: Rules(
+        bound=lambda config, agent, issued, reward: bound_pprx(
+            agent, config.provision_point, config.contribution_budget, reward),
+        utility=lambda config, agent, market, reward, verdict: (
+            lambda amount, rec, total_for, total_against: pprx_utility(
+                agent, agent.belief_side, amount, total_for,
+                config.contribution_budget, reward, verdict is _PROVISIONED)),
+        indifference=_pprx_indifference,
+        conditions=lambda config, net, totals: [
+            *_belief_conditions(config, net),
+            ("contribution_budget_positive", 0.0, config.contribution_budget, True)]),
+    Mechanism.PPSX: Rules(
+        bound=lambda config, agent, issued, reward: bound_ppsx(
+            agent, config.cost_function, issued, reward),
+        utility=lambda config, agent, market, reward, verdict: (
+            lambda amount, rec, total_for, total_against: ppsx_utility(
+                agent, agent.belief_side, rec, reward, verdict is _PROVISIONED)),
+        indifference=_ppsx_indifference,
+        conditions=lambda config, net, totals: _belief_conditions(config, net)),
+}
+
+
 def contribution_bound(config: CampaignConfig, agent: AgentProfile, *,
                        issued: float = 0.0, belief_reward: float = 0.0) -> float:
-    """Dispatch to the mechanism's bound at the given issuance context."""
-    mech = config.mechanism
-    if mech is Mechanism.PPR:
-        return bound_ppr(agent, config.provision_point, config.refund_budget)  # type: ignore[arg-type]
-    if mech is Mechanism.PPRN:
-        h_for, h_against = config.provision_point_pair  # type: ignore[misc]
-        return bound_pprn(agent, h_for, h_against, config.refund_budget)  # type: ignore[arg-type]
-    cf = config.cost_function
-    if mech is Mechanism.PPS:
-        return bound_pps(agent, cf, issued)  # type: ignore[arg-type]
-    if mech is Mechanism.PPSN:
-        return bound_ppsn(agent, cf, issued)  # type: ignore[arg-type]
-    if mech is Mechanism.PPRX:
-        return bound_pprx(agent, config.provision_point,  # type: ignore[arg-type]
-                          config.contribution_budget, belief_reward)  # type: ignore[arg-type]
-    return bound_ppsx(agent, cf, issued, belief_reward)  # type: ignore[arg-type]
-
-
-# ---------------------------------------------------------------------------
-# Existence conditions
-# ---------------------------------------------------------------------------
+    """The mechanism's bound at the given issuance context."""
+    return RULES[config.mechanism].bound(config, agent, issued, belief_reward)
 
 
 @dataclass(frozen=True)
@@ -174,54 +312,11 @@ class ConditionCheck:
 def check_conditions(config: CampaignConfig,
                      agents: list[AgentProfile]) -> list[ConditionCheck]:
     """Evaluate every equilibrium-existence inequality for the mechanism."""
-    mech = config.mechanism
     net, total_for, total_against = aggregate_valuations(agents)
-    checks: list[ConditionCheck] = []
-
-    def add(name: str, lhs: float, rhs: float, strict: bool = True) -> None:
-        ok = lhs < rhs if strict else lhs <= rhs
-        checks.append(ConditionCheck(name=name, satisfied=ok, lhs=lhs, rhs=rhs))
-
-    if mech is Mechanism.PPR:
-        h0 = config.provision_point
-        add("provision_valuation_exceeds_target", h0, total_for)
-        add("refund_budget_positive", 0.0, config.refund_budget)
-        add("refund_budget_below_cap", config.refund_budget, total_for - h0)
-    elif mech is Mechanism.PPRN:
-        h_for, h_against = config.provision_point_pair
-        budget = config.refund_budget
-        span = h_for + h_against
-        add("provision_valuation_exceeds_target", h_for, total_for)
-        add("rejection_valuation_exceeds_target", h_against, total_against)
-        add("refund_budget_positive", 0.0, budget)
-        add("refund_budget_below_provision_cap", budget,
-            span * (total_for - h_for) / h_for)
-        add("refund_budget_below_rejection_cap", budget,
-            span * (total_against - h_against) / h_against)
-    elif mech in (Mechanism.PPS, Mechanism.PPSN):
-        cf = config.cost_function
-        assert cf is not None
-        base = cf.opening_cost
-        if mech is Mechanism.PPS:
-            h0 = config.provision_point
-            add("provision_valuation_exceeds_target", h0, total_for)
-            add("provision_securities_affordable",
-                cf.inverse_cost(h0 + base), total_for)
-        else:
-            h_for, h_against = config.provision_point_pair
-            add("provision_valuation_exceeds_target", h_for, total_for)
-            add("rejection_valuation_exceeds_target", h_against, total_against)
-            add("provision_securities_affordable",
-                cf.inverse_cost(h_for + base), total_for)
-            add("rejection_securities_affordable",
-                cf.inverse_cost(h_against + base), total_against)
-    else:  # PPRx / PPSx
-        add("target_within_valuation_plus_belief_budget",
-            config.provision_point, net + config.belief_budget, strict=False)
-        add("belief_budget_positive", 0.0, config.belief_budget)
-        if mech is Mechanism.PPRX:
-            add("contribution_budget_positive", 0.0, config.contribution_budget)
-    return checks
+    rows = RULES[config.mechanism].conditions(
+        config, net, {_FOR: total_for, _AGAINST: total_against})
+    return [ConditionCheck(name, lhs < rhs if strict else lhs <= rhs, lhs, rhs)
+            for name, lhs, rhs, strict in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -297,39 +392,28 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     rewards = profile.belief_rewards
 
     if not mech.sequential:
-        deadline = config.deadline_contribution
-        if mech is Mechanism.PPRN:
-            positives = [a for a in agents if derive_preference(a) is Market.FOR]
-            negatives = [a for a in agents if derive_preference(a) is Market.AGAINST]
-            bounds = {a.id: contribution_bound(config, a) for a in agents}
-            h_for, h_against = config.provision_point_pair  # type: ignore[misc]
-            fill_for = _fill_side(positives, bounds, h_for, strict=True) if positives else None
-            fill_against = (_fill_side(negatives, bounds, h_against, strict=True)
-                            if negatives else None)
-            if fill_for is None or fill_against is None:
-                profile.feasible = False
-                profile.reason = ("bounds cannot fill both targets: "
-                                  f"provision side {'ok' if fill_for else 'short'}, "
-                                  f"rejection side {'ok' if fill_against else 'short'}")
-                return profile
-            for a in positives:
-                profile.entries[a.id] = ProfileEntry(fill_for[a.id], deadline, Market.FOR)
-            for a in negatives:
-                profile.entries[a.id] = ProfileEntry(fill_against[a.id], deadline,
-                                                     Market.AGAINST)
-        else:  # PPR / PPRx: one market, everyone delays to the deadline
-            bounds = {a.id: contribution_bound(config, a,
-                                               belief_reward=rewards.get(a.id, 0.0))
-                      for a in agents}
-            fill = _fill_side(agents, bounds, config.provision_point,  # type: ignore[arg-type]
-                              strict=False)
-            if fill is None:
-                profile.feasible = False
-                profile.reason = (f"bounds sum to {sum(bounds.values()):.6g}, below the "
-                                  f"provision point {config.provision_point:.6g}")
-                return profile
-            for a in agents:
-                profile.entries[a.id] = ProfileEntry(fill[a.id], deadline, Market.FOR)
+        # everyone delays to the deadline; each side's bounds scale to its target
+        bounds = {a.id: contribution_bound(config, a, belief_reward=rewards.get(a.id, 0.0))
+                  for a in agents}
+        fills = {}
+        for market in mech.markets:
+            side = [a for a in agents if own_market(config, a) is market]
+            # the dual-market fills stay strictly interior to their bounds
+            fills[market] = (_fill_side(side, bounds, config.target(market),
+                                        strict=mech.dual_market) if side else None)
+        if None in fills.values():
+            profile.feasible = False
+            sides = ", ".join(f"{_SIDE_NAMES[m]} side {'ok' if fill else 'short'}"
+                              for m, fill in fills.items())
+            profile.reason = (
+                f"bounds cannot fill both targets: {sides}" if mech.dual_market
+                else f"bounds sum to {sum(bounds.values()):.6g}, below the "
+                     f"provision point {config.provision_point:.6g}")
+            return profile
+        for market, fill in fills.items():
+            for agent_id, amount in fill.items():
+                profile.entries[agent_id] = ProfileEntry(
+                    amount, config.deadline_contribution, market)
         profile.expected_verdict = replayed_verdict(config, agents, profile)
         return profile
 
@@ -355,11 +439,9 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
 def _arrivals(config: CampaignConfig, order: list[AgentProfile],
               rewards: dict[int, float]) -> list[tuple[AgentProfile, Market, float]]:
     """Each agent of ``order`` with its own market (the one its equilibrium
-    play goes to: its preference's) and belief reward, looked up once per
-    walk rather than once per step."""
-    dual = config.mechanism.dual_market
-    return [(a, derive_preference(a) if dual else Market.FOR, rewards.get(a.id, 0.0))
-            for a in order]
+    play goes to) and belief reward, looked up once per walk rather than
+    once per step."""
+    return [(a, own_market(config, a), rewards.get(a.id, 0.0)) for a in order]
 
 
 def _play_order(agents: list[AgentProfile],
@@ -436,7 +518,6 @@ class EquilibriumReport:
     grid_step: float = 0.0
     feasible: bool = True
     certified: bool = False
-    partial: bool = False
     notes: list[str] = field(default_factory=list)
     kind: str = "Nash"  # the certifier that produced it; not serialized
 
@@ -445,7 +526,8 @@ class EquilibriumReport:
             "mechanism": self.mechanism,
             "feasible": self.feasible,
             "certified": self.certified,
-            "partial": self.partial,
+            # every probe state is checked; the key stays until coverage counts replace it
+            "partial": False,
             "grid_step": self.grid_step,
             "epsilon": self.epsilon,
             "bounds": {str(k): v for k, v in sorted(self.bounds.items())},
@@ -497,37 +579,6 @@ def _own_win_weight(config: CampaignConfig, agent: AgentProfile) -> float:
 
 def _met(total: float, target: float) -> bool:
     return total >= target - MET_REL_TOL * max(1.0, target)
-
-
-def _branch(config: CampaignConfig, agent: AgentProfile, market: Market,
-            belief_reward: float, verdict: Verdict):
-    """The mechanism's utility for ``agent`` on ``market`` under ``verdict``,
-    as ``utility(amount, rec, total_for, total_against)``. ``rec`` is the
-    contribution record only the securities utilities read (None for the
-    refund-bonus family, whose utilities read amounts and totals)."""
-    mech = config.mechanism
-    provisioned = verdict is Verdict.PROVISIONED
-    side = agent.belief_side
-    if mech is Mechanism.PPR:
-        budget = config.refund_budget
-        return lambda amount, rec, total_for, total_against: ppr_utility(
-            agent, amount, total_for, budget, provisioned)  # type: ignore[arg-type]
-    if mech is Mechanism.PPRN:
-        budget = config.refund_budget
-        return lambda amount, rec, total_for, total_against: pprn_utility(
-            agent, market, amount, total_for, total_against, budget, verdict)  # type: ignore[arg-type]
-    if mech is Mechanism.PPRX:
-        budget = config.contribution_budget
-        return lambda amount, rec, total_for, total_against: pprx_utility(
-            agent, side, amount, total_for, budget, belief_reward, provisioned)  # type: ignore[arg-type]
-    if mech is Mechanism.PPS:
-        return lambda amount, rec, total_for, total_against: pps_utility(
-            agent, rec, provisioned)
-    if mech is Mechanism.PPSN:
-        return lambda amount, rec, total_for, total_against: ppsn_utility(
-            agent, rec, verdict)
-    return lambda amount, rec, total_for, total_against: ppsx_utility(
-        agent, side, rec, belief_reward, provisioned)
 
 
 @dataclass(frozen=True)
@@ -590,8 +641,9 @@ def _evaluator(config: CampaignConfig, slot: _Slot):
     if not for_market:
         own_weight = 1.0 - own_weight
     alt_weight = 1.0 - own_weight
-    own = _branch(config, agent, market, reward, own_verdict)
-    alt = _branch(config, agent, market, reward, alt_verdict)
+    utility = RULES[config.mechanism].utility
+    own = utility(config, agent, market, reward, own_verdict)
+    alt = utility(config, agent, market, reward, alt_verdict)
     cf = config.cost_function  # set exactly for the securities family
 
     def eu(amount: float, issued: float = slot.issued) -> float:
@@ -621,13 +673,14 @@ def _flip_delta(config: CampaignConfig, slot: _Slot) -> float:
     total_for = slot.others_for + (slot.amount if slot.market is Market.FOR else 0.0)
     total_against = slot.others_against + (
         slot.amount if slot.market is Market.AGAINST else 0.0)
+    utility = RULES[config.mechanism].utility
 
     def half_sum(market: Market) -> float:
         rec = None if cf is None else ContributionRecord(
             agent_id=slot.agent.id, amount=slot.amount, tick=0, market=market,
             securities=securities)
         return 0.5 * sum(
-            _branch(config, slot.agent, market, slot.belief_reward, verdict)(
+            utility(config, slot.agent, market, slot.belief_reward, verdict)(
                 slot.amount, rec, total_for, total_against)
             for verdict in (Verdict.PROVISIONED, Verdict.REJECTED)
         )
@@ -736,66 +789,16 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
     return slots
 
 
-def _indifference_checks(config: CampaignConfig, agents: list[AgentProfile],
-                         profile: EquilibriumProfile, entry_issuance: dict[int, float],
-                         bounds: dict[int, float]) -> list[IndifferenceCheck]:
-    """Evaluate each bound's defining equation (branch utilities, or their
-    belief-weighted versions where the theory weights them) at the bound
-    ``bounds`` holds for the agent, with denominators at the filled
-    targets."""
-    mech = config.mechanism
-    cf = config.cost_function
-    checks: list[IndifferenceCheck] = []
-    for agent in agents:
-        reward = profile.belief_rewards.get(agent.id, 0.0)
-        issued = entry_issuance[agent.id]
-        bound = bounds[agent.id]
-        theta = agent.valuation
-        clamped = False
-        if mech is Mechanism.PPR:
-            lhs = theta - bound
-            rhs = bound / config.provision_point * config.refund_budget  # type: ignore[operator]
-        elif mech is Mechanism.PPRN:
-            span = config.target_sum
-            share = bound / span * config.refund_budget  # type: ignore[operator]
-            if derive_preference(agent) is Market.FOR:
-                lhs, rhs = theta - bound, share
-            else:
-                lhs, rhs = -bound, theta + share
-        elif mech in (Mechanism.PPS, Mechanism.PPSN):
-            assert cf is not None
-            allocated = cf.securities_for(bound, issued)
-            if derive_preference(agent) is Market.FOR or mech is Mechanism.PPS:
-                lhs, rhs = theta - bound, allocated - bound
-            else:
-                lhs, rhs = -bound, theta + allocated - bound
-        elif mech is Mechanism.PPRX:
-            p = agent.provision_belief
-            q = 1.0 - p
-            share = bound / config.provision_point * config.contribution_budget  # type: ignore[operator]
-            if agent.belief_side is BeliefSide.PROVISION_LIKELY:
-                lhs, rhs = p * (theta - bound + reward), q * share
-            else:
-                clamped = bound == 0.0 and p * theta - q * reward < 0
-                lhs, rhs = p * (theta - bound), q * (share + reward)
-        else:  # PPSx
-            assert cf is not None
-            allocated = cf.securities_for(bound, issued)
-            if agent.belief_side is BeliefSide.PROVISION_LIKELY:
-                lhs, rhs = theta + reward - bound, allocated - bound
-            else:
-                clamped = bound == 0.0 and theta - reward < 0
-                lhs, rhs = theta - bound, allocated - bound + reward
-        checks.append(IndifferenceCheck(agent.id, bound, lhs, rhs, clamped))
-    return checks
-
-
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                  profile: EquilibriumProfile, grid_step: float | None,
                  epsilon: float | None) -> tuple[EquilibriumReport, float, float]:
     scale = certification_scale(config)
     step = grid_step if grid_step is not None else scale / 1000.0
     eps = epsilon if epsilon is not None else scale * 1e-6
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"grid_step must be finite and positive, got {step!r}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {eps!r}")
     report = EquilibriumReport(
         mechanism=config.mechanism.value,
         profile=profile,
@@ -805,13 +808,15 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
         feasible=profile.feasible,
     )
     if profile.feasible:
-        issued = _entry_issuance(config, agents, profile)
+        indifference = RULES[config.mechanism].indifference
+        entry_issuance = _entry_issuance(config, agents, profile)
         for agent in agents:
-            report.bounds[agent.id] = contribution_bound(
-                config, agent, issued=issued[agent.id],
-                belief_reward=profile.belief_rewards.get(agent.id, 0.0))
-        report.indifference = _indifference_checks(config, agents, profile, issued,
-                                                   report.bounds)
+            issued = entry_issuance[agent.id]
+            reward = profile.belief_rewards.get(agent.id, 0.0)
+            bound = report.bounds[agent.id] = contribution_bound(
+                config, agent, issued=issued, belief_reward=reward)
+            report.indifference.append(IndifferenceCheck(
+                agent.id, bound, *indifference(config, agent, bound, issued, reward)))
     else:
         report.notes.append(profile.reason or "profile infeasible")
     return report, step, eps
@@ -878,10 +883,10 @@ def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Mark
 
 def _probe_states(config: CampaignConfig, on_path: DualMarketState,
                   agent: AgentProfile, own_market: Market,
-                  reward: float) -> tuple[list[DualMarketState], bool]:
+                  reward: float) -> list[DualMarketState]:
     """On-path markets (first) plus synthetic remaining-target states,
-    including one engineered to trigger the late-arrival clipping branch;
-    the second value says whether ``MAX_PROBE_STATES`` cut the list."""
+    including one engineered to trigger the late-arrival clipping branch:
+    eight states at most."""
     target = config.target(own_market)
     raised = {Market.FOR: on_path.market_for.raised,
               Market.AGAINST: on_path.market_against.raised}
@@ -896,8 +901,7 @@ def _probe_states(config: CampaignConfig, on_path: DualMarketState,
         states.append({**raised, other: 0.5 * config.target(other)})
     # as dict keys, repeated states drop out and the first of each keeps its place
     unique = list({(state[Market.FOR], state[Market.AGAINST]): None for state in states})
-    return ([on_path.at(*state) for state in unique[:MAX_PROBE_STATES]],
-            len(unique) > MAX_PROBE_STATES)
+    return [on_path.at(*state) for state in unique]
 
 
 def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
@@ -929,8 +933,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     for idx in _path(order, profile, on_path):
         agent, own_market, reward = arrivals[idx]
         followers = arrivals[idx + 1:]
-        probes, truncated = _probe_states(config, on_path, agent, own_market, reward)
-        report.partial = report.partial or truncated
+        probes = _probe_states(config, on_path, agent, own_market, reward)
         for state in probes:
             prefix = (f"[state raised_for={state.market_for.raised:.6g} "
                       f"raised_against={state.market_against.raised:.6g}] ")

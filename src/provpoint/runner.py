@@ -32,6 +32,7 @@ from .model import (
     Market,
     Outcome,
     derive_preference,
+    own_market,
 )
 from .scenario import Scenario, ScenarioError
 
@@ -76,9 +77,8 @@ def profile_from_actions(scenario: Scenario,
     for agent in scenario.agents:
         action = by_agent.get(agent.id)
         if action is None:
-            market = (derive_preference(agent) if config.mechanism.dual_market
-                      else Market.FOR)
-            entry = ProfileEntry(0.0, config.deadline_contribution, market)
+            entry = ProfileEntry(0.0, config.deadline_contribution,
+                                 own_market(config, agent))
         else:
             entry = ProfileEntry(action.amount, action.tick, action.market)
         profile.entries[agent.id] = entry

@@ -30,7 +30,7 @@ from .model import (
     Market,
     Mechanism,
     aggregate_valuations,
-    derive_preference,
+    own_market,
 )
 
 SCENARIO_VERSION = 1
@@ -369,8 +369,20 @@ class ScenarioTemplate:
     provision_point_pair: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.agent_count < 1:
-            raise ScenarioError("template.agent_count: must be at least 1")
+        mech = self.mechanism
+        # each market needs an agent, and belief scoring three reports
+        least = 3 if mech.two_phase else 2 if mech.dual_market else 1
+        if self.agent_count < least:
+            raise ScenarioError(
+                f"template.agent_count: {mech.value} needs {least} or more agents")
+        for name, value in (("provision_point", self.provision_point),
+                            ("provision_point_pair", self.provision_point_pair)):
+            if value is None:
+                continue
+            if (name == "provision_point_pair") != mech.dual_market:
+                raise ScenarioError(f"template.{name}: {mech.value} does not use this field")
+            if min(value if mech.dual_market else (value,)) <= 0:
+                raise ScenarioError(f"template.{name}: targets must be positive")
         low, high = self.valuation_range
         if not 0 < low <= high:
             raise ScenarioError("template.valuation_range: need 0 < low <= high")
@@ -479,7 +491,7 @@ def _headroom_ok(config: CampaignConfig, agents: list[AgentProfile],
     """Scaled refund-bonus contributions must sit clear of the point where
     walking away beats the filled pot, which needs the bounds to cover the
     target plus the contribution budget."""
-    if config.mechanism is not Mechanism.PPRX:
+    if config.contribution_budget is None:
         return True
     from .equilibrium import contribution_bound
 
@@ -492,79 +504,54 @@ def _headroom_ok(config: CampaignConfig, agents: list[AgentProfile],
 
 def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
                  fill: float, budget_scale: float = 1.0) -> CampaignConfig:
+    """Targets at ``fill`` of each market's capacity unless the template
+    sets them. Capacity is the side's valuations for PPR and PPRN, else its
+    bounds at zero issuance under a probe target of the net valuation. The
+    securities family's liquidity scales with total valuations, keeping
+    issuance slopes moderate so arrival-order bounds retain headroom."""
+    from .equilibrium import contribution_bound
+
     mech = template.mechanism
     n = len(agents)
     net, total_for, total_against = aggregate_valuations(agents)
     deadline = n
-    if mech is Mechanism.PPR:
-        h0 = template.provision_point or fill * total_for
-        return CampaignConfig(mechanism=mech, provision_point=h0,
-                              refund_budget=0.5 * max(total_for - h0, 1e-6),
-                              deadline_contribution=deadline)
-    if mech is Mechanism.PPRN:
-        pair = template.provision_point_pair or (fill * total_for,
-                                                 fill * total_against)
-        h_for, h_against = pair
-        span = h_for + h_against
-        cap = span * min((total_for - h_for) / h_for,
-                         (total_against - h_against) / h_against)
-        return CampaignConfig(mechanism=mech, provision_point_pair=pair,
-                              refund_budget=max(0.4 * cap, 1e-9),
-                              deadline_contribution=deadline)
-    # Securities family: liquidity scaled to total valuations keeps issuance
-    # slopes moderate so arrival-order bounds retain headroom. Targets are
-    # sized off the bounds at zero issuance.
-    from .costfn import CostFunction
-    from .equilibrium import bound_pps, bound_ppsn, bound_ppsx, contribution_bound
-
-    liquidity = max(1.0, total_for + total_against)
-    cost = CostParams(liquidity=liquidity)
-    cf = CostFunction.from_params(cost)
-    if mech is Mechanism.PPS:
-        capacity = sum(bound_pps(a, cf, 0.0) for a in agents)
-        h0 = template.provision_point or fill * capacity
-        return CampaignConfig(mechanism=mech, provision_point=h0,
-                              cost_params=cost, deadline_contribution=deadline)
-    if mech is Mechanism.PPSN:
-        cap_for = sum(bound_ppsn(a, cf, 0.0)
-                      for a in agents if derive_preference(a) is Market.FOR)
-        cap_against = sum(bound_ppsn(a, cf, 0.0)
-                          for a in agents if derive_preference(a) is Market.AGAINST)
-        pair = template.provision_point_pair or (fill * cap_for, fill * cap_against)
-        return CampaignConfig(mechanism=mech, provision_point_pair=pair,
-                              cost_params=cost, deadline_contribution=deadline)
-    # Two-phase mechanisms: size budgets off the aggregate valuation, then
-    # the target off the reward-adjusted bounds.
-    belief_budget = 0.3 * net
-    truthful = score_reports([default_report(a) for a in agents])
-    rewards = conditional_rewards(truthful, belief_budget)
-    deadline_belief = max(n - 1, max(a.arrival_belief for a in agents))
-    deadline = max(deadline, deadline_belief + 1)
+    extra: dict = {}  # the fields only some mechanisms use
+    rewards: dict[int, float] = {}
+    if mech.two_phase:  # budgets scale with the aggregate valuation
+        extra["belief_budget"] = 0.3 * net
+        truthful = score_reports([default_report(a) for a in agents])
+        rewards = conditional_rewards(truthful, extra["belief_budget"])
+        extra["deadline_belief"] = max(n - 1, max(a.arrival_belief for a in agents))
+        deadline = max(deadline, extra["deadline_belief"] + 1)
+    if mech.uses_securities:
+        extra["cost_params"] = CostParams(liquidity=max(1.0, total_for + total_against))
     if mech is Mechanism.PPRX:
-        contribution_budget = 0.15 * net * budget_scale
-        probe = CampaignConfig(
-            mechanism=mech, provision_point=max(net, 1.0),
-            belief_budget=belief_budget, contribution_budget=contribution_budget,
-            deadline_contribution=deadline, deadline_belief=deadline_belief)
-        bounds = sum(contribution_bound(probe, a, belief_reward=rewards.get(a.id, 0.0))
-                     for a in agents)
-        h0 = template.provision_point or min(fill * bounds,
-                                             bounds - 1.2 * contribution_budget)
-        if h0 <= 0:
-            h0 = fill * bounds
-        if h0 <= 0:
-            raise ScenarioError(
-                "template infeasible: reward-adjusted bounds sum to zero")
-        return CampaignConfig(
-            mechanism=mech, provision_point=h0, belief_budget=belief_budget,
-            contribution_budget=contribution_budget,
-            deadline_contribution=deadline, deadline_belief=deadline_belief)
-    bounds = sum(bound_ppsx(a, cf, 0.0, rewards.get(a.id, 0.0)) for a in agents)
-    h0 = template.provision_point or fill * bounds
-    if h0 <= 0:
-        raise ScenarioError(
-            "template infeasible: reward-adjusted bounds sum to zero")
-    return CampaignConfig(
-        mechanism=mech, provision_point=h0, belief_budget=belief_budget,
-        cost_params=cost, deadline_contribution=deadline,
-        deadline_belief=deadline_belief)
+        extra["contribution_budget"] = 0.15 * net * budget_scale
+
+    def config(targets: tuple[float, ...]) -> CampaignConfig:
+        return CampaignConfig(mechanism=mech, deadline_contribution=deadline, **extra,
+                              **({"provision_point_pair": targets} if mech.dual_market
+                                 else {"provision_point": targets[0]}))
+
+    capacity = {Market.FOR: total_for, Market.AGAINST: total_against}
+    if mech.uses_securities or mech.two_phase:
+        probe = config((max(net, 1.0),) * 2)
+        capacity = {m: sum(contribution_bound(probe, a, belief_reward=rewards.get(a.id, 0.0))
+                           for a in agents if own_market(probe, a) is m)
+                    for m in mech.markets}
+    explicit = template.provision_point_pair or (
+        None if template.provision_point is None else (template.provision_point,))
+    targets = explicit or tuple(fill * capacity[m] for m in mech.markets)
+    if explicit is None and "contribution_budget" in extra:
+        # keep the bounds' headroom over the target where it can be kept
+        headroom = min(targets[0], capacity[Market.FOR] - 1.2 * extra["contribution_budget"])
+        targets = (headroom,) if headroom > 0 else targets
+    if min(targets) <= 0:  # only reward-adjusted bounds can sum to zero
+        raise ScenarioError("template infeasible: reward-adjusted bounds sum to zero")
+    if mech is Mechanism.PPR:
+        extra["refund_budget"] = 0.5 * max(total_for - targets[0], 1e-6)
+    elif mech is Mechanism.PPRN:
+        cap = sum(targets) * min((capacity[m] - h) / h
+                                 for m, h in zip(mech.markets, targets))
+        extra["refund_budget"] = max(0.4 * cap, 1e-9)
+    return config(targets)

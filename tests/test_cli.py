@@ -184,6 +184,20 @@ def test_duplicate_explicit_reports_exit_code(tmp_path, capsys):
     ({"mechanism": "PPR", "agent_count": 4, "valuation_range": [5]},
      "template.valuation_range: expected a list of two numbers, got [5]"),
     (["PPR"], "template: expected an object, got ['PPR']"),
+    ({"mechanism": "PPRN", "agent_count": 1},
+     "template.agent_count: PPRN needs 2 or more agents"),
+    ({"mechanism": "PPSN", "agent_count": 1},
+     "template.agent_count: PPSN needs 2 or more agents"),
+    ({"mechanism": "PPRx", "agent_count": 2},
+     "template.agent_count: PPRx needs 3 or more agents"),
+    ({"mechanism": "PPRN", "agent_count": 4, "provision_point_pair": [0, 3]},
+     "template.provision_point_pair: targets must be positive"),
+    ({"mechanism": "PPS", "agent_count": 4, "provision_point_pair": [3, 3]},
+     "template.provision_point_pair: PPS does not use this field"),
+    ({"mechanism": "PPRN", "agent_count": 4, "provision_point": 3},
+     "template.provision_point: PPRN does not use this field"),
+    ({"mechanism": "PPRx", "agent_count": 4, "provision_point": -4},
+     "template.provision_point: targets must be positive"),
 ])
 def test_mistyped_template_exit_code(tmp_path, capsys, template, needle):
     path = tmp_path / "template.json"
@@ -193,6 +207,23 @@ def test_mistyped_template_exit_code(tmp_path, capsys, template, needle):
                  "--out", str(out)]) == 1
     one_error_line(capsys, needle)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value,needle", [
+    ("--grid-step", "0", "grid_step must be finite and positive, got 0.0"),
+    ("--grid-step", "-1", "grid_step must be finite and positive, got -1.0"),
+    ("--grid-step", "nan", "grid_step must be finite and positive, got nan"),
+    ("--epsilon", "nan", "epsilon must be finite and nonnegative, got nan"),
+    ("--epsilon", "-1", "epsilon must be finite and nonnegative, got -1.0"),
+    ("--epsilon", "inf", "epsilon must be finite and nonnegative, got inf"),
+])
+def test_bad_certifier_setting_exit_code(pprn_scenario, tmp_path, capsys, option,
+                                         value, needle):
+    for verb in ("run", "certify"):  # the generated scenario asks to certify
+        assert main([verb, "--scenario", str(pprn_scenario),
+                     "--out", str(tmp_path / verb), option, value]) == 1
+        one_error_line(capsys, needle)
+        assert not (tmp_path / verb).exists()
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

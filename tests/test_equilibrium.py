@@ -699,7 +699,7 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     for idx in equilibrium._path(order, profile, on_path):
         agent, own_market, reward = arrivals[idx]
         followers = arrivals[idx + 1:]
-        probes, _ = equilibrium._probe_states(config, on_path, agent, own_market, reward)
+        probes = equilibrium._probe_states(config, on_path, agent, own_market, reward)
         for state in probes:
             if state.closed:
                 continue
@@ -731,3 +731,60 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     assert any(priced for *_, priced in expected) or n == 4
     assert [(slot.agent.id, slot.market, slot.amount, slot.rival_viable, priced)
             for slot, priced in swept] == expected
+
+
+# ---------------------------------------------------------------------------
+# The rules table
+# ---------------------------------------------------------------------------
+
+
+def _public_bound(config: CampaignConfig, agent: AgentProfile, issued: float,
+                  reward: float) -> float:
+    """The exported ``bound_*`` function of the config's mechanism."""
+    cf = config.cost_function
+    return {
+        Mechanism.PPR: lambda: bound_ppr(agent, config.provision_point,
+                                         config.refund_budget),
+        Mechanism.PPRN: lambda: bound_pprn(agent, *config.provision_point_pair,
+                                           config.refund_budget),
+        Mechanism.PPS: lambda: bound_pps(agent, cf, issued),
+        Mechanism.PPSN: lambda: bound_ppsn(agent, cf, issued),
+        Mechanism.PPRX: lambda: bound_pprx(agent, config.provision_point,
+                                           config.contribution_budget, reward),
+        Mechanism.PPSX: lambda: bound_ppsx(agent, cf, issued, reward),
+    }[config.mechanism]()
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_contribution_bound_is_the_public_bound(mechanism):
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=8),
+                                 seed=1)
+    config = scenario.config
+    rewards = construct_profile(config, scenario.agents).belief_rewards
+    for a in scenario.agents:
+        reward = rewards.get(a.id, 0.0)
+        for issued in (0.0, 2.5, 40.0):
+            assert (contribution_bound(config, a, issued=issued, belief_reward=reward)
+                    == _public_bound(config, a, issued, reward))
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_traced_certification_counts_bounds_and_utilities(mechanism):
+    # the tracer wraps contribution_bound and the six utilities by their
+    # names in provpoint.equilibrium: every row must call through them
+    from perfbench.tracing import Tracer
+
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=6),
+                                 seed=1)
+    config, agents = scenario.config, scenario.agents
+    certify = certify_spe if mechanism.sequential else certify_ne
+    tracer = Tracer()
+    tracer.install()
+    try:
+        report = certify(config, agents, construct_profile(config, agents))
+    finally:
+        tracer.remove()
+    assert report.certified
+    calls = tracer.snapshot()
+    assert calls["equilibrium.bound.calls"] > 0
+    assert calls["mechanisms.utility.calls"] > 0
