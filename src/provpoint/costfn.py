@@ -10,6 +10,19 @@ yields the two properties the mechanisms rely on: a contribution buys
 strictly more than its face value in securities (d(securities)/d(amount) > 1)
 and a fixed contribution buys strictly fewer securities as issuance grows.
 The inverse is closed form, so no root finding is involved.
+
+Allocations are priced in closed form, with f = ``fixed_leg``:
+
+    securities_for(x, q)   = x + b * log1p(exp((f - q)/b) * -expm1(-x/b))
+    contribution_for(s, q) = b * log1p(u * expm1(s/b)),  u = 1/(1 + exp((f - q)/b))
+
+Both add or multiply positive terms only, so they keep full precision where
+the round trip through ``cost`` (``inverse_cost(x + cost(q)) - q``) subtracts
+two nearly equal numbers and loses the digits of small amounts at high
+issuance. (The payment's other closed form, s + b * log1p((1 - u) *
+expm1(-s/b)), cancels the same way where the cost is flat, f >> q.) Where an
+exponential would overflow, or ``u`` underflow, the same formulas are
+evaluated in log space.
 """
 
 from __future__ import annotations
@@ -18,6 +31,16 @@ import math
 from dataclasses import dataclass
 
 from .model import CostParams
+
+# exp(700) is within range; past it the formulas switch to log space
+EXP_LIMIT = 700.0
+
+
+def _softplus(a: float) -> float:
+    """log(1 + exp(a)) without overflow."""
+    if a > 0.0:
+        return a + math.log1p(math.exp(-a))
+    return math.log1p(math.exp(a))
 
 
 @dataclass(frozen=True)
@@ -67,7 +90,8 @@ class CostFunction:
         """
         if raised <= 0.0:
             return 0.0
-        return self.inverse_cost(raised + self.opening_cost)
+        # just above the opening cost, rounding can dip the inverse below zero
+        return max(0.0, self.inverse_cost(raised + self.opening_cost))
 
     def securities_for(self, amount: float, issued: float) -> float:
         """Securities bought by paying ``amount`` when ``issued`` are outstanding."""
@@ -77,8 +101,12 @@ class CostFunction:
             raise ValueError(f"issued must be nonnegative, got {issued}")
         if amount == 0:
             return 0.0
-        # the round trip can dip an ulp below zero for tiny amounts
-        return max(0.0, self.inverse_cost(amount + self.cost(issued)) - issued)
+        b = self.liquidity
+        t = (self.fixed_leg - issued) / b
+        w = -math.expm1(-amount / b)
+        if t < EXP_LIMIT:
+            return amount + b * math.log1p(math.exp(t) * w)
+        return amount + b * _softplus(t + math.log(w))
 
     def contribution_for(self, securities: float, issued: float) -> float:
         """Payment required to buy ``securities`` when ``issued`` are outstanding."""
@@ -88,4 +116,13 @@ class CostFunction:
             raise ValueError(f"issued must be nonnegative, got {issued}")
         if securities == 0:
             return 0.0
-        return max(0.0, self.cost(issued + securities) - self.cost(issued))
+        b = self.liquidity
+        z = (issued - self.fixed_leg) / b
+        y = securities / b
+        if z > -EXP_LIMIT and y < EXP_LIMIT:
+            # u = 1/(1 + exp(-z)), the marginal price at ``issued``
+            e = math.exp(-abs(z))
+            u = 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
+            return b * math.log1p(u * math.expm1(y))
+        # log(u) + log(expm1(y)), u underflowing or expm1(y) overflowing
+        return b * _softplus(y + math.log(-math.expm1(-y)) - _softplus(-z))

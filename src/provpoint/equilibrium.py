@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from .costfn import CostFunction
 from .mechanisms import (
@@ -77,6 +77,7 @@ from .model import (
 
 MET_REL_TOL = 1e-9
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
+MAX_GRID_POINTS = 100_000  # per slot; the default step needs about 1,000
 
 # Bound once for the per-follower sums of the SPE walk and the utilities:
 # every member lookup on an enum class costs a few hundred ns on Python 3.11.
@@ -101,10 +102,26 @@ def bound_pprn(agent: AgentProfile, target_for: float, target_against: float,
     return total / (refund_budget + total) * abs(agent.valuation)
 
 
+def securities_pps(agent: AgentProfile) -> float:
+    """Securities a PPS agent's bound buys: its valuation, floored at zero."""
+    return max(agent.valuation, 0.0)
+
+
+def securities_ppsx(agent: AgentProfile, belief_reward: float) -> float:
+    """Securities a PPSx agent's bound buys: the belief reward folded into
+    the valuation (added when provision-minded, netted out otherwise),
+    clamped at zero."""
+    if agent.belief_side is BeliefSide.PROVISION_LIKELY:
+        quantity = agent.valuation + belief_reward
+    else:
+        quantity = agent.valuation - belief_reward
+    return max(quantity, 0.0)
+
+
 def bound_pps(agent: AgentProfile, cf: CostFunction, issued: float) -> float:
     """Single-market securities cap: the payment whose allocation equals the
     agent's valuation at the current issuance."""
-    return cf.contribution_for(max(agent.valuation, 0.0), issued)
+    return cf.contribution_for(securities_pps(agent), issued)
 
 
 def bound_ppsn(agent: AgentProfile, cf: CostFunction, issued_min: float) -> float:
@@ -128,13 +145,8 @@ def bound_pprx(agent: AgentProfile, provision_point: float, contribution_budget:
 
 def bound_ppsx(agent: AgentProfile, cf: CostFunction, issued: float,
                belief_reward: float) -> float:
-    """Securities cap with the belief reward folded into the security target;
-    clamped at zero for rejection-minded agents with rewards above valuation."""
-    if agent.belief_side is BeliefSide.PROVISION_LIKELY:
-        quantity = agent.valuation + belief_reward
-    else:
-        quantity = agent.valuation - belief_reward
-    return cf.contribution_for(max(quantity, 0.0), issued)
+    """Securities cap with the belief reward folded into the security target."""
+    return cf.contribution_for(securities_ppsx(agent, belief_reward), issued)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +167,10 @@ class Rules:
       defining equation at the bound, with denominators at the filled
       targets, as ``(lhs, rhs, clamped)``;
     * ``conditions(config, net, totals)``: the existence inequalities as
-      ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market.
+      ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market;
+    * ``securities(config, agent, reward)``: the security quantity the
+      bound buys, for the single-market securities mechanisms, whose SPE
+      followers the kernel walks by prefix sums of it.
 
     Entries call the ``bound_*`` and ``*_utility`` functions by this
     module's names when they run, so wrappers on those names see each call.
@@ -165,6 +180,7 @@ class Rules:
     utility: Callable[..., Callable[..., float]]
     indifference: Callable[..., tuple[float, float, bool]]
     conditions: Callable[..., list[tuple[str, float, float, bool]]]
+    securities: Callable[..., float] | None = None
 
 
 _SIDE_NAMES = {_FOR: "provision", _AGAINST: "rejection"}
@@ -262,7 +278,8 @@ RULES: dict[Mechanism, Rules] = {
             lambda amount, rec, total_for, total_against: pps_utility(
                 agent, rec, verdict is _PROVISIONED)),
         indifference=_securities_indifference,
-        conditions=_securities_conditions),
+        conditions=_securities_conditions,
+        securities=lambda config, agent, reward: securities_pps(agent)),
     Mechanism.PPSN: Rules(
         bound=lambda config, agent, issued, reward: bound_ppsn(
             agent, config.cost_function, issued),
@@ -289,7 +306,8 @@ RULES: dict[Mechanism, Rules] = {
             lambda amount, rec, total_for, total_against: ppsx_utility(
                 agent, agent.belief_side, rec, reward, verdict is _PROVISIONED)),
         indifference=_ppsx_indifference,
-        conditions=lambda config, net, totals: _belief_conditions(config, net)),
+        conditions=lambda config, net, totals: _belief_conditions(config, net),
+        securities=lambda config, agent, reward: securities_ppsx(agent, reward)),
 }
 
 
@@ -791,7 +809,8 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
 
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                  profile: EquilibriumProfile, grid_step: float | None,
-                 epsilon: float | None) -> tuple[EquilibriumReport, float, float]:
+                 epsilon: float | None, conditions: list[ConditionCheck] | None
+                 ) -> tuple[EquilibriumReport, float, float]:
     scale = certification_scale(config)
     step = grid_step if grid_step is not None else scale / 1000.0
     eps = epsilon if epsilon is not None else scale * 1e-6
@@ -799,10 +818,18 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
         raise ValueError(f"grid_step must be finite and positive, got {step!r}")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps!r}")
+    # no slot sweeps past the largest target, |valuation| + reward or play
+    top = max([scale]
+              + [abs(a.valuation) + profile.belief_rewards.get(a.id, 0.0) for a in agents]
+              + [e.amount for e in profile.entries.values()])
+    if top / step > MAX_GRID_POINTS:
+        raise ValueError(f"grid_step {step!r} needs up to {math.ceil(top / step)} "
+                         f"points per slot, over the limit of {MAX_GRID_POINTS}")
     report = EquilibriumReport(
         mechanism=config.mechanism.value,
         profile=profile,
-        conditions=check_conditions(config, agents),
+        conditions=(check_conditions(config, agents) if conditions is None
+                    else conditions),
         epsilon=eps,
         grid_step=step,
         feasible=profile.feasible,
@@ -824,13 +851,17 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
 
 def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
                profile: EquilibriumProfile, grid_step: float | None = None,
-               epsilon: float | None = None) -> EquilibriumReport:
+               epsilon: float | None = None,
+               conditions: list[ConditionCheck] | None = None) -> EquilibriumReport:
     """Search every agent's unilateral deviations against the fixed profile.
 
     Certifies when no contribution-grid point, market flip, or (vacuously,
-    for the refund-bonus family) retiming gains more than epsilon.
+    for the refund-bonus family) retiming gains more than epsilon. The
+    report carries ``conditions``, the caller's ``check_conditions`` result,
+    or evaluates them when none is given.
     """
-    report, step, eps = _base_report(config, agents, profile, grid_step, epsilon)
+    report, step, eps = _base_report(config, agents, profile, grid_step, epsilon,
+                                     conditions)
     if not profile.feasible:
         return report
     if not config.mechanism.sequential:
@@ -906,18 +937,21 @@ def _probe_states(config: CampaignConfig, on_path: DualMarketState,
 
 def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
                 profile: EquilibriumProfile, grid_step: float | None = None,
-                epsilon: float | None = None) -> EquilibriumReport:
+                epsilon: float | None = None,
+                conditions: list[ConditionCheck] | None = None) -> EquilibriumReport:
     """Verify the prescribed play is a grid-best response at every probed
     subgame state, walking arrivals with followers' plays rolled out and
     then held fixed (one-shot deviations over a finite horizon).
 
     Covers contribution deviations, market flips, and delay: repricing the
     agent's allocation after any number of later arrivals have played.
+    ``conditions`` is as for ``certify_ne``.
     """
     if not config.mechanism.sequential:
         raise ValueError(f"{config.mechanism.value} has no sequential subgame "
                          "structure; use certify_ne")
-    report, step, eps = _base_report(config, agents, profile, grid_step, epsilon)
+    report, step, eps = _base_report(config, agents, profile, grid_step, epsilon,
+                                     conditions)
     report.kind = "subgame-perfect"
     if not profile.feasible:
         return report
@@ -929,6 +963,12 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     book = new_states(config)
     shut = [book.closed for _ in _path(order, profile, book)][1:] + [book.closed]
     closing = shut.index(True) if book.closed else len(order)
+    # off the path, followers play their bounds; without min-leg pricing
+    # each buys its security quantity, so the kernel walks them by prefix sum
+    securities = RULES[config.mechanism].securities
+    bought = None if book.min_leg else list(accumulate(
+        (securities(config, agent, reward) for agent, _, reward in arrivals),
+        initial=0.0))
     on_path = new_states(config)
     for idx in _path(order, profile, on_path):
         agent, own_market, reward = arrivals[idx]
@@ -949,20 +989,27 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             q_price = state.price_issuance(market)
             bound = contribution_bound(config, agent, issued=q_price,
                                        belief_reward=reward)
+            # later: the followers' plays (for the totals); waits: the
+            # issuance the delayed contribution is priced at after each
+            # later play that leaves the book open
             if state is probes[0]:
-                prescribed, follower_plays = path_plays[idx][1], path_plays[idx + 1:]
-                open_plays = path_plays[idx + 1:closing]
-            else:
+                prescribed, later = path_plays[idx][1], path_plays[idx + 1:]
+                waits = _wait_issuances(state, market, path_plays[idx + 1:closing])
+            elif bought is None:
                 after = state.copy()  # the markets once the agent has played
                 prescribed = after.play(market, bound)
-                follower_plays = list(zip((m for _, m, _ in followers),
-                                          _rollout(config, after, followers)))
+                later = list(zip((m for _, m, _ in followers),
+                                 _rollout(config, after, followers)))
                 # the rollout stops at the play that closes the book, if any
-                open_plays = follower_plays[:-1] if after.closed else follower_plays
+                waits = _wait_issuances(state, market,
+                                        later[:-1] if after.closed else later)
+            else:
+                prescribed, _, paid, waits = state.follow(market, bound, bought, idx + 1)
+                later = [(market, paid)]
             others_for = state.market_for.raised + sum(
-                x for m, x in follower_plays if m is _FOR)
+                x for m, x in later if m is _FOR)
             others_against = state.market_against.raised + sum(
-                x for m, x in follower_plays if m is _AGAINST)
+                x for m, x in later if m is _AGAINST)
             rival_viable = config.mechanism.dual_market and _rival_fills(
                 config, state, market, followers)
             slot = _Slot(
@@ -978,28 +1025,35 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             base = eu(prescribed)
             report.deviations.extend(
                 _sweep_slot(config, slot, eu, base, step, eps, detail_prefix=prefix))
-            report.deviations.extend(_delay_deviations(
-                slot, eu, base, state, open_plays, eps, prefix))
+            report.deviations.extend(_delay_deviations(slot, eu, base, waits, eps, prefix))
     report.certified = not report.deviations
     return report
 
 
-def _delay_deviations(slot: _Slot, eu, base: float, before: DualMarketState,
-                      open_plays: list[tuple[Market, float]], epsilon: float,
-                      prefix: str) -> list[Deviation]:
+def _wait_issuances(book: DualMarketState, market: Market,
+                    plays: list[tuple[Market, float]]) -> list[float]:
+    """The issuance ``market`` prices at after each of ``plays``, made
+    through a copy of ``book``."""
+    book = book.copy()
+    issuances = []
+    for played, amount in plays:
+        book.play(played, amount)
+        issuances.append(book.price_issuance(market))
+    return issuances
+
+
+def _delay_deviations(slot: _Slot, eu, base: float, waits: list[float],
+                      epsilon: float, prefix: str) -> list[Deviation]:
     """Reprice the prescribed contribution after each number of later
     arrivals; allocations never improve with waiting, so any gain is a
-    defect worth reporting. ``open_plays`` are the later plays that leave
-    the book open once the agent has played: past the one that closes it
-    no later slot exists for the contribution. ``before`` leaves the
-    contribution out and prices the delayed allocation. Only that price
-    changes with the wait, so each wait re-evaluates ``eu`` at the new
-    issuance."""
+    defect worth reporting. ``waits`` holds the issuance the contribution
+    is priced at after each later play that leaves the book open once the
+    agent has played: past the one that closes it no later slot exists for
+    the contribution. Only that price changes with the wait, so each wait
+    re-evaluates ``eu`` at the new issuance."""
     found: list[Deviation] = []
-    before = before.copy()
-    for waited, (market, amount) in enumerate(open_plays, start=1):
-        before.play(market, amount)
-        gain = eu(slot.amount, before.price_issuance(slot.market)) - base
+    for waited, issued in enumerate(waits, start=1):
+        gain = eu(slot.amount, issued) - base
         if gain > epsilon:
             found.append(Deviation(slot.agent.id, "timing",
                                    prefix + f"delay past {waited} later arrivals",

@@ -7,7 +7,9 @@ fills the market exactly, and a filled market closes the book), and
 securities issuance is derived from the raised total by
 ``CostFunction.issued_at``. The engine replays a time-ordered action list
 through it, discards everything after the first fill, and hands the frozen
-ledgers to ``settle``.
+ledgers to ``settle``. ``DualMarketState.follow`` answers where a
+single-market book goes when each later arrival buys its security quantity,
+from prefix sums instead of a replay.
 
 Payoffs follow one rule for all six mechanisms: an agent receives its
 valuation exactly when the project is provisioned, pays its contribution,
@@ -25,6 +27,7 @@ ticks are recorded in the ledger but do not enter those utilities.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .costfn import CostFunction
@@ -130,6 +133,45 @@ class DualMarketState:
             return remaining
         state.raised += amount
         return amount
+
+    def follow(self, side: Market, amount: float, bought: list[float],
+               first: int) -> tuple[float, int, float, list[float]]:
+        """Where a play of ``amount`` on ``side`` and the followers' bounds
+        take a single-market book, without replaying the followers.
+
+        The followers are the arrivals from ``first`` on, and ``bought[k]``
+        is the security quantity the arrivals before ``k`` buy at their
+        bounds. A bound buys exactly its quantity at any issuance, so
+        issuance after each follower is a prefix sum, and one bisect against
+        the target's issuance finds the follower who closes the book.
+        (Under ``min_leg`` a bound is priced at the smaller leg, so followers
+        must be played one by one.) Returns the amount accepted from the
+        play; how many followers play while the book is open, the last of
+        them closing it if any does; the money they pay in; and, after each
+        follower who leaves the book open, the issuance on ``side`` of this
+        book, which does not hold the play.
+        """
+        if self.min_leg:
+            raise ValueError("min-leg issuance is not a prefix sum")
+        cf = self.cf
+        after = self.copy()
+        accepted = after.play(side, amount)
+        state = after.market(side)
+        if after.closed:
+            return accepted, 0, 0.0, []
+        start = cf.issued_at(state.raised)
+        end = bisect_left(bought, cf.issued_at(state.target) - start + bought[first],
+                          first + 1)
+        closes = end < len(bought)
+        count = end - first if closes else len(bought) - 1 - first
+        waits = count - 1 if closes else count
+        # the first k followers pay for the issuance they add
+        raised = self.market(side).raised
+        issuances = [cf.issued_at(raised + cf.contribution_for(
+            bought[first + k] - bought[first], start)) for k in range(1, waits + 1)]
+        paid = (state.remaining if closes
+                else cf.contribution_for(bought[-1] - bought[first], start))
+        return accepted, count, paid, issuances
 
 
 def new_states(config: CampaignConfig) -> DualMarketState:

@@ -143,12 +143,13 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
                                 belief_rewards=paid)
 
     if want_profile:
+        # the reports carry the conditions evaluated above
         if scenario.analysis.certify_ne:
-            result.certifications.append(
-                certify_ne(config, scenario.agents, profile, grid_step, epsilon))
+            result.certifications.append(certify_ne(
+                config, scenario.agents, profile, grid_step, epsilon, result.conditions))
         if scenario.analysis.certify_spe:
-            result.certifications.append(
-                certify_spe(config, scenario.agents, profile, grid_step, epsilon))
+            result.certifications.append(certify_spe(
+                config, scenario.agents, profile, grid_step, epsilon, result.conditions))
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +217,7 @@ def test_mistyped_template_exit_code(tmp_path, capsys, template, needle):
     ("--epsilon", "nan", "epsilon must be finite and nonnegative, got nan"),
     ("--epsilon", "-1", "epsilon must be finite and nonnegative, got -1.0"),
     ("--epsilon", "inf", "epsilon must be finite and nonnegative, got inf"),
+    ("--grid-step", "1e-9", "grid_step 1e-09 needs up to"),
 ])
 def test_bad_certifier_setting_exit_code(pprn_scenario, tmp_path, capsys, option,
                                          value, needle):
@@ -224,6 +226,18 @@ def test_bad_certifier_setting_exit_code(pprn_scenario, tmp_path, capsys, option
                      "--out", str(tmp_path / verb), option, value]) == 1
         one_error_line(capsys, needle)
         assert not (tmp_path / verb).exists()
+
+
+def test_oversized_explicit_play_exit_code(tmp_path, capsys):
+    # the sweep reaches the prescribed play, so a play far past every
+    # target and valuation needs too many grid points even at the default step
+    shipped = Path(__file__).resolve().parent.parent / "scenarios" / "ppr_explicit_plays.json"
+    raw = json.loads(shipped.read_text())
+    raw["explicit_actions"][0]["amount"] = 1e12
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["certify", "--scenario", str(path)]) == 1
+    one_error_line(capsys, "grid_step 0.01 needs up to 100000000000000 points per slot")
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

@@ -1,7 +1,9 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from provpoint.costfn import CostFunction
 
@@ -164,3 +166,73 @@ def test_overflow_guarded():
     cf = CostFunction()
     assert cf.cost(800.0) == pytest.approx(800.0, rel=1e-12)
     assert cf.inverse_cost(800.0) == pytest.approx(800.0, rel=1e-12)
+
+
+def reference_securities(cf: CostFunction, amount: float, issued: float) -> Decimal:
+    """Securities from the definition, cost(issued + s) = cost(issued) + amount,
+    solved as s = b*ln(exp((cost(issued) + amount)/b) - exp(f/b)) - issued.
+    Exponentials up to e^1000 apart are subtracted, so the work runs at 500
+    digits to keep 60."""
+    with localcontext() as ctx:
+        ctx.prec = 500
+        b, f = Decimal(cf.liquidity), Decimal(cf.fixed_leg)
+        x, q = Decimal(amount), Decimal(issued)
+        cost = b * ((f / b).exp() + (q / b).exp()).ln()
+        result = b * (((cost + x) / b).exp() - (f / b).exp()).ln() - q
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return +result
+
+
+def reference_contribution(cf: CostFunction, securities: float, issued: float) -> Decimal:
+    """Payment from the definition, cost(issued + securities) - cost(issued)."""
+    with localcontext() as ctx:
+        ctx.prec = 500
+        b, f = Decimal(cf.liquidity), Decimal(cf.fixed_leg)
+        s, q = Decimal(securities), Decimal(issued)
+        result = b * (((f / b).exp() + ((q + s) / b).exp()).ln()
+                      - ((f / b).exp() + (q / b).exp()).ln())
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return +result
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=0.01, max_value=1000.0),
+       st.floats(min_value=-1000.0, max_value=1000.0),
+       st.floats(min_value=0.0, max_value=2000.0),
+       st.floats(min_value=-9.0, max_value=1.0))
+def test_allocations_match_decimal_reference(b, spread, issued_over_b, log_amount):
+    # (f - q)/b = spread, amounts from 1e-9*b to 10*b
+    issued = issued_over_b * b
+    cf = CostFunction(liquidity=b, fixed_leg=issued + spread * b)
+    amount = b * 10.0 ** log_amount
+    securities = cf.securities_for(amount, issued)
+    expected = reference_securities(cf, amount, issued)
+    assert abs(Decimal(securities) - expected) <= Decimal(1e-13) * expected
+    # Where the cost is flat (f >> q) the payment is proportional to
+    # exp((q - f)/b); rounding q - f and the division moves that exponent by
+    # up to 2 ulps of |q - f|/b, and the exact answer with it, so that much
+    # is allowed on top. Results below the normal float range have no
+    # relative precision to check.
+    payment = cf.contribution_for(amount, issued)
+    expected = reference_contribution(cf, amount, issued)
+    exponent_ulps = 2.0 * 2.0 ** -53 * max(0.0, (cf.fixed_leg - issued) / b)
+    scale = max(expected, Decimal(sys.float_info.min) * Decimal(b))
+    assert abs(Decimal(payment) - expected) <= Decimal(1e-13 + exponent_ulps) * scale
+    # the round trip carries the rounding of the securities, which are up to
+    # ~1000*b when the cost is flat, back into the amount
+    assert cf.contribution_for(securities, issued) == pytest.approx(amount, rel=1e-12)
+
+
+def test_allocation_past_the_exponent_range():
+    # (f - q)/b = 800: exp overflows, the log-space branch prices it
+    cf = CostFunction(liquidity=1.0, fixed_leg=800.0)
+    assert cf.securities_for(1.0, 0.0) == pytest.approx(
+        float(reference_securities(cf, 1.0, 0.0)), rel=1e-15)
+    assert cf.contribution_for(cf.securities_for(1.0, 0.0), 0.0) == pytest.approx(
+        1.0, rel=1e-12)
+    # a payment past the exponent range of expm1(securities/b)
+    cf = CostFunction(liquidity=1.0)
+    assert cf.contribution_for(900.0, 5.0) == pytest.approx(
+        float(reference_contribution(cf, 900.0, 5.0)), rel=1e-15)

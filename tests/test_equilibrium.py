@@ -614,9 +614,12 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
 # SPE follower walks against the replays they replaced
 # ---------------------------------------------------------------------------
 # The two functions below are the SPE certifier's former rival-fill replay
-# and two-book delay walk, kept verbatim as the reference. The certifier now
-# reads both answers off one follower rollout per probe state, without
-# replaying the followers again, so results must be equal with ==.
+# and two-book delay walk, kept verbatim as the reference, with the
+# play-by-play rollout. The certifier reads both answers off one follower
+# walk per probe state: the rollout for PPSN, whose results must be equal
+# with ==, and for PPS and PPSx the kernel's prefix-sum query
+# (DualMarketState.follow), whose closing index and number of priced waits
+# must be equal and whose priced issuances may differ by rounding alone.
 
 
 def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Market,
@@ -672,7 +675,14 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     config, agents = scenario.config, scenario.agents
     profile = construct_profile(config, agents)
     swept = []  # (slot, issuances its delay walk priced) per swept probe state
+    closings = []  # followers who play, per prefix-sum walk
     evaluator = equilibrium._evaluator
+    follow = DualMarketState.follow
+
+    def following(book, *args):
+        result = follow(book, *args)
+        closings.append(result[1])
+        return result
 
     def recording(config, slot):
         eu = evaluator(config, slot)
@@ -685,12 +695,14 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
         return recorded
 
     monkeypatch.setattr(equilibrium, "_evaluator", recording)
+    monkeypatch.setattr(DualMarketState, "follow", following)
     certify_spe(config, agents, profile)
     monkeypatch.undo()
 
     # every probe state certify_spe builds, with the follower plays the
     # former walks were given: the profile's on the path, a rollout off it
     expected = []
+    expected_closings = []
     order = equilibrium._play_order(agents, profile)
     arrivals = equilibrium._arrivals(config, order, profile.belief_rewards)
     path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
@@ -716,6 +728,7 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
                 amounts = equilibrium._rollout(config, after.copy(), followers)
                 follower_plays = [(m, x) for (_, m, _), x in
                                   zip_longest(followers, amounts, fillvalue=0.0)]
+                expected_closings.append(len(amounts))
             rival = _rival_fills(config, state, market, followers)
             assert equilibrium._rival_fills(config, state, market, followers) == rival
             rival_viable = config.mechanism.dual_market and rival
@@ -729,8 +742,18 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
             expected.append((agent.id, market, prescribed, rival_viable, priced))
     # four arrivals may fill before anyone waits
     assert any(priced for *_, priced in expected) or n == 4
-    assert [(slot.agent.id, slot.market, slot.amount, slot.rival_viable, priced)
-            for slot, priced in swept] == expected
+    got = [(slot.agent.id, slot.market, slot.amount, slot.rival_viable, priced)
+           for slot, priced in swept]
+    if mechanism.dual_market:
+        assert not closings
+        assert got == expected
+        return
+    assert closings == expected_closings
+    assert [row[:4] + (len(row[4]),) for row in got] == [
+        row[:4] + (len(row[4]),) for row in expected]
+    tolerance = 1e-12 * config.cost_function.issued_at(config.provision_point)
+    for (*_, priced), (*_, reference) in zip(got, expected):
+        assert all(abs(a - b) <= tolerance for a, b in zip(priced, reference))
 
 
 # ---------------------------------------------------------------------------
