@@ -46,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="settlement report format")
-        p.add_argument("--grid-step", type=float, default=None,
-                       help="deviation grid step (default: target/1000)")
         p.add_argument("--epsilon", type=float, default=None,
                        help="deviation tolerance (default: target*1e-6)")
 
@@ -91,8 +89,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
-    result = run_scenario(scenario, out_dir=args.out, grid_step=args.grid_step,
-                          epsilon=args.epsilon, fmt=args.format)
+    result = run_scenario(scenario, out_dir=args.out, epsilon=args.epsilon,
+                          fmt=args.format)
     if result.outcome is not None:
         print(f"verdict: {result.outcome.verdict.value}")
         print(f"raised for: {result.outcome.total_for!r}  "
@@ -116,8 +114,8 @@ def _cmd_certify(args) -> int:
         sequential = scenario.config.mechanism.sequential
         scenario.analysis = replace(flags, certify_ne=not sequential,
                                     certify_spe=sequential)
-    result = run_scenario(scenario, out_dir=args.out, grid_step=args.grid_step,
-                          epsilon=args.epsilon, fmt=args.format)
+    result = run_scenario(scenario, out_dir=args.out, epsilon=args.epsilon,
+                          fmt=args.format)
     for note in result.notes:
         print(f"note: {note}")
     for report in result.certifications:

@@ -86,12 +86,10 @@ class CostFunction:
         """Securities outstanding once ``raised`` money has been paid in.
 
         Allocations compose (buying x then y issues what buying x + y does),
-        so a market's issuance is a function of the money it has raised.
+        so a market's issuance is a function of the money it has raised:
+        what that money buys in the empty market.
         """
-        if raised <= 0.0:
-            return 0.0
-        # just above the opening cost, rounding can dip the inverse below zero
-        return max(0.0, self.inverse_cost(raised + self.opening_cost))
+        return self.securities_for(raised, 0.0)
 
     def securities_for(self, amount: float, issued: float) -> float:
         """Securities bought by paying ``amount`` when ``issued`` are outstanding."""

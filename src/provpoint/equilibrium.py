@@ -3,8 +3,10 @@
 Each mechanism's theory gives a closed-form cap on what an agent is willing
 to contribute. ``construct_profile`` turns those caps into a concrete play
 (scaled so the winning side's total meets its target exactly), and the
-certifiers search for profitable unilateral deviations on a contribution
-grid, holding everyone else's contributed amounts fixed.
+certifiers search for profitable unilateral deviations, holding everyone
+else's contributed amounts fixed. An agent's best contribution is exact:
+its expected utility is piecewise in the amount (``_Pieces``), so the
+maximum is at a piece's endpoint, its left limit or its stationary point.
 
 Deviation semantics
 -------------------
@@ -27,17 +29,17 @@ totals:
 
 At a slot whose own side does not fill even at the prescribed play (a
 losing-side arrival mid-race, or a probed off-path state), the theory's
-optimality claim is only within its strategy set, so the sweep there stays
+optimality claim is only within its strategy set, so the search there stays
 inside [0, bound]; refund allocations keep growing past the bound at such
 slots and chasing them is outside the certified claim. Slots whose side
-fills are swept over the full [0, |valuation| + reward] range.
+fills are searched over the full [0, |valuation| + reward] range.
 
 Market/side flips are scored as the symmetric-belief comparison between the
 two markets' utility structures at the same contribution (the refund and the
 security allocation are side-blind by design, so the flip delta is zero at
 equilibrium). Refund-bonus timing never enters utilities, so timing
 deviations are vacuous for that family; for the securities family the delay
-sweep reprices the allocation at the later slot.
+walk reprices the allocation at the later slot.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from .model import (
 
 MET_REL_TOL = 1e-9
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
-MAX_GRID_POINTS = 100_000  # per slot; the default step needs about 1,000
 
 # Bound once for the per-follower sums of the SPE walk and the utilities:
 # every member lookup on an enum class costs a few hundred ns on Python 3.11.
@@ -533,7 +534,6 @@ class EquilibriumReport:
     deviations: list[Deviation] = field(default_factory=list)
     indifference: list[IndifferenceCheck] = field(default_factory=list)
     epsilon: float = 0.0
-    grid_step: float = 0.0
     feasible: bool = True
     certified: bool = False
     notes: list[str] = field(default_factory=list)
@@ -544,9 +544,6 @@ class EquilibriumReport:
             "mechanism": self.mechanism,
             "feasible": self.feasible,
             "certified": self.certified,
-            # every probe state is checked; the key stays until coverage counts replace it
-            "partial": False,
-            "grid_step": self.grid_step,
             "epsilon": self.epsilon,
             "bounds": {str(k): v for k, v in sorted(self.bounds.items())},
             "profile": None if self.profile is None else {
@@ -579,7 +576,7 @@ class EquilibriumReport:
 
 
 def certification_scale(config: CampaignConfig) -> float:
-    """Reference currency scale for default grid step and tolerance."""
+    """Reference currency scale for the default tolerance."""
     if config.provision_point_pair is not None:
         return max(config.provision_point_pair)
     assert config.provision_point is not None
@@ -619,7 +616,7 @@ class _Slot:
 
     def side_fills(self, config: CampaignConfig) -> bool:
         """Whether this agent's own market reaches its target at the
-        prescribed play; decides the certified sweep range."""
+        prescribed play; decides the certified search range."""
         return _met(self.others_on(self.market) + self.amount,
                     config.target(self.market))
 
@@ -629,9 +626,53 @@ class _Slot:
         return max(self.bound, self.amount)
 
 
-def _evaluator(config: CampaignConfig, slot: _Slot):
-    """Expected utility of contributing to the slot's own market, everyone
-    else fixed, as ``eu(amount, issued=slot.issued)``.
+@dataclass(frozen=True)
+class _Pieces:
+    """A slot's expected utility as a function of the amount x, piece by
+    piece; everything else is fixed for the slot:
+
+    * on [0, pivot) the own market stays short and eu is the alternative
+      branch alone, nondecreasing in x in every mechanism (a refund share
+      x / (O + x) * B or an allocation minus its payment, plus constants);
+    * on [pivot, capacity] the own market counts as met and eu is the
+      weighted two-branch mix, concave in x (the own branch is linear in
+      x, the alternative concave);
+    * past capacity eu is constant, because the engine truncates the play.
+
+    ``eu(amount, issued=slot.issued, alt_only=False)`` is the evaluator;
+    ``alt_only`` scores the alternative branch alone. ``stationary()``
+    is where the mix's slope changes sign, if anywhere.
+    """
+
+    pivot: float  # the least x at which the own market counts as met
+    stationary: Callable[[], float | None]
+    eu: Callable[..., float]
+
+    def best(self, eu, top: float) -> tuple[float, float]:
+        """The supremum of ``eu`` (this slot's evaluator, as the caller
+        holds it) over [0, top] and the x where it is reached: the
+        alternative branch's left limit at the pivot, or the best of 0,
+        ``top``, the pivot and the stationary point. The capacity needs no
+        evaluation: eu there equals eu at ``top`` when top is past it, and
+        is clipped to ``top`` otherwise. A left limit is approached by
+        plays just below the pivot."""
+        best_x, best = 0.0, -math.inf
+        if self.pivot > 0.0:
+            best_x = min(self.pivot, top)
+            best = self.eu(best_x, alt_only=True)
+        points = [0.0, top, self.pivot]
+        stationary = self.stationary()
+        if stationary is not None:
+            points.append(stationary)
+        for x in sorted({min(max(x, 0.0), top) for x in points}):
+            value = eu(x)
+            if value > best:
+                best_x, best = x, value
+        return best_x, best
+
+
+def _pieces(config: CampaignConfig, slot: _Slot) -> _Pieces:
+    """The slot's evaluator and its piece structure.
 
     The amount is truncated to the market's remaining capacity, and
     ``issued`` reprices the allocation of a delayed contribution. The
@@ -650,6 +691,11 @@ def _evaluator(config: CampaignConfig, slot: _Slot):
     target = config.target(market)
     capacity = max(0.0, target - others)
     met_from = target - MET_REL_TOL * max(1.0, target)  # _met's threshold
+    pivot = met_from - others
+    # the difference is exact unless others < met_from / 2, and then a few
+    # ulps of pivot are enough for eu to count the pivot as met
+    while others + pivot < met_from:
+        pivot = math.nextafter(pivot, math.inf)
     own_verdict = Verdict.PROVISIONED if for_market else Verdict.REJECTED
     if config.mechanism.dual_market and slot.rival_viable:
         alt_verdict = Verdict.REJECTED if for_market else Verdict.PROVISIONED
@@ -664,7 +710,26 @@ def _evaluator(config: CampaignConfig, slot: _Slot):
     alt = utility(config, agent, market, reward, alt_verdict)
     cf = config.cost_function  # set exactly for the securities family
 
-    def eu(amount: float, issued: float = slot.issued) -> float:
+    def stationary() -> float | None:
+        # The mix's slope is -own_weight + alt_weight * (alternative's
+        # slope), and the alternative's slope falls with x. Refund family:
+        # the share x / (O + x) * B of the pool O the others paid in (a
+        # single-market book holds nothing on AGAINST) has slope
+        # B * O / (O + x)^2. Securities family: the mix is -x + alt_weight *
+        # allocation(x) + constants, and the allocation's slope is one over
+        # the post-purchase price, so the slope vanishes where that price
+        # equals alt_weight.
+        if not 0.0 < alt_weight < 1.0:
+            return None
+        if cf is None:
+            pool = others_for + others_against
+            return math.sqrt(alt_weight * config.bonus_budget * pool / own_weight) - pool
+        priced_at = cf.fixed_leg + cf.liquidity * math.log(alt_weight / own_weight)
+        if priced_at <= slot.issued:
+            return None
+        return cf.contribution_for(priced_at - slot.issued, slot.issued)
+
+    def eu(amount: float, issued: float = slot.issued, alt_only: bool = False) -> float:
         effective = max(0.0, min(amount, capacity))
         # one record serves both branches; only the securities utilities read it
         rec = None if cf is None else ContributionRecord(
@@ -674,12 +739,18 @@ def _evaluator(config: CampaignConfig, slot: _Slot):
             total_for, total_against = others_for + effective, others_against
         else:
             total_for, total_against = others_for, others_against + effective
-        if others + effective >= met_from:
+        if not alt_only and others + effective >= met_from:
             return (own_weight * own(effective, rec, total_for, total_against)
                     + alt_weight * alt(effective, rec, total_for, total_against))
         return alt(effective, rec, total_for, total_against)
 
-    return eu
+    return _Pieces(pivot, stationary, eu)
+
+
+def _evaluator(config: CampaignConfig, slot: _Slot):
+    """Expected utility of contributing to the slot's own market, everyone
+    else fixed, as ``eu(amount, issued=slot.issued)``; see ``_pieces``."""
+    return _pieces(config, slot).eu
 
 
 def _flip_delta(config: CampaignConfig, slot: _Slot) -> float:
@@ -734,26 +805,19 @@ def _closed_play(agent: AgentProfile, amount: float, epsilon: float,
 
 
 def _sweep_slot(config: CampaignConfig, slot: _Slot, eu, base: float,
-                grid_step: float, epsilon: float,
-                detail_prefix: str = "") -> list[Deviation]:
-    """Grid-search one agent's unilateral deviations at its open slot;
-    ``eu`` is the slot's evaluator and ``base`` its value at the
-    prescribed play."""
+                epsilon: float, detail_prefix: str = "") -> list[Deviation]:
+    """One agent's profitable unilateral deviations at its open slot: its
+    best contribution, exact over the pieces of its expected utility, and
+    a market flip; ``eu`` is the slot's evaluator and ``base`` its value at
+    the prescribed play."""
     agent = slot.agent
     found: list[Deviation] = []
-    sweep_max = slot.sweep_top(config)
-    steps = max(1, math.ceil(sweep_max / grid_step))
-    best_gain, best_x = 0.0, None
-    for k in range(steps + 1):
-        x = min(k * grid_step, sweep_max)
-        gain = eu(x) - base
-        if gain > best_gain:
-            best_gain, best_x = gain, x
-    if best_gain > epsilon and best_x is not None:
+    best_x, best = _pieces(config, slot).best(eu, slot.sweep_top(config))
+    if best - base > epsilon:
         found.append(Deviation(agent.id, "contribution",
                                detail_prefix + f"x={best_x:.6g} on "
                                f"{slot.market.value} (was {slot.amount:.6g})",
-                               best_gain))
+                               best - base))
     if config.mechanism.dual_market:
         delta = _flip_delta(config, slot)
         if delta > epsilon:
@@ -808,30 +872,18 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
 
 
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
-                 profile: EquilibriumProfile, grid_step: float | None,
-                 epsilon: float | None, conditions: list[ConditionCheck] | None
-                 ) -> tuple[EquilibriumReport, float, float]:
-    scale = certification_scale(config)
-    step = grid_step if grid_step is not None else scale / 1000.0
-    eps = epsilon if epsilon is not None else scale * 1e-6
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"grid_step must be finite and positive, got {step!r}")
+                 profile: EquilibriumProfile, epsilon: float | None,
+                 conditions: list[ConditionCheck] | None
+                 ) -> tuple[EquilibriumReport, float]:
+    eps = epsilon if epsilon is not None else certification_scale(config) * 1e-6
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps!r}")
-    # no slot sweeps past the largest target, |valuation| + reward or play
-    top = max([scale]
-              + [abs(a.valuation) + profile.belief_rewards.get(a.id, 0.0) for a in agents]
-              + [e.amount for e in profile.entries.values()])
-    if top / step > MAX_GRID_POINTS:
-        raise ValueError(f"grid_step {step!r} needs up to {math.ceil(top / step)} "
-                         f"points per slot, over the limit of {MAX_GRID_POINTS}")
     report = EquilibriumReport(
         mechanism=config.mechanism.value,
         profile=profile,
         conditions=(check_conditions(config, agents) if conditions is None
                     else conditions),
         epsilon=eps,
-        grid_step=step,
         feasible=profile.feasible,
     )
     if profile.feasible:
@@ -846,22 +898,20 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                 agent.id, bound, *indifference(config, agent, bound, issued, reward)))
     else:
         report.notes.append(profile.reason or "profile infeasible")
-    return report, step, eps
+    return report, eps
 
 
 def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
-               profile: EquilibriumProfile, grid_step: float | None = None,
-               epsilon: float | None = None,
+               profile: EquilibriumProfile, epsilon: float | None = None,
                conditions: list[ConditionCheck] | None = None) -> EquilibriumReport:
     """Search every agent's unilateral deviations against the fixed profile.
 
-    Certifies when no contribution-grid point, market flip, or (vacuously,
+    Certifies when no contribution, market flip, or (vacuously,
     for the refund-bonus family) retiming gains more than epsilon. The
     report carries ``conditions``, the caller's ``check_conditions`` result,
     or evaluates them when none is given.
     """
-    report, step, eps = _base_report(config, agents, profile, grid_step, epsilon,
-                                     conditions)
+    report, eps = _base_report(config, agents, profile, epsilon, conditions)
     if not profile.feasible:
         return report
     if not config.mechanism.sequential:
@@ -875,7 +925,7 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
             continue
         eu = _evaluator(config, slot)
         report.deviations.extend(
-            _sweep_slot(config, slot, eu, eu(slot.amount), step, eps))
+            _sweep_slot(config, slot, eu, eu(slot.amount), eps))
     report.certified = not report.deviations
     return report
 
@@ -936,10 +986,9 @@ def _probe_states(config: CampaignConfig, on_path: DualMarketState,
 
 
 def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
-                profile: EquilibriumProfile, grid_step: float | None = None,
-                epsilon: float | None = None,
+                profile: EquilibriumProfile, epsilon: float | None = None,
                 conditions: list[ConditionCheck] | None = None) -> EquilibriumReport:
-    """Verify the prescribed play is a grid-best response at every probed
+    """Verify the prescribed play is a best response at every probed
     subgame state, walking arrivals with followers' plays rolled out and
     then held fixed (one-shot deviations over a finite horizon).
 
@@ -950,8 +999,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     if not config.mechanism.sequential:
         raise ValueError(f"{config.mechanism.value} has no sequential subgame "
                          "structure; use certify_ne")
-    report, step, eps = _base_report(config, agents, profile, grid_step, epsilon,
-                                     conditions)
+    report, eps = _base_report(config, agents, profile, epsilon, conditions)
     report.kind = "subgame-perfect"
     if not profile.feasible:
         return report
@@ -1024,7 +1072,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             eu = _evaluator(config, slot)
             base = eu(prescribed)
             report.deviations.extend(
-                _sweep_slot(config, slot, eu, base, step, eps, detail_prefix=prefix))
+                _sweep_slot(config, slot, eu, base, eps, detail_prefix=prefix))
             report.deviations.extend(_delay_deviations(slot, eu, base, waits, eps, prefix))
     report.certified = not report.deviations
     return report

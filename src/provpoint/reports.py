@@ -133,7 +133,7 @@ def summary_text(config: CampaignConfig, agents: list[AgentProfile],
         verdict = "certified" if report.certified else (
             "infeasible" if not report.feasible else "DEVIATIONS FOUND")
         parts.append(f"{report.kind} certification: {verdict}")
-        parts.append(f"grid step: {report.grid_step!r}  epsilon: {report.epsilon!r}")
+        parts.append(f"epsilon: {report.epsilon!r}")
         if report.bounds:
             rows = [[str(agent_id), f"{bound:.9g}"]
                     for agent_id, bound in sorted(report.bounds.items())]

@@ -104,7 +104,7 @@ def actions_from_profile(profile: EquilibriumProfile) -> list[Action]:
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
-                 grid_step: float | None = None, epsilon: float | None = None,
+                 epsilon: float | None = None,
                  fmt: str = "csv") -> RunResult:
     """Execute the scenario's requested analyses and write report files.
 
@@ -146,10 +146,10 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         # the reports carry the conditions evaluated above
         if scenario.analysis.certify_ne:
             result.certifications.append(certify_ne(
-                config, scenario.agents, profile, grid_step, epsilon, result.conditions))
+                config, scenario.agents, profile, epsilon, result.conditions))
         if scenario.analysis.certify_spe:
             result.certifications.append(certify_spe(
-                config, scenario.agents, profile, grid_step, epsilon, result.conditions))
+                config, scenario.agents, profile, epsilon, result.conditions))
 
     if out_dir is not None:
         out = Path(out_dir)

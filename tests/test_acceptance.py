@@ -74,7 +74,7 @@ def test_criterion_1_pprn_nash():
         assert any(a.valuation >= 0 for a in agents)
         profile = construct_profile(config, agents)
         assert profile.feasible
-        report = certify_ne(config, agents, profile)  # grid target/1000, eps 1e-6*target
+        report = certify_ne(config, agents, profile)  # eps 1e-6*target
         assert report.certified, (seed, report.deviations[:3])
         verdict, dual = run_campaign(config, sorted(
             [Action(i, e.amount, e.market, e.tick)
@@ -101,7 +101,7 @@ def test_criterion_2_ppsn_spe():
         profile = construct_profile(config, agents)
         assert profile.feasible
         scale = max(config.provision_point_pair)
-        report = certify_spe(config, agents, profile, grid_step=scale / 200.0)
+        report = certify_spe(config, agents, profile)
         assert report.certified, (seed, report.deviations[:3])
         for agent in agents:
             entry = profile.entries[agent.id]

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -211,13 +212,9 @@ def test_mistyped_template_exit_code(tmp_path, capsys, template, needle):
 
 
 @pytest.mark.parametrize("option,value,needle", [
-    ("--grid-step", "0", "grid_step must be finite and positive, got 0.0"),
-    ("--grid-step", "-1", "grid_step must be finite and positive, got -1.0"),
-    ("--grid-step", "nan", "grid_step must be finite and positive, got nan"),
     ("--epsilon", "nan", "epsilon must be finite and nonnegative, got nan"),
     ("--epsilon", "-1", "epsilon must be finite and nonnegative, got -1.0"),
     ("--epsilon", "inf", "epsilon must be finite and nonnegative, got inf"),
-    ("--grid-step", "1e-9", "grid_step 1e-09 needs up to"),
 ])
 def test_bad_certifier_setting_exit_code(pprn_scenario, tmp_path, capsys, option,
                                          value, needle):
@@ -229,15 +226,17 @@ def test_bad_certifier_setting_exit_code(pprn_scenario, tmp_path, capsys, option
 
 
 def test_oversized_explicit_play_exit_code(tmp_path, capsys):
-    # the sweep reaches the prescribed play, so a play far past every
-    # target and valuation needs too many grid points even at the default step
+    # the search reaches the prescribed play; a play far past every target
+    # and valuation still gets a verdict, as fast as any other
     shipped = Path(__file__).resolve().parent.parent / "scenarios" / "ppr_explicit_plays.json"
     raw = json.loads(shipped.read_text())
     raw["explicit_actions"][0]["amount"] = 1e12
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
-    assert main(["certify", "--scenario", str(path)]) == 1
-    one_error_line(capsys, "grid_step 0.01 needs up to 100000000000000 points per slot")
+    started = time.monotonic()
+    assert main(["certify", "--scenario", str(path)]) in (0, 3)
+    assert time.monotonic() - started < 1.0
+    assert "error:" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

@@ -225,6 +225,14 @@ def test_allocations_match_decimal_reference(b, spread, issued_over_b, log_amoun
     assert cf.contribution_for(securities, issued) == pytest.approx(amount, rel=1e-12)
 
 
+@pytest.mark.parametrize("raised", [1e-9, 1e-6, 1e-3])
+def test_issuance_matches_decimal_reference(raised):
+    # small amounts raised keep their digits: no round trip through cost()
+    cf = CostFunction(liquidity=30.0)
+    expected = reference_securities(cf, raised, 0.0)
+    assert abs(Decimal(cf.issued_at(raised)) - expected) <= Decimal(1e-15) * expected
+
+
 def test_allocation_past_the_exponent_range():
     # (f - q)/b = 800: exp overflows, the log-space branch prices it
     cf = CostFunction(liquidity=1.0, fixed_leg=800.0)

@@ -3,6 +3,7 @@ import math
 from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from provpoint import equilibrium
 from provpoint.beliefs import pprx_utility, ppsx_utility
@@ -754,6 +755,114 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     tolerance = 1e-12 * config.cost_function.issued_at(config.provision_point)
     for (*_, priced), (*_, reference) in zip(got, expected):
         assert all(abs(a - b) <= tolerance for a, b in zip(priced, reference))
+
+
+# ---------------------------------------------------------------------------
+# The exact best response against a dense grid, and at any n
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mechanism", [Mechanism.PPR, Mechanism.PPRN])
+def test_certify_ne_flags_overbound_stake_at_any_n(mechanism):
+    # negative control: one stake pushed to 1.05x its bound, the excess
+    # taken from the rest of its side, so the side still fills exactly;
+    # shaving just under the pivot into the refund branch must win
+    for n in (5, 20, 80, 320, 1024):
+        for seed in range(10):
+            scenario = generate_scenario(
+                ScenarioTemplate(mechanism=mechanism, agent_count=n), seed=seed)
+            config, agents = scenario.config, scenario.agents
+            profile = construct_profile(config, agents)
+            side = sorted(i for i, e in profile.entries.items() if e.market is Market.FOR)
+            pushed, rest = side[0], side[1:]
+            stake = 1.05 * contribution_bound(
+                config, next(a for a in agents if a.id == pushed))
+            excess = stake - profile.entries[pushed].amount
+            rest_total = sum(profile.entries[i].amount for i in rest)
+            assert 0.0 < excess < rest_total
+            for i in rest:
+                entry = profile.entries[i]
+                profile.entries[i] = dataclasses.replace(
+                    entry, amount=entry.amount * (1.0 - excess / rest_total))
+            profile.entries[pushed] = dataclasses.replace(
+                profile.entries[pushed], amount=stake)
+            report = certify_ne(config, agents, profile)
+            assert any(d.agent_id == pushed and d.kind == "contribution"
+                       for d in report.deviations), (n, seed)
+
+
+@settings(deadline=None, max_examples=3)
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**6))
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_exact_best_response_dominates_dense_grid(mechanism, extra, seed):
+    # every slot the certifier searches, against 4,001 grid points over
+    # [0, sweep top]: the exact maximum is never below the grid's, and the
+    # alternative branch never falls before the pivot
+    scenario = generate_scenario(
+        ScenarioTemplate(mechanism=mechanism, agent_count=3 + extra), seed=seed)
+    config, agents = scenario.config, scenario.agents
+    slots = []
+    evaluator = equilibrium._evaluator
+
+    def recording(config, slot):
+        slots.append(slot)
+        return evaluator(config, slot)
+
+    certify = certify_spe if mechanism.sequential else certify_ne
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "_evaluator", recording)
+        certify(config, agents, construct_profile(config, agents))
+    assert slots
+    for slot in slots:
+        pieces = equilibrium._pieces(config, slot)
+        top = slot.sweep_top(config)
+        tolerance = 1e-12 * (abs(slot.agent.valuation) + slot.belief_reward)
+        _, best = pieces.best(pieces.eu, top)
+        grid = [top * k / 4000 for k in range(4001)]
+        values = [pieces.eu(x) for x in grid]
+        assert best >= max(values) - tolerance
+        # short of the pivot, eu is the alternative branch alone
+        below = [v for x, v in zip(grid, values) if x < pieces.pivot]
+        assert all(b >= a - tolerance for a, b in zip(below, below[1:]))
+
+
+def _mix(config: CampaignConfig, slot: _Slot, amount: float) -> float:
+    """The belief-weighted mix of both branches at ``amount``, unclipped, as
+    if the own market were met whatever the amount."""
+    cf = config.cost_function
+    securities = 0.0 if cf is None else cf.securities_for(amount, slot.issued)
+    for_market = slot.market is Market.FOR
+    total_for = slot.others_for + (amount if for_market else 0.0)
+    total_against = slot.others_against + (0.0 if for_market else amount)
+    return sum(
+        weight * _branch_utility(config, slot.agent, slot.market, amount, securities,
+                                 total_for, total_against, slot.belief_reward, verdict)
+        for verdict, weight in _verdict_distribution(
+            config, slot.agent, slot.market, math.inf, slot.rival_viable))
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_stationary_point_maximizes_the_mix(mechanism):
+    # the closed-form stationary point against the mix's values either side;
+    # a small pool of others' money puts the refund family's inside (0, inf)
+    found = 0
+    for seed in range(5):
+        scenario = generate_scenario(
+            ScenarioTemplate(mechanism=mechanism, agent_count=8), seed=seed)
+        config, agents = scenario.config, scenario.agents
+        slots = equilibrium._slots(config, agents, construct_profile(config, agents))
+        for slot in slots + [dataclasses.replace(slot, others_for=0.01 * slot.others_for,
+                                                 others_against=0.01 * slot.others_against)
+                             for slot in slots]:
+            x = equilibrium._pieces(config, slot).stationary()
+            if x is None or x <= 0.0:
+                continue
+            found += 1
+            peak = _mix(config, slot, x)
+            tolerance = 1e-12 * (abs(slot.agent.valuation) + slot.belief_reward)
+            for nearby in (0.99 * x, 1.01 * x):
+                assert _mix(config, slot, nearby) <= peak + tolerance
+    assert found or mechanism in (Mechanism.PPS, Mechanism.PPSN)
 
 
 # ---------------------------------------------------------------------------
