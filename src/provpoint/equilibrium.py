@@ -39,7 +39,15 @@ two markets' utility structures at the same contribution (the refund and the
 security allocation are side-blind by design, so the flip delta is zero at
 equilibrium). Refund-bonus timing never enters utilities, so timing
 deviations are vacuous for that family; for the securities family the delay
-walk reprices the allocation at the later slot.
+walk reprices the allocation at the later slot. Utilities never fall as the
+allocation grows, so it scores the wait with the largest allocation, and
+every wait only when that one gains.
+
+In the securities family a bound buys exactly the rules row's security
+quantity, so ``construct_profile`` (from empty markets) and the SPE
+certifier (at its off-path probe states) walk followers through the kernel
+(``DualMarketState.walk`` and ``follow``), without a bound or a play per
+follower.
 """
 
 from __future__ import annotations
@@ -125,9 +133,15 @@ def bound_pps(agent: AgentProfile, cf: CostFunction, issued: float) -> float:
     return cf.contribution_for(securities_pps(agent), issued)
 
 
+def securities_ppsn(agent: AgentProfile) -> float:
+    """Securities a PPSN agent's bound buys: its valuation's magnitude, on
+    the market of its preference."""
+    return abs(agent.valuation)
+
+
 def bound_ppsn(agent: AgentProfile, cf: CostFunction, issued_min: float) -> float:
     """Dual-market securities cap at the min-leg issuance."""
-    return cf.contribution_for(abs(agent.valuation), issued_min)
+    return cf.contribution_for(securities_ppsn(agent), issued_min)
 
 
 def bound_pprx(agent: AgentProfile, provision_point: float, contribution_budget: float,
@@ -170,8 +184,9 @@ class Rules:
     * ``conditions(config, net, totals)``: the existence inequalities as
       ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market;
     * ``securities(config, agent, reward)``: the security quantity the
-      bound buys, for the single-market securities mechanisms, whose SPE
-      followers the kernel walks by prefix sums of it.
+      bound buys, for the securities mechanisms, whose bound is
+      ``cf.contribution_for`` of it at the issuance; the kernel walks
+      followers by it (``DualMarketState.walk`` and ``follow``).
 
     Entries call the ``bound_*`` and ``*_utility`` functions by this
     module's names when they run, so wrappers on those names see each call.
@@ -288,7 +303,8 @@ RULES: dict[Mechanism, Rules] = {
             lambda amount, rec, total_for, total_against: ppsn_utility(
                 agent, rec, verdict)),
         indifference=_securities_indifference,
-        conditions=_securities_conditions),
+        conditions=_securities_conditions,
+        securities=lambda config, agent, reward: securities_ppsn(agent)),
     Mechanism.PPRX: Rules(
         bound=lambda config, agent, issued, reward: bound_pprx(
             agent, config.provision_point, config.contribution_budget, reward),
@@ -436,12 +452,12 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
         profile.expected_verdict = replayed_verdict(config, agents, profile)
         return profile
 
-    # Securities family: the prescribed play rolled out from empty markets;
+    # Securities family: the prescribed play walked from empty markets;
     # arrivals after the book closes play zero.
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
     arrivals = _arrivals(config, order, rewards)
     book = new_states(config)
-    amounts = _rollout(config, book, arrivals)
+    amounts = book.walk(_plays(config, arrivals))
     for (agent, market, _), amount in zip_longest(arrivals, amounts, fillvalue=0.0):
         profile.entries[agent.id] = ProfileEntry(amount, agent.arrival_contribution,
                                                  market)
@@ -461,6 +477,15 @@ def _arrivals(config: CampaignConfig, order: list[AgentProfile],
     play goes to) and belief reward, looked up once per walk rather than
     once per step."""
     return [(a, own_market(config, a), rewards.get(a.id, 0.0)) for a in order]
+
+
+def _plays(config: CampaignConfig,
+           arrivals: list[tuple[AgentProfile, Market, float]]) -> list[tuple[Market, float]]:
+    """Each arrival's market and the security quantity its bound buys there
+    (the rules row's ``securities``): what the kernel's walks play."""
+    securities = RULES[config.mechanism].securities
+    return [(market, securities(config, agent, reward))
+            for agent, market, reward in arrivals]
 
 
 def _play_order(agents: list[AgentProfile],
@@ -640,26 +665,29 @@ class _Pieces:
     * past capacity eu is constant, because the engine truncates the play.
 
     ``eu(amount, issued=slot.issued, alt_only=False)`` is the evaluator;
-    ``alt_only`` scores the alternative branch alone. ``stationary()``
-    is where the mix's slope changes sign, if anywhere.
+    ``alt_only`` scores the alternative branch alone. ``clip(amount)`` is
+    the amount the engine accepts (truncated to the capacity), the one eu
+    scores. ``stationary()`` is where the mix's slope changes sign, if
+    anywhere.
     """
 
     pivot: float  # the least x at which the own market counts as met
+    clip: Callable[[float], float]
     stationary: Callable[[], float | None]
     eu: Callable[..., float]
 
-    def best(self, eu, top: float) -> tuple[float, float]:
-        """The supremum of ``eu`` (this slot's evaluator, as the caller
-        holds it) over [0, top] and the x where it is reached: the
-        alternative branch's left limit at the pivot, or the best of 0,
+    def best(self, top: float) -> tuple[float, float]:
+        """The supremum of eu over [0, top] and the x where it is reached:
+        the alternative branch's left limit at the pivot, or the best of 0,
         ``top``, the pivot and the stationary point. The capacity needs no
         evaluation: eu there equals eu at ``top`` when top is past it, and
         is clipped to ``top`` otherwise. A left limit is approached by
         plays just below the pivot."""
+        eu = self.eu
         best_x, best = 0.0, -math.inf
         if self.pivot > 0.0:
             best_x = min(self.pivot, top)
-            best = self.eu(best_x, alt_only=True)
+            best = eu(best_x, alt_only=True)
         points = [0.0, top, self.pivot]
         stationary = self.stationary()
         if stationary is not None:
@@ -729,8 +757,11 @@ def _pieces(config: CampaignConfig, slot: _Slot) -> _Pieces:
             return None
         return cf.contribution_for(priced_at - slot.issued, slot.issued)
 
+    def clip(amount: float) -> float:
+        return max(0.0, min(amount, capacity))
+
     def eu(amount: float, issued: float = slot.issued, alt_only: bool = False) -> float:
-        effective = max(0.0, min(amount, capacity))
+        effective = clip(amount)
         # one record serves both branches; only the securities utilities read it
         rec = None if cf is None else ContributionRecord(
             agent_id=agent.id, amount=effective, tick=0, market=market,
@@ -744,13 +775,7 @@ def _pieces(config: CampaignConfig, slot: _Slot) -> _Pieces:
                     + alt_weight * alt(effective, rec, total_for, total_against))
         return alt(effective, rec, total_for, total_against)
 
-    return _Pieces(pivot, stationary, eu)
-
-
-def _evaluator(config: CampaignConfig, slot: _Slot):
-    """Expected utility of contributing to the slot's own market, everyone
-    else fixed, as ``eu(amount, issued=slot.issued)``; see ``_pieces``."""
-    return _pieces(config, slot).eu
+    return _Pieces(pivot, clip, stationary, eu)
 
 
 def _flip_delta(config: CampaignConfig, slot: _Slot) -> float:
@@ -804,15 +829,14 @@ def _closed_play(agent: AgentProfile, amount: float, epsilon: float,
     return []
 
 
-def _sweep_slot(config: CampaignConfig, slot: _Slot, eu, base: float,
+def _sweep_slot(config: CampaignConfig, slot: _Slot, pieces: _Pieces, base: float,
                 epsilon: float, detail_prefix: str = "") -> list[Deviation]:
     """One agent's profitable unilateral deviations at its open slot: its
-    best contribution, exact over the pieces of its expected utility, and
-    a market flip; ``eu`` is the slot's evaluator and ``base`` its value at
-    the prescribed play."""
+    best contribution, exact over the slot's ``pieces``, and a market flip;
+    ``base`` is eu at the prescribed play."""
     agent = slot.agent
     found: list[Deviation] = []
-    best_x, best = _pieces(config, slot).best(eu, slot.sweep_top(config))
+    best_x, best = pieces.best(slot.sweep_top(config))
     if best - base > epsilon:
         found.append(Deviation(agent.id, "contribution",
                                detail_prefix + f"x={best_x:.6g} on "
@@ -836,6 +860,7 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
     sequential = config.mechanism.sequential
     order = _play_order(agents, profile) if sequential else agents
     arrivals = _arrivals(config, order, profile.belief_rewards) if sequential else []
+    plays = _plays(config, arrivals)
     final_for = profile.total(Market.FOR)
     final_against = profile.total(Market.AGAINST)
     book = new_states(config)
@@ -852,8 +877,7 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
             rival = entry.market.other
             rival_total = others_against if rival is Market.AGAINST else others_for
             rival_viable = _met(rival_total, config.target(rival)) or (
-                sequential and _rival_fills(config, book, entry.market,
-                                            arrivals[idx + 1:]))
+                sequential and _rival_fills(book, entry.market, plays, idx + 1))
         q_price = book.price_issuance(entry.market)
         slots.append(_Slot(
             agent=agent,
@@ -923,9 +947,9 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
         if slot.closed:
             report.deviations.extend(_closed_play(slot.agent, slot.amount, eps))
             continue
-        eu = _evaluator(config, slot)
+        pieces = _pieces(config, slot)
         report.deviations.extend(
-            _sweep_slot(config, slot, eu, eu(slot.amount), eps))
+            _sweep_slot(config, slot, pieces, pieces.eu(slot.amount), eps))
     report.certified = not report.deviations
     return report
 
@@ -935,30 +959,15 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
 # ---------------------------------------------------------------------------
 
 
-def _rollout(config: CampaignConfig, book: DualMarketState,
-             followers: list[tuple[AgentProfile, Market, float]]) -> list[float]:
-    """Play the remaining arrivals' prescribed strategy (the bound at the
-    current price, clipped to the remaining target) forward through
-    ``book``; returns the amounts accepted while the book is open. Once the
-    book closes every later arrival plays zero, so the walk stops there."""
-    amounts: list[float] = []
-    for agent, market, reward in followers:
-        if book.closed:
-            break
-        bound = contribution_bound(config, agent, issued=book.price_issuance(market),
-                                   belief_reward=reward)
-        amounts.append(book.play(market, bound))
-    return amounts
-
-
-def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Market,
-                 followers: list[tuple[AgentProfile, Market, float]]) -> bool:
-    """Whether the rival market's coalition, playing its prescribed
-    strategy from this state, still reaches its target (the agent's own
-    side frozen; issuance coupling priced at the frozen leg)."""
+def _rival_fills(book: DualMarketState, own_market: Market,
+                 plays: list[tuple[Market, float]], first: int) -> bool:
+    """Whether the rival market's coalition among the arrivals of ``plays``
+    from ``first`` on, playing its prescribed strategy from this state,
+    still reaches its target (the agent's own side frozen; issuance
+    coupling priced at the frozen leg)."""
     rival = own_market.other
     book = book.copy()
-    _rollout(config, book, [f for f in followers if f[1] is rival])
+    book.walk(plays, first, only=rival)
     return book.market(rival).met
 
 
@@ -1011,16 +1020,13 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     book = new_states(config)
     shut = [book.closed for _ in _path(order, profile, book)][1:] + [book.closed]
     closing = shut.index(True) if book.closed else len(order)
-    # off the path, followers play their bounds; without min-leg pricing
-    # each buys its security quantity, so the kernel walks them by prefix sum
-    securities = RULES[config.mechanism].securities
-    bought = None if book.min_leg else list(accumulate(
-        (securities(config, agent, reward) for agent, _, reward in arrivals),
-        initial=0.0))
+    # off the path, followers play their bounds: each buys its security
+    # quantity, so the kernel walks them by it (by prefix sum where it can)
+    plays = _plays(config, arrivals)
+    bought = list(accumulate((quantity for _, quantity in plays), initial=0.0))
     on_path = new_states(config)
     for idx in _path(order, profile, on_path):
         agent, own_market, reward = arrivals[idx]
-        followers = arrivals[idx + 1:]
         probes = _probe_states(config, on_path, agent, own_market, reward)
         for state in probes:
             prefix = (f"[state raised_for={state.market_for.raised:.6g} "
@@ -1037,29 +1043,21 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             q_price = state.price_issuance(market)
             bound = contribution_bound(config, agent, issued=q_price,
                                        belief_reward=reward)
-            # later: the followers' plays (for the totals); waits: the
-            # issuance the delayed contribution is priced at after each
+            # paid: the followers' money per market (for the totals); waits:
+            # the issuance the delayed contribution is priced at after each
             # later play that leaves the book open
             if state is probes[0]:
                 prescribed, later = path_plays[idx][1], path_plays[idx + 1:]
-                waits = _wait_issuances(state, market, path_plays[idx + 1:closing])
-            elif bought is None:
-                after = state.copy()  # the markets once the agent has played
-                prescribed = after.play(market, bound)
-                later = list(zip((m for _, m, _ in followers),
-                                 _rollout(config, after, followers)))
-                # the rollout stops at the play that closes the book, if any
-                waits = _wait_issuances(state, market,
-                                        later[:-1] if after.closed else later)
+                paid = (sum(x for m, x in later if m is _FOR),
+                        sum(x for m, x in later if m is _AGAINST))
+                waits = state.issuances_after(market, path_plays[idx + 1:closing])
             else:
-                prescribed, _, paid, waits = state.follow(market, bound, bought, idx + 1)
-                later = [(market, paid)]
-            others_for = state.market_for.raised + sum(
-                x for m, x in later if m is _FOR)
-            others_against = state.market_against.raised + sum(
-                x for m, x in later if m is _AGAINST)
+                prescribed, _, paid, waits = state.follow(market, bound, plays,
+                                                          bought, idx + 1)
+            others_for = state.market_for.raised + paid[0]
+            others_against = state.market_against.raised + paid[1]
             rival_viable = config.mechanism.dual_market and _rival_fills(
-                config, state, market, followers)
+                state, market, plays, idx + 1)
             slot = _Slot(
                 agent=agent, market=market, amount=prescribed,
                 others_for=others_for, others_against=others_against,
@@ -1068,40 +1066,44 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             )
             if _skip_expiry_corner(config, slot, report):
                 continue
-            # the sweep and the delay walk share the evaluator and its base
-            eu = _evaluator(config, slot)
-            base = eu(prescribed)
+            # the sweep and the delay walk share the pieces and the base
+            pieces = _pieces(config, slot)
+            base = pieces.eu(prescribed)
             report.deviations.extend(
-                _sweep_slot(config, slot, eu, base, eps, detail_prefix=prefix))
-            report.deviations.extend(_delay_deviations(slot, eu, base, waits, eps, prefix))
+                _sweep_slot(config, slot, pieces, base, eps, detail_prefix=prefix))
+            report.deviations.extend(
+                _delay_deviations(config, slot, pieces, base, waits, eps, prefix))
     report.certified = not report.deviations
     return report
 
 
-def _wait_issuances(book: DualMarketState, market: Market,
-                    plays: list[tuple[Market, float]]) -> list[float]:
-    """The issuance ``market`` prices at after each of ``plays``, made
-    through a copy of ``book``."""
-    book = book.copy()
-    issuances = []
-    for played, amount in plays:
-        book.play(played, amount)
-        issuances.append(book.price_issuance(market))
-    return issuances
-
-
-def _delay_deviations(slot: _Slot, eu, base: float, waits: list[float],
-                      epsilon: float, prefix: str) -> list[Deviation]:
+def _delay_deviations(config: CampaignConfig, slot: _Slot, pieces: _Pieces,
+                      base: float, waits: list[float], epsilon: float,
+                      prefix: str) -> list[Deviation]:
     """Reprice the prescribed contribution after each number of later
     arrivals; allocations never improve with waiting, so any gain is a
     defect worth reporting. ``waits`` holds the issuance the contribution
     is priced at after each later play that leaves the book open once the
     agent has played: past the one that closes it no later slot exists for
-    the contribution. Only that price changes with the wait, so each wait
-    re-evaluates ``eu`` at the new issuance."""
+    the contribution.
+
+    Only the allocation changes with the wait, and every securities utility
+    is nondecreasing in it, so the wait with the largest allocation gains
+    the most: it alone is scored, and every wait only when it gains more
+    than ``epsilon``."""
+    if not waits:
+        return []
+    effective = pieces.clip(slot.amount)
+    securities_for = config.cost_function.securities_for
+    # waits repeat an issuance after a later play on the other PPSN leg
+    issuances = list(set(waits))
+    allocations = [securities_for(effective, issued) for issued in issuances]
+    top = issuances[allocations.index(max(allocations))]
+    if pieces.eu(slot.amount, top) - base <= epsilon:
+        return []
     found: list[Deviation] = []
     for waited, issued in enumerate(waits, start=1):
-        gain = eu(slot.amount, issued) - base
+        gain = pieces.eu(slot.amount, issued) - base
         if gain > epsilon:
             found.append(Deviation(slot.agent.id, "timing",
                                    prefix + f"delay past {waited} later arrivals",

@@ -7,9 +7,12 @@ fills the market exactly, and a filled market closes the book), and
 securities issuance is derived from the raised total by
 ``CostFunction.issued_at``. The engine replays a time-ordered action list
 through it, discards everything after the first fill, and hands the frozen
-ledgers to ``settle``. ``DualMarketState.follow`` answers where a
-single-market book goes when each later arrival buys its security quantity,
-from prefix sums instead of a replay.
+ledgers to ``settle``. The securities family's prescribed followers each
+buy their security quantity at the current price: ``DualMarketState.walk``
+plays them one by one on plain floats, under ``play``'s truncation rule,
+and ``DualMarketState.follow`` answers where a book goes after one play and
+such followers, from prefix sums on a single market and by ``walk`` under
+min-leg pricing.
 
 Payoffs follow one rule for all six mechanisms: an agent receives its
 valuation exactly when the project is provisioned, pays its contribution,
@@ -40,6 +43,13 @@ from .model import (
     Payout,
     Verdict,
 )
+
+
+# Bound once: every member lookup on an enum class costs a few hundred ns on
+# Python 3.11, and the kernel's walks and the payoffs look them up per follower
+# and per evaluation.
+_FOR = Market.FOR
+_PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
 
 
 @dataclass
@@ -134,31 +144,100 @@ class DualMarketState:
         state.raised += amount
         return amount
 
-    def follow(self, side: Market, amount: float, bought: list[float],
-               first: int) -> tuple[float, int, float, list[float]]:
-        """Where a play of ``amount`` on ``side`` and the followers' bounds
-        take a single-market book, without replaying the followers.
-
-        The followers are the arrivals from ``first`` on, and ``bought[k]``
-        is the security quantity the arrivals before ``k`` buy at their
-        bounds. A bound buys exactly its quantity at any issuance, so
-        issuance after each follower is a prefix sum, and one bisect against
-        the target's issuance finds the follower who closes the book.
-        (Under ``min_leg`` a bound is priced at the smaller leg, so followers
-        must be played one by one.) Returns the amount accepted from the
-        play; how many followers play while the book is open, the last of
-        them closing it if any does; the money they pay in; and, after each
-        follower who leaves the book open, the issuance on ``side`` of this
-        book, which does not hold the play.
+    def walk(self, plays: list[tuple[Market, float]], first: int = 0,
+             only: Market | None = None) -> list[float]:
+        """Walk the arrivals of ``plays`` from ``first`` on, each buying its
+        security quantity on its market at ``price_issuance``, until the book
+        closes; with ``only``, the arrivals on that market alone. Each
+        payment follows ``play``'s rule: a payment of at least the remaining
+        amount fills the market exactly. Advances this book on plain floats,
+        without ledgers, and returns the money each walked arrival pays in.
         """
-        if self.min_leg:
-            raise ValueError("min-leg issuance is not a prefix sum")
+        cf, min_leg = self.cf, self.min_leg
+        issued_at, contribution_for = cf.issued_at, cf.contribution_for
+        raised = [self.market_for.raised, self.market_against.raised]
+        target = [self.market_for.target, self.market_against.target]
+        paid: list[float] = []
+        if raised[0] >= target[0] or raised[1] >= target[1]:
+            return paid
+        priced = issued = None  # a leg's issuance is priced again only once it moves
+        for k in range(first, len(plays)):
+            market, quantity = plays[k]
+            if only is not None and market is not only:
+                continue
+            i = 0 if market is _FOR else 1
+            leg = min(raised) if min_leg else raised[i]
+            if leg != priced:
+                priced, issued = leg, issued_at(leg)
+            amount = contribution_for(quantity, issued)
+            remaining = target[i] - raised[i]
+            if amount >= remaining:
+                amount, raised[i] = remaining, target[i]
+            else:
+                raised[i] += amount
+            paid.append(amount)
+            if raised[i] >= target[i]:
+                break
+        self.market_for.raised, self.market_against.raised = raised
+        return paid
+
+    def issuances_after(self, side: Market,
+                        payments: list[tuple[Market, float]]) -> list[float]:
+        """The issuance ``side`` prices at after each of ``payments`` (a
+        market and an amount) is added to this book, on plain floats; the
+        book itself is left as it is. No payment may fill a market: the
+        walks hand over payments that left a fuller book open."""
+        cf, min_leg = self.cf, self.min_leg
+        raised = [self.market_for.raised, self.market_against.raised]
+        own = 0 if side is _FOR else 1
+        priced = issued = None
+        issuances = []
+        for market, amount in payments:
+            raised[0 if market is _FOR else 1] += amount
+            leg = min(raised) if min_leg else raised[own]
+            if leg != priced:
+                priced, issued = leg, cf.issued_at(leg)
+            issuances.append(issued)
+        return issuances
+
+    def follow(self, side: Market, amount: float, plays: list[tuple[Market, float]],
+               bought: list[float], first: int
+               ) -> tuple[float, int, tuple[float, float], list[float]]:
+        """Where a play of ``amount`` on ``side`` and the followers' bounds
+        take the book.
+
+        The followers are the arrivals of ``plays`` from ``first`` on, each
+        buying its security quantity on its market, and ``bought[k]`` is the
+        quantity the arrivals before ``k`` buy. Returns the amount accepted
+        from the play; how many followers play while the book is open, the
+        last of them closing it if any does; the money they pay into each
+        market, as (FOR, AGAINST); and, after each follower who leaves the
+        book open, the issuance ``side`` prices at in this book, which does
+        not hold the play.
+
+        On a single market a bound buys exactly its quantity at any
+        issuance, so issuance after each follower is a prefix sum, and one
+        bisect against the target's issuance finds the follower who closes
+        the book. Under ``min_leg`` a bound is priced at the smaller leg,
+        which the other market moves, so ``walk`` plays the followers one by
+        one, and their payments replayed on this book give the waits.
+        """
         cf = self.cf
         after = self.copy()
         accepted = after.play(side, amount)
-        state = after.market(side)
         if after.closed:
-            return accepted, 0, 0.0, []
+            return accepted, 0, (0.0, 0.0), []
+        if self.min_leg:
+            payments = [(plays[first + k][0], x)
+                        for k, x in enumerate(after.walk(plays, first))]
+            totals = (sum(x for m, x in payments if m is _FOR),
+                      sum(x for m, x in payments if m is not _FOR))
+            # each payment but a closing one left ``after`` open, which
+            # holds at least as much on each market as this book
+            waits = self.issuances_after(
+                side, payments[:-1] if after.closed else payments)
+            return accepted, len(payments), totals, waits
+        state = after.market(side)
         start = cf.issued_at(state.raised)
         end = bisect_left(bought, cf.issued_at(state.target) - start + bought[first],
                           first + 1)
@@ -171,7 +250,7 @@ class DualMarketState:
             bought[first + k] - bought[first], start)) for k in range(1, waits + 1)]
         paid = (state.remaining if closes
                 else cf.contribution_for(bought[-1] - bought[first], start))
-        return accepted, count, paid, issuances
+        return accepted, count, (paid, 0.0) if side is _FOR else (0.0, paid), issuances
 
 
 def new_states(config: CampaignConfig) -> DualMarketState:
@@ -190,12 +269,6 @@ def new_states(config: CampaignConfig) -> DualMarketState:
 # ---------------------------------------------------------------------------
 # Payoff rule
 # ---------------------------------------------------------------------------
-
-
-# Bound once: every member lookup on an enum class costs a few hundred ns on
-# Python 3.11, and the certifier evaluates payoffs ~36k times per run.
-_FOR = Market.FOR
-_PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
 
 
 def refund_share(amount: float, pool: float, budget: float) -> float:

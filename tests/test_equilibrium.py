@@ -1,6 +1,6 @@
 import dataclasses
 import math
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -579,48 +579,66 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
     cf = config.cost_function
     profile = construct_profile(config, agents)
     slots = equilibrium._slots(config, agents, profile)
-    delayed = []  # (slot, amount, issued, value) of each delay wait
+    delayed = []  # (slot, the issuances of its delay waits)
     if mechanism.sequential:
-        evaluator = equilibrium._evaluator
+        pieces_of, delay = equilibrium._pieces, equilibrium._delay_deviations
 
         def recording(config, slot):
-            eu = evaluator(config, slot)
             slots.append(slot)
+            return pieces_of(config, slot)
 
-            def recorded(amount, *issued):
-                value = eu(amount, *issued)
-                if issued:
-                    delayed.append((slot, amount, issued[0], value))
-                return value
-            return recorded
+        def walking(config, slot, pieces, base, waits, *args):
+            delayed.append((slot, list(waits)))
+            return delay(config, slot, pieces, base, waits, *args)
 
-        monkeypatch.setattr(equilibrium, "_evaluator", recording)
+        monkeypatch.setattr(equilibrium, "_pieces", recording)
+        monkeypatch.setattr(equilibrium, "_delay_deviations", walking)
         certify_spe(config, agents, profile)
         monkeypatch.undo()
-        assert delayed or n == 4  # four arrivals may fill before anyone waits
+        # four arrivals may fill before anyone waits
+        assert any(waits for _, waits in delayed) or n == 4
     for slot in slots:
-        eu = equilibrium._evaluator(config, slot)
+        eu = equilibrium._pieces(config, slot).eu
         top = slot.sweep_top(config)
         for k in range(50):
             x = top * k / 49
             assert eu(x) == _expected_utility(config, slot, slot.market, x, cf)
         if config.mechanism.dual_market:
             assert equilibrium._flip_delta(config, slot) == _flip_delta(config, slot, cf)
-    for slot, amount, issued, value in delayed:
-        repriced = dataclasses.replace(slot, issued=issued)
-        assert value == _expected_utility(config, repriced, slot.market, amount, cf)
+    for slot, waits in delayed:
+        eu = equilibrium._pieces(config, slot).eu
+        for issued in waits:
+            repriced = dataclasses.replace(slot, issued=issued)
+            assert (eu(slot.amount, issued)
+                    == _expected_utility(config, repriced, slot.market, slot.amount, cf))
 
 
 # ---------------------------------------------------------------------------
 # SPE follower walks against the replays they replaced
 # ---------------------------------------------------------------------------
-# The two functions below are the SPE certifier's former rival-fill replay
-# and two-book delay walk, kept verbatim as the reference, with the
-# play-by-play rollout. The certifier reads both answers off one follower
-# walk per probe state: the rollout for PPSN, whose results must be equal
-# with ==, and for PPS and PPSx the kernel's prefix-sum query
-# (DualMarketState.follow), whose closing index and number of priced waits
-# must be equal and whose priced issuances may differ by rounding alone.
+# The three functions below are the SPE certifier's former play-by-play
+# rollout, rival-fill replay and two-book delay walk, kept verbatim as the
+# reference. The certifier reads both answers off one kernel query per
+# probe state (DualMarketState.follow): for PPSN a walk play by play, whose
+# results must be equal with ==, and for PPS and PPSx prefix sums, whose
+# closing index and number of priced waits must be equal and whose priced
+# issuances may differ by rounding alone.
+
+
+def _rollout(config: CampaignConfig, book: DualMarketState,
+             followers: list[tuple[AgentProfile, Market, float]]) -> list[float]:
+    """Play the remaining arrivals' prescribed strategy (the bound at the
+    current price, clipped to the remaining target) forward through
+    ``book``; returns the amounts accepted while the book is open. Once the
+    book closes every later arrival plays zero, so the walk stops there."""
+    amounts: list[float] = []
+    for agent, market, reward in followers:
+        if book.closed:
+            break
+        bound = contribution_bound(config, agent, issued=book.price_issuance(market),
+                                   belief_reward=reward)
+        amounts.append(book.play(market, bound))
+    return amounts
 
 
 def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Market,
@@ -676,8 +694,8 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     config, agents = scenario.config, scenario.agents
     profile = construct_profile(config, agents)
     swept = []  # (slot, issuances its delay walk priced) per swept probe state
-    closings = []  # followers who play, per prefix-sum walk
-    evaluator = equilibrium._evaluator
+    closings = []  # followers who play, per off-path kernel walk
+    delay = equilibrium._delay_deviations
     follow = DualMarketState.follow
 
     def following(book, *args):
@@ -685,17 +703,11 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
         closings.append(result[1])
         return result
 
-    def recording(config, slot):
-        eu = evaluator(config, slot)
-        priced: list[float] = []
-        swept.append((slot, priced))
+    def walking(config, slot, pieces, base, waits, *args):
+        swept.append((slot, list(waits)))
+        return delay(config, slot, pieces, base, waits, *args)
 
-        def recorded(amount, *issued):
-            priced.extend(issued)
-            return eu(amount, *issued)
-        return recorded
-
-    monkeypatch.setattr(equilibrium, "_evaluator", recording)
+    monkeypatch.setattr(equilibrium, "_delay_deviations", walking)
     monkeypatch.setattr(DualMarketState, "follow", following)
     certify_spe(config, agents, profile)
     monkeypatch.undo()
@@ -706,6 +718,7 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     expected_closings = []
     order = equilibrium._play_order(agents, profile)
     arrivals = equilibrium._arrivals(config, order, profile.belief_rewards)
+    plays = equilibrium._plays(config, arrivals)
     path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
                   for a in order]
     on_path = new_states(config)
@@ -726,12 +739,12 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
                 prescribed = after.play(market, contribution_bound(
                     config, agent, issued=state.price_issuance(market),
                     belief_reward=reward))
-                amounts = equilibrium._rollout(config, after.copy(), followers)
+                amounts = _rollout(config, after.copy(), followers)
                 follower_plays = [(m, x) for (_, m, _), x in
                                   zip_longest(followers, amounts, fillvalue=0.0)]
                 expected_closings.append(len(amounts))
             rival = _rival_fills(config, state, market, followers)
-            assert equilibrium._rival_fills(config, state, market, followers) == rival
+            assert equilibrium._rival_fills(state, market, plays, idx + 1) == rival
             rival_viable = config.mechanism.dual_market and rival
             if config.mechanism.dual_market and market is Market.AGAINST and not rival:
                 continue  # the expiry corner is noted, not swept
@@ -745,16 +758,159 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     assert any(priced for *_, priced in expected) or n == 4
     got = [(slot.agent.id, slot.market, slot.amount, slot.rival_viable, priced)
            for slot, priced in swept]
+    assert closings == expected_closings
     if mechanism.dual_market:
-        assert not closings
         assert got == expected
         return
-    assert closings == expected_closings
     assert [row[:4] + (len(row[4]),) for row in got] == [
         row[:4] + (len(row[4]),) for row in expected]
     tolerance = 1e-12 * config.cost_function.issued_at(config.provision_point)
     for (*_, priced), (*_, reference) in zip(got, expected):
         assert all(abs(a - b) <= tolerance for a, b in zip(priced, reference))
+
+
+SECURITIES = [Mechanism.PPS, Mechanism.PPSN, Mechanism.PPSX]
+
+
+def _legal(book: DualMarketState) -> bool:
+    return all(m.raised <= m.target for m in (book.market_for, book.market_against))
+
+
+@settings(deadline=None, max_examples=40)
+@given(mechanism=st.sampled_from(SECURITIES), n=st.integers(min_value=3, max_value=40),
+       seed=st.integers(min_value=0, max_value=10**6),
+       fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       hair=st.sampled_from([None, Market.FOR, Market.AGAINST]),
+       mover=st.integers(min_value=0, max_value=39))
+def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mover):
+    # the kernel's follower walks against contribution_bound at
+    # price_issuance, then play, one arrival at a time, from random states
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
+                                 seed=seed)
+    config, agents = scenario.config, scenario.agents
+    rewards = construct_profile(config, agents).belief_rewards
+    order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
+    arrivals = equilibrium._arrivals(config, order, rewards)
+    plays = equilibrium._plays(config, arrivals)
+    bought = list(accumulate((quantity for _, quantity in plays), initial=0.0))
+    empty = new_states(config)
+    raised = {m: f * config.target(m) for f, m in zip(fractions, mechanism.markets)}
+    if hair in raised:  # one leg a hair below its target
+        raised[hair] = math.nextafter(config.target(hair), 0.0)
+    state = empty.at(raised[Market.FOR], raised.get(Market.AGAINST, 0.0))
+    if state.closed:
+        return
+    mover %= n
+    first = mover + 1
+
+    # walk from the state, over every arrival and over each market alone
+    for only in (None, *mechanism.markets):
+        walked = state.copy()
+        paid = walked.walk(plays, first, only)
+        reference = state.copy()
+        expected = _rollout(config, reference, [f for f in arrivals[first:]
+                                                 if only in (None, f[1])])
+        assert paid == expected
+        assert (walked.market_for.raised, walked.market_against.raised) == (
+            reference.market_for.raised, reference.market_against.raised)
+        assert _legal(walked)
+
+    # the mover plays its bound, then the followers theirs
+    _, side, reward = arrivals[mover]
+    bound = contribution_bound(config, arrivals[mover][0],
+                               issued=state.price_issuance(side), belief_reward=reward)
+    accepted, count, totals, waits = state.follow(side, bound, plays, bought, first)
+    after = state.copy()
+    assert accepted == after.play(side, bound)
+    amounts = _rollout(config, after, arrivals[first:]) if not after.closed else []
+    assert _legal(after)
+    assert count == len(amounts)
+    followed = [(m, x) for (_, m, _), x in zip(arrivals[first:], amounts)]
+    before = state.copy()
+    expected_waits = []
+    for market, x in followed[:-1] if after.closed else followed:
+        before.play(market, x)
+        expected_waits.append(before.price_issuance(side))
+    assert len(waits) == len(expected_waits)
+    expected_totals = tuple(sum(x for m, x in followed if m is market) for market in Market)
+    if mechanism.dual_market:
+        assert waits == expected_waits
+        assert totals == expected_totals
+        return
+    # prefix sums: equal up to rounding
+    tolerance = 1e-12 * config.cost_function.issued_at(config.provision_point)
+    assert all(abs(a - b) <= tolerance for a, b in zip(waits, expected_waits))
+    assert totals[0] == pytest.approx(expected_totals[0], rel=1e-12, abs=tolerance)
+    assert totals[1] == expected_totals[1] == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("mechanism", SECURITIES)
+def test_eu_is_nondecreasing_in_the_allocation(mechanism, n, monkeypatch):
+    # the delay walk scores the wait with the largest allocation only: at the
+    # prescribed amount, eu must depend on the issuance through the
+    # allocation alone, and never fall as it grows
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
+                                 seed=1)
+    config, agents = scenario.config, scenario.agents
+    cf = config.cost_function
+    recorded = []
+    pieces_of = equilibrium._pieces
+
+    def recording(config, slot):
+        pieces = pieces_of(config, slot)
+        recorded.append((slot, pieces))
+        return pieces
+
+    monkeypatch.setattr(equilibrium, "_pieces", recording)
+    certify_spe(config, agents, construct_profile(config, agents))
+    monkeypatch.undo()
+    assert recorded
+    top = 1.5 * max(cf.issued_at(config.target(m)) for m in mechanism.markets)
+    grid = [top * k / 64 for k in range(65)]
+    for slot, pieces in recorded:
+        effective = pieces.clip(slot.amount)
+        points = sorted(((cf.securities_for(effective, issued), pieces.eu(slot.amount, issued))
+                         for issued in grid), key=lambda point: point[0])
+        for (low, before), (high, after) in zip(points, points[1:]):
+            assert after >= before if high > low else after == before
+
+
+def _every_wait(config, slot, pieces, base, waits, epsilon, prefix):
+    """The delay walk as it was before it ranked waits by allocation: every
+    wait scored."""
+    found = []
+    for waited, issued in enumerate(waits, start=1):
+        gain = pieces.eu(slot.amount, issued) - base
+        if gain > epsilon:
+            found.append(Deviation(slot.agent.id, "timing",
+                                   prefix + f"delay past {waited} later arrivals", gain))
+    return found
+
+
+@pytest.mark.parametrize("mechanism", SECURITIES)
+def test_delay_walk_matches_every_wait_when_allocations_rise(mechanism, monkeypatch):
+    # negative control: with allocations rising with issuance, the best wait
+    # is no longer the first, and waiting pays; the deviation lists must
+    # still equal those of the walk that scores every wait
+    securities_for = CostFunction.securities_for
+    monkeypatch.setattr(CostFunction, "securities_for",
+                        lambda cf, amount, issued:
+                        securities_for(cf, amount, issued) + 0.01 * issued)
+    timing = 0
+    for seed in range(4):
+        for n in (6, 16, 40):
+            scenario = generate_scenario(
+                ScenarioTemplate(mechanism=mechanism, agent_count=n), seed=seed)
+            config, agents = scenario.config, scenario.agents
+            profile = construct_profile(config, agents)
+            report = certify_spe(config, agents, profile)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(equilibrium, "_delay_deviations", _every_wait)
+                reference = certify_spe(config, agents, profile)
+            assert report.deviations == reference.deviations
+            timing += sum(d.kind == "timing" for d in report.deviations)
+    assert timing
 
 
 # ---------------------------------------------------------------------------
@@ -802,22 +958,22 @@ def test_exact_best_response_dominates_dense_grid(mechanism, extra, seed):
         ScenarioTemplate(mechanism=mechanism, agent_count=3 + extra), seed=seed)
     config, agents = scenario.config, scenario.agents
     slots = []
-    evaluator = equilibrium._evaluator
+    pieces_of = equilibrium._pieces
 
     def recording(config, slot):
         slots.append(slot)
-        return evaluator(config, slot)
+        return pieces_of(config, slot)
 
     certify = certify_spe if mechanism.sequential else certify_ne
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(equilibrium, "_evaluator", recording)
+        patch.setattr(equilibrium, "_pieces", recording)
         certify(config, agents, construct_profile(config, agents))
     assert slots
     for slot in slots:
         pieces = equilibrium._pieces(config, slot)
         top = slot.sweep_top(config)
         tolerance = 1e-12 * (abs(slot.agent.valuation) + slot.belief_reward)
-        _, best = pieces.best(pieces.eu, top)
+        _, best = pieces.best(top)
         grid = [top * k / 4000 for k in range(4001)]
         values = [pieces.eu(x) for x in grid]
         assert best >= max(values) - tolerance
@@ -898,6 +1054,23 @@ def test_contribution_bound_is_the_public_bound(mechanism):
         for issued in (0.0, 2.5, 40.0):
             assert (contribution_bound(config, a, issued=issued, belief_reward=reward)
                     == _public_bound(config, a, issued, reward))
+
+
+@pytest.mark.parametrize("mechanism", SECURITIES)
+def test_securities_rows_bound_at_their_quantity(mechanism):
+    # every securities bound is the payment for the row's quantity, which is
+    # what the kernel's walks buy
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=8),
+                                 seed=1)
+    config = scenario.config
+    row = equilibrium.RULES[mechanism]
+    rewards = construct_profile(config, scenario.agents).belief_rewards
+    for a in scenario.agents:
+        reward = rewards.get(a.id, 0.0)
+        for issued in (0.0, 2.5, 40.0):
+            assert (contribution_bound(config, a, issued=issued, belief_reward=reward)
+                    == config.cost_function.contribution_for(
+                        row.securities(config, a, reward), issued))
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
