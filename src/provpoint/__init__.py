@@ -1,6 +1,6 @@
 """Provision-point civic crowdfunding mechanisms with negative valuations
 and asymmetric beliefs: market engines, belief-phase rewards, closed-form
-equilibrium bounds, and brute-force deviation certification."""
+equilibrium bounds, and exact best-response deviation certification."""
 
 from .model import (
     AgentProfile,
@@ -46,8 +46,6 @@ from .equilibrium import (
     EquilibriumReport,
     bound_pprn,
     bound_pprx,
-    bound_ppsn,
-    bound_ppsx,
     certify_ne,
     certify_spe,
     check_conditions,

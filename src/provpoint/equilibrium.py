@@ -48,6 +48,11 @@ quantity, so ``construct_profile`` (from empty markets) and the SPE
 certifier (at its off-path probe states) walk followers through the kernel
 (``DualMarketState.walk`` and ``follow``), without a bound or a play per
 follower.
+
+Each certification replays the checked play once (``_path``): every
+agent's bound, its slot on the path and the replayed verdict are read off
+that replay, and both certifiers check a slot the same way
+(``_check_slot``).
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate, zip_longest
 
-from .costfn import CostFunction
 from .mechanisms import (
     DualMarketState,
     new_states,
@@ -95,7 +99,7 @@ _PROVISIONED = Verdict.PROVISIONED
 
 
 # ---------------------------------------------------------------------------
-# Closed-form contribution bounds
+# Closed-form contribution bounds and the securities they buy
 # ---------------------------------------------------------------------------
 
 
@@ -116,6 +120,12 @@ def securities_pps(agent: AgentProfile) -> float:
     return max(agent.valuation, 0.0)
 
 
+def securities_ppsn(agent: AgentProfile) -> float:
+    """Securities a PPSN agent's bound buys: its valuation's magnitude, on
+    the market of its preference."""
+    return abs(agent.valuation)
+
+
 def securities_ppsx(agent: AgentProfile, belief_reward: float) -> float:
     """Securities a PPSx agent's bound buys: the belief reward folded into
     the valuation (added when provision-minded, netted out otherwise),
@@ -125,23 +135,6 @@ def securities_ppsx(agent: AgentProfile, belief_reward: float) -> float:
     else:
         quantity = agent.valuation - belief_reward
     return max(quantity, 0.0)
-
-
-def bound_pps(agent: AgentProfile, cf: CostFunction, issued: float) -> float:
-    """Single-market securities cap: the payment whose allocation equals the
-    agent's valuation at the current issuance."""
-    return cf.contribution_for(securities_pps(agent), issued)
-
-
-def securities_ppsn(agent: AgentProfile) -> float:
-    """Securities a PPSN agent's bound buys: its valuation's magnitude, on
-    the market of its preference."""
-    return abs(agent.valuation)
-
-
-def bound_ppsn(agent: AgentProfile, cf: CostFunction, issued_min: float) -> float:
-    """Dual-market securities cap at the min-leg issuance."""
-    return cf.contribution_for(securities_ppsn(agent), issued_min)
 
 
 def bound_pprx(agent: AgentProfile, provision_point: float, contribution_budget: float,
@@ -158,12 +151,6 @@ def bound_pprx(agent: AgentProfile, provision_point: float, contribution_budget:
     return max(0.0, numerator / denominator * provision_point)
 
 
-def bound_ppsx(agent: AgentProfile, cf: CostFunction, issued: float,
-               belief_reward: float) -> float:
-    """Securities cap with the belief reward folded into the security target."""
-    return cf.contribution_for(securities_ppsx(agent, belief_reward), issued)
-
-
 # ---------------------------------------------------------------------------
 # One rules row per mechanism
 # ---------------------------------------------------------------------------
@@ -173,7 +160,8 @@ def bound_ppsx(agent: AgentProfile, cf: CostFunction, issued: float,
 class Rules:
     """What one mechanism's theory says, each entry a function of the config:
 
-    * ``bound(config, agent, issued, reward)``: the contribution cap;
+    * ``bound(config, agent, issued, reward)``: the refund family's
+      contribution cap;
     * ``utility(config, agent, market, reward, verdict)``: the utility of a
       contribution to ``market`` under ``verdict``, as
       ``u(amount, rec, total_for, total_against)``, where only the
@@ -183,19 +171,19 @@ class Rules:
       targets, as ``(lhs, rhs, clamped)``;
     * ``conditions(config, net, totals)``: the existence inequalities as
       ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market;
-    * ``securities(config, agent, reward)``: the security quantity the
-      bound buys, for the securities mechanisms, whose bound is
-      ``cf.contribution_for`` of it at the issuance; the kernel walks
+    * ``securities(config, agent, reward)``: the securities family's
+      security quantity, in place of a cap: the bound is the payment for it
+      at the issuance (``cf.contribution_for``), and the kernel walks
       followers by it (``DualMarketState.walk`` and ``follow``).
 
-    Entries call the ``bound_*`` and ``*_utility`` functions by this
-    module's names when they run, so wrappers on those names see each call.
+    Entries call the ``*_utility`` functions by this module's names when
+    they run, so wrappers on those names see each call.
     """
 
-    bound: Callable[..., float]
     utility: Callable[..., Callable[..., float]]
     indifference: Callable[..., tuple[float, float, bool]]
     conditions: Callable[..., list[tuple[str, float, float, bool]]]
+    bound: Callable[..., float] | None = None
     securities: Callable[..., float] | None = None
 
 
@@ -288,8 +276,6 @@ RULES: dict[Mechanism, Rules] = {
                config.target_sum * (totals[m] - config.target(m)) / config.target(m),
                True) for m in config.mechanism.markets)]),
     Mechanism.PPS: Rules(
-        bound=lambda config, agent, issued, reward: bound_pps(
-            agent, config.cost_function, issued),
         utility=lambda config, agent, market, reward, verdict: (
             lambda amount, rec, total_for, total_against: pps_utility(
                 agent, rec, verdict is _PROVISIONED)),
@@ -297,8 +283,6 @@ RULES: dict[Mechanism, Rules] = {
         conditions=_securities_conditions,
         securities=lambda config, agent, reward: securities_pps(agent)),
     Mechanism.PPSN: Rules(
-        bound=lambda config, agent, issued, reward: bound_ppsn(
-            agent, config.cost_function, issued),
         utility=lambda config, agent, market, reward, verdict: (
             lambda amount, rec, total_for, total_against: ppsn_utility(
                 agent, rec, verdict)),
@@ -317,8 +301,6 @@ RULES: dict[Mechanism, Rules] = {
             *_belief_conditions(config, net),
             ("contribution_budget_positive", 0.0, config.contribution_budget, True)]),
     Mechanism.PPSX: Rules(
-        bound=lambda config, agent, issued, reward: bound_ppsx(
-            agent, config.cost_function, issued, reward),
         utility=lambda config, agent, market, reward, verdict: (
             lambda amount, rec, total_for, total_against: ppsx_utility(
                 agent, agent.belief_side, rec, reward, verdict is _PROVISIONED)),
@@ -331,7 +313,11 @@ RULES: dict[Mechanism, Rules] = {
 def contribution_bound(config: CampaignConfig, agent: AgentProfile, *,
                        issued: float = 0.0, belief_reward: float = 0.0) -> float:
     """The mechanism's bound at the given issuance context."""
-    return RULES[config.mechanism].bound(config, agent, issued, belief_reward)
+    row = RULES[config.mechanism]
+    if row.securities is not None:
+        return config.cost_function.contribution_for(
+            row.securities(config, agent, belief_reward), issued)
+    return row.bound(config, agent, issued, belief_reward)
 
 
 @dataclass(frozen=True)
@@ -488,42 +474,32 @@ def _plays(config: CampaignConfig,
             for agent, market, reward in arrivals]
 
 
-def _play_order(agents: list[AgentProfile],
-                profile: EquilibriumProfile) -> list[AgentProfile]:
-    """The engine's processing order for a profile: entry tick, then id."""
-    return sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
+_Path = tuple[list[AgentProfile], list[tuple[float, float]], DualMarketState]
 
 
-def _path(order: list[AgentProfile], profile: EquilibriumProfile,
-          book: DualMarketState):
-    """Replay the profile's plays through ``book`` along ``order``.
-
-    Yields each position with ``book`` as that agent found it; the agent's
-    play is applied when the walk resumes, so read the book before then.
-    """
-    for idx, agent in enumerate(order):
-        yield idx
-        entry = profile.entries[agent.id]
+def _path(config: CampaignConfig, agents: list[AgentProfile],
+          profile: EquilibriumProfile) -> _Path:
+    """The profile's plays replayed once, as the engine plays them: the
+    play order (entry tick, then id), the money (FOR, AGAINST) each agent
+    of it found raised, and the book after the last play. A play at a
+    closed book is discarded. ``final.at(*raised)`` is the ledger-free
+    book an agent found; it is built only where it is read, so the
+    verdict alone costs no book per agent."""
+    order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
+    book = new_states(config)
+    found = []
+    for agent in order:
+        found.append((book.market_for.raised, book.market_against.raised))
         if not book.closed:
+            entry = profile.entries[agent.id]
             book.play(entry.market, entry.amount)
+    return order, found, book
 
 
 def replayed_verdict(config: CampaignConfig, agents: list[AgentProfile],
                      profile: EquilibriumProfile) -> Verdict:
     """The verdict the engine reaches on the profile's plays."""
-    book = new_states(config)
-    for _ in _path(_play_order(agents, profile), profile, book):
-        pass
-    return book.verdict or Verdict.EXPIRED
-
-
-def _entry_issuance(config: CampaignConfig, agents: list[AgentProfile],
-                    profile: EquilibriumProfile) -> dict[int, float]:
-    """Issuance each agent's allocation is priced at on the profile's path."""
-    order = _play_order(agents, profile)
-    book = new_states(config)
-    return {order[idx].id: book.price_issuance(profile.entries[order[idx].id].market)
-            for idx in _path(order, profile, book)}
+    return _path(config, agents, profile)[2].verdict or Verdict.EXPIRED
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +574,6 @@ class EquilibriumReport:
             ],
             "notes": list(self.notes),
         }
-
-
-def certification_scale(config: CampaignConfig) -> float:
-    """Reference currency scale for the default tolerance."""
-    if config.provision_point_pair is not None:
-        return max(config.provision_point_pair)
-    assert config.provision_point is not None
-    return config.provision_point
 
 
 def _own_win_weight(config: CampaignConfig, agent: AgentProfile) -> float:
@@ -806,29 +774,6 @@ EXPIRY_CORNER_NOTE = ("rejection-side sweep skipped at states where the "
                       "provision side cannot fill (expiry corner)")
 
 
-def _skip_expiry_corner(config: CampaignConfig, slot: _Slot,
-                        report: EquilibriumReport) -> bool:
-    """With the provision side dead, a rejection-side agent is choosing
-    between forfeiting its stake and an expiry refund; the equilibrium
-    claims do not reach this corner, so it is noted in ``report``, not swept."""
-    corner = (config.mechanism.dual_market and slot.market is Market.AGAINST
-              and not slot.closed and not slot.rival_viable)
-    if corner and EXPIRY_CORNER_NOTE not in report.notes:
-        report.notes.append(EXPIRY_CORNER_NOTE)
-    return corner
-
-
-def _closed_play(agent: AgentProfile, amount: float, epsilon: float,
-                 detail_prefix: str = "") -> list[Deviation]:
-    """Book already closed when this agent moved: zero is the only legal
-    play, so a nonzero prescription is itself the defect to report."""
-    if amount > epsilon:
-        return [Deviation(agent.id, "contribution",
-                          detail_prefix + "market closed but profile "
-                          f"prescribes x={amount:.6g}", amount)]
-    return []
-
-
 def _sweep_slot(config: CampaignConfig, slot: _Slot, pieces: _Pieces, base: float,
                 epsilon: float, detail_prefix: str = "") -> list[Deviation]:
     """One agent's profitable unilateral deviations at its open slot: its
@@ -851,24 +796,59 @@ def _sweep_slot(config: CampaignConfig, slot: _Slot, pieces: _Pieces, base: floa
     return found
 
 
+def _check_slot(config: CampaignConfig, slot: _Slot, report: EquilibriumReport,
+                epsilon: float, prefix: str = "",
+                waits: list[float] | None = None) -> None:
+    """Add one slot's profitable deviations to ``report``: a nonzero play at
+    a closed book; at an open one (unless it is the expiry corner) the best
+    contribution and a market flip, and, given the issuances ``waits`` of
+    an SPE probe state, the delays."""
+    if slot.closed:
+        # zero is the only legal play, so a nonzero prescription is itself
+        # the defect to report
+        if slot.amount > epsilon:
+            report.deviations.append(Deviation(
+                slot.agent.id, "contribution",
+                prefix + f"market closed but profile prescribes x={slot.amount:.6g}",
+                slot.amount))
+        return
+    if (config.mechanism.dual_market and slot.market is Market.AGAINST
+            and not slot.rival_viable):
+        # with the provision side dead, a rejection-side agent is choosing
+        # between forfeiting its stake and an expiry refund; the equilibrium
+        # claims do not reach this corner, so it is noted, not swept
+        if EXPIRY_CORNER_NOTE not in report.notes:
+            report.notes.append(EXPIRY_CORNER_NOTE)
+        return
+    # the sweep and the delay walk share the pieces and the base
+    pieces = _pieces(config, slot)
+    base = pieces.eu(slot.amount)
+    report.deviations.extend(_sweep_slot(config, slot, pieces, base, epsilon, prefix))
+    if waits is not None:
+        report.deviations.extend(
+            _delay_deviations(config, slot, pieces, base, waits, epsilon, prefix))
+
+
 def _slots(config: CampaignConfig, agents: list[AgentProfile],
-           profile: EquilibriumProfile) -> list[_Slot]:
+           profile: EquilibriumProfile, path: _Path,
+           bounds: dict[int, float]) -> list[_Slot]:
     """One decision slot per agent against everyone else's amounts at
-    settlement. Sequential mechanisms replay the profile in play order, so
-    each slot sees the markets as its agent found them; deadline mechanisms'
-    agents all move at once, against empty markets."""
+    settlement, capped at the agent's ``bounds`` entry. Sequential
+    mechanisms' slots see the markets as their agents found them on the
+    profile's ``path``; deadline mechanisms' agents all move at once,
+    against empty markets."""
     sequential = config.mechanism.sequential
-    order = _play_order(agents, profile) if sequential else agents
-    arrivals = _arrivals(config, order, profile.belief_rewards) if sequential else []
-    plays = _plays(config, arrivals)
+    if sequential:
+        order, found, final = path
+        books = [final.at(*raised) for raised in found]
+        plays = _plays(config, _arrivals(config, order, profile.belief_rewards))
+    else:
+        order, books, plays = agents, [new_states(config)] * len(agents), []
     final_for = profile.total(Market.FOR)
     final_against = profile.total(Market.AGAINST)
-    book = new_states(config)
     slots = []
-    for idx in (_path(order, profile, book) if sequential else range(len(order))):
-        agent = order[idx]
+    for idx, (agent, book) in enumerate(zip(order, books)):
         entry = profile.entries[agent.id]
-        reward = profile.belief_rewards.get(agent.id, 0.0)
         others_for = final_for - (entry.amount if entry.market is Market.FOR else 0.0)
         others_against = final_against - (
             entry.amount if entry.market is Market.AGAINST else 0.0)
@@ -878,17 +858,15 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
             rival_total = others_against if rival is Market.AGAINST else others_for
             rival_viable = _met(rival_total, config.target(rival)) or (
                 sequential and _rival_fills(book, entry.market, plays, idx + 1))
-        q_price = book.price_issuance(entry.market)
         slots.append(_Slot(
             agent=agent,
             market=entry.market,
             amount=entry.amount,
             others_for=others_for,
             others_against=others_against,
-            issued=q_price,
-            belief_reward=reward,
-            bound=contribution_bound(config, agent, issued=q_price,
-                                     belief_reward=reward),
+            issued=book.price_issuance(entry.market),
+            belief_reward=profile.belief_rewards.get(agent.id, 0.0),
+            bound=bounds[agent.id],
             closed=book.closed,
             rival_viable=rival_viable,
         ))
@@ -896,33 +874,41 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
 
 
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
-                 profile: EquilibriumProfile, epsilon: float | None,
-                 conditions: list[ConditionCheck] | None
+                 profile: EquilibriumProfile, path: _Path | None,
+                 epsilon: float | None, conditions: list[ConditionCheck] | None
                  ) -> tuple[EquilibriumReport, float]:
-    eps = epsilon if epsilon is not None else certification_scale(config) * 1e-6
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {eps!r}")
+    """The report before the search: conditions, and for a feasible profile
+    each agent's bound and indifference check at the issuance its
+    allocation is priced at on the profile's ``path``."""
+    if epsilon is None:
+        # the default tolerance is a millionth of the larger target
+        epsilon = max(config.provision_point_pair or (config.provision_point,)) * 1e-6
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     report = EquilibriumReport(
         mechanism=config.mechanism.value,
         profile=profile,
         conditions=(check_conditions(config, agents) if conditions is None
                     else conditions),
-        epsilon=eps,
+        epsilon=epsilon,
         feasible=profile.feasible,
     )
-    if profile.feasible:
-        indifference = RULES[config.mechanism].indifference
-        entry_issuance = _entry_issuance(config, agents, profile)
-        for agent in agents:
-            issued = entry_issuance[agent.id]
-            reward = profile.belief_rewards.get(agent.id, 0.0)
-            bound = report.bounds[agent.id] = contribution_bound(
-                config, agent, issued=issued, belief_reward=reward)
-            report.indifference.append(IndifferenceCheck(
-                agent.id, bound, *indifference(config, agent, bound, issued, reward)))
-    else:
+    if path is None:
         report.notes.append(profile.reason or "profile infeasible")
-    return report, eps
+        return report, epsilon
+    indifference = RULES[config.mechanism].indifference
+    order, found, final = path
+    entry_issuance = {
+        agent.id: final.at(*raised).price_issuance(profile.entries[agent.id].market)
+        for agent, raised in zip(order, found)}
+    for agent in agents:
+        issued = entry_issuance[agent.id]
+        reward = profile.belief_rewards.get(agent.id, 0.0)
+        bound = report.bounds[agent.id] = contribution_bound(
+            config, agent, issued=issued, belief_reward=reward)
+        report.indifference.append(IndifferenceCheck(
+            agent.id, bound, *indifference(config, agent, bound, issued, reward)))
+    return report, epsilon
 
 
 def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
@@ -935,21 +921,15 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
     report carries ``conditions``, the caller's ``check_conditions`` result,
     or evaluates them when none is given.
     """
-    report, eps = _base_report(config, agents, profile, epsilon, conditions)
-    if not profile.feasible:
+    path = _path(config, agents, profile) if profile.feasible else None
+    report, eps = _base_report(config, agents, profile, path, epsilon, conditions)
+    if path is None:
         return report
     if not config.mechanism.sequential:
         report.notes.append(
             "timing deviations vacuous: refund schedule is time-invariant")
-    for slot in _slots(config, agents, profile):
-        if _skip_expiry_corner(config, slot, report):
-            continue
-        if slot.closed:
-            report.deviations.extend(_closed_play(slot.agent, slot.amount, eps))
-            continue
-        pieces = _pieces(config, slot)
-        report.deviations.extend(
-            _sweep_slot(config, slot, pieces, pieces.eu(slot.amount), eps))
+    for slot in _slots(config, agents, profile, path, report.bounds):
+        _check_slot(config, slot, report, eps)
     report.certified = not report.deviations
     return report
 
@@ -1008,71 +988,63 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     if not config.mechanism.sequential:
         raise ValueError(f"{config.mechanism.value} has no sequential subgame "
                          "structure; use certify_ne")
-    report, eps = _base_report(config, agents, profile, epsilon, conditions)
+    path = _path(config, agents, profile) if profile.feasible else None
+    report, eps = _base_report(config, agents, profile, path, epsilon, conditions)
     report.kind = "subgame-perfect"
-    if not profile.feasible:
+    if path is None:
         return report
-    order = _play_order(agents, profile)
+    order, found, final = path
+    books = [final.at(*raised) for raised in found]
     arrivals = _arrivals(config, order, profile.belief_rewards)
     path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
                   for a in order]
-    # shut[k]: the book is closed once path play k is made
-    book = new_states(config)
-    shut = [book.closed for _ in _path(order, profile, book)][1:] + [book.closed]
-    closing = shut.index(True) if book.closed else len(order)
+    # closing: the path play after which the book is closed (len(order) if none)
+    closing = next((k for k, book in enumerate([*books[1:], final]) if book.closed),
+                   len(order))
     # off the path, followers play their bounds: each buys its security
     # quantity, so the kernel walks them by it (by prefix sum where it can)
     plays = _plays(config, arrivals)
     bought = list(accumulate((quantity for _, quantity in plays), initial=0.0))
-    on_path = new_states(config)
-    for idx in _path(order, profile, on_path):
-        agent, own_market, reward = arrivals[idx]
-        probes = _probe_states(config, on_path, agent, own_market, reward)
+    for idx, (agent, own_market, reward) in enumerate(arrivals):
+        probes = _probe_states(config, books[idx], agent, own_market, reward)
         for state in probes:
+            on_path = state is probes[0]
             prefix = (f"[state raised_for={state.market_for.raised:.6g} "
                       f"raised_against={state.market_against.raised:.6g}] ")
             if state.closed:
-                # off the path, an arrival at a closed book plays zero
-                if state is probes[0]:
-                    report.deviations.extend(
-                        _closed_play(agent, path_plays[idx][1], eps, prefix))
+                # off the path, an arrival at a closed book plays zero; on
+                # it, the profile's play is checked, and nothing else counts
+                if on_path:
+                    _check_slot(config, _Slot(agent, *path_plays[idx], 0.0, 0.0,
+                                              closed=True), report, eps, prefix)
                 continue
             # on the path itself, the checked action and the fixed follower
             # plays come from the profile being certified
-            market = path_plays[idx][0] if state is probes[0] else own_market
-            q_price = state.price_issuance(market)
-            bound = contribution_bound(config, agent, issued=q_price,
-                                       belief_reward=reward)
+            market = path_plays[idx][0] if on_path else own_market
+            issued = state.price_issuance(market)
             # paid: the followers' money per market (for the totals); waits:
             # the issuance the delayed contribution is priced at after each
             # later play that leaves the book open
-            if state is probes[0]:
-                prescribed, later = path_plays[idx][1], path_plays[idx + 1:]
+            if on_path:
+                prescribed, bound = path_plays[idx][1], report.bounds[agent.id]
+                later = path_plays[idx + 1:]
                 paid = (sum(x for m, x in later if m is _FOR),
                         sum(x for m, x in later if m is _AGAINST))
                 waits = state.issuances_after(market, path_plays[idx + 1:closing])
             else:
+                bound = contribution_bound(config, agent, issued=issued,
+                                           belief_reward=reward)
                 prescribed, _, paid, waits = state.follow(market, bound, plays,
                                                           bought, idx + 1)
-            others_for = state.market_for.raised + paid[0]
-            others_against = state.market_against.raised + paid[1]
-            rival_viable = config.mechanism.dual_market and _rival_fills(
-                state, market, plays, idx + 1)
             slot = _Slot(
                 agent=agent, market=market, amount=prescribed,
-                others_for=others_for, others_against=others_against,
-                issued=q_price, belief_reward=reward, bound=bound,
-                rival_viable=rival_viable,
+                others_for=state.market_for.raised + paid[0],
+                others_against=state.market_against.raised + paid[1],
+                issued=issued, belief_reward=reward, bound=bound,
+                rival_viable=config.mechanism.dual_market and _rival_fills(
+                    state, market, plays, idx + 1),
             )
-            if _skip_expiry_corner(config, slot, report):
-                continue
-            # the sweep and the delay walk share the pieces and the base
-            pieces = _pieces(config, slot)
-            base = pieces.eu(prescribed)
-            report.deviations.extend(
-                _sweep_slot(config, slot, pieces, base, eps, detail_prefix=prefix))
-            report.deviations.extend(
-                _delay_deviations(config, slot, pieces, base, waits, eps, prefix))
+            _check_slot(config, slot, report, eps, prefix, waits)
     report.certified = not report.deviations
     return report
 

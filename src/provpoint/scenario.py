@@ -17,7 +17,7 @@ import enum
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .beliefs import BeliefReport, conditional_rewards, default_report, score_reports
@@ -398,21 +398,18 @@ class ScenarioTemplate:
 
 def template_from_dict(data: dict) -> ScenarioTemplate:
     """Parse a ``gen`` template with the scenario parser's type rules,
-    naming ``template.<field>`` in any error."""
+    naming ``template.<field>`` in any error; a missing optional field takes
+    ``ScenarioTemplate``'s default."""
     ctx = "template"
     data = _object(data, ctx)
+    pairs = ("valuation_range", "epsilon_range", "provision_point_pair")
     return ScenarioTemplate(
         mechanism=_enum_value(Mechanism, _require(data, "mechanism", ctx),
                               f"{ctx}.mechanism"),
         agent_count=_field(data, "agent_count", ctx, _integer),
-        valuation_range=_field(data, "valuation_range", ctx, _pair, (5.0, 20.0)),
-        epsilon_range=_field(data, "epsilon_range", ctx, _pair, (0.0, 0.25)),
-        negative_share=_field(data, "negative_share", ctx, default=0.4),
-        rejection_share=_field(data, "rejection_share", ctx, default=0.4),
-        fill_fraction=_field(data, "fill_fraction", ctx, default=0.45),
-        provision_point=_field(data, "provision_point", ctx, default=None),
-        provision_point_pair=_field(data, "provision_point_pair", ctx, _pair, None),
-    )
+        **{f.name: _field(data, f.name, ctx, _pair if f.name in pairs else _number,
+                          f.default)
+           for f in fields(ScenarioTemplate) if f.default is not MISSING})
 
 
 def _draw_agents(template: ScenarioTemplate, rng: random.Random) -> list[AgentProfile]:

@@ -14,7 +14,7 @@ from provpoint.beliefs import (
     score_reports,
     winning_side_for,
 )
-from provpoint.equilibrium import construct_profile
+from provpoint.equilibrium import _path, construct_profile
 from provpoint.mechanisms import (
     Action,
     ppr_utility,
@@ -46,9 +46,24 @@ def test_profile_verdict_is_engine_verdict(mech):
     for scenario in generated(mech):
         profile = construct_profile(scenario.config, scenario.agents)
         assert profile.feasible
-        verdict, _ = run_campaign(scenario.config, actions_from_profile(profile))
+        verdict, dual = run_campaign(scenario.config, actions_from_profile(profile))
         assert profile.expected_verdict is verdict
         verdicts.add(verdict)
+        # the certifiers' one replay sees the books the engine priced at
+        order, found, final = _path(scenario.config, scenario.agents, profile)
+        records = {r.agent_id: r for r in
+                   dual.market_for.ledger + dual.market_against.ledger}
+        for agent, raised in zip(order, found):
+            book, entry = final.at(*raised), profile.entries[agent.id]
+            if entry.amount == 0.0:
+                continue
+            if agent.id in records:
+                assert (book.price_issuance(entry.market)
+                        == records[agent.id].q_at_allocation)
+            else:  # the engine discards a play at a closed book
+                assert book.closed
+        assert (final.market_for.raised, final.market_against.raised) == (
+            dual.market_for.raised, dual.market_against.raised)
     if mech.dual_market:
         # both sides win somewhere, so the tie order is exercised
         assert verdicts == {Verdict.PROVISIONED, Verdict.REJECTED}

@@ -18,9 +18,6 @@ from provpoint.equilibrium import (
     bound_ppr,
     bound_pprn,
     bound_pprx,
-    bound_pps,
-    bound_ppsn,
-    bound_ppsx,
     certify_ne,
     certify_spe,
     check_conditions,
@@ -28,6 +25,9 @@ from provpoint.equilibrium import (
     construct_profile,
     contribution_bound,
     contribution_ordering_gap,
+    securities_pps,
+    securities_ppsn,
+    securities_ppsx,
 )
 from provpoint.mechanisms import (
     DualMarketState,
@@ -94,6 +94,20 @@ def test_bound_pprn_values():
     assert bound_pprn(agent(0.0), 50.0, 50.0, 10.0) == 0.0
     assert bound_pprn(agent(-10.0), 50.0, 50.0, 10.0) == pytest.approx(
         100.0 / 110.0 * 10.0)
+
+
+# The securities family's bounds: the payment at the issuance for the
+# security quantity the bound buys.
+def bound_pps(a, cf, issued):
+    return cf.contribution_for(securities_pps(a), issued)
+
+
+def bound_ppsn(a, cf, issued):
+    return cf.contribution_for(securities_ppsn(a), issued)
+
+
+def bound_ppsx(a, cf, issued, reward):
+    return cf.contribution_for(securities_ppsx(a, reward), issued)
 
 
 def test_bound_ppsn_values():
@@ -317,6 +331,27 @@ def test_certify_spe_rejects_simultaneous_mechanisms():
     with pytest.raises(ValueError, match="sequential"):
         certify_spe(pprn_config(), pprn_agents(),
                     construct_profile(pprn_config(), pprn_agents()))
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_each_certification_replays_the_path_once(mechanism, monkeypatch):
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=16),
+                                 seed=3)
+    config, agents = scenario.config, scenario.agents
+    profile = construct_profile(config, agents)
+    replays = []
+    path = equilibrium._path
+
+    def counting(*args):
+        replays.append(args)
+        return path(*args)
+
+    monkeypatch.setattr(equilibrium, "_path", counting)
+    certifiers = [certify_ne, certify_spe] if mechanism.sequential else [certify_ne]
+    for certify in certifiers:
+        replays.clear()
+        certify(config, agents, profile)
+        assert len(replays) == 1
 
 
 def test_certify_spe_flags_overbound_play():
@@ -578,7 +613,9 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
     config, agents = scenario.config, scenario.agents
     cf = config.cost_function
     profile = construct_profile(config, agents)
-    slots = equilibrium._slots(config, agents, profile)
+    slots = equilibrium._slots(config, agents, profile,
+                               equilibrium._path(config, agents, profile),
+                               certify_ne(config, agents, profile).bounds)
     delayed = []  # (slot, the issuances of its delay waits)
     if mechanism.sequential:
         pieces_of, delay = equilibrium._pieces, equilibrium._delay_deviations
@@ -716,14 +753,13 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     # former walks were given: the profile's on the path, a rollout off it
     expected = []
     expected_closings = []
-    order = equilibrium._play_order(agents, profile)
+    order, found, final = equilibrium._path(config, agents, profile)
+    books = [final.at(*raised) for raised in found]
     arrivals = equilibrium._arrivals(config, order, profile.belief_rewards)
     plays = equilibrium._plays(config, arrivals)
     path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
                   for a in order]
-    on_path = new_states(config)
-    for idx in equilibrium._path(order, profile, on_path):
-        agent, own_market, reward = arrivals[idx]
+    for idx, ((agent, own_market, reward), on_path) in enumerate(zip(arrivals, books)):
         followers = arrivals[idx + 1:]
         probes = equilibrium._probe_states(config, on_path, agent, own_market, reward)
         for state in probes:
@@ -1006,7 +1042,10 @@ def test_stationary_point_maximizes_the_mix(mechanism):
         scenario = generate_scenario(
             ScenarioTemplate(mechanism=mechanism, agent_count=8), seed=seed)
         config, agents = scenario.config, scenario.agents
-        slots = equilibrium._slots(config, agents, construct_profile(config, agents))
+        profile = construct_profile(config, agents)
+        slots = equilibrium._slots(config, agents, profile,
+                                   equilibrium._path(config, agents, profile),
+                                   certify_ne(config, agents, profile).bounds)
         for slot in slots + [dataclasses.replace(slot, others_for=0.01 * slot.others_for,
                                                  others_against=0.01 * slot.others_against)
                              for slot in slots]:
@@ -1028,7 +1067,8 @@ def test_stationary_point_maximizes_the_mix(mechanism):
 
 def _public_bound(config: CampaignConfig, agent: AgentProfile, issued: float,
                   reward: float) -> float:
-    """The exported ``bound_*`` function of the config's mechanism."""
+    """The exported ``bound_*`` function of the config's mechanism; for the
+    securities family, the payment for the exported security quantity."""
     cf = config.cost_function
     return {
         Mechanism.PPR: lambda: bound_ppr(agent, config.provision_point,

@@ -399,3 +399,6 @@ def test_template_defaults_and_whole_numbers():
     with pytest.raises(ScenarioError) as info:
         template_from_dict([{"mechanism": "PPR", "agent_count": 3}])
     assert str(info.value).startswith("template: expected an object")
+    for mechanism in Mechanism:
+        assert (template_from_dict({"mechanism": mechanism.value, "agent_count": 6})
+                == ScenarioTemplate(mechanism, 6))
