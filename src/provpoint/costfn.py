@@ -91,6 +91,13 @@ class CostFunction:
         """
         return self.securities_for(raised, 0.0)
 
+    def price(self, issued: float) -> float:
+        """Marginal price at ``issued``: the slope of the convex
+        ``contribution_for`` at zero, so no purchase pays less per security."""
+        z = (issued - self.fixed_leg) / self.liquidity
+        e = math.exp(-abs(z))
+        return 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
+
     def securities_for(self, amount: float, issued: float) -> float:
         """Securities bought by paying ``amount`` when ``issued`` are outstanding."""
         if amount < 0:
@@ -118,7 +125,7 @@ class CostFunction:
         z = (issued - self.fixed_leg) / b
         y = securities / b
         if z > -EXP_LIMIT and y < EXP_LIMIT:
-            # u = 1/(1 + exp(-z)), the marginal price at ``issued``
+            # u = 1/(1 + exp(-z)), the marginal price at ``issued`` (``price``, inlined)
             e = math.exp(-abs(z))
             u = 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
             return b * math.log1p(u * math.expm1(y))

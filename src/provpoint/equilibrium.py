@@ -40,8 +40,8 @@ security allocation are side-blind by design, so the flip delta is zero at
 equilibrium). Refund-bonus timing never enters utilities, so timing
 deviations are vacuous for that family; for the securities family the delay
 walk reprices the allocation at the later slot. Utilities never fall as the
-allocation grows, so it scores the wait with the largest allocation, and
-every wait only when that one gains.
+allocation grows, and waits never fall, so it scores the first or the last
+wait, whichever allocates more, and every wait only when that one gains.
 
 In the securities family a bound buys exactly the rules row's security
 quantity, so ``construct_profile`` (from empty markets) and the SPE
@@ -60,11 +60,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 
 from .mechanisms import (
     DualMarketState,
+    Waits,
     new_states,
+    prefix_sums,
     ppr_utility,
     pprn_utility,
     pps_utility,
@@ -92,8 +94,8 @@ from .model import (
 MET_REL_TOL = 1e-9
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
 
-# Bound once for the per-follower sums of the SPE walk and the utilities:
-# every member lookup on an enum class costs a few hundred ns on Python 3.11.
+# Bound once for the utilities and the rules rows: every member lookup on an
+# enum class costs a few hundred ns on Python 3.11.
 _FOR, _AGAINST = Market.FOR, Market.AGAINST
 _PROVISIONED = Verdict.PROVISIONED
 
@@ -798,11 +800,11 @@ def _sweep_slot(config: CampaignConfig, slot: _Slot, pieces: _Pieces, base: floa
 
 def _check_slot(config: CampaignConfig, slot: _Slot, report: EquilibriumReport,
                 epsilon: float, prefix: str = "",
-                waits: list[float] | None = None) -> None:
+                waits: Waits | None = None) -> None:
     """Add one slot's profitable deviations to ``report``: a nonzero play at
     a closed book; at an open one (unless it is the expiry corner) the best
-    contribution and a market flip, and, given the issuances ``waits`` of
-    an SPE probe state, the delays."""
+    contribution and a market flip, and, given the ``waits`` of an SPE
+    probe state, the delays."""
     if slot.closed:
         # zero is the only legal play, so a nonzero prescription is itself
         # the defect to report
@@ -842,8 +844,9 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
         order, found, final = path
         books = [final.at(*raised) for raised in found]
         plays = _plays(config, _arrivals(config, order, profile.belief_rewards))
+        bought = prefix_sums(plays)
     else:
-        order, books, plays = agents, [new_states(config)] * len(agents), []
+        order, books = agents, [new_states(config)] * len(agents)
     final_for = profile.total(Market.FOR)
     final_against = profile.total(Market.AGAINST)
     slots = []
@@ -857,7 +860,7 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
             rival = entry.market.other
             rival_total = others_against if rival is Market.AGAINST else others_for
             rival_viable = _met(rival_total, config.target(rival)) or (
-                sequential and _rival_fills(book, entry.market, plays, idx + 1))
+                sequential and _rival_fills(book, entry.market, plays, idx + 1, bought))
         slots.append(_Slot(
             agent=agent,
             market=entry.market,
@@ -940,12 +943,27 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
 
 
 def _rival_fills(book: DualMarketState, own_market: Market,
-                 plays: list[tuple[Market, float]], first: int) -> bool:
+                 plays: list[tuple[Market, float]], first: int,
+                 bought: dict[Market, list[float]]) -> bool:
     """Whether the rival market's coalition among the arrivals of ``plays``
     from ``first`` on, playing its prescribed strategy from this state,
     still reaches its target (the agent's own side frozen; issuance
-    coupling priced at the frozen leg)."""
+    coupling priced at the frozen leg). ``bought`` is ``prefix_sums`` of the
+    plays' quantities. The priced min leg only rises, and a payment is
+    convex in the quantity and zero at zero, so the coalition's money is at
+    least its quantity Q times the marginal price at the lowest issuance
+    and at most the payment for Q at the highest: only a remaining target
+    inside that band, widened by ``MET_REL_TOL`` of the target, is walked."""
     rival = own_market.other
+    state, cf = book.market(rival), book.cf
+    if not book.closed:
+        quantity = bought[rival][-1] - bought[rival][first]
+        leg = book.market(own_market).raised
+        need, slack = state.remaining, MET_REL_TOL * max(1.0, state.target)
+        if cf.price(cf.issued_at(min(leg, state.raised))) * quantity >= need + slack:
+            return True
+        if cf.contribution_for(quantity, cf.issued_at(min(leg, state.target))) < need - slack:
+            return False
     book = book.copy()
     book.walk(plays, first, only=rival)
     return book.market(rival).met
@@ -1001,10 +1019,11 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     # closing: the path play after which the book is closed (len(order) if none)
     closing = next((k for k, book in enumerate([*books[1:], final]) if book.closed),
                    len(order))
+    path_sums = prefix_sums(path_plays)  # for the totals and waits on the path
     # off the path, followers play their bounds: each buys its security
     # quantity, so the kernel walks them by it (by prefix sum where it can)
     plays = _plays(config, arrivals)
-    bought = list(accumulate((quantity for _, quantity in plays), initial=0.0))
+    bought = prefix_sums(plays)
     for idx, (agent, own_market, reward) in enumerate(arrivals):
         probes = _probe_states(config, books[idx], agent, own_market, reward)
         for state in probes:
@@ -1023,14 +1042,13 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             market = path_plays[idx][0] if on_path else own_market
             issued = state.price_issuance(market)
             # paid: the followers' money per market (for the totals); waits:
-            # the issuance the delayed contribution is priced at after each
-            # later play that leaves the book open
+            # the later plays that leave the book open, and the issuance the
+            # delayed contribution is priced at after the first k of them
             if on_path:
                 prescribed, bound = path_plays[idx][1], report.bounds[agent.id]
-                later = path_plays[idx + 1:]
-                paid = (sum(x for m, x in later if m is _FOR),
-                        sum(x for m, x in later if m is _AGAINST))
-                waits = state.issuances_after(market, path_plays[idx + 1:closing])
+                paid = [path_sums[m][-1] - path_sums[m][idx + 1] for m in Market]
+                waits = (max(0, closing - idx - 1),
+                         state.issuances_after(market, path_sums, idx + 1))
             else:
                 bound = contribution_bound(config, agent, issued=issued,
                                            belief_reward=reward)
@@ -1042,7 +1060,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
                 others_against=state.market_against.raised + paid[1],
                 issued=issued, belief_reward=reward, bound=bound,
                 rival_viable=config.mechanism.dual_market and _rival_fills(
-                    state, market, plays, idx + 1),
+                    state, market, plays, idx + 1, bought),
             )
             _check_slot(config, slot, report, eps, prefix, waits)
     report.certified = not report.deviations
@@ -1050,32 +1068,31 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
 
 
 def _delay_deviations(config: CampaignConfig, slot: _Slot, pieces: _Pieces,
-                      base: float, waits: list[float], epsilon: float,
+                      base: float, waits: Waits, epsilon: float,
                       prefix: str) -> list[Deviation]:
     """Reprice the prescribed contribution after each number of later
     arrivals; allocations never improve with waiting, so any gain is a
-    defect worth reporting. ``waits`` holds the issuance the contribution
-    is priced at after each later play that leaves the book open once the
-    agent has played: past the one that closes it no later slot exists for
-    the contribution.
+    defect worth reporting. ``waits`` counts the later plays that leave the
+    book open once the agent has played (past the one that closes it no
+    later slot exists for the contribution) and gives the issuance the
+    contribution is priced at after the first k of them.
 
-    Only the allocation changes with the wait, and every securities utility
-    is nondecreasing in it, so the wait with the largest allocation gains
-    the most: it alone is scored, and every wait only when it gains more
-    than ``epsilon``."""
-    if not waits:
+    Waits never fall (raised money and the min leg only grow), an
+    allocation is monotone in issuance and every securities utility is
+    nondecreasing in it, so the largest gain is at the first wait or the
+    last: those two are priced, and every wait only when one gains."""
+    count, issuance = waits
+    if not count:
         return []
     effective = pieces.clip(slot.amount)
     securities_for = config.cost_function.securities_for
-    # waits repeat an issuance after a later play on the other PPSN leg
-    issuances = list(set(waits))
-    allocations = [securities_for(effective, issued) for issued in issuances]
-    top = issuances[allocations.index(max(allocations))]
+    top = max((issuance(1), issuance(count)),
+              key=lambda issued: securities_for(effective, issued))
     if pieces.eu(slot.amount, top) - base <= epsilon:
         return []
     found: list[Deviation] = []
-    for waited, issued in enumerate(waits, start=1):
-        gain = pieces.eu(slot.amount, issued) - base
+    for waited in range(1, count + 1):
+        gain = pieces.eu(slot.amount, issuance(waited)) - base
         if gain > epsilon:
             found.append(Deviation(slot.agent.id, "timing",
                                    prefix + f"delay past {waited} later arrivals",

@@ -31,7 +31,9 @@ ticks are recorded in the ledger but do not enter those utilities.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .costfn import CostFunction
 from .model import (
@@ -50,6 +52,9 @@ from .model import (
 # and per evaluation.
 _FOR = Market.FOR
 _PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
+
+# Delay waits: how many, and the issuance after wait k (1 <= k <= count) in O(1)
+Waits = tuple[int, Callable[[int], float] | None]
 
 
 @dataclass
@@ -181,76 +186,77 @@ class DualMarketState:
         self.market_for.raised, self.market_against.raised = raised
         return paid
 
-    def issuances_after(self, side: Market,
-                        payments: list[tuple[Market, float]]) -> list[float]:
-        """The issuance ``side`` prices at after each of ``payments`` (a
-        market and an amount) is added to this book, on plain floats; the
-        book itself is left as it is. No payment may fill a market: the
-        walks hand over payments that left a fuller book open."""
-        cf, min_leg = self.cf, self.min_leg
-        raised = [self.market_for.raised, self.market_against.raised]
-        own = 0 if side is _FOR else 1
-        priced = issued = None
-        issuances = []
-        for market, amount in payments:
-            raised[0 if market is _FOR else 1] += amount
-            leg = min(raised) if min_leg else raised[own]
-            if leg != priced:
-                priced, issued = leg, cf.issued_at(leg)
-            issuances.append(issued)
-        return issuances
+    def issuances_after(self, side: Market, sums: dict[Market, list[float]],
+                        first: int = 0) -> Callable[[int], float]:
+        """The issuance ``side`` prices at in this book once k more payments
+        are added, as a function of k answered in O(1); the book itself is
+        left as it is. ``sums`` holds the payments' money per market as
+        prefix sums (``prefix_sums``), the added ones those from entry
+        ``first`` on. No payment counted may fill a market: the walks count
+        payments that left a fuller book open."""
+        cf = self.cf
+        # the legs priced: both under min_leg, else ``side`` alone
+        legs = [(self.market(m).raised, sums[m])
+                for m in ((_FOR, Market.AGAINST) if self.min_leg else (side,))]
+        return lambda k: cf.issued_at(min(r + (s[first + k] - s[first]) for r, s in legs))
 
     def follow(self, side: Market, amount: float, plays: list[tuple[Market, float]],
-               bought: list[float], first: int
-               ) -> tuple[float, int, tuple[float, float], list[float]]:
+               bought: dict[Market, list[float]], first: int
+               ) -> tuple[float, int, tuple[float, float], Waits]:
         """Where a play of ``amount`` on ``side`` and the followers' bounds
         take the book.
 
         The followers are the arrivals of ``plays`` from ``first`` on, each
-        buying its security quantity on its market, and ``bought[k]`` is the
-        quantity the arrivals before ``k`` buy. Returns the amount accepted
-        from the play; how many followers play while the book is open, the
-        last of them closing it if any does; the money they pay into each
-        market, as (FOR, AGAINST); and, after each follower who leaves the
-        book open, the issuance ``side`` prices at in this book, which does
-        not hold the play.
+        buying its security quantity on its market, and ``bought[m][k]`` is
+        the quantity the arrivals before ``k`` buy on market m
+        (``prefix_sums``). Returns the amount accepted from the play; how
+        many followers play while the book is open, the last of them closing
+        it if any does; the money they pay into each market, as (FOR,
+        AGAINST); and the ``Waits``: how many followers leave the book open,
+        and the issuance ``side`` prices at in this book, which does not
+        hold the play, after the first k of them.
 
         On a single market a bound buys exactly its quantity at any
         issuance, so issuance after each follower is a prefix sum, and one
         bisect against the target's issuance finds the follower who closes
         the book. Under ``min_leg`` a bound is priced at the smaller leg,
         which the other market moves, so ``walk`` plays the followers one by
-        one, and their payments replayed on this book give the waits.
+        one, and prefix sums of their payments give the waits.
         """
         cf = self.cf
         after = self.copy()
         accepted = after.play(side, amount)
         if after.closed:
-            return accepted, 0, (0.0, 0.0), []
+            return accepted, 0, (0.0, 0.0), (0, None)
         if self.min_leg:
-            payments = [(plays[first + k][0], x)
-                        for k, x in enumerate(after.walk(plays, first))]
-            totals = (sum(x for m, x in payments if m is _FOR),
-                      sum(x for m, x in payments if m is not _FOR))
+            paid = after.walk(plays, first)
+            sums = prefix_sums([(plays[first + k][0], x) for k, x in enumerate(paid)])
             # each payment but a closing one left ``after`` open, which
             # holds at least as much on each market as this book
-            waits = self.issuances_after(
-                side, payments[:-1] if after.closed else payments)
-            return accepted, len(payments), totals, waits
-        state = after.market(side)
+            waits = len(paid) - 1 if after.closed else len(paid)
+            return (accepted, len(paid), (sums[_FOR][-1], sums[Market.AGAINST][-1]),
+                    (waits, self.issuances_after(side, sums)))
+        state, bought = after.market(side), bought[side]
         start = cf.issued_at(state.raised)
         end = bisect_left(bought, cf.issued_at(state.target) - start + bought[first],
                           first + 1)
         closes = end < len(bought)
         count = end - first if closes else len(bought) - 1 - first
-        waits = count - 1 if closes else count
-        # the first k followers pay for the issuance they add
         raised = self.market(side).raised
-        issuances = [cf.issued_at(raised + cf.contribution_for(
-            bought[first + k] - bought[first], start)) for k in range(1, waits + 1)]
         paid = (state.remaining if closes
                 else cf.contribution_for(bought[-1] - bought[first], start))
-        return accepted, count, (paid, 0.0) if side is _FOR else (0.0, paid), issuances
+        # wait k: this book plus the money the first k followers pay
+        return (accepted, count, (paid, 0.0) if side is _FOR else (0.0, paid),
+                (count - 1 if closes else count, lambda k: cf.issued_at(raised + (
+                    cf.contribution_for(bought[first + k] - bought[first], start)))))
+
+
+def prefix_sums(plays: list[tuple[Market, float]]) -> dict[Market, list[float]]:
+    """Per market, the running total of the plays' second entries (a money
+    amount or a security quantity): entry k is what plays before k put in."""
+    return {market: list(accumulate((x if m is market else 0.0 for m, x in plays),
+                                    initial=0.0))
+            for market in Market}
 
 
 def new_states(config: CampaignConfig) -> DualMarketState:

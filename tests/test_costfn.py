@@ -244,3 +244,20 @@ def test_allocation_past_the_exponent_range():
     cf = CostFunction(liquidity=1.0)
     assert cf.contribution_for(900.0, 5.0) == pytest.approx(
         float(reference_contribution(cf, 900.0, 5.0)), rel=1e-15)
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=0.01, max_value=1000.0),
+       st.floats(min_value=-50.0, max_value=50.0),
+       st.floats(min_value=1e-6, max_value=10.0))
+def test_price_is_the_payment_slope_at_zero_and_a_floor(b, spread, securities_over_b):
+    # the rival-fill bracket's lower bound: a payment for s securities is at
+    # least price * s, and price is the payment's slope at s = 0
+    cf = CostFunction(liquidity=b, fixed_leg=50.0 * b)
+    issued = (50.0 - spread) * b
+    price = cf.price(issued)
+    assert price == pytest.approx(1.0 / (1.0 + math.exp(spread)), rel=1e-12)
+    s = securities_over_b * b
+    assert cf.contribution_for(s, issued) >= price * s * (1.0 - 1e-12)
+    tiny = 1e-7 * b
+    assert cf.contribution_for(tiny, issued) / tiny == pytest.approx(price, rel=1e-6)

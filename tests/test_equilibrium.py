@@ -1,6 +1,7 @@
+import collections
 import dataclasses
 import math
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ from provpoint.mechanisms import (
     pprn_utility,
     pps_utility,
     ppsn_utility,
+    prefix_sums,
 )
 from provpoint.model import (
     AgentProfile,
@@ -605,6 +607,13 @@ def _flip_delta(config: CampaignConfig, slot: _Slot, cf: CostFunction | None) ->
     return half_sum(slot.market.other) - half_sum(slot.market)
 
 
+def _every_issuance(waits) -> list[float]:
+    """The issuance after every one of a probe state's ``Waits``, wait 1
+    first, each asked for on its own."""
+    count, issuance = waits
+    return [issuance(k) for k in range(1, count + 1)]
+
+
 @pytest.mark.parametrize("n", [4, 16])
 @pytest.mark.parametrize("mechanism", list(Mechanism))
 def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
@@ -625,7 +634,7 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
             return pieces_of(config, slot)
 
         def walking(config, slot, pieces, base, waits, *args):
-            delayed.append((slot, list(waits)))
+            delayed.append((slot, _every_issuance(waits)))
             return delay(config, slot, pieces, base, waits, *args)
 
         monkeypatch.setattr(equilibrium, "_pieces", recording)
@@ -657,9 +666,9 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
 # rollout, rival-fill replay and two-book delay walk, kept verbatim as the
 # reference. The certifier reads both answers off one kernel query per
 # probe state (DualMarketState.follow): for PPSN a walk play by play, whose
-# results must be equal with ==, and for PPS and PPSx prefix sums, whose
-# closing index and number of priced waits must be equal and whose priced
-# issuances may differ by rounding alone.
+# payments must be equal with ==, and for PPS and PPSx prefix sums. Every
+# closing index and number of waits must be equal; the waits' issuances,
+# read off prefix sums for all three, may differ by rounding alone.
 
 
 def _rollout(config: CampaignConfig, book: DualMarketState,
@@ -741,7 +750,7 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
         return result
 
     def walking(config, slot, pieces, base, waits, *args):
-        swept.append((slot, list(waits)))
+        swept.append((slot, _every_issuance(waits)))
         return delay(config, slot, pieces, base, waits, *args)
 
     monkeypatch.setattr(equilibrium, "_delay_deviations", walking)
@@ -780,7 +789,8 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
                                   zip_longest(followers, amounts, fillvalue=0.0)]
                 expected_closings.append(len(amounts))
             rival = _rival_fills(config, state, market, followers)
-            assert equilibrium._rival_fills(state, market, plays, idx + 1) == rival
+            assert equilibrium._rival_fills(state, market, plays, idx + 1,
+                                            prefix_sums(plays)) == rival
             rival_viable = config.mechanism.dual_market and rival
             if config.mechanism.dual_market and market is Market.AGAINST and not rival:
                 continue  # the expiry corner is noted, not swept
@@ -795,12 +805,10 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     got = [(slot.agent.id, slot.market, slot.amount, slot.rival_viable, priced)
            for slot, priced in swept]
     assert closings == expected_closings
-    if mechanism.dual_market:
-        assert got == expected
-        return
     assert [row[:4] + (len(row[4]),) for row in got] == [
         row[:4] + (len(row[4]),) for row in expected]
-    tolerance = 1e-12 * config.cost_function.issued_at(config.provision_point)
+    tolerance = 1e-12 * max(config.cost_function.issued_at(config.target(m))
+                            for m in mechanism.markets)
     for (*_, priced), (*_, reference) in zip(got, expected):
         assert all(abs(a - b) <= tolerance for a, b in zip(priced, reference))
 
@@ -828,7 +836,7 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
     arrivals = equilibrium._arrivals(config, order, rewards)
     plays = equilibrium._plays(config, arrivals)
-    bought = list(accumulate((quantity for _, quantity in plays), initial=0.0))
+    bought = prefix_sums(plays)
     empty = new_states(config)
     raised = {m: f * config.target(m) for f, m in zip(fractions, mechanism.markets)}
     if hair in raised:  # one leg a hair below its target
@@ -856,6 +864,7 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     bound = contribution_bound(config, arrivals[mover][0],
                                issued=state.price_issuance(side), belief_reward=reward)
     accepted, count, totals, waits = state.follow(side, bound, plays, bought, first)
+    waits = _every_issuance(waits)
     after = state.copy()
     assert accepted == after.play(side, bound)
     amounts = _rollout(config, after, arrivals[first:]) if not after.closed else []
@@ -868,16 +877,88 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
         before.play(market, x)
         expected_waits.append(before.price_issuance(side))
     assert len(waits) == len(expected_waits)
+    # waits are read off prefix sums: equal up to rounding
+    tolerance = 1e-12 * max(config.cost_function.issued_at(config.target(m))
+                            for m in mechanism.markets)
+    assert all(abs(a - b) <= tolerance for a, b in zip(waits, expected_waits))
     expected_totals = tuple(sum(x for m, x in followed if m is market) for market in Market)
     if mechanism.dual_market:
-        assert waits == expected_waits
         assert totals == expected_totals
         return
-    # prefix sums: equal up to rounding
-    tolerance = 1e-12 * config.cost_function.issued_at(config.provision_point)
-    assert all(abs(a - b) <= tolerance for a, b in zip(waits, expected_waits))
     assert totals[0] == pytest.approx(expected_totals[0], rel=1e-12, abs=tolerance)
     assert totals[1] == expected_totals[1] == 0.0
+
+
+@pytest.mark.parametrize("mechanism", [Mechanism.PPS, Mechanism.PPSX])
+def test_spe_pricing_calls_grow_linearly(mechanism, monkeypatch):
+    # a probe state costs O(1) pricing calls for PPS and PPSx, so 4x the
+    # agents makes about 4x the calls; a delay walk or follower walk that
+    # prices every wait again makes about 15x
+    calls = collections.Counter()
+    for name in ("securities_for", "contribution_for"):
+        method = getattr(CostFunction, name)
+        monkeypatch.setattr(CostFunction, name,
+                            lambda cf, *args, method=method, name=name:
+                            calls.update((name,)) or method(cf, *args))
+    counts = []
+    for n in (128, 512):
+        scenario = generate_scenario(
+            ScenarioTemplate(mechanism=mechanism, agent_count=n), seed=1)
+        profile = construct_profile(scenario.config, scenario.agents)
+        calls.clear()
+        assert certify_spe(scenario.config, scenario.agents, profile).certified
+        counts.append(calls.total())
+    assert counts[1] <= 5 * counts[0], counts
+
+
+def test_rival_bracket_matches_the_walk(monkeypatch):
+    # _rival_fills decides most states by its bracket, without a walk: from
+    # random PPSN states, and with the rival's money swept over its target
+    # from each, its answer must be a plain walk's, and it must answer
+    # "fills", "does not fill" and "walked" each at least once
+    walk = DualMarketState.walk
+    walked = []
+    monkeypatch.setattr(DualMarketState, "walk",
+                        lambda book, *args, **kw: walked.append(1) or walk(book, *args, **kw))
+    answers = collections.Counter()
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(n=st.integers(min_value=3, max_value=64),
+           seed=st.integers(min_value=0, max_value=10**6),
+           fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           hair=st.sampled_from([None, Market.FOR, Market.AGAINST]),
+           own=st.sampled_from([Market.FOR, Market.AGAINST]),
+           first=st.integers(min_value=0, max_value=64))
+    def check(n, seed, fractions, hair, own, first):
+        scenario = generate_scenario(
+            ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=n), seed=seed)
+        config, agents = scenario.config, scenario.agents
+        order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
+        plays = equilibrium._plays(config, equilibrium._arrivals(config, order, {}))
+        bought = prefix_sums(plays)
+        first %= n + 1
+        rival = own.other
+        raised = [f * config.target(m) for f, m in zip(fractions, Market)]
+        if hair is not None:  # one leg a hair below its target
+            raised[hair is Market.AGAINST] = math.nextafter(config.target(hair), 0.0)
+        states = [raised]
+        for k in range(32):
+            swept = list(raised)
+            swept[rival is Market.AGAINST] = k / 32 * config.target(rival)
+            states.append(swept)
+        for raised in states:
+            state = new_states(config).at(*raised)
+            if state.closed:
+                continue
+            walked.clear()
+            fills = equilibrium._rival_fills(state, own, plays, first, bought)
+            answers["walked" if walked else fills] += 1
+            reference = state.copy()
+            walk(reference, plays, first, only=rival)
+            assert fills == reference.market(rival).met
+
+    check()
+    assert answers[True] and answers[False] and answers["walked"], answers
 
 
 @pytest.mark.parametrize("n", [8, 32])
@@ -916,7 +997,7 @@ def _every_wait(config, slot, pieces, base, waits, epsilon, prefix):
     """The delay walk as it was before it ranked waits by allocation: every
     wait scored."""
     found = []
-    for waited, issued in enumerate(waits, start=1):
+    for waited, issued in enumerate(_every_issuance(waits), start=1):
         gain = pieces.eu(slot.amount, issued) - base
         if gain > epsilon:
             found.append(Deviation(slot.agent.id, "timing",
