@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .mechanisms import single_market_payoff
-from .model import AgentProfile, BeliefSide, ContributionRecord, Verdict
+from .model import AgentProfile, BeliefSide, Verdict
 
 
 @dataclass(frozen=True)
@@ -192,12 +192,12 @@ def pprx_utility(agent: AgentProfile, side: BeliefSide, amount: float, total: fl
     return value
 
 
-def ppsx_utility(agent: AgentProfile, side: BeliefSide, rec: ContributionRecord,
-                 belief_reward: float, provisioned: bool) -> float:
-    """Securities contribution utility with the belief reward attached to
-    the branch the agent's reported side wins."""
-    value = single_market_payoff(agent, provisioned, rec.amount, 0.0, None,
-                                 rec.securities)
+def ppsx_utility(agent: AgentProfile, side: BeliefSide, amount: float,
+                 securities: float, belief_reward: float, provisioned: bool) -> float:
+    """Securities contribution utility of paying ``amount`` for
+    ``securities``, with the belief reward attached to the branch the
+    agent's reported side wins."""
+    value = single_market_payoff(agent, provisioned, amount, 0.0, None, securities)
     if (side is BeliefSide.PROVISION_LIKELY) == provisioned:
         return value + belief_reward
     return value

@@ -83,7 +83,6 @@ from .model import (
     AgentProfile,
     BeliefSide,
     CampaignConfig,
-    ContributionRecord,
     Market,
     Mechanism,
     Verdict,
@@ -166,8 +165,8 @@ class Rules:
       contribution cap;
     * ``utility(config, agent, market, reward, verdict)``: the utility of a
       contribution to ``market`` under ``verdict``, as
-      ``u(amount, rec, total_for, total_against)``, where only the
-      securities utilities read the contribution record ``rec``;
+      ``u(amount, securities, total_for, total_against)``, where only the
+      securities utilities read the ``securities`` the amount buys;
     * ``indifference(config, agent, bound, issued, reward)``: the bound's
       defining equation at the bound, with denominators at the filled
       targets, as ``(lhs, rhs, clamped)``;
@@ -252,7 +251,7 @@ RULES: dict[Mechanism, Rules] = {
         bound=lambda config, agent, issued, reward: bound_ppr(
             agent, config.provision_point, config.refund_budget),
         utility=lambda config, agent, market, reward, verdict: (
-            lambda amount, rec, total_for, total_against: ppr_utility(
+            lambda amount, securities, total_for, total_against: ppr_utility(
                 agent, amount, total_for, config.refund_budget,
                 verdict is _PROVISIONED)),
         indifference=lambda config, agent, bound, issued, reward: (
@@ -267,7 +266,7 @@ RULES: dict[Mechanism, Rules] = {
         bound=lambda config, agent, issued, reward: bound_pprn(
             agent, *config.provision_point_pair, config.refund_budget),
         utility=lambda config, agent, market, reward, verdict: (
-            lambda amount, rec, total_for, total_against: pprn_utility(
+            lambda amount, securities, total_for, total_against: pprn_utility(
                 agent, market, amount, total_for, total_against,
                 config.refund_budget, verdict)),
         indifference=_pprn_indifference,
@@ -279,15 +278,15 @@ RULES: dict[Mechanism, Rules] = {
                True) for m in config.mechanism.markets)]),
     Mechanism.PPS: Rules(
         utility=lambda config, agent, market, reward, verdict: (
-            lambda amount, rec, total_for, total_against: pps_utility(
-                agent, rec, verdict is _PROVISIONED)),
+            lambda amount, securities, total_for, total_against: pps_utility(
+                agent, amount, securities, verdict is _PROVISIONED)),
         indifference=_securities_indifference,
         conditions=_securities_conditions,
         securities=lambda config, agent, reward: securities_pps(agent)),
     Mechanism.PPSN: Rules(
         utility=lambda config, agent, market, reward, verdict: (
-            lambda amount, rec, total_for, total_against: ppsn_utility(
-                agent, rec, verdict)),
+            lambda amount, securities, total_for, total_against: ppsn_utility(
+                agent, market, amount, securities, verdict)),
         indifference=_securities_indifference,
         conditions=_securities_conditions,
         securities=lambda config, agent, reward: securities_ppsn(agent)),
@@ -295,7 +294,7 @@ RULES: dict[Mechanism, Rules] = {
         bound=lambda config, agent, issued, reward: bound_pprx(
             agent, config.provision_point, config.contribution_budget, reward),
         utility=lambda config, agent, market, reward, verdict: (
-            lambda amount, rec, total_for, total_against: pprx_utility(
+            lambda amount, securities, total_for, total_against: pprx_utility(
                 agent, agent.belief_side, amount, total_for,
                 config.contribution_budget, reward, verdict is _PROVISIONED)),
         indifference=_pprx_indifference,
@@ -304,8 +303,9 @@ RULES: dict[Mechanism, Rules] = {
             ("contribution_budget_positive", 0.0, config.contribution_budget, True)]),
     Mechanism.PPSX: Rules(
         utility=lambda config, agent, market, reward, verdict: (
-            lambda amount, rec, total_for, total_against: ppsx_utility(
-                agent, agent.belief_side, rec, reward, verdict is _PROVISIONED)),
+            lambda amount, securities, total_for, total_against: ppsx_utility(
+                agent, agent.belief_side, amount, securities, reward,
+                verdict is _PROVISIONED)),
         indifference=_ppsx_indifference,
         conditions=lambda config, net, totals: _belief_conditions(config, net),
         securities=lambda config, agent, reward: securities_ppsx(agent, reward)),
@@ -732,18 +732,16 @@ def _pieces(config: CampaignConfig, slot: _Slot) -> _Pieces:
 
     def eu(amount: float, issued: float = slot.issued, alt_only: bool = False) -> float:
         effective = clip(amount)
-        # one record serves both branches; only the securities utilities read it
-        rec = None if cf is None else ContributionRecord(
-            agent_id=agent.id, amount=effective, tick=0, market=market,
-            securities=cf.securities_for(effective, issued))
+        # one allocation serves both branches; only the securities utilities read it
+        securities = 0.0 if cf is None else cf.securities_for(effective, issued)
         if for_market:
             total_for, total_against = others_for + effective, others_against
         else:
             total_for, total_against = others_for, others_against + effective
         if not alt_only and others + effective >= met_from:
-            return (own_weight * own(effective, rec, total_for, total_against)
-                    + alt_weight * alt(effective, rec, total_for, total_against))
-        return alt(effective, rec, total_for, total_against)
+            return (own_weight * own(effective, securities, total_for, total_against)
+                    + alt_weight * alt(effective, securities, total_for, total_against))
+        return alt(effective, securities, total_for, total_against)
 
     return _Pieces(pivot, clip, stationary, eu)
 
@@ -760,12 +758,9 @@ def _flip_delta(config: CampaignConfig, slot: _Slot) -> float:
     utility = RULES[config.mechanism].utility
 
     def half_sum(market: Market) -> float:
-        rec = None if cf is None else ContributionRecord(
-            agent_id=slot.agent.id, amount=slot.amount, tick=0, market=market,
-            securities=securities)
         return 0.5 * sum(
             utility(config, slot.agent, market, slot.belief_reward, verdict)(
-                slot.amount, rec, total_for, total_against)
+                slot.amount, securities, total_for, total_against)
             for verdict in (Verdict.PROVISIONED, Verdict.REJECTED)
         )
 

@@ -33,9 +33,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
+from math import expm1, log1p
 
-from .costfn import CostFunction
+from .costfn import EXP_LIMIT, CostFunction
 from .model import (
     AgentProfile,
     CampaignConfig,
@@ -157,24 +159,35 @@ class DualMarketState:
         payment follows ``play``'s rule: a payment of at least the remaining
         amount fills the market exactly. Advances this book on plain floats,
         without ledgers, and returns the money each walked arrival pays in.
+
+        A payment is ``contribution_for``'s closed form b * log1p(u * expm1(q
+        / b)), operation for operation, with the priced leg's issuance and
+        marginal price u (``price``) taken again only once that leg moves;
+        one in its log-space range is ``contribution_for`` itself.
         """
         cf, min_leg = self.cf, self.min_leg
-        issued_at, contribution_for = cf.issued_at, cf.contribution_for
+        b, fixed_leg = cf.liquidity, cf.fixed_leg
         raised = [self.market_for.raised, self.market_against.raised]
         target = [self.market_for.target, self.market_against.target]
         paid: list[float] = []
         if raised[0] >= target[0] or raised[1] >= target[1]:
             return paid
-        priced = issued = None  # a leg's issuance is priced again only once it moves
+        priced = issued = price = None
         for k in range(first, len(plays)):
             market, quantity = plays[k]
             if only is not None and market is not only:
                 continue
             i = 0 if market is _FOR else 1
-            leg = min(raised) if min_leg else raised[i]
+            leg = raised[i] if not min_leg or raised[i] <= raised[1 - i] else raised[1 - i]
             if leg != priced:
-                priced, issued = leg, issued_at(leg)
-            amount = contribution_for(quantity, issued)
+                priced, issued = leg, cf.issued_at(leg)
+                # None where the price underflows: contribution_for's log space
+                price = cf.price(issued) if (issued - fixed_leg) / b > -EXP_LIMIT else None
+            y = quantity / b
+            if price is not None and y < EXP_LIMIT:
+                amount = b * log1p(price * expm1(y))
+            else:
+                amount = cf.contribution_for(quantity, issued)
             remaining = target[i] - raised[i]
             if amount >= remaining:
                 amount, raised[i] = remaining, target[i]
@@ -192,8 +205,9 @@ class DualMarketState:
         are added, as a function of k answered in O(1); the book itself is
         left as it is. ``sums`` holds the payments' money per market as
         prefix sums (``prefix_sums``), the added ones those from entry
-        ``first`` on. No payment counted may fill a market: the walks count
-        payments that left a fuller book open."""
+        ``first`` on; only entries ``first`` and ``first + k`` are read. No
+        payment counted may fill a market: the walks count payments that
+        left a fuller book open."""
         cf = self.cf
         # the legs priced: both under min_leg, else ``side`` alone
         legs = [(self.market(m).raised, sums[m])
@@ -221,7 +235,8 @@ class DualMarketState:
         bisect against the target's issuance finds the follower who closes
         the book. Under ``min_leg`` a bound is priced at the smaller leg,
         which the other market moves, so ``walk`` plays the followers one by
-        one, and prefix sums of their payments give the waits.
+        one; running sums of their payments give their money and the first
+        and last waits, and prefix sums, built on demand, the waits between.
         """
         cf = self.cf
         after = self.copy()
@@ -230,12 +245,29 @@ class DualMarketState:
             return accepted, 0, (0.0, 0.0), (0, None)
         if self.min_leg:
             paid = after.walk(plays, first)
-            sums = prefix_sums([(plays[first + k][0], x) for k, x in enumerate(paid)])
             # each payment but a closing one left ``after`` open, which
             # holds at least as much on each market as this book
             waits = len(paid) - 1 if after.closed else len(paid)
-            return (accepted, len(paid), (sums[_FOR][-1], sums[Market.AGAINST][-1]),
-                    (waits, self.issuances_after(side, sums)))
+            # running sums from 0.0 equal ``prefix_sums`` to the bit; kept after
+            # the first and last wait, which the delay walk reads unless one gains
+            ends = {_FOR: {0: 0.0}, Market.AGAINST: {0: 0.0}}
+            money_for = money_against = 0.0
+            for k, ((market, _), x) in enumerate(zip(plays[first:], paid), 1):
+                if market is _FOR:
+                    money_for += x
+                else:
+                    money_against += x
+                if k == 1 or k == waits:
+                    ends[_FOR][k], ends[Market.AGAINST][k] = money_for, money_against
+            at_ends = self.issuances_after(side, ends)
+
+            @cache
+            def every() -> Callable[[int], float]:
+                return self.issuances_after(side, prefix_sums(
+                    [(m, x) for (m, _), x in zip(plays[first:], paid)]))
+
+            return (accepted, len(paid), (money_for, money_against),
+                    (waits, lambda k: (at_ends if k in ends[_FOR] else every())(k)))
         state, bought = after.market(side), bought[side]
         start = cf.issued_at(state.raised)
         end = bisect_left(bought, cf.issued_at(state.target) - start + bought[first],
@@ -321,11 +353,12 @@ def ppr_utility(agent: AgentProfile, amount: float, total: float, budget: float,
     return single_market_payoff(agent, provisioned, amount, total, budget)
 
 
-def pps_utility(agent: AgentProfile, rec: ContributionRecord, provisioned: bool) -> float:
-    """Single-market securities utility: valuation minus contribution on
-    provision, else securities minus contribution (nonnegative by slope > 1)."""
-    return single_market_payoff(agent, provisioned, rec.amount, 0.0, None,
-                                rec.securities)
+def pps_utility(agent: AgentProfile, amount: float, securities: float,
+                provisioned: bool) -> float:
+    """Single-market securities utility of paying ``amount`` for
+    ``securities``: valuation minus contribution on provision, else
+    securities minus contribution (nonnegative by slope > 1)."""
+    return single_market_payoff(agent, provisioned, amount, 0.0, None, securities)
 
 
 def pprn_utility(agent: AgentProfile, reported: Market, amount: float,
@@ -344,10 +377,12 @@ def pprn_utility(agent: AgentProfile, reported: Market, amount: float,
                   returned(reported, verdict, amount, total_for + total_against, budget))
 
 
-def ppsn_utility(agent: AgentProfile, rec: ContributionRecord, verdict: Verdict) -> float:
-    """Dual-market securities utility for one allocated contribution."""
-    return payoff(agent, verdict, rec.amount,
-                  returned(rec.market, verdict, rec.amount, 0.0, None, rec.securities))
+def ppsn_utility(agent: AgentProfile, market: Market, amount: float,
+                 securities: float, verdict: Verdict) -> float:
+    """Dual-market securities utility of paying ``amount`` into ``market``
+    for ``securities``."""
+    return payoff(agent, verdict, amount,
+                  returned(market, verdict, amount, 0.0, None, securities))
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,14 @@ def test_criterion_2_ppsn_spe():
             flip = ContributionRecord(agent_id=agent.id, amount=entry.amount,
                                       tick=0, market=entry.market.other,
                                       securities=allocated[agent.id])
-            eu_stay = 0.5 * (ppsn_utility(agent, stay, Verdict.PROVISIONED)
-                             + ppsn_utility(agent, stay, Verdict.REJECTED))
-            eu_flip = 0.5 * (ppsn_utility(agent, flip, Verdict.PROVISIONED)
-                             + ppsn_utility(agent, flip, Verdict.REJECTED))
+            eu_stay = 0.5 * (ppsn_utility(agent, stay.market, stay.amount,
+                                          stay.securities, Verdict.PROVISIONED)
+                             + ppsn_utility(agent, stay.market, stay.amount,
+                                            stay.securities, Verdict.REJECTED))
+            eu_flip = 0.5 * (ppsn_utility(agent, flip.market, flip.amount,
+                                          flip.securities, Verdict.PROVISIONED)
+                             + ppsn_utility(agent, flip.market, flip.amount,
+                                            flip.securities, Verdict.REJECTED))
             assert abs(eu_stay - eu_flip) <= epsilon
     assert clip_seen, "no scenario exercised the late-arrival clipping case"
     assert time.monotonic() - started < 60.0

@@ -82,14 +82,14 @@ def utility_at(scenario, agent, rec, verdict, dual, reward):
         return pprn_utility(agent, rec.market, rec.amount, total_for, total_against,
                             config.refund_budget, verdict)
     if mech is Mechanism.PPS:
-        return pps_utility(agent, rec, provisioned)
+        return pps_utility(agent, rec.amount, rec.securities, provisioned)
     if mech is Mechanism.PPSN:
-        return ppsn_utility(agent, rec, verdict)
+        return ppsn_utility(agent, rec.market, rec.amount, rec.securities, verdict)
     side = {r.agent_id: r.side for r in belief_reports(scenario)}[agent.id]
     if mech is Mechanism.PPRX:
         return pprx_utility(agent, side, rec.amount, total_for,
                             config.contribution_budget, reward, provisioned)
-    return ppsx_utility(agent, side, rec, reward, provisioned)
+    return ppsx_utility(agent, side, rec.amount, rec.securities, reward, provisioned)
 
 
 @pytest.mark.parametrize("share", [1.0, 0.5])

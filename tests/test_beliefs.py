@@ -212,16 +212,16 @@ def test_ppsx_utility():
     agent = AgentProfile(id=0, valuation=10.0)
     five = ContributionRecord(agent_id=0, amount=5.0, tick=0, market=Market.FOR,
                               securities=cf.securities_for(5.0, 0.0))
-    assert ppsx_utility(agent, BeliefSide.PROVISION_LIKELY, five, 2.0,
-                        provisioned=True) == 7.0
+    assert ppsx_utility(agent, BeliefSide.PROVISION_LIKELY, five.amount,
+                        five.securities, 2.0, provisioned=True) == 7.0
     rec = ContributionRecord(agent_id=0, amount=1.0, tick=0, market=Market.FOR,
                              securities=cf.securities_for(1.0, 0.0))
-    assert ppsx_utility(agent, BeliefSide.REJECTION_LIKELY, rec, 2.0,
-                        provisioned=False) == pytest.approx(
+    assert ppsx_utility(agent, BeliefSide.REJECTION_LIKELY, rec.amount,
+                        rec.securities, 2.0, provisioned=False) == pytest.approx(
         math.log(2 * math.e - 1) - 1.0 + 2.0, rel=1e-12)
     zero = ContributionRecord(agent_id=0, amount=0.0, tick=0, market=Market.FOR)
-    assert ppsx_utility(agent, BeliefSide.PROVISION_LIKELY, zero, 0.0,
-                        provisioned=False) == 0.0
+    assert ppsx_utility(agent, BeliefSide.PROVISION_LIKELY, zero.amount,
+                        zero.securities, 0.0, provisioned=False) == 0.0
 
 
 # ---------------------------------------------------------------------------

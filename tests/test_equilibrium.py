@@ -6,7 +6,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from provpoint import equilibrium
+from provpoint import equilibrium, mechanisms
 from provpoint.beliefs import pprx_utility, ppsx_utility
 from provpoint.costfn import CostFunction
 from provpoint.equilibrium import (
@@ -391,10 +391,14 @@ def test_preference_flip_indifference_ppsn():
                               market=Market.AGAINST, securities=r)
     flip = ContributionRecord(agent_id=0, amount=x, tick=0,
                               market=Market.FOR, securities=r)
-    eu_stay = 0.5 * (ppsn_utility(who, stay, Verdict.REJECTED)
-                     + ppsn_utility(who, stay, Verdict.PROVISIONED))
-    eu_flip = 0.5 * (ppsn_utility(who, flip, Verdict.PROVISIONED)
-                     + ppsn_utility(who, flip, Verdict.REJECTED))
+    eu_stay = 0.5 * (ppsn_utility(who, stay.market, stay.amount, stay.securities,
+                                  Verdict.REJECTED)
+                     + ppsn_utility(who, stay.market, stay.amount, stay.securities,
+                                    Verdict.PROVISIONED))
+    eu_flip = 0.5 * (ppsn_utility(who, flip.market, flip.amount, flip.securities,
+                                  Verdict.PROVISIONED)
+                     + ppsn_utility(who, flip.market, flip.amount, flip.securities,
+                                    Verdict.REJECTED))
     assert eu_stay == pytest.approx(eu_flip, abs=1e-12)
 
 
@@ -554,14 +558,12 @@ def _branch_utility(config: CampaignConfig, agent: AgentProfile, market: Market,
     if mech is Mechanism.PPRX:
         return pprx_utility(agent, agent.belief_side, amount, total_for,
                             config.contribution_budget, belief_reward, provisioned)  # type: ignore[arg-type]
-    # only the securities utilities read a record; building one is not free
-    rec = ContributionRecord(agent_id=agent.id, amount=amount, tick=0,
-                             market=market, securities=securities)
     if mech is Mechanism.PPS:
-        return pps_utility(agent, rec, provisioned)
+        return pps_utility(agent, amount, securities, provisioned)
     if mech is Mechanism.PPSN:
-        return ppsn_utility(agent, rec, verdict)
-    return ppsx_utility(agent, agent.belief_side, rec, belief_reward, provisioned)
+        return ppsn_utility(agent, market, amount, securities, verdict)
+    return ppsx_utility(agent, agent.belief_side, amount, securities, belief_reward,
+                        provisioned)
 
 
 def _expected_utility(config: CampaignConfig, slot: _Slot, market: Market,
@@ -909,6 +911,47 @@ def test_spe_pricing_calls_grow_linearly(mechanism, monkeypatch):
         assert certify_spe(scenario.config, scenario.agents, profile).certified
         counts.append(calls.total())
     assert counts[1] <= 5 * counts[0], counts
+
+
+def test_certifiers_build_no_contribution_record(monkeypatch):
+    # a ContributionRecord is the engine's ledger entry: both certifiers
+    # price every slot on plain numbers, without building one
+    cases = []
+    for mechanism in Mechanism:
+        scenario = generate_scenario(
+            ScenarioTemplate(mechanism=mechanism, agent_count=8), seed=1)
+        config, agents = scenario.config, scenario.agents
+        cases.append((mechanism, config, agents, construct_profile(config, agents)))
+    built = []
+    post_init = ContributionRecord.__post_init__
+    monkeypatch.setattr(ContributionRecord, "__post_init__",
+                        lambda rec: built.append(rec) or post_init(rec))
+    ContributionRecord(agent_id=0, amount=1.0, tick=0, market=Market.FOR)
+    assert len(built) == 1  # the hook sees every record built
+    built.clear()
+    for mechanism, config, agents, profile in cases:
+        for certify in (certify_ne, certify_spe) if mechanism.sequential else (certify_ne,):
+            assert certify(config, agents, profile).certified
+    assert built == []
+
+
+def test_ppsn_follow_sums_without_prefix_sums(monkeypatch):
+    # follow's running sums give the followers' money and the first and
+    # last waits; prefix sums of the walked payments are built only for a
+    # wait between those, which a certified play never asks for
+    summed, followed = [], []
+    prefix = mechanisms.prefix_sums
+    monkeypatch.setattr(mechanisms, "prefix_sums",
+                        lambda plays: summed.append(1) or prefix(plays))
+    follow = DualMarketState.follow
+    monkeypatch.setattr(DualMarketState, "follow",
+                        lambda book, *args: followed.append(1) or follow(book, *args))
+    scenario = generate_scenario(
+        ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=64), seed=1)
+    config, agents = scenario.config, scenario.agents
+    assert certify_spe(config, agents, construct_profile(config, agents)).certified
+    assert followed
+    assert summed == []
 
 
 def test_rival_bracket_matches_the_walk(monkeypatch):

@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from provpoint.costfn import CostFunction
+from provpoint.costfn import EXP_LIMIT, CostFunction
 from provpoint.mechanisms import (
     Action,
+    DualMarketState,
+    MarketState,
     new_states,
     ppr_utility,
     pprn_utility,
@@ -52,11 +55,12 @@ def test_pps_utility():
     cf = CostFunction()
     rec = ContributionRecord(agent_id=0, amount=1.0, tick=0, market=Market.FOR,
                              securities=cf.securities_for(1.0, 0.0))
-    assert pps_utility(agent(10.0), rec, provisioned=True) == 9.0
-    assert pps_utility(agent(10.0), rec, provisioned=False) == pytest.approx(
+    assert pps_utility(agent(10.0), rec.amount, rec.securities, provisioned=True) == 9.0
+    assert pps_utility(agent(10.0), rec.amount, rec.securities,
+                       provisioned=False) == pytest.approx(
         math.log(2 * math.e - 1) - 1.0, rel=1e-12)
     zero = ContributionRecord(agent_id=0, amount=0.0, tick=0, market=Market.FOR)
-    assert pps_utility(agent(10.0), zero, provisioned=False) == 0.0
+    assert pps_utility(agent(10.0), zero.amount, zero.securities, provisioned=False) == 0.0
 
 
 def test_pprn_utility_reported_for():
@@ -138,18 +142,77 @@ def test_play_truncates_overshoot_to_exact_fill():
         new_states(ppsn_book_config()).play(Market.FOR, -1.0)
 
 
+# Per branch of ``contribution_for``: the liquidity b, and the fixed leg and
+# the quantities in units of b, chosen so that the first walked play takes
+# that branch. "closed" keeps every payment in closed form; "large" buys
+# q >= EXP_LIMIT * b; "low" prices at an empty min leg, more than
+# EXP_LIMIT * b below the fixed leg, with payments that stay normal floats.
+WALK_REGIMES = {
+    "closed": (st.floats(1.0, 100.0), st.floats(0.0, 50.0), st.floats(0.0, 1.0)),
+    "large": (st.floats(1e-3, 0.05), st.just(0.0), st.floats(EXP_LIMIT + 1, 2 * EXP_LIMIT)),
+    "low": (st.floats(0.5, 5.0), st.floats(EXP_LIMIT + 10, 2 * EXP_LIMIT),
+            st.floats(0.0, EXP_LIMIT - 1)),
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(regime=st.sampled_from(sorted(WALK_REGIMES)), data=st.data())
+def test_walk_pays_contribution_for_play_by_play(regime, data):
+    # each walked payment must equal contribution_for at the priced leg's
+    # issuance, to the bit, in closed form and in both log-space branches
+    liquidity, fixed, quantities = WALK_REGIMES[regime]
+    b = data.draw(liquidity)
+    cf = CostFunction(b, b * data.draw(fixed))
+    quantity = quantities.map(lambda y: y * b)
+    min_leg = regime == "low" or data.draw(st.booleans())
+    only = data.draw(st.sampled_from([None, Market.FOR, Market.AGAINST]))
+    first = data.draw(st.integers(0, 3))
+    plays = data.draw(st.lists(st.tuples(st.sampled_from(list(Market)), quantity),
+                               min_size=first + 1, max_size=first + 12))
+    if only is not None:
+        plays[first] = (only, plays[first][1])
+    targets = [data.draw(st.floats(1.0, 200.0)) for _ in Market]
+    raised = [data.draw(st.floats(0.0, 0.99)) * t for t in targets]
+    if regime == "low":
+        raised[1] = 0.0
+    book = DualMarketState(MarketState(targets[0], raised[0]),
+                           MarketState(targets[1], raised[1]), cf, min_leg)
+    reference, expected, branches = book.copy(), [], set()
+    for market, q in plays[first:]:
+        if only is not None and market is not only:
+            continue
+        issued = reference.price_issuance(market)
+        large, low = q / b >= EXP_LIMIT, (issued - cf.fixed_leg) / b <= -EXP_LIMIT
+        branches.update(name for name, taken in (
+            ("large", large), ("low", low), ("closed", not (large or low))) if taken)
+        expected.append(reference.play(market, cf.contribution_for(q, issued)))
+        if reference.closed:
+            break
+    paid = book.walk(plays, first, only)
+    assert len(paid) == len(expected)
+    for k, (got, want) in enumerate(zip(paid, expected)):
+        assert got == want, (k, got, want)
+    assert (book.market_for.raised, book.market_against.raised) == (
+        reference.market_for.raised, reference.market_against.raised)
+    assert regime in branches
+
+
 def test_ppsn_utility():
     rec_for = ContributionRecord(agent_id=0, amount=5.0, tick=0,
                                  market=Market.FOR, securities=8.0)
-    assert ppsn_utility(agent(10.0), rec_for, Verdict.PROVISIONED) == 5.0
-    assert ppsn_utility(agent(10.0), rec_for, Verdict.REJECTED) == 3.0
+    assert ppsn_utility(agent(10.0), rec_for.market, rec_for.amount, rec_for.securities,
+                        Verdict.PROVISIONED) == 5.0
+    assert ppsn_utility(agent(10.0), rec_for.market, rec_for.amount, rec_for.securities,
+                        Verdict.REJECTED) == 3.0
     rec_against = ContributionRecord(agent_id=0, amount=3.0, tick=0,
                                      market=Market.AGAINST, securities=8.0)
-    assert ppsn_utility(agent(-8.0), rec_against, Verdict.REJECTED) == -3.0
+    assert ppsn_utility(agent(-8.0), rec_against.market, rec_against.amount,
+                        rec_against.securities, Verdict.REJECTED) == -3.0
     # reward exactly at the valuation magnitude: provision leaves -x
-    assert ppsn_utility(agent(-8.0), rec_against,
-                        Verdict.PROVISIONED) == pytest.approx(-3.0)
-    assert ppsn_utility(agent(-8.0), rec_against, Verdict.EXPIRED) == 5.0
+    assert ppsn_utility(agent(-8.0), rec_against.market, rec_against.amount,
+                        rec_against.securities, Verdict.PROVISIONED) == pytest.approx(-3.0)
+    assert ppsn_utility(agent(-8.0), rec_against.market, rec_against.amount,
+                        rec_against.securities, Verdict.EXPIRED) == 5.0
 
 
 # ---------------------------------------------------------------------------
