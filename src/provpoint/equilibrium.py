@@ -34,14 +34,15 @@ inside [0, bound]; refund allocations keep growing past the bound at such
 slots and chasing them is outside the certified claim. Slots whose side
 fills are searched over the full [0, |valuation| + reward] range.
 
-Market/side flips are scored as the symmetric-belief comparison between the
-two markets' utility structures at the same contribution (the refund and the
-security allocation are side-blind by design, so the flip delta is zero at
-equilibrium). Refund-bonus timing never enters utilities, so timing
-deviations are vacuous for that family; for the securities family the delay
-walk reprices the allocation at the later slot. Utilities never fall as the
-allocation grows, and waits never fall, so it scores the first or the last
-wait, whichever allocates more, and every wait only when that one gains.
+Market flips are not checked, so PPRN's and PPSN's true-preference claim is
+not certified: at fixed totals and even odds the half-sum of the PROVISIONED
+and REJECTED utilities is the same on either market (0.5 * (v - x + share),
+0.5 * (v - 2x + s)), and what else a flipped agent faces is not defined.
+Refund-bonus timing never enters utilities, so timing deviations are vacuous
+for that family; for the securities family the delay walk reprices the
+allocation at the later slot. Utilities never fall as the allocation grows,
+and waits never fall, so it scores the first or the last wait, whichever
+allocates more, and every wait only when that one gains.
 
 In the securities family a bound buys exactly the rules row's security
 quantity, so ``construct_profile`` (from empty markets) and the SPE
@@ -49,10 +50,10 @@ certifier (at its off-path probe states) walk followers through the kernel
 (``DualMarketState.walk`` and ``follow``), without a bound or a play per
 follower.
 
-Each certification replays the checked play once (``_path``): every
-agent's bound, its slot on the path and the replayed verdict are read off
-that replay, and both certifiers check a slot the same way
-(``_check_slot``).
+Each certification replays the checked play once (``_path``) and builds
+each agent's on-path slot, with its bound, once from it (``_slots``). The
+report's bounds and indifference checks are read off those slots, and both
+certifiers check them the same way (``_check_slot``).
 """
 
 from __future__ import annotations
@@ -746,51 +747,8 @@ def _pieces(config: CampaignConfig, slot: _Slot) -> _Pieces:
     return _Pieces(pivot, clip, stationary, eu)
 
 
-def _flip_delta(config: CampaignConfig, slot: _Slot) -> float:
-    """Market-flip gain at the prescribed amount under symmetric even-odds
-    branch weights, totals held fixed (the dual refund schemes pay the same
-    on either side by construction, so this is zero at equilibrium)."""
-    cf = config.cost_function  # set exactly for the securities family
-    securities = 0.0 if cf is None else cf.securities_for(slot.amount, slot.issued)
-    total_for = slot.others_for + (slot.amount if slot.market is Market.FOR else 0.0)
-    total_against = slot.others_against + (
-        slot.amount if slot.market is Market.AGAINST else 0.0)
-    utility = RULES[config.mechanism].utility
-
-    def half_sum(market: Market) -> float:
-        return 0.5 * sum(
-            utility(config, slot.agent, market, slot.belief_reward, verdict)(
-                slot.amount, securities, total_for, total_against)
-            for verdict in (Verdict.PROVISIONED, Verdict.REJECTED)
-        )
-
-    return half_sum(slot.market.other) - half_sum(slot.market)
-
-
 EXPIRY_CORNER_NOTE = ("rejection-side sweep skipped at states where the "
                       "provision side cannot fill (expiry corner)")
-
-
-def _sweep_slot(config: CampaignConfig, slot: _Slot, pieces: _Pieces, base: float,
-                epsilon: float, detail_prefix: str = "") -> list[Deviation]:
-    """One agent's profitable unilateral deviations at its open slot: its
-    best contribution, exact over the slot's ``pieces``, and a market flip;
-    ``base`` is eu at the prescribed play."""
-    agent = slot.agent
-    found: list[Deviation] = []
-    best_x, best = pieces.best(slot.sweep_top(config))
-    if best - base > epsilon:
-        found.append(Deviation(agent.id, "contribution",
-                               detail_prefix + f"x={best_x:.6g} on "
-                               f"{slot.market.value} (was {slot.amount:.6g})",
-                               best - base))
-    if config.mechanism.dual_market:
-        delta = _flip_delta(config, slot)
-        if delta > epsilon:
-            found.append(Deviation(agent.id, "side_flip",
-                                   detail_prefix + f"flip to {slot.market.other.value} "
-                                   f"at x={slot.amount:.6g}", delta))
-    return found
 
 
 def _check_slot(config: CampaignConfig, slot: _Slot, report: EquilibriumReport,
@@ -798,8 +756,8 @@ def _check_slot(config: CampaignConfig, slot: _Slot, report: EquilibriumReport,
                 waits: Waits | None = None) -> None:
     """Add one slot's profitable deviations to ``report``: a nonzero play at
     a closed book; at an open one (unless it is the expiry corner) the best
-    contribution and a market flip, and, given the ``waits`` of an SPE
-    probe state, the delays."""
+    contribution, exact over the slot's pieces, and, given the ``waits`` of
+    an SPE probe state, the delays."""
     if slot.closed:
         # zero is the only legal play, so a nonzero prescription is itself
         # the defect to report
@@ -820,20 +778,24 @@ def _check_slot(config: CampaignConfig, slot: _Slot, report: EquilibriumReport,
     # the sweep and the delay walk share the pieces and the base
     pieces = _pieces(config, slot)
     base = pieces.eu(slot.amount)
-    report.deviations.extend(_sweep_slot(config, slot, pieces, base, epsilon, prefix))
+    best_x, best = pieces.best(slot.sweep_top(config))
+    if best - base > epsilon:
+        report.deviations.append(Deviation(
+            slot.agent.id, "contribution",
+            prefix + f"x={best_x:.6g} on {slot.market.value} (was {slot.amount:.6g})",
+            best - base))
     if waits is not None:
         report.deviations.extend(
             _delay_deviations(config, slot, pieces, base, waits, epsilon, prefix))
 
 
 def _slots(config: CampaignConfig, agents: list[AgentProfile],
-           profile: EquilibriumProfile, path: _Path,
-           bounds: dict[int, float]) -> list[_Slot]:
+           profile: EquilibriumProfile, path: _Path) -> list[_Slot]:
     """One decision slot per agent against everyone else's amounts at
-    settlement, capped at the agent's ``bounds`` entry. Sequential
+    settlement, capped at its bound at the slot's issuance. Sequential
     mechanisms' slots see the markets as their agents found them on the
-    profile's ``path``; deadline mechanisms' agents all move at once,
-    against empty markets."""
+    profile's ``path``, in its play order; deadline mechanisms' agents all
+    move at once, against empty markets."""
     sequential = config.mechanism.sequential
     if sequential:
         order, found, final = path
@@ -856,15 +818,17 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
             rival_total = others_against if rival is Market.AGAINST else others_for
             rival_viable = _met(rival_total, config.target(rival)) or (
                 sequential and _rival_fills(book, entry.market, plays, idx + 1, bought))
+        issued = book.price_issuance(entry.market)
+        reward = profile.belief_rewards.get(agent.id, 0.0)
         slots.append(_Slot(
             agent=agent,
             market=entry.market,
             amount=entry.amount,
             others_for=others_for,
             others_against=others_against,
-            issued=book.price_issuance(entry.market),
-            belief_reward=profile.belief_rewards.get(agent.id, 0.0),
-            bound=bounds[agent.id],
+            issued=issued,
+            belief_reward=reward,
+            bound=contribution_bound(config, agent, issued=issued, belief_reward=reward),
             closed=book.closed,
             rival_viable=rival_viable,
         ))
@@ -872,12 +836,12 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
 
 
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
-                 profile: EquilibriumProfile, path: _Path | None,
-                 epsilon: float | None, conditions: list[ConditionCheck] | None
-                 ) -> tuple[EquilibriumReport, float]:
-    """The report before the search: conditions, and for a feasible profile
-    each agent's bound and indifference check at the issuance its
-    allocation is priced at on the profile's ``path``."""
+                 profile: EquilibriumProfile, epsilon: float | None,
+                 conditions: list[ConditionCheck] | None
+                 ) -> tuple[EquilibriumReport, float, _Path | None, list[_Slot]]:
+    """The report before the search (conditions, and each slot's bound
+    and indifference check), the profile's ``path`` and the agents' slots
+    on it; an infeasible profile has neither."""
     if epsilon is None:
         # the default tolerance is a millionth of the larger target
         epsilon = max(config.provision_point_pair or (config.provision_point,)) * 1e-6
@@ -891,22 +855,20 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
         epsilon=epsilon,
         feasible=profile.feasible,
     )
-    if path is None:
+    if not profile.feasible:
         report.notes.append(profile.reason or "profile infeasible")
-        return report, epsilon
+        return report, epsilon, None, []
+    path = _path(config, agents, profile)
+    slots = _slots(config, agents, profile, path)
     indifference = RULES[config.mechanism].indifference
-    order, found, final = path
-    entry_issuance = {
-        agent.id: final.at(*raised).price_issuance(profile.entries[agent.id].market)
-        for agent, raised in zip(order, found)}
+    by_agent = {slot.agent.id: slot for slot in slots}
     for agent in agents:
-        issued = entry_issuance[agent.id]
-        reward = profile.belief_rewards.get(agent.id, 0.0)
-        bound = report.bounds[agent.id] = contribution_bound(
-            config, agent, issued=issued, belief_reward=reward)
+        slot = by_agent[agent.id]
+        report.bounds[agent.id] = slot.bound
         report.indifference.append(IndifferenceCheck(
-            agent.id, bound, *indifference(config, agent, bound, issued, reward)))
-    return report, epsilon
+            agent.id, slot.bound,
+            *indifference(config, agent, slot.bound, slot.issued, slot.belief_reward)))
+    return report, epsilon, path, slots
 
 
 def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
@@ -914,19 +876,18 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
                conditions: list[ConditionCheck] | None = None) -> EquilibriumReport:
     """Search every agent's unilateral deviations against the fixed profile.
 
-    Certifies when no contribution, market flip, or (vacuously,
-    for the refund-bonus family) retiming gains more than epsilon. The
-    report carries ``conditions``, the caller's ``check_conditions`` result,
-    or evaluates them when none is given.
+    Certifies when at no agent's on-path slot a contribution or
+    (vacuously, for the refund-bonus family) a retiming gains more than
+    epsilon. The report carries ``conditions``, the caller's
+    ``check_conditions`` result, or evaluates them when none is given.
     """
-    path = _path(config, agents, profile) if profile.feasible else None
-    report, eps = _base_report(config, agents, profile, path, epsilon, conditions)
+    report, eps, path, slots = _base_report(config, agents, profile, epsilon, conditions)
     if path is None:
         return report
     if not config.mechanism.sequential:
         report.notes.append(
             "timing deviations vacuous: refund schedule is time-invariant")
-    for slot in _slots(config, agents, profile, path, report.bounds):
+    for slot in slots:
         _check_slot(config, slot, report, eps)
     report.certified = not report.deviations
     return report
@@ -987,6 +948,12 @@ def _probe_states(config: CampaignConfig, on_path: DualMarketState,
     return [on_path.at(*state) for state in unique]
 
 
+def _state_prefix(state: DualMarketState) -> str:
+    """A probe state's name in a deviation's detail: its money raised."""
+    return (f"[state raised_for={state.market_for.raised:.6g} "
+            f"raised_against={state.market_against.raised:.6g}] ")
+
+
 def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
                 profile: EquilibriumProfile, epsilon: float | None = None,
                 conditions: list[ConditionCheck] | None = None) -> EquilibriumReport:
@@ -994,70 +961,54 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     subgame state, walking arrivals with followers' plays rolled out and
     then held fixed (one-shot deviations over a finite horizon).
 
-    Covers contribution deviations, market flips, and delay: repricing the
-    agent's allocation after any number of later arrivals have played.
+    Each agent's on-path slot is ``certify_ne``'s, with the path's later
+    plays as its waits; at its off-path probe states the agent and its
+    followers play their bounds. Covers contribution deviations and delay:
+    repricing the agent's allocation after any number of later arrivals.
     ``conditions`` is as for ``certify_ne``.
     """
     if not config.mechanism.sequential:
         raise ValueError(f"{config.mechanism.value} has no sequential subgame "
                          "structure; use certify_ne")
-    path = _path(config, agents, profile) if profile.feasible else None
-    report, eps = _base_report(config, agents, profile, path, epsilon, conditions)
+    report, eps, path, slots = _base_report(config, agents, profile, epsilon, conditions)
     report.kind = "subgame-perfect"
     if path is None:
         return report
     order, found, final = path
     books = [final.at(*raised) for raised in found]
     arrivals = _arrivals(config, order, profile.belief_rewards)
-    path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
-                  for a in order]
-    # closing: the path play after which the book is closed (len(order) if none)
+    # on the path, the later plays are the profile's: closing is the play
+    # after which the book is closed (len(order) if none)
     closing = next((k for k, book in enumerate([*books[1:], final]) if book.closed),
                    len(order))
-    path_sums = prefix_sums(path_plays)  # for the totals and waits on the path
+    path_sums = prefix_sums([(slot.market, slot.amount) for slot in slots])
     # off the path, followers play their bounds: each buys its security
     # quantity, so the kernel walks them by it (by prefix sum where it can)
     plays = _plays(config, arrivals)
     bought = prefix_sums(plays)
-    for idx, (agent, own_market, reward) in enumerate(arrivals):
-        probes = _probe_states(config, books[idx], agent, own_market, reward)
-        for state in probes:
-            on_path = state is probes[0]
-            prefix = (f"[state raised_for={state.market_for.raised:.6g} "
-                      f"raised_against={state.market_against.raised:.6g}] ")
+    for idx, ((agent, own_market, reward), slot) in enumerate(zip(arrivals, slots)):
+        on_path, *off_path = _probe_states(config, books[idx], agent, own_market, reward)
+        # waits: the later plays that leave the book open, and the issuance
+        # the delayed contribution is priced at after the first k of them
+        waits = (max(0, closing - idx - 1),
+                 on_path.issuances_after(slot.market, path_sums, idx + 1))
+        _check_slot(config, slot, report, eps, _state_prefix(on_path), waits)
+        for state in off_path:
             if state.closed:
-                # off the path, an arrival at a closed book plays zero; on
-                # it, the profile's play is checked, and nothing else counts
-                if on_path:
-                    _check_slot(config, _Slot(agent, *path_plays[idx], 0.0, 0.0,
-                                              closed=True), report, eps, prefix)
-                continue
-            # on the path itself, the checked action and the fixed follower
-            # plays come from the profile being certified
-            market = path_plays[idx][0] if on_path else own_market
-            issued = state.price_issuance(market)
-            # paid: the followers' money per market (for the totals); waits:
-            # the later plays that leave the book open, and the issuance the
-            # delayed contribution is priced at after the first k of them
-            if on_path:
-                prescribed, bound = path_plays[idx][1], report.bounds[agent.id]
-                paid = [path_sums[m][-1] - path_sums[m][idx + 1] for m in Market]
-                waits = (max(0, closing - idx - 1),
-                         state.issuances_after(market, path_sums, idx + 1))
-            else:
-                bound = contribution_bound(config, agent, issued=issued,
-                                           belief_reward=reward)
-                prescribed, _, paid, waits = state.follow(market, bound, plays,
-                                                          bought, idx + 1)
-            slot = _Slot(
-                agent=agent, market=market, amount=prescribed,
+                continue  # an arrival at a closed book plays zero
+            issued = state.price_issuance(own_market)
+            bound = contribution_bound(config, agent, issued=issued, belief_reward=reward)
+            # paid: the followers' money per market, for the totals
+            prescribed, _, paid, waits = state.follow(own_market, bound, plays,
+                                                      bought, idx + 1)
+            _check_slot(config, _Slot(
+                agent=agent, market=own_market, amount=prescribed,
                 others_for=state.market_for.raised + paid[0],
                 others_against=state.market_against.raised + paid[1],
                 issued=issued, belief_reward=reward, bound=bound,
                 rival_viable=config.mechanism.dual_market and _rival_fills(
-                    state, market, plays, idx + 1, bought),
-            )
-            _check_slot(config, slot, report, eps, prefix, waits)
+                    state, own_market, plays, idx + 1, bought),
+            ), report, eps, _state_prefix(state), waits)
     report.certified = not report.deviations
     return report
 

@@ -139,6 +139,11 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         verdict, dual = run_campaign(config, actions)
         paid = None if ledger is None else bbr_rewards(
             ledger, winning_side_for(verdict), config.belief_budget)  # type: ignore[arg-type]
+        if ledger is not None and ledger.empty_winning_side:
+            result.notes.append("no belief reward paid: no report is on the winning side")
+        elif ledger is not None and ledger.zero_score_split:
+            result.notes.append("belief budget split equally: the winning side's "
+                                "report weights sum to zero")
         result.outcome = settle(config, scenario.agents, verdict, dual,
                                 belief_rewards=paid)
 

@@ -143,6 +143,34 @@ def test_explicit_actions_scenario(tmp_path):
     assert rows[1].split(",")[3] == "4.0"
 
 
+@pytest.mark.parametrize("reports, note", [
+    # every report claims provision: the winning rejection side is empty
+    ([(0, 0.5)] * 4, "no belief reward paid: no report is on the winning side"),
+    # agent 3 alone claims rejection, and its report scores zero
+    ([(0, 0.5), (0, 0.0), (0, 0.0), (1, 1.0)],
+     "belief budget split equally: the winning side's report weights sum to zero"),
+], ids=["empty_side", "zero_weights"])
+def test_degenerate_belief_split_is_noted(tmp_path, capsys, reports, note):
+    # nobody plays, so the campaign expires and the rejection side collects
+    scenario = generate_scenario(
+        ScenarioTemplate(mechanism=Mechanism.PPRX, agent_count=4), seed=9)
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    raw = json.loads(path.read_text())
+    raw["explicit_reports"] = [
+        {"agent_id": i, "information": information, "prediction": prediction}
+        for i, (information, prediction) in enumerate(reports)]
+    raw["explicit_actions"] = []
+    raw["analysis"] = {"run_campaign": True}
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "verdict: expired" in stdout
+    assert f"note: {note}" in stdout.splitlines()
+    assert f"note: {note}" in (out / "summary.txt").read_text().splitlines()
+
+
 def one_error_line(capsys, needle):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

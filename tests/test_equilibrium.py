@@ -337,23 +337,44 @@ def test_certify_spe_rejects_simultaneous_mechanisms():
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
 def test_each_certification_replays_the_path_once(mechanism, monkeypatch):
+    # one replay and one set of on-path slots per certification; the SPE
+    # certifier checks each on-path slot as built, not a copy of it
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=16),
                                  seed=3)
     config, agents = scenario.config, scenario.agents
     profile = construct_profile(config, agents)
-    replays = []
-    path = equilibrium._path
+    replays, built, checked = [], [], []
+    path, slots_of, check = equilibrium._path, equilibrium._slots, equilibrium._check_slot
 
     def counting(*args):
         replays.append(args)
         return path(*args)
 
+    def building(*args):
+        built.append(slots_of(*args))
+        return built[-1]
+
+    def checking(config, slot, *args):
+        checked.append(slot)
+        return check(config, slot, *args)
+
     monkeypatch.setattr(equilibrium, "_path", counting)
+    monkeypatch.setattr(equilibrium, "_slots", building)
+    monkeypatch.setattr(equilibrium, "_check_slot", checking)
     certifiers = [certify_ne, certify_spe] if mechanism.sequential else [certify_ne]
     for certify in certifiers:
         replays.clear()
+        built.clear()
+        checked.clear()
         certify(config, agents, profile)
         assert len(replays) == 1
+        assert len(built) == 1
+        if certify is certify_spe:
+            # each agent's first check is its on-path slot
+            first = {}
+            for slot in checked:
+                first.setdefault(slot.agent.id, slot)
+            assert all(first[slot.agent.id] is slot for slot in built[0])
 
 
 def test_certify_spe_flags_overbound_play():
@@ -378,28 +399,29 @@ def test_certify_spe_flags_overbound_play():
                for d in report.deviations)
 
 
-def test_preference_flip_indifference_ppsn():
-    # Step-style comparison: same stake, same reward securities, either side
-    from provpoint.mechanisms import ppsn_utility
-    from provpoint.model import ContributionRecord
+@settings(deadline=None, max_examples=200)
+@given(mechanism=st.sampled_from([Mechanism.PPRN, Mechanism.PPSN]),
+       valuation=st.floats(-100.0, 100.0), amount=st.floats(0.0, 50.0),
+       others=st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 200.0)),
+       securities=st.floats(0.0, 100.0), budget=st.floats(0.0, 20.0))
+def test_preference_flip_indifference(mechanism, valuation, amount, others, securities,
+                                      budget):
+    # same stake, same totals, same securities, either market: the even-odds
+    # half-sums over both verdicts agree, 0.5 * (v - x + share) for PPRN and
+    # 0.5 * (v - 2x + s) for PPSN, so a flip at fixed totals cannot gain
+    who = agent(valuation)
+    total_for, total_against = others[0] + amount, others[1]
 
-    cf = CostFunction(liquidity=30.0)
-    x = 1.7
-    r = cf.securities_for(x, 0.0)
-    who = agent(-7.0, 0)
-    stay = ContributionRecord(agent_id=0, amount=x, tick=0,
-                              market=Market.AGAINST, securities=r)
-    flip = ContributionRecord(agent_id=0, amount=x, tick=0,
-                              market=Market.FOR, securities=r)
-    eu_stay = 0.5 * (ppsn_utility(who, stay.market, stay.amount, stay.securities,
-                                  Verdict.REJECTED)
-                     + ppsn_utility(who, stay.market, stay.amount, stay.securities,
-                                    Verdict.PROVISIONED))
-    eu_flip = 0.5 * (ppsn_utility(who, flip.market, flip.amount, flip.securities,
-                                  Verdict.PROVISIONED)
-                     + ppsn_utility(who, flip.market, flip.amount, flip.securities,
-                                    Verdict.REJECTED))
-    assert eu_stay == pytest.approx(eu_flip, abs=1e-12)
+    def half_sum(market):
+        def utility(verdict):
+            if mechanism is Mechanism.PPRN:
+                return pprn_utility(who, market, amount, total_for, total_against,
+                                    budget, verdict)
+            return ppsn_utility(who, market, amount, securities, verdict)
+        return 0.5 * (utility(Verdict.PROVISIONED) + utility(Verdict.REJECTED))
+
+    scale = max(1.0, abs(valuation), amount, securities, budget)
+    assert abs(half_sum(Market.FOR) - half_sum(Market.AGAINST)) <= 1e-12 * scale
 
 
 def test_certify_ne_pprx():
@@ -588,27 +610,6 @@ def _expected_utility(config: CampaignConfig, slot: _Slot, market: Market,
     )
 
 
-def _flip_delta(config: CampaignConfig, slot: _Slot, cf: CostFunction | None) -> float:
-    """Market-flip gain at the prescribed amount under symmetric even-odds
-    branch weights, totals held fixed (the dual refund schemes pay the same
-    on either side by construction, so this is zero at equilibrium)."""
-    securities = 0.0
-    if config.mechanism.uses_securities and cf is not None:
-        securities = cf.securities_for(slot.amount, slot.issued)
-    total_for = slot.others_for + (slot.amount if slot.market is Market.FOR else 0.0)
-    total_against = slot.others_against + (
-        slot.amount if slot.market is Market.AGAINST else 0.0)
-
-    def half_sum(market: Market) -> float:
-        return 0.5 * sum(
-            _branch_utility(config, slot.agent, market, slot.amount, securities,
-                            total_for, total_against, slot.belief_reward, verdict)
-            for verdict in (Verdict.PROVISIONED, Verdict.REJECTED)
-        )
-
-    return half_sum(slot.market.other) - half_sum(slot.market)
-
-
 def _every_issuance(waits) -> list[float]:
     """The issuance after every one of a probe state's ``Waits``, wait 1
     first, each asked for on its own."""
@@ -625,8 +626,7 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
     cf = config.cost_function
     profile = construct_profile(config, agents)
     slots = equilibrium._slots(config, agents, profile,
-                               equilibrium._path(config, agents, profile),
-                               certify_ne(config, agents, profile).bounds)
+                               equilibrium._path(config, agents, profile))
     delayed = []  # (slot, the issuances of its delay waits)
     if mechanism.sequential:
         pieces_of, delay = equilibrium._pieces, equilibrium._delay_deviations
@@ -651,8 +651,6 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
         for k in range(50):
             x = top * k / 49
             assert eu(x) == _expected_utility(config, slot, slot.market, x, cf)
-        if config.mechanism.dual_market:
-            assert equilibrium._flip_delta(config, slot) == _flip_delta(config, slot, cf)
     for slot, waits in delayed:
         eu = equilibrium._pieces(config, slot).eu
         for issued in waits:
@@ -1168,8 +1166,7 @@ def test_stationary_point_maximizes_the_mix(mechanism):
         config, agents = scenario.config, scenario.agents
         profile = construct_profile(config, agents)
         slots = equilibrium._slots(config, agents, profile,
-                                   equilibrium._path(config, agents, profile),
-                                   certify_ne(config, agents, profile).bounds)
+                                   equilibrium._path(config, agents, profile))
         for slot in slots + [dataclasses.replace(slot, others_for=0.01 * slot.others_for,
                                                  others_against=0.01 * slot.others_against)
                              for slot in slots]:
