@@ -41,8 +41,9 @@ and REJECTED utilities is the same on either market (0.5 * (v - x + share),
 Refund-bonus timing never enters utilities, so timing deviations are vacuous
 for that family; for the securities family the delay walk reprices the
 allocation at the later slot. Utilities never fall as the allocation grows,
-and waits never fall, so it scores the first or the last wait, whichever
-allocates more, and every wait only when that one gains.
+and waits never fall, so a delay is two numbers, the issuances after the
+first and after the last wait: the one that allocates more is scored, and
+reported as the slot's one timing deviation when it gains.
 
 In the securities family a bound buys exactly the rules row's security
 quantity, so ``construct_profile`` (from empty markets) and the SPE
@@ -647,27 +648,30 @@ class _Pieces:
     stationary: Callable[[], float | None]
     eu: Callable[..., float]
 
-    def best(self, top: float) -> tuple[float, float]:
-        """The supremum of eu over [0, top] and the x where it is reached:
-        the alternative branch's left limit at the pivot, or the best of 0,
-        ``top``, the pivot and the stationary point. The capacity needs no
-        evaluation: eu there equals eu at ``top`` when top is past it, and
-        is clipped to ``top`` otherwise. A left limit is approached by
-        plays just below the pivot."""
+    def best(self, top: float, amount: float) -> tuple[float, float, float]:
+        """The supremum of eu over [0, top], the x where it is reached, and
+        eu at ``amount``, the prescribed play, which lies in [0, top]. The
+        supremum is the alternative branch's left limit at the pivot, or the
+        best of 0, ``top``, the pivot, the stationary point and ``amount``.
+        The capacity needs no evaluation: eu there equals eu at ``top`` when
+        top is past it, and is clipped to ``top`` otherwise. A left limit is
+        approached by plays just below the pivot."""
         eu = self.eu
         best_x, best = 0.0, -math.inf
         if self.pivot > 0.0:
             best_x = min(self.pivot, top)
             best = eu(best_x, alt_only=True)
-        points = [0.0, top, self.pivot]
+        points = [0.0, top, self.pivot, amount]
         stationary = self.stationary()
         if stationary is not None:
             points.append(stationary)
         for x in sorted({min(max(x, 0.0), top) for x in points}):
             value = eu(x)
+            if x == amount:
+                base = value
             if value > best:
                 best_x, best = x, value
-        return best_x, best
+        return best_x, best, base
 
 
 def _pieces(config: CampaignConfig, slot: _Slot) -> _Pieces:
@@ -777,8 +781,7 @@ def _check_slot(config: CampaignConfig, slot: _Slot, report: EquilibriumReport,
         return
     # the sweep and the delay walk share the pieces and the base
     pieces = _pieces(config, slot)
-    base = pieces.eu(slot.amount)
-    best_x, best = pieces.best(slot.sweep_top(config))
+    best_x, best, base = pieces.best(slot.sweep_top(config), slot.amount)
     if best - base > epsilon:
         report.deviations.append(Deviation(
             slot.agent.id, "contribution",
@@ -925,17 +928,14 @@ def _rival_fills(book: DualMarketState, own_market: Market,
     return book.market(rival).met
 
 
-def _probe_states(config: CampaignConfig, on_path: DualMarketState,
-                  agent: AgentProfile, own_market: Market,
-                  reward: float) -> list[DualMarketState]:
+def _probe_states(config: CampaignConfig, on_path: DualMarketState, bound: float,
+                  own_market: Market) -> list[DualMarketState]:
     """On-path markets (first) plus synthetic remaining-target states,
-    including one engineered to trigger the late-arrival clipping branch:
-    eight states at most."""
+    including one just short of ``bound``, the on-path slot's cap, engineered
+    to trigger the late-arrival clipping branch: eight states at most."""
     target = config.target(own_market)
     raised = {Market.FOR: on_path.market_for.raised,
               Market.AGAINST: on_path.market_against.raised}
-    bound = contribution_bound(config, agent, issued=on_path.issued(own_market),
-                               belief_reward=reward)
     states = [raised] + [{**raised, own_market: (1.0 - fraction) * target}
                          for fraction in (1.0, 0.8, 0.6, 0.4, 0.2)]
     if bound > 0.0:
@@ -962,9 +962,10 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     then held fixed (one-shot deviations over a finite horizon).
 
     Each agent's on-path slot is ``certify_ne``'s, with the path's later
-    plays as its waits; at its off-path probe states the agent and its
-    followers play their bounds. Covers contribution deviations and delay:
-    repricing the agent's allocation after any number of later arrivals.
+    plays as its waits; at its off-path probe states, placed by that slot's
+    bound, the agent and its followers play their bounds. Covers
+    contribution deviations and delay: repricing the agent's allocation
+    after the first or the last later arrival that leaves the book open.
     ``conditions`` is as for ``certify_ne``.
     """
     if not config.mechanism.sequential:
@@ -978,20 +979,23 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     books = [final.at(*raised) for raised in found]
     arrivals = _arrivals(config, order, profile.belief_rewards)
     # on the path, the later plays are the profile's: closing is the play
-    # after which the book is closed (len(order) if none)
+    # after which the book is closed (len(order) if none), and no play before
+    # it is truncated, so the money each play found is their prefix sum
     closing = next((k for k, book in enumerate([*books[1:], final]) if book.closed),
                    len(order))
-    path_sums = prefix_sums([(slot.market, slot.amount) for slot in slots])
+    found = [*found, (final.market_for.raised, final.market_against.raised)]
     # off the path, followers play their bounds: each buys its security
     # quantity, so the kernel walks them by it (by prefix sum where it can)
     plays = _plays(config, arrivals)
     bought = prefix_sums(plays)
     for idx, ((agent, own_market, reward), slot) in enumerate(zip(arrivals, slots)):
-        on_path, *off_path = _probe_states(config, books[idx], agent, own_market, reward)
+        on_path, *off_path = _probe_states(config, books[idx], slot.bound, own_market)
         # waits: the later plays that leave the book open, and the issuance
-        # the delayed contribution is priced at after the first k of them
-        waits = (max(0, closing - idx - 1),
-                 on_path.issuances_after(slot.market, path_sums, idx + 1))
+        # the delayed contribution is priced at after the first and the last
+        count = closing - idx - 1
+        waits = (0, 0.0, 0.0) if count <= 0 else (count, *(on_path.issued_with(
+            slot.market, [x - y for x, y in zip(found[k], found[idx + 1])])
+            for k in (idx + 2, closing)))
         _check_slot(config, slot, report, eps, _state_prefix(on_path), waits)
         for state in off_path:
             if state.closed:
@@ -999,8 +1003,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             issued = state.price_issuance(own_market)
             bound = contribution_bound(config, agent, issued=issued, belief_reward=reward)
             # paid: the followers' money per market, for the totals
-            prescribed, _, paid, waits = state.follow(own_market, bound, plays,
-                                                      bought, idx + 1)
+            prescribed, paid, waits = state.follow(own_market, bound, plays, bought, idx + 1)
             _check_slot(config, _Slot(
                 agent=agent, market=own_market, amount=prescribed,
                 others_for=state.market_for.raised + paid[0],
@@ -1016,34 +1019,30 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
 def _delay_deviations(config: CampaignConfig, slot: _Slot, pieces: _Pieces,
                       base: float, waits: Waits, epsilon: float,
                       prefix: str) -> list[Deviation]:
-    """Reprice the prescribed contribution after each number of later
-    arrivals; allocations never improve with waiting, so any gain is a
-    defect worth reporting. ``waits`` counts the later plays that leave the
-    book open once the agent has played (past the one that closes it no
-    later slot exists for the contribution) and gives the issuance the
-    contribution is priced at after the first k of them.
+    """Reprice the prescribed contribution after later arrivals;
+    allocations never improve with waiting, so a gain is a defect worth
+    reporting. ``waits`` counts the later plays that leave the book open
+    once the agent has played (past the one that closes it no later slot
+    exists for the contribution) and gives the issuance the contribution is
+    priced at after the first and after the last of them.
 
     Waits never fall (raised money and the min leg only grow), an
     allocation is monotone in issuance and every securities utility is
-    nondecreasing in it, so the largest gain is at the first wait or the
-    last: those two are priced, and every wait only when one gains."""
-    count, issuance = waits
+    nondecreasing in it, so of the first wait and the last, the one that
+    allocates more gains at least as much as any wait: it is the one timing
+    deviation reported, when its gain exceeds epsilon."""
+    count, first, last = waits
     if not count:
         return []
     effective = pieces.clip(slot.amount)
     securities_for = config.cost_function.securities_for
-    top = max((issuance(1), issuance(count)),
-              key=lambda issued: securities_for(effective, issued))
-    if pieces.eu(slot.amount, top) - base <= epsilon:
+    waited, issued = max((1, first), (count, last),
+                         key=lambda wait: securities_for(effective, wait[1]))
+    gain = pieces.eu(slot.amount, issued) - base
+    if gain <= epsilon:
         return []
-    found: list[Deviation] = []
-    for waited in range(1, count + 1):
-        gain = pieces.eu(slot.amount, issuance(waited)) - base
-        if gain > epsilon:
-            found.append(Deviation(slot.agent.id, "timing",
-                                   prefix + f"delay past {waited} later arrivals",
-                                   gain))
-    return found
+    return [Deviation(slot.agent.id, "timing",
+                      prefix + f"delay past {waited} later arrivals", gain)]
 
 
 # ---------------------------------------------------------------------------

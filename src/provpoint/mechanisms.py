@@ -12,7 +12,7 @@ buy their security quantity at the current price: ``DualMarketState.walk``
 plays them one by one on plain floats, under ``play``'s truncation rule,
 and ``DualMarketState.follow`` answers where a book goes after one play and
 such followers, from prefix sums on a single market and by ``walk`` under
-min-leg pricing.
+min-leg pricing, as the followers' money and two ``Waits`` issuances.
 
 Payoffs follow one rule for all six mechanisms: an agent receives its
 valuation exactly when the project is provisioned, pays its contribution,
@@ -31,9 +31,7 @@ ticks are recorded in the ledger but do not enter those utilities.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import accumulate
 from math import expm1, log1p
 
@@ -55,8 +53,9 @@ from .model import (
 _FOR = Market.FOR
 _PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
 
-# Delay waits: how many, and the issuance after wait k (1 <= k <= count) in O(1)
-Waits = tuple[int, Callable[[int], float] | None]
+# Delay waits: how many later plays leave the book open, and the issuance after
+# the first and after the last of them; (0, 0.0, 0.0) when there are none
+Waits = tuple[int, float, float]
 
 
 @dataclass
@@ -199,88 +198,76 @@ class DualMarketState:
         self.market_for.raised, self.market_against.raised = raised
         return paid
 
-    def issuances_after(self, side: Market, sums: dict[Market, list[float]],
-                        first: int = 0) -> Callable[[int], float]:
-        """The issuance ``side`` prices at in this book once k more payments
-        are added, as a function of k answered in O(1); the book itself is
-        left as it is. ``sums`` holds the payments' money per market as
-        prefix sums (``prefix_sums``), the added ones those from entry
-        ``first`` on; only entries ``first`` and ``first + k`` are read. No
-        payment counted may fill a market: the walks count payments that
-        left a fuller book open."""
-        cf = self.cf
+    def issued_with(self, side: Market, paid: tuple[float, float]) -> float:
+        """The issuance ``side`` prices at once ``paid`` (FOR, AGAINST) more
+        money is in this book, which is left as it is; ``paid`` fills no
+        market, since the waits count payments that left a book open."""
+        raised = [m.raised + x for m, x in zip((self.market_for, self.market_against), paid)]
         # the legs priced: both under min_leg, else ``side`` alone
-        legs = [(self.market(m).raised, sums[m])
-                for m in ((_FOR, Market.AGAINST) if self.min_leg else (side,))]
-        return lambda k: cf.issued_at(min(r + (s[first + k] - s[first]) for r, s in legs))
+        return self.cf.issued_at(min(raised) if self.min_leg else raised[side is not _FOR])
 
     def follow(self, side: Market, amount: float, plays: list[tuple[Market, float]],
                bought: dict[Market, list[float]], first: int
-               ) -> tuple[float, int, tuple[float, float], Waits]:
+               ) -> tuple[float, tuple[float, float], Waits]:
         """Where a play of ``amount`` on ``side`` and the followers' bounds
         take the book.
 
         The followers are the arrivals of ``plays`` from ``first`` on, each
         buying its security quantity on its market, and ``bought[m][k]`` is
         the quantity the arrivals before ``k`` buy on market m
-        (``prefix_sums``). Returns the amount accepted from the play; how
-        many followers play while the book is open, the last of them closing
-        it if any does; the money they pay into each market, as (FOR,
-        AGAINST); and the ``Waits``: how many followers leave the book open,
-        and the issuance ``side`` prices at in this book, which does not
-        hold the play, after the first k of them.
+        (``prefix_sums``). Returns the amount accepted from the play; the
+        money the followers pay into each market while the book is open, as
+        (FOR, AGAINST); and the ``Waits``: how many followers leave the book
+        open, and the issuance ``side`` prices at in this book, which does
+        not hold the play, after the first and after the last of them.
 
         On a single market a bound buys exactly its quantity at any
         issuance, so issuance after each follower is a prefix sum, and one
         bisect against the target's issuance finds the follower who closes
         the book. Under ``min_leg`` a bound is priced at the smaller leg,
         which the other market moves, so ``walk`` plays the followers one by
-        one; running sums of their payments give their money and the first
-        and last waits, and prefix sums, built on demand, the waits between.
+        one, and running sums of their payments give their money and the
+        money after the first and the last wait.
         """
         cf = self.cf
         after = self.copy()
         accepted = after.play(side, amount)
         if after.closed:
-            return accepted, 0, (0.0, 0.0), (0, None)
+            return accepted, (0.0, 0.0), (0, 0.0, 0.0)
         if self.min_leg:
             paid = after.walk(plays, first)
             # each payment but a closing one left ``after`` open, which
             # holds at least as much on each market as this book
-            waits = len(paid) - 1 if after.closed else len(paid)
-            # running sums from 0.0 equal ``prefix_sums`` to the bit; kept after
-            # the first and last wait, which the delay walk reads unless one gains
-            ends = {_FOR: {0: 0.0}, Market.AGAINST: {0: 0.0}}
+            count = len(paid) - 1 if after.closed else len(paid)
+            # running sums from 0.0 equal ``prefix_sums`` to the bit
             money_for = money_against = 0.0
+            ends = []
             for k, ((market, _), x) in enumerate(zip(plays[first:], paid), 1):
                 if market is _FOR:
                     money_for += x
                 else:
                     money_against += x
-                if k == 1 or k == waits:
-                    ends[_FOR][k], ends[Market.AGAINST][k] = money_for, money_against
-            at_ends = self.issuances_after(side, ends)
-
-            @cache
-            def every() -> Callable[[int], float]:
-                return self.issuances_after(side, prefix_sums(
-                    [(m, x) for (m, _), x in zip(plays[first:], paid)]))
-
-            return (accepted, len(paid), (money_for, money_against),
-                    (waits, lambda k: (at_ends if k in ends[_FOR] else every())(k)))
+                if k == 1 or k == count:
+                    ends.append((money_for, money_against))
+            waits = (0, 0.0, 0.0)
+            if count:
+                waits = (count, *(self.issued_with(side, money) for money in (ends[0], ends[-1])))
+            return accepted, (money_for, money_against), waits
         state, bought = after.market(side), bought[side]
         start = cf.issued_at(state.raised)
         end = bisect_left(bought, cf.issued_at(state.target) - start + bought[first],
                           first + 1)
         closes = end < len(bought)
-        count = end - first if closes else len(bought) - 1 - first
+        count = end - first - 1 if closes else len(bought) - 1 - first
         raised = self.market(side).raised
         paid = (state.remaining if closes
                 else cf.contribution_for(bought[-1] - bought[first], start))
-        # wait k: this book plus the money the first k followers pay
-        return (accepted, count, (paid, 0.0) if side is _FOR else (0.0, paid),
-                (count - 1 if closes else count, lambda k: cf.issued_at(raised + (
-                    cf.contribution_for(bought[first + k] - bought[first], start)))))
+        waits = (0, 0.0, 0.0)
+        if count:
+            # wait k: this book plus the money the first k followers pay
+            waits = (count, *(cf.issued_at(raised + cf.contribution_for(
+                bought[first + k] - bought[first], start)) for k in (1, count)))
+        return accepted, (paid, 0.0) if side is _FOR else (0.0, paid), waits
 
 
 def prefix_sums(plays: list[tuple[Market, float]]) -> dict[Market, list[float]]:

@@ -94,8 +94,10 @@ class AgentProfile:
                 f"agent {self.id}: belief_epsilon must be within [0, 0.5], "
                 f"got {self.belief_epsilon}"
             )
-        if self.arrival_belief < 0 or self.arrival_contribution < 0:
-            raise ValueError(f"agent {self.id}: arrival ticks must be nonnegative")
+        for name in ("arrival_belief", "arrival_contribution"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"agent {self.id}: {name} must be nonnegative, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def provision_belief(self) -> float:

@@ -66,11 +66,12 @@ def profile_from_actions(scenario: Scenario,
     config = scenario.config
     actions = scenario.explicit_actions or []
     seen: set[int] = set()
-    for action in actions:
+    for i, action in enumerate(actions):
         if action.agent_id in seen:
             raise ScenarioError(
-                "certification of explicit plays requires at most one action "
-                f"per agent; agent {action.agent_id} has several")
+                f"scenario.explicit_actions[{i}].agent_id: certification of "
+                "explicit plays requires at most one action per agent; agent "
+                f"{action.agent_id} has several")
         seen.add(action.agent_id)
     profile = EquilibriumProfile(belief_rewards=dict(belief_rewards))
     by_agent = {a.agent_id: a for a in actions}
@@ -109,14 +110,20 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     """Execute the scenario's requested analyses and write report files.
 
     Outputs are deterministic: rerunning the same scenario produces
-    byte-identical files.
+    byte-identical files. The campaign replays every explicit action; only
+    a certification reads them as a profile, one action per agent.
     """
     config = scenario.config
+    flags = scenario.analysis
+    certifying = flags.certify_ne or flags.certify_spe
+    if flags.conditions_only and certifying:
+        raise ScenarioError("scenario.analysis.conditions_only: certification "
+                            "needs the profile that a conditions-only run skips")
     result = RunResult(conditions=check_conditions(config, scenario.agents))
 
     profile: EquilibriumProfile | None = None
     ledger = None
-    want_profile = not scenario.analysis.conditions_only
+    want_profile = not flags.conditions_only
     if want_profile:
         # the reports are scored once: the profile prices the reward each
         # reporter would collect, and settlement pays the winning side's
@@ -124,15 +131,15 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         if config.mechanism.two_phase:
             ledger = score_reports(belief_reports(scenario))
             rewards = conditional_rewards(ledger, config.belief_budget)  # type: ignore[arg-type]
-        if scenario.explicit_actions is not None:
-            profile = profile_from_actions(scenario, rewards)
-        else:
+        if scenario.explicit_actions is None:
             profile = construct_profile(config, scenario.agents, rewards)
-        if not profile.feasible:
-            result.notes.append(f"profile infeasible: {profile.reason}")
+            if not profile.feasible:
+                result.notes.append(f"profile infeasible: {profile.reason}")
+        elif certifying:
+            profile = profile_from_actions(scenario, rewards)
 
     dual = None
-    if want_profile and scenario.analysis.run_campaign and profile.feasible:
+    if want_profile and flags.run_campaign and (profile is None or profile.feasible):
         actions = (sorted(scenario.explicit_actions, key=lambda a: (a.tick, a.agent_id))
                    if scenario.explicit_actions is not None
                    else actions_from_profile(profile))
@@ -147,12 +154,12 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         result.outcome = settle(config, scenario.agents, verdict, dual,
                                 belief_rewards=paid)
 
-    if want_profile:
+    if profile is not None:
         # the reports carry the conditions evaluated above
-        if scenario.analysis.certify_ne:
+        if flags.certify_ne:
             result.certifications.append(certify_ne(
                 config, scenario.agents, profile, epsilon, result.conditions))
-        if scenario.analysis.certify_spe:
+        if flags.certify_spe:
             result.certifications.append(certify_spe(
                 config, scenario.agents, profile, epsilon, result.conditions))
 

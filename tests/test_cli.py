@@ -8,6 +8,8 @@ from provpoint.cli import main
 from provpoint.model import Mechanism
 from provpoint.scenario import ScenarioTemplate, generate_scenario, save_scenario
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 
 @pytest.fixture
 def pprn_scenario(tmp_path):
@@ -301,4 +303,72 @@ def test_mistyped_scenario_exit_code(pprn_scenario, tmp_path, capsys, path, valu
     for verb in ("check", "run", "certify"):
         assert main([verb, "--scenario", str(bad),
                      "--out", str(tmp_path / verb)]) == 1
+        one_error_line(capsys, needle)
+
+
+def test_run_replays_repeated_explicit_actions(tmp_path, capsys):
+    # the engine replays every action; only a certification reads them as a
+    # profile, which allows one action per agent
+    raw = json.loads((SCENARIOS / "ppr_explicit_plays.json").read_text())
+    raw["explicit_actions"] = [{"agent_id": 0, "amount": 3.0, "market": "for", "tick": tick}
+                               for tick in (1, 2)]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "ledger.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[1], row[3]) for row in rows] == [("1", "0", "3.0"), ("2", "0", "3.0")]
+    capsys.readouterr()
+    assert main(["certify", "--scenario", str(path)]) == 1
+    one_error_line(capsys, "scenario.explicit_actions[1].agent_id: certification of "
+                           "explicit plays requires at most one action per agent")
+
+
+def test_certify_conditions_only_exit_code(tmp_path, capsys):
+    raw = json.loads((SCENARIOS / "ppr_explicit_plays.json").read_text())
+    raw["analysis"] = {"conditions_only": True}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["certify", "--scenario", str(path)]) == 1
+    one_error_line(capsys, "scenario.analysis.conditions_only: ")
+
+
+def test_run_exit_code_when_certification_finds_deviations(tmp_path, capsys):
+    scenario = (Path(__file__).resolve().parent / "golden_generated"
+                / "ppsn_off_preference" / "scenario.json")
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
+    assert "certification: NOT certified" in capsys.readouterr().out.splitlines()
+
+
+REPORTS = [{"agent_id": i, "information": 0, "prediction": 0.5} for i in range(5)]
+
+
+@pytest.mark.parametrize("shipped,path,value,needle", [
+    ("ppr_explicit_plays", ("agents", 0, "arrival_belief"), -1,
+     "scenario.agents[0]: agent 0: arrival_belief must be nonnegative, got -1"),
+    ("ppr_explicit_plays", ("agents", 1, "arrival_contribution"), -1,
+     "scenario.agents[1]: agent 1: arrival_contribution must be nonnegative, got -1"),
+    ("pprx_five_beliefs", ("agents", 0, "arrival_belief"), 5,
+     "scenario.agents[id=0].arrival_belief: 5 is past the belief deadline 4"),
+    ("ppr_explicit_plays", ("explicit_actions", 0, "amount"), -1.0,
+     "scenario.explicit_actions[0].amount: must be nonnegative"),
+    ("pprx_five_beliefs", ("explicit_reports", 1, "information"), 2,
+     "scenario.explicit_reports[1]: agent 1: information report must be 0 or 1"),
+    ("pprx_five_beliefs", ("explicit_reports", 1, "prediction"), 1.5,
+     "scenario.explicit_reports[1]: agent 1: prediction must be within [0, 1]"),
+    ("pprx_five_beliefs", ("explicit_reports", 1, "tick"), -1,
+     "scenario.explicit_reports[1]: agent 1: report tick must be nonnegative"),
+])
+def test_invalid_scenario_field_exit_code(tmp_path, capsys, shipped, path, value, needle):
+    raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())
+    if path[0] == "explicit_reports":
+        raw["explicit_reports"] = [dict(report) for report in REPORTS]
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    for verb in ("check", "run", "certify"):
+        assert main([verb, "--scenario", str(bad), "--out", str(tmp_path / verb)]) == 1
         one_error_line(capsys, needle)

@@ -329,6 +329,20 @@ def test_certify_spe_flags_allocation_rising_with_issuance(monkeypatch):
     assert any(d.kind == "timing" for d in report.deviations)
 
 
+def test_certify_spe_infeasible_profile_not_certified():
+    # four arrivals' bounds cannot raise a target of 100: no path is searched
+    config = CampaignConfig(mechanism=Mechanism.PPS, provision_point=100.0,
+                            cost_params=CostParams(liquidity=30.0),
+                            deadline_contribution=5)
+    agents = [agent(6.0, i, arrival_contribution=i) for i in range(4)]
+    profile = construct_profile(config, agents)
+    assert not profile.feasible
+    report = certify_spe(config, agents, profile)
+    assert not report.feasible and not report.certified
+    assert report.notes == [profile.reason]
+    assert report.deviations == [] and report.bounds == {}
+
+
 def test_certify_spe_rejects_simultaneous_mechanisms():
     with pytest.raises(ValueError, match="sequential"):
         certify_spe(pprn_config(), pprn_agents(),
@@ -610,11 +624,11 @@ def _expected_utility(config: CampaignConfig, slot: _Slot, market: Market,
     )
 
 
-def _every_issuance(waits) -> list[float]:
-    """The issuance after every one of a probe state's ``Waits``, wait 1
-    first, each asked for on its own."""
-    count, issuance = waits
-    return [issuance(k) for k in range(1, count + 1)]
+def _wait_ends(waits) -> list[float]:
+    """The issuances after the first and after the last of a probe state's
+    ``Waits``; none when there are no waits."""
+    count, first, last = waits
+    return [first, last] if count else []
 
 
 @pytest.mark.parametrize("n", [4, 16])
@@ -636,7 +650,7 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
             return pieces_of(config, slot)
 
         def walking(config, slot, pieces, base, waits, *args):
-            delayed.append((slot, _every_issuance(waits)))
+            delayed.append((slot, _wait_ends(waits)))
             return delay(config, slot, pieces, base, waits, *args)
 
         monkeypatch.setattr(equilibrium, "_pieces", recording)
@@ -732,45 +746,25 @@ def _delay_deviations(slot: _Slot, eu, base: float, before: DualMarketState,
     return found
 
 
-@pytest.mark.parametrize("n", [4, 16, 64])
-@pytest.mark.parametrize("mechanism", [m for m in Mechanism if m.sequential])
-def test_spe_walks_match_reference(mechanism, n, monkeypatch):
-    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
-                                 seed=n)
-    config, agents = scenario.config, scenario.agents
-    profile = construct_profile(config, agents)
-    swept = []  # (slot, issuances its delay walk priced) per swept probe state
-    closings = []  # followers who play, per off-path kernel walk
-    delay = equilibrium._delay_deviations
-    follow = DualMarketState.follow
-
-    def following(book, *args):
-        result = follow(book, *args)
-        closings.append(result[1])
-        return result
-
-    def walking(config, slot, pieces, base, waits, *args):
-        swept.append((slot, _every_issuance(waits)))
-        return delay(config, slot, pieces, base, waits, *args)
-
-    monkeypatch.setattr(equilibrium, "_delay_deviations", walking)
-    monkeypatch.setattr(DualMarketState, "follow", following)
-    certify_spe(config, agents, profile)
-    monkeypatch.undo()
-
-    # every probe state certify_spe builds, with the follower plays the
-    # former walks were given: the profile's on the path, a rollout off it
-    expected = []
-    expected_closings = []
-    order, found, final = equilibrium._path(config, agents, profile)
+def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
+                      profile: EquilibriumProfile):
+    """Every probe state certify_spe sweeps, in its order, with the follower
+    plays the former walks were given: the profile's on the path, a rollout
+    off it. Yields (agent, market, prescribed amount, rival viable, state,
+    state after the prescribed play, follower plays); the kernel's rival
+    answer is checked against ``_rival_fills`` on the way."""
+    path = equilibrium._path(config, agents, profile)
+    slots = equilibrium._slots(config, agents, profile, path)
+    order, found, final = path
     books = [final.at(*raised) for raised in found]
     arrivals = equilibrium._arrivals(config, order, profile.belief_rewards)
     plays = equilibrium._plays(config, arrivals)
     path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
                   for a in order]
-    for idx, ((agent, own_market, reward), on_path) in enumerate(zip(arrivals, books)):
+    for idx, ((agent, own_market, reward), on_path, slot) in enumerate(
+            zip(arrivals, books, slots)):
         followers = arrivals[idx + 1:]
-        probes = equilibrium._probe_states(config, on_path, agent, own_market, reward)
+        probes = equilibrium._probe_states(config, on_path, slot.bound, own_market)
         for state in probes:
             if state.closed:
                 continue
@@ -787,30 +781,53 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
                 amounts = _rollout(config, after.copy(), followers)
                 follower_plays = [(m, x) for (_, m, _), x in
                                   zip_longest(followers, amounts, fillvalue=0.0)]
-                expected_closings.append(len(amounts))
             rival = _rival_fills(config, state, market, followers)
             assert equilibrium._rival_fills(state, market, plays, idx + 1,
                                             prefix_sums(plays)) == rival
-            rival_viable = config.mechanism.dual_market and rival
             if config.mechanism.dual_market and market is Market.AGAINST and not rival:
                 continue  # the expiry corner is noted, not swept
-            priced: list[float] = []
-            slot = _Slot(agent=agent, market=market, amount=prescribed,
-                         others_for=0.0, others_against=0.0)
-            _delay_deviations(slot, lambda amount, issued: priced.append(issued) or 0.0,
-                              0.0, state, after, follower_plays, math.inf, "")
-            expected.append((agent.id, market, prescribed, rival_viable, priced))
+            yield (agent, market, prescribed, config.mechanism.dual_market and rival,
+                   state, after, follower_plays)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("mechanism", [m for m in Mechanism if m.sequential])
+def test_spe_walks_match_reference(mechanism, n, monkeypatch):
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
+                                 seed=n)
+    config, agents = scenario.config, scenario.agents
+    profile = construct_profile(config, agents)
+    swept = []  # (slot, its delay walk's waits) per swept probe state
+    delay = equilibrium._delay_deviations
+
+    def walking(config, slot, pieces, base, waits, *args):
+        swept.append((slot, waits))
+        return delay(config, slot, pieces, base, waits, *args)
+
+    monkeypatch.setattr(equilibrium, "_delay_deviations", walking)
+    certify_spe(config, agents, profile)
+    monkeypatch.undo()
+
+    expected = []
+    for agent, market, prescribed, rival_viable, state, after, follower_plays in (
+            _reference_probes(config, agents, profile)):
+        priced: list[float] = []
+        slot = _Slot(agent=agent, market=market, amount=prescribed,
+                     others_for=0.0, others_against=0.0)
+        _delay_deviations(slot, lambda amount, issued: priced.append(issued) or 0.0,
+                          0.0, state, after, follower_plays, math.inf, "")
+        expected.append((agent.id, market, prescribed, rival_viable, priced))
     # four arrivals may fill before anyone waits
     assert any(priced for *_, priced in expected) or n == 4
-    got = [(slot.agent.id, slot.market, slot.amount, slot.rival_viable, priced)
-           for slot, priced in swept]
-    assert closings == expected_closings
-    assert [row[:4] + (len(row[4]),) for row in got] == [
+    got = [(slot.agent.id, slot.market, slot.amount, slot.rival_viable, waits)
+           for slot, waits in swept]
+    assert [row[:4] + (row[4][0],) for row in got] == [
         row[:4] + (len(row[4]),) for row in expected]
     tolerance = 1e-12 * max(config.cost_function.issued_at(config.target(m))
                             for m in mechanism.markets)
-    for (*_, priced), (*_, reference) in zip(got, expected):
-        assert all(abs(a - b) <= tolerance for a, b in zip(priced, reference))
+    for (*_, waits), (*_, reference) in zip(got, expected):
+        assert all(abs(a - b) <= tolerance
+                   for a, b in zip(_wait_ends(waits), reference[:1] + reference[-1:]))
 
 
 SECURITIES = [Mechanism.PPS, Mechanism.PPSN, Mechanism.PPSX]
@@ -863,24 +880,23 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     _, side, reward = arrivals[mover]
     bound = contribution_bound(config, arrivals[mover][0],
                                issued=state.price_issuance(side), belief_reward=reward)
-    accepted, count, totals, waits = state.follow(side, bound, plays, bought, first)
-    waits = _every_issuance(waits)
+    accepted, totals, waits = state.follow(side, bound, plays, bought, first)
     after = state.copy()
     assert accepted == after.play(side, bound)
     amounts = _rollout(config, after, arrivals[first:]) if not after.closed else []
     assert _legal(after)
-    assert count == len(amounts)
     followed = [(m, x) for (_, m, _), x in zip(arrivals[first:], amounts)]
     before = state.copy()
     expected_waits = []
     for market, x in followed[:-1] if after.closed else followed:
         before.play(market, x)
         expected_waits.append(before.price_issuance(side))
-    assert len(waits) == len(expected_waits)
+    assert waits[0] == len(expected_waits)
     # waits are read off prefix sums: equal up to rounding
     tolerance = 1e-12 * max(config.cost_function.issued_at(config.target(m))
                             for m in mechanism.markets)
-    assert all(abs(a - b) <= tolerance for a, b in zip(waits, expected_waits))
+    assert all(abs(a - b) <= tolerance for a, b in
+               zip(_wait_ends(waits), expected_waits[:1] + expected_waits[-1:]))
     expected_totals = tuple(sum(x for m, x in followed if m is market) for market in Market)
     if mechanism.dual_market:
         assert totals == expected_totals
@@ -935,8 +951,8 @@ def test_certifiers_build_no_contribution_record(monkeypatch):
 
 def test_ppsn_follow_sums_without_prefix_sums(monkeypatch):
     # follow's running sums give the followers' money and the first and
-    # last waits; prefix sums of the walked payments are built only for a
-    # wait between those, which a certified play never asks for
+    # last waits, without prefix sums of the walked payments: also where a
+    # wait gains, under the rising-allocation control
     summed, followed = [], []
     prefix = mechanisms.prefix_sums
     monkeypatch.setattr(mechanisms, "prefix_sums",
@@ -947,7 +963,10 @@ def test_ppsn_follow_sums_without_prefix_sums(monkeypatch):
     scenario = generate_scenario(
         ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=64), seed=1)
     config, agents = scenario.config, scenario.agents
-    assert certify_spe(config, agents, construct_profile(config, agents)).certified
+    profile = construct_profile(config, agents)
+    assert certify_spe(config, agents, profile).certified
+    _rising_allocations(monkeypatch)
+    assert any(d.kind == "timing" for d in certify_spe(config, agents, profile).deviations)
     assert followed
     assert summed == []
 
@@ -1034,27 +1053,30 @@ def test_eu_is_nondecreasing_in_the_allocation(mechanism, n, monkeypatch):
             assert after >= before if high > low else after == before
 
 
-def _every_wait(config, slot, pieces, base, waits, epsilon, prefix):
-    """The delay walk as it was before it ranked waits by allocation: every
-    wait scored."""
-    found = []
-    for waited, issued in enumerate(_every_issuance(waits), start=1):
-        gain = pieces.eu(slot.amount, issued) - base
-        if gain > epsilon:
-            found.append(Deviation(slot.agent.id, "timing",
-                                   prefix + f"delay past {waited} later arrivals", gain))
-    return found
-
-
-@pytest.mark.parametrize("mechanism", SECURITIES)
-def test_delay_walk_matches_every_wait_when_allocations_rise(mechanism, monkeypatch):
-    # negative control: with allocations rising with issuance, the best wait
-    # is no longer the first, and waiting pays; the deviation lists must
-    # still equal those of the walk that scores every wait
+def _rising_allocations(monkeypatch) -> None:
+    """Negative control: allocations rise with issuance, so the best wait is
+    no longer the first, and waiting pays."""
     securities_for = CostFunction.securities_for
     monkeypatch.setattr(CostFunction, "securities_for",
                         lambda cf, amount, issued:
                         securities_for(cf, amount, issued) + 0.01 * issued)
+
+
+@pytest.mark.parametrize("mechanism", SECURITIES)
+def test_delay_walk_reports_the_best_wait_when_allocations_rise(mechanism, monkeypatch):
+    # each swept probe state reports one timing deviation exactly when a
+    # walk that prices and scores every wait play by play finds any, with
+    # that walk's largest gain, at a wait where the walk reaches it
+    _rising_allocations(monkeypatch)
+    delay = equilibrium._delay_deviations
+    swept = []  # (slot, pieces, base, epsilon, prefix, deviations) per probe state
+
+    def walking(config, slot, pieces, base, waits, epsilon, prefix):
+        found = delay(config, slot, pieces, base, waits, epsilon, prefix)
+        swept.append((slot, pieces, base, epsilon, prefix, found))
+        return found
+
+    monkeypatch.setattr(equilibrium, "_delay_deviations", walking)
     timing = 0
     for seed in range(4):
         for n in (6, 16, 40):
@@ -1062,12 +1084,26 @@ def test_delay_walk_matches_every_wait_when_allocations_rise(mechanism, monkeypa
                 ScenarioTemplate(mechanism=mechanism, agent_count=n), seed=seed)
             config, agents = scenario.config, scenario.agents
             profile = construct_profile(config, agents)
-            report = certify_spe(config, agents, profile)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(equilibrium, "_delay_deviations", _every_wait)
-                reference = certify_spe(config, agents, profile)
-            assert report.deviations == reference.deviations
-            timing += sum(d.kind == "timing" for d in report.deviations)
+            swept.clear()
+            certify_spe(config, agents, profile)
+            probes = list(_reference_probes(config, agents, profile))
+            assert len(swept) == len(probes)
+            for (slot, pieces, base, epsilon, prefix, found), (
+                    agent, market, prescribed, _, state, after, follower_plays) in zip(
+                    swept, probes):
+                assert (slot.agent, slot.market, slot.amount) == (agent, market, prescribed)
+                reference = _delay_deviations(slot, pieces.eu, base, state, after,
+                                              follower_plays, epsilon, prefix)
+                assert len(found) == (1 if reference else 0)
+                if reference:
+                    (deviation,) = found
+                    largest = max(d.utility_gain for d in reference)
+                    assert deviation.kind == "timing"
+                    assert deviation.utility_gain == pytest.approx(largest, rel=1e-9)
+                    assert any(d.detail == deviation.detail
+                               and d.utility_gain == pytest.approx(largest, rel=1e-9)
+                               for d in reference)
+                timing += len(found)
     assert timing
 
 
@@ -1131,7 +1167,7 @@ def test_exact_best_response_dominates_dense_grid(mechanism, extra, seed):
         pieces = equilibrium._pieces(config, slot)
         top = slot.sweep_top(config)
         tolerance = 1e-12 * (abs(slot.agent.valuation) + slot.belief_reward)
-        _, best = pieces.best(top)
+        _, best, _ = pieces.best(top, slot.amount)
         grid = [top * k / 4000 for k in range(4001)]
         values = [pieces.eu(x) for x in grid]
         assert best >= max(values) - tolerance
