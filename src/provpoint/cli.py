@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import reports
@@ -91,41 +92,38 @@ def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     result = run_scenario(scenario, out_dir=args.out, epsilon=args.epsilon,
                           fmt=args.format)
+    if scenario.analysis.conditions_only:
+        # the conditions are the run's only verdict, judged as check does
+        print(reports.conditions_table(result.conditions))
+        return EXIT_OK if result.all_conditions_hold else EXIT_NEGATIVE
     if result.outcome is not None:
         print(f"verdict: {result.outcome.verdict.value}")
         print(f"raised for: {result.outcome.total_for!r}  "
               f"against: {result.outcome.total_against!r}")
     for note in result.notes:
         print(f"note: {note}")
-    for report in result.certifications:
+    report = result.certification
+    if report is not None:
         print(f"certification: {'certified' if report.certified else 'NOT certified'}")
-    if result.certifications and not result.all_certified:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return EXIT_NEGATIVE if report is not None and not report.certified else EXIT_OK
 
 
 def _cmd_certify(args) -> int:
     scenario = parse_scenario(args.scenario)
-    flags = scenario.analysis
-    if not (flags.certify_ne or flags.certify_spe):
-        # certify verb implies certification even if the file does not ask
-        from dataclasses import replace
-
-        sequential = scenario.config.mechanism.sequential
-        scenario.analysis = replace(flags, certify_ne=not sequential,
-                                    certify_spe=sequential)
+    # the certify verb certifies even if the file does not ask
+    scenario.analysis = replace(scenario.analysis, certify=True)
     result = run_scenario(scenario, out_dir=args.out, epsilon=args.epsilon,
                           fmt=args.format)
     for note in result.notes:
         print(f"note: {note}")
-    for report in result.certifications:
-        status = "certified" if report.certified else (
-            "infeasible" if not report.feasible else "deviations found")
-        print(f"{report.mechanism}: {status}")
-        for dev in report.deviations[:10]:
-            print(f"  agent {dev.agent_id} {dev.kind}: {dev.detail} "
-                  f"gain={dev.utility_gain:.6g}")
-    return EXIT_OK if (result.certifications and result.all_certified) else EXIT_NEGATIVE
+    report = result.certification
+    status = "certified" if report.certified else (
+        "infeasible" if not report.feasible else "deviations found")
+    print(f"{report.mechanism}: {status}")
+    for dev in report.deviations[:10]:
+        print(f"  agent {dev.agent_id} {dev.kind}: {dev.detail} "
+              f"gain={dev.utility_gain:.6g}")
+    return EXIT_OK if report.certified else EXIT_NEGATIVE
 
 
 def _cmd_gen(args) -> int:

@@ -53,8 +53,8 @@ follower.
 
 Each certification replays the checked play once (``_path``) and builds
 each agent's on-path slot, with its bound, once from it (``_slots``). The
-report's bounds and indifference checks are read off those slots, and both
-certifiers check them the same way (``_check_slot``).
+report's indifference checks, each at its bound, are read off those slots,
+and both certifiers check them the same way (``_check_slot``).
 """
 
 from __future__ import annotations
@@ -533,7 +533,6 @@ class IndifferenceCheck:
 @dataclass
 class EquilibriumReport:
     mechanism: str
-    bounds: dict[int, float] = field(default_factory=dict)
     profile: EquilibriumProfile | None = None
     conditions: list[ConditionCheck] = field(default_factory=list)
     deviations: list[Deviation] = field(default_factory=list)
@@ -542,26 +541,31 @@ class EquilibriumReport:
     feasible: bool = True
     certified: bool = False
     notes: list[str] = field(default_factory=list)
-    kind: str = "Nash"  # the certifier that produced it; not serialized
+    kind: str = "Nash"  # the certifier that produced it
 
     def to_dict(self) -> dict:
+        """The report as JSON values: one row per agent of the profile with
+        its play and its bound's indifference check (null without one)."""
+        checks = {c.agent_id: (c.bound, c.lhs, c.rhs, c.clamped)
+                  for c in self.indifference}
+        entries = {} if self.profile is None else self.profile.entries
         return {
+            "kind": self.kind,
             "mechanism": self.mechanism,
             "feasible": self.feasible,
             "certified": self.certified,
             "epsilon": self.epsilon,
-            "bounds": {str(k): v for k, v in sorted(self.bounds.items())},
             "profile": None if self.profile is None else {
                 "feasible": self.profile.feasible,
                 "reason": self.profile.reason,
                 "expected_verdict": (self.profile.expected_verdict.value
                                      if self.profile.expected_verdict else None),
-                "entries": {
-                    str(i): {"amount": e.amount, "tick": e.tick,
-                             "market": e.market.value}
-                    for i, e in sorted(self.profile.entries.items())
-                },
             },
+            "agents": [
+                {"id": i, "market": e.market.value, "amount": e.amount, "tick": e.tick,
+                 **dict(zip(("bound", "lhs", "rhs", "clamped"), checks.get(i, (None,) * 4)))}
+                for i, e in sorted(entries.items())
+            ],
             "conditions": [
                 {"name": c.name, "satisfied": c.satisfied, "lhs": c.lhs, "rhs": c.rhs}
                 for c in self.conditions
@@ -570,11 +574,6 @@ class EquilibriumReport:
                 {"agent": d.agent_id, "kind": d.kind, "detail": d.detail,
                  "utility_gain": d.utility_gain}
                 for d in self.deviations
-            ],
-            "indifference": [
-                {"agent": c.agent_id, "bound": c.bound, "lhs": c.lhs,
-                 "rhs": c.rhs, "clamped": c.clamped}
-                for c in self.indifference
             ],
             "notes": list(self.notes),
         }
@@ -864,13 +863,10 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
     path = _path(config, agents, profile)
     slots = _slots(config, agents, profile, path)
     indifference = RULES[config.mechanism].indifference
-    by_agent = {slot.agent.id: slot for slot in slots}
-    for agent in agents:
-        slot = by_agent[agent.id]
-        report.bounds[agent.id] = slot.bound
-        report.indifference.append(IndifferenceCheck(
-            agent.id, slot.bound,
-            *indifference(config, agent, slot.bound, slot.issued, slot.belief_reward)))
+    report.indifference = [IndifferenceCheck(
+        slot.agent.id, slot.bound,
+        *indifference(config, slot.agent, slot.bound, slot.issued, slot.belief_reward))
+        for slot in slots]
     return report, epsilon, path, slots
 
 

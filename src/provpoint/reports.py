@@ -73,8 +73,20 @@ def ledger_csv(dual: DualMarketState) -> str:
     return _csv_text(LEDGER_COLUMNS, ledger_rows(dual))
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder: no indent
+
+
 def certification_json(report: EquilibriumReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    """The report with sorted keys, one line per field, and one line per
+    element of a list field (agent row, condition, deviation, note)."""
+    lines = []
+    for key, value in sorted(report.to_dict().items()):
+        if isinstance(value, list) and value:
+            text = "[\n" + ",\n".join(map(_encode, value)) + "\n]"
+        else:
+            text = _encode(value)
+        lines.append(f"{_encode(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -97,7 +109,7 @@ def conditions_table(report_conditions) -> str:
 
 def summary_text(config: CampaignConfig, agents: list[AgentProfile],
                  conditions, outcome: Outcome | None,
-                 certifications: list[EquilibriumReport],
+                 report: EquilibriumReport | None,
                  notes: list[str] | None = None) -> str:
     parts = [f"mechanism: {config.mechanism.value}"]
     for note in notes or []:
@@ -128,15 +140,15 @@ def summary_text(config: CampaignConfig, agents: list[AgentProfile],
                 for a in sorted(agents, key=lambda a: a.id)]
         parts.append(_table(["agent", "x", "refund", "belief_reward", "utility"],
                             rows))
-    for report in certifications:
+    if report is not None:
         parts.append("")
         verdict = "certified" if report.certified else (
             "infeasible" if not report.feasible else "DEVIATIONS FOUND")
         parts.append(f"{report.kind} certification: {verdict}")
         parts.append(f"epsilon: {report.epsilon!r}")
-        if report.bounds:
-            rows = [[str(agent_id), f"{bound:.9g}"]
-                    for agent_id, bound in sorted(report.bounds.items())]
+        if report.indifference:
+            rows = [[str(c.agent_id), f"{c.bound:.9g}"]
+                    for c in sorted(report.indifference, key=lambda c: c.agent_id)]
             parts.append(_table(["agent", "contribution bound"], rows))
         for dev in report.deviations[:20]:
             parts.append(f"  deviation: agent {dev.agent_id} {dev.kind} "

@@ -41,17 +41,13 @@ from .scenario import Scenario, ScenarioError
 class RunResult:
     conditions: list
     outcome: Outcome | None = None
-    certifications: list[EquilibriumReport] = field(default_factory=list)
+    certification: EquilibriumReport | None = None
     files: list[Path] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
     def all_conditions_hold(self) -> bool:
         return all(c.satisfied for c in self.conditions)
-
-    @property
-    def all_certified(self) -> bool:
-        return all(r.certified for r in self.certifications)
 
 
 def profile_from_actions(scenario: Scenario,
@@ -115,8 +111,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     """
     config = scenario.config
     flags = scenario.analysis
-    certifying = flags.certify_ne or flags.certify_spe
-    if flags.conditions_only and certifying:
+    if flags.conditions_only and flags.certify:
         raise ScenarioError("scenario.analysis.conditions_only: certification "
                             "needs the profile that a conditions-only run skips")
     result = RunResult(conditions=check_conditions(config, scenario.agents))
@@ -135,7 +130,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
             profile = construct_profile(config, scenario.agents, rewards)
             if not profile.feasible:
                 result.notes.append(f"profile infeasible: {profile.reason}")
-        elif certifying:
+        elif flags.certify:
             profile = profile_from_actions(scenario, rewards)
 
     dual = None
@@ -154,14 +149,12 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         result.outcome = settle(config, scenario.agents, verdict, dual,
                                 belief_rewards=paid)
 
-    if profile is not None:
-        # the reports carry the conditions evaluated above
-        if flags.certify_ne:
-            result.certifications.append(certify_ne(
-                config, scenario.agents, profile, epsilon, result.conditions))
-        if flags.certify_spe:
-            result.certifications.append(certify_spe(
-                config, scenario.agents, profile, epsilon, result.conditions))
+    if profile is not None and flags.certify:
+        # the mechanism's own equilibrium notion; the report carries the
+        # conditions evaluated above
+        certify = certify_spe if config.mechanism.sequential else certify_ne
+        result.certification = certify(config, scenario.agents, profile, epsilon,
+                                       result.conditions)
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -180,15 +173,14 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
             path = out / "ledger.csv"
             path.write_text(reports.ledger_csv(dual))
             result.files.append(path)
-        for i, report in enumerate(result.certifications):
-            suffix = "" if len(result.certifications) == 1 else f"_{i}"
-            path = out / f"certification{suffix}.json"
-            path.write_text(reports.certification_json(report))
+        if result.certification is not None:
+            path = out / "certification.json"
+            path.write_text(reports.certification_json(result.certification))
             result.files.append(path)
         path = out / "summary.txt"
         path.write_text(reports.summary_text(
             config, scenario.agents, result.conditions, result.outcome,
-            result.certifications, result.notes))
+            result.certification, result.notes))
         result.files.append(path)
     return result
 

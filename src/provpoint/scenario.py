@@ -43,8 +43,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class AnalysisFlags:
     run_campaign: bool = True
-    certify_ne: bool = False
-    certify_spe: bool = False
+    certify: bool = False  # Nash, or subgame-perfect if the mechanism is sequential
     conditions_only: bool = False
 
 
@@ -239,6 +238,10 @@ def parse_scenario_dict(data: dict) -> Scenario:
 
     raw_flags = data.get("analysis")
     raw_flags = {} if raw_flags is None else _object(raw_flags, "scenario.analysis")
+    names = {f.name for f in fields(AnalysisFlags)}
+    for key in raw_flags:
+        if key not in names:
+            raise ScenarioError(f"scenario.analysis.{key}: unknown field")
     flags = AnalysisFlags(**{
         f.name: _field(raw_flags, f.name, "scenario.analysis", _flag, f.default)
         for f in fields(AnalysisFlags)})
@@ -447,7 +450,6 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
 
     rng = random.Random(seed)
     agents = _draw_agents(template, rng)
-    mech = template.mechanism
     explicit_targets = (template.provision_point is not None
                         or template.provision_point_pair is not None)
     fill = template.fill_fraction
@@ -457,9 +459,7 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
         config = _size_config(template, agents, fill, budget_scale)
         scenario = Scenario(
             config=config, agents=agents, seed=seed,
-            analysis=AnalysisFlags(run_campaign=True,
-                                   certify_ne=not mech.sequential,
-                                   certify_spe=mech.sequential),
+            analysis=AnalysisFlags(run_campaign=True, certify=True),
         )
         validate_scenario(scenario)
         failed = [c.name for c in check_conditions(config, agents) if not c.satisfied]

@@ -103,10 +103,10 @@ def test_criterion_2_ppsn_spe():
         scale = max(config.provision_point_pair)
         report = certify_spe(config, agents, profile)
         assert report.certified, (seed, report.deviations[:3])
-        for agent in agents:
-            entry = profile.entries[agent.id]
+        for check in report.indifference:
+            entry = profile.entries[check.agent_id]
             # report bounds are priced at the issuance the agent found
-            if 0.0 < entry.amount < report.bounds[agent.id] * (1 - 1e-9):
+            if 0.0 < entry.amount < check.bound * (1 - 1e-9):
                 clip_seen = True
         # preference flip leaves the symmetric-belief expectation unchanged
         _, dual = run_campaign(config, sorted(

@@ -146,7 +146,7 @@ def test_settlement_pays_the_priced_belief_reward(mech, explicit):
         if explicit:
             scenario.explicit_reports = shuffled_reports(scenario)
         result = run_scenario(scenario)
-        priced = result.certifications[0].profile.belief_rewards
+        priced = result.certification.profile.belief_rewards
         assert result.outcome is not None, scenario.seed
         winning = winning_side_for(result.outcome.verdict)
         sides = {r.agent_id: r.side for r in belief_reports(scenario)}

@@ -286,8 +286,8 @@ def test_non_finite_scenario_exit_code(pprn_scenario, tmp_path, capsys, value):
     (("agents", 0, "arrival_contribution"), 1.5,
      "scenario.agents[0].arrival_contribution: expected an integer"),
     (("agents", 0, "valuation"), True, "scenario.agents[0].valuation: expected a number"),
-    (("analysis",), {"certify_spe": "no"},
-     "scenario.analysis.certify_spe: expected true or false"),
+    (("analysis",), {"certify": "no"},
+     "scenario.analysis.certify: expected true or false"),
     (("analysis",), [], "scenario.analysis: expected an object"),
     (("agents", 1), "agent", "scenario.agents[1]: expected an object"),
 ])
@@ -333,6 +333,22 @@ def test_certify_conditions_only_exit_code(tmp_path, capsys):
     one_error_line(capsys, "scenario.analysis.conditions_only: ")
 
 
+def test_run_conditions_only_exit_code(tmp_path, capsys):
+    # a conditions-only run judges its conditions as check does: the table
+    # on stdout, and exit 3 when one fails
+    raw = json.loads((SCENARIOS / "ppr_explicit_plays.json").read_text())
+    raw["analysis"] = {"conditions_only": True}
+    raw["config"]["refund_budget"] = 1e9
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+    out = capsys.readouterr().out
+    assert main(["check", "--scenario", str(path)]) == 3
+    assert out == capsys.readouterr().out
+    assert any(line.split()[:2] == ["refund_budget_below_cap", "NO"]
+               for line in out.splitlines())
+
+
 def test_run_exit_code_when_certification_finds_deviations(tmp_path, capsys):
     scenario = (Path(__file__).resolve().parent / "golden_generated"
                 / "ppsn_off_preference" / "scenario.json")
@@ -358,6 +374,8 @@ REPORTS = [{"agent_id": i, "information": 0, "prediction": 0.5} for i in range(5
      "scenario.explicit_reports[1]: agent 1: prediction must be within [0, 1]"),
     ("pprx_five_beliefs", ("explicit_reports", 1, "tick"), -1,
      "scenario.explicit_reports[1]: agent 1: report tick must be nonnegative"),
+    ("pprn_six_agents", ("analysis", "certify_ne"), True,
+     "scenario.analysis.certify_ne: unknown field"),
 ])
 def test_invalid_scenario_field_exit_code(tmp_path, capsys, shipped, path, value, needle):
     raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())

@@ -288,8 +288,9 @@ def test_certify_spe_ppsn():
     assert report.certified, report.deviations[:3]
     # the second optimist clips to the remaining target on path; its report
     # bound is priced at the min leg it found, the untouched rejection side
-    assert profile.entries[1].amount < report.bounds[1]
-    assert report.bounds[1] == contribution_bound(config, agents[1], issued=0.0)
+    bound = next(c.bound for c in report.indifference if c.agent_id == 1)
+    assert profile.entries[1].amount < bound
+    assert bound == contribution_bound(config, agents[1], issued=0.0)
 
 
 def test_certify_spe_post_target_arrival_plays_zero():
@@ -340,7 +341,11 @@ def test_certify_spe_infeasible_profile_not_certified():
     report = certify_spe(config, agents, profile)
     assert not report.feasible and not report.certified
     assert report.notes == [profile.reason]
-    assert report.deviations == [] and report.bounds == {}
+    assert report.deviations == [] and report.indifference == []
+    # each agent's row keeps its play; without a path it has no bound
+    rows = report.to_dict()["agents"]
+    assert [row["id"] for row in rows] == [0, 1, 2, 3]
+    assert all(row[key] is None for row in rows for key in ("bound", "lhs", "rhs", "clamped"))
 
 
 def test_certify_spe_rejects_simultaneous_mechanisms():
@@ -473,7 +478,9 @@ def test_report_serializes():
     data = report.to_dict()
     assert data["certified"] is True
     assert data["mechanism"] == "PPRN"
-    assert set(data["bounds"]) == {"0", "1", "2", "3", "4"}
+    assert data["kind"] == "Nash"
+    assert [row["id"] for row in data["agents"]] == [0, 1, 2, 3, 4]
+    assert all(row["bound"] is not None for row in data["agents"])
 
 
 # ---------------------------------------------------------------------------

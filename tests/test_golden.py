@@ -5,10 +5,10 @@ writes for ``scenarios/<scenario>.json``. ``tests/golden_generated/<name>/``
 holds the certification and summary ``provpoint certify`` writes for one
 generated scenario per mechanism (``<mechanism>_n<agents>_seed<seed>``),
 large enough that the SPE walks run long past the first few arrivals, and
-``tests/golden_generated/ppsn_off_preference/`` the files both certifiers
-write for the scenario stored beside them. A changed byte here is a change
-in what the program reports and must be documented as such; refresh the
-files only for a deliberate fix.
+``tests/golden_generated/ppsn_off_preference/`` the files ``provpoint
+certify`` writes for the scenario stored beside them. A changed byte here is
+a change in what the program reports and must be documented as such;
+refresh the files only for a deliberate fix.
 """
 
 from pathlib import Path
@@ -63,13 +63,13 @@ def test_generated_certification_matches_golden(mechanism, agents, seed, tmp_pat
                 == (expected_dir / file_name).read_bytes()), file_name
 
 
-def test_both_certifiers_on_an_off_preference_play_match_golden(tmp_path, capsys):
+def test_off_preference_play_matches_golden(tmp_path, capsys):
     # the shipped PPSN scenario with agent 3 staking 1.0 on the rejection
-    # market first: both certifiers find deviations
+    # market first: the subgame-perfect certifier finds deviations
     expected_dir = GENERATED / "ppsn_off_preference"
     assert main(["certify", "--scenario", str(expected_dir / "scenario.json"),
                  "--out", str(tmp_path)]) == 3
     capsys.readouterr()
-    for file_name in ("certification_0.json", "certification_1.json", "summary.txt"):
+    for file_name in ("certification.json", "summary.txt"):
         assert ((tmp_path / file_name).read_bytes()
                 == (expected_dir / file_name).read_bytes()), file_name

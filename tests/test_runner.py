@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from provpoint.equilibrium import certify_ne, certify_spe
 from provpoint.mechanisms import Action
 from provpoint.model import Market, Mechanism, Verdict
 from provpoint.runner import profile_from_actions, run_scenario
@@ -18,15 +19,14 @@ from provpoint.scenario import (
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def off_preference_ppsn(tmp_path):
+def off_preference_ppsn():
     """The shipped PPSN scenario with one explicit play: agent 3, who
-    prefers provision, stakes 1.0 on the rejection market first; both
-    certifiers run."""
+    prefers provision, stakes 1.0 on the rejection market first."""
     scenario = parse_scenario(SCENARIOS / "ppsn_four_arrivals.json")
     scenario.explicit_actions = [Action(agent_id=3, amount=1.0,
                                         market=Market.AGAINST, tick=1)]
-    scenario.analysis = AnalysisFlags(certify_ne=True, certify_spe=True)
-    return run_scenario(scenario, out_dir=tmp_path)
+    scenario.analysis = AnalysisFlags(certify=True)
+    return scenario
 
 
 def pprn_scenario(**analysis):
@@ -41,7 +41,7 @@ def test_conditions_only_skips_everything(tmp_path):
     scenario = pprn_scenario(run_campaign=True, conditions_only=True)
     result = run_scenario(scenario, out_dir=tmp_path)
     assert result.outcome is None
-    assert result.certifications == []
+    assert result.certification is None
     assert [p.name for p in result.files] == ["summary.txt"]
     assert result.all_conditions_hold
 
@@ -76,9 +76,9 @@ def test_certify_explicit_actions_at_equilibrium():
         Action(agent_id=i, amount=e.amount, market=e.market, tick=e.tick)
         for i, e in sorted(profile.entries.items())
     ]
-    scenario.analysis = AnalysisFlags(run_campaign=False, certify_ne=True)
+    scenario.analysis = AnalysisFlags(run_campaign=False, certify=True)
     result = run_scenario(scenario)
-    assert result.certifications[0].certified
+    assert result.certification.certified
 
 
 def test_certify_explicit_actions_off_equilibrium():
@@ -101,9 +101,9 @@ def test_certify_explicit_actions_off_equilibrium():
         actions.append(Action(agent_id=i, amount=amount, market=entry.market,
                               tick=entry.tick))
     scenario.explicit_actions = actions
-    scenario.analysis = AnalysisFlags(run_campaign=False, certify_ne=True)
+    scenario.analysis = AnalysisFlags(run_campaign=False, certify=True)
     result = run_scenario(scenario)
-    report = result.certifications[0]
+    report = result.certification
     assert not report.certified
     assert any(d.agent_id == first for d in report.deviations)
 
@@ -124,21 +124,24 @@ def test_infeasible_profile_noted(tmp_path):
         "config": {"mechanism": "PPR", "provision_point": 100.0,
                    "refund_budget": 2.0, "deadline_contribution": 4},
         "agents": [{"id": 0, "valuation": 8.0}, {"id": 1, "valuation": 7.0}],
-        "analysis": {"run_campaign": True, "certify_ne": True},
+        "analysis": {"run_campaign": True, "certify": True},
     }
     scenario = parse_scenario_dict(data)
     result = run_scenario(scenario, out_dir=tmp_path)
     assert result.outcome is None
     assert any("infeasible" in note for note in result.notes)
-    assert not result.certifications[0].feasible
+    assert not result.certification.feasible
     summary = (tmp_path / "summary.txt").read_text()
     assert "infeasible" in summary
 
 
-def test_spe_checks_the_on_path_entry_on_its_own_market(tmp_path):
+def test_spe_checks_the_on_path_entry_on_its_own_market():
     # on the path, the subgame-perfect check sweeps the market the entry
     # stakes on, as the Nash check does, not the agent's preferred one
-    ne, spe = off_preference_ppsn(tmp_path).certifications
+    scenario = off_preference_ppsn()
+    profile = profile_from_actions(scenario, {})
+    ne, spe = (certify(scenario.config, scenario.agents, profile)
+               for certify in (certify_ne, certify_spe))
     ne_found = [(d.detail, d.utility_gain) for d in ne.deviations if d.agent_id == 3]
     on_path = "[state raised_for=0 raised_against=0] "
     spe_found = [(d.detail.removeprefix(on_path), d.utility_gain)
@@ -149,11 +152,14 @@ def test_spe_checks_the_on_path_entry_on_its_own_market(tmp_path):
 
 
 def test_summary_labels_each_certification_by_its_certifier(tmp_path):
-    result = off_preference_ppsn(tmp_path)
+    # a PPSN run certifies subgame perfection only, and its one report
+    # names its certifier
+    result = run_scenario(off_preference_ppsn(), out_dir=tmp_path)
     summary = (tmp_path / "summary.txt").read_text()
-    assert summary.count("Nash certification: DEVIATIONS FOUND") == 1
+    assert "Nash certification" not in summary
     assert summary.count("subgame-perfect certification: DEVIATIONS FOUND") == 1
-    for i, report in enumerate(result.certifications):
-        written = (tmp_path / f"certification_{i}.json").read_text()
-        assert json.loads(written) == report.to_dict()
-        assert "kind" not in report.to_dict()
+    assert sorted(p.name for p in tmp_path.glob("certification*")) == [
+        "certification.json"]
+    written = json.loads((tmp_path / "certification.json").read_text())
+    assert written == result.certification.to_dict()
+    assert written["kind"] == "subgame-perfect"

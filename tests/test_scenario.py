@@ -314,8 +314,8 @@ MISTYPED_FIELDS = [
     (("agents", 0, "valuation"), True, "scenario.agents[0].valuation: expected a number, got True"),
     (("config", "provision_point"), False,
      "scenario.config.provision_point: expected a number, got False"),
-    (("analysis",), {"certify_spe": "no"},
-     "scenario.analysis.certify_spe: expected true or false, got 'no'"),
+    (("analysis",), {"certify": "no"},
+     "scenario.analysis.certify: expected true or false, got 'no'"),
     (("analysis",), {"run_campaign": 1},
      "scenario.analysis.run_campaign: expected true or false, got 1"),
     (("analysis",), [], "scenario.analysis: expected an object, got []"),
@@ -345,12 +345,12 @@ def test_mistyped_fields_rejected(path, value, message):
 
 def test_integral_floats_and_boolean_flags_accepted():
     data = with_value(MINIMAL_PPR, ("agents", 1, "arrival_contribution"), 2.0)
-    data["analysis"] = {"certify_ne": True, "run_campaign": False}
+    data["analysis"] = {"certify": True, "run_campaign": False}
     scenario = parse_scenario_dict(data)
     assert scenario.agents[1].arrival_contribution == 2
-    assert scenario.analysis.certify_ne and not scenario.analysis.run_campaign
+    assert scenario.analysis.certify and not scenario.analysis.run_campaign
     data["analysis"] = None
-    assert not parse_scenario_dict(data).analysis.certify_spe
+    assert not parse_scenario_dict(data).analysis.certify
 
 
 MISTYPED_TEMPLATE_FIELDS = [
