@@ -24,6 +24,7 @@ from .scenario import (
     ScenarioError,
     generate_scenario,
     parse_scenario,
+    read_json,
     save_scenario,
     scenario_to_dict,
     template_from_dict,
@@ -41,9 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "equilibrium certification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario JSON file")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="settlement report format")
@@ -127,8 +127,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    raw = json.loads(Path(args.template).read_text())
-    template = template_from_dict(raw)
+    template = template_from_dict(read_json(args.template))
     scenario = generate_scenario(template, seed=args.seed)
     if args.out is None:
         print(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
@@ -165,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -383,8 +383,8 @@ class Action:
 
     agent_id: int
     amount: float
-    market: Market
-    tick: int
+    market: Market = Market.FOR
+    tick: int = 0
 
 
 def run_campaign(config: CampaignConfig,

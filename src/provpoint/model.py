@@ -137,7 +137,7 @@ class CostParams:
 
     def __post_init__(self) -> None:
         if self.liquidity <= 0:
-            raise ValueError(f"cost_params.liquidity must be positive, got {self.liquidity}")
+            raise ValueError(f"liquidity must be positive, got {self.liquidity}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,10 @@ import enum
 import json
 import math
 import random
+import types
+import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache, partial
 from pathlib import Path
 
 from .beliefs import BeliefReport, conditional_rewards, default_report, score_reports
@@ -110,18 +113,6 @@ def _flag(raw, context: str) -> bool:
     return raw
 
 
-def _entries(data: dict, key: str) -> list[tuple[str, dict]] | None:
-    """The objects of the optional list ``data[key]``, each with its
-    context; None when the list is absent or null."""
-    raw = data.get(key)
-    if raw is None:
-        return None
-    if not isinstance(raw, list):
-        raise ScenarioError(f"scenario.{key}: expected a list, got {raw!r}")
-    return [(f"scenario.{key}[{i}]", _object(entry, f"scenario.{key}[{i}]"))
-            for i, entry in enumerate(raw)]
-
-
 def _pair(raw, context: str) -> tuple[float, float]:
     """A list of exactly two numbers: a range or a pair of targets."""
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
@@ -130,19 +121,66 @@ def _pair(raw, context: str) -> tuple[float, float]:
 
 
 _REQUIRED = object()
+_READERS = {int: _integer, float: _number, bool: _flag}
 
 
-def _field(data: dict, key: str, context: str, convert=_number, default=_REQUIRED):
-    """``data[key]`` converted, naming ``context.key`` in any error. A missing
-    key takes ``default`` (an optional field, None when absent or null) or
-    is an error when there is none."""
-    if default is _REQUIRED:
-        raw = _require(data, key, context)
-    else:
-        raw = data.get(key, default)
-        if raw is None and default is None:
-            return None
-    return convert(raw, f"{context}.{key}")
+def _reader(hint):
+    """The reader of a field annotated ``hint``; ``X | None`` reads as X."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return _pair
+    if is_dataclass(hint):
+        return partial(_record, hint)
+    if issubclass(hint, enum.Enum):
+        return partial(_enum_value, hint)
+    return _READERS[hint]
+
+
+@cache
+def _fields(cls) -> tuple[frozenset[str], tuple]:
+    """The field names of dataclass ``cls``, and (name, default, reader)
+    per field; a field without a default is required."""
+    hints = typing.get_type_hints(cls)
+    entries = tuple((f.name, _REQUIRED if f.default is MISSING else f.default,
+                     _reader(hints[f.name])) for f in fields(cls))
+    return frozenset(name for name, _, _ in entries), entries
+
+
+def _record(cls, raw, context: str):
+    """Dataclass ``cls`` built from the JSON object ``raw``, each field read
+    by its type's reader. A missing field takes its default, null is absent
+    for a field whose default is None, and a key that is not a field is
+    refused; every error names ``context.<field>``."""
+    names, entries = _fields(cls)
+    raw = _object(raw, context)
+    if not names.issuperset(raw):
+        key = next(key for key in raw if key not in names)
+        raise ScenarioError(f"{context}.{key}: unknown field")
+    values = {}
+    for name, default, read in entries:
+        value = raw.get(name, default)
+        if value is _REQUIRED:
+            raise ScenarioError(f"{context}: missing required field '{name}'")
+        values[name] = (None if value is None and default is None
+                        else read(value, f"{context}.{name}"))
+    try:
+        return cls(**values)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{context}: {exc}") from None
+
+
+def _entries(data: dict, key: str, cls) -> list | None:
+    """The optional list ``data[key]`` read as ``cls`` records; None when
+    the list is absent or null."""
+    raw = data.get(key)
+    if raw is None:
+        return None
+    if not isinstance(raw, list):
+        raise ScenarioError(f"scenario.{key}: expected a list, got {raw!r}")
+    return [_record(cls, entry, f"scenario.{key}[{i}]") for i, entry in enumerate(raw)]
 
 
 def parse_scenario_dict(data: dict) -> Scenario:
@@ -152,102 +190,28 @@ def parse_scenario_dict(data: dict) -> Scenario:
     if version != SCENARIO_VERSION or isinstance(version, bool):
         raise ScenarioError(
             f"scenario.version: expected {SCENARIO_VERSION}, got {version!r}")
-
-    ctx = "scenario.config"
-    raw_cfg = _object(_require(data, "config", "scenario"), ctx)
-    mech = _enum_value(Mechanism, _require(raw_cfg, "mechanism", ctx), f"{ctx}.mechanism")
-    pair = _field(raw_cfg, "provision_point_pair", ctx, _pair, default=None)
-    cost_raw = raw_cfg.get("cost_params")
-    if cost_raw is not None:
-        cost_raw = _object(cost_raw, f"{ctx}.cost_params")
-    cost_values = None if cost_raw is None else (
-        _field(cost_raw, "liquidity", f"{ctx}.cost_params", default=1.0),
-        _field(cost_raw, "fixed_leg", f"{ctx}.cost_params", default=0.0))
-    amounts = {name: _field(raw_cfg, name, ctx, default=None)
-               for name in ("provision_point", "refund_budget", "belief_budget",
-                            "contribution_budget")}
-    deadline = _field(raw_cfg, "deadline_contribution", ctx, _integer, default=0)
-    deadline_belief = _field(raw_cfg, "deadline_belief", ctx, _integer, default=None)
-    try:
-        cost = None if cost_values is None else CostParams(*cost_values)
-        config = CampaignConfig(
-            mechanism=mech,
-            provision_point_pair=pair,  # type: ignore[arg-type]
-            deadline_contribution=deadline,
-            deadline_belief=deadline_belief,
-            cost_params=cost,
-            **amounts,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from None
-
+    known = {"version", *(f.name for f in fields(Scenario))}
+    for key in data:
+        if key not in known:
+            raise ScenarioError(f"scenario.{key}: unknown field")
+    config = _record(CampaignConfig, _require(data, "config", "scenario"),
+                     "scenario.config")
     raw_agents = _require(data, "agents", "scenario")
     if not isinstance(raw_agents, list) or not raw_agents:
         raise ScenarioError("scenario.agents: expected a nonempty list")
-    agents: list[AgentProfile] = []
-    for i, raw in enumerate(raw_agents):
-        context = f"scenario.agents[{i}]"
-        raw = _object(raw, context)
-        side = _enum_value(BeliefSide, raw.get("belief_side", "provision_likely"),
-                           f"{context}.belief_side")
-        values = {
-            "id": _field(raw, "id", context, _integer),
-            "valuation": _field(raw, "valuation", context),
-            "belief_epsilon": _field(raw, "belief_epsilon", context, default=0.0),
-            "arrival_belief": _field(raw, "arrival_belief", context, _integer, 0),
-            "arrival_contribution": _field(raw, "arrival_contribution", context,
-                                           _integer, 0),
-        }
-        try:
-            agents.append(AgentProfile(belief_side=side, **values))
-        except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from None
-    ids = [a.id for a in agents]
-    if len(set(ids)) != len(ids):
+    agents = [_record(AgentProfile, raw, f"scenario.agents[{i}]")
+              for i, raw in enumerate(raw_agents)]
+    ids = {a.id for a in agents}
+    if len(ids) != len(agents):
         raise ScenarioError("scenario.agents: agent ids must be unique")
-
-    actions = None
-    raw_actions = _entries(data, "explicit_actions")
-    if raw_actions is not None:
-        actions = []
-        for context, raw in raw_actions:
-            market = _enum_value(Market, raw.get("market", "for"),
-                                 f"{context}.market")
-            actions.append(Action(
-                agent_id=_field(raw, "agent_id", context, _integer),
-                amount=_field(raw, "amount", context),
-                market=market,
-                tick=_field(raw, "tick", context, _integer, 0),
-            ))
-
-    reports = None
-    raw_reports = _entries(data, "explicit_reports")
-    if raw_reports is not None:
-        reports = []
-        for context, raw in raw_reports:
-            values = {
-                "agent_id": _field(raw, "agent_id", context, _integer),
-                "information": _field(raw, "information", context, _integer),
-                "prediction": _field(raw, "prediction", context),
-                "tick": _field(raw, "tick", context, _integer, 0),
-            }
-            try:
-                reports.append(BeliefReport(**values))
-            except ValueError as exc:
-                raise ScenarioError(f"{context}: {exc}") from None
-
-    raw_flags = data.get("analysis")
-    raw_flags = {} if raw_flags is None else _object(raw_flags, "scenario.analysis")
-    names = {f.name for f in fields(AnalysisFlags)}
-    for key in raw_flags:
-        if key not in names:
-            raise ScenarioError(f"scenario.analysis.{key}: unknown field")
-    flags = AnalysisFlags(**{
-        f.name: _field(raw_flags, f.name, "scenario.analysis", _flag, f.default)
-        for f in fields(AnalysisFlags)})
-    scenario = Scenario(config=config, agents=agents, explicit_actions=actions,
-                        explicit_reports=reports, analysis=flags,
-                        seed=_field(data, "seed", "scenario", _integer, 0))
+    flags = data.get("analysis")
+    scenario = Scenario(
+        config=config, agents=agents,
+        explicit_actions=_entries(data, "explicit_actions", Action),
+        explicit_reports=_entries(data, "explicit_reports", BeliefReport),
+        analysis=(AnalysisFlags() if flags is None
+                  else _record(AnalysisFlags, flags, "scenario.analysis")),
+        seed=_integer(data.get("seed", 0), "scenario.seed"))
     validate_scenario(scenario)
     return scenario
 
@@ -315,17 +279,22 @@ def validate_scenario(scenario: Scenario) -> None:
                     f"{config.deadline_belief}")
 
 
-def parse_scenario(path: str | Path) -> Scenario:
+def read_json(path: str | Path):
+    """The JSON document in the file ``path``; an unreadable file or
+    malformed JSON is a ScenarioError that names the file."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
+        raise ScenarioError(f"cannot read {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
-    return parse_scenario_dict(data)
+
+
+def parse_scenario(path: str | Path) -> Scenario:
+    return parse_scenario_dict(read_json(path))
 
 
 def _plain(value):
@@ -403,16 +372,7 @@ def template_from_dict(data: dict) -> ScenarioTemplate:
     """Parse a ``gen`` template with the scenario parser's type rules,
     naming ``template.<field>`` in any error; a missing optional field takes
     ``ScenarioTemplate``'s default."""
-    ctx = "template"
-    data = _object(data, ctx)
-    pairs = ("valuation_range", "epsilon_range", "provision_point_pair")
-    return ScenarioTemplate(
-        mechanism=_enum_value(Mechanism, _require(data, "mechanism", ctx),
-                              f"{ctx}.mechanism"),
-        agent_count=_field(data, "agent_count", ctx, _integer),
-        **{f.name: _field(data, f.name, ctx, _pair if f.name in pairs else _number,
-                          f.default)
-           for f in fields(ScenarioTemplate) if f.default is not MISSING})
+    return _record(ScenarioTemplate, data, "template")
 
 
 def _draw_agents(template: ScenarioTemplate, rng: random.Random) -> list[AgentProfile]:

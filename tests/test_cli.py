@@ -376,6 +376,10 @@ REPORTS = [{"agent_id": i, "information": 0, "prediction": 0.5} for i in range(5
      "scenario.explicit_reports[1]: agent 1: report tick must be nonnegative"),
     ("pprn_six_agents", ("analysis", "certify_ne"), True,
      "scenario.analysis.certify_ne: unknown field"),
+    ("pprx_five_beliefs", ("explicit_reports", 1, "tik"), 1,
+     "scenario.explicit_reports[1].tik: unknown field"),
+    ("ppsn_four_arrivals", ("config", "cost_params", "liquidity"), -1.0,
+     "scenario.config.cost_params: liquidity must be positive, got -1.0"),
 ])
 def test_invalid_scenario_field_exit_code(tmp_path, capsys, shipped, path, value, needle):
     raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())
@@ -390,3 +394,76 @@ def test_invalid_scenario_field_exit_code(tmp_path, capsys, shipped, path, value
     for verb in ("check", "run", "certify"):
         assert main([verb, "--scenario", str(bad), "--out", str(tmp_path / verb)]) == 1
         one_error_line(capsys, needle)
+
+
+
+@pytest.mark.parametrize("text,needle", [
+    ('{mechanism: "PPR"}', "{path}: not valid JSON ("),
+    (None, "cannot read {path}: "),
+], ids=["malformed", "missing"])
+def test_unreadable_template_names_the_file(tmp_path, capsys, text, needle):
+    path = tmp_path / "template.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "generated.json"
+    assert main(["gen", "--template", str(path), "--out", str(out)]) == 1
+    one_error_line(capsys, needle.format(path=path))
+    assert not out.exists()
+
+
+def key_paths(node, path=()):
+    """The path of every key of every object in a JSON document, as a tuple
+    of keys and list indices."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from key_paths(value, path + (i,))
+
+
+def mutations(document, root):
+    """For each key path of ``document``: a copy with a misspelled sibling
+    key, and a copy with the value replaced by a string; each with the
+    error that must name it."""
+    for path in key_paths(document):
+        dotted = root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                for k in path)
+        for mutation in ("typo", "string"):
+            copy = json.loads(json.dumps(document))
+            node = copy
+            for key in path[:-1]:
+                node = node[key]
+            if mutation == "typo":
+                node[f"{path[-1]}_typo"] = node[path[-1]]
+                yield copy, f"error: {dotted}_typo: unknown field\n"
+            else:
+                node[path[-1]] = "x"
+                yield copy, f"error: {dotted}: "
+
+
+def refused(capsys, argv, expected):
+    assert main(argv) == 1, expected
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(expected), (expected, err)
+
+
+def test_every_field_of_the_shipped_inputs_is_checked(tmp_path, capsys):
+    # every key of every shipped scenario, and of the README template, is a
+    # field the parser reads: a misspelled sibling or a string in its place
+    # is one error line naming it (check stands for every scenario verb,
+    # since all of them parse through parse_scenario)
+    path = tmp_path / "mutated.json"
+    for shipped in sorted(SCENARIOS.glob("*.json")):
+        for document, expected in mutations(json.loads(shipped.read_text()), "scenario"):
+            path.write_text(json.dumps(document))
+            refused(capsys, ["check", "--scenario", str(path)], expected)
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    template = json.loads(readme.split("Templates for `gen`:")[1]
+                          .split("```json")[1].split("```")[0])
+    out = tmp_path / "generated.json"
+    for document, expected in mutations(template, "template"):
+        path.write_text(json.dumps(document))
+        refused(capsys, ["gen", "--template", str(path), "--out", str(out)], expected)
+        assert not out.exists()

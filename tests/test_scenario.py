@@ -1,12 +1,17 @@
 import json
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+from provpoint.beliefs import default_report
 from provpoint.equilibrium import check_conditions, construct_profile
-from provpoint.model import Mechanism
+from provpoint.mechanisms import Action
+from provpoint.model import Market, Mechanism, derive_preference
 from provpoint.scenario import (
     ScenarioError,
     ScenarioTemplate,
+    _record,
     generate_scenario,
     parse_scenario,
     parse_scenario_dict,
@@ -14,6 +19,8 @@ from provpoint.scenario import (
     scenario_to_dict,
     template_from_dict,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL_PPR = {
     "version": 1,
@@ -34,12 +41,89 @@ def test_parse_minimal_scenario():
 
 
 def test_round_trip_identity(tmp_path):
-    scenario = parse_scenario_dict(MINIMAL_PPR)
-    path = tmp_path / "scenario.json"
-    save_scenario(scenario, path)
-    again = parse_scenario(path)
-    assert again == scenario
-    assert scenario_to_dict(again) == scenario_to_dict(scenario)
+    # every mechanism, with explicit plays, and explicit reports where a
+    # belief phase reads them
+    scenarios = [parse_scenario_dict(MINIMAL_PPR)]
+    for mechanism in Mechanism:
+        scenario = generate_scenario(ScenarioTemplate(mechanism, 5), seed=7)
+        scenario.explicit_actions = [
+            Action(a.id, 1.0, derive_preference(a), a.arrival_contribution)
+            for a in scenario.agents]
+        if mechanism.two_phase:
+            scenario.explicit_reports = [default_report(a) for a in scenario.agents]
+        scenarios.append(scenario)
+    for scenario in scenarios:
+        assert parse_scenario_dict(scenario_to_dict(scenario)) == scenario
+        path = tmp_path / "scenario.json"
+        save_scenario(scenario, path)
+        again = parse_scenario(path)
+        assert again == scenario
+        assert scenario_to_dict(again) == scenario_to_dict(scenario)
+
+
+def readme_block(heading):
+    """The first JSON block of the README after ``heading``."""
+    text = README.read_text().split(heading, 1)[1]
+    return json.loads(text.split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_readme_examples_parse():
+    scenario = parse_scenario_dict(readme_block("## Scenario files"))
+    assert scenario.config.mechanism is Mechanism.PPRN
+    assert scenario.explicit_actions == [Action(0, 6.0, Market.FOR, 1)]
+    template = template_from_dict(readme_block("Templates for `gen`:"))
+    assert template == ScenarioTemplate(Mechanism.PPSN, 4)
+
+
+@dataclass(frozen=True)
+class Inner:
+    weight: float = 1.0
+
+    def __post_init__(self):
+        if self.weight < 0:
+            raise ValueError("weight must be nonnegative")
+
+
+@dataclass(frozen=True)
+class Probe:
+    count: int
+    rate: float
+    on: bool = False
+    side: Market = Market.FOR
+    span: tuple[float, float] = (0.0, 1.0)
+    limit: float | None = None
+    inner: Inner | None = None
+
+
+def test_record_reads_any_dataclass_from_its_fields():
+    # a dataclass the parser has never seen: its fields alone say how to read it
+    assert _record(Probe, {"count": 2, "rate": 1}, "probe") == Probe(2, 1.0)
+    full = {"count": 2.0, "rate": 0.5, "on": True, "side": "against",
+            "span": [1, 2], "limit": 3, "inner": {"weight": 4}}
+    probe = _record(Probe, full, "probe")
+    assert probe == Probe(2, 0.5, True, Market.AGAINST, (1.0, 2.0), 3.0, Inner(4.0))
+    assert type(probe.count) is int and type(probe.limit) is float
+    assert _record(Probe, {**full, "limit": None, "inner": None}, "probe") == Probe(
+        2, 0.5, True, Market.AGAINST, (1.0, 2.0))
+    for raw, message in [
+        ({"rate": 1}, "probe: missing required field 'count'"),
+        ({"count": 1, "rate": 1, "cont": 1}, "probe.cont: unknown field"),
+        ({"count": 1.5, "rate": 1}, "probe.count: expected an integer, got 1.5"),
+        ({"count": 1, "rate": "1"}, "probe.rate: expected a number, got '1'"),
+        ({"count": 1, "rate": 1, "on": 1}, "probe.on: expected true or false, got 1"),
+        ({"count": 1, "rate": 1, "side": "up"}, "probe.side: 'up' is not one of: for, against"),
+        ({"count": 1, "rate": 1, "span": [1]},
+         "probe.span: expected a list of two numbers, got [1]"),
+        ({"count": 1, "rate": 1, "on": None}, "probe.on: expected true or false, got None"),
+        ({"count": 1, "rate": 1, "inner": 3}, "probe.inner: expected an object, got 3"),
+        ({"count": 1, "rate": 1, "inner": {"weigth": 1}}, "probe.inner.weigth: unknown field"),
+        ({"count": 1, "rate": 1, "inner": {"weight": -1}},
+         "probe.inner: weight must be nonnegative"),
+        ([], "probe: expected an object, got []"),
+    ]:
+        with pytest.raises(ScenarioError) as info:
+            _record(Probe, raw, "probe")
+        assert str(info.value) == message
 
 
 def test_version_required():
@@ -332,6 +416,12 @@ MISTYPED_FIELDS = [
     (("agents", 1, "valuation"), 10**400, "scenario.agents[1].valuation: must be finite"),
     (("config", "deadline_contribution"), "4",
      "scenario.config.deadline_contribution: expected an integer, got '4'"),
+    (("versoin",), 1, "scenario.versoin: unknown field"),
+    (("config", "refund_budgt"), 2.0, "scenario.config.refund_budgt: unknown field"),
+    (("agents", 1, "arrival_contribtion"), 1,
+     "scenario.agents[1].arrival_contribtion: unknown field"),
+    (("explicit_actions", 0, "tik"), 1, "scenario.explicit_actions[0].tik: unknown field"),
+    (("analysis",), {"certify_ne": True}, "scenario.analysis.certify_ne: unknown field"),
 ]
 
 
@@ -402,3 +492,7 @@ def test_template_defaults_and_whole_numbers():
     for mechanism in Mechanism:
         assert (template_from_dict({"mechanism": mechanism.value, "agent_count": 6})
                 == ScenarioTemplate(mechanism, 6))
+    with pytest.raises(ScenarioError) as info:
+        template_from_dict({"mechanism": "PPR", "agent_count": 3, "fill_fractoin": 0.3})
+    assert str(info.value) == "template.fill_fractoin: unknown field"
+
