@@ -92,10 +92,6 @@ def _cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     result = run_scenario(scenario, out_dir=args.out, epsilon=args.epsilon,
                           fmt=args.format)
-    if scenario.analysis.conditions_only:
-        # the conditions are the run's only verdict, judged as check does
-        print(reports.conditions_table(result.conditions))
-        return EXIT_OK if result.all_conditions_hold else EXIT_NEGATIVE
     if result.outcome is not None:
         print(f"verdict: {result.outcome.verdict.value}")
         print(f"raised for: {result.outcome.total_for!r}  "

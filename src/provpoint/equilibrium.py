@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .mechanisms import (
+    Action,
     DualMarketState,
     Waits,
     new_states,
@@ -349,26 +350,23 @@ def check_conditions(config: CampaignConfig,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    amount: float
-    tick: int
-    market: Market
-
-
 @dataclass
 class EquilibriumProfile:
-    """A concrete candidate play: per-agent amounts, ticks, and markets.
+    """A concrete candidate play: each agent's ``Action`` by agent id.
 
     ``expected_verdict`` is the verdict the replay kernel reaches on these
-    plays, in the engine's (tick, agent id) order.
+    plays, in the engine's (tick, agent id) order. An infeasible profile
+    carries the ``reason`` it could not be built.
     """
 
-    entries: dict[int, ProfileEntry] = field(default_factory=dict)
-    feasible: bool = True
+    entries: dict[int, Action] = field(default_factory=dict)
     reason: str | None = None
     expected_verdict: Verdict | None = None
     belief_rewards: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def feasible(self) -> bool:
+        return self.reason is None
 
     def total(self, market: Market) -> float:
         return sum(e.amount for e in self.entries.values() if e.market is market)
@@ -427,7 +425,6 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
             fills[market] = (_fill_side(side, bounds, config.target(market),
                                         strict=mech.dual_market) if side else None)
         if None in fills.values():
-            profile.feasible = False
             sides = ", ".join(f"{_SIDE_NAMES[m]} side {'ok' if fill else 'short'}"
                               for m, fill in fills.items())
             profile.reason = (
@@ -437,8 +434,8 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
             return profile
         for market, fill in fills.items():
             for agent_id, amount in fill.items():
-                profile.entries[agent_id] = ProfileEntry(
-                    amount, config.deadline_contribution, market)
+                profile.entries[agent_id] = Action(
+                    agent_id, amount, market, config.deadline_contribution)
         profile.expected_verdict = replayed_verdict(config, agents, profile)
         return profile
 
@@ -449,10 +446,9 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     book = new_states(config)
     amounts = book.walk(_plays(config, arrivals))
     for (agent, market, _), amount in zip_longest(arrivals, amounts, fillvalue=0.0):
-        profile.entries[agent.id] = ProfileEntry(amount, agent.arrival_contribution,
-                                                 market)
+        profile.entries[agent.id] = Action(agent.id, amount, market,
+                                           agent.arrival_contribution)
     if book.verdict is None:
-        profile.feasible = False
         profile.reason = ("arrival-order bounds exhaust all agents with no target "
                           f"reached (raised {book.market_for.raised:.6g} / "
                           f"{book.market_against.raised:.6g})")
@@ -533,29 +529,34 @@ class IndifferenceCheck:
 @dataclass
 class EquilibriumReport:
     mechanism: str
-    profile: EquilibriumProfile | None = None
+    profile: EquilibriumProfile
     conditions: list[ConditionCheck] = field(default_factory=list)
     deviations: list[Deviation] = field(default_factory=list)
     indifference: list[IndifferenceCheck] = field(default_factory=list)
     epsilon: float = 0.0
-    feasible: bool = True
-    certified: bool = False
     notes: list[str] = field(default_factory=list)
     kind: str = "Nash"  # the certifier that produced it
+
+    @property
+    def feasible(self) -> bool:
+        return self.profile.feasible
+
+    @property
+    def certified(self) -> bool:
+        return self.feasible and not self.deviations
 
     def to_dict(self) -> dict:
         """The report as JSON values: one row per agent of the profile with
         its play and its bound's indifference check (null without one)."""
         checks = {c.agent_id: (c.bound, c.lhs, c.rhs, c.clamped)
                   for c in self.indifference}
-        entries = {} if self.profile is None else self.profile.entries
         return {
             "kind": self.kind,
             "mechanism": self.mechanism,
             "feasible": self.feasible,
             "certified": self.certified,
             "epsilon": self.epsilon,
-            "profile": None if self.profile is None else {
+            "profile": {
                 "feasible": self.profile.feasible,
                 "reason": self.profile.reason,
                 "expected_verdict": (self.profile.expected_verdict.value
@@ -564,7 +565,7 @@ class EquilibriumReport:
             "agents": [
                 {"id": i, "market": e.market.value, "amount": e.amount, "tick": e.tick,
                  **dict(zip(("bound", "lhs", "rhs", "clamped"), checks.get(i, (None,) * 4)))}
-                for i, e in sorted(entries.items())
+                for i, e in sorted(self.profile.entries.items())
             ],
             "conditions": [
                 {"name": c.name, "satisfied": c.satisfied, "lhs": c.lhs, "rhs": c.rhs}
@@ -855,10 +856,9 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
         conditions=(check_conditions(config, agents) if conditions is None
                     else conditions),
         epsilon=epsilon,
-        feasible=profile.feasible,
     )
     if not profile.feasible:
-        report.notes.append(profile.reason or "profile infeasible")
+        report.notes.append(profile.reason)
         return report, epsilon, None, []
     path = _path(config, agents, profile)
     slots = _slots(config, agents, profile, path)
@@ -888,7 +888,6 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
             "timing deviations vacuous: refund schedule is time-invariant")
     for slot in slots:
         _check_slot(config, slot, report, eps)
-    report.certified = not report.deviations
     return report
 
 
@@ -1008,7 +1007,6 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
                 rival_viable=config.mechanism.dual_market and _rival_fills(
                     state, own_market, plays, idx + 1, bought),
             ), report, eps, _state_prefix(state), waits)
-    report.certified = not report.deviations
     return report
 
 

@@ -1,5 +1,6 @@
-"""Scenario orchestration: conditions, profile, campaign, certification,
-and report files, in that order, per the scenario's analysis flags."""
+"""Scenario orchestration: conditions, profile, campaign, certification
+(when the scenario's ``analysis.certify`` asks for it), and report files,
+in that order."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .beliefs import (
 from .equilibrium import (
     EquilibriumProfile,
     EquilibriumReport,
-    ProfileEntry,
     check_conditions,
     construct_profile,
     certify_ne,
@@ -45,10 +45,6 @@ class RunResult:
     files: list[Path] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def all_conditions_hold(self) -> bool:
-        return all(c.satisfied for c in self.conditions)
-
 
 def profile_from_actions(scenario: Scenario,
                          belief_rewards: dict[int, float]) -> EquilibriumProfile:
@@ -69,16 +65,11 @@ def profile_from_actions(scenario: Scenario,
                 "explicit plays requires at most one action per agent; agent "
                 f"{action.agent_id} has several")
         seen.add(action.agent_id)
-    profile = EquilibriumProfile(belief_rewards=dict(belief_rewards))
     by_agent = {a.agent_id: a for a in actions}
-    for agent in scenario.agents:
-        action = by_agent.get(agent.id)
-        if action is None:
-            entry = ProfileEntry(0.0, config.deadline_contribution,
-                                 own_market(config, agent))
-        else:
-            entry = ProfileEntry(action.amount, action.tick, action.market)
-        profile.entries[agent.id] = entry
+    profile = EquilibriumProfile(belief_rewards=dict(belief_rewards), entries={
+        agent.id: by_agent.get(agent.id) or Action(
+            agent.id, 0.0, own_market(config, agent), config.deadline_contribution)
+        for agent in scenario.agents})
     profile.expected_verdict = replayed_verdict(config, scenario.agents, profile)
     return profile
 
@@ -91,19 +82,17 @@ def belief_reports(scenario: Scenario) -> list[BeliefReport]:
 
 
 def actions_from_profile(profile: EquilibriumProfile) -> list[Action]:
-    actions = [
-        Action(agent_id=agent_id, amount=entry.amount, market=entry.market,
-               tick=entry.tick)
-        for agent_id, entry in profile.entries.items() if entry.amount > 0.0
-    ]
-    actions.sort(key=lambda a: (a.tick, a.agent_id))
-    return actions
+    """The profile's nonzero plays in the engine's (tick, agent id) order."""
+    return sorted((a for a in profile.entries.values() if a.amount > 0.0),
+                  key=lambda a: (a.tick, a.agent_id))
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
                  epsilon: float | None = None,
                  fmt: str = "csv") -> RunResult:
-    """Execute the scenario's requested analyses and write report files.
+    """Check the conditions, play the campaign, certify when the scenario's
+    ``analysis.certify`` asks, and write report files. An infeasible
+    constructed profile is noted and not played.
 
     Outputs are deterministic: rerunning the same scenario produces
     byte-identical files. The campaign replays every explicit action; only
@@ -111,30 +100,25 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     """
     config = scenario.config
     flags = scenario.analysis
-    if flags.conditions_only and flags.certify:
-        raise ScenarioError("scenario.analysis.conditions_only: certification "
-                            "needs the profile that a conditions-only run skips")
     result = RunResult(conditions=check_conditions(config, scenario.agents))
 
     profile: EquilibriumProfile | None = None
+    # the reports are scored once: the profile prices the reward each
+    # reporter would collect, and settlement pays the winning side's
     ledger = None
-    want_profile = not flags.conditions_only
-    if want_profile:
-        # the reports are scored once: the profile prices the reward each
-        # reporter would collect, and settlement pays the winning side's
-        rewards: dict[int, float] = {}
-        if config.mechanism.two_phase:
-            ledger = score_reports(belief_reports(scenario))
-            rewards = conditional_rewards(ledger, config.belief_budget)  # type: ignore[arg-type]
-        if scenario.explicit_actions is None:
-            profile = construct_profile(config, scenario.agents, rewards)
-            if not profile.feasible:
-                result.notes.append(f"profile infeasible: {profile.reason}")
-        elif flags.certify:
-            profile = profile_from_actions(scenario, rewards)
+    rewards: dict[int, float] = {}
+    if config.mechanism.two_phase:
+        ledger = score_reports(belief_reports(scenario))
+        rewards = conditional_rewards(ledger, config.belief_budget)  # type: ignore[arg-type]
+    if scenario.explicit_actions is None:
+        profile = construct_profile(config, scenario.agents, rewards)
+        if not profile.feasible:
+            result.notes.append(f"profile infeasible: {profile.reason}")
+    elif flags.certify:
+        profile = profile_from_actions(scenario, rewards)
 
     dual = None
-    if want_profile and flags.run_campaign and (profile is None or profile.feasible):
+    if profile is None or profile.feasible:
         actions = (sorted(scenario.explicit_actions, key=lambda a: (a.tick, a.agent_id))
                    if scenario.explicit_actions is not None
                    else actions_from_profile(profile))

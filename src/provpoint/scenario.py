@@ -2,7 +2,7 @@
 
 A scenario is a JSON document with a mandatory ``version`` field, the
 campaign config, the agent list, optional explicit plays and belief reports,
-analysis flags, and a seed. Validation happens entirely at parse time and
+the analysis switch, and a seed. Validation happens entirely at parse time and
 error messages name the offending field and the violated invariant.
 
 Generated scenarios come from a template (mechanism, agent count, valuation
@@ -45,9 +45,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class AnalysisFlags:
-    run_campaign: bool = True
     certify: bool = False  # Nash, or subgame-perfect if the mechanism is sequential
-    conditions_only: bool = False
 
 
 @dataclass
@@ -419,7 +417,7 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
         config = _size_config(template, agents, fill, budget_scale)
         scenario = Scenario(
             config=config, agents=agents, seed=seed,
-            analysis=AnalysisFlags(run_campaign=True, certify=True),
+            analysis=AnalysisFlags(certify=True),
         )
         validate_scenario(scenario)
         failed = [c.name for c in check_conditions(config, agents) if not c.satisfied]

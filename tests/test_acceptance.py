@@ -15,7 +15,6 @@ from provpoint.cli import main
 from provpoint.costfn import CostFunction
 from provpoint.equilibrium import (
     EquilibriumProfile,
-    ProfileEntry,
     bound_pprn,
     certify_ne,
     certify_spe,
@@ -210,11 +209,11 @@ def test_criterion_5_negative_controls():
                             refund_budget=5.0, deadline_contribution=5)
     assert all(c.satisfied for c in check_conditions(config, agents))
     profile = EquilibriumProfile()
-    profile.entries[0] = ProfileEntry(19.0, 5, Market.FOR)
-    profile.entries[1] = ProfileEntry(0.5, 5, Market.FOR)
-    profile.entries[2] = ProfileEntry(0.5, 5, Market.FOR)
+    profile.entries[0] = Action(0, 19.0, Market.FOR, 5)
+    profile.entries[1] = Action(1, 0.5, Market.FOR, 5)
+    profile.entries[2] = Action(2, 0.5, Market.FOR, 5)
     for i in (3, 4):
-        profile.entries[i] = ProfileEntry(7.5, 5, Market.AGAINST)
+        profile.entries[i] = Action(i, 7.5, Market.AGAINST, 5)
     assert 19.0 > bound_pprn(agents[0], 20.0, 15.0, 5.0)
     report = certify_ne(config, agents, profile)
     assert not report.certified
@@ -234,9 +233,9 @@ def test_criterion_5_negative_controls():
     assert [c.name for c in violated] == ["provision_securities_affordable"]
     assert contribution_bound(config, agents[0]) < 3.8
     forced = EquilibriumProfile()
-    forced.entries[0] = ProfileEntry(3.8, 0, Market.FOR)
-    forced.entries[1] = ProfileEntry(1.0, 1, Market.AGAINST)
-    forced.entries[2] = ProfileEntry(1.0, 2, Market.AGAINST)
+    forced.entries[0] = Action(0, 3.8, Market.FOR, 0)
+    forced.entries[1] = Action(1, 1.0, Market.AGAINST, 1)
+    forced.entries[2] = Action(2, 1.0, Market.AGAINST, 2)
     report = certify_ne(config, agents, forced)
     assert not report.certified
     assert any(d.agent_id == 0 and d.kind == "contribution"

@@ -1,7 +1,9 @@
 """The profile, the engine, settlement and the utility functions agree
 about the outcome of the same play, for every mechanism."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from provpoint.beliefs import (
     score_reports,
     winning_side_for,
 )
-from provpoint.equilibrium import _path, construct_profile
+from provpoint.equilibrium import _path, certify_ne, construct_profile
 from provpoint.mechanisms import (
     Action,
     ppr_utility,
@@ -25,8 +27,15 @@ from provpoint.mechanisms import (
     settle,
 )
 from provpoint.model import Mechanism, Verdict
-from provpoint.runner import actions_from_profile, belief_reports, run_scenario
-from provpoint.scenario import ScenarioTemplate, generate_scenario
+from provpoint.runner import (
+    actions_from_profile,
+    belief_reports,
+    profile_from_actions,
+    run_scenario,
+)
+from provpoint.scenario import ScenarioTemplate, generate_scenario, parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # first seed per mechanism; the refund-bonus and dual-market securities
 # ones are the acceptance suite's
@@ -159,3 +168,30 @@ def test_settlement_pays_the_priced_belief_reward(mech, explicit):
             else:
                 assert paid == 0.0, (scenario.seed, agent_id)
     assert paid_winners > 0
+
+
+def settled_utility(scenario, actions, agent_id):
+    """The agent's realized utility once the engine replays ``actions``."""
+    actions = sorted(actions, key=lambda a: (a.tick, a.agent_id))
+    verdict, dual = run_campaign(scenario.config, actions)
+    return settle(scenario.config, scenario.agents, verdict, dual).payouts[agent_id].realized
+
+
+def test_an_earlier_deviation_untruncates_a_later_play():
+    # finding (a): agent 0 pays 6 at tick 1 and agent 1's 7 at tick 2 is
+    # truncated to 4; if agent 0 pays 3 instead, agent 1's 7 is accepted in
+    # full and the target still fills, so agent 0 keeps 3 more
+    scenario = parse_scenario(SCENARIOS / "ppr_explicit_plays.json")
+    played = scenario.explicit_actions
+    assert played[0].agent_id == 0
+    deviated = [dataclasses.replace(played[0], amount=3.0), *played[1:]]
+    assert settled_utility(scenario, played, 0) == 3.0
+    assert settled_utility(scenario, deviated, 0) == 6.0
+
+
+@pytest.mark.xfail(strict=True, reason="finding (a): ROADMAP item 2")
+def test_certify_ne_reports_the_untruncating_deviation():
+    scenario = parse_scenario(SCENARIOS / "ppr_explicit_plays.json")
+    profile = profile_from_actions(scenario, {})
+    report = certify_ne(scenario.config, scenario.agents, profile)
+    assert any(d.agent_id == 0 for d in report.deviations)

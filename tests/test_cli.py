@@ -134,7 +134,6 @@ def test_explicit_actions_scenario(tmp_path):
             {"agent_id": 0, "amount": 6.0, "tick": 1},
             {"agent_id": 1, "amount": 7.0, "tick": 2},
         ],
-        "analysis": {"run_campaign": True},
     }
     path = tmp_path / "explicit.json"
     path.write_text(json.dumps(data))
@@ -163,7 +162,7 @@ def test_degenerate_belief_split_is_noted(tmp_path, capsys, reports, note):
         {"agent_id": i, "information": information, "prediction": prediction}
         for i, (information, prediction) in enumerate(reports)]
     raw["explicit_actions"] = []
-    raw["analysis"] = {"run_campaign": True}
+    raw["analysis"] = {"certify": False}
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
@@ -324,31 +323,6 @@ def test_run_replays_repeated_explicit_actions(tmp_path, capsys):
                            "explicit plays requires at most one action per agent")
 
 
-def test_certify_conditions_only_exit_code(tmp_path, capsys):
-    raw = json.loads((SCENARIOS / "ppr_explicit_plays.json").read_text())
-    raw["analysis"] = {"conditions_only": True}
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(raw))
-    assert main(["certify", "--scenario", str(path)]) == 1
-    one_error_line(capsys, "scenario.analysis.conditions_only: ")
-
-
-def test_run_conditions_only_exit_code(tmp_path, capsys):
-    # a conditions-only run judges its conditions as check does: the table
-    # on stdout, and exit 3 when one fails
-    raw = json.loads((SCENARIOS / "ppr_explicit_plays.json").read_text())
-    raw["analysis"] = {"conditions_only": True}
-    raw["config"]["refund_budget"] = 1e9
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(raw))
-    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
-    out = capsys.readouterr().out
-    assert main(["check", "--scenario", str(path)]) == 3
-    assert out == capsys.readouterr().out
-    assert any(line.split()[:2] == ["refund_budget_below_cap", "NO"]
-               for line in out.splitlines())
-
-
 def test_run_exit_code_when_certification_finds_deviations(tmp_path, capsys):
     scenario = (Path(__file__).resolve().parent / "golden_generated"
                 / "ppsn_off_preference" / "scenario.json")
@@ -380,6 +354,12 @@ REPORTS = [{"agent_id": i, "information": 0, "prediction": 0.5} for i in range(5
      "scenario.explicit_reports[1].tik: unknown field"),
     ("ppsn_four_arrivals", ("config", "cost_params", "liquidity"), -1.0,
      "scenario.config.cost_params: liquidity must be positive, got -1.0"),
+    # the retired switches: check tests the conditions, and a run always
+    # plays the campaign
+    ("pprn_six_agents", ("analysis", "conditions_only"), True,
+     "scenario.analysis.conditions_only: unknown field"),
+    ("pprn_six_agents", ("analysis", "run_campaign"), False,
+     "scenario.analysis.run_campaign: unknown field"),
 ])
 def test_invalid_scenario_field_exit_code(tmp_path, capsys, shipped, path, value, needle):
     raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())
@@ -467,3 +447,47 @@ def test_every_field_of_the_shipped_inputs_is_checked(tmp_path, capsys):
         path.write_text(json.dumps(document))
         refused(capsys, ["gen", "--template", str(path), "--out", str(out)], expected)
         assert not out.exists()
+
+
+OUT_OF_RANGE = (1e308, -1e308, -1, 0, 1e-320, 10**400)
+
+
+def number_paths(node, path=()):
+    """The path of every number in a JSON document (booleans excluded)."""
+    if isinstance(node, dict):
+        node = node.items()
+    elif isinstance(node, list):
+        node = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, value in node:
+        yield from number_paths(value, path + (key,))
+
+
+def test_out_of_range_numbers_get_a_verdict_or_one_error_line(tmp_path, capsys):
+    # every number of every shipped scenario, set in turn to a huge, a
+    # negative, a zero, a subnormal and an overflowing value: check and
+    # certify give a verdict (exit 0 or 3) or one error line (exit 1);
+    # certify parses and evaluates the conditions first, as check does, so
+    # it runs only on the files that check accepts
+    path = tmp_path / "mutated.json"
+    for shipped in sorted(SCENARIOS.glob("*.json")):
+        document = json.loads(shipped.read_text())
+        for leaf in number_paths(document):
+            for value in OUT_OF_RANGE:
+                copy = json.loads(json.dumps(document))
+                node = copy
+                for key in leaf[:-1]:
+                    node = node[key]
+                node[leaf[-1]] = value
+                path.write_text(json.dumps(copy))
+                for verb in ("check", "certify"):
+                    code = main([verb, "--scenario", str(path)])
+                    err = capsys.readouterr().err
+                    case = (shipped.name, leaf, value, verb, code, err)
+                    if code == 1:
+                        assert err.startswith("error: ") and err.count("\n") == 1, case
+                        break
+                    assert code in (0, 3) and err == "", case

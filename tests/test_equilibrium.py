@@ -12,7 +12,6 @@ from provpoint.costfn import CostFunction
 from provpoint.equilibrium import (
     Deviation,
     EquilibriumProfile,
-    ProfileEntry,
     _met,
     _own_win_weight,
     _Slot,
@@ -31,6 +30,7 @@ from provpoint.equilibrium import (
     securities_ppsx,
 )
 from provpoint.mechanisms import (
+    Action,
     DualMarketState,
     new_states,
     ppr_utility,
@@ -260,9 +260,9 @@ def test_certify_ne_flags_overbound_profile():
     agents = pprn_agents()
     profile = EquilibriumProfile()
     for i in range(3):
-        profile.entries[i] = ProfileEntry(28.0 / 3, 5, Market.FOR)
+        profile.entries[i] = Action(i, 28.0 / 3, Market.FOR, 5)
     for i in (3, 4):
-        profile.entries[i] = ProfileEntry(7.5, 5, Market.AGAINST)
+        profile.entries[i] = Action(i, 7.5, Market.AGAINST, 5)
     assert 28.0 / 3 > bound_pprn(agents[0], 28.0, 15.0, 5.0)
     report = certify_ne(config, agents, profile)
     assert not report.certified
@@ -306,7 +306,7 @@ def test_certify_spe_post_target_arrival_plays_zero():
     report = certify_spe(config, agents, profile)
     assert report.certified
     # negative control: a post-fill arrival prescribed a positive play
-    profile.entries[1] = ProfileEntry(1.0, 1, Market.FOR)
+    profile.entries[1] = Action(1, 1.0, Market.FOR, 1)
     report = certify_spe(config, agents, profile)
     assert not report.certified
     assert any(d.agent_id == 1 and "market closed but profile prescribes x=1" in d.detail
@@ -408,10 +408,8 @@ def test_certify_spe_flags_overbound_play():
     first = profile.entries[0]
     second = profile.entries[1]
     assert second.amount > 0.6
-    profile.entries[0] = ProfileEntry(first.amount + 0.6, first.tick,
-                                      first.market)
-    profile.entries[1] = ProfileEntry(second.amount - 0.6, second.tick,
-                                      second.market)
+    profile.entries[0] = dataclasses.replace(first, amount=first.amount + 0.6)
+    profile.entries[1] = dataclasses.replace(second, amount=second.amount - 0.6)
     report = certify_spe(config, agents, profile)
     assert not report.certified
     assert any(d.agent_id == 0 and d.kind == "contribution"

@@ -29,21 +29,9 @@ def off_preference_ppsn():
     return scenario
 
 
-def pprn_scenario(**analysis):
-    scenario = generate_scenario(
+def pprn_scenario():
+    return generate_scenario(
         ScenarioTemplate(mechanism=Mechanism.PPRN, agent_count=4), seed=21)
-    if analysis:
-        scenario.analysis = AnalysisFlags(**analysis)
-    return scenario
-
-
-def test_conditions_only_skips_everything(tmp_path):
-    scenario = pprn_scenario(run_campaign=True, conditions_only=True)
-    result = run_scenario(scenario, out_dir=tmp_path)
-    assert result.outcome is None
-    assert result.certification is None
-    assert [p.name for p in result.files] == ["summary.txt"]
-    assert result.all_conditions_hold
 
 
 def test_no_out_dir_writes_nothing(tmp_path):
@@ -72,11 +60,8 @@ def test_certify_explicit_actions_at_equilibrium():
     from provpoint.equilibrium import construct_profile
 
     profile = construct_profile(scenario.config, scenario.agents)
-    scenario.explicit_actions = [
-        Action(agent_id=i, amount=e.amount, market=e.market, tick=e.tick)
-        for i, e in sorted(profile.entries.items())
-    ]
-    scenario.analysis = AnalysisFlags(run_campaign=False, certify=True)
+    scenario.explicit_actions = list(profile.entries.values())
+    scenario.analysis = AnalysisFlags(certify=True)
     result = run_scenario(scenario)
     assert result.certification.certified
 
@@ -101,7 +86,7 @@ def test_certify_explicit_actions_off_equilibrium():
         actions.append(Action(agent_id=i, amount=amount, market=entry.market,
                               tick=entry.tick))
     scenario.explicit_actions = actions
-    scenario.analysis = AnalysisFlags(run_campaign=False, certify=True)
+    scenario.analysis = AnalysisFlags(certify=True)
     result = run_scenario(scenario)
     report = result.certification
     assert not report.certified
@@ -124,7 +109,7 @@ def test_infeasible_profile_noted(tmp_path):
         "config": {"mechanism": "PPR", "provision_point": 100.0,
                    "refund_budget": 2.0, "deadline_contribution": 4},
         "agents": [{"id": 0, "valuation": 8.0}, {"id": 1, "valuation": 7.0}],
-        "analysis": {"run_campaign": True, "certify": True},
+        "analysis": {"certify": True},
     }
     scenario = parse_scenario_dict(data)
     result = run_scenario(scenario, out_dir=tmp_path)

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from provpoint.beliefs import default_report
 from provpoint.equilibrium import check_conditions, construct_profile
@@ -37,7 +38,7 @@ def test_parse_minimal_scenario():
     scenario = parse_scenario_dict(MINIMAL_PPR)
     assert scenario.config.mechanism is Mechanism.PPR
     assert len(scenario.agents) == 2
-    assert scenario.analysis.run_campaign
+    assert not scenario.analysis.certify
 
 
 def test_round_trip_identity(tmp_path):
@@ -59,6 +60,21 @@ def test_round_trip_identity(tmp_path):
         again = parse_scenario(path)
         assert again == scenario
         assert scenario_to_dict(again) == scenario_to_dict(scenario)
+
+
+@settings(deadline=None, max_examples=100)
+@given(mechanism=st.sampled_from(list(Mechanism)), count=st.integers(3, 64),
+       seed=st.integers(0, 2**31 - 1))
+def test_generated_scenarios_round_trip(tmp_path_factory, mechanism, count, seed):
+    # a generated scenario survives dict -> scenario -> dict unchanged, and
+    # saving it, reading the file back and saving again writes the same bytes
+    data = scenario_to_dict(generate_scenario(ScenarioTemplate(mechanism, count), seed))
+    assert scenario_to_dict(parse_scenario_dict(data)) == data
+    folder = tmp_path_factory.mktemp("round-trip")
+    first, second = folder / "first.json", folder / "second.json"
+    save_scenario(parse_scenario_dict(data), first)
+    save_scenario(parse_scenario(first), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def readme_block(heading):
@@ -400,8 +416,8 @@ MISTYPED_FIELDS = [
      "scenario.config.provision_point: expected a number, got False"),
     (("analysis",), {"certify": "no"},
      "scenario.analysis.certify: expected true or false, got 'no'"),
-    (("analysis",), {"run_campaign": 1},
-     "scenario.analysis.run_campaign: expected true or false, got 1"),
+    (("analysis",), {"certify": 1},
+     "scenario.analysis.certify: expected true or false, got 1"),
     (("analysis",), [], "scenario.analysis: expected an object, got []"),
     (("agents", 1), 7, "scenario.agents[1]: expected an object, got 7"),
     (("config",), "PPR", "scenario.config: expected an object, got 'PPR'"),
@@ -422,6 +438,9 @@ MISTYPED_FIELDS = [
      "scenario.agents[1].arrival_contribtion: unknown field"),
     (("explicit_actions", 0, "tik"), 1, "scenario.explicit_actions[0].tik: unknown field"),
     (("analysis",), {"certify_ne": True}, "scenario.analysis.certify_ne: unknown field"),
+    (("analysis",), {"conditions_only": False},
+     "scenario.analysis.conditions_only: unknown field"),
+    (("analysis",), {"run_campaign": True}, "scenario.analysis.run_campaign: unknown field"),
 ]
 
 
@@ -435,10 +454,10 @@ def test_mistyped_fields_rejected(path, value, message):
 
 def test_integral_floats_and_boolean_flags_accepted():
     data = with_value(MINIMAL_PPR, ("agents", 1, "arrival_contribution"), 2.0)
-    data["analysis"] = {"certify": True, "run_campaign": False}
+    data["analysis"] = {"certify": True}
     scenario = parse_scenario_dict(data)
     assert scenario.agents[1].arrival_contribution == 2
-    assert scenario.analysis.certify and not scenario.analysis.run_campaign
+    assert scenario.analysis.certify
     data["analysis"] = None
     assert not parse_scenario_dict(data).analysis.certify
 
