@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from operator import itemgetter
 
 from .equilibrium import EquilibriumReport
 from .mechanisms import DualMarketState
@@ -41,10 +42,9 @@ def settlement_rows(agents: list[AgentProfile], outcome: Outcome,
 
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*(map(itemgetter(c), rows) for c in columns)))
     return buffer.getvalue()
 
 
@@ -52,8 +52,19 @@ def settlement_csv(rows: list[dict]) -> str:
     return _csv_text(SETTLEMENT_COLUMNS, rows)
 
 
+# a flat row's fields one per line, at the indent of a row inside an
+# indent=2 list; no indent is set, so the C encoder does the work
+_encode_row = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+
+
 def settlement_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(rows, indent=2, sort_keys=True) + "\\n"``
+    for rows of scalars, one C-encoder call per row."""
+    if not rows:
+        return "[]\n"
+    return "[\n" + ",\n".join(
+        "  {\n    " + _encode_row(row)[1:-1] + "\n  }" if row else "  {}"
+        for row in rows) + "\n]\n"
 
 
 def ledger_rows(dual: DualMarketState) -> list[dict]:
@@ -90,15 +101,10 @@ def certification_json(report: EquilibriumReport) -> str:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def line(cells: list[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip()
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    return "\n".join(line(*cells).rstrip()
+                     for cells in [headers, ["-" * w for w in widths], *rows])
 
 
 def conditions_table(report_conditions) -> str:

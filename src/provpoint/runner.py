@@ -106,9 +106,11 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     # the reports are scored once: the profile prices the reward each
     # reporter would collect, and settlement pays the winning side's
     ledger = None
+    beliefs: list[BeliefReport] = []
     rewards: dict[int, float] = {}
     if config.mechanism.two_phase:
-        ledger = score_reports(belief_reports(scenario))
+        beliefs = belief_reports(scenario)
+        ledger = score_reports(beliefs)
         rewards = conditional_rewards(ledger, config.belief_budget)  # type: ignore[arg-type]
     if scenario.explicit_actions is None:
         profile = construct_profile(config, scenario.agents, rewards)
@@ -144,7 +146,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if result.outcome is not None and dual is not None:
-            sides, securities = _settlement_metadata(scenario, dual)
+            sides, securities = _settlement_metadata(scenario, dual, beliefs)
             rows = reports.settlement_rows(scenario.agents, result.outcome,
                                            sides, securities)
             if fmt == "json":
@@ -169,9 +171,10 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     return result
 
 
-def _settlement_metadata(scenario: Scenario, dual) -> tuple[dict[int, str],
-                                                            dict[int, float]]:
-    """Resolve the settlement 'side' column and per-agent security totals."""
+def _settlement_metadata(scenario: Scenario, dual, beliefs: list[BeliefReport]
+                         ) -> tuple[dict[int, str], dict[int, float]]:
+    """Resolve the settlement 'side' column and per-agent security totals;
+    a two-phase mechanism's side is the agent's report among ``beliefs``."""
     config = scenario.config
     sides: dict[int, str] = {}
     securities: dict[int, float] = {}
@@ -180,10 +183,7 @@ def _settlement_metadata(scenario: Scenario, dual) -> tuple[dict[int, str],
         for rec in state.ledger:
             contributed.setdefault(rec.agent_id, rec.market)
             securities[rec.agent_id] = securities.get(rec.agent_id, 0.0) + rec.securities
-    report_sides: dict[int, BeliefSide] = {}
-    if config.mechanism.two_phase:
-        for rep in belief_reports(scenario):
-            report_sides[rep.agent_id] = rep.side
+    report_sides: dict[int, BeliefSide] = {rep.agent_id: rep.side for rep in beliefs}
     for agent in scenario.agents:
         if config.mechanism.two_phase:
             side = report_sides.get(agent.id, agent.belief_side)

@@ -1,7 +1,8 @@
 """Byte-for-byte reports of the shipped scenarios and of larger generated ones.
 
 ``tests/golden/<verb>/<scenario>/`` holds every file ``provpoint <verb>``
-writes for ``scenarios/<scenario>.json``. ``tests/golden_generated/<name>/``
+writes for ``scenarios/<scenario>.json``, and ``tests/golden/run_json/`` every
+file ``provpoint run --format json`` writes. ``tests/golden_generated/<name>/``
 holds the certification and summary ``provpoint certify`` writes for one
 generated scenario per mechanism (``<mechanism>_n<agents>_seed<seed>``),
 large enough that the SPE walks run long past the first few arrivals, and
@@ -25,13 +26,14 @@ SCENARIOS = sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
 GENERATED = Path(__file__).resolve().parent / "golden_generated"
 
 
-@pytest.mark.parametrize("verb", ["run", "certify"])
+@pytest.mark.parametrize("golden", ["run", "certify", "run_json"])
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_reports_match_golden(verb, name, tmp_path, capsys):
+def test_reports_match_golden(golden, name, tmp_path, capsys):
+    verb, _, fmt = golden.partition("_")  # run_json: run --format json
     main([verb, "--scenario", str(ROOT / "scenarios" / f"{name}.json"),
-          "--out", str(tmp_path)])
+          "--out", str(tmp_path), "--format", fmt or "csv"])
     capsys.readouterr()
-    expected_dir = GOLDEN / verb / name
+    expected_dir = GOLDEN / golden / name
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in expected_dir.iterdir())
     for file_name in written:
@@ -42,7 +44,7 @@ def test_reports_match_golden(verb, name, tmp_path, capsys):
 def test_golden_covers_every_shipped_scenario():
     assert len(SCENARIOS) == 5
     files = [p for p in GOLDEN.rglob("*") if p.is_file()]
-    assert len(files) == 39
+    assert len(files) == 58
 
 
 @pytest.mark.parametrize("mechanism,agents,seed", [
