@@ -93,7 +93,7 @@ from .model import (
     own_market,
 )
 
-MET_REL_TOL = 1e-9
+MET_REL_TOL = 1e-9  # a total short of its target by this share of it is met
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
 
 # Bound once for the utilities and the rules rows: every member lookup on an
@@ -352,16 +352,12 @@ def check_conditions(config: CampaignConfig,
 
 @dataclass
 class EquilibriumProfile:
-    """A concrete candidate play: each agent's ``Action`` by agent id.
-
-    ``expected_verdict`` is the verdict the replay kernel reaches on these
-    plays, in the engine's (tick, agent id) order. An infeasible profile
-    carries the ``reason`` it could not be built.
+    """A concrete candidate play: each agent's ``Action`` by agent id. An
+    infeasible profile carries the ``reason`` it could not be built.
     """
 
     entries: dict[int, Action] = field(default_factory=dict)
     reason: str | None = None
-    expected_verdict: Verdict | None = None
     belief_rewards: dict[int, float] = field(default_factory=dict)
 
     @property
@@ -436,7 +432,6 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
             for agent_id, amount in fill.items():
                 profile.entries[agent_id] = Action(
                     agent_id, amount, market, config.deadline_contribution)
-        profile.expected_verdict = replayed_verdict(config, agents, profile)
         return profile
 
     # Securities family: the prescribed play walked from empty markets;
@@ -452,8 +447,6 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
         profile.reason = ("arrival-order bounds exhaust all agents with no target "
                           f"reached (raised {book.market_for.raised:.6g} / "
                           f"{book.market_against.raised:.6g})")
-        return profile
-    profile.expected_verdict = book.verdict
     return profile
 
 
@@ -496,12 +489,6 @@ def _path(config: CampaignConfig, agents: list[AgentProfile],
     return order, found, book
 
 
-def replayed_verdict(config: CampaignConfig, agents: list[AgentProfile],
-                     profile: EquilibriumProfile) -> Verdict:
-    """The verdict the engine reaches on the profile's plays."""
-    return _path(config, agents, profile)[2].verdict or Verdict.EXPIRED
-
-
 # ---------------------------------------------------------------------------
 # Deviation search
 # ---------------------------------------------------------------------------
@@ -536,6 +523,7 @@ class EquilibriumReport:
     epsilon: float = 0.0
     notes: list[str] = field(default_factory=list)
     kind: str = "Nash"  # the certifier that produced it
+    expected_verdict: Verdict | None = None  # the engine's, on a feasible profile
 
     @property
     def feasible(self) -> bool:
@@ -559,8 +547,8 @@ class EquilibriumReport:
             "profile": {
                 "feasible": self.profile.feasible,
                 "reason": self.profile.reason,
-                "expected_verdict": (self.profile.expected_verdict.value
-                                     if self.profile.expected_verdict else None),
+                "expected_verdict": (self.expected_verdict.value
+                                     if self.expected_verdict else None),
             },
             "agents": [
                 {"id": i, "market": e.market.value, "amount": e.amount, "tick": e.tick,
@@ -590,7 +578,7 @@ def _own_win_weight(config: CampaignConfig, agent: AgentProfile) -> float:
 
 
 def _met(total: float, target: float) -> bool:
-    return total >= target - MET_REL_TOL * max(1.0, target)
+    return total >= target - MET_REL_TOL * target
 
 
 @dataclass(frozen=True)
@@ -693,7 +681,7 @@ def _pieces(config: CampaignConfig, slot: _Slot) -> _Pieces:
     others = slot.others_on(market)
     target = config.target(market)
     capacity = max(0.0, target - others)
-    met_from = target - MET_REL_TOL * max(1.0, target)  # _met's threshold
+    met_from = target - MET_REL_TOL * target  # _met's threshold
     pivot = met_from - others
     # the difference is exact unless others < met_from / 2, and then a few
     # ulps of pivot are enough for eu to count the pivot as met
@@ -861,6 +849,7 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
         report.notes.append(profile.reason)
         return report, epsilon, None, []
     path = _path(config, agents, profile)
+    report.expected_verdict = path[2].verdict or Verdict.EXPIRED
     slots = _slots(config, agents, profile, path)
     indifference = RULES[config.mechanism].indifference
     report.indifference = [IndifferenceCheck(
@@ -913,7 +902,7 @@ def _rival_fills(book: DualMarketState, own_market: Market,
     if not book.closed:
         quantity = bought[rival][-1] - bought[rival][first]
         leg = book.market(own_market).raised
-        need, slack = state.remaining, MET_REL_TOL * max(1.0, state.target)
+        need, slack = state.remaining, MET_REL_TOL * state.target
         if cf.price(cf.issued_at(min(leg, state.raised))) * quantity >= need + slack:
             return True
         if cf.contribution_for(quantity, cf.issued_at(min(leg, state.target))) < need - slack:

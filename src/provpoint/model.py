@@ -23,27 +23,27 @@ class Mechanism(enum.Enum):
     PPRX = "PPRx"
     PPSX = "PPSx"
 
-    @property
+    @cached_property
     def dual_market(self) -> bool:
         """Runs a provision market and a rejection market in parallel."""
         return self in (Mechanism.PPRN, Mechanism.PPSN)
 
-    @property
+    @cached_property
     def uses_securities(self) -> bool:
         """Refunds paid through cost-function security allocations."""
         return self in (Mechanism.PPS, Mechanism.PPSN, Mechanism.PPSX)
 
-    @property
+    @cached_property
     def two_phase(self) -> bool:
         """Has a belief phase before the contribution phase."""
         return self in (Mechanism.PPRX, Mechanism.PPSX)
 
-    @property
+    @cached_property
     def sequential(self) -> bool:
         """Equilibrium play is contribute-at-arrival rather than at deadline."""
         return self.uses_securities
 
-    @property
+    @cached_property
     def markets(self) -> tuple[Market, ...]:
         """The markets the mechanism runs, provision first."""
         return (Market.FOR, Market.AGAINST) if self.dual_market else (Market.FOR,)

@@ -24,7 +24,6 @@ from .equilibrium import (
     construct_profile,
     certify_ne,
     certify_spe,
-    replayed_verdict,
 )
 from .mechanisms import Action, run_campaign, settle
 from .model import (
@@ -66,12 +65,10 @@ def profile_from_actions(scenario: Scenario,
                 f"{action.agent_id} has several")
         seen.add(action.agent_id)
     by_agent = {a.agent_id: a for a in actions}
-    profile = EquilibriumProfile(belief_rewards=dict(belief_rewards), entries={
+    return EquilibriumProfile(belief_rewards=dict(belief_rewards), entries={
         agent.id: by_agent.get(agent.id) or Action(
             agent.id, 0.0, own_market(config, agent), config.deadline_contribution)
         for agent in scenario.agents})
-    profile.expected_verdict = replayed_verdict(config, scenario.agents, profile)
-    return profile
 
 
 def belief_reports(scenario: Scenario) -> list[BeliefReport]:

@@ -17,6 +17,7 @@ import enum
 import json
 import math
 import random
+import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -37,6 +38,7 @@ from .model import (
 )
 
 SCENARIO_VERSION = 1
+MAX_AGENT_COUNT = 100_000  # gen's largest template: a bound on what it allocates
 
 
 class ScenarioError(ValueError):
@@ -70,13 +72,6 @@ def _enum_value(enum_cls, raw, context: str):
     except ValueError:
         valid = ", ".join(e.value for e in enum_cls)
         raise ScenarioError(f"{context}: '{raw}' is not one of: {valid}") from None
-
-
-def _object(raw, context: str) -> dict:
-    """A JSON object; a list, string or number in its place is refused."""
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{context}: expected an object, got {raw!r}")
-    return raw
 
 
 def _number(raw, context: str) -> float:
@@ -118,47 +113,71 @@ def _pair(raw, context: str) -> tuple[float, float]:
     return _number(raw[0], f"{context}[0]"), _number(raw[1], f"{context}[1]")
 
 
-_REQUIRED = object()
-_READERS = {int: _integer, float: _number, bool: _flag}
+_SLOW = object()  # a required field's default, and a failed fast check
+_FLOAT_MAX = sys.float_info.max
+_READERS = {  # per plain type, the full reader and the fast check
+    int: (_integer, lambda raw: raw if type(raw) is int else _SLOW),
+    float: (_number, lambda raw: float(raw) if type(raw) in (float, int)
+            and -_FLOAT_MAX <= raw <= _FLOAT_MAX else _SLOW),  # NaN fails both
+    bool: (_flag, lambda raw: raw if type(raw) is bool else _SLOW),
+}
 
 
 def _reader(hint):
-    """The reader of a field annotated ``hint``; ``X | None`` reads as X."""
+    """The reader of a field annotated ``hint`` (``X | None`` reads as X),
+    and its fast check: the value read without building a string, or _SLOW
+    where only the reader can tell (an error, 3.0 for 3, null, a pair, a
+    nested record)."""
     if isinstance(hint, types.UnionType):
         (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
     if typing.get_origin(hint) is tuple:
-        return _pair
+        return _pair, lambda raw: _SLOW
     if is_dataclass(hint):
-        return partial(_record, hint)
+        return partial(_record, hint), lambda raw: _SLOW
     if issubclass(hint, enum.Enum):
-        return partial(_enum_value, hint)
+        members = hint._value2member_map_
+        return partial(_enum_value, hint), lambda raw: (
+            members.get(raw, _SLOW) if type(raw) is str else _SLOW)
     return _READERS[hint]
 
 
 @cache
 def _fields(cls) -> tuple[frozenset[str], tuple]:
-    """The field names of dataclass ``cls``, and (name, default, reader)
-    per field; a field without a default is required."""
+    """The field names of dataclass ``cls``, and (name, default, reader,
+    fast check) per field; a field without a default is required."""
     hints = typing.get_type_hints(cls)
-    entries = tuple((f.name, _REQUIRED if f.default is MISSING else f.default,
-                     _reader(hints[f.name])) for f in fields(cls))
-    return frozenset(name for name, _, _ in entries), entries
+    entries = tuple((f.name, _SLOW if f.default is MISSING else f.default,
+                     *_reader(hints[f.name])) for f in fields(cls))
+    return frozenset(name for name, *_ in entries), entries
 
 
-def _record(cls, raw, context: str):
-    """Dataclass ``cls`` built from the JSON object ``raw``, each field read
-    by its type's reader. A missing field takes its default, null is absent
-    for a field whose default is None, and a key that is not a field is
-    refused; every error names ``context.<field>``."""
+def _record(cls, raw, context: str, index: int | None = None):
+    """Dataclass ``cls`` built from the JSON object ``raw`` (item ``index``
+    of the list ``context``, if given). A missing field takes its default,
+    null is absent for a field whose default is None, and a key that is not
+    a field is refused; every error names ``context.<field>``. Fields that
+    all pass their fast checks build the record at once; otherwise, or if
+    it refuses them, each field is read by its reader."""
     names, entries = _fields(cls)
-    raw = _object(raw, context)
+    if type(raw) is dict and names.issuperset(raw):
+        values = [fast(raw[name]) if name in raw else default
+                  for name, default, _, fast in entries]
+        if _SLOW not in values:
+            try:
+                return cls(*values)
+            except ValueError:
+                pass  # the full reader words the error
+    if index is not None:
+        context = f"{context}[{index}]"
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{context}: expected an object, got {raw!r}")
     if not names.issuperset(raw):
         key = next(key for key in raw if key not in names)
         raise ScenarioError(f"{context}.{key}: unknown field")
     values = {}
-    for name, default, read in entries:
+    for name, default, read, _ in entries:
         value = raw.get(name, default)
-        if value is _REQUIRED:
+        if value is _SLOW:
             raise ScenarioError(f"{context}: missing required field '{name}'")
         values[name] = (None if value is None and default is None
                         else read(value, f"{context}.{name}"))
@@ -178,7 +197,7 @@ def _entries(data: dict, key: str, cls) -> list | None:
         return None
     if not isinstance(raw, list):
         raise ScenarioError(f"scenario.{key}: expected a list, got {raw!r}")
-    return [_record(cls, entry, f"scenario.{key}[{i}]") for i, entry in enumerate(raw)]
+    return [_record(cls, entry, f"scenario.{key}", i) for i, entry in enumerate(raw)]
 
 
 def parse_scenario_dict(data: dict) -> Scenario:
@@ -197,7 +216,7 @@ def parse_scenario_dict(data: dict) -> Scenario:
     raw_agents = _require(data, "agents", "scenario")
     if not isinstance(raw_agents, list) or not raw_agents:
         raise ScenarioError("scenario.agents: expected a nonempty list")
-    agents = [_record(AgentProfile, raw, f"scenario.agents[{i}]")
+    agents = [_record(AgentProfile, raw, "scenario.agents", i)
               for i, raw in enumerate(raw_agents)]
     ids = {a.id for a in agents}
     if len(ids) != len(agents):
@@ -223,24 +242,23 @@ def validate_scenario(scenario: Scenario) -> None:
             f"scenario.agents: {mech.value} belief scoring requires at least "
             f"3 agents, got {len(agents)}")
     known = {a.id for a in agents}
-    for a in agents:
-        context = f"scenario.agents[id={a.id}]"
+    for a in agents:  # each context is formatted only to raise
         if a.arrival_contribution > config.deadline_contribution:
             raise ScenarioError(
-                f"{context}.arrival_contribution: {a.arrival_contribution} is past "
-                f"the contribution deadline {config.deadline_contribution}")
+                f"scenario.agents[id={a.id}].arrival_contribution: {a.arrival_contribution} "
+                f"is past the contribution deadline {config.deadline_contribution}")
         if mech.two_phase and a.arrival_belief > config.deadline_belief:  # type: ignore[operator]
             raise ScenarioError(
-                f"{context}.arrival_belief: {a.arrival_belief} is past the "
-                f"belief deadline {config.deadline_belief}")
+                f"scenario.agents[id={a.id}].arrival_belief: {a.arrival_belief} is past "
+                f"the belief deadline {config.deadline_belief}")
         if mech.dual_market and a.belief_epsilon != 0.0:
             raise ScenarioError(
-                f"{context}.belief_epsilon: {mech.value} models symmetric "
-                "beliefs; the offset must be 0")
+                f"scenario.agents[id={a.id}].belief_epsilon: {mech.value} models "
+                "symmetric beliefs; the offset must be 0")
         if not mech.dual_market and a.valuation < 0:
             raise ScenarioError(
-                f"{context}.valuation: {mech.value} admits nonnegative "
-                "valuations only")
+                f"scenario.agents[id={a.id}].valuation: {mech.value} admits "
+                "nonnegative valuations only")
     for i, action in enumerate(scenario.explicit_actions or []):
         context = f"scenario.explicit_actions[{i}]"
         if action.agent_id not in known:
@@ -345,6 +363,8 @@ class ScenarioTemplate:
         if self.agent_count < least:
             raise ScenarioError(
                 f"template.agent_count: {mech.value} needs {least} or more agents")
+        if self.agent_count > MAX_AGENT_COUNT:
+            raise ScenarioError(f"template.agent_count: at most {MAX_AGENT_COUNT} agents")
         for name, value in (("provision_point", self.provision_point),
                             ("provision_point_pair", self.provision_point_pair)):
             if value is None:

@@ -16,7 +16,7 @@ from provpoint.beliefs import (
     score_reports,
     winning_side_for,
 )
-from provpoint.equilibrium import _path, certify_ne, construct_profile
+from provpoint.equilibrium import _path, certify_ne, certify_spe, construct_profile
 from provpoint.mechanisms import (
     Action,
     ppr_utility,
@@ -56,7 +56,9 @@ def test_profile_verdict_is_engine_verdict(mech):
         profile = construct_profile(scenario.config, scenario.agents)
         assert profile.feasible
         verdict, dual = run_campaign(scenario.config, actions_from_profile(profile))
-        assert profile.expected_verdict is verdict
+        certify = certify_spe if mech.sequential else certify_ne
+        report = certify(scenario.config, scenario.agents, profile)
+        assert report.expected_verdict is verdict
         verdicts.add(verdict)
         # the certifiers' one replay sees the books the engine priced at
         order, found, final = _path(scenario.config, scenario.agents, profile)

@@ -222,7 +222,8 @@ def test_construct_pprn_fills_both_sides():
     assert profile.feasible
     assert profile.total(Market.FOR) == pytest.approx(20.0, rel=1e-12)
     assert profile.total(Market.AGAINST) == pytest.approx(15.0, rel=1e-12)
-    assert profile.expected_verdict is Verdict.PROVISIONED  # 30 for vs 24 against
+    # 30 for vs 24 against: the certifier's replay provisions
+    assert certify_ne(pprn_config(), agents, profile).expected_verdict is Verdict.PROVISIONED
     for a in agents:
         assert profile.entries[a.id].amount < contribution_bound(pprn_config(), a)
 

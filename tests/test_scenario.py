@@ -1,15 +1,18 @@
 import json
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from provpoint import scenario as scenario_module
 from provpoint.beliefs import default_report
 from provpoint.equilibrium import check_conditions, construct_profile
 from provpoint.mechanisms import Action
 from provpoint.model import Market, Mechanism, derive_preference
 from provpoint.scenario import (
+    MAX_AGENT_COUNT,
     ScenarioError,
     ScenarioTemplate,
     _record,
@@ -460,6 +463,126 @@ def test_integral_floats_and_boolean_flags_accepted():
     assert scenario.analysis.certify
     data["analysis"] = None
     assert not parse_scenario_dict(data).analysis.certify
+
+
+@contextmanager
+def full_reader_only():
+    """The parser with every fast check failing, so that each record is read
+    field by field by its readers, as it was before the fast route."""
+    compiled = scenario_module._fields
+
+    def slow_fields(cls):
+        names, entries = compiled(cls)
+        return names, tuple((name, default, read, lambda raw: scenario_module._SLOW)
+                            for name, default, read, _ in entries)
+
+    scenario_module._fields = slow_fields
+    try:
+        yield
+    finally:
+        scenario_module._fields = compiled
+
+
+def both_readers(parse, data):
+    """``parse(data)`` by the fast route and by the full reader alone: each
+    its value as JSON text (which tells 3 from 3.0), or its error message."""
+    results = []
+    for reader in (nullcontext(), full_reader_only()):
+        with reader:
+            try:
+                results.append(json.dumps(scenario_module._plain(parse(data)),
+                                          sort_keys=True))
+            except ScenarioError as exc:
+                results.append(f"error: {exc}")
+    return results
+
+
+@settings(deadline=None, max_examples=60)
+@given(mechanism=st.sampled_from(list(Mechanism)), count=st.integers(3, 64),
+       seed=st.integers(0, 2**31 - 1), explicit=st.booleans())
+def test_fast_route_reads_what_the_full_reader_reads(mechanism, count, seed, explicit):
+    # generated scenarios, with explicit plays and reports or without, parse
+    # to the same values by either route, and round trip unchanged
+    scenario = generate_scenario(ScenarioTemplate(mechanism, count), seed)
+    if explicit:
+        scenario.explicit_actions = [
+            Action(a.id, 1.0, derive_preference(a), a.arrival_contribution)
+            for a in scenario.agents]
+        if mechanism.two_phase:
+            scenario.explicit_reports = [default_report(a) for a in scenario.agents]
+    data = json.loads(json.dumps(scenario_to_dict(scenario)))
+    del data["version"]
+    fast, slow = both_readers(parse_scenario_dict, {"version": 1, **data})
+    assert fast == slow == json.dumps(data, sort_keys=True)
+
+
+FALLBACK_CASES = [
+    (("agents", 0, "id"), 3.0, None),  # a whole float: read as the integer 3
+    (("agents", 1, "arrival_contribution"), 2.0, None),
+    (("agents", 1, "valuation"), True, "scenario.agents[1].valuation: expected a "
+                                       "number, got True"),
+    (("agents", 1, "valuation"), "5", "scenario.agents[1].valuation: expected a "
+                                      "number, got '5'"),
+    (("agents", 1, "valuation"), 10**400, "scenario.agents[1].valuation: must be finite"),
+    (("agents", 1, "valuation"), 10**300, None),  # an integer inside the float range
+    (("agents", 0, "id"), True, "scenario.agents[0].id: expected an integer, got True"),
+    (("agents", 1, "arrival_belief"), False, "scenario.agents[1].arrival_belief: "
+                                             "expected an integer, got False"),
+    (("agents", 1, "belief_side"), "undecided", "scenario.agents[1].belief_side: "
+     "'undecided' is not one of: provision_likely, rejection_likely"),
+    (("agents", 1, "belief_epsilon"), 0.7, "scenario.agents[1]: agent 1: belief_epsilon "
+                                           "must be within [0, 0.5], got 0.7"),
+    (("agents", 1, "belief_epsilon"), None, "scenario.agents[1].belief_epsilon: expected "
+                                            "a number, got None"),
+    (("explicit_actions", 0, "market"), "against", "scenario.explicit_actions[0].market: "
+                                                   "PPR has no rejection market"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", FALLBACK_CASES)
+def test_fast_route_falls_back_to_the_full_reader(path, value, message):
+    # a value the fast checks refuse, or a record its class refuses, is read
+    # again by the full reader: the same value, or the same one-line error
+    fast, slow = both_readers(parse_scenario_dict, with_value(MINIMAL_PPR, path, value))
+    assert fast == slow
+    if message is None:
+        assert not fast.startswith("error: ")
+    else:
+        assert fast == f"error: {message}"
+
+
+def test_missing_fields_and_templates_read_as_by_the_full_reader():
+    data = json.loads(json.dumps(MINIMAL_PPR))
+    del data["agents"][1]["id"]
+    fast, slow = both_readers(parse_scenario_dict, data)
+    assert fast == slow == "error: scenario.agents[1]: missing required field 'id'"
+    # a template the class refuses is read again, and refused with the same words
+    for template, message in [
+            ({"mechanism": "PPR", "agent_count": 3}, None),
+            ({"mechanism": "PPRN", "agent_count": 3.0}, None),
+            ({"mechanism": "PPRN", "agent_count": 3, "fill_fraction": 1},
+             "error: template.fill_fraction: must lie in (0, 0.9]"),
+            ({"mechanism": "PPRN", "agent_count": 1},
+             "error: template.agent_count: PPRN needs 2 or more agents"),
+            ({"mechanism": "PPR", "agent_count": MAX_AGENT_COUNT + 1},
+             f"error: template.agent_count: at most {MAX_AGENT_COUNT} agents")]:
+        fast, slow = both_readers(template_from_dict, template)
+        assert fast == slow
+        if message is None:
+            assert not fast.startswith("error: ")
+        else:
+            assert fast == message
+
+
+def test_agent_count_has_an_upper_bound():
+    # checked at parse time, before gen draws a single agent
+    template = template_from_dict({"mechanism": "PPR", "agent_count": MAX_AGENT_COUNT})
+    assert template.agent_count == MAX_AGENT_COUNT
+    for count in (MAX_AGENT_COUNT + 1, 10**12):
+        with pytest.raises(ScenarioError) as info:
+            template_from_dict({"mechanism": "PPR", "agent_count": count})
+        assert str(info.value) == (f"template.agent_count: at most "
+                                   f"{MAX_AGENT_COUNT} agents")
 
 
 MISTYPED_TEMPLATE_FIELDS = [
