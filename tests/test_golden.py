@@ -6,8 +6,9 @@ file ``provpoint run --format json`` writes. ``tests/golden_generated/<name>/``
 holds the certification and summary ``provpoint certify`` writes for one
 generated scenario per mechanism (``<mechanism>_n<agents>_seed<seed>``),
 large enough that the SPE walks run long past the first few arrivals, and
-``tests/golden_generated/ppsn_off_preference/`` the files ``provpoint
-certify`` writes for the scenario stored beside them. A changed byte here is
+``tests/golden_generated/ppsn_off_preference/``, ``pps_half_plays/`` and
+``ppsx_half_plays/`` the files ``provpoint certify`` writes for the scenario
+stored beside them. A changed byte here is
 a change in what the program reports and must be documented as such;
 refresh the files only for a deliberate fix.
 """
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from provpoint.cli import main
+from provpoint.costfn import CostFunction
 from provpoint.model import Mechanism
 from provpoint.scenario import ScenarioTemplate, generate_scenario, save_scenario
 
@@ -75,3 +77,27 @@ def test_off_preference_play_matches_golden(tmp_path, capsys):
     for file_name in ("certification.json", "summary.txt"):
         assert ((tmp_path / file_name).read_bytes()
                 == (expected_dir / file_name).read_bytes()), file_name
+
+
+@pytest.mark.parametrize("name", ["pps_half_plays", "ppsx_half_plays"])
+def test_half_plays_match_golden(name, tmp_path, capsys, monkeypatch):
+    # generated n=16 scenarios whose explicit plays are the constructed ones
+    # at half their amounts: every on-path slot gains by contributing more.
+    # Under the real cost function the bounds stay best responses off the
+    # path and no delay gains, so the scenario is certified again with every
+    # allocation raised by 0.01 per security issued; off-path contribution
+    # deviations and timing deviations then pin eu, follow and the waits
+    expected_dir = GENERATED / name
+    scenario = str(expected_dir / "scenario.json")
+    assert main(["certify", "--scenario", scenario, "--out", str(tmp_path / "real")]) == 3
+    for file_name in ("certification.json", "summary.txt"):
+        assert ((tmp_path / "real" / file_name).read_bytes()
+                == (expected_dir / file_name).read_bytes()), file_name
+    securities_for = CostFunction.securities_for
+    monkeypatch.setattr(CostFunction, "securities_for",
+                        lambda cf, amount, issued:
+                        securities_for(cf, amount, issued) + 0.01 * issued)
+    assert main(["certify", "--scenario", scenario, "--out", str(tmp_path / "rising")]) == 3
+    capsys.readouterr()
+    assert ((tmp_path / "rising" / "certification.json").read_bytes()
+            == (expected_dir / "certification_rising_allocations.json").read_bytes())
