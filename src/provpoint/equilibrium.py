@@ -5,7 +5,7 @@ to contribute. ``construct_profile`` turns those caps into a concrete play
 (scaled so the winning side's total meets its target exactly), and the
 certifiers search for profitable unilateral deviations, holding everyone
 else's contributed amounts fixed. An agent's best contribution is exact:
-its expected utility is piecewise in the amount (``_Pieces``), so the
+its expected utility is piecewise in the amount (``_Evaluator``), so the
 maximum is at a piece's endpoint, its left limit or its stationary point.
 
 Deviation semantics
@@ -51,10 +51,15 @@ certifier (at its off-path probe states) walk followers through the kernel
 (``DualMarketState.walk`` and ``follow``), without a bound or a play per
 follower.
 
-Each certification replays the checked play once (``_path``) and builds
-each agent's on-path slot, with its bound, once from it (``_slots``). The
-report's indifference checks, each at its bound, are read off those slots,
-and both certifiers check them the same way (``_check_slot``).
+Each certification replays the checked play once (``_path``) and builds one
+evaluator per agent from it (``_slots``), placed at the agent's on-path
+slot with its bound. The report's indifference checks, each at its bound,
+are read off those slots, and both certifiers check them the same way
+(``_Evaluator.check``). The evaluator computes once what every slot of its
+agent shares (weights, utility rows, ``_met``'s threshold, the cost
+function); a slot is plain numbers. The SPE certifier places it at each of
+the agent's off-path probe states in turn, each a (FOR, AGAINST) pair of
+money raised, so a probe state builds no book and no per-state object.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
 # Bound once for the utilities and the rules rows: every member lookup on an
 # enum class costs a few hundred ns on Python 3.11.
 _FOR, _AGAINST = Market.FOR, Market.AGAINST
-_PROVISIONED = Verdict.PROVISIONED
+_PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +443,15 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     # arrivals after the book closes play zero.
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
     arrivals = _arrivals(config, order, rewards)
+    raised = [0.0, 0.0]
     book = new_states(config)
-    amounts = book.walk(_plays(config, arrivals))
+    amounts = book.walk(raised, _plays(config, arrivals))
     for (agent, market, _), amount in zip_longest(arrivals, amounts, fillvalue=0.0):
         profile.entries[agent.id] = Action(agent.id, amount, market,
                                            agent.arrival_contribution)
-    if book.verdict is None:
+    if not book.closed_at(*raised):
         profile.reason = ("arrival-order bounds exhaust all agents with no target "
-                          f"reached (raised {book.market_for.raised:.6g} / "
-                          f"{book.market_against.raised:.6g})")
+                          f"reached (raised {raised[0]:.6g} / {raised[1]:.6g})")
     return profile
 
 
@@ -475,9 +480,9 @@ def _path(config: CampaignConfig, agents: list[AgentProfile],
     """The profile's plays replayed once, as the engine plays them: the
     play order (entry tick, then id), the money (FOR, AGAINST) each agent
     of it found raised, and the book after the last play. A play at a
-    closed book is discarded. ``final.at(*raised)`` is the ledger-free
-    book an agent found; it is built only where it is read, so the
-    verdict alone costs no book per agent."""
+    closed book is discarded. The book an agent found is read off
+    ``final`` at the money it found (``closed_at``, ``priced_at``), so no
+    book is built per agent."""
     order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
     book = new_states(config)
     found = []
@@ -581,40 +586,24 @@ def _met(total: float, target: float) -> bool:
     return total >= target - MET_REL_TOL * target
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """One agent's decision context against a fixed everyone-else play."""
-
-    agent: AgentProfile
-    market: Market
-    amount: float
-    others_for: float
-    others_against: float
-    issued: float = 0.0  # issuance the agent's allocation is priced at
-    belief_reward: float = 0.0
-    bound: float = 0.0  # strategy-set cap at this slot's issuance
-    closed: bool = False  # a target was already met when this agent moved
-    rival_viable: bool = False  # the other market fills without this agent
-
-    def others_on(self, market: Market) -> float:
-        return self.others_for if market is Market.FOR else self.others_against
-
-    def side_fills(self, config: CampaignConfig) -> bool:
-        """Whether this agent's own market reaches its target at the
-        prescribed play; decides the certified search range."""
-        return _met(self.others_on(self.market) + self.amount,
-                    config.target(self.market))
-
-    def sweep_top(self, config: CampaignConfig) -> float:
-        if self.side_fills(config):
-            return max(abs(self.agent.valuation) + self.belief_reward, self.amount)
-        return max(self.bound, self.amount)
+def _state_prefix(state: tuple[float, float] | None) -> str:
+    """An SPE probe state's name in a deviation's detail, its money raised;
+    none for a Nash slot."""
+    return "" if state is None else (
+        f"[state raised_for={state[0]:.6g} raised_against={state[1]:.6g}] ")
 
 
-@dataclass(frozen=True)
-class _Pieces:
-    """A slot's expected utility as a function of the amount x, piece by
-    piece; everything else is fixed for the slot:
+EXPIRY_CORNER_NOTE = ("rejection-side sweep skipped at states where the "
+                      "provision side cannot fill (expiry corner)")
+
+
+class _Evaluator:
+    """One agent's expected utility on one market as a function of its
+    amount x, at the slot ``place`` puts it at: its prescribed amount,
+    everyone else's money per market, the issuance its allocation is priced
+    at, its bound, and whether the rival market fills without it.
+
+    At a slot eu is piecewise in x:
 
     * on [0, pivot) the own market stays short and eu is the alternative
       branch alone, nondecreasing in x in every mechanism (a refund share
@@ -624,84 +613,40 @@ class _Pieces:
       x, the alternative concave);
     * past capacity eu is constant, because the engine truncates the play.
 
-    ``eu(amount, issued=slot.issued, alt_only=False)`` is the evaluator;
-    ``alt_only`` scores the alternative branch alone. ``clip(amount)`` is
-    the amount the engine accepts (truncated to the capacity), the one eu
-    scores. ``stationary()`` is where the mix's slope changes sign, if
-    anywhere.
-    """
-
-    pivot: float  # the least x at which the own market counts as met
-    clip: Callable[[float], float]
-    stationary: Callable[[], float | None]
-    eu: Callable[..., float]
-
-    def best(self, top: float, amount: float) -> tuple[float, float, float]:
-        """The supremum of eu over [0, top], the x where it is reached, and
-        eu at ``amount``, the prescribed play, which lies in [0, top]. The
-        supremum is the alternative branch's left limit at the pivot, or the
-        best of 0, ``top``, the pivot, the stationary point and ``amount``.
-        The capacity needs no evaluation: eu there equals eu at ``top`` when
-        top is past it, and is clipped to ``top`` otherwise. A left limit is
-        approached by plays just below the pivot."""
-        eu = self.eu
-        best_x, best = 0.0, -math.inf
-        if self.pivot > 0.0:
-            best_x = min(self.pivot, top)
-            best = eu(best_x, alt_only=True)
-        points = [0.0, top, self.pivot, amount]
-        stationary = self.stationary()
-        if stationary is not None:
-            points.append(stationary)
-        for x in sorted({min(max(x, 0.0), top) for x in points}):
-            value = eu(x)
-            if x == amount:
-                base = value
-            if value > best:
-                best_x, best = x, value
-        return best_x, best, base
-
-
-def _pieces(config: CampaignConfig, slot: _Slot) -> _Pieces:
-    """The slot's evaluator and its piece structure.
-
-    The amount is truncated to the market's remaining capacity, and
-    ``issued`` reprices the allocation of a delayed contribution. The
-    outcome distribution is tied to the post-deviation totals: while the
-    agent's own market reaches its target the race is priced by its
+    The outcome distribution is tied to the post-deviation totals: while
+    the agent's own market reaches its target the race is priced by its
     beliefs; otherwise the alternative is certain. The alternative is the
     rival market's verdict when that side can still fill (its own
     coalition's play is not stopped by this agent), expiry otherwise.
-    Everything but the amount and the issuance is fixed for the slot and
-    computed here once.
     """
-    agent, market, reward = slot.agent, slot.market, slot.belief_reward
-    for_market = market is Market.FOR
-    others_for, others_against = slot.others_for, slot.others_against
-    others = slot.others_on(market)
-    target = config.target(market)
-    capacity = max(0.0, target - others)
-    met_from = target - MET_REL_TOL * target  # _met's threshold
-    pivot = met_from - others
-    # the difference is exact unless others < met_from / 2, and then a few
-    # ulps of pivot are enough for eu to count the pivot as met
-    while others + pivot < met_from:
-        pivot = math.nextafter(pivot, math.inf)
-    own_verdict = Verdict.PROVISIONED if for_market else Verdict.REJECTED
-    if config.mechanism.dual_market and slot.rival_viable:
-        alt_verdict = Verdict.REJECTED if for_market else Verdict.PROVISIONED
-    else:
-        alt_verdict = Verdict.EXPIRED
-    own_weight = _own_win_weight(config, agent)
-    if not for_market:
-        own_weight = 1.0 - own_weight
-    alt_weight = 1.0 - own_weight
-    utility = RULES[config.mechanism].utility
-    own = utility(config, agent, market, reward, own_verdict)
-    alt = utility(config, agent, market, reward, alt_verdict)
-    cf = config.cost_function  # set exactly for the securities family
 
-    def stationary() -> float | None:
+    __slots__ = ("agent", "market", "reward", "for_market", "target", "met_from",
+                 "own_weight", "alt_weight", "own", "expired", "rival", "cf", "dual",
+                 "sweep_cap", "pool_weight", "priced_at",
+                 "amount", "others_for", "others_against", "issued", "bound",
+                 "rival_viable", "closed", "others", "capacity", "pivot", "alt")
+
+    def __init__(self, config: CampaignConfig, agent: AgentProfile, market: Market,
+                 reward: float = 0.0) -> None:
+        self.agent, self.market, self.reward = agent, market, reward
+        self.for_market = for_market = market is _FOR
+        self.target = target = config.target(market)
+        self.met_from = target - MET_REL_TOL * target  # _met's threshold
+        own_weight = _own_win_weight(config, agent)
+        if not for_market:
+            own_weight = 1.0 - own_weight
+        self.own_weight, self.alt_weight = own_weight, 1.0 - own_weight
+        self.dual = dual = config.mechanism.dual_market
+        utility = RULES[config.mechanism].utility
+        self.own = utility(config, agent, market, reward,
+                           _PROVISIONED if for_market else _REJECTED)
+        self.expired = utility(config, agent, market, reward, _EXPIRED)
+        # the rival market's verdict can only be the alternative in a dual market
+        self.rival = (utility(config, agent, market, reward,
+                              _REJECTED if for_market else _PROVISIONED)
+                      if dual else self.expired)
+        self.cf = cf = config.cost_function  # set exactly for the securities family
+        self.sweep_cap = abs(agent.valuation) + reward
         # The mix's slope is -own_weight + alt_weight * (alternative's
         # slope), and the alternative's slope falls with x. Refund family:
         # the share x / (O + x) * B of the pool O the others paid in (a
@@ -709,96 +654,181 @@ def _pieces(config: CampaignConfig, slot: _Slot) -> _Pieces:
         # B * O / (O + x)^2. Securities family: the mix is -x + alt_weight *
         # allocation(x) + constants, and the allocation's slope is one over
         # the post-purchase price, so the slope vanishes where that price
-        # equals alt_weight.
-        if not 0.0 < alt_weight < 1.0:
-            return None
-        if cf is None:
-            pool = others_for + others_against
-            return math.sqrt(alt_weight * config.bonus_budget * pool / own_weight) - pool
-        priced_at = cf.fixed_leg + cf.liquidity * math.log(alt_weight / own_weight)
-        if priced_at <= slot.issued:
-            return None
-        return cf.contribution_for(priced_at - slot.issued, slot.issued)
+        # equals alt_weight, at issuance ``priced_at``.
+        self.pool_weight = self.priced_at = None
+        alt_weight = self.alt_weight
+        if 0.0 < alt_weight < 1.0:
+            if cf is None:
+                self.pool_weight = alt_weight * config.bonus_budget
+            else:
+                self.priced_at = cf.fixed_leg + cf.liquidity * math.log(alt_weight / own_weight)
 
-    def clip(amount: float) -> float:
-        return max(0.0, min(amount, capacity))
+    def place(self, amount: float, others_for: float, others_against: float,
+              issued: float = 0.0, bound: float = 0.0, rival_viable: bool = False,
+              closed: bool = False) -> None:
+        """Put the evaluator at a slot; ``closed``: a target was already met
+        when the agent moved."""
+        self.amount, self.others_for, self.others_against = amount, others_for, others_against
+        self.issued, self.bound = issued, bound
+        self.rival_viable, self.closed = rival_viable, closed
+        self.others = others = others_for if self.for_market else others_against
+        self.capacity = max(0.0, self.target - others)
+        met_from = self.met_from
+        # the least x at which the own market counts as met; the difference
+        # is exact unless others < met_from / 2, and then a few ulps of
+        # pivot are enough for eu to count the pivot as met
+        pivot = met_from - others
+        while others + pivot < met_from:
+            pivot = math.nextafter(pivot, math.inf)
+        self.pivot = pivot
+        self.alt = self.rival if rival_viable else self.expired
 
-    def eu(amount: float, issued: float = slot.issued, alt_only: bool = False) -> float:
-        effective = clip(amount)
-        # one allocation serves both branches; only the securities utilities read it
-        securities = 0.0 if cf is None else cf.securities_for(effective, issued)
-        if for_market:
-            total_for, total_against = others_for + effective, others_against
+    def eu(self, amount: float, issued: float, alt_only: bool = False,
+           securities: float | None = None) -> float:
+        """Expected utility of playing ``amount`` with the allocation priced
+        at ``issued`` (``securities``, when the caller has priced it);
+        ``alt_only`` scores the alternative branch alone. The amount is
+        truncated to the market's remaining capacity, as the engine
+        truncates it."""
+        # max(0.0, min(amount, capacity)), NaN included, without the two calls
+        capacity = self.capacity
+        effective = capacity if capacity < amount else amount
+        if not effective > 0.0:
+            effective = 0.0
+        if securities is None:
+            # one allocation serves both branches; only the securities utilities read it
+            cf = self.cf
+            securities = 0.0 if cf is None else cf.securities_for(effective, issued)
+        if self.for_market:
+            total_for, total_against = self.others_for + effective, self.others_against
         else:
-            total_for, total_against = others_for, others_against + effective
-        if not alt_only and others + effective >= met_from:
-            return (own_weight * own(effective, securities, total_for, total_against)
-                    + alt_weight * alt(effective, securities, total_for, total_against))
+            total_for, total_against = self.others_for, self.others_against + effective
+        alt = self.alt
+        if not alt_only and self.others + effective >= self.met_from:
+            return (self.own_weight * self.own(effective, securities, total_for, total_against)
+                    + self.alt_weight * alt(effective, securities, total_for, total_against))
         return alt(effective, securities, total_for, total_against)
 
-    return _Pieces(pivot, clip, stationary, eu)
+    def stationary(self) -> float | None:
+        """Where the mix's slope changes sign, if anywhere."""
+        if self.pool_weight is not None:
+            pool = self.others_for + self.others_against
+            return math.sqrt(self.pool_weight * pool / self.own_weight) - pool
+        priced_at, issued = self.priced_at, self.issued
+        if priced_at is None or priced_at <= issued:
+            return None
+        return self.cf.contribution_for(priced_at - issued, issued)
 
+    def top(self) -> float:
+        """The search range's top: |valuation| + reward where the own market
+        fills at the prescribed play, else the bound (never below the play)."""
+        amount = self.amount
+        if self.others + amount >= self.met_from:
+            return max(self.sweep_cap, amount)
+        return max(self.bound, amount)
 
-EXPIRY_CORNER_NOTE = ("rejection-side sweep skipped at states where the "
-                      "provision side cannot fill (expiry corner)")
+    def best(self, top: float) -> tuple[float, float, float]:
+        """The supremum of eu over [0, top], the x where it is reached, and
+        eu at the prescribed play, which lies in [0, top]. The supremum is
+        the alternative branch's left limit at the pivot, or the best of 0,
+        ``top``, the pivot, the stationary point and the prescribed play.
+        The capacity needs no evaluation: eu there equals eu at ``top`` when
+        top is past it, and is clipped to ``top`` otherwise. A left limit is
+        approached by plays just below the pivot."""
+        eu, issued, pivot, amount = self.eu, self.issued, self.pivot, self.amount
+        best_x, best = 0.0, -math.inf
+        if pivot > 0.0:
+            best_x = min(pivot, top)
+            best = eu(best_x, issued, True)
+        points = [0.0, top, pivot, amount]
+        stationary = self.stationary()
+        if stationary is not None:
+            points.append(stationary)
+        for x in sorted({min(max(x, 0.0), top) for x in points}):
+            value = eu(x, issued)
+            if x == amount:
+                base = value
+            if value > best:
+                best_x, best = x, value
+        return best_x, best, base
 
-
-def _check_slot(config: CampaignConfig, slot: _Slot, report: EquilibriumReport,
-                epsilon: float, prefix: str = "",
-                waits: Waits | None = None) -> None:
-    """Add one slot's profitable deviations to ``report``: a nonzero play at
-    a closed book; at an open one (unless it is the expiry corner) the best
-    contribution, exact over the slot's pieces, and, given the ``waits`` of
-    an SPE probe state, the delays."""
-    if slot.closed:
-        # zero is the only legal play, so a nonzero prescription is itself
-        # the defect to report
-        if slot.amount > epsilon:
-            report.deviations.append(Deviation(
-                slot.agent.id, "contribution",
-                prefix + f"market closed but profile prescribes x={slot.amount:.6g}",
-                slot.amount))
-        return
-    if (config.mechanism.dual_market and slot.market is Market.AGAINST
-            and not slot.rival_viable):
-        # with the provision side dead, a rejection-side agent is choosing
-        # between forfeiting its stake and an expiry refund; the equilibrium
-        # claims do not reach this corner, so it is noted, not swept
+    def corner(self, report: EquilibriumReport, rival_viable: bool) -> bool:
+        """Whether a slot is the expiry corner, which ``report`` then notes:
+        with the provision side dead, a rejection-side agent's choice is out
+        of the equilibrium claims' reach, so the corner is noted, not swept."""
+        if not (self.dual and not self.for_market and not rival_viable):
+            return False
         if EXPIRY_CORNER_NOTE not in report.notes:
             report.notes.append(EXPIRY_CORNER_NOTE)
-        return
-    # the sweep and the delay walk share the pieces and the base
-    pieces = _pieces(config, slot)
-    best_x, best, base = pieces.best(slot.sweep_top(config), slot.amount)
-    if best - base > epsilon:
-        report.deviations.append(Deviation(
-            slot.agent.id, "contribution",
-            prefix + f"x={best_x:.6g} on {slot.market.value} (was {slot.amount:.6g})",
-            best - base))
-    if waits is not None:
-        report.deviations.extend(
-            _delay_deviations(config, slot, pieces, base, waits, epsilon, prefix))
+        return True
+
+    def check(self, report: EquilibriumReport, epsilon: float,
+              state: tuple[float, float] | None = None, waits: Waits | None = None) -> None:
+        """Add the placed slot's profitable deviations to ``report``: a
+        nonzero play at a closed book; at an open one (unless it is the
+        expiry corner) those ``sweep`` finds."""
+        if self.closed:
+            # zero is the only legal play, so a nonzero prescription is itself
+            # the defect to report
+            if self.amount > epsilon:
+                report.deviations.append(Deviation(
+                    self.agent.id, "contribution", _state_prefix(state)
+                    + f"market closed but profile prescribes x={self.amount:.6g}",
+                    self.amount))
+            return
+        if not self.corner(report, self.rival_viable):
+            self.sweep(report, epsilon, state, waits)
+
+    def sweep(self, report: EquilibriumReport, epsilon: float,
+              state: tuple[float, float] | None, waits: Waits | None) -> None:
+        """Add the placed slot's best contribution, exact over its pieces,
+        when it gains more than epsilon and, given the ``waits`` of an SPE
+        probe ``state`` (which names its deviations), its one timing
+        deviation. ``waits`` counts the later plays that leave the book open
+        once the agent has played and gives the issuance a delayed
+        contribution is priced at after the first and the last of them.
+        Waits never fall, an allocation is monotone in issuance and every
+        securities utility is nondecreasing in it, so the wait that
+        allocates more gains at least as much as any wait."""
+        amount = self.amount
+        best_x, best, base = self.best(self.top())
+        if best - base > epsilon:
+            report.deviations.append(Deviation(
+                self.agent.id, "contribution", _state_prefix(state)
+                + f"x={best_x:.6g} on {self.market.value} (was {amount:.6g})",
+                best - base))
+        if not waits or not waits[0]:
+            return
+        count, first, last = waits
+        effective = max(0.0, min(amount, self.capacity))
+        securities_for = self.cf.securities_for
+        early, late = securities_for(effective, first), securities_for(effective, last)
+        waited, issued, securities = (count, last, late) if late > early else (1, first, early)
+        gain = self.eu(amount, issued, securities=securities) - base
+        if gain > epsilon:
+            report.deviations.append(Deviation(
+                self.agent.id, "timing",
+                _state_prefix(state) + f"delay past {waited} later arrivals", gain))
 
 
 def _slots(config: CampaignConfig, agents: list[AgentProfile],
-           profile: EquilibriumProfile, path: _Path) -> list[_Slot]:
-    """One decision slot per agent against everyone else's amounts at
-    settlement, capped at its bound at the slot's issuance. Sequential
-    mechanisms' slots see the markets as their agents found them on the
-    profile's ``path``, in its play order; deadline mechanisms' agents all
-    move at once, against empty markets."""
+           profile: EquilibriumProfile, path: _Path) -> list[_Evaluator]:
+    """One evaluator per agent, placed at its decision slot against
+    everyone else's amounts at settlement, capped at its bound at the
+    slot's issuance. Sequential mechanisms' slots see the markets as their
+    agents found them on the profile's ``path``, in its play order;
+    deadline mechanisms' agents all move at once, against empty markets."""
     sequential = config.mechanism.sequential
+    order, found, final = path
     if sequential:
-        order, found, final = path
-        books = [final.at(*raised) for raised in found]
         plays = _plays(config, _arrivals(config, order, profile.belief_rewards))
         bought = prefix_sums(plays)
     else:
-        order, books = agents, [new_states(config)] * len(agents)
+        order, found = agents, [(0.0, 0.0)] * len(agents)
     final_for = profile.total(Market.FOR)
     final_against = profile.total(Market.AGAINST)
     slots = []
-    for idx, (agent, book) in enumerate(zip(order, books)):
+    for idx, (agent, raised) in enumerate(zip(order, found)):
         entry = profile.entries[agent.id]
         others_for = final_for - (entry.amount if entry.market is Market.FOR else 0.0)
         others_against = final_against - (
@@ -808,31 +838,26 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
             rival = entry.market.other
             rival_total = others_against if rival is Market.AGAINST else others_for
             rival_viable = _met(rival_total, config.target(rival)) or (
-                sequential and _rival_fills(book, entry.market, plays, idx + 1, bought))
-        issued = book.price_issuance(entry.market)
+                sequential and _rival_fills(final, *raised, entry.market, plays, idx + 1,
+                                            bought))
+        issued = final.priced_at(entry.market, *raised)
         reward = profile.belief_rewards.get(agent.id, 0.0)
-        slots.append(_Slot(
-            agent=agent,
-            market=entry.market,
-            amount=entry.amount,
-            others_for=others_for,
-            others_against=others_against,
-            issued=issued,
-            belief_reward=reward,
-            bound=contribution_bound(config, agent, issued=issued, belief_reward=reward),
-            closed=book.closed,
-            rival_viable=rival_viable,
-        ))
+        slot = _Evaluator(config, agent, entry.market, reward)
+        slot.place(entry.amount, others_for, others_against, issued,
+                   contribution_bound(config, agent, issued=issued, belief_reward=reward),
+                   rival_viable, final.closed_at(*raised))
+        slots.append(slot)
     return slots
 
 
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                  profile: EquilibriumProfile, epsilon: float | None,
                  conditions: list[ConditionCheck] | None
-                 ) -> tuple[EquilibriumReport, float, _Path | None, list[_Slot]]:
+                 ) -> tuple[EquilibriumReport, float, _Path | None, list[_Evaluator]]:
     """The report before the search (conditions, and each slot's bound
-    and indifference check), the profile's ``path`` and the agents' slots
-    on it; an infeasible profile has neither."""
+    and indifference check), the profile's ``path`` and the agents'
+    evaluators placed at their slots on it; an infeasible profile has
+    neither."""
     if epsilon is None:
         # the default tolerance is a millionth of the larger target
         epsilon = max(config.provision_point_pair or (config.provision_point,)) * 1e-6
@@ -854,7 +879,7 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
     indifference = RULES[config.mechanism].indifference
     report.indifference = [IndifferenceCheck(
         slot.agent.id, slot.bound,
-        *indifference(config, slot.agent, slot.bound, slot.issued, slot.belief_reward))
+        *indifference(config, slot.agent, slot.bound, slot.issued, slot.reward))
         for slot in slots]
     return report, epsilon, path, slots
 
@@ -876,7 +901,7 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
         report.notes.append(
             "timing deviations vacuous: refund schedule is time-invariant")
     for slot in slots:
-        _check_slot(config, slot, report, eps)
+        slot.check(report, eps)
     return report
 
 
@@ -885,57 +910,53 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
 # ---------------------------------------------------------------------------
 
 
-def _rival_fills(book: DualMarketState, own_market: Market,
-                 plays: list[tuple[Market, float]], first: int,
+def _rival_fills(book: DualMarketState, raised_for: float, raised_against: float,
+                 own_market: Market, plays: list[tuple[Market, float]], first: int,
                  bought: dict[Market, list[float]]) -> bool:
     """Whether the rival market's coalition among the arrivals of ``plays``
-    from ``first`` on, playing its prescribed strategy from this state,
-    still reaches its target (the agent's own side frozen; issuance
-    coupling priced at the frozen leg). ``bought`` is ``prefix_sums`` of the
-    plays' quantities. The priced min leg only rises, and a payment is
-    convex in the quantity and zero at zero, so the coalition's money is at
-    least its quantity Q times the marginal price at the lowest issuance
-    and at most the payment for Q at the highest: only a remaining target
-    inside that band, widened by ``MET_REL_TOL`` of the target, is walked."""
+    from ``first`` on, playing its prescribed strategy from the state where
+    ``book``'s markets hold the given money, still reaches its target (the
+    agent's own side frozen; issuance coupling priced at the frozen leg).
+    ``bought`` is ``prefix_sums`` of the plays' quantities. The priced min
+    leg only rises, and a payment is convex in the quantity and zero at
+    zero, so the coalition's money is at least its quantity Q times the
+    marginal price at the lowest issuance and at most the payment for Q at
+    the highest: only a remaining target inside that band, widened by
+    ``MET_REL_TOL`` of the target, is walked."""
     rival = own_market.other
-    state, cf = book.market(rival), book.cf
-    if not book.closed:
+    cf, i = book.cf, rival is not _FOR
+    target = book.market(rival).target
+    raised, leg = (raised_against, raised_for) if i else (raised_for, raised_against)
+    if not book.closed_at(raised_for, raised_against):
         quantity = bought[rival][-1] - bought[rival][first]
-        leg = book.market(own_market).raised
-        need, slack = state.remaining, MET_REL_TOL * state.target
-        if cf.price(cf.issued_at(min(leg, state.raised))) * quantity >= need + slack:
+        need, slack = target - raised, MET_REL_TOL * target
+        if cf.price(cf.issued_at(min(leg, raised))) * quantity >= need + slack:
             return True
-        if cf.contribution_for(quantity, cf.issued_at(min(leg, state.target))) < need - slack:
+        if cf.contribution_for(quantity, cf.issued_at(min(leg, target))) < need - slack:
             return False
-    book = book.copy()
-    book.walk(plays, first, only=rival)
-    return book.market(rival).met
+    walked = [raised_for, raised_against]
+    book.walk(walked, plays, first, only=rival)
+    return walked[i] >= target
 
 
-def _probe_states(config: CampaignConfig, on_path: DualMarketState, bound: float,
-                  own_market: Market) -> list[DualMarketState]:
-    """On-path markets (first) plus synthetic remaining-target states,
-    including one just short of ``bound``, the on-path slot's cap, engineered
-    to trigger the late-arrival clipping branch: eight states at most."""
+def _probe_states(config: CampaignConfig, raised_for: float, raised_against: float,
+                  bound: float, own_market: Market) -> list[tuple[float, float]]:
+    """The on-path money (FOR, AGAINST) first, then synthetic
+    remaining-target states, including one just short of ``bound``, the
+    on-path slot's cap, engineered to trigger the late-arrival clipping
+    branch: eight states at most, each the money raised per market."""
     target = config.target(own_market)
-    raised = {Market.FOR: on_path.market_for.raised,
-              Market.AGAINST: on_path.market_against.raised}
-    states = [raised] + [{**raised, own_market: (1.0 - fraction) * target}
-                         for fraction in (1.0, 0.8, 0.6, 0.4, 0.2)]
+    own = [(1.0 - fraction) * target for fraction in (1.0, 0.8, 0.6, 0.4, 0.2)]
     if bound > 0.0:
-        states.append({**raised, own_market: max(0.0, target - 0.5 * bound)})
+        own.append(max(0.0, target - 0.5 * bound))
+    for_market = own_market is Market.FOR
+    states = [(raised_for, raised_against)] + [
+        (x, raised_against) if for_market else (raised_for, x) for x in own]
     if config.mechanism.dual_market:
-        other = own_market.other
-        states.append({**raised, other: 0.5 * config.target(other)})
+        half = 0.5 * config.target(own_market.other)
+        states.append((raised_for, half) if for_market else (half, raised_against))
     # as dict keys, repeated states drop out and the first of each keeps its place
-    unique = list({(state[Market.FOR], state[Market.AGAINST]): None for state in states})
-    return [on_path.at(*state) for state in unique]
-
-
-def _state_prefix(state: DualMarketState) -> str:
-    """A probe state's name in a deviation's detail: its money raised."""
-    return (f"[state raised_for={state.market_for.raised:.6g} "
-            f"raised_against={state.market_against.raised:.6g}] ")
+    return list(dict.fromkeys(states))
 
 
 def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
@@ -960,72 +981,45 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     if path is None:
         return report
     order, found, final = path
-    books = [final.at(*raised) for raised in found]
     arrivals = _arrivals(config, order, profile.belief_rewards)
     # on the path, the later plays are the profile's: closing is the play
     # after which the book is closed (len(order) if none), and no play before
     # it is truncated, so the money each play found is their prefix sum
-    closing = next((k for k, book in enumerate([*books[1:], final]) if book.closed),
-                   len(order))
     found = [*found, (final.market_for.raised, final.market_against.raised)]
+    closing = next((k for k in range(len(order)) if final.closed_at(*found[k + 1])),
+                   len(order))
     # off the path, followers play their bounds: each buys its security
     # quantity, so the kernel walks them by it (by prefix sum where it can)
     plays = _plays(config, arrivals)
     bought = prefix_sums(plays)
+    dual = config.mechanism.dual_market
     for idx, ((agent, own_market, reward), slot) in enumerate(zip(arrivals, slots)):
-        on_path, *off_path = _probe_states(config, books[idx], slot.bound, own_market)
+        on_path, *off_path = _probe_states(config, *found[idx], slot.bound, own_market)
         # waits: the later plays that leave the book open, and the issuance
         # the delayed contribution is priced at after the first and the last
         count = closing - idx - 1
-        waits = (0, 0.0, 0.0) if count <= 0 else (count, *(on_path.issued_with(
-            slot.market, [x - y for x, y in zip(found[k], found[idx + 1])])
+        waits = (0, 0.0, 0.0) if count <= 0 else (count, *(final.priced_at(
+            slot.market, *(x + (y - z) for x, y, z in zip(on_path, found[k], found[idx + 1])))
             for k in (idx + 2, closing)))
-        _check_slot(config, slot, report, eps, _state_prefix(on_path), waits)
+        slot.check(report, eps, on_path, waits)
+        if slot.market is not own_market:  # an explicit play off the agent's preference
+            slot = _Evaluator(config, agent, own_market, reward)
         for state in off_path:
-            if state.closed:
+            if final.closed_at(*state):
                 continue  # an arrival at a closed book plays zero
-            issued = state.price_issuance(own_market)
+            rival_viable = dual and _rival_fills(final, *state, own_market, plays, idx + 1,
+                                                 bought)
+            if slot.corner(report, rival_viable):
+                continue
+            issued = final.priced_at(own_market, *state)
             bound = contribution_bound(config, agent, issued=issued, belief_reward=reward)
             # paid: the followers' money per market, for the totals
-            prescribed, paid, waits = state.follow(own_market, bound, plays, bought, idx + 1)
-            _check_slot(config, _Slot(
-                agent=agent, market=own_market, amount=prescribed,
-                others_for=state.market_for.raised + paid[0],
-                others_against=state.market_against.raised + paid[1],
-                issued=issued, belief_reward=reward, bound=bound,
-                rival_viable=config.mechanism.dual_market and _rival_fills(
-                    state, own_market, plays, idx + 1, bought),
-            ), report, eps, _state_prefix(state), waits)
+            prescribed, paid, waits = final.follow(*state, own_market, bound, plays, bought,
+                                                   idx + 1)
+            slot.place(prescribed, state[0] + paid[0], state[1] + paid[1], issued, bound,
+                       rival_viable)
+            slot.sweep(report, eps, state, waits)
     return report
-
-
-def _delay_deviations(config: CampaignConfig, slot: _Slot, pieces: _Pieces,
-                      base: float, waits: Waits, epsilon: float,
-                      prefix: str) -> list[Deviation]:
-    """Reprice the prescribed contribution after later arrivals;
-    allocations never improve with waiting, so a gain is a defect worth
-    reporting. ``waits`` counts the later plays that leave the book open
-    once the agent has played (past the one that closes it no later slot
-    exists for the contribution) and gives the issuance the contribution is
-    priced at after the first and after the last of them.
-
-    Waits never fall (raised money and the min leg only grow), an
-    allocation is monotone in issuance and every securities utility is
-    nondecreasing in it, so of the first wait and the last, the one that
-    allocates more gains at least as much as any wait: it is the one timing
-    deviation reported, when its gain exceeds epsilon."""
-    count, first, last = waits
-    if not count:
-        return []
-    effective = pieces.clip(slot.amount)
-    securities_for = config.cost_function.securities_for
-    waited, issued = max((1, first), (count, last),
-                         key=lambda wait: securities_for(effective, wait[1]))
-    gain = pieces.eu(slot.amount, issued) - base
-    if gain <= epsilon:
-        return []
-    return [Deviation(slot.agent.id, "timing",
-                      prefix + f"delay past {waited} later arrivals", gain)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 Every mechanism races one or two markets to their targets, and a market's
 state is fixed by the money it has raised: ``DualMarketState.play`` is the
-one function that advances it (a play of at least the remaining amount
-fills the market exactly, and a filled market closes the book), and
+one function that advances a ledger book (a play of at least the remaining
+amount fills the market exactly, and a filled market closes the book), and
 securities issuance is derived from the raised total by
 ``CostFunction.issued_at``. The engine replays a time-ordered action list
 through it, discards everything after the first fill, and hands the frozen
 ledgers to ``settle``. The securities family's prescribed followers each
 buy their security quantity at the current price: ``DualMarketState.walk``
-plays them one by one on plain floats, under ``play``'s truncation rule,
-and ``DualMarketState.follow`` answers where a book goes after one play and
-such followers, from prefix sums on a single market and by ``walk`` under
-min-leg pricing, as the followers' money and two ``Waits`` issuances.
+plays them one by one, under ``play``'s truncation rule, and
+``DualMarketState.follow`` answers where markets holding given money go
+after one play and such followers, from prefix sums on a single market and
+by ``walk`` under min-leg pricing, as the followers' money and two
+``Waits`` issuances. Both take the money as plain floats (``closed_at``
+and ``priced_at`` read a state the same way), and the book lends only its
+targets and pricing, so a state off the ledger is two numbers.
 
 Payoffs follow one rule for all six mechanisms: an agent receives its
 valuation exactly when the project is provisioned, pays its contribution,
@@ -97,7 +100,11 @@ class DualMarketState:
     @property
     def closed(self) -> bool:
         """A target has been reached; the book accepts no further play."""
-        return self.market_for.met or self.market_against.met
+        return self.closed_at(self.market_for.raised, self.market_against.raised)
+
+    def closed_at(self, raised_for: float, raised_against: float) -> bool:
+        """Whether these markets holding the given money are closed."""
+        return raised_for >= self.market_for.target or raised_against >= self.market_against.target
 
     @property
     def verdict(self) -> Verdict | None:
@@ -108,35 +115,29 @@ class DualMarketState:
             return Verdict.REJECTED
         return None
 
-    def issued(self, side: Market) -> float:
-        """Securities issued on one market (zero without a cost function)."""
+    def price_issuance(self, side: Market) -> float:
+        """Issuance an allocation on ``side`` is priced at in this book."""
+        return self.priced_at(side, self.market_for.raised, self.market_against.raised)
+
+    def priced_at(self, side: Market, raised_for: float, raised_against: float) -> float:
+        """Issuance an allocation on ``side`` is priced at once these markets
+        hold the given money: with ``min_leg``, the smaller leg's, so a
+        contribution earns the same on either side; zero without a cost
+        function."""
         if self.cf is None:
             return 0.0
-        return self.cf.issued_at(self.market(side).raised)
-
-    def price_issuance(self, side: Market) -> float:
-        """Issuance an allocation on ``side`` is priced at; with ``min_leg``,
-        the smaller leg's, so a contribution earns the same on either side."""
         if self.min_leg:
-            side = (Market.FOR if self.market_for.raised <= self.market_against.raised
-                    else Market.AGAINST)
-        return self.issued(side)
-
-    def at(self, raised_for: float, raised_against: float) -> DualMarketState:
-        """The same markets, ledger-free, with the given money raised."""
-        return DualMarketState(MarketState(self.market_for.target, raised_for),
-                               MarketState(self.market_against.target, raised_against),
-                               self.cf, self.min_leg)
-
-    def copy(self) -> DualMarketState:
-        return self.at(self.market_for.raised, self.market_against.raised)
+            leg = raised_for if raised_for <= raised_against else raised_against
+        else:
+            leg = raised_for if side is _FOR else raised_against
+        return self.cf.issued_at(leg)
 
     def play(self, side: Market, amount: float) -> float:
         """Pay ``amount`` into ``side`` and return the amount accepted.
 
-        This is the only place market state advances. A play of at least the
-        remaining amount is truncated to it and fills the market exactly (the
-        total is assigned, not accumulated, so the fill is exact).
+        This is the only place a ledger book advances. A play of at least
+        the remaining amount is truncated to it and fills the market exactly
+        (the total is assigned, not accumulated, so the fill is exact).
         """
         if amount < 0:
             raise ValueError("contribution amount must be nonnegative")
@@ -150,14 +151,16 @@ class DualMarketState:
         state.raised += amount
         return amount
 
-    def walk(self, plays: list[tuple[Market, float]], first: int = 0,
+    def walk(self, raised: list[float], plays: list[tuple[Market, float]], first: int = 0,
              only: Market | None = None) -> list[float]:
         """Walk the arrivals of ``plays`` from ``first`` on, each buying its
-        security quantity on its market at ``price_issuance``, until the book
+        security quantity on its market at ``priced_at``, until the book
         closes; with ``only``, the arrivals on that market alone. Each
         payment follows ``play``'s rule: a payment of at least the remaining
-        amount fills the market exactly. Advances this book on plain floats,
-        without ledgers, and returns the money each walked arrival pays in.
+        amount fills the market exactly. Advances the money ``raised``
+        (FOR, AGAINST) in place, on plain floats; this book lends its
+        targets and pricing and is left as it is. Returns the money each
+        walked arrival pays in.
 
         A payment is ``contribution_for``'s closed form b * log1p(u * expm1(q
         / b)), operation for operation, with the priced leg's issuance and
@@ -166,7 +169,6 @@ class DualMarketState:
         """
         cf, min_leg = self.cf, self.min_leg
         b, fixed_leg = cf.liquidity, cf.fixed_leg
-        raised = [self.market_for.raised, self.market_against.raised]
         target = [self.market_for.target, self.market_against.target]
         paid: list[float] = []
         if raised[0] >= target[0] or raised[1] >= target[1]:
@@ -195,22 +197,13 @@ class DualMarketState:
             paid.append(amount)
             if raised[i] >= target[i]:
                 break
-        self.market_for.raised, self.market_against.raised = raised
         return paid
 
-    def issued_with(self, side: Market, paid: tuple[float, float]) -> float:
-        """The issuance ``side`` prices at once ``paid`` (FOR, AGAINST) more
-        money is in this book, which is left as it is; ``paid`` fills no
-        market, since the waits count payments that left a book open."""
-        raised = [m.raised + x for m, x in zip((self.market_for, self.market_against), paid)]
-        # the legs priced: both under min_leg, else ``side`` alone
-        return self.cf.issued_at(min(raised) if self.min_leg else raised[side is not _FOR])
-
-    def follow(self, side: Market, amount: float, plays: list[tuple[Market, float]],
-               bought: dict[Market, list[float]], first: int
-               ) -> tuple[float, tuple[float, float], Waits]:
+    def follow(self, raised_for: float, raised_against: float, side: Market, amount: float,
+               plays: list[tuple[Market, float]], bought: dict[Market, list[float]],
+               first: int) -> tuple[float, tuple[float, float], Waits]:
         """Where a play of ``amount`` on ``side`` and the followers' bounds
-        take the book.
+        take these markets from the money ``raised_for``, ``raised_against``.
 
         The followers are the arrivals of ``plays`` from ``first`` on, each
         buying its security quantity on its market, and ``bought[m][k]`` is
@@ -218,8 +211,9 @@ class DualMarketState:
         (``prefix_sums``). Returns the amount accepted from the play; the
         money the followers pay into each market while the book is open, as
         (FOR, AGAINST); and the ``Waits``: how many followers leave the book
-        open, and the issuance ``side`` prices at in this book, which does
-        not hold the play, after the first and after the last of them.
+        open, and the issuance ``side`` prices at without the play, after
+        the first and after the last of them. The play and the followers
+        are paid on plain floats, under ``play``'s rule.
 
         On a single market a bound buys exactly its quantity at any
         issuance, so issuance after each follower is a prefix sum, and one
@@ -230,15 +224,22 @@ class DualMarketState:
         money after the first and the last wait.
         """
         cf = self.cf
-        after = self.copy()
-        accepted = after.play(side, amount)
-        if after.closed:
+        i = side is not _FOR
+        target = self.market_against.target if i else self.market_for.target
+        after = [raised_for, raised_against]
+        accepted = target - after[i]
+        if amount >= accepted:
+            after[i] = target
+        else:
+            accepted = amount
+            after[i] += amount
+        if self.closed_at(*after):
             return accepted, (0.0, 0.0), (0, 0.0, 0.0)
         if self.min_leg:
-            paid = after.walk(plays, first)
+            paid = self.walk(after, plays, first)
             # each payment but a closing one left ``after`` open, which
-            # holds at least as much on each market as this book
-            count = len(paid) - 1 if after.closed else len(paid)
+            # holds at least as much on each market as these markets
+            count = len(paid) - 1 if self.closed_at(*after) else len(paid)
             # running sums from 0.0 equal ``prefix_sums`` to the bit
             money_for = money_against = 0.0
             ends = []
@@ -248,26 +249,25 @@ class DualMarketState:
                 else:
                     money_against += x
                 if k == 1 or k == count:
-                    ends.append((money_for, money_against))
+                    ends.append((raised_for + money_for, raised_against + money_against))
             waits = (0, 0.0, 0.0)
             if count:
-                waits = (count, *(self.issued_with(side, money) for money in (ends[0], ends[-1])))
+                waits = (count, *(self.priced_at(side, *ends[k]) for k in (0, -1)))
             return accepted, (money_for, money_against), waits
-        state, bought = after.market(side), bought[side]
-        start = cf.issued_at(state.raised)
-        end = bisect_left(bought, cf.issued_at(state.target) - start + bought[first],
-                          first + 1)
+        bought = bought[side]
+        start = cf.issued_at(after[i])
+        end = bisect_left(bought, cf.issued_at(target) - start + bought[first], first + 1)
         closes = end < len(bought)
         count = end - first - 1 if closes else len(bought) - 1 - first
-        raised = self.market(side).raised
-        paid = (state.remaining if closes
+        raised = raised_against if i else raised_for
+        paid = (target - after[i] if closes
                 else cf.contribution_for(bought[-1] - bought[first], start))
         waits = (0, 0.0, 0.0)
         if count:
-            # wait k: this book plus the money the first k followers pay
+            # wait k: these markets plus the money the first k followers pay
             waits = (count, *(cf.issued_at(raised + cf.contribution_for(
                 bought[first + k] - bought[first], start)) for k in (1, count)))
-        return accepted, (paid, 0.0) if side is _FOR else (0.0, paid), waits
+        return accepted, (0.0, paid) if i else (paid, 0.0), waits
 
 
 def prefix_sums(plays: list[tuple[Market, float]]) -> dict[Market, list[float]]:

@@ -65,14 +65,14 @@ def test_profile_verdict_is_engine_verdict(mech):
         records = {r.agent_id: r for r in
                    dual.market_for.ledger + dual.market_against.ledger}
         for agent, raised in zip(order, found):
-            book, entry = final.at(*raised), profile.entries[agent.id]
+            entry = profile.entries[agent.id]
             if entry.amount == 0.0:
                 continue
             if agent.id in records:
-                assert (book.price_issuance(entry.market)
+                assert (final.priced_at(entry.market, *raised)
                         == records[agent.id].q_at_allocation)
             else:  # the engine discards a play at a closed book
-                assert book.closed
+                assert final.closed_at(*raised)
         assert (final.market_for.raised, final.market_against.raised) == (
             dual.market_for.raised, dual.market_against.raised)
     if mech.dual_market:

@@ -14,7 +14,7 @@ from provpoint.equilibrium import (
     EquilibriumProfile,
     _met,
     _own_win_weight,
-    _Slot,
+    _Evaluator,
     bound_ppr,
     bound_pprn,
     bound_pprx,
@@ -32,6 +32,7 @@ from provpoint.equilibrium import (
 from provpoint.mechanisms import (
     Action,
     DualMarketState,
+    MarketState,
     new_states,
     ppr_utility,
     pprn_utility,
@@ -50,6 +51,28 @@ from provpoint.model import (
     Verdict,
 )
 from provpoint.scenario import ScenarioTemplate, generate_scenario
+
+
+def _at(book: DualMarketState, raised_for: float, raised_against: float) -> DualMarketState:
+    """A ledger-free book with ``book``'s markets holding the given money."""
+    return DualMarketState(MarketState(book.market_for.target, raised_for),
+                           MarketState(book.market_against.target, raised_against),
+                           book.cf, book.min_leg)
+
+
+def _copy(book: DualMarketState) -> DualMarketState:
+    return _at(book, book.market_for.raised, book.market_against.raised)
+
+
+def _placed(config: CampaignConfig, slot: _Evaluator, **changes) -> _Evaluator:
+    """A new evaluator for ``slot``'s agent and market, placed at its slot
+    with ``changes`` to the slot's fields."""
+    fields = {name: getattr(slot, name) for name in (
+        "amount", "others_for", "others_against", "issued", "bound", "rival_viable",
+        "closed")}
+    placed = _Evaluator(config, slot.agent, slot.market, slot.reward)
+    placed.place(**{**fields, **changes})
+    return placed
 
 
 def agent(theta, aid=0, eps=0.0, side=BeliefSide.PROVISION_LIKELY, **kw):
@@ -357,14 +380,14 @@ def test_certify_spe_rejects_simultaneous_mechanisms():
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
 def test_each_certification_replays_the_path_once(mechanism, monkeypatch):
-    # one replay and one set of on-path slots per certification; the SPE
-    # certifier checks each on-path slot as built, not a copy of it
+    # one replay and one set of on-path slots per certification; both
+    # certifiers check each on-path slot once, as built, not a copy of it
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=16),
                                  seed=3)
     config, agents = scenario.config, scenario.agents
     profile = construct_profile(config, agents)
     replays, built, checked = [], [], []
-    path, slots_of, check = equilibrium._path, equilibrium._slots, equilibrium._check_slot
+    path, slots_of, check = equilibrium._path, equilibrium._slots, _Evaluator.check
 
     def counting(*args):
         replays.append(args)
@@ -374,13 +397,13 @@ def test_each_certification_replays_the_path_once(mechanism, monkeypatch):
         built.append(slots_of(*args))
         return built[-1]
 
-    def checking(config, slot, *args):
+    def checking(slot, *args):
         checked.append(slot)
-        return check(config, slot, *args)
+        return check(slot, *args)
 
     monkeypatch.setattr(equilibrium, "_path", counting)
     monkeypatch.setattr(equilibrium, "_slots", building)
-    monkeypatch.setattr(equilibrium, "_check_slot", checking)
+    monkeypatch.setattr(_Evaluator, "check", checking)
     certifiers = [certify_ne, certify_spe] if mechanism.sequential else [certify_ne]
     for certify in certifiers:
         replays.clear()
@@ -389,12 +412,8 @@ def test_each_certification_replays_the_path_once(mechanism, monkeypatch):
         certify(config, agents, profile)
         assert len(replays) == 1
         assert len(built) == 1
-        if certify is certify_spe:
-            # each agent's first check is its on-path slot
-            first = {}
-            for slot in checked:
-                first.setdefault(slot.agent.id, slot)
-            assert all(first[slot.agent.id] is slot for slot in built[0])
+        assert len(checked) == len(built[0])
+        assert all(slot is on_path for slot, on_path in zip(checked, built[0]))
 
 
 def test_certify_spe_flags_overbound_play():
@@ -608,11 +627,12 @@ def _branch_utility(config: CampaignConfig, agent: AgentProfile, market: Market,
                         provisioned)
 
 
-def _expected_utility(config: CampaignConfig, slot: _Slot, market: Market,
+def _expected_utility(config: CampaignConfig, slot: _Evaluator, market: Market,
                       amount: float, cf: CostFunction | None) -> float:
     """EU of contributing ``amount`` to ``market`` at this slot, everyone
     else fixed; the amount is truncated to the market's remaining capacity."""
-    others = slot.others_on(market)
+    assert market is slot.market
+    others = slot.others_for if market is Market.FOR else slot.others_against
     capacity = max(0.0, config.target(market) - others)
     effective = max(0.0, min(amount, capacity))
     securities = 0.0
@@ -620,12 +640,11 @@ def _expected_utility(config: CampaignConfig, slot: _Slot, market: Market,
         securities = cf.securities_for(effective, slot.issued)
     total_for = slot.others_for + (effective if market is Market.FOR else 0.0)
     total_against = slot.others_against + (effective if market is Market.AGAINST else 0.0)
-    rival_viable = slot.rival_viable if market is slot.market else slot.side_fills(config)
     distribution = _verdict_distribution(
-        config, slot.agent, market, others + effective, rival_viable)
+        config, slot.agent, market, others + effective, slot.rival_viable)
     return sum(
         weight * _branch_utility(config, slot.agent, market, effective, securities,
-                                 total_for, total_against, slot.belief_reward, verdict)
+                                 total_for, total_against, slot.reward, verdict)
         for verdict, weight in distribution
     )
 
@@ -649,33 +668,27 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
                                equilibrium._path(config, agents, profile))
     delayed = []  # (slot, the issuances of its delay waits)
     if mechanism.sequential:
-        pieces_of, delay = equilibrium._pieces, equilibrium._delay_deviations
+        sweep = _Evaluator.sweep
 
-        def recording(config, slot):
-            slots.append(slot)
-            return pieces_of(config, slot)
+        def sweeping(slot, report, epsilon, state, waits):
+            slots.append(_placed(config, slot))
+            delayed.append((slots[-1], _wait_ends(waits)))
+            return sweep(slot, report, epsilon, state, waits)
 
-        def walking(config, slot, pieces, base, waits, *args):
-            delayed.append((slot, _wait_ends(waits)))
-            return delay(config, slot, pieces, base, waits, *args)
-
-        monkeypatch.setattr(equilibrium, "_pieces", recording)
-        monkeypatch.setattr(equilibrium, "_delay_deviations", walking)
+        monkeypatch.setattr(_Evaluator, "sweep", sweeping)
         certify_spe(config, agents, profile)
         monkeypatch.undo()
         # four arrivals may fill before anyone waits
         assert any(waits for _, waits in delayed) or n == 4
     for slot in slots:
-        eu = equilibrium._pieces(config, slot).eu
-        top = slot.sweep_top(config)
+        top = slot.top()
         for k in range(50):
             x = top * k / 49
-            assert eu(x) == _expected_utility(config, slot, slot.market, x, cf)
+            assert slot.eu(x, slot.issued) == _expected_utility(config, slot, slot.market, x, cf)
     for slot, waits in delayed:
-        eu = equilibrium._pieces(config, slot).eu
         for issued in waits:
-            repriced = dataclasses.replace(slot, issued=issued)
-            assert (eu(slot.amount, issued)
+            repriced = _placed(config, slot, issued=issued)
+            assert (slot.eu(slot.amount, issued)
                     == _expected_utility(config, repriced, slot.market, slot.amount, cf))
 
 
@@ -713,7 +726,7 @@ def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Mark
     strategy from this state, still reaches its target (the agent's own
     side frozen; issuance coupling priced at the frozen leg)."""
     rival = own_market.other
-    book = book.copy()
+    book = _copy(book)
     for agent, market, reward in followers:
         if book.closed:
             break
@@ -725,7 +738,7 @@ def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Mark
     return book.market(rival).met
 
 
-def _delay_deviations(slot: _Slot, eu, base: float, before: DualMarketState,
+def _delay_deviations(slot: _Evaluator, eu, base: float, before: DualMarketState,
                       after: DualMarketState,
                       follower_plays: list[tuple[Market, float]], epsilon: float,
                       prefix: str) -> list[Deviation]:
@@ -738,7 +751,7 @@ def _delay_deviations(slot: _Slot, eu, base: float, before: DualMarketState,
     found: list[Deviation] = []
     if after.closed:
         return found  # the contribution itself closes the book
-    before, after = before.copy(), after.copy()
+    before, after = _copy(before), _copy(after)
     for waited, (market, amount) in enumerate(follower_plays, start=1):
         after.play(market, amount)
         if after.closed:
@@ -762,20 +775,20 @@ def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
     path = equilibrium._path(config, agents, profile)
     slots = equilibrium._slots(config, agents, profile, path)
     order, found, final = path
-    books = [final.at(*raised) for raised in found]
     arrivals = equilibrium._arrivals(config, order, profile.belief_rewards)
     plays = equilibrium._plays(config, arrivals)
     path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
                   for a in order]
-    for idx, ((agent, own_market, reward), on_path, slot) in enumerate(
-            zip(arrivals, books, slots)):
+    for idx, ((agent, own_market, reward), raised, slot) in enumerate(
+            zip(arrivals, found, slots)):
         followers = arrivals[idx + 1:]
-        probes = equilibrium._probe_states(config, on_path, slot.bound, own_market)
-        for state in probes:
+        probes = equilibrium._probe_states(config, *raised, slot.bound, own_market)
+        for k, money in enumerate(probes):
+            state = _at(final, *money)
             if state.closed:
                 continue
-            after = state.copy()
-            if state is probes[0]:
+            after = _copy(state)
+            if k == 0:
                 market, prescribed = path_plays[idx]
                 after.play(market, prescribed)
                 follower_plays = path_plays[idx + 1:]
@@ -784,11 +797,11 @@ def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
                 prescribed = after.play(market, contribution_bound(
                     config, agent, issued=state.price_issuance(market),
                     belief_reward=reward))
-                amounts = _rollout(config, after.copy(), followers)
+                amounts = _rollout(config, _copy(after), followers)
                 follower_plays = [(m, x) for (_, m, _), x in
                                   zip_longest(followers, amounts, fillvalue=0.0)]
             rival = _rival_fills(config, state, market, followers)
-            assert equilibrium._rival_fills(state, market, plays, idx + 1,
+            assert equilibrium._rival_fills(final, *money, market, plays, idx + 1,
                                             prefix_sums(plays)) == rival
             if config.mechanism.dual_market and market is Market.AGAINST and not rival:
                 continue  # the expiry corner is noted, not swept
@@ -804,13 +817,13 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     config, agents = scenario.config, scenario.agents
     profile = construct_profile(config, agents)
     swept = []  # (slot, its delay walk's waits) per swept probe state
-    delay = equilibrium._delay_deviations
+    sweep = _Evaluator.sweep
 
-    def walking(config, slot, pieces, base, waits, *args):
-        swept.append((slot, waits))
-        return delay(config, slot, pieces, base, waits, *args)
+    def sweeping(slot, report, epsilon, state, waits):
+        swept.append((_placed(config, slot), waits))
+        return sweep(slot, report, epsilon, state, waits)
 
-    monkeypatch.setattr(equilibrium, "_delay_deviations", walking)
+    monkeypatch.setattr(_Evaluator, "sweep", sweeping)
     certify_spe(config, agents, profile)
     monkeypatch.undo()
 
@@ -818,8 +831,8 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     for agent, market, prescribed, rival_viable, state, after, follower_plays in (
             _reference_probes(config, agents, profile)):
         priced: list[float] = []
-        slot = _Slot(agent=agent, market=market, amount=prescribed,
-                     others_for=0.0, others_against=0.0)
+        slot = _Evaluator(config, agent, market)
+        slot.place(prescribed, 0.0, 0.0)
         _delay_deviations(slot, lambda amount, issued: priced.append(issued) or 0.0,
                           0.0, state, after, follower_plays, math.inf, "")
         expected.append((agent.id, market, prescribed, rival_viable, priced))
@@ -864,7 +877,7 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     raised = {m: f * config.target(m) for f, m in zip(fractions, mechanism.markets)}
     if hair in raised:  # one leg a hair below its target
         raised[hair] = math.nextafter(config.target(hair), 0.0)
-    state = empty.at(raised[Market.FOR], raised.get(Market.AGAINST, 0.0))
+    state = _at(empty, raised[Market.FOR], raised.get(Market.AGAINST, 0.0))
     if state.closed:
         return
     mover %= n
@@ -872,27 +885,29 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
 
     # walk from the state, over every arrival and over each market alone
     for only in (None, *mechanism.markets):
-        walked = state.copy()
-        paid = walked.walk(plays, first, only)
-        reference = state.copy()
+        walked = [state.market_for.raised, state.market_against.raised]
+        paid = state.walk(walked, plays, first, only)
+        reference = _copy(state)
         expected = _rollout(config, reference, [f for f in arrivals[first:]
                                                  if only in (None, f[1])])
         assert paid == expected
-        assert (walked.market_for.raised, walked.market_against.raised) == (
-            reference.market_for.raised, reference.market_against.raised)
-        assert _legal(walked)
+        assert tuple(walked) == (reference.market_for.raised,
+                                 reference.market_against.raised)
+        assert _legal(_at(state, *walked))
 
     # the mover plays its bound, then the followers theirs
     _, side, reward = arrivals[mover]
     bound = contribution_bound(config, arrivals[mover][0],
                                issued=state.price_issuance(side), belief_reward=reward)
-    accepted, totals, waits = state.follow(side, bound, plays, bought, first)
-    after = state.copy()
+    accepted, totals, waits = state.follow(state.market_for.raised,
+                                           state.market_against.raised, side, bound,
+                                           plays, bought, first)
+    after = _copy(state)
     assert accepted == after.play(side, bound)
     amounts = _rollout(config, after, arrivals[first:]) if not after.closed else []
     assert _legal(after)
     followed = [(m, x) for (_, m, _), x in zip(arrivals[first:], amounts)]
-    before = state.copy()
+    before = _copy(state)
     expected_waits = []
     for market, x in followed[:-1] if after.closed else followed:
         before.play(market, x)
@@ -1012,16 +1027,16 @@ def test_rival_bracket_matches_the_walk(monkeypatch):
             swept = list(raised)
             swept[rival is Market.AGAINST] = k / 32 * config.target(rival)
             states.append(swept)
+        book = new_states(config)
         for raised in states:
-            state = new_states(config).at(*raised)
-            if state.closed:
+            if book.closed_at(*raised):
                 continue
             walked.clear()
-            fills = equilibrium._rival_fills(state, own, plays, first, bought)
+            fills = equilibrium._rival_fills(book, *raised, own, plays, first, bought)
             answers["walked" if walked else fills] += 1
-            reference = state.copy()
-            walk(reference, plays, first, only=rival)
-            assert fills == reference.market(rival).met
+            reference = list(raised)
+            walk(book, reference, plays, first, only=rival)
+            assert fills == (reference[rival is Market.AGAINST] >= config.target(rival))
 
     check()
     assert answers[True] and answers[False] and answers["walked"], answers
@@ -1038,22 +1053,21 @@ def test_eu_is_nondecreasing_in_the_allocation(mechanism, n, monkeypatch):
     config, agents = scenario.config, scenario.agents
     cf = config.cost_function
     recorded = []
-    pieces_of = equilibrium._pieces
+    sweep = _Evaluator.sweep
 
-    def recording(config, slot):
-        pieces = pieces_of(config, slot)
-        recorded.append((slot, pieces))
-        return pieces
+    def sweeping(slot, *args):
+        recorded.append(_placed(config, slot))
+        return sweep(slot, *args)
 
-    monkeypatch.setattr(equilibrium, "_pieces", recording)
+    monkeypatch.setattr(_Evaluator, "sweep", sweeping)
     certify_spe(config, agents, construct_profile(config, agents))
     monkeypatch.undo()
     assert recorded
     top = 1.5 * max(cf.issued_at(config.target(m)) for m in mechanism.markets)
     grid = [top * k / 64 for k in range(65)]
-    for slot, pieces in recorded:
-        effective = pieces.clip(slot.amount)
-        points = sorted(((cf.securities_for(effective, issued), pieces.eu(slot.amount, issued))
+    for slot in recorded:
+        effective = max(0.0, min(slot.amount, slot.capacity))  # what the engine accepts
+        points = sorted(((cf.securities_for(effective, issued), slot.eu(slot.amount, issued))
                          for issued in grid), key=lambda point: point[0])
         for (low, before), (high, after) in zip(points, points[1:]):
             assert after >= before if high > low else after == before
@@ -1074,15 +1088,18 @@ def test_delay_walk_reports_the_best_wait_when_allocations_rise(mechanism, monke
     # walk that prices and scores every wait play by play finds any, with
     # that walk's largest gain, at a wait where the walk reaches it
     _rising_allocations(monkeypatch)
-    delay = equilibrium._delay_deviations
-    swept = []  # (slot, pieces, base, epsilon, prefix, deviations) per probe state
+    sweep = _Evaluator.sweep
+    swept = []  # (slot, base, epsilon, prefix, timing deviations) per probe state
 
-    def walking(config, slot, pieces, base, waits, epsilon, prefix):
-        found = delay(config, slot, pieces, base, waits, epsilon, prefix)
-        swept.append((slot, pieces, base, epsilon, prefix, found))
-        return found
+    def sweeping(slot, report, epsilon, state, waits):
+        before = len(report.deviations)
+        sweep(slot, report, epsilon, state, waits)
+        found = [d for d in report.deviations[before:] if d.kind == "timing"]
+        _, _, base = slot.best(slot.top())
+        swept.append((_placed(config, slot), base, epsilon,
+                      equilibrium._state_prefix(state), found))
 
-    monkeypatch.setattr(equilibrium, "_delay_deviations", walking)
+    monkeypatch.setattr(_Evaluator, "sweep", sweeping)
     timing = 0
     for seed in range(4):
         for n in (6, 16, 40):
@@ -1094,11 +1111,11 @@ def test_delay_walk_reports_the_best_wait_when_allocations_rise(mechanism, monke
             certify_spe(config, agents, profile)
             probes = list(_reference_probes(config, agents, profile))
             assert len(swept) == len(probes)
-            for (slot, pieces, base, epsilon, prefix, found), (
+            for (slot, base, epsilon, prefix, found), (
                     agent, market, prescribed, _, state, after, follower_plays) in zip(
                     swept, probes):
                 assert (slot.agent, slot.market, slot.amount) == (agent, market, prescribed)
-                reference = _delay_deviations(slot, pieces.eu, base, state, after,
+                reference = _delay_deviations(slot, slot.eu, base, state, after,
                                               follower_plays, epsilon, prefix)
                 assert len(found) == (1 if reference else 0)
                 if reference:
@@ -1158,31 +1175,30 @@ def test_exact_best_response_dominates_dense_grid(mechanism, extra, seed):
         ScenarioTemplate(mechanism=mechanism, agent_count=3 + extra), seed=seed)
     config, agents = scenario.config, scenario.agents
     slots = []
-    pieces_of = equilibrium._pieces
+    sweep = _Evaluator.sweep
 
-    def recording(config, slot):
-        slots.append(slot)
-        return pieces_of(config, slot)
+    def sweeping(slot, *args):
+        slots.append(_placed(config, slot))
+        return sweep(slot, *args)
 
     certify = certify_spe if mechanism.sequential else certify_ne
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(equilibrium, "_pieces", recording)
+        patch.setattr(_Evaluator, "sweep", sweeping)
         certify(config, agents, construct_profile(config, agents))
     assert slots
     for slot in slots:
-        pieces = equilibrium._pieces(config, slot)
-        top = slot.sweep_top(config)
-        tolerance = 1e-12 * (abs(slot.agent.valuation) + slot.belief_reward)
-        _, best, _ = pieces.best(top, slot.amount)
+        top = slot.top()
+        tolerance = 1e-12 * (abs(slot.agent.valuation) + slot.reward)
+        _, best, _ = slot.best(top)
         grid = [top * k / 4000 for k in range(4001)]
-        values = [pieces.eu(x) for x in grid]
+        values = [slot.eu(x, slot.issued) for x in grid]
         assert best >= max(values) - tolerance
         # short of the pivot, eu is the alternative branch alone
-        below = [v for x, v in zip(grid, values) if x < pieces.pivot]
+        below = [v for x, v in zip(grid, values) if x < slot.pivot]
         assert all(b >= a - tolerance for a, b in zip(below, below[1:]))
 
 
-def _mix(config: CampaignConfig, slot: _Slot, amount: float) -> float:
+def _mix(config: CampaignConfig, slot: _Evaluator, amount: float) -> float:
     """The belief-weighted mix of both branches at ``amount``, unclipped, as
     if the own market were met whatever the amount."""
     cf = config.cost_function
@@ -1192,7 +1208,7 @@ def _mix(config: CampaignConfig, slot: _Slot, amount: float) -> float:
     total_against = slot.others_against + (0.0 if for_market else amount)
     return sum(
         weight * _branch_utility(config, slot.agent, slot.market, amount, securities,
-                                 total_for, total_against, slot.belief_reward, verdict)
+                                 total_for, total_against, slot.reward, verdict)
         for verdict, weight in _verdict_distribution(
             config, slot.agent, slot.market, math.inf, slot.rival_viable))
 
@@ -1209,15 +1225,15 @@ def test_stationary_point_maximizes_the_mix(mechanism):
         profile = construct_profile(config, agents)
         slots = equilibrium._slots(config, agents, profile,
                                    equilibrium._path(config, agents, profile))
-        for slot in slots + [dataclasses.replace(slot, others_for=0.01 * slot.others_for,
-                                                 others_against=0.01 * slot.others_against)
+        for slot in slots + [_placed(config, slot, others_for=0.01 * slot.others_for,
+                                     others_against=0.01 * slot.others_against)
                              for slot in slots]:
-            x = equilibrium._pieces(config, slot).stationary()
+            x = slot.stationary()
             if x is None or x <= 0.0:
                 continue
             found += 1
             peak = _mix(config, slot, x)
-            tolerance = 1e-12 * (abs(slot.agent.valuation) + slot.belief_reward)
+            tolerance = 1e-12 * (abs(slot.agent.valuation) + slot.reward)
             for nearby in (0.99 * x, 1.01 * x):
                 assert _mix(config, slot, nearby) <= peak + tolerance
     assert found or mechanism in (Mechanism.PPS, Mechanism.PPSN)

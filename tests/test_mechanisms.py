@@ -91,8 +91,9 @@ def test_ppsn_allocate_first_contribution():
     assert rec.q_at_allocation == 0.0
     assert dual.market_for.raised == 1.0
     # issuance is derived from money raised, and matches what was bought
-    assert dual.issued(Market.FOR) == pytest.approx(rec.securities, rel=1e-12)
-    assert dual.issued(Market.AGAINST) == 0.0
+    assert dual.cf.issued_at(dual.market_for.raised) == pytest.approx(rec.securities,
+                                                                      rel=1e-12)
+    assert dual.cf.issued_at(dual.market_against.raised) == 0.0
 
 
 def test_ppsn_allocate_zero_amount():
@@ -100,7 +101,7 @@ def test_ppsn_allocate_zero_amount():
     rec = dual.market_for.ledger[0]
     assert rec.securities == 0.0
     assert dual.market_for.raised == 0.0
-    assert dual.issued(Market.FOR) == 0.0
+    assert dual.cf.issued_at(dual.market_for.raised) == 0.0
 
 
 def test_ppsn_allocate_min_leg_coupling():
@@ -177,7 +178,9 @@ def test_walk_pays_contribution_for_play_by_play(regime, data):
         raised[1] = 0.0
     book = DualMarketState(MarketState(targets[0], raised[0]),
                            MarketState(targets[1], raised[1]), cf, min_leg)
-    reference, expected, branches = book.copy(), [], set()
+    reference = DualMarketState(MarketState(targets[0], raised[0]),
+                                MarketState(targets[1], raised[1]), cf, min_leg)
+    expected, branches = [], set()
     for market, q in plays[first:]:
         if only is not None and market is not only:
             continue
@@ -188,12 +191,14 @@ def test_walk_pays_contribution_for_play_by_play(regime, data):
         expected.append(reference.play(market, cf.contribution_for(q, issued)))
         if reference.closed:
             break
-    paid = book.walk(plays, first, only)
+    walked = list(raised)
+    paid = book.walk(walked, plays, first, only)
     assert len(paid) == len(expected)
     for k, (got, want) in enumerate(zip(paid, expected)):
         assert got == want, (k, got, want)
-    assert (book.market_for.raised, book.market_against.raised) == (
-        reference.market_for.raised, reference.market_against.raised)
+    assert tuple(walked) == (reference.market_for.raised, reference.market_against.raised)
+    # the book lends its targets and pricing and keeps its own money
+    assert [book.market_for.raised, book.market_against.raised] == raised
     assert regime in branches
 
 
