@@ -423,42 +423,63 @@ def _draw_agents(template: ScenarioTemplate, rng: random.Random) -> list[AgentPr
 
 def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
     """Draw a scenario from the template, shrinking targets until the
-    existence conditions hold and the equilibrium profile is feasible."""
-    from .equilibrium import check_conditions, construct_profile
+    existence conditions hold and the equilibrium profile is feasible.
 
+    Should that fail for PPRx, a second round halves the contribution
+    budget instead, at the template's fill: every PPRx bound divides by
+    q * budget + p * target, so a smaller budget raises the bounds, where a
+    smaller fill can leave them as far short of the target. A template the
+    first round sizes never reaches the second."""
     rng = random.Random(seed)
     agents = _draw_agents(template, rng)
     explicit_targets = (template.provision_point is not None
                         or template.provision_point_pair is not None)
     fill = template.fill_fraction
     budget_scale = 1.0
-    last_error = "no attempt made"
     for _ in range(10):
-        config = _size_config(template, agents, fill, budget_scale)
-        scenario = Scenario(
-            config=config, agents=agents, seed=seed,
-            analysis=AnalysisFlags(certify=True),
-        )
-        validate_scenario(scenario)
-        failed = [c.name for c in check_conditions(config, agents) if not c.satisfied]
-        headroom_short = False
-        if failed:
-            last_error = f"conditions violated: {', '.join(failed)}"
-        else:
-            profile = construct_profile(config, agents)
-            if profile.feasible and _headroom_ok(config, agents, profile):
-                return scenario
-            headroom_short = profile.feasible
-            last_error = (f"profile infeasible: {profile.reason}"
-                          if not profile.feasible
-                          else "insufficient bound headroom over the target")
+        scenario, last_error, headroom_short = _sized(template, agents, seed, fill,
+                                                      budget_scale)
+        if scenario is not None:
+            return scenario
         if explicit_targets:
             break
         if headroom_short:
             budget_scale *= 0.5  # a smaller side budget restores headroom
         else:
             fill *= 0.7
+    if template.mechanism is Mechanism.PPRX and not explicit_targets:
+        budget_scale = 1.0
+        for _ in range(10):
+            budget_scale *= 0.5
+            scenario, _, _ = _sized(template, agents, seed, template.fill_fraction,
+                                    budget_scale)
+            if scenario is not None:
+                return scenario
     raise ScenarioError(f"template infeasible: {last_error}")
+
+
+def _sized(template: ScenarioTemplate, agents: list[AgentProfile], seed: int,
+           fill: float, budget_scale: float) -> tuple[Scenario | None, str, bool]:
+    """The scenario sized at ``fill`` and ``budget_scale`` when its
+    conditions hold and its profile is feasible with headroom; otherwise
+    None, the reason, and whether only the headroom fell short."""
+    from .equilibrium import check_conditions, construct_profile
+
+    config = _size_config(template, agents, fill, budget_scale)
+    scenario = Scenario(
+        config=config, agents=agents, seed=seed,
+        analysis=AnalysisFlags(certify=True),
+    )
+    validate_scenario(scenario)
+    failed = [c.name for c in check_conditions(config, agents) if not c.satisfied]
+    if failed:
+        return None, f"conditions violated: {', '.join(failed)}", False
+    profile = construct_profile(config, agents)
+    if profile.feasible and _headroom_ok(config, agents, profile):
+        return scenario, "", False
+    if profile.feasible:
+        return None, "insufficient bound headroom over the target", True
+    return None, f"profile infeasible: {profile.reason}", False
 
 
 def _headroom_ok(config: CampaignConfig, agents: list[AgentProfile],
