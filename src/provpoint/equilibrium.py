@@ -858,9 +858,10 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
     and indifference check), the profile's ``path`` and the agents'
     evaluators placed at their slots on it; an infeasible profile has
     neither."""
+    larger = max(config.provision_point_pair or (config.provision_point,))
     if epsilon is None:
         # the default tolerance is a millionth of the larger target
-        epsilon = max(config.provision_point_pair or (config.provision_point,)) * 1e-6
+        epsilon = larger * 1e-6
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     report = EquilibriumReport(
@@ -870,6 +871,12 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                     else conditions),
         epsilon=epsilon,
     )
+    band = MET_REL_TOL * larger
+    if epsilon < band:
+        report.notes.append(
+            f"epsilon {epsilon:.6g} is below the met band {band:.6g} ({MET_REL_TOL:g} of "
+            "the larger target): a total that short of its target counts as met, so "
+            "gains inside the band are tolerance, not deviations")
     if not profile.feasible:
         report.notes.append(profile.reason)
         return report, epsilon, None, []

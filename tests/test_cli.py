@@ -254,6 +254,28 @@ def test_bad_certifier_setting_exit_code(pprn_scenario, tmp_path, capsys, option
         assert not (tmp_path / verb).exists()
 
 
+def test_epsilon_below_the_met_band_is_noted(tmp_path, capsys):
+    # a total 1e-9 of its target short counts as met, so an epsilon below
+    # that band (of the larger target) reports gains the band lets through;
+    # the report says so once, and at the default epsilon not at all
+    shipped = SCENARIOS / "ppsn_four_arrivals.json"
+    band = 1e-9 * max(json.loads(shipped.read_text())["config"]["provision_point_pair"])
+    notes = {}
+    for epsilon in ("0", repr(0.5 * band), repr(band), None):
+        out = tmp_path / str(epsilon)
+        main(["certify", "--scenario", str(shipped), "--out", str(out)]
+             + ([] if epsilon is None else ["--epsilon", epsilon]))
+        capsys.readouterr()
+        notes[epsilon] = [note for note in json.loads(
+            (out / "certification.json").read_text())["notes"] if "met band" in note]
+    assert notes["0"] == [
+        f"epsilon 0 is below the met band {band:.6g} (1e-09 of the larger target): a "
+        "total that short of its target counts as met, so gains inside the band are "
+        "tolerance, not deviations"]
+    assert len(notes[repr(0.5 * band)]) == 1
+    assert notes[repr(band)] == notes[None] == []
+
+
 def test_oversized_explicit_play_exit_code(tmp_path, capsys):
     # the search reaches the prescribed play; a play far past every target
     # and valuation still gets a verdict, as fast as any other
