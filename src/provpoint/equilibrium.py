@@ -627,7 +627,7 @@ class _Evaluator:
                  "rival_viable", "closed", "others", "capacity", "pivot", "alt")
 
     def __init__(self, config: CampaignConfig, agent: AgentProfile, market: Market,
-                 reward: float = 0.0) -> None:
+                 reward: float) -> None:
         self.agent, self.market, self.reward = agent, market, reward
         self.for_market = for_market = market is _FOR
         self.target = target = config.target(market)
@@ -664,8 +664,7 @@ class _Evaluator:
                 self.priced_at = cf.fixed_leg + cf.liquidity * math.log(alt_weight / own_weight)
 
     def place(self, amount: float, others_for: float, others_against: float,
-              issued: float = 0.0, bound: float = 0.0, rival_viable: bool = False,
-              closed: bool = False) -> None:
+              issued: float, bound: float, rival_viable: bool, closed: bool = False) -> None:
         """Put the evaluator at a slot; ``closed``: a target was already met
         when the agent moved."""
         self.amount, self.others_for, self.others_against = amount, others_for, others_against

@@ -831,8 +831,8 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     for agent, market, prescribed, rival_viable, state, after, follower_plays in (
             _reference_probes(config, agents, profile)):
         priced: list[float] = []
-        slot = _Evaluator(config, agent, market)
-        slot.place(prescribed, 0.0, 0.0)
+        slot = _Evaluator(config, agent, market, 0.0)
+        slot.place(prescribed, 0.0, 0.0, 0.0, 0.0, False)
         _delay_deviations(slot, lambda amount, issued: priced.append(issued) or 0.0,
                           0.0, state, after, follower_plays, math.inf, "")
         expected.append((agent.id, market, prescribed, rival_viable, priced))
