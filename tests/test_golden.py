@@ -6,9 +6,9 @@ file ``provpoint run --format json`` writes. ``tests/golden_generated/<name>/``
 holds the certification and summary ``provpoint certify`` writes for one
 generated scenario per mechanism (``<mechanism>_n<agents>_seed<seed>``),
 large enough that the SPE walks run long past the first few arrivals, and
-``tests/golden_generated/ppsn_off_preference/``, ``pps_half_plays/`` and
-``ppsx_half_plays/`` the files ``provpoint certify`` writes for the scenario
-stored beside them. A changed byte here is
+``tests/golden_generated/ppsn_off_preference/``, ``pps_half_plays/``,
+``ppsn_half_plays/`` and ``ppsx_half_plays/`` the files ``provpoint certify``
+writes for the scenario stored beside them. A changed byte here is
 a change in what the program reports and must be documented as such;
 refresh the files only for a deliberate fix.
 """
@@ -79,10 +79,11 @@ def test_off_preference_play_matches_golden(tmp_path, capsys):
                 == (expected_dir / file_name).read_bytes()), file_name
 
 
-@pytest.mark.parametrize("name", ["pps_half_plays", "ppsx_half_plays"])
+@pytest.mark.parametrize("name", ["pps_half_plays", "ppsn_half_plays", "ppsx_half_plays"])
 def test_half_plays_match_golden(name, tmp_path, capsys, monkeypatch):
-    # generated n=16 scenarios whose explicit plays are the constructed ones
-    # at half their amounts: every on-path slot gains by contributing more.
+    # generated scenarios (n=16; PPSN n=24, whose off-path states then delay
+    # profitably under the control) whose explicit plays are the constructed
+    # ones at half their amounts: every on-path slot gains by contributing more.
     # Under the real cost function the bounds stay best responses off the
     # path and no delay gains, so the scenario is certified again with every
     # allocation raised by 0.01 per security issued; off-path contribution
