@@ -22,12 +22,15 @@ two nearly equal numbers and loses the digits of small amounts at high
 issuance. (The payment's other closed form, s + b * log1p((1 - u) *
 expm1(-s/b)), cancels the same way where the cost is flat, f >> q.) Where an
 exponential would overflow, or ``u`` underflow, the same formulas are
-evaluated in log space.
+evaluated in log space, with log(x) - log(b) for log(-expm1(-x/b)) where
+x/b is subnormal or rounds to 0, so a tiny amount still buys in proportion
+to itself.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import CostParams
@@ -41,6 +44,14 @@ def _softplus(a: float) -> float:
     if a > 0.0:
         return a + math.log1p(math.exp(-a))
     return math.log1p(math.exp(a))
+
+
+def _log_share(w: float, amount: float, b: float) -> float:
+    """log(w) for w = -expm1(-amount / b) and a positive amount. Where
+    amount / b falls below the normal range, w is a subnormal with few
+    digits, or 0 with none, and log(amount) - log(b), which log(w) equals
+    to first order there, stands in for it."""
+    return math.log(w) if w >= sys.float_info.min else math.log(amount) - math.log(b)
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,7 @@ class CostFunction:
         w = -math.expm1(-amount / b)
         if t < EXP_LIMIT:
             return amount + b * math.log1p(math.exp(t) * w)
-        return amount + b * _softplus(t + math.log(w))
+        return amount + b * _softplus(t + _log_share(w, amount, b))
 
     def contribution_for(self, securities: float, issued: float) -> float:
         """Payment required to buy ``securities`` when ``issued`` are outstanding."""
@@ -130,4 +141,4 @@ class CostFunction:
             u = 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
             return b * math.log1p(u * math.expm1(y))
         # log(u) + log(expm1(y)), u underflowing or expm1(y) overflowing
-        return b * _softplus(y + math.log(-math.expm1(-y)) - _softplus(-z))
+        return b * _softplus(y + _log_share(-math.expm1(-y), securities, b) - _softplus(-z))

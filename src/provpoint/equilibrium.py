@@ -445,7 +445,7 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     arrivals = _arrivals(config, order, rewards)
     raised = [0.0, 0.0]
     book = new_states(config)
-    amounts = book.walk(raised, _plays(config, arrivals))
+    amounts, _, _ = book.walk(raised, _plays(config, arrivals))
     for (agent, market, _), amount in zip_longest(arrivals, amounts, fillvalue=0.0):
         profile.entries[agent.id] = Action(agent.id, amount, market,
                                            agent.arrival_contribution)
@@ -473,6 +473,7 @@ def _plays(config: CampaignConfig,
 
 
 _Path = tuple[list[AgentProfile], list[tuple[float, float]], DualMarketState]
+_Followers = tuple[list[tuple[Market, float]], dict[Market, list[float]]]
 
 
 def _path(config: CampaignConfig, agents: list[AgentProfile],
@@ -492,6 +493,18 @@ def _path(config: CampaignConfig, agents: list[AgentProfile],
             entry = profile.entries[agent.id]
             book.play(entry.market, entry.amount)
     return order, found, book
+
+
+def _followers(config: CampaignConfig, profile: EquilibriumProfile,
+               path: _Path) -> _Followers | None:
+    """The ``path``'s arrivals in its play order as the kernel walks them
+    when they follow a probed play (``_plays``), and their ``prefix_sums``:
+    built once per certification of a sequential mechanism and read by
+    every slot and probe state; None for a deadline mechanism."""
+    if not config.mechanism.sequential:
+        return None
+    plays = _plays(config, _arrivals(config, path[0], profile.belief_rewards))
+    return plays, prefix_sums(plays)
 
 
 # ---------------------------------------------------------------------------
@@ -726,25 +739,49 @@ class _Evaluator:
             return max(self.sweep_cap, amount)
         return max(self.bound, amount)
 
-    def best(self, top: float) -> tuple[float, float, float]:
+    def allocation(self, amount: float, issued: float) -> float:
+        """The securities ``amount``, truncated as ``eu`` truncates it,
+        buys at ``issued``."""
+        capacity = self.capacity
+        effective = capacity if capacity < amount else amount
+        return self.cf.securities_for(effective if effective > 0.0 else 0.0, issued)
+
+    def best(self, top: float, prescribed: float | None = None) -> tuple[float, float, float]:
         """The supremum of eu over [0, top], the x where it is reached, and
-        eu at the prescribed play, which lies in [0, top]. The supremum is
-        the alternative branch's left limit at the pivot, or the best of 0,
-        ``top``, the pivot, the stationary point and the prescribed play.
-        The capacity needs no evaluation: eu there equals eu at ``top`` when
-        top is past it, and is clipped to ``top`` otherwise. A left limit is
-        approached by plays just below the pivot."""
-        eu, issued, pivot, amount = self.eu, self.issued, self.pivot, self.amount
+        eu at the prescribed play, which lies in [0, top] (``prescribed``:
+        the allocation it buys, when the caller has priced it). The
+        supremum is the alternative branch's left limit at the pivot, or
+        the best of 0, ``top``, the pivot, the stationary point and the
+        prescribed play. The capacity needs no evaluation: eu there equals
+        eu at ``top`` when top is past it, and is clipped to ``top``
+        otherwise. Past the capacity eu is constant, so of the points in
+        ascending order only the first at or past it is scored. A left
+        limit is approached by plays just below the pivot; the limit and
+        the mix at the pivot share one allocation (the prescribed play's,
+        where the play is the pivot)."""
+        eu, issued, pivot, amount, capacity = (self.eu, self.issued, self.pivot,
+                                               self.amount, self.capacity)
         best_x, best = 0.0, -math.inf
+        limit = at_limit = None
         if pivot > 0.0:
-            best_x = min(pivot, top)
-            best = eu(best_x, issued, True)
-        points = [0.0, top, pivot, amount]
+            best_x = limit = min(pivot, top)
+            if limit == amount:
+                at_limit = prescribed
+            elif self.cf is not None:
+                at_limit = self.allocation(limit, issued)
+            best = eu(limit, issued, True, at_limit)
+        # 0, top and the prescribed play lie in [0, top]; the pivot and the
+        # stationary point are clipped to it
+        points = {0.0, top, min(max(pivot, 0.0), top), amount}
         stationary = self.stationary()
         if stationary is not None:
-            points.append(stationary)
-        for x in sorted({min(max(x, 0.0), top) for x in points}):
-            value = eu(x, issued)
+            points.add(min(max(stationary, 0.0), top))
+        past = False
+        for x in sorted(points):
+            if not past:
+                value = eu(x, issued, securities=(at_limit if x == limit else
+                                                  prescribed if x == amount else None))
+                past = x >= capacity
             if x == amount:
                 base = value
             if value > best:
@@ -788,9 +825,12 @@ class _Evaluator:
         contribution is priced at after the first and the last of them.
         Waits never fall, an allocation is monotone in issuance and every
         securities utility is nondecreasing in it, so the wait that
-        allocates more gains at least as much as any wait."""
+        allocates more gains at least as much as any wait, and a wait that
+        allocates no more than the prescribed play does here gains nothing:
+        only a larger allocation is scored."""
         amount = self.amount
-        best_x, best, base = self.best(self.top())
+        prescribed = None if self.cf is None else self.allocation(amount, self.issued)
+        best_x, best, base = self.best(self.top(), prescribed)
         if best - base > epsilon:
             report.deviations.append(Deviation(
                 self.agent.id, "contribution", _state_prefix(state)
@@ -799,10 +839,10 @@ class _Evaluator:
         if not waits or not waits[0]:
             return
         count, first, last = waits
-        effective = max(0.0, min(amount, self.capacity))
-        securities_for = self.cf.securities_for
-        early, late = securities_for(effective, first), securities_for(effective, last)
+        early, late = self.allocation(amount, first), self.allocation(amount, last)
         waited, issued, securities = (count, last, late) if late > early else (1, first, early)
+        if securities <= prescribed:
+            return
         gain = self.eu(amount, issued, securities=securities) - base
         if gain > epsilon:
             report.deviations.append(Deviation(
@@ -811,17 +851,18 @@ class _Evaluator:
 
 
 def _slots(config: CampaignConfig, agents: list[AgentProfile],
-           profile: EquilibriumProfile, path: _Path) -> list[_Evaluator]:
+           profile: EquilibriumProfile, path: _Path,
+           followers: _Followers | None) -> list[_Evaluator]:
     """One evaluator per agent, placed at its decision slot against
     everyone else's amounts at settlement, capped at its bound at the
     slot's issuance. Sequential mechanisms' slots see the markets as their
-    agents found them on the profile's ``path``, in its play order;
-    deadline mechanisms' agents all move at once, against empty markets."""
+    agents found them on the profile's ``path``, in its play order, and
+    PPSN's rival coalition walks as the path's ``followers``; deadline
+    mechanisms' agents all move at once, against empty markets."""
     sequential = config.mechanism.sequential
     order, found, final = path
     if sequential:
-        plays = _plays(config, _arrivals(config, order, profile.belief_rewards))
-        bought = prefix_sums(plays)
+        plays, bought = followers
     else:
         order, found = agents, [(0.0, 0.0)] * len(agents)
     final_for = profile.total(Market.FOR)
@@ -852,11 +893,12 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                  profile: EquilibriumProfile, epsilon: float | None,
                  conditions: list[ConditionCheck] | None
-                 ) -> tuple[EquilibriumReport, float, _Path | None, list[_Evaluator]]:
+                 ) -> tuple[EquilibriumReport, float, _Path | None, list[_Evaluator],
+                            _Followers | None]:
     """The report before the search (conditions, and each slot's bound
-    and indifference check), the profile's ``path`` and the agents'
-    evaluators placed at their slots on it; an infeasible profile has
-    neither."""
+    and indifference check), the profile's ``path``, the agents'
+    evaluators placed at their slots on it and the path's ``_followers``;
+    an infeasible profile has none of them."""
     larger = max(config.provision_point_pair or (config.provision_point,))
     if epsilon is None:
         # the default tolerance is a millionth of the larger target
@@ -878,16 +920,17 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
             "gains inside the band are tolerance, not deviations")
     if not profile.feasible:
         report.notes.append(profile.reason)
-        return report, epsilon, None, []
+        return report, epsilon, None, [], None
     path = _path(config, agents, profile)
     report.expected_verdict = path[2].verdict or Verdict.EXPIRED
-    slots = _slots(config, agents, profile, path)
+    followers = _followers(config, profile, path)
+    slots = _slots(config, agents, profile, path, followers)
     indifference = RULES[config.mechanism].indifference
     report.indifference = [IndifferenceCheck(
         slot.agent.id, slot.bound,
         *indifference(config, slot.agent, slot.bound, slot.issued, slot.reward))
         for slot in slots]
-    return report, epsilon, path, slots
+    return report, epsilon, path, slots, followers
 
 
 def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
@@ -900,7 +943,7 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
     epsilon. The report carries ``conditions``, the caller's
     ``check_conditions`` result, or evaluates them when none is given.
     """
-    report, eps, path, slots = _base_report(config, agents, profile, epsilon, conditions)
+    report, eps, path, slots, _ = _base_report(config, agents, profile, epsilon, conditions)
     if path is None:
         return report
     if not config.mechanism.sequential:
@@ -982,12 +1025,12 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     if not config.mechanism.sequential:
         raise ValueError(f"{config.mechanism.value} has no sequential subgame "
                          "structure; use certify_ne")
-    report, eps, path, slots = _base_report(config, agents, profile, epsilon, conditions)
+    report, eps, path, slots, followers = _base_report(config, agents, profile, epsilon,
+                                                       conditions)
     report.kind = "subgame-perfect"
     if path is None:
         return report
     order, found, final = path
-    arrivals = _arrivals(config, order, profile.belief_rewards)
     # on the path, the later plays are the profile's: closing is the play
     # after which the book is closed (len(order) if none), and no play before
     # it is truncated, so the money each play found is their prefix sum
@@ -995,11 +1038,15 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     closing = next((k for k in range(len(order)) if final.closed_at(*found[k + 1])),
                    len(order))
     # off the path, followers play their bounds: each buys its security
-    # quantity, so the kernel walks them by it (by prefix sum where it can)
-    plays = _plays(config, arrivals)
-    bought = prefix_sums(plays)
+    # quantity, so the kernel walks them by it (by prefix sum where it can);
+    # each market's target issuance, where a single market's walk closes,
+    # and each agent's quantity are fixed for the whole certification
+    plays, bought = followers
+    cf = config.cost_function
+    target_issued = {m: cf.issued_at(config.target(m)) for m in config.mechanism.markets}
     dual = config.mechanism.dual_market
-    for idx, ((agent, own_market, reward), slot) in enumerate(zip(arrivals, slots)):
+    for idx, ((own_market, quantity), slot) in enumerate(zip(plays, slots)):
+        closes_at = target_issued[own_market]
         on_path, *off_path = _probe_states(config, *found[idx], slot.bound, own_market)
         # waits: the later plays that leave the book open, and the issuance
         # the delayed contribution is priced at after the first and the last
@@ -1009,7 +1056,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             for k in (idx + 2, closing)))
         slot.check(report, eps, on_path, waits)
         if slot.market is not own_market:  # an explicit play off the agent's preference
-            slot = _Evaluator(config, agent, own_market, reward)
+            slot = _Evaluator(config, slot.agent, own_market, slot.reward)
         for state in off_path:
             if final.closed_at(*state):
                 continue  # an arrival at a closed book plays zero
@@ -1018,10 +1065,11 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             if slot.corner(report, rival_viable):
                 continue
             issued = final.priced_at(own_market, *state)
-            bound = contribution_bound(config, agent, issued=issued, belief_reward=reward)
+            # the bound: the rules row's quantity for this agent, at this issuance
+            bound = cf.contribution_for(quantity, issued)
             # paid: the followers' money per market, for the totals
             prescribed, paid, waits = final.follow(*state, own_market, bound, plays, bought,
-                                                   idx + 1)
+                                                   idx + 1, closes_at)
             slot.place(prescribed, state[0] + paid[0], state[1] + paid[1], issued, bound,
                        rival_viable)
             slot.sweep(report, eps, state, waits)

@@ -9,13 +9,15 @@ securities issuance is derived from the raised total by
 through it, discards everything after the first fill, and hands the frozen
 ledgers to ``settle``. The securities family's prescribed followers each
 buy their security quantity at the current price: ``DualMarketState.walk``
-plays them one by one, under ``play``'s truncation rule, and
-``DualMarketState.follow`` answers where markets holding given money go
-after one play and such followers, from prefix sums on a single market and
-by ``walk`` under min-leg pricing, as the followers' money and two
-``Waits`` issuances. Both take the money as plain floats (``closed_at``
-and ``priced_at`` read a state the same way), and the book lends only its
-targets and pricing, so a state off the ledger is two numbers.
+plays them one by one, under ``play``'s truncation rule, and sums their
+money per market in the same pass. ``DualMarketState.follow`` answers
+where markets holding given money go after one play and such followers,
+from prefix sums on a single market (against the target's issuance, which
+the caller prices once) and by one ``walk`` under min-leg pricing, as the
+followers' money and two ``Waits`` issuances. Both take the money as plain
+floats (``closed_at`` and ``priced_at`` read a state the same way), and the
+book lends only its targets and pricing, so a state off the ledger is two
+numbers.
 
 Payoffs follow one rule for all six mechanisms: an agent receives its
 valuation exactly when the project is provisioned, pays its contribution,
@@ -152,7 +154,8 @@ class DualMarketState:
         return amount
 
     def walk(self, raised: list[float], plays: list[tuple[Market, float]], first: int = 0,
-             only: Market | None = None) -> list[float]:
+             only: Market | None = None
+             ) -> tuple[list[float], tuple[float, float], tuple[float, float]]:
         """Walk the arrivals of ``plays`` from ``first`` on, each buying its
         security quantity on its market at ``priced_at``, until the book
         closes; with ``only``, the arrivals on that market alone. Each
@@ -160,7 +163,10 @@ class DualMarketState:
         amount fills the market exactly. Advances the money ``raised``
         (FOR, AGAINST) in place, on plain floats; this book lends its
         targets and pricing and is left as it is. Returns the money each
-        walked arrival pays in.
+        walked arrival pays in; their money per market (FOR, AGAINST),
+        summed from 0.0 in walk order; and that money before the payment
+        that closes the book (all of it when none does), which is the money
+        after the last arrival that leaves the book open.
 
         A payment is ``contribution_for``'s closed form b * log1p(u * expm1(q
         / b)), operation for operation, with the priced leg's issuance and
@@ -171,8 +177,9 @@ class DualMarketState:
         b, fixed_leg = cf.liquidity, cf.fixed_leg
         target = [self.market_for.target, self.market_against.target]
         paid: list[float] = []
+        money = [0.0, 0.0]
         if raised[0] >= target[0] or raised[1] >= target[1]:
-            return paid
+            return paid, (0.0, 0.0), (0.0, 0.0)
         priced = issued = price = None
         for k in range(first, len(plays)):
             market, quantity = plays[k]
@@ -194,21 +201,29 @@ class DualMarketState:
                 amount, raised[i] = remaining, target[i]
             else:
                 raised[i] += amount
+                if not raised[i] >= target[i]:
+                    money[i] += amount
+                    paid.append(amount)
+                    continue
+            # this payment closes the book
+            before = money[0], money[1]
+            money[i] += amount
             paid.append(amount)
-            if raised[i] >= target[i]:
-                break
-        return paid
+            return paid, (money[0], money[1]), before
+        return paid, (money[0], money[1]), (money[0], money[1])
 
     def follow(self, raised_for: float, raised_against: float, side: Market, amount: float,
                plays: list[tuple[Market, float]], bought: dict[Market, list[float]],
-               first: int) -> tuple[float, tuple[float, float], Waits]:
+               first: int, target_issued: float) -> tuple[float, tuple[float, float], Waits]:
         """Where a play of ``amount`` on ``side`` and the followers' bounds
         take these markets from the money ``raised_for``, ``raised_against``.
 
         The followers are the arrivals of ``plays`` from ``first`` on, each
         buying its security quantity on its market, and ``bought[m][k]`` is
         the quantity the arrivals before ``k`` buy on market m
-        (``prefix_sums``). Returns the amount accepted from the play; the
+        (``prefix_sums``); ``target_issued`` is the issuance at ``side``'s
+        target (``issued_at``), one number per market, which the caller
+        prices once. Returns the amount accepted from the play; the
         money the followers pay into each market while the book is open, as
         (FOR, AGAINST); and the ``Waits``: how many followers leave the book
         open, and the issuance ``side`` prices at without the play, after
@@ -217,11 +232,11 @@ class DualMarketState:
 
         On a single market a bound buys exactly its quantity at any
         issuance, so issuance after each follower is a prefix sum, and one
-        bisect against the target's issuance finds the follower who closes
-        the book. Under ``min_leg`` a bound is priced at the smaller leg,
-        which the other market moves, so ``walk`` plays the followers one by
-        one, and running sums of their payments give their money and the
-        money after the first and the last wait.
+        bisect against ``target_issued`` finds the follower who closes the
+        book. Under ``min_leg`` a bound is priced at the smaller leg, which
+        the other market moves, so ``walk`` plays the followers one by one
+        and, in the same pass, sums their money and the money after the
+        last wait; the money after the first wait is the first payment.
         """
         cf = self.cf
         i = side is not _FOR
@@ -236,27 +251,22 @@ class DualMarketState:
         if self.closed_at(*after):
             return accepted, (0.0, 0.0), (0, 0.0, 0.0)
         if self.min_leg:
-            paid = self.walk(after, plays, first)
+            paid, money, last = self.walk(after, plays, first)
             # each payment but a closing one left ``after`` open, which
             # holds at least as much on each market as these markets
             count = len(paid) - 1 if self.closed_at(*after) else len(paid)
-            # running sums from 0.0 equal ``prefix_sums`` to the bit
-            money_for = money_against = 0.0
-            ends = []
-            for k, ((market, _), x) in enumerate(zip(plays[first:], paid), 1):
-                if market is _FOR:
-                    money_for += x
-                else:
-                    money_against += x
-                if k == 1 or k == count:
-                    ends.append((raised_for + money_for, raised_against + money_against))
             waits = (0, 0.0, 0.0)
             if count:
-                waits = (count, *(self.priced_at(side, *ends[k]) for k in (0, -1)))
-            return accepted, (money_for, money_against), waits
+                late = self.priced_at(side, raised_for + last[0], raised_against + last[1])
+                # wait 1: these markets plus the first payment, on its market
+                x = paid[0]
+                head = (x, 0.0) if plays[first][0] is _FOR else (0.0, x)
+                waits = (count, late if count == 1 else self.priced_at(
+                    side, raised_for + head[0], raised_against + head[1]), late)
+            return accepted, money, waits
         bought = bought[side]
         start = cf.issued_at(after[i])
-        end = bisect_left(bought, cf.issued_at(target) - start + bought[first], first + 1)
+        end = bisect_left(bought, target_issued - start + bought[first], first + 1)
         closes = end < len(bought)
         count = end - first - 1 if closes else len(bought) - 1 - first
         raised = raised_against if i else raised_for
@@ -264,9 +274,14 @@ class DualMarketState:
                 else cf.contribution_for(bought[-1] - bought[first], start))
         waits = (0, 0.0, 0.0)
         if count:
-            # wait k: these markets plus the money the first k followers pay
-            waits = (count, *(cf.issued_at(raised + cf.contribution_for(
-                bought[first + k] - bought[first], start)) for k in (1, count)))
+            # wait k: these markets plus the money the first k followers
+            # pay, which after the last wait is ``paid`` unless a follower
+            # closes the book
+            held = bought[first]
+            late = cf.issued_at(raised + (cf.contribution_for(bought[first + count] - held, start)
+                                          if closes else paid))
+            waits = (count, late if count == 1 else cf.issued_at(raised + cf.contribution_for(
+                bought[first + 1] - held, start)), late)
         return accepted, (0.0, paid) if i else (paid, 0.0), waits
 
 

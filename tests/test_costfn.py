@@ -3,9 +3,9 @@ import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from provpoint.costfn import CostFunction
+from provpoint.costfn import EXP_LIMIT, CostFunction
 
 # Frozen reference values, computed independently at 40-digit precision by
 # bisecting cost() rather than using the closed-form inverse.
@@ -244,6 +244,42 @@ def test_allocation_past_the_exponent_range():
     cf = CostFunction(liquidity=1.0)
     assert cf.contribution_for(900.0, 5.0) == pytest.approx(
         float(reference_contribution(cf, 900.0, 5.0)), rel=1e-15)
+
+
+def test_log_space_prices_an_amount_whose_share_underflows():
+    # the least subnormal amount over b = 2 rounds to 0, and so does
+    # -expm1(-amount / b); past the exponent range both methods take the log
+    # of that share, which must not be log(0), and the allocation stays
+    # linear in the amount: half of what twice the amount buys
+    cf = CostFunction(2.0, 1420.0)
+    least = 5e-324
+    assert least / cf.liquidity == 0.0
+    doubled = cf.securities_for(2 * least, 0.0)
+    assert doubled == pytest.approx(float(reference_securities(cf, 2 * least, 0.0)),
+                                    rel=1e-12)
+    assert cf.securities_for(least, 0.0) == pytest.approx(0.5 * doubled, rel=1e-12)
+    assert cf.securities_for(least, 0.0) == pytest.approx(
+        float(reference_securities(cf, least, 0.0)), rel=1e-12)
+    # the payment for that many securities is about exp(-710) times it: zero
+    assert cf.contribution_for(least, 0.0) == 0.0
+    assert cf.contribution_for(2 * least, 0.0) == 0.0
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=0.5, max_value=5.0),
+       st.floats(min_value=EXP_LIMIT, max_value=800.0),
+       st.floats(min_value=5e-324, max_value=1e-300))
+@example(2.0, 710.0, 5e-324)  # found by Hypothesis: amount / b rounds to 0
+def test_log_space_allocations_of_subnormal_amounts(b, fixed_over_b, amount):
+    # amounts down to the least subnormal, where the allocation's log-space
+    # branch runs: the securities against the decimal reference, and a
+    # payment that is a finite nonnegative fraction of the amount. The
+    # securities' relative error is their exponent's absolute error, a sum
+    # of terms of 700 to 800 rounded to an ulp of about 1e-13 each
+    cf = CostFunction(b, fixed_over_b * b)
+    assert cf.securities_for(amount, 0.0) == pytest.approx(
+        float(reference_securities(cf, amount, 0.0)), rel=2e-12)
+    assert 0.0 <= cf.contribution_for(amount, 0.0) <= amount
 
 
 @settings(deadline=None)

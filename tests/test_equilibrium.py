@@ -664,8 +664,9 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
     config, agents = scenario.config, scenario.agents
     cf = config.cost_function
     profile = construct_profile(config, agents)
-    slots = equilibrium._slots(config, agents, profile,
-                               equilibrium._path(config, agents, profile))
+    path = equilibrium._path(config, agents, profile)
+    slots = equilibrium._slots(config, agents, profile, path,
+                               equilibrium._followers(config, profile, path))
     delayed = []  # (slot, the issuances of its delay waits)
     if mechanism.sequential:
         sweep = _Evaluator.sweep
@@ -773,7 +774,8 @@ def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
     state after the prescribed play, follower plays); the kernel's rival
     answer is checked against ``_rival_fills`` on the way."""
     path = equilibrium._path(config, agents, profile)
-    slots = equilibrium._slots(config, agents, profile, path)
+    slots = equilibrium._slots(config, agents, profile, path,
+                               equilibrium._followers(config, profile, path))
     order, found, final = path
     arrivals = equilibrium._arrivals(config, order, profile.belief_rewards)
     plays = equilibrium._plays(config, arrivals)
@@ -886,11 +888,20 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     # walk from the state, over every arrival and over each market alone
     for only in (None, *mechanism.markets):
         walked = [state.market_for.raised, state.market_against.raised]
-        paid = state.walk(walked, plays, first, only)
+        paid, money, last = state.walk(walked, plays, first, only)
         reference = _copy(state)
-        expected = _rollout(config, reference, [f for f in arrivals[first:]
-                                                 if only in (None, f[1])])
+        walked_arrivals = [f for f in arrivals[first:] if only in (None, f[1])]
+        expected = _rollout(config, reference, walked_arrivals)
         assert paid == expected
+        # the money per market, summed in walk order, and that money
+        # before a payment that closed the book
+        sums = [0.0, 0.0]
+        for (_, market, _), x in zip(walked_arrivals, paid[:-1] if reference.closed else paid):
+            sums[market is Market.AGAINST] += x
+        assert last == tuple(sums)
+        if reference.closed:
+            sums[walked_arrivals[len(paid) - 1][1] is Market.AGAINST] += paid[-1]
+        assert money == tuple(sums)
         assert tuple(walked) == (reference.market_for.raised,
                                  reference.market_against.raised)
         assert _legal(_at(state, *walked))
@@ -901,7 +912,8 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
                                issued=state.price_issuance(side), belief_reward=reward)
     accepted, totals, waits = state.follow(state.market_for.raised,
                                            state.market_against.raised, side, bound,
-                                           plays, bought, first)
+                                           plays, bought, first,
+                                           config.cost_function.issued_at(config.target(side)))
     after = _copy(state)
     assert accepted == after.play(side, bound)
     amounts = _rollout(config, after, arrivals[first:]) if not after.closed else []
@@ -1223,8 +1235,9 @@ def test_stationary_point_maximizes_the_mix(mechanism):
             ScenarioTemplate(mechanism=mechanism, agent_count=8), seed=seed)
         config, agents = scenario.config, scenario.agents
         profile = construct_profile(config, agents)
-        slots = equilibrium._slots(config, agents, profile,
-                                   equilibrium._path(config, agents, profile))
+        path = equilibrium._path(config, agents, profile)
+        slots = equilibrium._slots(config, agents, profile, path,
+                                   equilibrium._followers(config, profile, path))
         for slot in slots + [_placed(config, slot, others_for=0.01 * slot.others_for,
                                      others_against=0.01 * slot.others_against)
                              for slot in slots]:

@@ -176,6 +176,24 @@ def test_walk_pays_contribution_for_play_by_play(regime, data):
     raised = [data.draw(st.floats(0.0, 0.99)) * t for t in targets]
     if regime == "low":
         raised[1] = 0.0
+    assert regime in _walk_play_by_play(cf, min_leg, targets, raised, plays, first, only)
+
+
+def test_walk_prices_a_leg_holding_the_least_subnormal():
+    # found by Hypothesis in the "low" regime: b = 2, the fixed leg 710 * b,
+    # and a priced leg holding 5e-324, whose issuance took log(0)
+    cf = CostFunction(2.0, 1420.0)
+    plays = [(Market.FOR, 3.0), (Market.AGAINST, 1.0), (Market.FOR, 2.0)]
+    assert "low" in _walk_play_by_play(cf, True, [50.0, 40.0], [5e-324, 1.0], plays, 0, None)
+
+
+def _walk_play_by_play(cf: CostFunction, min_leg: bool, targets: list[float],
+                       raised: list[float], plays: list[tuple[Market, float]], first: int,
+                       only: Market | None) -> set[str]:
+    """Check ``walk`` from these markets against contribution_for at
+    price_issuance, then play, one arrival at a time; return the pricing
+    branches the payments took ("closed", "large", "low")."""
+    b = cf.liquidity
     book = DualMarketState(MarketState(targets[0], raised[0]),
                            MarketState(targets[1], raised[1]), cf, min_leg)
     reference = DualMarketState(MarketState(targets[0], raised[0]),
@@ -192,14 +210,14 @@ def test_walk_pays_contribution_for_play_by_play(regime, data):
         if reference.closed:
             break
     walked = list(raised)
-    paid = book.walk(walked, plays, first, only)
+    paid, _, _ = book.walk(walked, plays, first, only)
     assert len(paid) == len(expected)
     for k, (got, want) in enumerate(zip(paid, expected)):
         assert got == want, (k, got, want)
     assert tuple(walked) == (reference.market_for.raised, reference.market_against.raised)
     # the book lends its targets and pricing and keeps its own money
     assert [book.market_for.raised, book.market_against.raised] == raised
-    assert regime in branches
+    return branches
 
 
 def test_ppsn_utility():
