@@ -42,8 +42,9 @@ Refund-bonus timing never enters utilities, so timing deviations are vacuous
 for that family; for the securities family the delay walk reprices the
 allocation at the later slot. Utilities never fall as the allocation grows,
 and waits never fall, so a delay is two numbers, the issuances after the
-first and after the last wait: the one that allocates more is scored, and
-reported as the slot's one timing deviation when it gains.
+first and after the last wait: the one that allocates more is scored when
+it allocates more than the prescribed play does, and reported as the
+slot's one timing deviation when it gains.
 
 In the securities family a bound buys exactly the rules row's security
 quantity, so ``construct_profile`` (from empty markets) and the SPE
