@@ -23,8 +23,10 @@ from .mechanisms import (
     MarketState,
     ppr_utility,
     pprn_utility,
+    pprx_utility,
     pps_utility,
     ppsn_utility,
+    ppsx_utility,
     run_campaign,
     settle,
 )
@@ -33,8 +35,6 @@ from .beliefs import (
     BeliefReport,
     bbr_rewards,
     conditional_rewards,
-    pprx_utility,
-    ppsx_utility,
     quadratic_score,
     rbts_scores,
     score_reports,

@@ -8,13 +8,14 @@ reference and the one after as peer (wrapping around). Rewards split a fixed
 budget across the side that matched the realized verdict, weighted by score
 over the prefix of earlier reporters, which makes equal-scoring early
 reporters strictly better off than late ones.
+The contribution utilities that add the reward to a branch are rows of the
+payoff rule in ``mechanisms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mechanisms import single_market_payoff
 from .model import AgentProfile, BeliefSide, Verdict
 
 
@@ -174,30 +175,3 @@ def default_report(agent: AgentProfile) -> BeliefReport:
         tick=agent.arrival_belief,
     )
 
-
-# ---------------------------------------------------------------------------
-# Two-phase contribution utilities
-# ---------------------------------------------------------------------------
-
-
-def pprx_utility(agent: AgentProfile, side: BeliefSide, amount: float, total: float,
-                 contribution_budget: float, belief_reward: float,
-                 provisioned: bool) -> float:
-    """Refund-bonus contribution utility with the belief reward attached to
-    the branch the agent's reported side wins."""
-    value = single_market_payoff(agent, provisioned, amount, total,
-                                 contribution_budget)
-    if (side is BeliefSide.PROVISION_LIKELY) == provisioned:
-        return value + belief_reward
-    return value
-
-
-def ppsx_utility(agent: AgentProfile, side: BeliefSide, amount: float,
-                 securities: float, belief_reward: float, provisioned: bool) -> float:
-    """Securities contribution utility of paying ``amount`` for
-    ``securities``, with the belief reward attached to the branch the
-    agent's reported side wins."""
-    value = single_market_payoff(agent, provisioned, amount, 0.0, None, securities)
-    if (side is BeliefSide.PROVISION_LIKELY) == provisioned:
-        return value + belief_reward
-    return value

@@ -24,7 +24,7 @@ expm1(-s/b)), cancels the same way where the cost is flat, f >> q.) Where an
 exponential would overflow, or ``u`` underflow, the same formulas are
 evaluated in log space, with log(x) - log(b) for log(-expm1(-x/b)) where
 x/b is subnormal or rounds to 0, so a tiny amount still buys in proportion
-to itself.
+to itself; ``securities_for`` takes that branch for such an x at any q.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .model import CostParams
 
 # exp(700) is within range; past it the formulas switch to log space
 EXP_LIMIT = 700.0
+# the least normal float: a share -expm1(-x/b) below it has lost its digits
+_NORMAL_MIN = sys.float_info.min
 
 
 def _softplus(a: float) -> float:
@@ -51,7 +53,7 @@ def _log_share(w: float, amount: float, b: float) -> float:
     amount / b falls below the normal range, w is a subnormal with few
     digits, or 0 with none, and log(amount) - log(b), which log(w) equals
     to first order there, stands in for it."""
-    return math.log(w) if w >= sys.float_info.min else math.log(amount) - math.log(b)
+    return math.log(w) if w >= _NORMAL_MIN else math.log(amount) - math.log(b)
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ class CostFunction:
         b = self.liquidity
         t = (self.fixed_leg - issued) / b
         w = -math.expm1(-amount / b)
-        if t < EXP_LIMIT:
+        if t < EXP_LIMIT and w >= _NORMAL_MIN:
             return amount + b * math.log1p(math.exp(t) * w)
         return amount + b * _softplus(t + _log_share(w, amount, b))
 

@@ -78,16 +78,12 @@ from .mechanisms import (
     prefix_sums,
     ppr_utility,
     pprn_utility,
+    pprx_utility,
     pps_utility,
     ppsn_utility,
-)
-from .beliefs import (
-    conditional_rewards,
-    default_report,
-    pprx_utility,
     ppsx_utility,
-    score_reports,
 )
+from .beliefs import conditional_rewards, default_report, score_reports
 from .model import (
     AgentProfile,
     BeliefSide,
@@ -175,7 +171,9 @@ class Rules:
     * ``utility(config, agent, market, reward, verdict)``: the utility of a
       contribution to ``market`` under ``verdict``, as
       ``u(amount, securities, total_for, total_against)``, where only the
-      securities utilities read the ``securities`` the amount buys;
+      securities utilities read the ``securities`` the amount buys; it is
+      the mechanism's ``*_utility`` row of the payoff rule in
+      ``mechanisms``, with the config's arguments bound;
     * ``indifference(config, agent, bound, issued, reward)``: the bound's
       defining equation at the bound, with denominators at the filled
       targets, as ``(lhs, rhs, clamped)``;

@@ -19,9 +19,13 @@ floats (``closed_at`` and ``priced_at`` read a state the same way), and the
 book lends only its targets and pricing, so a state off the ledger is two
 numbers.
 
-Payoffs follow one rule for all six mechanisms: an agent receives its
-valuation exactly when the project is provisioned, pays its contribution,
-and gets money back (``returned``) unless its own market won.
+Payoffs follow one rule for all six mechanisms, and the payoff rule section
+below holds all of it: ``returned`` and one ``*_utility`` row per mechanism,
+each row one expression. An agent receives its valuation exactly when the
+project is provisioned, pays its contribution, gets money back
+(``returned``) unless its own market won, and in PPRx and PPSx collects its
+belief reward on the branch its reported side wins. ``settle`` pays each
+ledger record what ``returned`` says.
 
 Verdict conventions:
   * a FOR-market fill provisions the project, an AGAINST-market fill rejects
@@ -43,6 +47,7 @@ from math import expm1, log1p
 from .costfn import EXP_LIMIT, CostFunction
 from .model import (
     AgentProfile,
+    BeliefSide,
     CampaignConfig,
     ContributionRecord,
     Market,
@@ -57,6 +62,7 @@ from .model import (
 # and per evaluation.
 _FOR = Market.FOR
 _PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
+_PROVISION_LIKELY = BeliefSide.PROVISION_LIKELY
 
 # Delay waits: how many later plays leave the book open, and the issuance after
 # the first and after the last of them; (0, 0.0, 0.0) when there are none
@@ -311,48 +317,27 @@ def new_states(config: CampaignConfig) -> DualMarketState:
 # ---------------------------------------------------------------------------
 
 
-def refund_share(amount: float, pool: float, budget: float) -> float:
-    """Proportional bonus ``amount / pool * budget``; zero on an empty pool."""
-    if pool <= 0.0:
-        return 0.0
-    return amount / pool * budget
-
-
 def returned(market: Market, verdict: Verdict, amount: float, pool: float,
              budget: float | None, securities: float = 0.0) -> float:
     """Money handed back at settlement on a contribution of ``amount`` to
     ``market``: nothing when that market won; otherwise the stake plus its
-    share of the bonus ``budget`` over the ``pool`` of all contributions
-    (refund-bonus family), or the ``securities`` it bought (securities
-    family, which has no bonus budget)."""
+    share ``amount / pool * budget`` of the bonus budget over the ``pool``
+    of all contributions, none on an empty pool (refund-bonus family), or
+    the ``securities`` it bought (securities family, which has no bonus
+    budget)."""
     if verdict is (_PROVISIONED if market is _FOR else _REJECTED):
         return 0.0
     if budget is None:
         return securities
-    return amount + refund_share(amount, pool, budget)
-
-
-def payoff(agent: AgentProfile, verdict: Verdict, amount: float,
-           refund: float) -> float:
-    """Valuation when provisioned, less the contribution, plus the refund."""
-    valuation = agent.valuation if verdict is _PROVISIONED else 0.0
-    return valuation - amount + refund
-
-
-def single_market_payoff(agent: AgentProfile, provisioned: bool, amount: float,
-                         pool: float, budget: float | None,
-                         securities: float = 0.0) -> float:
-    """Payoff of a contribution to the one market of PPR, PPS, PPRx, PPSx."""
-    verdict = _PROVISIONED if provisioned else _EXPIRED
-    return payoff(agent, verdict, amount,
-                  returned(_FOR, verdict, amount, pool, budget, securities))
+    return amount + (0.0 if pool <= 0.0 else amount / pool * budget)
 
 
 def ppr_utility(agent: AgentProfile, amount: float, total: float, budget: float,
                 provisioned: bool) -> float:
     """Single-market refund-bonus utility: valuation minus contribution on
     provision, else the proportional bonus (contribution itself returned)."""
-    return single_market_payoff(agent, provisioned, amount, total, budget)
+    return ((agent.valuation if provisioned else 0.0) - amount
+            + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, total, budget))
 
 
 def pps_utility(agent: AgentProfile, amount: float, securities: float,
@@ -360,7 +345,9 @@ def pps_utility(agent: AgentProfile, amount: float, securities: float,
     """Single-market securities utility of paying ``amount`` for
     ``securities``: valuation minus contribution on provision, else
     securities minus contribution (nonnegative by slope > 1)."""
-    return single_market_payoff(agent, provisioned, amount, 0.0, None, securities)
+    return ((agent.valuation if provisioned else 0.0) - amount
+            + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, 0.0, None,
+                       securities))
 
 
 def pprn_utility(agent: AgentProfile, reported: Market, amount: float,
@@ -375,16 +362,38 @@ def pprn_utility(agent: AgentProfile, reported: Market, amount: float,
     plus bonus when the project goes through anyway, and on expiry collects
     the bonus without any valuation term.
     """
-    return payoff(agent, verdict, amount,
-                  returned(reported, verdict, amount, total_for + total_against, budget))
+    return ((agent.valuation if verdict is _PROVISIONED else 0.0) - amount
+            + returned(reported, verdict, amount, total_for + total_against, budget))
 
 
 def ppsn_utility(agent: AgentProfile, market: Market, amount: float,
                  securities: float, verdict: Verdict) -> float:
     """Dual-market securities utility of paying ``amount`` into ``market``
     for ``securities``."""
-    return payoff(agent, verdict, amount,
-                  returned(market, verdict, amount, 0.0, None, securities))
+    return ((agent.valuation if verdict is _PROVISIONED else 0.0) - amount
+            + returned(market, verdict, amount, 0.0, None, securities))
+
+
+def pprx_utility(agent: AgentProfile, side: BeliefSide, amount: float, total: float,
+                 contribution_budget: float, belief_reward: float,
+                 provisioned: bool) -> float:
+    """Refund-bonus contribution utility with the belief reward attached to
+    the branch the agent's reported side wins."""
+    return ((agent.valuation if provisioned else 0.0) - amount
+            + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, total,
+                       contribution_budget)
+            + (belief_reward if (side is _PROVISION_LIKELY) == provisioned else 0.0))
+
+
+def ppsx_utility(agent: AgentProfile, side: BeliefSide, amount: float,
+                 securities: float, belief_reward: float, provisioned: bool) -> float:
+    """Securities contribution utility of paying ``amount`` for
+    ``securities``, with the belief reward attached to the branch the
+    agent's reported side wins."""
+    return ((agent.valuation if provisioned else 0.0) - amount
+            + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, 0.0, None,
+                       securities)
+            + (belief_reward if (side is _PROVISION_LIKELY) == provisioned else 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,25 @@ from provpoint.beliefs import (
     BeliefReport,
     bbr_rewards,
     conditional_rewards,
-    pprx_utility,
-    ppsx_utility,
     score_reports,
     winning_side_for,
 )
-from provpoint.equilibrium import _path, certify_ne, certify_spe, construct_profile
+from provpoint.equilibrium import (
+    _followers,
+    _path,
+    _slots,
+    certify_ne,
+    certify_spe,
+    construct_profile,
+)
 from provpoint.mechanisms import (
     Action,
     ppr_utility,
     pprn_utility,
+    pprx_utility,
     pps_utility,
     ppsn_utility,
+    ppsx_utility,
     run_campaign,
     settle,
 )
@@ -197,3 +204,38 @@ def test_certify_ne_reports_the_untruncating_deviation():
     profile = profile_from_actions(scenario, {})
     report = certify_ne(scenario.config, scenario.agents, profile)
     assert any(d.agent_id == 0 for d in report.deviations)
+
+
+def priced_and_settled(mech):
+    """Agent 0 of a generated six-agent scenario (seed 3) believes
+    rejection likely and reports provision as likely; the others report
+    truthfully. Returns the certifier's verdict, agent 0's branch utility
+    in its evaluator at the replayed verdict, and its settled utility."""
+    scenario = generate_scenario(ScenarioTemplate(mech, 6), seed=3)
+    reports = belief_reports(scenario)
+    reports[0] = dataclasses.replace(reports[0], information=1 - reports[0].information)
+    scenario.explicit_reports = reports
+    result = run_scenario(scenario)
+    certification, verdict = result.certification, result.outcome.verdict
+    assert certification.expected_verdict is verdict
+    config, agents, profile = scenario.config, scenario.agents, certification.profile
+    assert profile.belief_rewards[0] > 0.0
+    path = _path(config, agents, profile)
+    slot = next(s for s in _slots(config, agents, profile, path,
+                                  _followers(config, profile, path)) if s.agent.id == 0)
+    branch = slot.own if verdict is Verdict.PROVISIONED else slot.expired
+    securities = 0.0 if slot.cf is None else slot.allocation(slot.amount, slot.issued)
+    priced = branch(slot.amount, securities, slot.others_for + slot.amount,
+                    slot.others_against)
+    return certification.certified, priced, result.outcome.payouts[0].realized
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the certifier attaches a belief reward to the "
+                   "branch the agent's belief side wins, settlement to the branch its "
+                   "reported side wins")
+def test_certifier_prices_a_misreported_belief_reward_where_settlement_pays_it():
+    found = {mech: priced_and_settled(mech) for mech in (Mechanism.PPRX, Mechanism.PPSX)}
+    assert all(certified for certified, _, _ in found.values())
+    assert {mech: priced for mech, (_, priced, _) in found.items()} == {
+        mech: settled for mech, (_, _, settled) in found.items()}

@@ -7,8 +7,6 @@ from provpoint.beliefs import (
     BeliefReport,
     bbr_rewards,
     default_report,
-    pprx_utility,
-    ppsx_utility,
     quadratic_score,
     rbts_scores,
     score_reports,
@@ -16,6 +14,7 @@ from provpoint.beliefs import (
     winning_side_for,
 )
 from provpoint.costfn import CostFunction
+from provpoint.mechanisms import pprx_utility, ppsx_utility
 from provpoint.model import (
     AgentProfile,
     BeliefSide,

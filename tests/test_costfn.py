@@ -256,10 +256,10 @@ def test_log_space_prices_an_amount_whose_share_underflows():
     assert least / cf.liquidity == 0.0
     doubled = cf.securities_for(2 * least, 0.0)
     assert doubled == pytest.approx(float(reference_securities(cf, 2 * least, 0.0)),
-                                    rel=1e-12)
-    assert cf.securities_for(least, 0.0) == pytest.approx(0.5 * doubled, rel=1e-12)
+                                    rel=1e-12, abs=0)
+    assert cf.securities_for(least, 0.0) == pytest.approx(0.5 * doubled, rel=1e-12, abs=0)
     assert cf.securities_for(least, 0.0) == pytest.approx(
-        float(reference_securities(cf, least, 0.0)), rel=1e-12)
+        float(reference_securities(cf, least, 0.0)), rel=1e-12, abs=0)
     # the payment for that many securities is about exp(-710) times it: zero
     assert cf.contribution_for(least, 0.0) == 0.0
     assert cf.contribution_for(2 * least, 0.0) == 0.0
@@ -270,15 +270,19 @@ def test_log_space_prices_an_amount_whose_share_underflows():
        st.floats(min_value=EXP_LIMIT, max_value=800.0),
        st.floats(min_value=5e-324, max_value=1e-300))
 @example(2.0, 710.0, 5e-324)  # found by Hypothesis: amount / b rounds to 0
+# found by Hypothesis: fixed_over_b * b / b rounds just under EXP_LIMIT
+@example(3.061007327859261, 700.0, 5e-324)
 def test_log_space_allocations_of_subnormal_amounts(b, fixed_over_b, amount):
     # amounts down to the least subnormal, where the allocation's log-space
     # branch runs: the securities against the decimal reference, and a
     # payment that is a finite nonnegative fraction of the amount. The
     # securities' relative error is their exponent's absolute error, a sum
-    # of terms of 700 to 800 rounded to an ulp of about 1e-13 each
+    # of terms of 700 to 800 rounded to an ulp of about 1e-13 each; abs=0,
+    # because approx's default absolute tolerance would pass any result of
+    # the securities' size, 0 included
     cf = CostFunction(b, fixed_over_b * b)
     assert cf.securities_for(amount, 0.0) == pytest.approx(
-        float(reference_securities(cf, amount, 0.0)), rel=2e-12)
+        float(reference_securities(cf, amount, 0.0)), rel=2e-12, abs=0)
     assert 0.0 <= cf.contribution_for(amount, 0.0) <= amount
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from provpoint import equilibrium, mechanisms
-from provpoint.beliefs import pprx_utility, ppsx_utility
 from provpoint.costfn import CostFunction
 from provpoint.equilibrium import (
     Deviation,
@@ -36,8 +35,10 @@ from provpoint.mechanisms import (
     new_states,
     ppr_utility,
     pprn_utility,
+    pprx_utility,
     pps_utility,
     ppsn_utility,
+    ppsx_utility,
     prefix_sums,
 )
 from provpoint.model import (
@@ -376,6 +377,30 @@ def test_certify_spe_rejects_simultaneous_mechanisms():
     with pytest.raises(ValueError, match="sequential"):
         certify_spe(pprn_config(), pprn_agents(),
                     construct_profile(pprn_config(), pprn_agents()))
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_rules_rows_call_utilities_by_the_module_names(mechanism, monkeypatch):
+    # a wrapper on a utility's name in this module, as the benchmark's tracer
+    # installs one, sees every evaluation of its own mechanism and no other's
+    calls = {f"{m.value.lower()}_utility": 0 for m in Mechanism}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(equilibrium, name, counted(name, getattr(equilibrium, name)))
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=6),
+                                 seed=1)
+    config, agents = scenario.config, scenario.agents
+    certify = certify_spe if mechanism.sequential else certify_ne
+    assert certify(config, agents, construct_profile(config, agents)).certified
+    own = f"{mechanism.value.lower()}_utility"
+    assert calls[own] > 0
+    assert calls == {**dict.fromkeys(calls, 0), own: calls[own]}
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
