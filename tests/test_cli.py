@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -513,3 +514,33 @@ def test_out_of_range_numbers_get_a_verdict_or_one_error_line(tmp_path, capsys):
                         assert err.startswith("error: ") and err.count("\n") == 1, case
                         break
                     assert code in (0, 3) and err == "", case
+
+
+NON_FINITE = re.compile(r"\b(?:Infinity|NaN|inf|nan)\b")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: certification.json writes "
+                   "Infinity and NaN for these inputs")
+@pytest.mark.parametrize("shipped,leaf,value", [
+    ("pprn_six_agents", ("agents", 0, "valuation"), 1e308),
+    ("ppsn_four_arrivals", ("config", "cost_params", "liquidity"), 1e-320),
+])
+def test_no_report_holds_a_non_finite_number(shipped, leaf, value, tmp_path, capsys):
+    # ROADMAP item 13's two inputs: every report that run (csv and json)
+    # and certify write is free of Infinity, NaN, inf and nan
+    document = json.loads((SCENARIOS / f"{shipped}.json").read_text())
+    node = document
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    for label, args in (("run_csv", ["run", "--format", "csv"]),
+                        ("run_json", ["run", "--format", "json"]),
+                        ("certify", ["certify"])):
+        main([*args, "--scenario", str(path), "--out", str(tmp_path / label)])
+    capsys.readouterr()
+    written = sorted(p for p in tmp_path.glob("*/*") if p.is_file())
+    assert len(written) >= 12
+    for report in written:
+        assert not NON_FINITE.search(report.read_text()), report
