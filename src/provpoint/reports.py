@@ -3,14 +3,21 @@
 Everything here is deterministic for a fixed input: keys are sorted, floats
 use their shortest round-trip representation, and no timestamps or host
 details are embedded, so identical runs produce byte-identical files.
+
+Each row of a per-agent table is one ``%`` format of a tuple, and the bytes
+are those ``csv`` and ``json`` write for the same rows. Both write ``repr``
+of an int or a finite float, which is ``%r``. ``csv`` writes ``repr`` of an
+infinite or NaN float too, and ``settlement_json`` respells ``inf`` and
+``nan`` as ``json`` does (``Infinity``, ``NaN``): no key or side value holds
+either, and a finite float's repr holds no letter but ``e``. The text cells
+are the enum values ``for``, ``against``, ``provision_likely`` and
+``rejection_likely``, which neither format quotes or escapes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .equilibrium import EquilibriumReport
 from .mechanisms import DualMarketState
@@ -20,68 +27,53 @@ SETTLEMENT_COLUMNS = ["id", "side", "x", "securities", "refund",
                       "belief_reward", "realized_utility"]
 LEDGER_COLUMNS = ["tick", "agent", "market", "amount", "securities",
                   "Q_at_allocation"]
+MISREPORT_GAP_COLUMNS = ["epsilon", "securities", "truthful_minus_lying"]
 
 
 def settlement_rows(agents: list[AgentProfile], outcome: Outcome,
                     sides: dict[int, str],
-                    securities: dict[int, float]) -> list[dict]:
+                    securities: dict[int, float]) -> list[tuple]:
+    """One tuple per agent, by id, in ``SETTLEMENT_COLUMNS`` order."""
     rows = []
-    for agent in sorted(agents, key=lambda a: a.id):
+    for agent in sorted(agents, key=attrgetter("id")):
         payout = outcome.payouts[agent.id]
-        rows.append({
-            "id": agent.id,
-            "side": sides[agent.id],
-            "x": payout.contribution,
-            "securities": securities.get(agent.id, 0.0),
-            "refund": payout.refund,
-            "belief_reward": payout.belief_reward,
-            "realized_utility": payout.realized,
-        })
+        rows.append((agent.id, sides[agent.id], payout.contribution,
+                     securities.get(agent.id, 0.0), payout.refund,
+                     payout.belief_reward, payout.realized))
     return rows
 
 
-def _csv_text(columns: list[str], rows: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*(map(itemgetter(c), rows) for c in columns)))
-    return buffer.getvalue()
+def _csv_text(columns: list[str], row: str, rows: list[tuple]) -> str:
+    return ",".join(columns) + "\n" + "".join(map(row.__mod__, rows))
 
 
-def settlement_csv(rows: list[dict]) -> str:
-    return _csv_text(SETTLEMENT_COLUMNS, rows)
+def settlement_csv(rows: list[tuple]) -> str:
+    return _csv_text(SETTLEMENT_COLUMNS, "%r,%s,%r,%r,%r,%r,%r\n", rows)
 
 
-# a flat row's fields one per line, at the indent of a row inside an
-# indent=2 list; no indent is set, so the C encoder does the work
-_encode_row = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+# a settlement row's fields in sorted-key order, and the template of one
+# object of json.dumps(rows, indent=2, sort_keys=True)
+_KEYS = sorted(SETTLEMENT_COLUMNS)
+_by_key = itemgetter(*map(SETTLEMENT_COLUMNS.index, _KEYS))
+_JSON_ROW = "  {\n" + ",\n".join(
+    f'    "{key}": ' + ('"%s"' if key == "side" else "%r") for key in _KEYS) + "\n  }"
 
 
-def settlement_json(rows: list[dict]) -> str:
+def settlement_json(rows: list[tuple]) -> str:
     """The bytes of ``json.dumps(rows, indent=2, sort_keys=True) + "\\n"``
-    for rows of scalars, one C-encoder call per row."""
+    for the rows as dicts keyed by ``SETTLEMENT_COLUMNS``."""
     if not rows:
         return "[]\n"
-    return "[\n" + ",\n".join(
-        "  {\n    " + _encode_row(row)[1:-1] + "\n  }" if row else "  {}"
-        for row in rows) + "\n]\n"
-
-
-def ledger_rows(dual: DualMarketState) -> list[dict]:
-    records = dual.market_for.ledger + dual.market_against.ledger
-    records.sort(key=lambda r: (r.tick, r.agent_id))
-    return [{
-        "tick": r.tick,
-        "agent": r.agent_id,
-        "market": r.market.value,
-        "amount": r.amount,
-        "securities": r.securities,
-        "Q_at_allocation": r.q_at_allocation,
-    } for r in records]
+    text = "[\n" + ",\n".join(map(_JSON_ROW.__mod__, map(_by_key, rows))) + "\n]\n"
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
 def ledger_csv(dual: DualMarketState) -> str:
-    return _csv_text(LEDGER_COLUMNS, ledger_rows(dual))
+    records = dual.market_for.ledger + dual.market_against.ledger
+    records.sort(key=lambda r: (r.tick, r.agent_id))
+    return _csv_text(LEDGER_COLUMNS, "%r,%r,%s,%r,%r,%r\n", [
+        (r.tick, r.agent_id, r.market.value, r.amount, r.securities, r.q_at_allocation)
+        for r in records])
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder: no indent
@@ -100,15 +92,17 @@ def certification_json(report: EquilibriumReport) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
+def _table(headers: list[str], rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart: one template pads a row's
+    cells, and trailing spaces are stripped."""
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    line = "  ".join(f"{{:<{w}}}" for w in widths).format
-    return "\n".join(line(*cells).rstrip()
-                     for cells in [headers, ["-" * w for w in widths], *rows])
+    line = "  ".join(f"%-{w}s" for w in widths).__mod__
+    return "\n".join([line(cells).rstrip() for cells in
+                      [tuple(headers), tuple("-" * w for w in widths), *rows]])
 
 
 def conditions_table(report_conditions) -> str:
-    rows = [[c.name, "yes" if c.satisfied else "NO", f"{c.lhs:.9g}", f"{c.rhs:.9g}"]
+    rows = [(c.name, "yes" if c.satisfied else "NO", f"{c.lhs:.9g}", f"{c.rhs:.9g}")
             for c in report_conditions]
     return _table(["condition", "satisfied", "lhs", "rhs"], rows)
 
@@ -138,12 +132,12 @@ def summary_text(config: CampaignConfig, agents: list[AgentProfile],
         parts.append(f"verdict: {outcome.verdict.value}")
         parts.append(f"raised for: {outcome.total_for!r}  "
                      f"against: {outcome.total_against!r}")
-        rows = [[str(a.id),
-                 f"{outcome.payouts[a.id].contribution:.9g}",
-                 f"{outcome.payouts[a.id].refund:.9g}",
-                 f"{outcome.payouts[a.id].belief_reward:.9g}",
-                 f"{outcome.payouts[a.id].realized:.9g}"]
-                for a in sorted(agents, key=lambda a: a.id)]
+        rows = []
+        for agent in sorted(agents, key=attrgetter("id")):
+            payout = outcome.payouts[agent.id]
+            rows.append((str(agent.id), f"{payout.contribution:.9g}",
+                         f"{payout.refund:.9g}", f"{payout.belief_reward:.9g}",
+                         f"{payout.realized:.9g}"))
         parts.append(_table(["agent", "x", "refund", "belief_reward", "utility"],
                             rows))
     if report is not None:
@@ -153,8 +147,8 @@ def summary_text(config: CampaignConfig, agents: list[AgentProfile],
         parts.append(f"{report.kind} certification: {verdict}")
         parts.append(f"epsilon: {report.epsilon!r}")
         if report.indifference:
-            rows = [[str(c.agent_id), f"{c.bound:.9g}"]
-                    for c in sorted(report.indifference, key=lambda c: c.agent_id)]
+            rows = [(str(c.agent_id), f"{c.bound:.9g}")
+                    for c in sorted(report.indifference, key=attrgetter("agent_id"))]
             parts.append(_table(["agent", "contribution bound"], rows))
         for dev in report.deviations[:20]:
             parts.append(f"  deviation: agent {dev.agent_id} {dev.kind} "
@@ -165,9 +159,10 @@ def summary_text(config: CampaignConfig, agents: list[AgentProfile],
     return "\n".join(parts)
 
 
-def misreport_gap_rows(epsilons: list[float], securities: list[float]) -> list[dict]:
+def misreport_gap_rows(epsilons: list[float], securities: list[float]) -> list[tuple]:
     """Expected gain of truthful play vs lying, for a provision-minded agent
-    holding the given securities, over a belief-offset grid."""
+    holding the given securities, over a belief-offset grid: one tuple per
+    point in ``MISREPORT_GAP_COLUMNS`` order."""
     from .equilibrium import combined_mechanism_gap
     from .model import BeliefSide
 
@@ -176,19 +171,14 @@ def misreport_gap_rows(epsilons: list[float], securities: list[float]) -> list[d
         agent = AgentProfile(id=0, valuation=1.0, belief_epsilon=eps,
                              belief_side=BeliefSide.PROVISION_LIKELY)
         for quantity in securities:
-            rows.append({
-                "epsilon": eps,
-                "securities": quantity,
-                "truthful_minus_lying": combined_mechanism_gap(agent, quantity),
-            })
+            rows.append((eps, quantity, combined_mechanism_gap(agent, quantity)))
     return rows
 
 
-def misreport_gap_table(rows: list[dict]) -> str:
-    body = [[f"{r['epsilon']:.2f}", f"{r['securities']:.9g}",
-             f"{r['truthful_minus_lying']:.9g}"] for r in rows]
-    return _table(["epsilon", "securities", "truthful_minus_lying"], body)
+def misreport_gap_table(rows: list[tuple]) -> str:
+    return _table(MISREPORT_GAP_COLUMNS, [
+        (f"{eps:.2f}", f"{quantity:.9g}", f"{gap:.9g}") for eps, quantity, gap in rows])
 
 
-def misreport_gap_csv(rows: list[dict]) -> str:
-    return _csv_text(["epsilon", "securities", "truthful_minus_lying"], rows)
+def misreport_gap_csv(rows: list[tuple]) -> str:
+    return _csv_text(MISREPORT_GAP_COLUMNS, "%r,%r,%r\n", rows)

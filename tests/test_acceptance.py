@@ -366,10 +366,9 @@ def test_criterion_8_misreport_demo(tmp_path, capsys):
     securities = [0.0, 1.0, 5.0]
     rows = misreport_gap_rows(epsilons, securities)
     assert len(rows) == 33
-    for row in rows:
-        gap = row["truthful_minus_lying"]
+    for epsilon, quantity, gap in rows:
         assert gap <= 0.0
-        if row["epsilon"] > 0 and row["securities"] > 0:
+        if epsilon > 0 and quantity > 0:
             assert gap < 0.0
         else:
             assert gap == 0.0

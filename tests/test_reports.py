@@ -1,9 +1,13 @@
 """The report writers against the standard library's own renderings.
 
-``settlement_json``, ``_csv_text`` and ``_table`` are written for speed; each
-must still produce exactly the bytes of the straightforward implementation:
-``json.dumps(..., indent=2, sort_keys=True)``, ``csv.DictWriter``, and a
-per-cell ``ljust`` table (kept below as the reference).
+Each per-agent table row is one ``%`` template applied to a tuple, written
+for speed; each writer must still produce exactly the bytes of the
+straightforward implementation over the same rows as dicts:
+``json.dumps(..., indent=2, sort_keys=True)`` and ``csv.DictWriter``, and
+for the text tables a per-cell ``ljust`` table (kept below as the
+reference for ``_table``). The rows are drawn from what the program can
+hand a writer: non-negative int ids and ticks, the ``Market`` and
+``BeliefSide`` values, and any float, non-finite ones included.
 """
 
 import csv
@@ -14,62 +18,82 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 from provpoint import reports
+from provpoint.mechanisms import DualMarketState, MarketState
+from provpoint.model import BeliefSide, ContributionRecord, Market
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, math.inf,
                   -math.inf, math.nan]
 AWKWARD_TEXT = ['', '"', "'", "\\", "\n", "\r\n", "\t", ",", 'a "quoted", line\n',
-                "é", " ", "\U0001f600", "\x00", "\x7f"]
+                "é", " ", "\U0001f600", "\x00", "\x7f"]
 
-text = st.one_of(st.sampled_from(AWKWARD_TEXT), st.text(max_size=12))
-scalars = st.one_of(
-    st.sampled_from(SPECIAL_FLOATS),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(min_value=-10**30, max_value=10**30),
-    st.booleans(),
-    st.none(),
-    text,
-)
-flat_rows = st.lists(st.dictionaries(text, scalars, max_size=8), max_size=6)
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                   st.floats(allow_nan=True, allow_infinity=True))
+ids = st.integers(min_value=0, max_value=10**30)
+sides = st.sampled_from([v.value for v in (*Market, *BeliefSide)])
+settlement_rows = st.lists(
+    st.tuples(ids, sides, floats, floats, floats, floats, floats), max_size=6)
+
+
+def as_dicts(columns, rows):
+    return [dict(zip(columns, row)) for row in rows]
 
 
 @settings(max_examples=200)
-@given(flat_rows)
+@given(settlement_rows)
 @example([])
-@example([{}])
-@example([{}, {"x": 1.0}, {}])
-@example([{"x": v} for v in SPECIAL_FLOATS])
-@example([{s: s for s in AWKWARD_TEXT}])
-@example([{"id": 0, "side": "for", "x": 1.5, "securities": 0.0, "refund": -0.0,
-           "belief_reward": 5e-324, "realized_utility": 1e308}])
+@example([(0, "for", 1.5, 0.0, -0.0, 5e-324, 1e308)])
+@example([(1, "against", math.inf, -math.inf, math.nan, -1e308, 0.1),
+          (2, "provision_likely", *SPECIAL_FLOATS[:5]),
+          (3, "rejection_likely", *SPECIAL_FLOATS[5:])])
 def test_settlement_json_is_the_stdlib_rendering(rows):
     assert (reports.settlement_json(rows)
-            == json.dumps(rows, indent=2, sort_keys=True) + "\n")
+            == json.dumps(as_dicts(reports.SETTLEMENT_COLUMNS, rows),
+                          indent=2, sort_keys=True) + "\n")
 
 
 def _dictwriter_csv(columns, rows):
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
+    for row in as_dicts(columns, rows):
         writer.writerow(row)
     return buffer.getvalue()
 
 
-@st.composite
-def csv_tables(draw):
-    columns = draw(st.lists(text, min_size=1, max_size=7, unique=True))
-    rows = draw(st.lists(st.fixed_dictionaries({c: scalars for c in columns}),
-                         max_size=6))
-    return columns, rows
+@settings(max_examples=200)
+@given(settlement_rows)
+@example([])
+@example([(1, "against", math.inf, -math.inf, math.nan, -1e308, 0.1)])
+def test_csv_text_matches_dictwriter(rows):
+    # the settlement table, and the demo's table of three float columns
+    assert (reports.settlement_csv(rows)
+            == _dictwriter_csv(reports.SETTLEMENT_COLUMNS, rows))
+    gaps = [row[2:5] for row in rows]
+    assert (reports.misreport_gap_csv(gaps)
+            == _dictwriter_csv(reports.MISREPORT_GAP_COLUMNS, gaps))
+
+
+unsigned = floats.filter(lambda v: not v < 0)  # a record refuses a negative
+records = st.builds(ContributionRecord, agent_id=ids, amount=unsigned,
+                    tick=st.integers(min_value=0, max_value=10**6),
+                    market=st.sampled_from(Market), securities=unsigned,
+                    q_at_allocation=floats)
 
 
 @settings(max_examples=200)
-@given(csv_tables())
-@example((reports.SETTLEMENT_COLUMNS, []))
-@example((["only"], [{"only": 1.0}, {"only": "a,b"}]))
-def test_csv_text_matches_dictwriter(table):
-    columns, rows = table
-    assert reports._csv_text(columns, rows) == _dictwriter_csv(columns, rows)
+@given(st.lists(records, max_size=8))
+@example([])
+@example([ContributionRecord(1, math.inf, 2, Market.AGAINST, math.nan, -math.inf),
+          ContributionRecord(0, 5e-324, 2, Market.FOR, -0.0, 1e308)])
+def test_ledger_csv_matches_dictwriter(ledger):
+    dual = DualMarketState(MarketState(1.0), MarketState(1.0))
+    for record in ledger:
+        dual.market(record.market).ledger.append(record)
+    ordered = sorted(dual.market_for.ledger + dual.market_against.ledger,
+                     key=lambda r: (r.tick, r.agent_id))
+    rows = [(r.tick, r.agent_id, r.market.value, r.amount, r.securities,
+             r.q_at_allocation) for r in ordered]
+    assert reports.ledger_csv(dual) == _dictwriter_csv(reports.LEDGER_COLUMNS, rows)
 
 
 def _ljust_table(headers, rows):
@@ -84,18 +108,21 @@ def _ljust_table(headers, rows):
     return "\n".join(out)
 
 
+text = st.one_of(st.sampled_from(AWKWARD_TEXT), st.text(max_size=12))
+
+
 @st.composite
 def text_tables(draw):
     headers = draw(st.lists(text, min_size=1, max_size=6))
-    row = st.lists(text, min_size=len(headers), max_size=len(headers))
+    row = st.tuples(*[text] * len(headers))
     return headers, draw(st.lists(row, max_size=6))
 
 
 @settings(max_examples=200)
 @given(text_tables())
 @example((["agent", "x"], []))
-@example(([""], [[""]]))
-@example((["a", "b"], [["{0}", "{}"], ["trailing  ", " "]]))
+@example(([""], [("",)]))
+@example((["a", "b"], [("{0}", "{}"), ("trailing  ", " "), ("%s", "%%")]))
 def test_table_matches_the_ljust_table(table):
     headers, rows = table
     assert reports._table(headers, rows) == _ljust_table(headers, rows)
