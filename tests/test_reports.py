@@ -18,8 +18,14 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 from provpoint import reports
-from provpoint.mechanisms import DualMarketState, MarketState
-from provpoint.model import BeliefSide, ContributionRecord, Market
+from provpoint.mechanisms import Action, DualMarketState, MarketState, run_campaign
+from provpoint.model import (
+    BeliefSide,
+    CampaignConfig,
+    ContributionRecord,
+    Market,
+    Mechanism,
+)
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, math.inf,
                   -math.inf, math.nan]
@@ -94,6 +100,17 @@ def test_ledger_csv_matches_dictwriter(ledger):
     rows = [(r.tick, r.agent_id, r.market.value, r.amount, r.securities,
              r.q_at_allocation) for r in ordered]
     assert reports.ledger_csv(dual) == _dictwriter_csv(reports.LEDGER_COLUMNS, rows)
+
+
+def test_ledger_csv_lists_an_agents_provision_record_first():
+    # one agent, one tick, the rejection play first: the provision record
+    # is written first
+    config = CampaignConfig(mechanism=Mechanism.PPRN, provision_point_pair=(10.0, 5.0),
+                            refund_budget=5.0, deadline_contribution=10)
+    _, dual = run_campaign(config, [Action(0, 1.0, Market.AGAINST, 1),
+                                    Action(0, 2.0, Market.FOR, 1)])
+    assert reports.ledger_csv(dual).splitlines()[1:] == [
+        "1,0,for,2.0,0.0,0.0", "1,0,against,1.0,0.0,0.0"]
 
 
 def _ljust_table(headers, rows):

@@ -93,6 +93,22 @@ def test_certify_explicit_actions_off_equilibrium():
     assert any(d.agent_id == first for d in report.deviations)
 
 
+def test_an_agent_paying_into_both_markets_settles_on_the_for_side(tmp_path):
+    # agent 0 pays the rejection market first and the provision market
+    # later; its settlement side is for all the same
+    scenario = pprn_scenario()
+    scenario.explicit_actions = [
+        Action(agent_id=0, amount=0.5, market=Market.AGAINST, tick=1),
+        Action(agent_id=0, amount=0.5, market=Market.FOR, tick=2),
+    ]
+    scenario.analysis = AnalysisFlags(certify=False)
+    result = run_scenario(scenario, out_dir=tmp_path)
+    assert result.outcome.verdict is Verdict.EXPIRED
+    rows = [row.split(",") for row in
+            (tmp_path / "settlement.csv").read_text().splitlines()[1:]]
+    assert rows[0][:3] == ["0", "for", "1.0"]
+
+
 def test_profile_from_actions_rejects_multiple_plays():
     scenario = pprn_scenario()
     scenario.explicit_actions = [
