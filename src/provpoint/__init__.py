@@ -20,7 +20,6 @@ from .costfn import CostFunction
 from .mechanisms import (
     Action,
     DualMarketState,
-    MarketState,
     ppr_utility,
     pprn_utility,
     pprx_utility,

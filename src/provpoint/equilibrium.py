@@ -52,11 +52,12 @@ certifier (at its off-path probe states) walk followers through the kernel
 (``DualMarketState.walk`` and ``follow``), without a bound or a play per
 follower.
 
-Each certification replays the checked play once (``_path``) and builds one
-evaluator per agent from it (``_slots``), placed at the agent's on-path
-slot with its bound. The report's indifference checks, each at its bound,
-are read off those slots, and both certifiers check them the same way
-(``_Evaluator.check``). The evaluator computes once what every slot of its
+Each certification reads the checked play off the engine's book of it
+(``_path``: the money each agent found, from the ledger, with no second
+replay) and builds one evaluator per agent from it (``_slots``), placed at
+the agent's on-path slot with its bound. The report's indifference checks,
+each at its bound, are read off those slots, and both certifiers check
+them the same way (``_Evaluator.check``). The evaluator computes once what every slot of its
 agent shares (weights, utility rows, ``_met``'s threshold, the cost
 function); a slot is plain numbers. The SPE certifier places it at each of
 the agent's off-path probe states in turn, each a (FOR, AGAINST) pair of
@@ -82,6 +83,7 @@ from .mechanisms import (
     pps_utility,
     ppsn_utility,
     ppsx_utility,
+    run_campaign,
 )
 from .beliefs import conditional_rewards, default_report, score_reports
 from .model import (
@@ -371,6 +373,11 @@ class EquilibriumProfile:
     def total(self, market: Market) -> float:
         return sum(e.amount for e in self.entries.values() if e.market is market)
 
+    def plays(self) -> list[Action]:
+        """The nonzero plays in the engine's (tick, agent id) order."""
+        return sorted((a for a in self.entries.values() if a.amount > 0.0),
+                      key=lambda a: (a.tick, a.agent_id))
+
 
 def _fill_side(agents: list[AgentProfile], bounds: dict[int, float], target: float,
                strict: bool) -> dict[int, float] | None:
@@ -475,22 +482,28 @@ _Path = tuple[list[AgentProfile], list[tuple[float, float]], DualMarketState]
 _Followers = tuple[list[tuple[Market, float]], dict[Market, list[float]]]
 
 
-def _path(config: CampaignConfig, agents: list[AgentProfile],
-          profile: EquilibriumProfile) -> _Path:
-    """The profile's plays replayed once, as the engine plays them: the
-    play order (entry tick, then id), the money (FOR, AGAINST) each agent
-    of it found raised, and the book after the last play. A play at a
-    closed book is discarded. The book an agent found is read off
-    ``final`` at the money it found (``closed_at``, ``priced_at``), so no
-    book is built per agent."""
+def _path(agents: list[AgentProfile], profile: EquilibriumProfile,
+          book: DualMarketState) -> _Path:
+    """The profile's play as the engine's ``book`` of it settled: the play
+    order (entry tick, then id), the money (FOR, AGAINST) each agent of it
+    found raised, and the book. The ledger holds the accepted plays in that
+    order: a record moves the money by the amount it accepted, and the last
+    one sets it to the book's, because a fill assigns the target; a zero
+    play or a play after the close moves nothing. The book an agent found
+    is read off ``book`` at the money it found (``closed_at``,
+    ``priced_at``), so no book is built per agent."""
     order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
-    book = new_states(config)
-    found = []
+    ledger = book.ledger
+    k, money, found = 0, [0.0, 0.0], []
     for agent in order:
-        found.append((book.market_for.raised, book.market_against.raised))
-        if not book.closed:
-            entry = profile.entries[agent.id]
-            book.play(entry.market, entry.amount)
+        found.append((money[0], money[1]))
+        if k < len(ledger) and ledger[k].agent_id == agent.id:
+            record = ledger[k]
+            k += 1
+            if k == len(ledger):
+                money = book.raised
+            else:
+                money[record.market is not _FOR] += record.amount
     return order, found, book
 
 
@@ -891,11 +904,12 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
 
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                  profile: EquilibriumProfile, epsilon: float | None,
-                 conditions: list[ConditionCheck] | None
+                 conditions: list[ConditionCheck] | None, book: DualMarketState | None
                  ) -> tuple[EquilibriumReport, float, _Path | None, list[_Evaluator],
                             _Followers | None]:
     """The report before the search (conditions, and each slot's bound
-    and indifference check), the profile's ``path``, the agents'
+    and indifference check), the profile's ``path`` on the engine's
+    ``book`` of its play (played here when none is given), the agents'
     evaluators placed at their slots on it and the path's ``_followers``;
     an infeasible profile has none of them."""
     larger = max(config.provision_point_pair or (config.provision_point,))
@@ -920,8 +934,10 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
     if not profile.feasible:
         report.notes.append(profile.reason)
         return report, epsilon, None, [], None
-    path = _path(config, agents, profile)
-    report.expected_verdict = path[2].verdict or Verdict.EXPIRED
+    if book is None:
+        _, book = run_campaign(config, profile.plays())
+    path = _path(agents, profile, book)
+    report.expected_verdict = book.verdict or Verdict.EXPIRED
     followers = _followers(config, profile, path)
     slots = _slots(config, agents, profile, path, followers)
     indifference = RULES[config.mechanism].indifference
@@ -934,15 +950,19 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
 
 def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
                profile: EquilibriumProfile, epsilon: float | None = None,
-               conditions: list[ConditionCheck] | None = None) -> EquilibriumReport:
+               conditions: list[ConditionCheck] | None = None, *,
+               book: DualMarketState | None = None) -> EquilibriumReport:
     """Search every agent's unilateral deviations against the fixed profile.
 
     Certifies when at no agent's on-path slot a contribution or
     (vacuously, for the refund-bonus family) a retiming gains more than
     epsilon. The report carries ``conditions``, the caller's
     ``check_conditions`` result, or evaluates them when none is given.
+    ``book`` is the engine's book of the profile's play, from
+    ``run_campaign``; without one the profile's ``plays`` are run here.
     """
-    report, eps, path, slots, _ = _base_report(config, agents, profile, epsilon, conditions)
+    report, eps, path, slots, _ = _base_report(config, agents, profile, epsilon,
+                                               conditions, book)
     if path is None:
         return report
     if not config.mechanism.sequential:
@@ -973,7 +993,7 @@ def _rival_fills(book: DualMarketState, raised_for: float, raised_against: float
     ``MET_REL_TOL`` of the target, is walked."""
     rival = own_market.other
     cf, i = book.cf, rival is not _FOR
-    target = book.market(rival).target
+    target = book.target[i]
     raised, leg = (raised_against, raised_for) if i else (raised_for, raised_against)
     if not book.closed_at(raised_for, raised_against):
         quantity = bought[rival][-1] - bought[rival][first]
@@ -1009,7 +1029,8 @@ def _probe_states(config: CampaignConfig, raised_for: float, raised_against: flo
 
 def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
                 profile: EquilibriumProfile, epsilon: float | None = None,
-                conditions: list[ConditionCheck] | None = None) -> EquilibriumReport:
+                conditions: list[ConditionCheck] | None = None, *,
+                book: DualMarketState | None = None) -> EquilibriumReport:
     """Verify the prescribed play is a best response at every probed
     subgame state, walking arrivals with followers' plays rolled out and
     then held fixed (one-shot deviations over a finite horizon).
@@ -1019,13 +1040,13 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     bound, the agent and its followers play their bounds. Covers
     contribution deviations and delay: repricing the agent's allocation
     after the first or the last later arrival that leaves the book open.
-    ``conditions`` is as for ``certify_ne``.
+    ``conditions`` and ``book`` are as for ``certify_ne``.
     """
     if not config.mechanism.sequential:
         raise ValueError(f"{config.mechanism.value} has no sequential subgame "
                          "structure; use certify_ne")
     report, eps, path, slots, followers = _base_report(config, agents, profile, epsilon,
-                                                       conditions)
+                                                       conditions, book)
     report.kind = "subgame-perfect"
     if path is None:
         return report
@@ -1033,7 +1054,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     # on the path, the later plays are the profile's: closing is the play
     # after which the book is closed (len(order) if none), and no play before
     # it is truncated, so the money each play found is their prefix sum
-    found = [*found, (final.market_for.raised, final.market_against.raised)]
+    found = [*found, tuple(final.raised)]
     closing = next((k for k in range(len(order)) if final.closed_at(*found[k + 1])),
                    len(order))
     # off the path, followers play their bounds: each buys its security

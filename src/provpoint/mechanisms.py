@@ -1,13 +1,16 @@
 """Market replay kernel, campaign engine, payoff rule and settlement.
 
 Every mechanism races one or two markets to their targets, and a market's
-state is fixed by the money it has raised: ``DualMarketState.play`` is the
-one function that advances a ledger book (a play of at least the remaining
-amount fills the market exactly, and a filled market closes the book), and
-securities issuance is derived from the raised total by
-``CostFunction.issued_at``. The engine replays a time-ordered action list
-through it, discards everything after the first fill, and hands the frozen
-ledgers to ``settle``. The securities family's prescribed followers each
+state is fixed by the money it has raised: the book (``DualMarketState``)
+is two targets, two raised totals and one ledger in play order.
+``DualMarketState.play`` is the one function that advances a book (a play
+of at least the remaining amount fills the market exactly, and a filled
+market closes the book), and securities issuance is derived from the
+raised total by ``CostFunction.issued_at``. The engine replays a
+time-ordered action list through it, records each accepted contribution in
+the ledger, discards everything after the first fill, and hands the frozen
+book to ``settle``, the report writers and the certifiers; nothing replays
+it a second time. The securities family's prescribed followers each
 buy their security quantity at the current price: ``DualMarketState.walk``
 plays them one by one, under ``play``'s truncation rule, and sums their
 money per market in the same pass. ``DualMarketState.follow`` answers
@@ -70,62 +73,44 @@ Waits = tuple[int, float, float]
 
 
 @dataclass
-class MarketState:
-    """One market: its target, the money raised so far, and the contributions
-    the engine accepted into it."""
-
-    target: float
-    raised: float = 0.0
-    ledger: list[ContributionRecord] = field(default_factory=list)
-
-    @property
-    def remaining(self) -> float:
-        return self.target - self.raised
-
-    @property
-    def met(self) -> bool:
-        return self.raised >= self.target
-
-
-@dataclass
 class DualMarketState:
     """Replay kernel: the provision and rejection markets of one campaign.
 
-    The state is the money each market has raised; issuance, allocation
-    prices and the verdict are derived from it. ``cf`` is set for the
-    securities family, and ``min_leg`` prices allocations at the smaller
-    market's issuance (the dual-market securities mechanism).
+    The book is each market's ``target`` and the money it has ``raised``,
+    both as (FOR, AGAINST), and the ``ledger`` of accepted contributions in
+    play order; issuance, allocation prices and the verdict are derived
+    from the money. ``cf`` is set for the securities family, and
+    ``min_leg`` prices allocations at the smaller market's issuance (the
+    dual-market securities mechanism).
     """
 
-    market_for: MarketState
-    market_against: MarketState
+    target: tuple[float, float]
     cf: CostFunction | None = None
     min_leg: bool = False
-
-    def market(self, side: Market) -> MarketState:
-        return self.market_for if side is Market.FOR else self.market_against
+    raised: list[float] = field(default_factory=lambda: [0.0, 0.0])
+    ledger: list[ContributionRecord] = field(default_factory=list)
 
     @property
     def closed(self) -> bool:
         """A target has been reached; the book accepts no further play."""
-        return self.closed_at(self.market_for.raised, self.market_against.raised)
+        return self.verdict is not None
 
     def closed_at(self, raised_for: float, raised_against: float) -> bool:
         """Whether these markets holding the given money are closed."""
-        return raised_for >= self.market_for.target or raised_against >= self.market_against.target
+        return raised_for >= self.target[0] or raised_against >= self.target[1]
 
     @property
     def verdict(self) -> Verdict | None:
         """The verdict a filled market decided; None while both are open."""
-        if self.market_for.met:
-            return Verdict.PROVISIONED
-        if self.market_against.met:
-            return Verdict.REJECTED
+        if self.raised[0] >= self.target[0]:
+            return _PROVISIONED
+        if self.raised[1] >= self.target[1]:
+            return _REJECTED
         return None
 
     def price_issuance(self, side: Market) -> float:
         """Issuance an allocation on ``side`` is priced at in this book."""
-        return self.priced_at(side, self.market_for.raised, self.market_against.raised)
+        return self.priced_at(side, self.raised[0], self.raised[1])
 
     def priced_at(self, side: Market, raised_for: float, raised_against: float) -> float:
         """Issuance an allocation on ``side`` is priced at once these markets
@@ -151,12 +136,12 @@ class DualMarketState:
             raise ValueError("contribution amount must be nonnegative")
         if self.closed:
             raise ValueError("market closed: a target has already been reached")
-        state = self.market(side)
-        remaining = state.remaining
+        i = side is not _FOR
+        remaining = self.target[i] - self.raised[i]
         if amount >= remaining:
-            state.raised = state.target
+            self.raised[i] = self.target[i]
             return remaining
-        state.raised += amount
+        self.raised[i] += amount
         return amount
 
     def walk(self, raised: list[float], plays: list[tuple[Market, float]], first: int = 0,
@@ -181,7 +166,7 @@ class DualMarketState:
         """
         cf, min_leg = self.cf, self.min_leg
         b, fixed_leg = cf.liquidity, cf.fixed_leg
-        target = [self.market_for.target, self.market_against.target]
+        target = self.target
         paid: list[float] = []
         money = [0.0, 0.0]
         if raised[0] >= target[0] or raised[1] >= target[1]:
@@ -246,7 +231,7 @@ class DualMarketState:
         """
         cf = self.cf
         i = side is not _FOR
-        target = self.market_against.target if i else self.market_for.target
+        target = self.target[i]
         after = [raised_for, raised_against]
         accepted = target - after[i]
         if amount >= accepted:
@@ -308,8 +293,7 @@ def new_states(config: CampaignConfig) -> DualMarketState:
     else:
         assert config.provision_point is not None
         h_for, h_against = config.provision_point, float("inf")
-    return DualMarketState(MarketState(h_for), MarketState(h_against),
-                           config.cost_function, min_leg=mech.dual_market)
+    return DualMarketState((h_for, h_against), config.cost_function, mech.dual_market)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +425,7 @@ def run_campaign(config: CampaignConfig,
             )
         q_price = dual.price_issuance(action.market)
         amount = dual.play(action.market, action.amount)
-        dual.market(action.market).ledger.append(ContributionRecord(
+        dual.ledger.append(ContributionRecord(
             agent_id=action.agent_id,
             amount=amount,
             tick=action.tick,
@@ -458,7 +442,7 @@ def run_campaign(config: CampaignConfig,
 def settle(config: CampaignConfig, agents: list[AgentProfile], verdict: Verdict,
            dual: DualMarketState,
            belief_rewards: dict[int, float] | None = None) -> Outcome:
-    """Apply the payoff rule to the frozen ledgers.
+    """Apply the payoff rule to the frozen ledger.
 
     Every agent collects its valuation exactly when the project is
     provisioned, including free riders without a ledger entry; each record
@@ -472,20 +456,18 @@ def settle(config: CampaignConfig, agents: list[AgentProfile], verdict: Verdict,
     if not mech.two_phase and belief_rewards is not None:
         raise ValueError(f"{mech.value} settlement does not take belief_rewards")
     rewards = belief_rewards or {}
-    total_for = dual.market_for.raised
-    total_against = dual.market_against.raised
+    total_for, total_against = dual.raised
     pool = total_for + total_against
     budget = config.bonus_budget
 
     contributed = {a.id: 0.0 for a in agents}
     refunded = dict(contributed)
-    for state in (dual.market_for, dual.market_against):
-        for rec in state.ledger:
-            if rec.agent_id not in contributed:
-                raise ValueError(f"ledger references unknown agent {rec.agent_id}")
-            contributed[rec.agent_id] += rec.amount
-            refunded[rec.agent_id] += returned(rec.market, verdict, rec.amount,
-                                               pool, budget, rec.securities)
+    for rec in dual.ledger:
+        if rec.agent_id not in contributed:
+            raise ValueError(f"ledger references unknown agent {rec.agent_id}")
+        contributed[rec.agent_id] += rec.amount
+        refunded[rec.agent_id] += returned(rec.market, verdict, rec.amount,
+                                           pool, budget, rec.securities)
     provisioned = verdict is Verdict.PROVISIONED
     payouts = {
         agent.id: Payout(

@@ -21,13 +21,14 @@ from operator import attrgetter, itemgetter
 
 from .equilibrium import EquilibriumReport
 from .mechanisms import DualMarketState
-from .model import AgentProfile, CampaignConfig, Outcome
+from .model import AgentProfile, CampaignConfig, Market, Outcome
 
 SETTLEMENT_COLUMNS = ["id", "side", "x", "securities", "refund",
                       "belief_reward", "realized_utility"]
 LEDGER_COLUMNS = ["tick", "agent", "market", "amount", "securities",
                   "Q_at_allocation"]
 MISREPORT_GAP_COLUMNS = ["epsilon", "securities", "truthful_minus_lying"]
+_AGAINST = Market.AGAINST
 
 
 def settlement_rows(agents: list[AgentProfile], outcome: Outcome,
@@ -69,8 +70,8 @@ def settlement_json(rows: list[tuple]) -> str:
 
 
 def ledger_csv(dual: DualMarketState) -> str:
-    records = dual.market_for.ledger + dual.market_against.ledger
-    records.sort(key=lambda r: (r.tick, r.agent_id))
+    """The ledger by (tick, agent id), an agent's provision record first."""
+    records = sorted(dual.ledger, key=lambda r: (r.tick, r.agent_id, r.market is _AGAINST))
     return _csv_text(LEDGER_COLUMNS, "%r,%r,%s,%r,%r,%r\n", [
         (r.tick, r.agent_id, r.market.value, r.amount, r.securities, r.q_at_allocation)
         for r in records])

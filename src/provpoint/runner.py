@@ -78,12 +78,6 @@ def belief_reports(scenario: Scenario) -> list[BeliefReport]:
     return scenario.explicit_reports
 
 
-def actions_from_profile(profile: EquilibriumProfile) -> list[Action]:
-    """The profile's nonzero plays in the engine's (tick, agent id) order."""
-    return sorted((a for a in profile.entries.values() if a.amount > 0.0),
-                  key=lambda a: (a.tick, a.agent_id))
-
-
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
                  epsilon: float | None = None,
                  fmt: str = "csv") -> RunResult:
@@ -120,7 +114,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     if profile is None or profile.feasible:
         actions = (sorted(scenario.explicit_actions, key=lambda a: (a.tick, a.agent_id))
                    if scenario.explicit_actions is not None
-                   else actions_from_profile(profile))
+                   else profile.plays())
         verdict, dual = run_campaign(config, actions)
         paid = None if ledger is None else bbr_rewards(
             ledger, winning_side_for(verdict), config.belief_budget)  # type: ignore[arg-type]
@@ -137,7 +131,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         # conditions evaluated above
         certify = certify_spe if config.mechanism.sequential else certify_ne
         result.certification = certify(config, scenario.agents, profile, epsilon,
-                                       result.conditions)
+                                       result.conditions, book=dual)
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -176,10 +170,11 @@ def _settlement_metadata(scenario: Scenario, dual, beliefs: list[BeliefReport]
     sides: dict[int, str] = {}
     securities: dict[int, float] = {}
     contributed: dict[int, Market] = {}
-    for state in (dual.market_for, dual.market_against):
-        for rec in state.ledger:
-            contributed.setdefault(rec.agent_id, rec.market)
-            securities[rec.agent_id] = securities.get(rec.agent_id, 0.0) + rec.securities
+    for rec in dual.ledger:
+        # an agent with a record in each market is on the for side
+        if contributed.setdefault(rec.agent_id, rec.market) is not rec.market:
+            contributed[rec.agent_id] = Market.FOR
+        securities[rec.agent_id] = securities.get(rec.agent_id, 0.0) + rec.securities
     report_sides: dict[int, BeliefSide] = {rep.agent_id: rep.side for rep in beliefs}
     for agent in scenario.agents:
         if config.mechanism.two_phase:

@@ -80,10 +80,9 @@ def test_criterion_1_pprn_nash():
              for i, e in profile.entries.items() if e.amount > 0],
             key=lambda a: (a.tick, a.agent_id)))
         assert verdict in (Verdict.PROVISIONED, Verdict.REJECTED)
-        winner = (dual.market_for if verdict is Verdict.PROVISIONED
-                  else dual.market_against)
+        winner = dual.raised[verdict is Verdict.REJECTED]
         target = winning_target(config, verdict)
-        assert abs(winner.raised - target) <= 1e-9 * target
+        assert abs(winner - target) <= 1e-9 * target
     assert time.monotonic() - started < 10.0
 
 
@@ -113,7 +112,7 @@ def test_criterion_2_ppsn_spe():
              for i, e in profile.entries.items() if e.amount > 0],
             key=lambda a: (a.tick, a.agent_id)))
         allocated = {r.agent_id: r.securities
-                     for r in dual.market_for.ledger + dual.market_against.ledger}
+                     for r in dual.ledger}
         epsilon = scale * 1e-6
         for agent in agents:
             entry = profile.entries[agent.id]
@@ -297,9 +296,7 @@ def test_criterion_6_monotonicity_properties():
     actions = [Action(i, 1.0, Market.FOR if i % 2 == 0 else Market.AGAINST, i)
                for i in range(10)]
     _, dual = run_campaign(config, actions)
-    records = sorted(dual.market_for.ledger + dual.market_against.ledger,
-                     key=lambda r: r.tick)
-    refunds = [r.securities - r.amount for r in records]
+    refunds = [r.securities - r.amount for r in dual.ledger]
     assert all(later <= earlier + 1e-12
                for earlier, later in zip(refunds, refunds[1:]))
     assert refunds[-1] < refunds[0]

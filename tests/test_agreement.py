@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from provpoint.beliefs import (
     BeliefReport,
@@ -15,6 +16,7 @@ from provpoint.beliefs import (
     winning_side_for,
 )
 from provpoint.equilibrium import (
+    EquilibriumProfile,
     _followers,
     _path,
     _slots,
@@ -30,12 +32,12 @@ from provpoint.mechanisms import (
     pps_utility,
     ppsn_utility,
     ppsx_utility,
+    new_states,
     run_campaign,
     settle,
 )
-from provpoint.model import Mechanism, Verdict
+from provpoint.model import Market, Mechanism, Verdict
 from provpoint.runner import (
-    actions_from_profile,
     belief_reports,
     profile_from_actions,
     run_scenario,
@@ -62,15 +64,15 @@ def test_profile_verdict_is_engine_verdict(mech):
     for scenario in generated(mech):
         profile = construct_profile(scenario.config, scenario.agents)
         assert profile.feasible
-        verdict, dual = run_campaign(scenario.config, actions_from_profile(profile))
+        verdict, dual = run_campaign(scenario.config, profile.plays())
         certify = certify_spe if mech.sequential else certify_ne
         report = certify(scenario.config, scenario.agents, profile)
         assert report.expected_verdict is verdict
         verdicts.add(verdict)
-        # the certifiers' one replay sees the books the engine priced at
-        order, found, final = _path(scenario.config, scenario.agents, profile)
-        records = {r.agent_id: r for r in
-                   dual.market_for.ledger + dual.market_against.ledger}
+        # the certifiers' path through the engine's book sees the books
+        # the engine priced at
+        order, found, final = _path(scenario.agents, profile, dual)
+        records = {r.agent_id: r for r in dual.ledger}
         for agent, raised in zip(order, found):
             entry = profile.entries[agent.id]
             if entry.amount == 0.0:
@@ -80,11 +82,61 @@ def test_profile_verdict_is_engine_verdict(mech):
                         == records[agent.id].q_at_allocation)
             else:  # the engine discards a play at a closed book
                 assert final.closed_at(*raised)
-        assert (final.market_for.raised, final.market_against.raised) == (
-            dual.market_for.raised, dual.market_against.raised)
     if mech.dual_market:
         # both sides win somewhere, so the tie order is exercised
         assert verdicts == {Verdict.PROVISIONED, Verdict.REJECTED}
+
+
+def replayed_path(config, agents, profile):
+    """The certifiers' former path, kept as the reference for ``_path``:
+    the profile's plays replayed once through a book of its own, as the
+    engine plays them; the play order, the money (FOR, AGAINST) each agent
+    of it found, and the book after the last play."""
+    order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
+    book = new_states(config)
+    found = []
+    for agent in order:
+        found.append(tuple(book.raised))
+        if not book.closed:
+            entry = profile.entries[agent.id]
+            book.play(entry.market, entry.amount)
+    return order, found, book
+
+
+SCENARIO_OF = {}  # (mechanism, n) -> a generated scenario
+
+# On PPR's generated target T = 12.85..., agent 0 pays x = 0.1 * T and
+# agent 1 closes the book, accepted at T - x; x + (T - x) is not T, so
+# agent 2 finds the target only by reading the book's own money.
+ROUNDED_FILL = [(0.1, 0, False), (0.95, 1, False), (0.5, 2, False)]
+
+
+# each play: the share of its market's target, the tick, and whether a
+# dual market's play goes to the rejection market
+@settings(deadline=None, max_examples=300)
+@given(mech=st.sampled_from(list(Mechanism)),
+       plays=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                                st.integers(0, 2), st.booleans()),
+                      min_size=3, max_size=8))
+@example(mech=Mechanism.PPR, plays=ROUNDED_FILL)
+def test_path_reads_the_replay_off_the_engines_book(mech, plays):
+    key = (mech, len(plays))
+    if key not in SCENARIO_OF:
+        SCENARIO_OF[key] = generate_scenario(ScenarioTemplate(mech, len(plays)), seed=1)
+    config, agents = SCENARIO_OF[key].config, SCENARIO_OF[key].agents
+    entries = {}
+    for agent, (share, tick, against) in zip(agents, plays):
+        market = Market.AGAINST if against and mech.dual_market else Market.FOR
+        entries[agent.id] = Action(agent.id, share * config.target(market), market, tick)
+    profile = EquilibriumProfile(entries=entries)
+    order, found, book = _path(agents, profile, run_campaign(config, profile.plays())[1])
+    expected_order, expected_found, replayed = replayed_path(config, agents, profile)
+    assert order == expected_order
+    assert found == expected_found
+    assert book.raised == replayed.raised
+    if plays == ROUNDED_FILL and mech is Mechanism.PPR:
+        first, closing = book.ledger
+        assert first.amount + closing.amount != config.provision_point == found[2][0]
 
 
 def utility_at(scenario, agent, rec, verdict, dual, reward):
@@ -92,7 +144,7 @@ def utility_at(scenario, agent, rec, verdict, dual, reward):
     config = scenario.config
     mech = config.mechanism
     provisioned = verdict is Verdict.PROVISIONED
-    total_for, total_against = dual.market_for.raised, dual.market_against.raised
+    total_for, total_against = dual.raised
     if mech is Mechanism.PPR:
         return ppr_utility(agent, rec.amount, total_for, config.refund_budget,
                            provisioned)
@@ -119,7 +171,7 @@ def test_settlement_matches_utility(mech, share):
         config, agents = scenario.config, scenario.agents
         profile = construct_profile(config, agents)
         actions = [Action(a.agent_id, a.amount * share, a.market, a.tick)
-                   for a in actions_from_profile(profile)]
+                   for a in profile.plays()]
         verdict, dual = run_campaign(config, actions)
         rewards, conditional = None, {}
         if mech.two_phase:
@@ -128,9 +180,8 @@ def test_settlement_matches_utility(mech, share):
                                   config.belief_budget)
             conditional = conditional_rewards(ledger, config.belief_budget)
         outcome = settle(config, agents, verdict, dual, belief_rewards=rewards)
-        records = dual.market_for.ledger + dual.market_against.ledger
         for agent in agents:
-            mine = [r for r in records if r.agent_id == agent.id]
+            mine = [r for r in dual.ledger if r.agent_id == agent.id]
             if len(mine) != 1:
                 continue
             expected = utility_at(scenario, agent, mine[0], verdict, dual,
@@ -220,7 +271,7 @@ def priced_and_settled(mech):
     assert certification.expected_verdict is verdict
     config, agents, profile = scenario.config, scenario.agents, certification.profile
     assert profile.belief_rewards[0] > 0.0
-    path = _path(config, agents, profile)
+    path = _path(agents, profile, run_campaign(config, profile.plays())[1])
     slot = next(s for s in _slots(config, agents, profile, path,
                                   _followers(config, profile, path)) if s.agent.id == 0)
     branch = slot.own if verdict is Verdict.PROVISIONED else slot.expired

@@ -31,7 +31,6 @@ from provpoint.equilibrium import (
 from provpoint.mechanisms import (
     Action,
     DualMarketState,
-    MarketState,
     new_states,
     ppr_utility,
     pprn_utility,
@@ -40,6 +39,7 @@ from provpoint.mechanisms import (
     ppsn_utility,
     ppsx_utility,
     prefix_sums,
+    run_campaign,
 )
 from provpoint.model import (
     AgentProfile,
@@ -56,13 +56,17 @@ from provpoint.scenario import ScenarioTemplate, generate_scenario
 
 def _at(book: DualMarketState, raised_for: float, raised_against: float) -> DualMarketState:
     """A ledger-free book with ``book``'s markets holding the given money."""
-    return DualMarketState(MarketState(book.market_for.target, raised_for),
-                           MarketState(book.market_against.target, raised_against),
-                           book.cf, book.min_leg)
+    return DualMarketState(book.target, book.cf, book.min_leg, [raised_for, raised_against])
 
 
 def _copy(book: DualMarketState) -> DualMarketState:
-    return _at(book, book.market_for.raised, book.market_against.raised)
+    return _at(book, *book.raised)
+
+
+def _engine_path(config: CampaignConfig, agents: list[AgentProfile],
+                 profile: EquilibriumProfile):
+    """The certifiers' path through the engine's book of the profile's play."""
+    return equilibrium._path(agents, profile, run_campaign(config, profile.plays())[1])
 
 
 def _placed(config: CampaignConfig, slot: _Evaluator, **changes) -> _Evaluator:
@@ -689,7 +693,7 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
     config, agents = scenario.config, scenario.agents
     cf = config.cost_function
     profile = construct_profile(config, agents)
-    path = equilibrium._path(config, agents, profile)
+    path = _engine_path(config, agents, profile)
     slots = equilibrium._slots(config, agents, profile, path,
                                equilibrium._followers(config, profile, path))
     delayed = []  # (slot, the issuances of its delay waits)
@@ -761,7 +765,8 @@ def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Mark
                                        issued=book.price_issuance(rival),
                                        belief_reward=reward)
             book.play(rival, bound)
-    return book.market(rival).met
+    i = rival is Market.AGAINST
+    return book.raised[i] >= book.target[i]
 
 
 def _delay_deviations(slot: _Evaluator, eu, base: float, before: DualMarketState,
@@ -798,7 +803,7 @@ def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
     off it. Yields (agent, market, prescribed amount, rival viable, state,
     state after the prescribed play, follower plays); the kernel's rival
     answer is checked against ``_rival_fills`` on the way."""
-    path = equilibrium._path(config, agents, profile)
+    path = _engine_path(config, agents, profile)
     slots = equilibrium._slots(config, agents, profile, path,
                                equilibrium._followers(config, profile, path))
     order, found, final = path
@@ -880,7 +885,7 @@ SECURITIES = [Mechanism.PPS, Mechanism.PPSN, Mechanism.PPSX]
 
 
 def _legal(book: DualMarketState) -> bool:
-    return all(m.raised <= m.target for m in (book.market_for, book.market_against))
+    return all(raised <= target for raised, target in zip(book.raised, book.target))
 
 
 @settings(deadline=None, max_examples=40)
@@ -912,7 +917,7 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
 
     # walk from the state, over every arrival and over each market alone
     for only in (None, *mechanism.markets):
-        walked = [state.market_for.raised, state.market_against.raised]
+        walked = list(state.raised)
         paid, money, last = state.walk(walked, plays, first, only)
         reference = _copy(state)
         walked_arrivals = [f for f in arrivals[first:] if only in (None, f[1])]
@@ -927,17 +932,14 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
         if reference.closed:
             sums[walked_arrivals[len(paid) - 1][1] is Market.AGAINST] += paid[-1]
         assert money == tuple(sums)
-        assert tuple(walked) == (reference.market_for.raised,
-                                 reference.market_against.raised)
+        assert walked == reference.raised
         assert _legal(_at(state, *walked))
 
     # the mover plays its bound, then the followers theirs
     _, side, reward = arrivals[mover]
     bound = contribution_bound(config, arrivals[mover][0],
                                issued=state.price_issuance(side), belief_reward=reward)
-    accepted, totals, waits = state.follow(state.market_for.raised,
-                                           state.market_against.raised, side, bound,
-                                           plays, bought, first,
+    accepted, totals, waits = state.follow(*state.raised, side, bound, plays, bought, first,
                                            config.cost_function.issued_at(config.target(side)))
     after = _copy(state)
     assert accepted == after.play(side, bound)
@@ -993,7 +995,9 @@ def test_certifiers_build_no_contribution_record(monkeypatch):
         scenario = generate_scenario(
             ScenarioTemplate(mechanism=mechanism, agent_count=8), seed=1)
         config, agents = scenario.config, scenario.agents
-        cases.append((mechanism, config, agents, construct_profile(config, agents)))
+        profile = construct_profile(config, agents)
+        cases.append((mechanism, config, agents, profile,
+                      run_campaign(config, profile.plays())[1]))
     built = []
     post_init = ContributionRecord.__post_init__
     monkeypatch.setattr(ContributionRecord, "__post_init__",
@@ -1001,9 +1005,9 @@ def test_certifiers_build_no_contribution_record(monkeypatch):
     ContributionRecord(agent_id=0, amount=1.0, tick=0, market=Market.FOR)
     assert len(built) == 1  # the hook sees every record built
     built.clear()
-    for mechanism, config, agents, profile in cases:
+    for mechanism, config, agents, profile, book in cases:
         for certify in (certify_ne, certify_spe) if mechanism.sequential else (certify_ne,):
-            assert certify(config, agents, profile).certified
+            assert certify(config, agents, profile, book=book).certified
     assert built == []
 
 
@@ -1260,7 +1264,7 @@ def test_stationary_point_maximizes_the_mix(mechanism):
             ScenarioTemplate(mechanism=mechanism, agent_count=8), seed=seed)
         config, agents = scenario.config, scenario.agents
         profile = construct_profile(config, agents)
-        path = equilibrium._path(config, agents, profile)
+        path = _engine_path(config, agents, profile)
         slots = equilibrium._slots(config, agents, profile, path,
                                    equilibrium._followers(config, profile, path))
         for slot in slots + [_placed(config, slot, others_for=0.01 * slot.others_for,

@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from provpoint.beliefs import bbr_rewards, default_report, score_reports, winning_side_for
 from provpoint.costfn import EXP_LIMIT, CostFunction
 from provpoint.mechanisms import (
     Action,
     DualMarketState,
-    MarketState,
     new_states,
     ppr_utility,
     pprn_utility,
@@ -25,6 +25,7 @@ from provpoint.model import (
     Mechanism,
     Verdict,
 )
+from provpoint.scenario import ScenarioTemplate, generate_scenario
 
 
 def agent(theta, aid=0, **kw):
@@ -86,22 +87,21 @@ def test_pprn_utility_reported_against():
 
 def test_ppsn_allocate_first_contribution():
     _, dual = run_campaign(ppsn_book_config(), [Action(0, 1.0, Market.FOR, 0)])
-    rec = dual.market_for.ledger[0]
+    rec = dual.ledger[0]
     assert rec.securities == pytest.approx(math.log(2 * math.e - 1), rel=1e-12)
     assert rec.q_at_allocation == 0.0
-    assert dual.market_for.raised == 1.0
+    assert dual.raised[0] == 1.0
     # issuance is derived from money raised, and matches what was bought
-    assert dual.cf.issued_at(dual.market_for.raised) == pytest.approx(rec.securities,
-                                                                      rel=1e-12)
-    assert dual.cf.issued_at(dual.market_against.raised) == 0.0
+    assert dual.cf.issued_at(dual.raised[0]) == pytest.approx(rec.securities, rel=1e-12)
+    assert dual.cf.issued_at(dual.raised[1]) == 0.0
 
 
 def test_ppsn_allocate_zero_amount():
     _, dual = run_campaign(ppsn_book_config(), [Action(0, 0.0, Market.FOR, 0)])
-    rec = dual.market_for.ledger[0]
+    rec = dual.ledger[0]
     assert rec.securities == 0.0
-    assert dual.market_for.raised == 0.0
-    assert dual.cf.issued_at(dual.market_for.raised) == 0.0
+    assert dual.raised[0] == 0.0
+    assert dual.cf.issued_at(dual.raised[0]) == 0.0
 
 
 def test_ppsn_allocate_min_leg_coupling():
@@ -113,7 +113,7 @@ def test_ppsn_allocate_min_leg_coupling():
         Action(2, 4.0, Market.AGAINST, 2),
         Action(3, 1.0, Market.FOR, 3),
     ])
-    first, second, third = dual.market_for.ledger
+    first, second, third = [rec for rec in dual.ledger if rec.market is Market.FOR]
     assert second.q_at_allocation == 0.0
     assert second.securities == pytest.approx(first.securities, rel=1e-12)
     # once the against leg leads, the min leg is the 2.0 raised for
@@ -137,7 +137,7 @@ def test_play_truncates_overshoot_to_exact_fill():
     book = new_states(ppsn_book_config(h_for=1.0))
     assert book.play(Market.FOR, 0.3) == 0.3
     assert book.play(Market.FOR, 5.0) == pytest.approx(0.7)
-    assert book.market_for.raised == 1.0
+    assert book.raised[0] == 1.0
     assert book.verdict is Verdict.PROVISIONED
     with pytest.raises(ValueError, match="nonnegative"):
         new_states(ppsn_book_config()).play(Market.FOR, -1.0)
@@ -194,10 +194,8 @@ def _walk_play_by_play(cf: CostFunction, min_leg: bool, targets: list[float],
     price_issuance, then play, one arrival at a time; return the pricing
     branches the payments took ("closed", "large", "low")."""
     b = cf.liquidity
-    book = DualMarketState(MarketState(targets[0], raised[0]),
-                           MarketState(targets[1], raised[1]), cf, min_leg)
-    reference = DualMarketState(MarketState(targets[0], raised[0]),
-                                MarketState(targets[1], raised[1]), cf, min_leg)
+    book = DualMarketState(tuple(targets), cf, min_leg, list(raised))
+    reference = DualMarketState(tuple(targets), cf, min_leg, list(raised))
     expected, branches = [], set()
     for market, q in plays[first:]:
         if only is not None and market is not only:
@@ -214,9 +212,9 @@ def _walk_play_by_play(cf: CostFunction, min_leg: bool, targets: list[float],
     assert len(paid) == len(expected)
     for k, (got, want) in enumerate(zip(paid, expected)):
         assert got == want, (k, got, want)
-    assert tuple(walked) == (reference.market_for.raised, reference.market_against.raised)
+    assert walked == reference.raised
     # the book lends its targets and pricing and keeps its own money
-    assert [book.market_for.raised, book.market_against.raised] == raised
+    assert book.raised == raised
     return branches
 
 
@@ -261,14 +259,14 @@ def test_engine_truncates_crossing_contribution():
         Action(1, 7.0, Market.FOR, 2),
     ])
     assert verdict is Verdict.PROVISIONED
-    assert dual.market_for.raised == 10.0
-    assert dual.market_for.ledger[1].amount == 4.0
+    assert dual.raised[0] == 10.0
+    assert dual.ledger[1].amount == 4.0
 
 
 def test_engine_expires_without_contributions():
     verdict, dual = run_campaign(ppr_config(), [])
     assert verdict is Verdict.EXPIRED
-    assert dual.market_for.raised == 0.0
+    assert dual.raised[0] == 0.0
 
 
 def test_engine_race_rejection_first():
@@ -280,10 +278,9 @@ def test_engine_race_rejection_first():
         Action(2, 3.0, Market.FOR, 3),
     ])
     assert verdict is Verdict.REJECTED
-    assert dual.market_for.raised == 9.0
-    assert dual.market_against.raised == 5.0
+    assert dual.raised == [9.0, 5.0]
     # the action after the halt was discarded
-    assert len(dual.market_for.ledger) == 1
+    assert [rec.agent_id for rec in dual.ledger] == [0, 1]
 
 
 def test_engine_rejects_unsorted_actions():
@@ -310,7 +307,7 @@ def test_engine_tie_break_by_agent_id():
         Action(1, 5.0, Market.FOR, 2),
     ])
     assert verdict is Verdict.PROVISIONED
-    assert [rec.agent_id for rec in dual.market_for.ledger] == [0]
+    assert [rec.agent_id for rec in dual.ledger] == [0]
 
 
 def test_engine_replay_determinism():
@@ -320,10 +317,7 @@ def test_engine_replay_determinism():
     first = run_campaign(config, actions)
     second = run_campaign(config, actions)
     assert first[0] is second[0]
-    for market in (Market.FOR, Market.AGAINST):
-        lhs = first[1].market(market).ledger
-        rhs = second[1].market(market).ledger
-        assert lhs == rhs
+    assert first[1].ledger == second[1].ledger
 
 
 def test_pps_refund_decreases_over_time():
@@ -339,8 +333,7 @@ def test_pps_refund_decreases_over_time():
         Action(2, 1.0, Market.FOR, 3),
         Action(3, 1.0, Market.FOR, 4),
     ])
-    recs = sorted(dual.market_for.ledger + dual.market_against.ledger,
-                  key=lambda r: r.tick)
+    recs = dual.ledger
     refunds = [r.securities - r.amount for r in recs]
     assert all(b <= a + 1e-12 for a, b in zip(refunds, refunds[1:]))
     assert refunds[2] < refunds[0]  # min leg advanced after tick 2
@@ -427,3 +420,48 @@ def test_settle_two_phase_requires_rewards():
     with pytest.raises(ValueError, match="belief_rewards"):
         settle(ppr_config(), [agent(1.0, 0)], verdict2, dual2,
                belief_rewards={0: 1.0})
+
+
+SCENARIO_OF = {}  # (mechanism, n) -> a generated scenario
+
+
+# each action: its agent (modulo n), the share of its market's target, whether
+# a dual market's play goes to the rejection market, and its tick
+@settings(deadline=None, max_examples=300)
+@given(mech=st.sampled_from(list(Mechanism)), n=st.integers(3, 8),
+       actions=st.lists(st.tuples(st.integers(0, 7),
+                                  st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                                  st.booleans(), st.integers(0, 3)), max_size=12))
+def test_engine_invariants(mech, n, actions):
+    # on any action list in (tick, agent id) order: no market ever holds
+    # more than its target, a filled market holds exactly its target, the
+    # ledger keeps that order, and settlement pays no more than the bonus
+    # and belief budgets
+    if (mech, n) not in SCENARIO_OF:
+        SCENARIO_OF[mech, n] = generate_scenario(ScenarioTemplate(mech, n), seed=1)
+    config, agents = SCENARIO_OF[mech, n].config, SCENARIO_OF[mech, n].agents
+    plays = []
+    for aid, share, against, tick in actions:
+        market = Market.AGAINST if against and mech.dual_market else Market.FOR
+        plays.append(Action(aid % n, share * config.target(market), market, tick))
+    plays.sort(key=lambda a: (a.tick, a.agent_id))
+    for k in range(len(plays)):
+        _, book = run_campaign(config, plays[:k])
+        assert all(raised <= target for raised, target in zip(book.raised, book.target))
+    verdict, dual = run_campaign(config, plays)
+    filled = [raised == target for raised, target in zip(dual.raised, dual.target)]
+    assert filled == [verdict is Verdict.PROVISIONED, verdict is Verdict.REJECTED]
+    keys = [(rec.tick, rec.agent_id) for rec in dual.ledger]
+    assert keys == sorted(keys)
+    rewards = None
+    if mech.two_phase:
+        rewards = bbr_rewards(score_reports([default_report(a) for a in agents]),
+                              winning_side_for(verdict), config.belief_budget)
+        assert sum(rewards.values()) <= config.belief_budget * (1 + 1e-12)
+    outcome = settle(config, agents, verdict, dual, belief_rewards=rewards)
+    budget = config.bonus_budget
+    if budget is not None:
+        winner = {Verdict.PROVISIONED: Market.FOR, Verdict.REJECTED: Market.AGAINST}.get(verdict)
+        stakes = sum(rec.amount for rec in dual.ledger if rec.market is not winner)
+        bonus = sum(p.refund for p in outcome.payouts.values()) - stakes
+        assert bonus <= budget + 1e-12 * (budget + stakes)

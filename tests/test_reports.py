@@ -18,7 +18,7 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 from provpoint import reports
-from provpoint.mechanisms import Action, DualMarketState, MarketState, run_campaign
+from provpoint.mechanisms import Action, DualMarketState, run_campaign
 from provpoint.model import (
     BeliefSide,
     CampaignConfig,
@@ -92,10 +92,11 @@ records = st.builds(ContributionRecord, agent_id=ids, amount=unsigned,
 @example([ContributionRecord(1, math.inf, 2, Market.AGAINST, math.nan, -math.inf),
           ContributionRecord(0, 5e-324, 2, Market.FOR, -0.0, 1e308)])
 def test_ledger_csv_matches_dictwriter(ledger):
-    dual = DualMarketState(MarketState(1.0), MarketState(1.0))
-    for record in ledger:
-        dual.market(record.market).ledger.append(record)
-    ordered = sorted(dual.market_for.ledger + dual.market_against.ledger,
+    dual = DualMarketState((1.0, 1.0), ledger=ledger)
+    # the reference: the provision records, then the rejection records,
+    # sorted stably by (tick, agent id)
+    ordered = sorted([r for r in ledger if r.market is Market.FOR]
+                     + [r for r in ledger if r.market is Market.AGAINST],
                      key=lambda r: (r.tick, r.agent_id))
     rows = [(r.tick, r.agent_id, r.market.value, r.amount, r.securities,
              r.q_at_allocation) for r in ordered]

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from provpoint import runner
 from provpoint.equilibrium import certify_ne, certify_spe
-from provpoint.mechanisms import Action
+from provpoint.mechanisms import Action, DualMarketState
 from provpoint.model import Market, Mechanism, Verdict
 from provpoint.runner import profile_from_actions, run_scenario
 from provpoint.scenario import (
@@ -164,3 +165,29 @@ def test_summary_labels_each_certification_by_its_certifier(tmp_path):
     written = json.loads((tmp_path / "certification.json").read_text())
     assert written == result.certification.to_dict()
     assert written["kind"] == "subgame-perfect"
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_a_certified_run_replays_once(mechanism, monkeypatch):
+    # the certifier reads the book the engine settled: every play of a
+    # certified run is one of the engine's
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=8), seed=3)
+    assert scenario.analysis.certify
+    plays, books = [], []
+    play, run_campaign = DualMarketState.play, runner.run_campaign
+
+    def counting(book, *args):
+        plays.append(args)
+        return play(book, *args)
+
+    def campaign(*args):
+        verdict, book = run_campaign(*args)
+        books.append(book)
+        return verdict, book
+
+    monkeypatch.setattr(DualMarketState, "play", counting)
+    monkeypatch.setattr(runner, "run_campaign", campaign)
+    result = run_scenario(scenario)
+    assert result.certification is not None
+    assert len(books) == 1
+    assert len(plays) == len(books[0].ledger) > 0
