@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import AgentProfile, BeliefSide, Verdict
+from .model import AgentProfile, BeliefSide, Verdict, plain_sum
+
+
+# by information report; bound once, as an enum member lookup costs a few
+# hundred ns on Python 3.11 and settlement and every split read each side
+_SIDES = (BeliefSide.PROVISION_LIKELY, BeliefSide.REJECTION_LIKELY)
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,7 @@ class BeliefReport:
     @property
     def side(self) -> BeliefSide:
         """Side membership as the mechanism learns it, from the report alone."""
-        return (BeliefSide.PROVISION_LIKELY if self.information == 0
-                else BeliefSide.REJECTION_LIKELY)
+        return _SIDES[self.information]
 
 
 @dataclass
@@ -116,7 +120,7 @@ def _split(ledger: BeliefLedger, side: BeliefSide,
            budget: float) -> tuple[dict[int, float], float]:
     """One side's budget split and the weight total it was split by."""
     members = [r.agent_id for r in ledger.reports if r.side is side]
-    total = sum(ledger.weights[a] for a in members)
+    total = plain_sum(ledger.weights[a] for a in members)
     if total <= 0.0:
         return {a: budget / len(members) for a in members}, total
     return {a: ledger.weights[a] / total * budget for a in members}, total

@@ -95,6 +95,7 @@ from .model import (
     Verdict,
     aggregate_valuations,
     own_market,
+    plain_sum,
 )
 
 MET_REL_TOL = 1e-9  # a total short of its target by this share of it is met
@@ -371,12 +372,11 @@ class EquilibriumProfile:
         return self.reason is None
 
     def total(self, market: Market) -> float:
-        return sum(e.amount for e in self.entries.values() if e.market is market)
+        return plain_sum(e.amount for e in self.entries.values() if e.market is market)
 
     def plays(self) -> list[Action]:
-        """The nonzero plays in the engine's (tick, agent id) order."""
-        return sorted((a for a in self.entries.values() if a.amount > 0.0),
-                      key=lambda a: (a.tick, a.agent_id))
+        """The nonzero plays; ``run_campaign`` puts them in play order."""
+        return [a for a in self.entries.values() if a.amount > 0.0]
 
 
 def _fill_side(agents: list[AgentProfile], bounds: dict[int, float], target: float,
@@ -387,14 +387,14 @@ def _fill_side(agents: list[AgentProfile], bounds: dict[int, float], target: flo
     staying strictly interior, for the strict-inequality mechanisms). The
     last agent in id order absorbs the float residue so the sum is exact.
     """
-    total = sum(bounds[a.id] for a in agents)
+    total = plain_sum(bounds[a.id] for a in agents)
     limit = total * (1.0 - STRICT_MARGIN) if strict else total
     if limit < target:
         return None
     scale = target / total
     amounts = {a.id: scale * bounds[a.id] for a in agents}
     ordered = sorted(a.id for a in agents)
-    residue = target - sum(amounts[i] for i in ordered[:-1])
+    residue = target - plain_sum(amounts[i] for i in ordered[:-1])
     # the residue can dip a few ulps negative when the partial sums overshoot
     amounts[ordered[-1]] = max(0.0, residue)
     return amounts
@@ -436,7 +436,7 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
                               for m, fill in fills.items())
             profile.reason = (
                 f"bounds cannot fill both targets: {sides}" if mech.dual_market
-                else f"bounds sum to {sum(bounds.values()):.6g}, below the "
+                else f"bounds sum to {plain_sum(bounds.values()):.6g}, below the "
                      f"provision point {config.provision_point:.6g}")
             return profile
         for market, fill in fills.items():
@@ -479,6 +479,7 @@ def _plays(config: CampaignConfig,
 
 
 _Path = tuple[list[AgentProfile], list[tuple[float, float]], DualMarketState]
+_NOT_IN_BOOK = "agent {}: the book does not hold the profile's play"
 _Followers = tuple[list[tuple[Market, float]], dict[Market, list[float]]]
 
 
@@ -491,19 +492,30 @@ def _path(agents: list[AgentProfile], profile: EquilibriumProfile,
     one sets it to the book's, because a fill assigns the target; a zero
     play or a play after the close moves nothing. The book an agent found
     is read off ``book`` at the money it found (``closed_at``,
-    ``priced_at``), so no book is built per agent."""
+    ``priced_at``), so no book is built per agent. Raises ValueError naming
+    the agent unless each nonzero play made while the book is open has its
+    record, on its market and of its amount (the closing record may be
+    smaller), and no record is left unread."""
     order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
-    ledger = book.ledger
+    ledger, closed = book.ledger, book.closed
     k, money, found = 0, [0.0, 0.0], []
     for agent in order:
         found.append((money[0], money[1]))
+        entry = profile.entries[agent.id]
         if k < len(ledger) and ledger[k].agent_id == agent.id:
             record = ledger[k]
+            if record.market is not entry.market or not (record.amount == entry.amount or (
+                    closed and k == len(ledger) - 1 and record.amount < entry.amount)):
+                raise ValueError(_NOT_IN_BOOK.format(agent.id))
             k += 1
             if k == len(ledger):
                 money = book.raised
             else:
                 money[record.market is not _FOR] += record.amount
+        elif entry.amount > 0.0 and (k < len(ledger) or not closed):
+            raise ValueError(_NOT_IN_BOOK.format(agent.id))
+    if k < len(ledger):
+        raise ValueError(_NOT_IN_BOOK.format(ledger[k].agent_id))
     return order, found, book
 
 

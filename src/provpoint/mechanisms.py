@@ -6,21 +6,21 @@ is two targets, two raised totals and one ledger in play order.
 ``DualMarketState.play`` is the one function that advances a book (a play
 of at least the remaining amount fills the market exactly, and a filled
 market closes the book), and securities issuance is derived from the
-raised total by ``CostFunction.issued_at``. The engine replays a
-time-ordered action list through it, records each accepted contribution in
-the ledger, discards everything after the first fill, and hands the frozen
-book to ``settle``, the report writers and the certifiers; nothing replays
-it a second time. The securities family's prescribed followers each
-buy their security quantity at the current price: ``DualMarketState.walk``
-plays them one by one, under ``play``'s truncation rule, and sums their
-money per market in the same pass. ``DualMarketState.follow`` answers
-where markets holding given money go after one play and such followers,
-from prefix sums on a single market (against the target's issuance, which
-the caller prices once) and by one ``walk`` under min-leg pricing, as the
-followers' money and two ``Waits`` issuances. Both take the money as plain
-floats (``closed_at`` and ``priced_at`` read a state the same way), and the
-book lends only its targets and pricing, so a state off the ledger is two
-numbers.
+raised total by ``CostFunction.issued_at``. The engine sorts an action
+list into play order, (tick, agent id), replays it through ``play``,
+records each accepted contribution in the ledger, discards everything
+after the first fill, and hands the frozen book to ``settle``, the report
+writers and the certifiers; nothing replays or re-sorts it. The securities
+family's prescribed followers each buy their security quantity at the
+current price: ``DualMarketState.walk`` plays them one by one, under
+``play``'s truncation rule, and sums their money per market in the same
+pass. ``DualMarketState.follow`` answers where markets holding given money
+go after one play and such followers, from prefix sums on a single market
+(against the target's issuance, which the caller prices once) and by one
+``walk`` under min-leg pricing, as the followers' money and two ``Waits``
+issuances. Both take the money as plain floats (``closed_at`` and
+``priced_at`` read a state the same way), and the book lends only its
+targets and pricing, so a state off the ledger is two numbers.
 
 Payoffs follow one rule for all six mechanisms, and the payoff rule section
 below holds all of it: ``returned`` and one ``*_utility`` row per mechanism,
@@ -28,7 +28,7 @@ each row one expression. An agent receives its valuation exactly when the
 project is provisioned, pays its contribution, gets money back
 (``returned``) unless its own market won, and in PPRx and PPSx collects its
 belief reward on the branch its reported side wins. ``settle`` pays each
-ledger record what ``returned`` says.
+ledger record what ``returned`` says and writes each agent's settlement row.
 
 Verdict conventions:
   * a FOR-market fill provisions the project, an AGAINST-market fill rejects
@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from math import expm1, log1p
 
+from .beliefs import BeliefLedger
 from .costfn import EXP_LIMIT, CostFunction
 from .model import (
     AgentProfile,
@@ -57,6 +58,7 @@ from .model import (
     Outcome,
     Payout,
     Verdict,
+    derive_preference,
 )
 
 
@@ -399,19 +401,16 @@ def run_campaign(config: CampaignConfig,
                  actions: list[Action]) -> tuple[Verdict, DualMarketState]:
     """Replay actions in time order and race the markets to their targets.
 
-    Requires the list pre-sorted by (tick, agent id); simultaneous actions
-    resolve in agent-id order so replays are deterministic. Processing stops
-    the moment a target is reached: the crossing contribution is truncated so
-    the winning total equals its target exactly and all later actions are
-    discarded. Each accepted contribution is recorded with the allocation it
-    bought at the issuance before it.
+    Sorts the list stably by (tick, agent id), the play order: simultaneous
+    actions resolve in agent-id order, one agent's in list order. Processing
+    stops the moment a target is reached: the crossing contribution is
+    truncated so the winning total equals its target exactly and all later
+    actions are discarded. Each accepted contribution is recorded with the
+    allocation it bought at the issuance before it.
     """
     mech = config.mechanism
-    keys = [(a.tick, a.agent_id) for a in actions]
-    if keys != sorted(keys):
-        raise ValueError("actions must be sorted by (tick, agent id)")
     dual = new_states(config)
-    for action in actions:
+    for action in sorted(actions, key=lambda a: (a.tick, a.agent_id)):
         if action.amount < 0:
             raise ValueError(f"agent {action.agent_id}: negative contribution")
         if action.tick > config.deadline_contribution:
@@ -440,21 +439,23 @@ def run_campaign(config: CampaignConfig,
 
 
 def settle(config: CampaignConfig, agents: list[AgentProfile], verdict: Verdict,
-           dual: DualMarketState,
-           belief_rewards: dict[int, float] | None = None) -> Outcome:
-    """Apply the payoff rule to the frozen ledger.
+           dual: DualMarketState, belief_rewards: dict[int, float] | None = None,
+           beliefs: BeliefLedger | None = None) -> Outcome:
+    """Apply the payoff rule to the frozen ledger, in one pass over it.
 
     Every agent collects its valuation exactly when the project is
     provisioned, including free riders without a ledger entry; each record
-    pays back what ``returned`` says. Two-phase mechanisms must supply the
-    belief-phase rewards of the winning side; single-phase mechanisms must
-    not.
+    pays back what ``returned`` says and adds its securities. An agent's
+    side is the side it reported in PPRx and PPSx (its belief side without
+    a report), the market it paid into in PPRN and PPSN (``for`` if both,
+    its preferred market if neither), and ``for`` in PPR and PPS. Two-phase
+    mechanisms supply the winning side's belief rewards and the scored
+    ``beliefs`` holding the reports; others supply neither.
     """
     mech = config.mechanism
-    if mech.two_phase and belief_rewards is None:
-        raise ValueError(f"{mech.value} settlement requires belief_rewards")
-    if not mech.two_phase and belief_rewards is not None:
-        raise ValueError(f"{mech.value} settlement does not take belief_rewards")
+    if (belief_rewards is not None, beliefs is not None) != (mech.two_phase,) * 2:
+        raise ValueError(f"{mech.value} settlement takes belief_rewards and beliefs "
+                         + ("both" if mech.two_phase else "neither"))
     rewards = belief_rewards or {}
     total_for, total_against = dual.raised
     pool = total_for + total_against
@@ -462,21 +463,29 @@ def settle(config: CampaignConfig, agents: list[AgentProfile], verdict: Verdict,
 
     contributed = {a.id: 0.0 for a in agents}
     refunded = dict(contributed)
+    securities = dict(contributed)
+    paid_into: dict[int, Market] = {}
     for rec in dual.ledger:
         if rec.agent_id not in contributed:
             raise ValueError(f"ledger references unknown agent {rec.agent_id}")
         contributed[rec.agent_id] += rec.amount
         refunded[rec.agent_id] += returned(rec.market, verdict, rec.amount,
                                            pool, budget, rec.securities)
+        securities[rec.agent_id] += rec.securities
+        if paid_into.setdefault(rec.agent_id, rec.market) is not rec.market:
+            paid_into[rec.agent_id] = _FOR
+    if mech.two_phase:
+        reported = {r.agent_id: r.side for r in beliefs.reports}  # type: ignore[union-attr]
+        sides = {a.id: reported.get(a.id, a.belief_side) for a in agents}
+    elif mech.dual_market:
+        sides = {a.id: derive_preference(a) for a in agents} | paid_into
+    else:
+        sides = dict.fromkeys(contributed, _FOR)
     provisioned = verdict is Verdict.PROVISIONED
-    payouts = {
-        agent.id: Payout(
-            valuation_term=agent.valuation if provisioned else 0.0,
-            contribution=contributed[agent.id],
-            refund=refunded[agent.id],
-            belief_reward=rewards.get(agent.id, 0.0),
-        )
-        for agent in agents
-    }
+    # positional: a keyword call costs a third more per agent
+    payouts = {agent.id: Payout(agent.valuation if provisioned else 0.0, contributed[agent.id],
+                                refunded[agent.id], rewards.get(agent.id, 0.0),
+                                securities[agent.id], sides[agent.id])
+               for agent in agents}
     return Outcome(verdict=verdict, total_for=total_for,
                    total_against=total_against, payouts=payouts)

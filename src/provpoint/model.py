@@ -7,6 +7,7 @@ Belief-phase ticks and contribution-phase ticks live on separate clocks.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -116,6 +117,14 @@ def derive_preference(agent: AgentProfile) -> Market:
     return Market.FOR if agent.valuation >= 0 else Market.AGAINST
 
 
+def plain_sum(values: Iterable[float]) -> float:
+    """``sum`` as before Python 3.12 compensated float rounding in it."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def aggregate_valuations(agents: list[AgentProfile]) -> tuple[float, float, float]:
     """Return (net, total_for, total_against) aggregate valuations.
 
@@ -123,8 +132,8 @@ def aggregate_valuations(agents: list[AgentProfile]) -> tuple[float, float, floa
     ``total_against`` sums the magnitudes for agents preferring rejection,
     and ``net = total_for - total_against``.
     """
-    total_for = sum(a.valuation for a in agents if a.valuation >= 0)
-    total_against = sum(-a.valuation for a in agents if a.valuation < 0)
+    total_for = plain_sum(a.valuation for a in agents if a.valuation >= 0)
+    total_against = plain_sum(-a.valuation for a in agents if a.valuation < 0)
     return total_for - total_against, total_for, total_against
 
 
@@ -265,17 +274,19 @@ class ContributionRecord:
 
 @dataclass(frozen=True)
 class Payout:
-    """Realized utility components for one agent.
+    """One agent's settlement row, as ``settle`` decides it.
 
     ``refund`` is everything returned to the agent at settlement (returned
     contribution plus bonus for the refund-bonus family, security value for
-    the securities family). ``realized`` nets the components.
+    the securities family). ``realized`` nets the utility components.
     """
 
     valuation_term: float = 0.0
     contribution: float = 0.0
     refund: float = 0.0
     belief_reward: float = 0.0
+    securities: float = 0.0
+    side: Market | BeliefSide = Market.FOR
 
     @property
     def realized(self) -> float:

@@ -31,16 +31,13 @@ MISREPORT_GAP_COLUMNS = ["epsilon", "securities", "truthful_minus_lying"]
 _AGAINST = Market.AGAINST
 
 
-def settlement_rows(agents: list[AgentProfile], outcome: Outcome,
-                    sides: dict[int, str],
-                    securities: dict[int, float]) -> list[tuple]:
-    """One tuple per agent, by id, in ``SETTLEMENT_COLUMNS`` order."""
+def settlement_rows(agents: list[AgentProfile], outcome: Outcome) -> list[tuple]:
+    """Each agent's payout as one tuple, by id, in ``SETTLEMENT_COLUMNS`` order."""
     rows = []
     for agent in sorted(agents, key=attrgetter("id")):
         payout = outcome.payouts[agent.id]
-        rows.append((agent.id, sides[agent.id], payout.contribution,
-                     securities.get(agent.id, 0.0), payout.refund,
-                     payout.belief_reward, payout.realized))
+        rows.append((agent.id, payout.side.value, payout.contribution, payout.securities,
+                     payout.refund, payout.belief_reward, payout.realized))
     return rows
 
 

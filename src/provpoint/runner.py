@@ -26,13 +26,7 @@ from .equilibrium import (
     certify_spe,
 )
 from .mechanisms import Action, run_campaign, settle
-from .model import (
-    BeliefSide,
-    Market,
-    Outcome,
-    derive_preference,
-    own_market,
-)
+from .model import Outcome, own_market
 from .scenario import Scenario, ScenarioError
 
 
@@ -56,15 +50,14 @@ def profile_from_actions(scenario: Scenario,
     """
     config = scenario.config
     actions = scenario.explicit_actions or []
-    seen: set[int] = set()
+    by_agent: dict[int, Action] = {}
     for i, action in enumerate(actions):
-        if action.agent_id in seen:
+        if action.agent_id in by_agent:
             raise ScenarioError(
                 f"scenario.explicit_actions[{i}].agent_id: certification of "
                 "explicit plays requires at most one action per agent; agent "
                 f"{action.agent_id} has several")
-        seen.add(action.agent_id)
-    by_agent = {a.agent_id: a for a in actions}
+        by_agent[action.agent_id] = action
     return EquilibriumProfile(belief_rewards=dict(belief_rewards), entries={
         agent.id: by_agent.get(agent.id) or Action(
             agent.id, 0.0, own_market(config, agent), config.deadline_contribution)
@@ -94,14 +87,12 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     result = RunResult(conditions=check_conditions(config, scenario.agents))
 
     profile: EquilibriumProfile | None = None
-    # the reports are scored once: the profile prices the reward each
-    # reporter would collect, and settlement pays the winning side's
+    # the reports are scored once: the profile prices each reporter's
+    # reward, and settlement pays the winning side's and reads every side
     ledger = None
-    beliefs: list[BeliefReport] = []
     rewards: dict[int, float] = {}
     if config.mechanism.two_phase:
-        beliefs = belief_reports(scenario)
-        ledger = score_reports(beliefs)
+        ledger = score_reports(belief_reports(scenario))
         rewards = conditional_rewards(ledger, config.belief_budget)  # type: ignore[arg-type]
     if scenario.explicit_actions is None:
         profile = construct_profile(config, scenario.agents, rewards)
@@ -112,8 +103,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
 
     dual = None
     if profile is None or profile.feasible:
-        actions = (sorted(scenario.explicit_actions, key=lambda a: (a.tick, a.agent_id))
-                   if scenario.explicit_actions is not None
+        actions = (scenario.explicit_actions if scenario.explicit_actions is not None
                    else profile.plays())
         verdict, dual = run_campaign(config, actions)
         paid = None if ledger is None else bbr_rewards(
@@ -124,7 +114,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
             result.notes.append("belief budget split equally: the winning side's "
                                 "report weights sum to zero")
         result.outcome = settle(config, scenario.agents, verdict, dual,
-                                belief_rewards=paid)
+                                belief_rewards=paid, beliefs=ledger)
 
     if profile is not None and flags.certify:
         # the mechanism's own equilibrium notion; the report carries the
@@ -137,9 +127,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if result.outcome is not None and dual is not None:
-            sides, securities = _settlement_metadata(scenario, dual, beliefs)
-            rows = reports.settlement_rows(scenario.agents, result.outcome,
-                                           sides, securities)
+            rows = reports.settlement_rows(scenario.agents, result.outcome)
             if fmt == "json":
                 path = out / "settlement.json"
                 path.write_text(reports.settlement_json(rows))
@@ -160,29 +148,3 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
             result.certification, result.notes))
         result.files.append(path)
     return result
-
-
-def _settlement_metadata(scenario: Scenario, dual, beliefs: list[BeliefReport]
-                         ) -> tuple[dict[int, str], dict[int, float]]:
-    """Resolve the settlement 'side' column and per-agent security totals;
-    a two-phase mechanism's side is the agent's report among ``beliefs``."""
-    config = scenario.config
-    sides: dict[int, str] = {}
-    securities: dict[int, float] = {}
-    contributed: dict[int, Market] = {}
-    for rec in dual.ledger:
-        # an agent with a record in each market is on the for side
-        if contributed.setdefault(rec.agent_id, rec.market) is not rec.market:
-            contributed[rec.agent_id] = Market.FOR
-        securities[rec.agent_id] = securities.get(rec.agent_id, 0.0) + rec.securities
-    report_sides: dict[int, BeliefSide] = {rep.agent_id: rep.side for rep in beliefs}
-    for agent in scenario.agents:
-        if config.mechanism.two_phase:
-            side = report_sides.get(agent.id, agent.belief_side)
-            sides[agent.id] = side.value
-        elif config.mechanism.dual_market:
-            market = contributed.get(agent.id, derive_preference(agent))
-            sides[agent.id] = market.value
-        else:
-            sides[agent.id] = Market.FOR.value
-    return sides, securities

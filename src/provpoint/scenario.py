@@ -35,6 +35,7 @@ from .model import (
     Mechanism,
     aggregate_valuations,
     own_market,
+    plain_sum,
 )
 
 SCENARIO_VERSION = 1
@@ -491,7 +492,7 @@ def _headroom_ok(config: CampaignConfig, agents: list[AgentProfile],
         return True
     from .equilibrium import contribution_bound
 
-    total = sum(
+    total = plain_sum(
         contribution_bound(config, a,
                            belief_reward=profile.belief_rewards.get(a.id, 0.0))
         for a in agents)
@@ -532,8 +533,8 @@ def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
     capacity = {Market.FOR: total_for, Market.AGAINST: total_against}
     if mech.uses_securities or mech.two_phase:
         probe = config((max(net, 1.0),) * 2)
-        capacity = {m: sum(contribution_bound(probe, a, belief_reward=rewards.get(a.id, 0.0))
-                           for a in agents if own_market(probe, a) is m)
+        capacity = {m: plain_sum(contribution_bound(probe, a, belief_reward=rewards.get(a.id, 0.0))
+                                 for a in agents if own_market(probe, a) is m)
                     for m in mech.markets}
     explicit = template.provision_point_pair or (
         None if template.provision_point is None else (template.provision_point,))
@@ -547,7 +548,7 @@ def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
     if mech is Mechanism.PPR:
         extra["refund_budget"] = 0.5 * max(total_for - targets[0], 1e-6)
     elif mech is Mechanism.PPRN:
-        cap = sum(targets) * min((capacity[m] - h) / h
+        cap = plain_sum(targets) * min((capacity[m] - h) / h
                                  for m, h in zip(mech.markets, targets))
         extra["refund_budget"] = max(0.4 * cap, 1e-9)
     return config(targets)

@@ -75,10 +75,7 @@ def test_criterion_1_pprn_nash():
         assert profile.feasible
         report = certify_ne(config, agents, profile)  # eps 1e-6*target
         assert report.certified, (seed, report.deviations[:3])
-        verdict, dual = run_campaign(config, sorted(
-            [Action(i, e.amount, e.market, e.tick)
-             for i, e in profile.entries.items() if e.amount > 0],
-            key=lambda a: (a.tick, a.agent_id)))
+        verdict, dual = run_campaign(config, profile.plays())
         assert verdict in (Verdict.PROVISIONED, Verdict.REJECTED)
         winner = dual.raised[verdict is Verdict.REJECTED]
         target = winning_target(config, verdict)
@@ -107,10 +104,7 @@ def test_criterion_2_ppsn_spe():
             if 0.0 < entry.amount < check.bound * (1 - 1e-9):
                 clip_seen = True
         # preference flip leaves the symmetric-belief expectation unchanged
-        _, dual = run_campaign(config, sorted(
-            [Action(i, e.amount, e.market, e.tick)
-             for i, e in profile.entries.items() if e.amount > 0],
-            key=lambda a: (a.tick, a.agent_id)))
+        _, dual = run_campaign(config, profile.plays())
         allocated = {r.agent_id: r.securities
                      for r in dual.ledger}
         epsilon = scale * 1e-6

@@ -139,6 +139,38 @@ def test_path_reads_the_replay_off_the_engines_book(mech, plays):
         assert first.amount + closing.amount != config.provision_point == found[2][0]
 
 
+@pytest.mark.parametrize("share", [0.0, 0.5])
+@pytest.mark.parametrize("mech", [Mechanism.PPR, Mechanism.PPS])
+def test_certifier_refuses_a_book_that_does_not_hold_the_play(mech, share):
+    # the book of no play and the book of the plays at half their amounts:
+    # the first agent in play order has no record, or a record of another
+    # amount
+    scenario = generate_scenario(ScenarioTemplate(mech, 6), seed=1)
+    config, agents = scenario.config, scenario.agents
+    profile = construct_profile(config, agents)
+    plays = [dataclasses.replace(a, amount=a.amount * share) for a in profile.plays()]
+    _, book = run_campaign(config, plays if share else [])
+    first = min(profile.plays(), key=lambda a: (a.tick, a.agent_id)).agent_id
+    certify = certify_spe if mech.sequential else certify_ne
+    with pytest.raises(ValueError, match=f"^agent {first}: the book does not hold"):
+        certify(config, agents, profile, book=book)
+
+
+def test_certifier_refuses_a_record_of_no_play():
+    # the book holds one more record after the profile's own
+    scenario = generate_scenario(ScenarioTemplate(Mechanism.PPR, 6), seed=1)
+    config, agents = scenario.config, scenario.agents
+    half = EquilibriumProfile(entries={
+        i: dataclasses.replace(a, amount=a.amount / 2)
+        for i, a in construct_profile(config, agents).entries.items()})
+    last = max(half.plays(), key=lambda a: (a.tick, a.agent_id))
+    _, book = run_campaign(config, [*half.plays(), last])
+    with pytest.raises(ValueError, match=f"^agent {last.agent_id}: the book does not hold"):
+        certify_ne(config, agents, half, book=book)
+    _, own = run_campaign(config, half.plays())
+    assert certify_ne(config, agents, half, book=own).expected_verdict is Verdict.EXPIRED
+
+
 def utility_at(scenario, agent, rec, verdict, dual, reward):
     """The mechanism's utility function for one record at ``verdict``."""
     config = scenario.config
@@ -173,13 +205,14 @@ def test_settlement_matches_utility(mech, share):
         actions = [Action(a.agent_id, a.amount * share, a.market, a.tick)
                    for a in profile.plays()]
         verdict, dual = run_campaign(config, actions)
-        rewards, conditional = None, {}
+        ledger, rewards, conditional = None, None, {}
         if mech.two_phase:
             ledger = score_reports(belief_reports(scenario))
             rewards = bbr_rewards(ledger, winning_side_for(verdict),
                                   config.belief_budget)
             conditional = conditional_rewards(ledger, config.belief_budget)
-        outcome = settle(config, agents, verdict, dual, belief_rewards=rewards)
+        outcome = settle(config, agents, verdict, dual, belief_rewards=rewards,
+                         beliefs=ledger)
         for agent in agents:
             mine = [r for r in dual.ledger if r.agent_id == agent.id]
             if len(mine) != 1:
@@ -232,7 +265,6 @@ def test_settlement_pays_the_priced_belief_reward(mech, explicit):
 
 def settled_utility(scenario, actions, agent_id):
     """The agent's realized utility once the engine replays ``actions``."""
-    actions = sorted(actions, key=lambda a: (a.tick, a.agent_id))
     verdict, dual = run_campaign(scenario.config, actions)
     return settle(scenario.config, scenario.agents, verdict, dual).payouts[agent_id].realized
 

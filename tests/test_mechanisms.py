@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -24,6 +25,7 @@ from provpoint.model import (
     Market,
     Mechanism,
     Verdict,
+    derive_preference,
 )
 from provpoint.scenario import ScenarioTemplate, generate_scenario
 
@@ -283,12 +285,24 @@ def test_engine_race_rejection_first():
     assert [rec.agent_id for rec in dual.ledger] == [0, 1]
 
 
-def test_engine_rejects_unsorted_actions():
-    with pytest.raises(ValueError, match="sorted"):
-        run_campaign(ppr_config(), [
-            Action(0, 1.0, Market.FOR, 2),
-            Action(1, 1.0, Market.FOR, 1),
-        ])
+def test_engine_replays_an_unsorted_list_as_its_stable_sort():
+    # agent 1's two simultaneous actions keep their list order; agent 0's
+    # tick-3 play closes the provision market and agent 3's is discarded
+    config = pprn_config()
+    actions = [Action(3, 9.0, Market.AGAINST, 4), Action(2, 4.0, Market.FOR, 2),
+               Action(1, 1.0, Market.AGAINST, 1), Action(0, 2.0, Market.FOR, 1),
+               Action(1, 3.0, Market.FOR, 1), Action(0, 5.0, Market.FOR, 3)]
+    stable = sorted(actions, key=lambda a: (a.tick, a.agent_id))
+    assert stable != actions
+    verdict, dual = run_campaign(config, actions)
+    sorted_verdict, sorted_dual = run_campaign(config, stable)
+    assert verdict == sorted_verdict
+    assert dual.ledger == sorted_dual.ledger
+    assert dual.raised == sorted_dual.raised
+    assert [(r.agent_id, r.market, r.amount) for r in dual.ledger] == [
+        (0, Market.FOR, 2.0), (1, Market.AGAINST, 1.0), (1, Market.FOR, 3.0),
+        (2, Market.FOR, 4.0), (0, Market.FOR, 1.0)]
+    assert verdict is Verdict.PROVISIONED
 
 
 def test_engine_rejects_bad_actions():
@@ -410,33 +424,66 @@ def test_settle_two_phase_requires_rewards():
                             belief_budget=2.0, contribution_budget=1.0,
                             deadline_contribution=5, deadline_belief=2)
     agents = [agent(10.0, 0), agent(5.0, 1), agent(4.0, 2)]
+    beliefs = score_reports([default_report(a) for a in agents])
     verdict, dual = run_campaign(config, [Action(0, 10.0, Market.FOR, 3)])
     with pytest.raises(ValueError, match="belief_rewards"):
         settle(config, agents, verdict, dual)
+    # the reported sides come with the rewards, never without them
+    with pytest.raises(ValueError, match="beliefs"):
+        settle(config, agents, verdict, dual, belief_rewards={0: 1.5, 1: 0.5})
+    with pytest.raises(ValueError, match="beliefs"):
+        settle(config, agents, verdict, dual, beliefs=beliefs)
     outcome = settle(config, agents, verdict, dual,
-                     belief_rewards={0: 1.5, 1: 0.5})
+                     belief_rewards={0: 1.5, 1: 0.5}, beliefs=beliefs)
     assert outcome.payouts[0].realized == pytest.approx(10.0 - 10.0 + 1.5)
     verdict2, dual2 = run_campaign(ppr_config(), [])
     with pytest.raises(ValueError, match="belief_rewards"):
         settle(ppr_config(), [agent(1.0, 0)], verdict2, dual2,
                belief_rewards={0: 1.0})
+    with pytest.raises(ValueError, match="beliefs"):
+        settle(ppr_config(), [agent(1.0, 0)], verdict2, dual2, beliefs=beliefs)
+
+
+def reference_settlement_columns(config, agents, dual, reports):
+    """The settlement 'side' column and per-agent security totals, worked
+    out apart from ``settle`` by a second walk of the ledger: the reference
+    its own columns are checked against."""
+    sides, securities, contributed = {}, {}, {}
+    for rec in dual.ledger:
+        # an agent with a record in each market is on the for side
+        if contributed.setdefault(rec.agent_id, rec.market) is not rec.market:
+            contributed[rec.agent_id] = Market.FOR
+        securities[rec.agent_id] = securities.get(rec.agent_id, 0.0) + rec.securities
+    report_sides = {rep.agent_id: rep.side for rep in reports}
+    for a in agents:
+        if config.mechanism.two_phase:
+            sides[a.id] = report_sides.get(a.id, a.belief_side).value
+        elif config.mechanism.dual_market:
+            sides[a.id] = contributed.get(a.id, derive_preference(a)).value
+        else:
+            sides[a.id] = Market.FOR.value
+    return sides, securities
 
 
 SCENARIO_OF = {}  # (mechanism, n) -> a generated scenario
 
 
 # each action: its agent (modulo n), the share of its market's target, whether
-# a dual market's play goes to the rejection market, and its tick
+# a dual market's play goes to the rejection market, and its tick; each
+# agent's belief report (two-phase mechanisms): truthful, flipped or omitted
 @settings(deadline=None, max_examples=300)
 @given(mech=st.sampled_from(list(Mechanism)), n=st.integers(3, 8),
        actions=st.lists(st.tuples(st.integers(0, 7),
                                   st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-                                  st.booleans(), st.integers(0, 3)), max_size=12))
-def test_engine_invariants(mech, n, actions):
-    # on any action list in (tick, agent id) order: no market ever holds
-    # more than its target, a filled market holds exactly its target, the
-    # ledger keeps that order, and settlement pays no more than the bonus
-    # and belief budgets
+                                  st.booleans(), st.integers(0, 3)), max_size=12),
+       filed=st.lists(st.sampled_from(["truthful", "flipped", "omitted"]),
+                      min_size=8, max_size=8))
+def test_engine_invariants(mech, n, actions, filed):
+    # on any action list, in any order: no market ever holds more than its
+    # target, a filled market holds exactly its target, the ledger is in
+    # (tick, agent id) order, settlement pays no more than the bonus and
+    # belief budgets, and each payout's securities and side are those of
+    # the reference
     if (mech, n) not in SCENARIO_OF:
         SCENARIO_OF[mech, n] = generate_scenario(ScenarioTemplate(mech, n), seed=1)
     config, agents = SCENARIO_OF[mech, n].config, SCENARIO_OF[mech, n].agents
@@ -444,7 +491,6 @@ def test_engine_invariants(mech, n, actions):
     for aid, share, against, tick in actions:
         market = Market.AGAINST if against and mech.dual_market else Market.FOR
         plays.append(Action(aid % n, share * config.target(market), market, tick))
-    plays.sort(key=lambda a: (a.tick, a.agent_id))
     for k in range(len(plays)):
         _, book = run_campaign(config, plays[:k])
         assert all(raised <= target for raised, target in zip(book.raised, book.target))
@@ -453,12 +499,25 @@ def test_engine_invariants(mech, n, actions):
     assert filled == [verdict is Verdict.PROVISIONED, verdict is Verdict.REJECTED]
     keys = [(rec.tick, rec.agent_id) for rec in dual.ledger]
     assert keys == sorted(keys)
-    rewards = None
+    reports, beliefs, rewards = [], None, None
     if mech.two_phase:
-        rewards = bbr_rewards(score_reports([default_report(a) for a in agents]),
-                              winning_side_for(verdict), config.belief_budget)
+        # scoring needs three reports, so at most n - 3 are omitted
+        omitted = [a.id for a, kind in zip(agents, filed) if kind == "omitted"][:n - 3]
+        for a, kind in zip(agents, filed):
+            report = default_report(a)
+            if kind == "flipped":
+                report = dataclasses.replace(report, information=1 - report.information)
+            if a.id not in omitted:
+                reports.append(report)
+        beliefs = score_reports(reports)
+        rewards = bbr_rewards(beliefs, winning_side_for(verdict), config.belief_budget)
         assert sum(rewards.values()) <= config.belief_budget * (1 + 1e-12)
-    outcome = settle(config, agents, verdict, dual, belief_rewards=rewards)
+    outcome = settle(config, agents, verdict, dual, belief_rewards=rewards, beliefs=beliefs)
+    sides, securities = reference_settlement_columns(config, agents, dual, reports)
+    for a in agents:
+        payout = outcome.payouts[a.id]
+        assert payout.side.value == sides[a.id]
+        assert payout.securities == securities.get(a.id, 0.0)
     budget = config.bonus_budget
     if budget is not None:
         winner = {Verdict.PROVISIONED: Market.FOR, Verdict.REJECTED: Market.AGAINST}.get(verdict)

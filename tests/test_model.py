@@ -26,6 +26,9 @@ def test_derive_preference(valuation, expected):
     ([10.0, 5.0, -4.0], (11.0, 15.0, 4.0)),
     ([], (0.0, 0.0, 0.0)),
     ([-2.0, -2.0], (-4.0, 0.0, 4.0)),
+    # each addition rounded, on every Python: the compensated sum of
+    # Python 3.12's builtin reads 1.0000000000000002e16
+    ([1e16, 1.0, 1.0], (1e16, 1e16, 0.0)),
 ])
 def test_aggregate_valuations(valuations, expected):
     agents = [AgentProfile(id=i, valuation=v) for i, v in enumerate(valuations)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from provpoint import runner
 from provpoint.equilibrium import certify_ne, certify_spe
 from provpoint.mechanisms import Action, DualMarketState
-from provpoint.model import Market, Mechanism, Verdict
+from provpoint.model import BeliefSide, Market, Mechanism, Verdict
 from provpoint.runner import profile_from_actions, run_scenario
 from provpoint.scenario import (
     AnalysisFlags,
@@ -108,6 +109,24 @@ def test_an_agent_paying_into_both_markets_settles_on_the_for_side(tmp_path):
     rows = [row.split(",") for row in
             (tmp_path / "settlement.csv").read_text().splitlines()[1:]]
     assert rows[0][:3] == ["0", "for", "1.0"]
+
+
+def test_pprx_settles_each_agent_on_its_reported_side(tmp_path):
+    # agent 0 reports the side it does not believe; agent 1 files no
+    # report and settles on its belief side, as every truthful agent does
+    scenario = generate_scenario(
+        ScenarioTemplate(mechanism=Mechanism.PPRX, agent_count=5), seed=3)
+    reports = runner.belief_reports(scenario)
+    reports[0] = dataclasses.replace(reports[0], information=1 - reports[0].information)
+    scenario.explicit_reports = [r for r in reports if r.agent_id != 1]
+    assert run_scenario(scenario, out_dir=tmp_path).outcome.verdict is Verdict.PROVISIONED
+    rows = [row.split(",") for row in
+            (tmp_path / "settlement.csv").read_text().splitlines()[1:]]
+    flipped = {BeliefSide.PROVISION_LIKELY: BeliefSide.REJECTION_LIKELY,
+               BeliefSide.REJECTION_LIKELY: BeliefSide.PROVISION_LIKELY}
+    assert [row[1] for row in rows] == [
+        (flipped[a.belief_side] if a.id == 0 else a.belief_side).value
+        for a in sorted(scenario.agents, key=lambda a: a.id)]
 
 
 def test_profile_from_actions_rejects_multiple_plays():
