@@ -52,13 +52,14 @@ certifier (at its off-path probe states) walk followers through the kernel
 (``DualMarketState.walk`` and ``follow``), without a bound or a play per
 follower.
 
-Each certification reads the checked play off the engine's book of it
-(``_path``: the money each agent found, from the ledger, with no second
-replay) and builds one evaluator per agent from it (``_slots``), placed at
-the agent's on-path slot with its bound. The report's indifference checks,
-each at its bound, are read off those slots, and both certifiers check
-them the same way (``_Evaluator.check``). The evaluator computes once what every slot of its
-agent shares (weights, utility rows, ``_met``'s threshold, the cost
+Each certification reads the checked play off the engine's book of it into
+one record (``_path``: the play order, the money each agent found and the
+closing play, in one pass over the ledger, with no second replay) and
+builds one evaluator per agent from it (``_slots``), placed at the agent's
+on-path slot with its bound. The report's indifference checks, each at its
+bound, are read off those slots, and both certifiers check them the same
+way (``_Evaluator.check``). The evaluator computes once what every slot of
+its agent shares (weights, utility rows, ``_met``'s threshold, the cost
 function); a slot is plain numbers. The SPE certifier places it at each of
 the agent's off-path probe states in turn, each a (FOR, AGAINST) pair of
 money raised, so a probe state builds no book and no per-state object.
@@ -448,11 +449,11 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     # Securities family: the prescribed play walked from empty markets;
     # arrivals after the book closes play zero.
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
-    arrivals = _arrivals(config, order, rewards)
+    plays = _plays(config, order, rewards)
     raised = [0.0, 0.0]
     book = new_states(config)
-    amounts, _, _ = book.walk(raised, _plays(config, arrivals))
-    for (agent, market, _), amount in zip_longest(arrivals, amounts, fillvalue=0.0):
+    amounts, _, _ = book.walk(raised, plays)
+    for agent, (market, _), amount in zip_longest(order, plays, amounts, fillvalue=0.0):
         profile.entries[agent.id] = Action(agent.id, amount, market,
                                            agent.arrival_contribution)
     if not book.closed_at(*raised):
@@ -461,45 +462,53 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     return profile
 
 
-def _arrivals(config: CampaignConfig, order: list[AgentProfile],
-              rewards: dict[int, float]) -> list[tuple[AgentProfile, Market, float]]:
-    """Each agent of ``order`` with its own market (the one its equilibrium
-    play goes to) and belief reward, looked up once per walk rather than
-    once per step."""
-    return [(a, own_market(config, a), rewards.get(a.id, 0.0)) for a in order]
-
-
-def _plays(config: CampaignConfig,
-           arrivals: list[tuple[AgentProfile, Market, float]]) -> list[tuple[Market, float]]:
-    """Each arrival's market and the security quantity its bound buys there
-    (the rules row's ``securities``): what the kernel's walks play."""
+def _plays(config: CampaignConfig, order: list[AgentProfile],
+           rewards: dict[int, float]) -> list[tuple[Market, float]]:
+    """For each agent of ``order``, its own market (the one its equilibrium
+    play goes to) and the security quantity its bound buys there (the rules
+    row's ``securities``, at its belief reward): what the kernel's walks
+    play."""
     securities = RULES[config.mechanism].securities
-    return [(market, securities(config, agent, reward))
-            for agent, market, reward in arrivals]
+    return [(own_market(config, a), securities(config, a, rewards.get(a.id, 0.0)))
+            for a in order]
 
 
-_Path = tuple[list[AgentProfile], list[tuple[float, float]], DualMarketState]
+@dataclass
+class _Play:
+    """The certification's one record of the checked play, read off the
+    engine's ``book`` of it (``_path``): the play ``order`` (entry tick,
+    then id), the money (FOR, AGAINST) each agent of it ``found`` raised
+    and then the book's own, the index of the ``closing`` play
+    (``len(order)`` while the book is open) and, for a sequential
+    mechanism, the order's ``plays`` as the kernel walks followers
+    (``_plays``) and their ``prefix_sums``, ``bought``."""
+
+    book: DualMarketState
+    order: list[AgentProfile]
+    found: list[tuple[float, float]]
+    closing: int
+    plays: list[tuple[Market, float]] | None
+    bought: dict[Market, list[float]] | None
+
+
 _NOT_IN_BOOK = "agent {}: the book does not hold the profile's play"
-_Followers = tuple[list[tuple[Market, float]], dict[Market, list[float]]]
 
 
-def _path(agents: list[AgentProfile], profile: EquilibriumProfile,
-          book: DualMarketState) -> _Path:
-    """The profile's play as the engine's ``book`` of it settled: the play
-    order (entry tick, then id), the money (FOR, AGAINST) each agent of it
-    found raised, and the book. The ledger holds the accepted plays in that
-    order: a record moves the money by the amount it accepted, and the last
-    one sets it to the book's, because a fill assigns the target; a zero
-    play or a play after the close moves nothing. The book an agent found
-    is read off ``book`` at the money it found (``closed_at``,
-    ``priced_at``), so no book is built per agent. Raises ValueError naming
-    the agent unless each nonzero play made while the book is open has its
-    record, on its market and of its amount (the closing record may be
-    smaller), and no record is left unread."""
+def _path(config: CampaignConfig, agents: list[AgentProfile], profile: EquilibriumProfile,
+          book: DualMarketState) -> _Play:
+    """The record of the profile's play as the engine's ``book`` of it
+    settled, in one pass over the ledger, which holds the accepted plays in
+    play order: a record moves the money by the amount it accepted, and the
+    last one sets it to the book's, because a fill assigns the target; the
+    engine stops at the first fill, so that record closes a closed book. A
+    zero play or a play after the close moves nothing. Raises ValueError
+    naming the agent unless each nonzero play made while the book is open
+    has its record, on its market and of its amount (the closing record may
+    be smaller), and no record is left unread."""
     order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
     ledger, closed = book.ledger, book.closed
-    k, money, found = 0, [0.0, 0.0], []
-    for agent in order:
+    k, money, found, closing = 0, [0.0, 0.0], [], len(order)
+    for idx, agent in enumerate(order):
         found.append((money[0], money[1]))
         entry = profile.entries[agent.id]
         if k < len(ledger) and ledger[k].agent_id == agent.id:
@@ -509,26 +518,19 @@ def _path(agents: list[AgentProfile], profile: EquilibriumProfile,
                 raise ValueError(_NOT_IN_BOOK.format(agent.id))
             k += 1
             if k == len(ledger):
-                money = book.raised
+                money, closing = book.raised, (idx if closed else closing)
             else:
                 money[record.market is not _FOR] += record.amount
         elif entry.amount > 0.0 and (k < len(ledger) or not closed):
             raise ValueError(_NOT_IN_BOOK.format(agent.id))
     if k < len(ledger):
         raise ValueError(_NOT_IN_BOOK.format(ledger[k].agent_id))
-    return order, found, book
-
-
-def _followers(config: CampaignConfig, profile: EquilibriumProfile,
-               path: _Path) -> _Followers | None:
-    """The ``path``'s arrivals in its play order as the kernel walks them
-    when they follow a probed play (``_plays``), and their ``prefix_sums``:
-    built once per certification of a sequential mechanism and read by
-    every slot and probe state; None for a deadline mechanism."""
-    if not config.mechanism.sequential:
-        return None
-    plays = _plays(config, _arrivals(config, path[0], profile.belief_rewards))
-    return plays, prefix_sums(plays)
+    found.append(tuple(book.raised))
+    plays = bought = None
+    if config.mechanism.sequential:
+        plays = _plays(config, order, profile.belief_rewards)
+        bought = prefix_sums(plays)
+    return _Play(book, order, found, closing, plays, bought)
 
 
 # ---------------------------------------------------------------------------
@@ -875,18 +877,16 @@ class _Evaluator:
 
 
 def _slots(config: CampaignConfig, agents: list[AgentProfile],
-           profile: EquilibriumProfile, path: _Path,
-           followers: _Followers | None) -> list[_Evaluator]:
+           profile: EquilibriumProfile, play: _Play) -> list[_Evaluator]:
     """One evaluator per agent, placed at its decision slot against
     everyone else's amounts at settlement, capped at its bound at the
     slot's issuance. Sequential mechanisms' slots see the markets as their
-    agents found them on the profile's ``path``, in its play order, and
-    PPSN's rival coalition walks as the path's ``followers``; deadline
-    mechanisms' agents all move at once, against empty markets."""
-    sequential = config.mechanism.sequential
-    order, found, final = path
+    agents found them on the profile's ``play``, in its order, and PPSN's
+    rival coalition walks as the record's ``plays``; deadline mechanisms'
+    agents all move at once, against empty markets."""
+    sequential, final = config.mechanism.sequential, play.book
     if sequential:
-        plays, bought = followers
+        order, found = play.order, play.found
     else:
         order, found = agents, [(0.0, 0.0)] * len(agents)
     final_for = profile.total(Market.FOR)
@@ -902,8 +902,8 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
             rival = entry.market.other
             rival_total = others_against if rival is Market.AGAINST else others_for
             rival_viable = _met(rival_total, config.target(rival)) or (
-                sequential and _rival_fills(final, *raised, entry.market, plays, idx + 1,
-                                            bought))
+                sequential and _rival_fills(final, *raised, entry.market, play.plays,
+                                            idx + 1, play.bought))
         issued = final.priced_at(entry.market, *raised)
         reward = profile.belief_rewards.get(agent.id, 0.0)
         slot = _Evaluator(config, agent, entry.market, reward)
@@ -917,13 +917,12 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                  profile: EquilibriumProfile, epsilon: float | None,
                  conditions: list[ConditionCheck] | None, book: DualMarketState | None
-                 ) -> tuple[EquilibriumReport, float, _Path | None, list[_Evaluator],
-                            _Followers | None]:
+                 ) -> tuple[EquilibriumReport, float, _Play | None, list[_Evaluator]]:
     """The report before the search (conditions, and each slot's bound
-    and indifference check), the profile's ``path`` on the engine's
-    ``book`` of its play (played here when none is given), the agents'
-    evaluators placed at their slots on it and the path's ``_followers``;
-    an infeasible profile has none of them."""
+    and indifference check), the record of the profile's ``play`` off the
+    engine's ``book`` of it (played here when none is given) and the
+    agents' evaluators placed at their slots on it; an infeasible profile
+    has neither."""
     larger = max(config.provision_point_pair or (config.provision_point,))
     if epsilon is None:
         # the default tolerance is a millionth of the larger target
@@ -945,19 +944,18 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
             "gains inside the band are tolerance, not deviations")
     if not profile.feasible:
         report.notes.append(profile.reason)
-        return report, epsilon, None, [], None
+        return report, epsilon, None, []
     if book is None:
         _, book = run_campaign(config, profile.plays())
-    path = _path(agents, profile, book)
+    play = _path(config, agents, profile, book)
     report.expected_verdict = book.verdict or Verdict.EXPIRED
-    followers = _followers(config, profile, path)
-    slots = _slots(config, agents, profile, path, followers)
+    slots = _slots(config, agents, profile, play)
     indifference = RULES[config.mechanism].indifference
     report.indifference = [IndifferenceCheck(
         slot.agent.id, slot.bound,
         *indifference(config, slot.agent, slot.bound, slot.issued, slot.reward))
         for slot in slots]
-    return report, epsilon, path, slots, followers
+    return report, epsilon, play, slots
 
 
 def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
@@ -973,9 +971,9 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
     ``book`` is the engine's book of the profile's play, from
     ``run_campaign``; without one the profile's ``plays`` are run here.
     """
-    report, eps, path, slots, _ = _base_report(config, agents, profile, epsilon,
-                                               conditions, book)
-    if path is None:
+    report, eps, play, slots = _base_report(config, agents, profile, epsilon, conditions,
+                                            book)
+    if play is None:
         return report
     if not config.mechanism.sequential:
         report.notes.append(
@@ -1057,23 +1055,20 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     if not config.mechanism.sequential:
         raise ValueError(f"{config.mechanism.value} has no sequential subgame "
                          "structure; use certify_ne")
-    report, eps, path, slots, followers = _base_report(config, agents, profile, epsilon,
-                                                       conditions, book)
+    report, eps, play, slots = _base_report(config, agents, profile, epsilon, conditions,
+                                            book)
     report.kind = "subgame-perfect"
-    if path is None:
+    if play is None:
         return report
-    order, found, final = path
-    # on the path, the later plays are the profile's: closing is the play
-    # after which the book is closed (len(order) if none), and no play before
-    # it is truncated, so the money each play found is their prefix sum
-    found = [*found, tuple(final.raised)]
-    closing = next((k for k in range(len(order)) if final.closed_at(*found[k + 1])),
-                   len(order))
-    # off the path, followers play their bounds: each buys its security
-    # quantity, so the kernel walks them by it (by prefix sum where it can);
-    # each market's target issuance, where a single market's walk closes,
-    # and each agent's quantity are fixed for the whole certification
-    plays, bought = followers
+    # on the path, the later plays are the profile's: no play before the
+    # closing one is truncated, so the money each play found is their
+    # prefix sum; off the path, followers play their bounds: each buys its
+    # security quantity, so the kernel walks them by it (by prefix sum
+    # where it can); each market's target issuance, where a single market's
+    # walk closes, and each agent's quantity are fixed for the whole
+    # certification
+    final, found, closing, plays, bought = (play.book, play.found, play.closing,
+                                            play.plays, play.bought)
     cf = config.cost_function
     target_issued = {m: cf.issued_at(config.target(m)) for m in config.mechanism.markets}
     dual = config.mechanism.dual_market

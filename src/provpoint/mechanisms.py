@@ -482,7 +482,6 @@ def settle(config: CampaignConfig, agents: list[AgentProfile], verdict: Verdict,
     else:
         sides = dict.fromkeys(contributed, _FOR)
     provisioned = verdict is Verdict.PROVISIONED
-    # positional: a keyword call costs a third more per agent
     payouts = {agent.id: Payout(agent.valuation if provisioned else 0.0, contributed[agent.id],
                                 refunded[agent.id], rewards.get(agent.id, 0.0),
                                 securities[agent.id], sides[agent.id])

@@ -272,7 +272,7 @@ class ContributionRecord:
             raise ValueError("allocated securities must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Payout:
     """One agent's settlement row, as ``settle`` decides it.
 

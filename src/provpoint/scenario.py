@@ -25,6 +25,7 @@ from functools import cache, partial
 from pathlib import Path
 
 from .beliefs import BeliefReport, conditional_rewards, default_report, score_reports
+from .equilibrium import check_conditions, construct_profile, contribution_bound
 from .mechanisms import Action
 from .model import (
     AgentProfile,
@@ -464,8 +465,6 @@ def _sized(template: ScenarioTemplate, agents: list[AgentProfile], seed: int,
     """The scenario sized at ``fill`` and ``budget_scale`` when its
     conditions hold and its profile is feasible with headroom; otherwise
     None, the reason, and whether only the headroom fell short."""
-    from .equilibrium import check_conditions, construct_profile
-
     config = _size_config(template, agents, fill, budget_scale)
     scenario = Scenario(
         config=config, agents=agents, seed=seed,
@@ -490,8 +489,6 @@ def _headroom_ok(config: CampaignConfig, agents: list[AgentProfile],
     target plus the contribution budget."""
     if config.contribution_budget is None:
         return True
-    from .equilibrium import contribution_bound
-
     total = plain_sum(
         contribution_bound(config, a,
                            belief_reward=profile.belief_rewards.get(a.id, 0.0))
@@ -506,8 +503,6 @@ def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
     bounds at zero issuance under a probe target of the net valuation. The
     securities family's liquidity scales with total valuations, keeping
     issuance slopes moderate so arrival-order bounds retain headroom."""
-    from .equilibrium import contribution_bound
-
     mech = template.mechanism
     n = len(agents)
     net, total_for, total_against = aggregate_valuations(agents)

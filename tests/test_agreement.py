@@ -17,7 +17,6 @@ from provpoint.beliefs import (
 )
 from provpoint.equilibrium import (
     EquilibriumProfile,
-    _followers,
     _path,
     _slots,
     certify_ne,
@@ -71,9 +70,9 @@ def test_profile_verdict_is_engine_verdict(mech):
         verdicts.add(verdict)
         # the certifiers' path through the engine's book sees the books
         # the engine priced at
-        order, found, final = _path(scenario.agents, profile, dual)
-        records = {r.agent_id: r for r in dual.ledger}
-        for agent, raised in zip(order, found):
+        play = _path(scenario.config, scenario.agents, profile, dual)
+        final, records = play.book, {r.agent_id: r for r in dual.ledger}
+        for agent, raised in zip(play.order, play.found):
             entry = profile.entries[agent.id]
             if entry.amount == 0.0:
                 continue
@@ -91,16 +90,19 @@ def replayed_path(config, agents, profile):
     """The certifiers' former path, kept as the reference for ``_path``:
     the profile's plays replayed once through a book of its own, as the
     engine plays them; the play order, the money (FOR, AGAINST) each agent
-    of it found, and the book after the last play."""
+    of it found, the book's money after the last play, and the index of
+    the play that closed the book (``len(order)`` if none)."""
     order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
     book = new_states(config)
-    found = []
-    for agent in order:
+    found, closing = [], len(order)
+    for idx, agent in enumerate(order):
         found.append(tuple(book.raised))
         if not book.closed:
             entry = profile.entries[agent.id]
             book.play(entry.market, entry.amount)
-    return order, found, book
+            if book.closed:
+                closing = idx
+    return order, found, tuple(book.raised), closing
 
 
 SCENARIO_OF = {}  # (mechanism, n) -> a generated scenario
@@ -129,14 +131,17 @@ def test_path_reads_the_replay_off_the_engines_book(mech, plays):
         market = Market.AGAINST if against and mech.dual_market else Market.FOR
         entries[agent.id] = Action(agent.id, share * config.target(market), market, tick)
     profile = EquilibriumProfile(entries=entries)
-    order, found, book = _path(agents, profile, run_campaign(config, profile.plays())[1])
-    expected_order, expected_found, replayed = replayed_path(config, agents, profile)
-    assert order == expected_order
-    assert found == expected_found
-    assert book.raised == replayed.raised
+    play = _path(config, agents, profile, run_campaign(config, profile.plays())[1])
+    order, found, final, closing = replayed_path(config, agents, profile)
+    assert play.order == order
+    assert play.found == [*found, final]
+    assert tuple(play.book.raised) == final
+    assert play.closing == closing
     if plays == ROUNDED_FILL and mech is Mechanism.PPR:
-        first, closing = book.ledger
-        assert first.amount + closing.amount != config.provision_point == found[2][0]
+        first, filled = play.book.ledger
+        assert first.amount + filled.amount != config.provision_point == play.found[2][0]
+        # agent 1's record closes the book; agent 2 finds it closed
+        assert play.closing == closing == 1
 
 
 @pytest.mark.parametrize("share", [0.0, 0.5])
@@ -303,9 +308,8 @@ def priced_and_settled(mech):
     assert certification.expected_verdict is verdict
     config, agents, profile = scenario.config, scenario.agents, certification.profile
     assert profile.belief_rewards[0] > 0.0
-    path = _path(agents, profile, run_campaign(config, profile.plays())[1])
-    slot = next(s for s in _slots(config, agents, profile, path,
-                                  _followers(config, profile, path)) if s.agent.id == 0)
+    play = _path(config, agents, profile, run_campaign(config, profile.plays())[1])
+    slot = next(s for s in _slots(config, agents, profile, play) if s.agent.id == 0)
     branch = slot.own if verdict is Verdict.PROVISIONED else slot.expired
     securities = 0.0 if slot.cf is None else slot.allocation(slot.amount, slot.issued)
     priced = branch(slot.amount, securities, slot.others_for + slot.amount,

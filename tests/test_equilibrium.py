@@ -50,6 +50,7 @@ from provpoint.model import (
     Market,
     Mechanism,
     Verdict,
+    own_market,
 )
 from provpoint.scenario import ScenarioTemplate, generate_scenario
 
@@ -65,8 +66,16 @@ def _copy(book: DualMarketState) -> DualMarketState:
 
 def _engine_path(config: CampaignConfig, agents: list[AgentProfile],
                  profile: EquilibriumProfile):
-    """The certifiers' path through the engine's book of the profile's play."""
-    return equilibrium._path(agents, profile, run_campaign(config, profile.plays())[1])
+    """The certifiers' record of the profile's play, off the engine's book of it."""
+    return equilibrium._path(config, agents, profile,
+                             run_campaign(config, profile.plays())[1])
+
+
+def _arrivals(config: CampaignConfig, order: list[AgentProfile],
+              rewards: dict[int, float]) -> list[tuple[AgentProfile, Market, float]]:
+    """Each agent of ``order`` with its own market and belief reward: what
+    the reference walks play for it."""
+    return [(a, own_market(config, a), rewards.get(a.id, 0.0)) for a in order]
 
 
 def _placed(config: CampaignConfig, slot: _Evaluator, **changes) -> _Evaluator:
@@ -693,9 +702,7 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
     config, agents = scenario.config, scenario.agents
     cf = config.cost_function
     profile = construct_profile(config, agents)
-    path = _engine_path(config, agents, profile)
-    slots = equilibrium._slots(config, agents, profile, path,
-                               equilibrium._followers(config, profile, path))
+    slots = equilibrium._slots(config, agents, profile, _engine_path(config, agents, profile))
     delayed = []  # (slot, the issuances of its delay waits)
     if mechanism.sequential:
         sweep = _Evaluator.sweep
@@ -803,16 +810,14 @@ def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
     off it. Yields (agent, market, prescribed amount, rival viable, state,
     state after the prescribed play, follower plays); the kernel's rival
     answer is checked against ``_rival_fills`` on the way."""
-    path = _engine_path(config, agents, profile)
-    slots = equilibrium._slots(config, agents, profile, path,
-                               equilibrium._followers(config, profile, path))
-    order, found, final = path
-    arrivals = equilibrium._arrivals(config, order, profile.belief_rewards)
-    plays = equilibrium._plays(config, arrivals)
+    play = _engine_path(config, agents, profile)
+    slots = equilibrium._slots(config, agents, profile, play)
+    final, plays = play.book, play.plays
+    arrivals = _arrivals(config, play.order, profile.belief_rewards)
     path_plays = [(profile.entries[a.id].market, profile.entries[a.id].amount)
-                  for a in order]
+                  for a in play.order]
     for idx, ((agent, own_market, reward), raised, slot) in enumerate(
-            zip(arrivals, found, slots)):
+            zip(arrivals, play.found, slots)):
         followers = arrivals[idx + 1:]
         probes = equilibrium._probe_states(config, *raised, slot.bound, own_market)
         for k, money in enumerate(probes):
@@ -834,7 +839,7 @@ def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
                                   zip_longest(followers, amounts, fillvalue=0.0)]
             rival = _rival_fills(config, state, market, followers)
             assert equilibrium._rival_fills(final, *money, market, plays, idx + 1,
-                                            prefix_sums(plays)) == rival
+                                            play.bought) == rival
             if config.mechanism.dual_market and market is Market.AGAINST and not rival:
                 continue  # the expiry corner is noted, not swept
             yield (agent, market, prescribed, config.mechanism.dual_market and rival,
@@ -902,8 +907,8 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     config, agents = scenario.config, scenario.agents
     rewards = construct_profile(config, agents).belief_rewards
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
-    arrivals = equilibrium._arrivals(config, order, rewards)
-    plays = equilibrium._plays(config, arrivals)
+    arrivals = _arrivals(config, order, rewards)
+    plays = equilibrium._plays(config, order, rewards)
     bought = prefix_sums(plays)
     empty = new_states(config)
     raised = {m: f * config.target(m) for f, m in zip(fractions, mechanism.markets)}
@@ -1056,7 +1061,7 @@ def test_rival_bracket_matches_the_walk(monkeypatch):
             ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=n), seed=seed)
         config, agents = scenario.config, scenario.agents
         order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
-        plays = equilibrium._plays(config, equilibrium._arrivals(config, order, {}))
+        plays = equilibrium._plays(config, order, {})
         bought = prefix_sums(plays)
         first %= n + 1
         rival = own.other
@@ -1264,9 +1269,8 @@ def test_stationary_point_maximizes_the_mix(mechanism):
             ScenarioTemplate(mechanism=mechanism, agent_count=8), seed=seed)
         config, agents = scenario.config, scenario.agents
         profile = construct_profile(config, agents)
-        path = _engine_path(config, agents, profile)
-        slots = equilibrium._slots(config, agents, profile, path,
-                                   equilibrium._followers(config, profile, path))
+        slots = equilibrium._slots(config, agents, profile,
+                                   _engine_path(config, agents, profile))
         for slot in slots + [_placed(config, slot, others_for=0.01 * slot.others_for,
                                      others_against=0.01 * slot.others_against)
                              for slot in slots]:
