@@ -56,13 +56,16 @@ Each certification reads the checked play off the engine's book of it into
 one record (``_path``: the play order, the money each agent found and the
 closing play, in one pass over the ledger, with no second replay) and
 builds one evaluator per agent from it (``_slots``), placed at the agent's
-on-path slot with its bound. The report's indifference checks, each at its
-bound, are read off those slots, and both certifiers check them the same
-way (``_Evaluator.check``). The evaluator computes once what every slot of
-its agent shares (weights, utility rows, ``_met``'s threshold, the cost
-function); a slot is plain numbers. The SPE certifier places it at each of
-the agent's off-path probe states in turn, each a (FOR, AGAINST) pair of
-money raised, so a probe state builds no book and no per-state object.
+on-path slot with its bound. Each indifference check of the report is its
+slot's two utility rows, the own branch's and the alternative's, evaluated
+at the bound with every target filled (``_Evaluator.indifference``), so
+it checks the bound against the payoff rule that settlement pays. Both
+certifiers check the slots the same way (``_Evaluator.check``). The
+evaluator computes once what every slot of its agent shares (weights,
+utility rows, ``_met``'s threshold, the cost function); a slot is plain
+numbers. The SPE certifier places it at each of the agent's off-path probe
+states in turn, each a (FOR, AGAINST) pair of money raised, so a probe
+state builds no book and no per-state object.
 """
 
 from __future__ import annotations
@@ -177,10 +180,10 @@ class Rules:
       ``u(amount, securities, total_for, total_against)``, where only the
       securities utilities read the ``securities`` the amount buys; it is
       the mechanism's ``*_utility`` row of the payoff rule in
-      ``mechanisms``, with the config's arguments bound;
-    * ``indifference(config, agent, bound, issued, reward)``: the bound's
-      defining equation at the bound, with denominators at the filled
-      targets, as ``(lhs, rhs, clamped)``;
+      ``mechanisms``, with the config's arguments bound. The bound is the
+      amount at which the own branch's row and the alternative's are
+      indifferent, and the report's check of that equation evaluates these
+      rows at the bound (``_Evaluator.indifference``);
     * ``conditions(config, net, totals)``: the existence inequalities as
       ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market;
     * ``securities(config, agent, reward)``: the securities family's
@@ -193,7 +196,6 @@ class Rules:
     """
 
     utility: Callable[..., Callable[..., float]]
-    indifference: Callable[..., tuple[float, float, bool]]
     conditions: Callable[..., list[tuple[str, float, float, bool]]]
     bound: Callable[..., float] | None = None
     securities: Callable[..., float] | None = None
@@ -209,46 +211,12 @@ def _below_valuations(config: CampaignConfig, totals: dict[Market, float]) -> li
 
 
 # Row entries too long for a lambda; PPS and PPSN share theirs.
-def _pprn_indifference(config, agent, bound, issued, reward):
-    share = bound / config.target_sum * config.refund_budget
-    if own_market(config, agent) is _FOR:
-        return agent.valuation - bound, share, False
-    return -bound, agent.valuation + share, False
-
-
-def _securities_indifference(config, agent, bound, issued, reward):
-    allocated = config.cost_function.securities_for(bound, issued)
-    if own_market(config, agent) is _FOR:
-        return agent.valuation - bound, allocated - bound, False
-    return -bound, agent.valuation + allocated - bound, False
-
-
 def _securities_conditions(config, net, totals):
     cf = config.cost_function
     return _below_valuations(config, totals) + [
         (f"{_SIDE_NAMES[m]}_securities_affordable",
          cf.inverse_cost(config.target(m) + cf.opening_cost), totals[m], True)
         for m in config.mechanism.markets]
-
-
-def _pprx_indifference(config, agent, bound, issued, reward):
-    p = agent.provision_belief
-    q = 1.0 - p
-    theta = agent.valuation
-    share = bound / config.provision_point * config.contribution_budget
-    if agent.belief_side is BeliefSide.PROVISION_LIKELY:
-        return p * (theta - bound + reward), q * share, False
-    return (p * (theta - bound), q * (share + reward),
-            bound == 0.0 and p * theta - q * reward < 0)
-
-
-def _ppsx_indifference(config, agent, bound, issued, reward):
-    allocated = config.cost_function.securities_for(bound, issued)
-    theta = agent.valuation
-    if agent.belief_side is BeliefSide.PROVISION_LIKELY:
-        return theta + reward - bound, allocated - bound, False
-    return (theta - bound, allocated - bound + reward,
-            bound == 0.0 and theta - reward < 0)
 
 
 def _belief_conditions(config, net):
@@ -265,9 +233,6 @@ RULES: dict[Mechanism, Rules] = {
             lambda amount, securities, total_for, total_against: ppr_utility(
                 agent, amount, total_for, config.refund_budget,
                 verdict is _PROVISIONED)),
-        indifference=lambda config, agent, bound, issued, reward: (
-            agent.valuation - bound,
-            bound / config.provision_point * config.refund_budget, False),
         conditions=lambda config, net, totals: [
             *_below_valuations(config, totals),
             ("refund_budget_positive", 0.0, config.refund_budget, True),
@@ -280,7 +245,6 @@ RULES: dict[Mechanism, Rules] = {
             lambda amount, securities, total_for, total_against: pprn_utility(
                 agent, market, amount, total_for, total_against,
                 config.refund_budget, verdict)),
-        indifference=_pprn_indifference,
         conditions=lambda config, net, totals: [
             *_below_valuations(config, totals),
             ("refund_budget_positive", 0.0, config.refund_budget, True),
@@ -291,14 +255,12 @@ RULES: dict[Mechanism, Rules] = {
         utility=lambda config, agent, market, reward, verdict: (
             lambda amount, securities, total_for, total_against: pps_utility(
                 agent, amount, securities, verdict is _PROVISIONED)),
-        indifference=_securities_indifference,
         conditions=_securities_conditions,
         securities=lambda config, agent, reward: securities_pps(agent)),
     Mechanism.PPSN: Rules(
         utility=lambda config, agent, market, reward, verdict: (
             lambda amount, securities, total_for, total_against: ppsn_utility(
                 agent, market, amount, securities, verdict)),
-        indifference=_securities_indifference,
         conditions=_securities_conditions,
         securities=lambda config, agent, reward: securities_ppsn(agent)),
     Mechanism.PPRX: Rules(
@@ -308,7 +270,6 @@ RULES: dict[Mechanism, Rules] = {
             lambda amount, securities, total_for, total_against: pprx_utility(
                 agent, agent.belief_side, amount, total_for,
                 config.contribution_budget, reward, verdict is _PROVISIONED)),
-        indifference=_pprx_indifference,
         conditions=lambda config, net, totals: [
             *_belief_conditions(config, net),
             ("contribution_budget_positive", 0.0, config.contribution_budget, True)]),
@@ -317,7 +278,6 @@ RULES: dict[Mechanism, Rules] = {
             lambda amount, securities, total_for, total_against: ppsx_utility(
                 agent, agent.belief_side, amount, securities, reward,
                 verdict is _PROVISIONED)),
-        indifference=_ppsx_indifference,
         conditions=lambda config, net, totals: _belief_conditions(config, net),
         securities=lambda config, agent, reward: securities_ppsx(agent, reward)),
 }
@@ -548,13 +508,19 @@ class Deviation:
 
 @dataclass(frozen=True)
 class IndifferenceCheck:
-    """Both sides of the bound's defining equation, at the bound."""
+    """Both sides of the bound's defining equation, at the bound: the own
+    branch's utility (``lhs``) and the alternative's (``rhs``)."""
 
     agent_id: int
     bound: float
     lhs: float
     rhs: float
-    clamped: bool = False
+
+    @property
+    def clamped(self) -> bool:
+        """The bound sits at zero because even there the alternative pays
+        more: the equation has no nonnegative root."""
+        return self.bound == 0.0 and self.lhs < self.rhs
 
 
 @dataclass
@@ -585,7 +551,6 @@ class EquilibriumReport:
         return {
             "kind": self.kind,
             "mechanism": self.mechanism,
-            "feasible": self.feasible,
             "certified": self.certified,
             "epsilon": self.epsilon,
             "profile": {
@@ -814,6 +779,24 @@ class _Evaluator:
                 best_x, best = x, value
         return best_x, best, base
 
+    def indifference(self, config: CampaignConfig) -> IndifferenceCheck:
+        """The placed slot's bound against its defining equation, stated on
+        the agent's own market (an explicit play may be off it): the own
+        branch's and the alternative's utility rows at the bound, with every
+        target filled and, in the securities family, the securities the
+        bound buys at the slot's issuance. Only PPRx's bound weighs the two
+        branches, by the agent's beliefs."""
+        market, bound = own_market(config, self.agent), self.bound
+        rows = self if market is self.market else _Evaluator(config, self.agent, market,
+                                                             self.reward)
+        securities = 0.0 if self.cf is None else self.cf.securities_for(bound, self.issued)
+        totals = config.provision_point_pair or (config.provision_point, 0.0)
+        lhs = rows.own(bound, securities, *totals)
+        rhs = rows.rival(bound, securities, *totals)
+        if config.mechanism is Mechanism.PPRX:
+            lhs, rhs = rows.own_weight * lhs, rows.alt_weight * rhs
+        return IndifferenceCheck(self.agent.id, bound, lhs, rhs)
+
     def corner(self, report: EquilibriumReport, rival_viable: bool) -> bool:
         """Whether a slot is the expiry corner, which ``report`` then notes:
         with the provision side dead, a rejection-side agent's choice is out
@@ -943,18 +926,13 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
             "the larger target): a total that short of its target counts as met, so "
             "gains inside the band are tolerance, not deviations")
     if not profile.feasible:
-        report.notes.append(profile.reason)
         return report, epsilon, None, []
     if book is None:
         _, book = run_campaign(config, profile.plays())
     play = _path(config, agents, profile, book)
     report.expected_verdict = book.verdict or Verdict.EXPIRED
     slots = _slots(config, agents, profile, play)
-    indifference = RULES[config.mechanism].indifference
-    report.indifference = [IndifferenceCheck(
-        slot.agent.id, slot.bound,
-        *indifference(config, slot.agent, slot.bound, slot.issued, slot.reward))
-        for slot in slots]
+    report.indifference = [slot.indifference(config) for slot in slots]
     return report, epsilon, play, slots
 
 

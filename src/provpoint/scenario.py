@@ -298,17 +298,22 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 def read_json(path: str | Path):
-    """The JSON document in the file ``path``; an unreadable file or
-    malformed JSON is a ScenarioError that names the file."""
+    """The JSON document in the file ``path``; an unreadable file, bytes
+    that are not UTF-8, malformed JSON or JSON nested too deeply to decode
+    is a ScenarioError that names the file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
 def parse_scenario(path: str | Path) -> Scenario:

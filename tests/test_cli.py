@@ -403,15 +403,22 @@ def test_invalid_scenario_field_exit_code(tmp_path, capsys, shipped, path, value
 @pytest.mark.parametrize("text,needle", [
     ('{mechanism: "PPR"}', "{path}: not valid JSON ("),
     (None, "cannot read {path}: "),
-], ids=["malformed", "missing"])
+    ("[" * 200000, "{path}: not valid JSON (nested too deeply)"),
+    (b"\xff\xfe{}", "{path}: not UTF-8 text ("),
+], ids=["malformed", "missing", "nested", "not-utf8"])
 def test_unreadable_template_names_the_file(tmp_path, capsys, text, needle):
     path = tmp_path / "template.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     out = tmp_path / "generated.json"
     assert main(["gen", "--template", str(path), "--out", str(out)]) == 1
     one_error_line(capsys, needle.format(path=path))
     assert not out.exists()
+    # a scenario is read by the same reader
+    assert main(["check", "--scenario", str(path)]) == 1
+    one_error_line(capsys, needle.format(path=path))
 
 
 def key_paths(node, path=()):

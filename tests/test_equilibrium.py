@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,7 +53,10 @@ from provpoint.model import (
     Verdict,
     own_market,
 )
-from provpoint.scenario import ScenarioTemplate, generate_scenario
+from provpoint.runner import profile_from_actions
+from provpoint.scenario import ScenarioTemplate, generate_scenario, parse_scenario
+
+GOLDEN_GENERATED = Path(__file__).resolve().parent / "golden_generated"
 
 
 def _at(book: DualMarketState, raised_for: float, raised_against: float) -> DualMarketState:
@@ -378,7 +382,9 @@ def test_certify_spe_infeasible_profile_not_certified():
     assert not profile.feasible
     report = certify_spe(config, agents, profile)
     assert not report.feasible and not report.certified
-    assert report.notes == [profile.reason]
+    # the reason is written once, in the profile's row, not repeated as a note
+    assert report.to_dict()["profile"]["reason"] == profile.reason
+    assert report.notes == []
     assert report.deviations == [] and report.indifference == []
     # each agent's row keeps its play; without a path it has no bound
     rows = report.to_dict()["agents"]
@@ -527,6 +533,126 @@ def test_certify_spe_ppsx():
     assert report.certified, report.deviations[:3]
 
 
+# ---------------------------------------------------------------------------
+# Indifference checks: the payoff rows at the bound
+# ---------------------------------------------------------------------------
+
+
+OFF_PREFERENCE = "ppsn_off_preference"
+INDIFFERENCE_CASES = [(m, n) for m in Mechanism for n in (6, 24, 64)] + [OFF_PREFERENCE]
+
+
+def _case_id(case) -> str:
+    return case if isinstance(case, str) else f"{case[0].value}-n{case[1]}"
+
+
+def _checks_and_slots(case):
+    """The config, the report's indifference checks and the on-path slots
+    of ``case``: a generated scenario ``(mechanism, n)`` (seed 1) at its
+    constructed profile, or the ``ppsn_off_preference`` golden at its
+    explicit plays, where agent 3 stakes on the rejection market first."""
+    if case == OFF_PREFERENCE:
+        scenario = parse_scenario(GOLDEN_GENERATED / case / "scenario.json")
+        profile = profile_from_actions(scenario, {})
+    else:
+        mechanism, n = case
+        scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
+                                     seed=1)
+        profile = construct_profile(scenario.config, scenario.agents)
+    config = scenario.config
+    report, _, _, slots = equilibrium._base_report(config, scenario.agents, profile, None,
+                                                   None, None)
+    return config, report.indifference, slots
+
+
+def _closed_form_indifference(config: CampaignConfig, agent: AgentProfile, bound: float,
+                              issued: float, reward: float) -> tuple[float, float, bool]:
+    """Each bound's defining equation as its closed form states it, on the
+    agent's own market with the denominators at the filled targets, as
+    ``(lhs, rhs, clamped)``: the reference for the payoff rows' check."""
+    mechanism, theta = config.mechanism, agent.valuation
+    for_market = own_market(config, agent) is Market.FOR
+    optimist = agent.belief_side is BeliefSide.PROVISION_LIKELY
+    if mechanism in (Mechanism.PPR, Mechanism.PPRN):
+        share = bound / config.target_sum * config.refund_budget
+        return (theta - bound, share, False) if for_market else (-bound, theta + share, False)
+    if mechanism is Mechanism.PPRX:
+        p = agent.provision_belief
+        q = 1.0 - p
+        share = bound / config.provision_point * config.contribution_budget
+        if optimist:
+            return p * (theta - bound + reward), q * share, False
+        return (p * (theta - bound), q * (share + reward),
+                bound == 0.0 and p * theta - q * reward < 0)
+    allocated = config.cost_function.securities_for(bound, issued)
+    if mechanism is Mechanism.PPSX:
+        if optimist:
+            return theta + reward - bound, allocated - bound, False
+        return (theta - bound, allocated - bound + reward,
+                bound == 0.0 and theta - reward < 0)
+    if for_market:
+        return theta - bound, allocated - bound, False
+    return -bound, theta + allocated - bound, False
+
+
+@pytest.mark.parametrize("case", INDIFFERENCE_CASES, ids=_case_id)
+def test_indifference_check_meets_the_closed_forms(case):
+    config, checks, slots = _checks_and_slots(case)
+    assert len(checks) == len(slots) > 0
+    if case == OFF_PREFERENCE:
+        # the equation is stated on the agent's own market, not the play's
+        assert any(slot.market is not own_market(config, slot.agent) for slot in slots)
+    for check, slot in zip(checks, slots):
+        assert (check.agent_id, check.bound) == (slot.agent.id, slot.bound)
+        lhs, rhs, clamped = _closed_form_indifference(config, slot.agent, slot.bound,
+                                                      slot.issued, slot.reward)
+        for got, expected in ((check.lhs, lhs), (check.rhs, rhs)):
+            assert abs(got - expected) <= 1e-15 * max(abs(got), abs(expected)), (
+                check, lhs, rhs)
+        assert check.clamped == clamped
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_indifference_check_sees_a_scaled_bound(mechanism):
+    # negative control: a bound a millionth too large leaves the two rows
+    # apart by far more than rounding
+    config, checks, slots = _checks_and_slots((mechanism, 24))
+    scaled = 0
+    for check, slot in zip(checks, slots):
+        if slot.bound == 0.0:
+            continue
+        scale = max(abs(check.lhs), abs(check.rhs), slot.bound)
+        assert abs(check.lhs - check.rhs) <= 1e-13 * scale, check
+        slot.bound *= 1.0 + 1e-6
+        off = slot.indifference(config)
+        assert abs(off.lhs - off.rhs) > 1e-9 * scale, (check, off)
+        scaled += 1
+    assert scaled > 0
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_indifference_check_reads_the_payoff_row(mechanism, monkeypatch):
+    # negative control: a payoff row that pays one more on provision moves
+    # each check's lhs - rhs by that unit (PPRx weighs it by the agent's
+    # provision belief), toward lhs where provision is the agent's own
+    # branch; the closed forms cannot see the row
+    config, checks, slots = _checks_and_slots((mechanism, 6))
+    name = f"{mechanism.value.lower()}_utility"
+    row = getattr(equilibrium, name)
+
+    def perturbed(*args):
+        branch = args[-1]  # ``provisioned`` or the verdict, last in every row
+        return row(*args) + (1.0 if branch is True or branch is Verdict.PROVISIONED else 0.0)
+
+    monkeypatch.setattr(equilibrium, name, perturbed)
+    _, moved, _ = _checks_and_slots((mechanism, 6))
+    for before, after, slot in zip(checks, moved, slots, strict=True):
+        sign = 1.0 if own_market(config, slot.agent) is Market.FOR else -1.0
+        weight = slot.agent.provision_belief if mechanism is Mechanism.PPRX else 1.0
+        shift = (after.lhs - after.rhs) - (before.lhs - before.rhs)
+        assert shift == pytest.approx(sign * weight, rel=1e-9), (before, after)
+
+
 def test_report_serializes():
     config = pprn_config()
     profile = construct_profile(config, pprn_agents())
@@ -535,6 +661,8 @@ def test_report_serializes():
     assert data["certified"] is True
     assert data["mechanism"] == "PPRN"
     assert data["kind"] == "Nash"
+    # feasibility is written once, in the profile's row
+    assert "feasible" not in data and data["profile"]["feasible"] is True
     assert [row["id"] for row in data["agents"]] == [0, 1, 2, 3, 4]
     assert all(row["bound"] is not None for row in data["agents"])
 
