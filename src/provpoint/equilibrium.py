@@ -897,6 +897,16 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
     return slots
 
 
+def tolerance(config: CampaignConfig, epsilon: float | None) -> float:
+    """The certifiers' deviation tolerance, ``epsilon`` or by default a
+    millionth of the larger target; a ValueError unless finite and >= 0."""
+    if epsilon is None:
+        epsilon = max(config.provision_point_pair or (config.provision_point,)) * 1e-6
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    return epsilon
+
+
 def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                  profile: EquilibriumProfile, epsilon: float | None,
                  conditions: list[ConditionCheck] | None, book: DualMarketState | None
@@ -906,12 +916,7 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
     engine's ``book`` of it (played here when none is given) and the
     agents' evaluators placed at their slots on it; an infeasible profile
     has neither."""
-    larger = max(config.provision_point_pair or (config.provision_point,))
-    if epsilon is None:
-        # the default tolerance is a millionth of the larger target
-        epsilon = larger * 1e-6
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    epsilon = tolerance(config, epsilon)
     report = EquilibriumReport(
         mechanism=config.mechanism.value,
         profile=profile,
@@ -919,7 +924,7 @@ def _base_report(config: CampaignConfig, agents: list[AgentProfile],
                     else conditions),
         epsilon=epsilon,
     )
-    band = MET_REL_TOL * larger
+    band = MET_REL_TOL * max(config.provision_point_pair or (config.provision_point,))
     if epsilon < band:
         report.notes.append(
             f"epsilon {epsilon:.6g} is below the met band {band:.6g} ({MET_REL_TOL:g} of "

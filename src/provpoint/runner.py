@@ -24,6 +24,7 @@ from .equilibrium import (
     construct_profile,
     certify_ne,
     certify_spe,
+    tolerance,
 )
 from .mechanisms import Action, run_campaign, settle
 from .model import Outcome, own_market
@@ -80,9 +81,11 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
 
     Outputs are deterministic: rerunning the same scenario produces
     byte-identical files. The campaign replays every explicit action; only
-    a certification reads them as a profile, one action per agent.
+    a certification reads them as a profile, one action per agent. An
+    ``epsilon`` the certifiers refuse is refused first, certifying or not.
     """
     config = scenario.config
+    epsilon = tolerance(config, epsilon)
     flags = scenario.analysis
     result = RunResult(conditions=check_conditions(config, scenario.agents))
 

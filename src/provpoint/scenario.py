@@ -68,127 +68,118 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
-def _enum_value(enum_cls, raw, context: str):
+def _name(root: str, *path) -> str:
+    """The name of the field at ``path`` below ``root`` (an index as
+    ``[i]``, a field as ``.name``): ``scenario.agents[3].id``. Each reader
+    gets field ``key`` of the record at path ``at``, returns a value of the
+    exact type at once, and formats the field's name only to raise."""
+    return root + "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)
+
+
+def _enum_value(enum_cls, raw, at: tuple, key):
+    if type(raw) is str and raw in enum_cls._value2member_map_:
+        return enum_cls._value2member_map_[raw]
     try:
         return enum_cls(raw)
     except ValueError:
         valid = ", ".join(e.value for e in enum_cls)
-        raise ScenarioError(f"{context}: '{raw}' is not one of: {valid}") from None
+        raise ScenarioError(f"{_name(*at, key)}: '{raw}' is not one of: {valid}") from None
 
 
-def _number(raw, context: str) -> float:
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(raw, at: tuple, key) -> float:
     """A numeric field as a float: a JSON number, not a boolean, a string,
     NaN or an infinity."""
+    if type(raw) is float and -_FLOAT_MAX <= raw <= _FLOAT_MAX:  # NaN fails
+        return raw
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ScenarioError(f"{context}: expected a number, got {raw!r}")
+        raise ScenarioError(f"{_name(*at, key)}: expected a number, got {raw!r}")
     try:
         value = float(raw)
     except OverflowError:  # an integer literal beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise ScenarioError(f"{context}: must be finite")
+        raise ScenarioError(f"{_name(*at, key)}: must be finite")
     return value
 
 
-def _integer(raw, context: str) -> int:
+def _integer(raw, at: tuple, key) -> int:
     """An integer field (ids, ticks, the seed): a JSON number without a
     fractional part, not a boolean, a string, NaN or an infinity."""
+    if type(raw) is int:
+        return raw
     if isinstance(raw, float) and not math.isfinite(raw):
-        raise ScenarioError(f"{context}: must be finite")
+        raise ScenarioError(f"{_name(*at, key)}: must be finite")
     if isinstance(raw, bool) or not (
             isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
-        raise ScenarioError(f"{context}: expected an integer, got {raw!r}")
+        raise ScenarioError(f"{_name(*at, key)}: expected an integer, got {raw!r}")
     return int(raw)
 
 
-def _flag(raw, context: str) -> bool:
+def _flag(raw, at: tuple, key) -> bool:
     """An analysis switch: JSON true or false, nothing else."""
     if not isinstance(raw, bool):
-        raise ScenarioError(f"{context}: expected true or false, got {raw!r}")
+        raise ScenarioError(f"{_name(*at, key)}: expected true or false, got {raw!r}")
     return raw
 
 
-def _pair(raw, context: str) -> tuple[float, float]:
+def _pair(raw, at: tuple, key) -> tuple[float, float]:
     """A list of exactly two numbers: a range or a pair of targets."""
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise ScenarioError(f"{context}: expected a list of two numbers, got {raw!r}")
-    return _number(raw[0], f"{context}[0]"), _number(raw[1], f"{context}[1]")
-
-
-_SLOW = object()  # a required field's default, and a failed fast check
-_FLOAT_MAX = sys.float_info.max
-_READERS = {  # per plain type, the full reader and the fast check
-    int: (_integer, lambda raw: raw if type(raw) is int else _SLOW),
-    float: (_number, lambda raw: float(raw) if type(raw) in (float, int)
-            and -_FLOAT_MAX <= raw <= _FLOAT_MAX else _SLOW),  # NaN fails both
-    bool: (_flag, lambda raw: raw if type(raw) is bool else _SLOW),
-}
+        raise ScenarioError(
+            f"{_name(*at, key)}: expected a list of two numbers, got {raw!r}")
+    return _number(raw[0], (*at, key), 0), _number(raw[1], (*at, key), 1)
 
 
 def _reader(hint):
-    """The reader of a field annotated ``hint`` (``X | None`` reads as X),
-    and its fast check: the value read without building a string, or _SLOW
-    where only the reader can tell (an error, 3.0 for 3, null, a pair, a
-    nested record)."""
+    """The reader of a field annotated ``hint`` (``X | None`` reads as X)."""
     if isinstance(hint, types.UnionType):
         (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
     if typing.get_origin(hint) is tuple:
-        return _pair, lambda raw: _SLOW
+        return _pair
     if is_dataclass(hint):
-        return partial(_record, hint), lambda raw: _SLOW
+        return lambda raw, at, key: _record(hint, raw, *at, key)
     if issubclass(hint, enum.Enum):
-        members = hint._value2member_map_
-        return partial(_enum_value, hint), lambda raw: (
-            members.get(raw, _SLOW) if type(raw) is str else _SLOW)
-    return _READERS[hint]
+        return partial(_enum_value, hint)
+    return {int: _integer, float: _number, bool: _flag}[hint]
 
 
 @cache
 def _fields(cls) -> tuple[frozenset[str], tuple]:
-    """The field names of dataclass ``cls``, and (name, default, reader,
-    fast check) per field; a field without a default is required."""
+    """The field names of dataclass ``cls``, and (name, default, reader)
+    per field; a field without a default (MISSING) is required."""
     hints = typing.get_type_hints(cls)
-    entries = tuple((f.name, _SLOW if f.default is MISSING else f.default,
-                     *_reader(hints[f.name])) for f in fields(cls))
-    return frozenset(name for name, *_ in entries), entries
+    entries = tuple((f.name, f.default, _reader(hints[f.name])) for f in fields(cls))
+    return frozenset(name for name, _, _ in entries), entries
 
 
-def _record(cls, raw, context: str, index: int | None = None):
-    """Dataclass ``cls`` built from the JSON object ``raw`` (item ``index``
-    of the list ``context``, if given). A missing field takes its default,
-    null is absent for a field whose default is None, and a key that is not
-    a field is refused; every error names ``context.<field>``. Fields that
-    all pass their fast checks build the record at once; otherwise, or if
-    it refuses them, each field is read by its reader."""
+def _record(cls, raw, *at):
+    """Dataclass ``cls`` built from the JSON object ``raw``, the record at
+    path ``at``. A missing field takes its default, null is absent for a
+    field whose default is None, and a key that is not a field is refused;
+    every error names the field."""
     names, entries = _fields(cls)
-    if type(raw) is dict and names.issuperset(raw):
-        values = [fast(raw[name]) if name in raw else default
-                  for name, default, _, fast in entries]
-        if _SLOW not in values:
-            try:
-                return cls(*values)
-            except ValueError:
-                pass  # the full reader words the error
-    if index is not None:
-        context = f"{context}[{index}]"
     if not isinstance(raw, dict):
-        raise ScenarioError(f"{context}: expected an object, got {raw!r}")
+        raise ScenarioError(f"{_name(*at)}: expected an object, got {raw!r}")
     if not names.issuperset(raw):
         key = next(key for key in raw if key not in names)
-        raise ScenarioError(f"{context}.{key}: unknown field")
-    values = {}
-    for name, default, read, _ in entries:
+        raise ScenarioError(f"{_name(*at)}.{key}: unknown field")
+    values = []
+    for name, default, read in entries:
         value = raw.get(name, default)
-        if value is _SLOW:
-            raise ScenarioError(f"{context}: missing required field '{name}'")
-        values[name] = (None if value is None and default is None
-                        else read(value, f"{context}.{name}"))
+        if value is not default:  # the default itself is taken as it is
+            value = read(value, at, name)
+        elif value is MISSING:
+            raise ScenarioError(f"{_name(*at)}: missing required field '{name}'")
+        values.append(value)
     try:
-        return cls(**values)
+        return cls(*values)
     except ScenarioError:
         raise
     except ValueError as exc:
-        raise ScenarioError(f"{context}: {exc}") from None
+        raise ScenarioError(f"{_name(*at)}: {exc}") from None
 
 
 def _entries(data: dict, key: str, cls) -> list | None:
@@ -199,7 +190,7 @@ def _entries(data: dict, key: str, cls) -> list | None:
         return None
     if not isinstance(raw, list):
         raise ScenarioError(f"scenario.{key}: expected a list, got {raw!r}")
-    return [_record(cls, entry, f"scenario.{key}", i) for i, entry in enumerate(raw)]
+    return [_record(cls, entry, "scenario", key, i) for i, entry in enumerate(raw)]
 
 
 def parse_scenario_dict(data: dict) -> Scenario:
@@ -214,11 +205,11 @@ def parse_scenario_dict(data: dict) -> Scenario:
         if key not in known:
             raise ScenarioError(f"scenario.{key}: unknown field")
     config = _record(CampaignConfig, _require(data, "config", "scenario"),
-                     "scenario.config")
+                     "scenario", "config")
     raw_agents = _require(data, "agents", "scenario")
     if not isinstance(raw_agents, list) or not raw_agents:
         raise ScenarioError("scenario.agents: expected a nonempty list")
-    agents = [_record(AgentProfile, raw, "scenario.agents", i)
+    agents = [_record(AgentProfile, raw, "scenario", "agents", i)
               for i, raw in enumerate(raw_agents)]
     ids = {a.id for a in agents}
     if len(ids) != len(agents):
@@ -229,8 +220,8 @@ def parse_scenario_dict(data: dict) -> Scenario:
         explicit_actions=_entries(data, "explicit_actions", Action),
         explicit_reports=_entries(data, "explicit_reports", BeliefReport),
         analysis=(AnalysisFlags() if flags is None
-                  else _record(AnalysisFlags, flags, "scenario.analysis")),
-        seed=_integer(data.get("seed", 0), "scenario.seed"))
+                  else _record(AnalysisFlags, flags, "scenario", "analysis")),
+        seed=_integer(data.get("seed", 0), ("scenario",), "seed"))
     validate_scenario(scenario)
     return scenario
 

@@ -248,11 +248,15 @@ def test_mistyped_template_exit_code(tmp_path, capsys, template, needle):
 ])
 def test_bad_certifier_setting_exit_code(pprn_scenario, tmp_path, capsys, option,
                                          value, needle):
-    for verb in ("run", "certify"):  # the generated scenario asks to certify
-        assert main([verb, "--scenario", str(pprn_scenario),
-                     "--out", str(tmp_path / verb), option, value]) == 1
-        one_error_line(capsys, needle)
-        assert not (tmp_path / verb).exists()
+    # the generated scenario asks to certify and the shipped one does not:
+    # run refuses the setting either way, before it plays or writes anything
+    for scenario in (pprn_scenario, SCENARIOS / "ppr_explicit_plays.json"):
+        for verb in ("run", "certify"):
+            out = tmp_path / scenario.stem / verb
+            assert main([verb, "--scenario", str(scenario), "--out", str(out),
+                         option, value]) == 1
+            one_error_line(capsys, needle)
+            assert not out.exists()
 
 
 def test_epsilon_below_the_met_band_is_noted(tmp_path, capsys):

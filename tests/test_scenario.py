@@ -1,5 +1,4 @@
 import json
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,6 +142,13 @@ def test_record_reads_any_dataclass_from_its_fields():
         with pytest.raises(ScenarioError) as info:
             _record(Probe, raw, "probe")
         assert str(info.value) == message
+
+
+def test_top_level_must_be_an_object():
+    for data in ([], [MINIMAL_PPR], "scenario", None, 1):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario_dict(data)
+        assert str(info.value) == "scenario: top level must be an object"
 
 
 def test_version_required():
@@ -457,6 +463,10 @@ MISTYPED_FIELDS = [
     (("analysis",), {"conditions_only": False},
      "scenario.analysis.conditions_only: unknown field"),
     (("analysis",), {"run_campaign": True}, "scenario.analysis.run_campaign: unknown field"),
+    (("agents", 1, "belief_side"), [], "scenario.agents[1].belief_side: '[]' is not "
+                                       "one of: provision_likely, rejection_likely"),
+    (("config", "mechanism"), {"a": 1}, "scenario.config.mechanism: '{'a': 1}' is not "
+                                        "one of: PPR, PPS, PPRN, PPSN, PPRx, PPSx"),
 ]
 
 
@@ -478,44 +488,22 @@ def test_integral_floats_and_boolean_flags_accepted():
     assert not parse_scenario_dict(data).analysis.certify
 
 
-@contextmanager
-def full_reader_only():
-    """The parser with every fast check failing, so that each record is read
-    field by field by its readers, as it was before the fast route."""
-    compiled = scenario_module._fields
-
-    def slow_fields(cls):
-        names, entries = compiled(cls)
-        return names, tuple((name, default, read, lambda raw: scenario_module._SLOW)
-                            for name, default, read, _ in entries)
-
-    scenario_module._fields = slow_fields
+def read(parse, data):
+    """``parse(data)`` as JSON text (which tells 3 from 3.0), or its error
+    message."""
     try:
-        yield
-    finally:
-        scenario_module._fields = compiled
-
-
-def both_readers(parse, data):
-    """``parse(data)`` by the fast route and by the full reader alone: each
-    its value as JSON text (which tells 3 from 3.0), or its error message."""
-    results = []
-    for reader in (nullcontext(), full_reader_only()):
-        with reader:
-            try:
-                results.append(json.dumps(scenario_module._plain(parse(data)),
-                                          sort_keys=True))
-            except ScenarioError as exc:
-                results.append(f"error: {exc}")
-    return results
+        return json.dumps(scenario_module._plain(parse(data)), sort_keys=True)
+    except ScenarioError as exc:
+        return f"error: {exc}"
 
 
 @settings(deadline=None, max_examples=60)
 @given(mechanism=st.sampled_from(list(Mechanism)), count=st.integers(3, 64),
        seed=st.integers(0, 2**31 - 1), explicit=st.booleans())
-def test_fast_route_reads_what_the_full_reader_reads(mechanism, count, seed, explicit):
+def test_generated_scenarios_with_explicit_plays_round_trip(mechanism, count, seed,
+                                                            explicit):
     # generated scenarios, with explicit plays and reports or without, parse
-    # to the same values by either route, and round trip unchanged
+    # to the values scenario_to_dict wrote, each of the same JSON type
     scenario = generate_scenario(ScenarioTemplate(mechanism, count), seed)
     if explicit:
         scenario.explicit_actions = [
@@ -524,9 +512,8 @@ def test_fast_route_reads_what_the_full_reader_reads(mechanism, count, seed, exp
         if mechanism.two_phase:
             scenario.explicit_reports = [default_report(a) for a in scenario.agents]
     data = json.loads(json.dumps(scenario_to_dict(scenario)))
-    del data["version"]
-    fast, slow = both_readers(parse_scenario_dict, {"version": 1, **data})
-    assert fast == slow == json.dumps(data, sort_keys=True)
+    assert (json.dumps(scenario_to_dict(parse_scenario_dict(data)), sort_keys=True)
+            == json.dumps(data, sort_keys=True))
 
 
 FALLBACK_CASES = [
@@ -550,26 +537,30 @@ FALLBACK_CASES = [
     (("explicit_actions", 0, "market"), "against", "scenario.explicit_actions[0].market: "
                                                    "PPR has no rejection market"),
 ]
+WHOLE = {"id": int, "arrival_contribution": int, "valuation": float}
 
 
 @pytest.mark.parametrize("path,value,message", FALLBACK_CASES)
 def test_fast_route_falls_back_to_the_full_reader(path, value, message):
-    # a value the fast checks refuse, or a record its class refuses, is read
-    # again by the full reader: the same value, or the same one-line error
-    fast, slow = both_readers(parse_scenario_dict, with_value(MINIMAL_PPR, path, value))
-    assert fast == slow
+    # a value a reader's opening test refuses falls to the rest of that
+    # reader, and a record its class refuses is refused at its path: a
+    # value converted to the field's type, or one error line
+    text = read(parse_scenario_dict, with_value(MINIMAL_PPR, path, value))
     if message is None:
-        assert not fast.startswith("error: ")
+        parsed = json.loads(text)
+        for key in path:
+            parsed = parsed[key]
+        assert json.dumps(parsed) == json.dumps(WHOLE[path[-1]](value))
     else:
-        assert fast == f"error: {message}"
+        assert text == f"error: {message}"
 
 
-def test_missing_fields_and_templates_read_as_by_the_full_reader():
+def test_missing_fields_and_refused_templates_name_the_field():
     data = json.loads(json.dumps(MINIMAL_PPR))
     del data["agents"][1]["id"]
-    fast, slow = both_readers(parse_scenario_dict, data)
-    assert fast == slow == "error: scenario.agents[1]: missing required field 'id'"
-    # a template the class refuses is read again, and refused with the same words
+    assert (read(parse_scenario_dict, data)
+            == "error: scenario.agents[1]: missing required field 'id'")
+    # a template the class itself refuses keeps the class's words
     for template, message in [
             ({"mechanism": "PPR", "agent_count": 3}, None),
             ({"mechanism": "PPRN", "agent_count": 3.0}, None),
@@ -579,12 +570,11 @@ def test_missing_fields_and_templates_read_as_by_the_full_reader():
              "error: template.agent_count: PPRN needs 2 or more agents"),
             ({"mechanism": "PPR", "agent_count": MAX_AGENT_COUNT + 1},
              f"error: template.agent_count: at most {MAX_AGENT_COUNT} agents")]:
-        fast, slow = both_readers(template_from_dict, template)
-        assert fast == slow
+        text = read(template_from_dict, template)
         if message is None:
-            assert not fast.startswith("error: ")
+            assert json.dumps(json.loads(text)["agent_count"]) == "3"
         else:
-            assert fast == message
+            assert text == message
 
 
 def test_agent_count_has_an_upper_bound():
@@ -624,6 +614,9 @@ MISTYPED_TEMPLATE_FIELDS = [
     ("epsilon_range", [0.4, 0.9], "template.epsilon_range: need 0 <= low <= high <= 0.5"),
     ("epsilon_range", [0.2, 0.1], "template.epsilon_range: need 0 <= low <= high <= 0.5"),
     ("epsilon_range", [-0.1, 0.1], "template.epsilon_range: need 0 <= low <= high <= 0.5"),
+    ("valuation_range", [0, 5], "template.valuation_range: need 0 < low <= high"),
+    ("valuation_range", [9, 5], "template.valuation_range: need 0 < low <= high"),
+    ("valuation_range", [-5, -1], "template.valuation_range: need 0 < low <= high"),
 ]
 
 
