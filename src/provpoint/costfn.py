@@ -33,8 +33,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import CostParams
-
 # exp(700) is within range; past it the formulas switch to log space
 EXP_LIMIT = 700.0
 # the least normal float: a share -expm1(-x/b) below it has lost its digits
@@ -58,18 +56,14 @@ def _log_share(w: float, amount: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class CostFunction:
+    """A scenario's ``cost_params`` record (securities family only)."""
+
     liquidity: float = 1.0
     fixed_leg: float = 0.0
 
     def __post_init__(self) -> None:
         if self.liquidity <= 0:
             raise ValueError(f"liquidity must be positive, got {self.liquidity}")
-        # cost of the empty market, from which issuance is measured
-        object.__setattr__(self, "opening_cost", self.cost(0.0))
-
-    @classmethod
-    def from_params(cls, params: CostParams) -> "CostFunction":
-        return cls(liquidity=params.liquidity, fixed_leg=params.fixed_leg)
 
     def cost(self, quantity: float) -> float:
         """Total cost of the market state at ``quantity`` issued securities."""

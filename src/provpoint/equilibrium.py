@@ -212,10 +212,10 @@ def _below_valuations(config: CampaignConfig, totals: dict[Market, float]) -> li
 
 # Row entries too long for a lambda; PPS and PPSN share theirs.
 def _securities_conditions(config, net, totals):
-    cf = config.cost_function
+    cf = config.cost_params
     return _below_valuations(config, totals) + [
         (f"{_SIDE_NAMES[m]}_securities_affordable",
-         cf.inverse_cost(config.target(m) + cf.opening_cost), totals[m], True)
+         cf.inverse_cost(config.target(m) + cf.cost(0.0)), totals[m], True)
         for m in config.mechanism.markets]
 
 
@@ -288,7 +288,7 @@ def contribution_bound(config: CampaignConfig, agent: AgentProfile, *,
     """The mechanism's bound at the given issuance context."""
     row = RULES[config.mechanism]
     if row.securities is not None:
-        return config.cost_function.contribution_for(
+        return config.cost_params.contribution_for(
             row.securities(config, agent, belief_reward), issued)
     return row.bound(config, agent, issued, belief_reward)
 
@@ -649,7 +649,7 @@ class _Evaluator:
         self.rival = (utility(config, agent, market, reward,
                               _REJECTED if for_market else _PROVISIONED)
                       if dual else self.expired)
-        self.cf = cf = config.cost_function  # set exactly for the securities family
+        self.cf = cf = config.cost_params  # set exactly for the securities family
         self.sweep_cap = abs(agent.valuation) + reward
         # The mix's slope is -own_weight + alt_weight * (alternative's
         # slope), and the alternative's slope falls with x. Refund family:
@@ -1052,7 +1052,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     # certification
     final, found, closing, plays, bought = (play.book, play.found, play.closing,
                                             play.plays, play.bought)
-    cf = config.cost_function
+    cf = config.cost_params
     target_issued = {m: cf.issued_at(config.target(m)) for m in config.mechanism.markets}
     dual = config.mechanism.dual_market
     for idx, ((own_market, quantity), slot) in enumerate(zip(plays, slots)):

@@ -42,7 +42,7 @@ ticks are recorded in the ledger but do not enter those utilities.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import expm1, log1p
@@ -259,7 +259,10 @@ class DualMarketState:
             return accepted, money, waits
         bought = bought[side]
         start = cf.issued_at(after[i])
-        end = bisect_left(bought, target_issued - start + bought[first], first + 1)
+        # a follower that buys nothing leaves the book open, even where
+        # the money short of the target is too little to move the issuance
+        end = bisect_left(bought, target_issued - start + bought[first],
+                          bisect_right(bought, bought[first], first + 1))
         closes = end < len(bought)
         count = end - first - 1 if closes else len(bought) - 1 - first
         raised = raised_against if i else raised_for
@@ -295,7 +298,7 @@ def new_states(config: CampaignConfig) -> DualMarketState:
     else:
         assert config.provision_point is not None
         h_for, h_against = config.provision_point, float("inf")
-    return DualMarketState((h_for, h_against), config.cost_function, mech.dual_market)
+    return DualMarketState((h_for, h_against), config.cost_params, mech.dual_market)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,8 @@ import enum
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .costfn import CostFunction
+from .costfn import CostFunction
 
 
 class Mechanism(enum.Enum):
@@ -138,18 +136,6 @@ def aggregate_valuations(agents: list[AgentProfile]) -> tuple[float, float, floa
 
 
 @dataclass(frozen=True)
-class CostParams:
-    """Cost-function parameters carried by scenario files (PPS family only)."""
-
-    liquidity: float = 1.0
-    fixed_leg: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.liquidity <= 0:
-            raise ValueError(f"liquidity must be positive, got {self.liquidity}")
-
-
-@dataclass(frozen=True)
 class CampaignConfig:
     """Mechanism selection plus the targets, budgets, and deadlines it needs.
 
@@ -166,7 +152,7 @@ class CampaignConfig:
     contribution_budget: float | None = None
     deadline_contribution: int = 0
     deadline_belief: int | None = None
-    cost_params: CostParams | None = None
+    cost_params: CostFunction | None = None
 
     def __post_init__(self) -> None:
         m = self.mechanism
@@ -215,16 +201,6 @@ class CampaignConfig:
             raise ValueError(f"{self.mechanism.value} has no rejection market")
         assert self.provision_point is not None
         return self.provision_point
-
-    @cached_property
-    def cost_function(self) -> CostFunction | None:
-        """The securities family's cost function, built once per config;
-        None for the refund-bonus family."""
-        from .costfn import CostFunction
-
-        if self.cost_params is None:
-            return None
-        return CostFunction.from_params(self.cost_params)
 
     @property
     def bonus_budget(self) -> float | None:

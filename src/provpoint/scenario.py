@@ -25,13 +25,13 @@ from functools import cache, partial
 from pathlib import Path
 
 from .beliefs import BeliefReport, conditional_rewards, default_report, score_reports
+from .costfn import CostFunction
 from .equilibrium import check_conditions, construct_profile, contribution_bound
 from .mechanisms import Action
 from .model import (
     AgentProfile,
     BeliefSide,
     CampaignConfig,
-    CostParams,
     Market,
     Mechanism,
     aggregate_valuations,
@@ -512,7 +512,7 @@ def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
         extra["deadline_belief"] = max(n - 1, max(a.arrival_belief for a in agents))
         deadline = max(deadline, extra["deadline_belief"] + 1)
     if mech.uses_securities:
-        extra["cost_params"] = CostParams(liquidity=max(1.0, total_for + total_against))
+        extra["cost_params"] = CostFunction(liquidity=max(1.0, total_for + total_against))
     if mech is Mechanism.PPRX:
         extra["contribution_budget"] = 0.15 * net * budget_scale
 

@@ -29,7 +29,6 @@ from provpoint.model import (
     BeliefSide,
     CampaignConfig,
     ContributionRecord,
-    CostParams,
     Market,
     Mechanism,
     Verdict,
@@ -167,7 +166,7 @@ def test_criterion_4_ppsx_spe_and_ordering():
     # whenever a positive belief reward is at stake
     config = CampaignConfig(mechanism=Mechanism.PPSX, provision_point=10.0,
                             belief_budget=5.0,
-                            cost_params=CostParams(liquidity=25.0),
+                            cost_params=CostFunction(liquidity=25.0),
                             deadline_contribution=5, deadline_belief=2)
     reward = 2.0
     for i in range(10):
@@ -220,7 +219,7 @@ def test_criterion_5_negative_controls():
               AgentProfile(id=2, valuation=-10.0, arrival_contribution=2)]
     config = CampaignConfig(mechanism=Mechanism.PPSN,
                             provision_point_pair=(3.8, 4.0),
-                            cost_params=CostParams(liquidity=1.0),
+                            cost_params=CostFunction(liquidity=1.0),
                             deadline_contribution=5)
     violated = [c for c in check_conditions(config, agents) if not c.satisfied]
     assert [c.name for c in violated] == ["provision_securities_affordable"]
@@ -248,7 +247,7 @@ def test_criterion_5_negative_controls():
     # PPSx: same violated headroom, securities variant
     config = CampaignConfig(mechanism=Mechanism.PPSX, provision_point=20.0,
                             belief_budget=4.0,
-                            cost_params=CostParams(liquidity=20.0),
+                            cost_params=CostFunction(liquidity=20.0),
                             deadline_contribution=5, deadline_belief=2)
     violated = [c for c in check_conditions(config, agents) if not c.satisfied]
     assert [c.name for c in violated] == [
@@ -263,7 +262,7 @@ def test_criterion_5_negative_controls():
     assert [c.name for c in violated] == ["refund_budget_below_cap"]
     assert not construct_profile(config, agents).feasible
     config = CampaignConfig(mechanism=Mechanism.PPS, provision_point=10.5,
-                            cost_params=CostParams(liquidity=1.0),
+                            cost_params=CostFunction(liquidity=1.0),
                             deadline_contribution=5)
     violated = [c for c in check_conditions(config, agents) if not c.satisfied]
     assert [c.name for c in violated] == ["provision_securities_affordable"]
@@ -285,7 +284,7 @@ def test_criterion_6_monotonicity_properties():
     # refunds along a dual-market run never improve with time
     config = CampaignConfig(mechanism=Mechanism.PPSN,
                             provision_point_pair=(50.0, 50.0),
-                            cost_params=CostParams(liquidity=1.0),
+                            cost_params=CostFunction(liquidity=1.0),
                             deadline_contribution=12)
     actions = [Action(i, 1.0, Market.FOR if i % 2 == 0 else Market.AGAINST, i)
                for i in range(10)]

@@ -125,6 +125,13 @@ def test_prefix_weights_worked_example():
     assert rewards[2] == pytest.approx(3.0 / 19.0)
 
 
+@pytest.mark.parametrize("budget", [0.0, -1.0])
+def test_bbr_rewards_refuse_a_nonpositive_budget(budget):
+    ledger = score_reports([report(i, 1, 0.5) for i in range(3)])
+    with pytest.raises(ValueError, match=f"belief budget must be positive, got {budget}"):
+        bbr_rewards(ledger, BeliefSide.PROVISION_LIKELY, budget)
+
+
 def test_equal_scores_decreasing_weights():
     reports = [report(i, 0, 0.5, tick=i) for i in range(3)]
     ledger = score_reports(reports)

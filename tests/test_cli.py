@@ -230,6 +230,11 @@ def test_duplicate_explicit_reports_exit_code(tmp_path, capsys):
      "template.provision_point: PPRN does not use this field"),
     ({"mechanism": "PPRx", "agent_count": 4, "provision_point": -4},
      "template.provision_point: targets must be positive"),
+    # every agent rejection-minded at the widest offset: no reward-adjusted
+    # bound is positive, so no target can be sized
+    ({"mechanism": "PPRx", "agent_count": 3, "epsilon_range": [0.5, 0.5],
+      "rejection_share": 1.0},
+     "template infeasible: reward-adjusted bounds sum to zero"),
 ])
 def test_mistyped_template_exit_code(tmp_path, capsys, template, needle):
     path = tmp_path / "template.json"

@@ -156,10 +156,17 @@ def test_rejects_bad_inputs():
         cf.securities_for(1.0, -0.1)
     with pytest.raises(ValueError):
         cf.contribution_for(-1.0, 0.0)
+    with pytest.raises(ValueError, match="issued must be nonnegative, got -0.1"):
+        cf.contribution_for(1.0, -0.1)
     with pytest.raises(ValueError):
         cf.inverse_cost(0.0)  # at the floor for fixed_leg=0
     with pytest.raises(ValueError):
         CostFunction(liquidity=-1.0)
+
+
+def test_cost_params_validation():
+    with pytest.raises(ValueError, match="liquidity"):
+        CostFunction(liquidity=0.0)
 
 
 def test_overflow_guarded():

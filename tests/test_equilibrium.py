@@ -5,7 +5,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from provpoint import equilibrium, mechanisms
 from provpoint.costfn import CostFunction
@@ -47,7 +47,6 @@ from provpoint.model import (
     BeliefSide,
     CampaignConfig,
     ContributionRecord,
-    CostParams,
     Market,
     Mechanism,
     Verdict,
@@ -107,7 +106,7 @@ def pprn_config(h_for=20.0, h_against=15.0, budget=5.0):
 def ppsn_config(h_for=5.0, h_against=4.0, liquidity=30.0):
     return CampaignConfig(mechanism=Mechanism.PPSN,
                           provision_point_pair=(h_for, h_against),
-                          cost_params=CostParams(liquidity=liquidity),
+                          cost_params=CostFunction(liquidity=liquidity),
                           deadline_contribution=5)
 
 
@@ -120,7 +119,7 @@ def pprx_config(h0=14.0, belief=6.0, contribution=3.0):
 def ppsx_config(h0=8.0, belief=6.0, liquidity=40.0):
     return CampaignConfig(mechanism=Mechanism.PPSX, provision_point=h0,
                           belief_budget=belief,
-                          cost_params=CostParams(liquidity=liquidity),
+                          cost_params=CostFunction(liquidity=liquidity),
                           deadline_contribution=6, deadline_belief=4)
 
 
@@ -359,7 +358,7 @@ def test_certify_spe_flags_allocation_rising_with_issuance(monkeypatch):
     # negative control for the delay walk: with securities that grow with
     # issuance, waiting for later arrivals pays, and must be reported
     config = CampaignConfig(mechanism=Mechanism.PPS, provision_point=10.0,
-                            cost_params=CostParams(liquidity=30.0),
+                            cost_params=CostFunction(liquidity=30.0),
                             deadline_contribution=5)
     agents = [agent(6.0, i, arrival_contribution=i) for i in range(4)]
     profile = construct_profile(config, agents)
@@ -375,7 +374,7 @@ def test_certify_spe_flags_allocation_rising_with_issuance(monkeypatch):
 def test_certify_spe_infeasible_profile_not_certified():
     # four arrivals' bounds cannot raise a target of 100: no path is searched
     config = CampaignConfig(mechanism=Mechanism.PPS, provision_point=100.0,
-                            cost_params=CostParams(liquidity=30.0),
+                            cost_params=CostFunction(liquidity=30.0),
                             deadline_contribution=5)
     agents = [agent(6.0, i, arrival_contribution=i) for i in range(4)]
     profile = construct_profile(config, agents)
@@ -390,6 +389,11 @@ def test_certify_spe_infeasible_profile_not_certified():
     rows = report.to_dict()["agents"]
     assert [row["id"] for row in rows] == [0, 1, 2, 3]
     assert all(row[key] is None for row in rows for key in ("bound", "lhs", "rhs", "clamped"))
+
+
+def test_construct_profile_needs_three_agents_to_score_beliefs():
+    with pytest.raises(ValueError, match="belief-phase mechanisms require at least 3 agents"):
+        construct_profile(pprx_config(), [agent(10.0, 0), agent(8.0, 1)])
 
 
 def test_certify_spe_rejects_simultaneous_mechanisms():
@@ -584,7 +588,7 @@ def _closed_form_indifference(config: CampaignConfig, agent: AgentProfile, bound
             return p * (theta - bound + reward), q * share, False
         return (p * (theta - bound), q * (share + reward),
                 bound == 0.0 and p * theta - q * reward < 0)
-    allocated = config.cost_function.securities_for(bound, issued)
+    allocated = config.cost_params.securities_for(bound, issued)
     if mechanism is Mechanism.PPSX:
         if optimist:
             return theta + reward - bound, allocated - bound, False
@@ -721,6 +725,14 @@ def test_ordering_gap_rejects_unmatched():
         contribution_ordering_gap(pprx_config(), plus, minus)
     with pytest.raises(ValueError, match="provision-minded"):
         contribution_ordering_gap(pprx_config(), minus, minus)
+    with pytest.raises(ValueError, match="second agent must be rejection-minded"):
+        contribution_ordering_gap(pprx_config(), plus, plus)
+    offset = agent(10.0, 1, eps=0.2, side=BeliefSide.REJECTION_LIKELY)
+    with pytest.raises(ValueError, match="pair must share the same belief offset"):
+        contribution_ordering_gap(pprx_config(), plus, offset)
+    later = agent(10.0, 1, eps=0.1, side=BeliefSide.REJECTION_LIKELY, arrival_contribution=1)
+    with pytest.raises(ValueError, match="pair must share the same arrival"):
+        contribution_ordering_gap(pprx_config(), plus, later)
     with pytest.raises(ValueError, match="belief-phase"):
         contribution_ordering_gap(pprn_config(), plus, minus)
 
@@ -828,7 +840,7 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
                                  seed=n)
     config, agents = scenario.config, scenario.agents
-    cf = config.cost_function
+    cf = config.cost_params
     profile = construct_profile(config, agents)
     slots = equilibrium._slots(config, agents, profile, _engine_path(config, agents, profile))
     delayed = []  # (slot, the issuances of its delay waits)
@@ -1007,7 +1019,7 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
            for slot, waits in swept]
     assert [row[:4] + (row[4][0],) for row in got] == [
         row[:4] + (len(row[4]),) for row in expected]
-    tolerance = 1e-12 * max(config.cost_function.issued_at(config.target(m))
+    tolerance = 1e-12 * max(config.cost_params.issued_at(config.target(m))
                             for m in mechanism.markets)
     for (*_, waits), (*_, reference) in zip(got, expected):
         assert all(abs(a - b) <= tolerance
@@ -1027,6 +1039,10 @@ def _legal(book: DualMarketState) -> bool:
        fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
        hair=st.sampled_from([None, Market.FOR, Market.AGAINST]),
        mover=st.integers(min_value=0, max_value=39))
+# one ulp short of the target, where the issuance already rounds to the
+# target's, the mover and the one follower after it buy nothing
+@example(mechanism=Mechanism.PPSX, n=12, seed=12, fractions=(0.0, 0.0), hair=Market.FOR,
+         mover=10)
 def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mover):
     # the kernel's follower walks against contribution_bound at
     # price_issuance, then play, one arrival at a time, from random states
@@ -1073,7 +1089,7 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     bound = contribution_bound(config, arrivals[mover][0],
                                issued=state.price_issuance(side), belief_reward=reward)
     accepted, totals, waits = state.follow(*state.raised, side, bound, plays, bought, first,
-                                           config.cost_function.issued_at(config.target(side)))
+                                           config.cost_params.issued_at(config.target(side)))
     after = _copy(state)
     assert accepted == after.play(side, bound)
     amounts = _rollout(config, after, arrivals[first:]) if not after.closed else []
@@ -1086,7 +1102,7 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
         expected_waits.append(before.price_issuance(side))
     assert waits[0] == len(expected_waits)
     # waits are read off prefix sums: equal up to rounding
-    tolerance = 1e-12 * max(config.cost_function.issued_at(config.target(m))
+    tolerance = 1e-12 * max(config.cost_params.issued_at(config.target(m))
                             for m in mechanism.markets)
     assert all(abs(a - b) <= tolerance for a, b in
                zip(_wait_ends(waits), expected_waits[:1] + expected_waits[-1:]))
@@ -1225,7 +1241,7 @@ def test_eu_is_nondecreasing_in_the_allocation(mechanism, n, monkeypatch):
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
                                  seed=1)
     config, agents = scenario.config, scenario.agents
-    cf = config.cost_function
+    cf = config.cost_params
     recorded = []
     sweep = _Evaluator.sweep
 
@@ -1375,7 +1391,7 @@ def test_exact_best_response_dominates_dense_grid(mechanism, extra, seed):
 def _mix(config: CampaignConfig, slot: _Evaluator, amount: float) -> float:
     """The belief-weighted mix of both branches at ``amount``, unclipped, as
     if the own market were met whatever the amount."""
-    cf = config.cost_function
+    cf = config.cost_params
     securities = 0.0 if cf is None else cf.securities_for(amount, slot.issued)
     for_market = slot.market is Market.FOR
     total_for = slot.others_for + (amount if for_market else 0.0)
@@ -1422,7 +1438,7 @@ def _public_bound(config: CampaignConfig, agent: AgentProfile, issued: float,
                   reward: float) -> float:
     """The exported ``bound_*`` function of the config's mechanism; for the
     securities family, the payment for the exported security quantity."""
-    cf = config.cost_function
+    cf = config.cost_params
     return {
         Mechanism.PPR: lambda: bound_ppr(agent, config.provision_point,
                                          config.refund_budget),
@@ -1462,7 +1478,7 @@ def test_securities_rows_bound_at_their_quantity(mechanism):
         reward = rewards.get(a.id, 0.0)
         for issued in (0.0, 2.5, 40.0):
             assert (contribution_bound(config, a, issued=issued, belief_reward=reward)
-                    == config.cost_function.contribution_for(
+                    == config.cost_params.contribution_for(
                         row.securities(config, a, reward), issued))
 
 

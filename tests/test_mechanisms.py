@@ -21,7 +21,6 @@ from provpoint.model import (
     AgentProfile,
     CampaignConfig,
     ContributionRecord,
-    CostParams,
     Market,
     Mechanism,
     Verdict,
@@ -37,7 +36,7 @@ def agent(theta, aid=0, **kw):
 def ppsn_book_config(h_for=100.0, h_against=100.0):
     return CampaignConfig(mechanism=Mechanism.PPSN,
                           provision_point_pair=(h_for, h_against),
-                          cost_params=CostParams(liquidity=1.0),
+                          cost_params=CostFunction(liquidity=1.0),
                           deadline_contribution=10)
 
 
@@ -339,7 +338,7 @@ def test_pps_refund_decreases_over_time():
     # strictly fewer once the min leg has advanced
     config = CampaignConfig(mechanism=Mechanism.PPSN,
                             provision_point_pair=(50.0, 50.0),
-                            cost_params=CostParams(liquidity=1.0),
+                            cost_params=CostFunction(liquidity=1.0),
                             deadline_contribution=10)
     _, dual = run_campaign(config, [
         Action(0, 1.0, Market.FOR, 1),
@@ -417,6 +416,12 @@ def test_settle_pprn_rejected():
     bonus = sum(p.refund - p.contribution for p in outcome.payouts.values()
                 if p.refund > 0)
     assert bonus <= 6.0
+
+
+def test_settle_refuses_a_ledger_naming_an_unknown_agent():
+    verdict, dual = run_campaign(ppr_config(), [Action(7, 4.0, Market.FOR, 1)])
+    with pytest.raises(ValueError, match="ledger references unknown agent 7"):
+        settle(ppr_config(), [agent(10.0, 0)], verdict, dual)
 
 
 def test_settle_two_phase_requires_rewards():

@@ -1,12 +1,17 @@
 """Metamorphic relations of the whole run: a transformed scenario that is the
 same game must get the same findings. The game is homogeneous of degree one
 in money (the LMSR cost scales with its quantities, liquidity and fixed
-leg), and PPRN and PPSN treat their two markets alike."""
+leg), PPRN and PPSN treat their two markets alike, and a PPR or PPRN
+economy copied k times, with its targets and refund budget times k, is the
+same game for each copy."""
 
+import dataclasses
 import json
+import math
 
 from hypothesis import given, settings, strategies as st
 
+from provpoint.equilibrium import certify_ne, construct_profile
 from provpoint.model import Mechanism, Verdict
 from provpoint.runner import run_scenario
 from provpoint.scenario import (
@@ -78,3 +83,38 @@ def test_swapping_the_markets_mirrors_the_verdicts(mechanism, count, seed):
     conditions, feasible, certified, expected, verdict, deviations = findings(data)
     assert findings(mirror) == (conditions, feasible, certified, MIRROR[expected],
                                 MIRROR[verdict], deviations)
+
+
+def replica(config, agents, k):
+    """The economy ``config``, ``agents`` copied ``k`` times: copy c of
+    agent i has id c * n + i, and the targets and the refund budget are
+    times k."""
+    n = len(agents)
+    copies = [dataclasses.replace(a, id=c * n + a.id) for c in range(k) for a in agents]
+    targets = ({"provision_point_pair": tuple(k * h for h in config.provision_point_pair)}
+               if config.mechanism.dual_market
+               else {"provision_point": k * config.provision_point})
+    return dataclasses.replace(config, refund_budget=k * config.refund_budget,
+                               **targets), copies
+
+
+@settings(deadline=None, max_examples=40)
+@given(mechanism=st.sampled_from([Mechanism.PPR, Mechanism.PPRN]),
+       count=st.sampled_from([6, 12]), seed=st.integers(1, 10),
+       k=st.sampled_from([2, 10, 100]))
+def test_a_replica_economy_keeps_the_verdict_and_each_amount(mechanism, count, seed, k):
+    # ROADMAP item 24: the refund-bonus bounds depend on the budget per
+    # target, so each copy plays its original's amount. PPRx is left out:
+    # its belief rewards change with the population
+    scenario = generate_scenario(ScenarioTemplate(mechanism, count), seed)
+    config, agents = scenario.config, scenario.agents
+    assert [a.id for a in agents] == list(range(count))
+    profile = construct_profile(config, agents)
+    big_config, copies = replica(config, agents, k)
+    big = construct_profile(big_config, copies)
+    assert big.feasible == profile.feasible
+    assert (certify_ne(big_config, copies, big).certified
+            == certify_ne(config, agents, profile).certified)
+    for copy in copies:
+        assert math.isclose(big.entries[copy.id].amount,
+                            profile.entries[copy.id % count].amount, rel_tol=1e-9), copy.id

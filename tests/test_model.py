@@ -4,7 +4,7 @@ from provpoint.model import (
     AgentProfile,
     BeliefSide,
     CampaignConfig,
-    CostParams,
+    ContributionRecord,
     Market,
     Mechanism,
     Payout,
@@ -108,9 +108,14 @@ def test_config_targets():
         single.target(Market.AGAINST)
 
 
-def test_cost_params_validation():
-    with pytest.raises(ValueError, match="liquidity"):
-        CostParams(liquidity=0.0)
+@pytest.mark.parametrize("field,message", [
+    ("amount", "contribution amount must be nonnegative"),
+    ("securities", "allocated securities must be nonnegative"),
+])
+def test_contribution_record_refuses_negatives(field, message):
+    values = {"amount": 1.0, "securities": 1.0, field: -1.0}
+    with pytest.raises(ValueError, match=message):
+        ContributionRecord(agent_id=0, tick=0, market=Market.FOR, **values)
 
 
 def test_payout_realization():

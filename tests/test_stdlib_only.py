@@ -23,3 +23,12 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}: {module}" for module in modules
                         if module.partition(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+def test_costfn_is_a_leaf_module():
+    # the cost function is the one type scenario files parse into, so
+    # model imports costfn and costfn imports nothing of the package
+    path = next(path for path in SOURCES if path.name == "costfn.py")
+    relative = [node.module for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == []
