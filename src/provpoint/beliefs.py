@@ -4,19 +4,21 @@ Each agent files a binary information report (0 = expects provision, 1 =
 expects no provision) plus a prediction of how frequent 1-reports will be.
 Scores combine an information score and a prediction score through a
 normalized binary quadratic rule, using the next agent in report order as
-reference and the one after as peer (wrapping around). Rewards split a fixed
-budget across the side that matched the realized verdict, weighted by score
-over the prefix of earlier reporters, which makes equal-scoring early
-reporters strictly better off than late ones.
-The contribution utilities that add the reward to a branch are rows of the
-payoff rule in ``mechanisms``.
+reference and the one after as peer (wrapping around). The scored ledger is
+the one record of the belief phase, and ``bbr_rewards`` splits the budget
+once from it: each reporter's reward were its reported side to win, each
+side's reporters sharing the whole budget by score over the prefix of
+earlier reporters, which makes equal-scoring early reporters strictly
+better off than late ones. The contribution bounds price that reward, and
+settlement pays it, on the branch the reported side wins: the payoff rule's
+``belief_paid`` term in ``mechanisms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import AgentProfile, BeliefSide, Verdict, plain_sum
+from .model import AgentProfile, BeliefSide, plain_sum
 
 
 # by information report; bound once, as an enum member lookup costs a few
@@ -51,14 +53,11 @@ class BeliefReport:
 
 @dataclass
 class BeliefLedger:
-    """Frozen belief phase: ordered reports plus scores and weights, and
-    flags for the degenerate splits settlement met."""
+    """Frozen belief phase: ordered reports plus scores and weights."""
 
     reports: list[BeliefReport]
     scores: dict[int, float] = field(default_factory=dict)
     weights: dict[int, float] = field(default_factory=dict)
-    empty_winning_side: bool = False
-    zero_score_split: bool = False
 
 
 def quadratic_score(p: float, outcome: int) -> float:
@@ -70,11 +69,6 @@ def quadratic_score(p: float, outcome: int) -> float:
     if outcome == 1:
         return 1.0 - (1.0 - p) * (1.0 - p)
     return 1.0 - p * p
-
-
-def sort_reports(reports: list[BeliefReport]) -> list[BeliefReport]:
-    """Canonical report order: tick, ties broken by agent id."""
-    return sorted(reports, key=lambda r: (r.tick, r.agent_id))
 
 
 def rbts_scores(reports: list[BeliefReport]) -> dict[int, float]:
@@ -100,30 +94,18 @@ def rbts_scores(reports: list[BeliefReport]) -> dict[int, float]:
 
 
 def score_reports(reports: list[BeliefReport]) -> BeliefLedger:
-    """Build a ledger with canonical ordering, scores, and prefix weights."""
-    ordered = sort_reports(reports)
+    """Build a ledger with canonical ordering (tick, ties broken by agent
+    id), scores, and prefix weights."""
+    ordered = sorted(reports, key=lambda r: (r.tick, r.agent_id))
     ids = [r.agent_id for r in ordered]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate belief reports for one agent")
-    ledger = BeliefLedger(reports=ordered)
-    ledger.scores = rbts_scores(ordered)
-    prefix = 0.0
+    scores = rbts_scores(ordered)
+    weights, prefix = {}, 0.0
     for rep in ordered:
-        prefix += ledger.scores[rep.agent_id]
-        ledger.weights[rep.agent_id] = (
-            ledger.scores[rep.agent_id] / prefix if prefix > 0.0 else 0.0
-        )
-    return ledger
-
-
-def _split(ledger: BeliefLedger, side: BeliefSide,
-           budget: float) -> tuple[dict[int, float], float]:
-    """One side's budget split and the weight total it was split by."""
-    members = [r.agent_id for r in ledger.reports if r.side is side]
-    total = plain_sum(ledger.weights[a] for a in members)
-    if total <= 0.0:
-        return {a: budget / len(members) for a in members}, total
-    return {a: ledger.weights[a] / total * budget for a in members}, total
+        prefix += scores[rep.agent_id]
+        weights[rep.agent_id] = scores[rep.agent_id] / prefix if prefix > 0.0 else 0.0
+    return BeliefLedger(ordered, scores, weights)
 
 
 def side_rewards(ledger: BeliefLedger, side: BeliefSide, budget: float) -> dict[int, float]:
@@ -133,49 +115,45 @@ def side_rewards(ledger: BeliefLedger, side: BeliefSide, budget: float) -> dict[
     of the budget is always handed out. Degenerate all-zero weights fall
     back to an equal split.
     """
-    return _split(ledger, side, budget)[0]
+    members = [r.agent_id for r in ledger.reports if r.side is side]
+    total = plain_sum(ledger.weights[a] for a in members)
+    if total <= 0.0:
+        return {a: budget / len(members) for a in members}
+    return {a: ledger.weights[a] / total * budget for a in members}
 
 
-def conditional_rewards(ledger: BeliefLedger, budget: float) -> dict[int, float]:
-    """Each reporter's reward were its own reported side to win. The
-    contribution bounds price this reward, and ``bbr_rewards`` pays the same
-    split to the side that wins."""
+def bbr_rewards(ledger: BeliefLedger, budget: float) -> dict[int, float]:
+    """The belief budget's one split: each reporter's reward were its own
+    reported side to win, every side splitting the whole budget. The
+    contribution bounds price this reward and settlement pays it, each on
+    the branch the reported side wins; a side without reporters pays
+    nobody."""
+    if budget <= 0:
+        raise ValueError(f"belief budget must be positive, got {budget}")
     rewards: dict[int, float] = {}
-    for side in BeliefSide:
+    for side in _SIDES:
         rewards.update(side_rewards(ledger, side, budget))
     return rewards
 
 
-def bbr_rewards(ledger: BeliefLedger, winning_side: BeliefSide,
-                budget: float) -> dict[int, float]:
-    """Realized rewards: winning side splits the budget, losers get zero.
-
-    An empty winning side leaves the reward undefined; everyone gets zero
-    and the ledger is flagged so callers can surface it.
-    """
-    if budget <= 0:
-        raise ValueError(f"belief budget must be positive, got {budget}")
-    winners, total = _split(ledger, winning_side, budget)
-    ledger.empty_winning_side = not winners
-    ledger.zero_score_split = bool(winners) and total <= 0.0
-    return {r.agent_id: winners.get(r.agent_id, 0.0) for r in ledger.reports}
+def reported_sides(ledger: BeliefLedger,
+                   agents: list[AgentProfile]) -> dict[int, BeliefSide]:
+    """Each agent's side as the mechanism learns it: its report's, or its
+    belief side when it filed none."""
+    reported = {r.agent_id: r.side for r in ledger.reports}
+    return {a.id: reported.get(a.id, a.belief_side) for a in agents}
 
 
-def winning_side_for(verdict: Verdict) -> BeliefSide:
-    """Map the campaign verdict to the rewarded side; expiry counts as the
-    project not happening, so the rejection-minded side collects."""
-    if verdict is Verdict.PROVISIONED:
-        return BeliefSide.PROVISION_LIKELY
-    return BeliefSide.REJECTION_LIKELY
-
-
-def default_report(agent: AgentProfile) -> BeliefReport:
-    """Truthful report at the agent's arrival: information from its side,
-    prediction equal to its own probability of a no-provision outcome."""
-    return BeliefReport(
-        agent_id=agent.id,
-        information=0 if agent.belief_side is BeliefSide.PROVISION_LIKELY else 1,
-        prediction=agent.rejection_belief,
-        tick=agent.arrival_belief,
-    )
-
+def belief_reports(agents: list[AgentProfile],
+                   reports: list[BeliefReport] | None = None) -> list[BeliefReport]:
+    """The explicit ``reports``, or every agent's truthful report when there
+    are none: information from its belief side, prediction its own
+    probability of a no-provision outcome, filed at its belief arrival."""
+    if reports is not None:
+        return reports
+    return [BeliefReport(
+        agent_id=a.id,
+        information=0 if a.belief_side is BeliefSide.PROVISION_LIKELY else 1,
+        prediction=a.rejection_belief,
+        tick=a.arrival_belief,
+    ) for a in agents]

@@ -89,7 +89,7 @@ from .mechanisms import (
     ppsx_utility,
     run_campaign,
 )
-from .beliefs import conditional_rewards, default_report, score_reports
+from .beliefs import bbr_rewards, belief_reports, score_reports
 from .model import (
     AgentProfile,
     BeliefSide,
@@ -139,24 +139,22 @@ def securities_ppsn(agent: AgentProfile) -> float:
     return abs(agent.valuation)
 
 
-def securities_ppsx(agent: AgentProfile, belief_reward: float) -> float:
+def securities_ppsx(agent: AgentProfile, side: BeliefSide, belief_reward: float) -> float:
     """Securities a PPSx agent's bound buys: the belief reward folded into
-    the valuation (added when provision-minded, netted out otherwise),
-    clamped at zero."""
-    if agent.belief_side is BeliefSide.PROVISION_LIKELY:
-        quantity = agent.valuation + belief_reward
-    else:
-        quantity = agent.valuation - belief_reward
-    return max(quantity, 0.0)
+    the valuation (added when the reported ``side`` is provision-likely,
+    netted out otherwise), clamped at zero."""
+    signed = belief_reward if side is BeliefSide.PROVISION_LIKELY else -belief_reward
+    return max(agent.valuation + signed, 0.0)
 
 
-def bound_pprx(agent: AgentProfile, provision_point: float, contribution_budget: float,
-               belief_reward: float) -> float:
-    """Belief-weighted refund-bonus cap; the rejection-minded variant nets the
-    belief reward out and clamps at zero since contributions cannot be negative."""
+def bound_pprx(agent: AgentProfile, side: BeliefSide, provision_point: float,
+               contribution_budget: float, belief_reward: float) -> float:
+    """Belief-weighted refund-bonus cap with the belief reward on the branch
+    the reported ``side`` wins; a rejection-likely report nets the reward
+    out and clamps at zero since contributions cannot be negative."""
     p = agent.provision_belief
     q = 1.0 - p
-    if agent.belief_side is BeliefSide.PROVISION_LIKELY:
+    if side is BeliefSide.PROVISION_LIKELY:
         numerator = p * (agent.valuation + belief_reward)
     else:
         numerator = p * agent.valuation - q * belief_reward
@@ -173,9 +171,9 @@ def bound_pprx(agent: AgentProfile, provision_point: float, contribution_budget:
 class Rules:
     """What one mechanism's theory says, each entry a function of the config:
 
-    * ``bound(config, agent, issued, reward)``: the refund family's
+    * ``bound(config, agent, issued, reward, side)``: the refund family's
       contribution cap;
-    * ``utility(config, agent, market, reward, verdict)``: the utility of a
+    * ``utility(config, agent, market, reward, side, verdict)``: the utility of a
       contribution to ``market`` under ``verdict``, as
       ``u(amount, securities, total_for, total_against)``, where only the
       securities utilities read the ``securities`` the amount buys; it is
@@ -186,10 +184,13 @@ class Rules:
       rows at the bound (``_Evaluator.indifference``);
     * ``conditions(config, net, totals)``: the existence inequalities as
       ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market;
-    * ``securities(config, agent, reward)``: the securities family's
+    * ``securities(config, agent, reward, side)``: the securities family's
       security quantity, in place of a cap: the bound is the payment for it
       at the issuance (``cf.contribution_for``), and the kernel walks
       followers by it (``DualMarketState.walk`` and ``follow``).
+
+    ``reward`` and ``side``, the agent's belief reward and reported side,
+    enter only the PPRx and PPSx rows.
 
     Entries call the ``*_utility`` functions by this module's names when
     they run, so wrappers on those names see each call.
@@ -227,9 +228,9 @@ def _belief_conditions(config, net):
 
 RULES: dict[Mechanism, Rules] = {
     Mechanism.PPR: Rules(
-        bound=lambda config, agent, issued, reward: bound_ppr(
+        bound=lambda config, agent, issued, reward, side: bound_ppr(
             agent, config.provision_point, config.refund_budget),
-        utility=lambda config, agent, market, reward, verdict: (
+        utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: ppr_utility(
                 agent, amount, total_for, config.refund_budget,
                 verdict is _PROVISIONED)),
@@ -239,9 +240,9 @@ RULES: dict[Mechanism, Rules] = {
             ("refund_budget_below_cap", config.refund_budget,
              totals[_FOR] - config.provision_point, True)]),
     Mechanism.PPRN: Rules(
-        bound=lambda config, agent, issued, reward: bound_pprn(
+        bound=lambda config, agent, issued, reward, side: bound_pprn(
             agent, *config.provision_point_pair, config.refund_budget),
-        utility=lambda config, agent, market, reward, verdict: (
+        utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: pprn_utility(
                 agent, market, amount, total_for, total_against,
                 config.refund_budget, verdict)),
@@ -252,45 +253,49 @@ RULES: dict[Mechanism, Rules] = {
                config.target_sum * (totals[m] - config.target(m)) / config.target(m),
                True) for m in config.mechanism.markets)]),
     Mechanism.PPS: Rules(
-        utility=lambda config, agent, market, reward, verdict: (
+        utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: pps_utility(
                 agent, amount, securities, verdict is _PROVISIONED)),
         conditions=_securities_conditions,
-        securities=lambda config, agent, reward: securities_pps(agent)),
+        securities=lambda config, agent, reward, side: securities_pps(agent)),
     Mechanism.PPSN: Rules(
-        utility=lambda config, agent, market, reward, verdict: (
+        utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: ppsn_utility(
                 agent, market, amount, securities, verdict)),
         conditions=_securities_conditions,
-        securities=lambda config, agent, reward: securities_ppsn(agent)),
+        securities=lambda config, agent, reward, side: securities_ppsn(agent)),
     Mechanism.PPRX: Rules(
-        bound=lambda config, agent, issued, reward: bound_pprx(
-            agent, config.provision_point, config.contribution_budget, reward),
-        utility=lambda config, agent, market, reward, verdict: (
+        bound=lambda config, agent, issued, reward, side: bound_pprx(
+            agent, side, config.provision_point, config.contribution_budget, reward),
+        utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: pprx_utility(
-                agent, agent.belief_side, amount, total_for,
+                agent, side, amount, total_for,
                 config.contribution_budget, reward, verdict is _PROVISIONED)),
         conditions=lambda config, net, totals: [
             *_belief_conditions(config, net),
             ("contribution_budget_positive", 0.0, config.contribution_budget, True)]),
     Mechanism.PPSX: Rules(
-        utility=lambda config, agent, market, reward, verdict: (
+        utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: ppsx_utility(
-                agent, agent.belief_side, amount, securities, reward,
+                agent, side, amount, securities, reward,
                 verdict is _PROVISIONED)),
         conditions=lambda config, net, totals: _belief_conditions(config, net),
-        securities=lambda config, agent, reward: securities_ppsx(agent, reward)),
+        securities=lambda config, agent, reward, side: securities_ppsx(agent, side, reward)),
 }
 
 
 def contribution_bound(config: CampaignConfig, agent: AgentProfile, *,
-                       issued: float = 0.0, belief_reward: float = 0.0) -> float:
-    """The mechanism's bound at the given issuance context."""
+                       issued: float = 0.0, belief_reward: float = 0.0,
+                       side: BeliefSide | None = None) -> float:
+    """The mechanism's bound at the given issuance context; the belief
+    reward is on the branch the reported ``side`` (by default the belief
+    side) wins."""
     row = RULES[config.mechanism]
+    side = side or agent.belief_side
     if row.securities is not None:
         return config.cost_params.contribution_for(
-            row.securities(config, agent, belief_reward), issued)
-    return row.bound(config, agent, issued, belief_reward)
+            row.securities(config, agent, belief_reward, side), issued)
+    return row.bound(config, agent, issued, belief_reward, side)
 
 
 @dataclass(frozen=True)
@@ -320,13 +325,15 @@ def check_conditions(config: CampaignConfig,
 
 @dataclass
 class EquilibriumProfile:
-    """A concrete candidate play: each agent's ``Action`` by agent id. An
-    infeasible profile carries the ``reason`` it could not be built.
+    """A concrete candidate play: each agent's ``Action`` by agent id, and
+    in PPRx and PPSx its belief reward (``bbr_rewards``) and reported side.
+    An infeasible profile carries the ``reason`` it could not be built.
     """
 
     entries: dict[int, Action] = field(default_factory=dict)
     reason: str | None = None
     belief_rewards: dict[int, float] = field(default_factory=dict)
+    sides: dict[int, BeliefSide] = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
@@ -362,14 +369,16 @@ def _fill_side(agents: list[AgentProfile], bounds: dict[int, float], target: flo
 
 
 def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
-                      belief_rewards: dict[int, float] | None = None) -> EquilibriumProfile:
+                      belief_rewards: dict[int, float] | None = None,
+                      sides: dict[int, BeliefSide] | None = None) -> EquilibriumProfile:
     """Build the canonical equilibrium play from the closed-form bounds.
 
     Deadline mechanisms scale every agent's bound proportionally so the
     filled side meets its target exactly; arrival mechanisms replay arrivals,
     each agent contributing its bound clipped to the remaining target, until
     a target fills. Infeasibility (bounds cannot reach the target) is
-    reported, never silently scaled up.
+    reported, never silently scaled up. Belief rewards default to the split
+    of truthful reports, and sides to the agents' belief sides.
     """
     mech = config.mechanism
     profile = EquilibriumProfile()
@@ -377,15 +386,16 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
         if len(agents) < 3:
             raise ValueError("belief-phase mechanisms require at least 3 agents")
         if belief_rewards is None:
-            truthful = score_reports([default_report(a) for a in agents])
-            belief_rewards = conditional_rewards(truthful, config.belief_budget)  # type: ignore[arg-type]
+            belief_rewards = bbr_rewards(score_reports(belief_reports(agents)),
+                                         config.belief_budget)  # type: ignore[arg-type]
         profile.belief_rewards = dict(belief_rewards)
-    rewards = profile.belief_rewards
+        profile.sides = {a.id: (sides or {}).get(a.id, a.belief_side) for a in agents}
+    rewards, sides = profile.belief_rewards, profile.sides
 
     if not mech.sequential:
         # everyone delays to the deadline; each side's bounds scale to its target
-        bounds = {a.id: contribution_bound(config, a, belief_reward=rewards.get(a.id, 0.0))
-                  for a in agents}
+        bounds = {a.id: contribution_bound(config, a, belief_reward=rewards.get(a.id, 0.0),
+                                           side=sides.get(a.id)) for a in agents}
         fills = {}
         for market in mech.markets:
             side = [a for a in agents if own_market(config, a) is market]
@@ -409,7 +419,7 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     # Securities family: the prescribed play walked from empty markets;
     # arrivals after the book closes play zero.
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
-    plays = _plays(config, order, rewards)
+    plays = _plays(config, order, profile)
     raised = [0.0, 0.0]
     book = new_states(config)
     amounts, _, _ = book.walk(raised, plays)
@@ -423,13 +433,15 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
 
 
 def _plays(config: CampaignConfig, order: list[AgentProfile],
-           rewards: dict[int, float]) -> list[tuple[Market, float]]:
+           profile: EquilibriumProfile) -> list[tuple[Market, float]]:
     """For each agent of ``order``, its own market (the one its equilibrium
     play goes to) and the security quantity its bound buys there (the rules
-    row's ``securities``, at its belief reward): what the kernel's walks
-    play."""
+    row's ``securities``, at the profile's belief reward and side): what the
+    kernel's walks play."""
     securities = RULES[config.mechanism].securities
-    return [(own_market(config, a), securities(config, a, rewards.get(a.id, 0.0)))
+    rewards, sides = profile.belief_rewards, profile.sides
+    return [(own_market(config, a), securities(config, a, rewards.get(a.id, 0.0),
+                                               sides.get(a.id, a.belief_side)))
             for a in order]
 
 
@@ -488,7 +500,7 @@ def _path(config: CampaignConfig, agents: list[AgentProfile], profile: Equilibri
     found.append(tuple(book.raised))
     plays = bought = None
     if config.mechanism.sequential:
-        plays = _plays(config, order, profile.belief_rewards)
+        plays = _plays(config, order, profile)
         bought = prefix_sums(plays)
     return _Play(book, order, found, closing, plays, bought)
 
@@ -624,15 +636,15 @@ class _Evaluator:
     coalition's play is not stopped by this agent), expiry otherwise.
     """
 
-    __slots__ = ("agent", "market", "reward", "for_market", "target", "met_from",
+    __slots__ = ("agent", "market", "reward", "side", "for_market", "target", "met_from",
                  "own_weight", "alt_weight", "own", "expired", "rival", "cf", "dual",
                  "sweep_cap", "pool_weight", "priced_at",
                  "amount", "others_for", "others_against", "issued", "bound",
                  "rival_viable", "closed", "others", "capacity", "pivot", "alt")
 
     def __init__(self, config: CampaignConfig, agent: AgentProfile, market: Market,
-                 reward: float) -> None:
-        self.agent, self.market, self.reward = agent, market, reward
+                 reward: float, side: BeliefSide) -> None:
+        self.agent, self.market, self.reward, self.side = agent, market, reward, side
         self.for_market = for_market = market is _FOR
         self.target = target = config.target(market)
         self.met_from = target - MET_REL_TOL * target  # _met's threshold
@@ -642,11 +654,11 @@ class _Evaluator:
         self.own_weight, self.alt_weight = own_weight, 1.0 - own_weight
         self.dual = dual = config.mechanism.dual_market
         utility = RULES[config.mechanism].utility
-        self.own = utility(config, agent, market, reward,
+        self.own = utility(config, agent, market, reward, side,
                            _PROVISIONED if for_market else _REJECTED)
-        self.expired = utility(config, agent, market, reward, _EXPIRED)
+        self.expired = utility(config, agent, market, reward, side, _EXPIRED)
         # the rival market's verdict can only be the alternative in a dual market
-        self.rival = (utility(config, agent, market, reward,
+        self.rival = (utility(config, agent, market, reward, side,
                               _REJECTED if for_market else _PROVISIONED)
                       if dual else self.expired)
         self.cf = cf = config.cost_params  # set exactly for the securities family
@@ -788,7 +800,7 @@ class _Evaluator:
         branches, by the agent's beliefs."""
         market, bound = own_market(config, self.agent), self.bound
         rows = self if market is self.market else _Evaluator(config, self.agent, market,
-                                                             self.reward)
+                                                             self.reward, self.side)
         securities = 0.0 if self.cf is None else self.cf.securities_for(bound, self.issued)
         totals = config.provision_point_pair or (config.provision_point, 0.0)
         lhs = rows.own(bound, securities, *totals)
@@ -889,9 +901,11 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
                                             idx + 1, play.bought))
         issued = final.priced_at(entry.market, *raised)
         reward = profile.belief_rewards.get(agent.id, 0.0)
-        slot = _Evaluator(config, agent, entry.market, reward)
+        side = profile.sides.get(agent.id, agent.belief_side)
+        slot = _Evaluator(config, agent, entry.market, reward, side)
         slot.place(entry.amount, others_for, others_against, issued,
-                   contribution_bound(config, agent, issued=issued, belief_reward=reward),
+                   contribution_bound(config, agent, issued=issued, belief_reward=reward,
+                                      side=side),
                    rival_viable, final.closed_at(*raised))
         slots.append(slot)
     return slots
@@ -1066,7 +1080,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             for k in (idx + 2, closing)))
         slot.check(report, eps, on_path, waits)
         if slot.market is not own_market:  # an explicit play off the agent's preference
-            slot = _Evaluator(config, slot.agent, own_market, slot.reward)
+            slot = _Evaluator(config, slot.agent, own_market, slot.reward, slot.side)
         for state in off_path:
             if final.closed_at(*state):
                 continue  # an arrival at a closed book plays zero

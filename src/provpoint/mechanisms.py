@@ -23,12 +23,15 @@ issuances. Both take the money as plain floats (``closed_at`` and
 targets and pricing, so a state off the ledger is two numbers.
 
 Payoffs follow one rule for all six mechanisms, and the payoff rule section
-below holds all of it: ``returned`` and one ``*_utility`` row per mechanism,
-each row one expression. An agent receives its valuation exactly when the
-project is provisioned, pays its contribution, gets money back
-(``returned``) unless its own market won, and in PPRx and PPSx collects its
-belief reward on the branch its reported side wins. ``settle`` pays each
-ledger record what ``returned`` says and writes each agent's settlement row.
+below holds all of it: ``returned``, ``belief_paid`` and one ``*_utility``
+row per mechanism, each row one expression. An agent receives its
+valuation exactly when the project is provisioned, pays its contribution,
+gets money back (``returned``) unless its own market won, and in PPRx and
+PPSx collects its belief reward on the branch its reported side wins
+(``belief_paid``), its share of the belief budget's one split
+(``beliefs.bbr_rewards``), which the certifier prices. ``settle`` pays each
+ledger record what ``returned`` says and each agent what ``belief_paid``
+says, and writes each agent's settlement row.
 
 Verdict conventions:
   * a FOR-market fill provisions the project, an AGAINST-market fill rejects
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from math import expm1, log1p
 
-from .beliefs import BeliefLedger
+from .beliefs import BeliefLedger, reported_sides
 from .costfn import EXP_LIMIT, CostFunction
 from .model import (
     AgentProfile,
@@ -321,6 +324,13 @@ def returned(market: Market, verdict: Verdict, amount: float, pool: float,
     return amount + (0.0 if pool <= 0.0 else amount / pool * budget)
 
 
+def belief_paid(side: BeliefSide, provisioned: bool, reward: float) -> float:
+    """The belief ``reward`` priced for a reporter of ``side`` on the branch
+    that side wins, else nothing: the provision-likely side wins provision,
+    the rejection-likely side rejection and expiry (no project)."""
+    return reward if (side is _PROVISION_LIKELY) == provisioned else 0.0
+
+
 def ppr_utility(agent: AgentProfile, amount: float, total: float, budget: float,
                 provisioned: bool) -> float:
     """Single-market refund-bonus utility: valuation minus contribution on
@@ -371,7 +381,7 @@ def pprx_utility(agent: AgentProfile, side: BeliefSide, amount: float, total: fl
     return ((agent.valuation if provisioned else 0.0) - amount
             + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, total,
                        contribution_budget)
-            + (belief_reward if (side is _PROVISION_LIKELY) == provisioned else 0.0))
+            + belief_paid(side, provisioned, belief_reward))
 
 
 def ppsx_utility(agent: AgentProfile, side: BeliefSide, amount: float,
@@ -382,7 +392,7 @@ def ppsx_utility(agent: AgentProfile, side: BeliefSide, amount: float,
     return ((agent.valuation if provisioned else 0.0) - amount
             + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, 0.0, None,
                        securities)
-            + (belief_reward if (side is _PROVISION_LIKELY) == provisioned else 0.0))
+            + belief_paid(side, provisioned, belief_reward))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +462,9 @@ def settle(config: CampaignConfig, agents: list[AgentProfile], verdict: Verdict,
     side is the side it reported in PPRx and PPSx (its belief side without
     a report), the market it paid into in PPRN and PPSN (``for`` if both,
     its preferred market if neither), and ``for`` in PPR and PPS. Two-phase
-    mechanisms supply the winning side's belief rewards and the scored
-    ``beliefs`` holding the reports; others supply neither.
+    mechanisms supply the belief budget's split (``bbr_rewards``) and the
+    scored ``beliefs`` holding the reports, and each agent collects what
+    ``belief_paid`` says; others supply neither.
     """
     mech = config.mechanism
     if (belief_rewards is not None, beliefs is not None) != (mech.two_phase,) * 2:
@@ -478,16 +489,15 @@ def settle(config: CampaignConfig, agents: list[AgentProfile], verdict: Verdict,
         if paid_into.setdefault(rec.agent_id, rec.market) is not rec.market:
             paid_into[rec.agent_id] = _FOR
     if mech.two_phase:
-        reported = {r.agent_id: r.side for r in beliefs.reports}  # type: ignore[union-attr]
-        sides = {a.id: reported.get(a.id, a.belief_side) for a in agents}
+        sides = reported_sides(beliefs, agents)  # type: ignore[arg-type]
     elif mech.dual_market:
         sides = {a.id: derive_preference(a) for a in agents} | paid_into
     else:
         sides = dict.fromkeys(contributed, _FOR)
     provisioned = verdict is Verdict.PROVISIONED
-    payouts = {agent.id: Payout(agent.valuation if provisioned else 0.0, contributed[agent.id],
-                                refunded[agent.id], rewards.get(agent.id, 0.0),
-                                securities[agent.id], sides[agent.id])
-               for agent in agents}
+    payouts = {a.id: Payout(a.valuation if provisioned else 0.0, contributed[a.id], refunded[a.id],
+                            belief_paid(sides[a.id], provisioned, rewards.get(a.id, 0.0)),
+                            securities[a.id], sides[a.id])
+               for a in agents}
     return Outcome(verdict=verdict, total_for=total_for,
                    total_against=total_against, payouts=payouts)

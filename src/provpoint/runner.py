@@ -9,13 +9,11 @@ from pathlib import Path
 
 from . import reports
 from .beliefs import (
-    BeliefReport,
     bbr_rewards,
-    conditional_rewards,
-    default_report,
+    belief_reports,
+    reported_sides,
     score_reports,
     side_rewards,  # noqa: F401 -- not called here; perfbench/tracing.py wraps it in runner
-    winning_side_for,
 )
 from .equilibrium import (
     EquilibriumProfile,
@@ -26,8 +24,8 @@ from .equilibrium import (
     certify_spe,
     tolerance,
 )
-from .mechanisms import Action, run_campaign, settle
-from .model import Outcome, own_market
+from .mechanisms import Action, belief_paid, run_campaign, settle
+from .model import BeliefSide, Outcome, Verdict, own_market, plain_sum
 from .scenario import Scenario, ScenarioError
 
 
@@ -40,11 +38,11 @@ class RunResult:
     notes: list[str] = field(default_factory=list)
 
 
-def profile_from_actions(scenario: Scenario,
-                         belief_rewards: dict[int, float]) -> EquilibriumProfile:
+def profile_from_actions(scenario: Scenario, belief_rewards: dict[int, float],
+                         sides: dict[int, BeliefSide]) -> EquilibriumProfile:
     """Interpret explicit plays as a candidate profile for certification,
-    priced with the given conditional belief rewards (empty for one-phase
-    mechanisms).
+    priced with the belief budget's split at each agent's reported side
+    (both empty for one-phase mechanisms).
 
     Requires at most one action per agent; agents without an action play
     zero at the deadline on their preferred market.
@@ -59,17 +57,10 @@ def profile_from_actions(scenario: Scenario,
                 "explicit plays requires at most one action per agent; agent "
                 f"{action.agent_id} has several")
         by_agent[action.agent_id] = action
-    return EquilibriumProfile(belief_rewards=dict(belief_rewards), entries={
-        agent.id: by_agent.get(agent.id) or Action(
-            agent.id, 0.0, own_market(config, agent), config.deadline_contribution)
-        for agent in scenario.agents})
-
-
-def belief_reports(scenario: Scenario) -> list[BeliefReport]:
-    """The scenario's explicit reports, or truthful defaults when it has none."""
-    if scenario.explicit_reports is None:
-        return [default_report(a) for a in scenario.agents]
-    return scenario.explicit_reports
+    entries = {agent.id: by_agent.get(agent.id) or Action(
+        agent.id, 0.0, own_market(config, agent), config.deadline_contribution)
+        for agent in scenario.agents}
+    return EquilibriumProfile(entries, belief_rewards=dict(belief_rewards), sides=dict(sides))
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
@@ -90,34 +81,38 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     result = RunResult(conditions=check_conditions(config, scenario.agents))
 
     profile: EquilibriumProfile | None = None
-    # the reports are scored once: the profile prices each reporter's
-    # reward, and settlement pays the winning side's and reads every side
-    ledger = None
-    rewards: dict[int, float] = {}
+    # the reports are scored and the belief budget split once: the profile
+    # prices each reporter's reward on its reported side, and settlement pays
+    # it there
+    ledger, rewards, sides = None, {}, {}
     if config.mechanism.two_phase:
-        ledger = score_reports(belief_reports(scenario))
-        rewards = conditional_rewards(ledger, config.belief_budget)  # type: ignore[arg-type]
+        ledger = score_reports(belief_reports(scenario.agents, scenario.explicit_reports))
+        rewards = bbr_rewards(ledger, config.belief_budget)  # type: ignore[arg-type]
+        sides = reported_sides(ledger, scenario.agents)
     if scenario.explicit_actions is None:
-        profile = construct_profile(config, scenario.agents, rewards)
+        profile = construct_profile(config, scenario.agents, rewards, sides)
         if not profile.feasible:
             result.notes.append(f"profile infeasible: {profile.reason}")
     elif flags.certify:
-        profile = profile_from_actions(scenario, rewards)
+        profile = profile_from_actions(scenario, rewards, sides)
 
     dual = None
     if profile is None or profile.feasible:
         actions = (scenario.explicit_actions if scenario.explicit_actions is not None
                    else profile.plays())
         verdict, dual = run_campaign(config, actions)
-        paid = None if ledger is None else bbr_rewards(
-            ledger, winning_side_for(verdict), config.belief_budget)  # type: ignore[arg-type]
-        if ledger is not None and ledger.empty_winning_side:
-            result.notes.append("no belief reward paid: no report is on the winning side")
-        elif ledger is not None and ledger.zero_score_split:
-            result.notes.append("belief budget split equally: the winning side's "
-                                "report weights sum to zero")
+        if ledger is not None:
+            # the weights of the reports that collect their reward at this verdict
+            won = [ledger.weights[r.agent_id] for r in ledger.reports
+                   if belief_paid(r.side, verdict is Verdict.PROVISIONED, 1.0)]
+            if not won:
+                result.notes.append("no belief reward paid: no report is on the winning side")
+            elif plain_sum(won) <= 0.0:
+                result.notes.append("belief budget split equally: the winning side's "
+                                    "report weights sum to zero")
         result.outcome = settle(config, scenario.agents, verdict, dual,
-                                belief_rewards=paid, beliefs=ledger)
+                                belief_rewards=None if ledger is None else rewards,
+                                beliefs=ledger)
 
     if profile is not None and flags.certify:
         # the mechanism's own equilibrium notion; the report carries the

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
 
-from .beliefs import BeliefReport, conditional_rewards, default_report, score_reports
+from .beliefs import BeliefReport, bbr_rewards, belief_reports, score_reports
 from .costfn import CostFunction
 from .equilibrium import check_conditions, construct_profile, contribution_bound
 from .mechanisms import Action
@@ -461,7 +461,7 @@ def _sized(template: ScenarioTemplate, agents: list[AgentProfile], seed: int,
     """The scenario sized at ``fill`` and ``budget_scale`` when its
     conditions hold and its profile is feasible with headroom; otherwise
     None, the reason, and whether only the headroom fell short."""
-    config = _size_config(template, agents, fill, budget_scale)
+    config, rewards = _size_config(template, agents, fill, budget_scale)
     scenario = Scenario(
         config=config, agents=agents, seed=seed,
         analysis=AnalysisFlags(certify=True),
@@ -470,7 +470,7 @@ def _sized(template: ScenarioTemplate, agents: list[AgentProfile], seed: int,
     failed = [c.name for c in check_conditions(config, agents) if not c.satisfied]
     if failed:
         return None, f"conditions violated: {', '.join(failed)}", False
-    profile = construct_profile(config, agents)
+    profile = construct_profile(config, agents, rewards)
     if profile.feasible and _headroom_ok(config, agents, profile):
         return scenario, "", False
     if profile.feasible:
@@ -492,13 +492,15 @@ def _headroom_ok(config: CampaignConfig, agents: list[AgentProfile],
     return total >= config.provision_point + config.contribution_budget  # type: ignore[operator]
 
 
-def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
-                 fill: float, budget_scale: float = 1.0) -> CampaignConfig:
+def _size_config(template: ScenarioTemplate, agents: list[AgentProfile], fill: float,
+                 budget_scale: float = 1.0) -> tuple[CampaignConfig, dict[int, float]]:
     """Targets at ``fill`` of each market's capacity unless the template
-    sets them. Capacity is the side's valuations for PPR and PPRN, else its
-    bounds at zero issuance under a probe target of the net valuation. The
-    securities family's liquidity scales with total valuations, keeping
-    issuance slopes moderate so arrival-order bounds retain headroom."""
+    sets them, and the belief split of truthful reports the bounds price
+    (empty for one-phase mechanisms). Capacity is the side's valuations for
+    PPR and PPRN, else its bounds at zero issuance under a probe target of
+    the net valuation. The securities family's liquidity scales with total
+    valuations, keeping issuance slopes moderate so arrival-order bounds
+    retain headroom."""
     mech = template.mechanism
     n = len(agents)
     net, total_for, total_against = aggregate_valuations(agents)
@@ -507,8 +509,7 @@ def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
     rewards: dict[int, float] = {}
     if mech.two_phase:  # budgets scale with the aggregate valuation
         extra["belief_budget"] = 0.3 * net
-        truthful = score_reports([default_report(a) for a in agents])
-        rewards = conditional_rewards(truthful, extra["belief_budget"])
+        rewards = bbr_rewards(score_reports(belief_reports(agents)), extra["belief_budget"])
         extra["deadline_belief"] = max(n - 1, max(a.arrival_belief for a in agents))
         deadline = max(deadline, extra["deadline_belief"] + 1)
     if mech.uses_securities:
@@ -542,4 +543,4 @@ def _size_config(template: ScenarioTemplate, agents: list[AgentProfile],
         cap = plain_sum(targets) * min((capacity[m] - h) / h
                                  for m, h in zip(mech.markets, targets))
         extra["refund_budget"] = max(0.4 * cap, 1e-9)
-    return config(targets)
+    return config(targets), rewards

@@ -8,13 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from provpoint.beliefs import (
-    BeliefReport,
-    bbr_rewards,
-    conditional_rewards,
-    score_reports,
-    winning_side_for,
-)
+from provpoint.beliefs import BeliefReport, bbr_rewards, belief_reports, score_reports
 from provpoint.equilibrium import (
     EquilibriumProfile,
     _path,
@@ -35,12 +29,8 @@ from provpoint.mechanisms import (
     run_campaign,
     settle,
 )
-from provpoint.model import Market, Mechanism, Verdict
-from provpoint.runner import (
-    belief_reports,
-    profile_from_actions,
-    run_scenario,
-)
+from provpoint.model import BeliefSide, Market, Mechanism, Verdict
+from provpoint.runner import profile_from_actions, run_scenario
 from provpoint.scenario import ScenarioTemplate, generate_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -49,6 +39,12 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # ones are the acceptance suite's
 FIRST_SEED = {Mechanism.PPRN: 0, Mechanism.PPSN: 100, Mechanism.PPRX: 200,
               Mechanism.PPSX: 300, Mechanism.PPR: 400, Mechanism.PPS: 500}
+
+
+def reports_of(scenario):
+    """The reports a run of the scenario scores: its explicit ones, or
+    truthful defaults."""
+    return belief_reports(scenario.agents, scenario.explicit_reports)
 
 
 def generated(mech, count=20):
@@ -192,7 +188,7 @@ def utility_at(scenario, agent, rec, verdict, dual, reward):
         return pps_utility(agent, rec.amount, rec.securities, provisioned)
     if mech is Mechanism.PPSN:
         return ppsn_utility(agent, rec.market, rec.amount, rec.securities, verdict)
-    side = {r.agent_id: r.side for r in belief_reports(scenario)}[agent.id]
+    side = {r.agent_id: r.side for r in reports_of(scenario)}[agent.id]
     if mech is Mechanism.PPRX:
         return pprx_utility(agent, side, rec.amount, total_for,
                             config.contribution_budget, reward, provisioned)
@@ -210,12 +206,10 @@ def test_settlement_matches_utility(mech, share):
         actions = [Action(a.agent_id, a.amount * share, a.market, a.tick)
                    for a in profile.plays()]
         verdict, dual = run_campaign(config, actions)
-        ledger, rewards, conditional = None, None, {}
+        ledger, rewards = None, None
         if mech.two_phase:
-            ledger = score_reports(belief_reports(scenario))
-            rewards = bbr_rewards(ledger, winning_side_for(verdict),
-                                  config.belief_budget)
-            conditional = conditional_rewards(ledger, config.belief_budget)
+            ledger = score_reports(reports_of(scenario))
+            rewards = bbr_rewards(ledger, config.belief_budget)
         outcome = settle(config, agents, verdict, dual, belief_rewards=rewards,
                          beliefs=ledger)
         for agent in agents:
@@ -223,7 +217,7 @@ def test_settlement_matches_utility(mech, share):
             if len(mine) != 1:
                 continue
             expected = utility_at(scenario, agent, mine[0], verdict, dual,
-                                  conditional.get(agent.id, 0.0))
+                                  (rewards or {}).get(agent.id, 0.0))
             realized = outcome.payouts[agent.id].realized
             assert math.isclose(realized, expected, rel_tol=1e-9, abs_tol=1e-12), (
                 scenario.seed, agent.id, verdict, realized, expected)
@@ -240,14 +234,15 @@ def shuffled_reports(scenario):
                          else r.information,
                          prediction=round(1.0 - r.prediction / 2, 3),
                          tick=last - min(r.tick, last))
-            for r in belief_reports(scenario)]
+            for r in reports_of(scenario)]
 
 
 @pytest.mark.parametrize("explicit", [False, True])
 @pytest.mark.parametrize("mech", [Mechanism.PPRX, Mechanism.PPSX])
 def test_settlement_pays_the_priced_belief_reward(mech, explicit):
-    """Each winning-side reporter is paid exactly the conditional reward the
-    certifier priced; the losing side is paid nothing."""
+    """Each winning-side reporter is paid exactly the reward the certifier
+    priced; the losing side is paid nothing. The provision-likely side wins
+    provision, the rejection-likely side every other verdict."""
     paid_winners = 0
     for scenario in generated(mech, count=6):
         if explicit:
@@ -255,9 +250,11 @@ def test_settlement_pays_the_priced_belief_reward(mech, explicit):
         result = run_scenario(scenario)
         priced = result.certification.profile.belief_rewards
         assert result.outcome is not None, scenario.seed
-        winning = winning_side_for(result.outcome.verdict)
-        sides = {r.agent_id: r.side for r in belief_reports(scenario)}
+        winning = (BeliefSide.PROVISION_LIKELY if result.outcome.verdict is Verdict.PROVISIONED
+                   else BeliefSide.REJECTION_LIKELY)
+        sides = {r.agent_id: r.side for r in reports_of(scenario)}
         assert set(priced) == set(sides)
+        assert result.certification.profile.sides == sides
         for agent_id, side in sides.items():
             paid = result.outcome.payouts[agent_id].belief_reward
             if side is winning:
@@ -289,9 +286,38 @@ def test_an_earlier_deviation_untruncates_a_later_play():
 @pytest.mark.xfail(strict=True, reason="finding (a): ROADMAP item 2")
 def test_certify_ne_reports_the_untruncating_deviation():
     scenario = parse_scenario(SCENARIOS / "ppr_explicit_plays.json")
-    profile = profile_from_actions(scenario, {})
+    profile = profile_from_actions(scenario, {}, {})
     report = certify_ne(scenario.config, scenario.agents, profile)
     assert any(d.agent_id == 0 for d in report.deviations)
+
+
+def flipped_run(mech, n, seed, flipped):
+    """Run the generated scenario of ``n`` agents at ``seed`` with each
+    agent that ``flipped(agent_id)`` names reporting the side it does not
+    believe; the others report truthfully."""
+    scenario = generate_scenario(ScenarioTemplate(mech, n), seed=seed)
+    scenario.explicit_reports = [
+        dataclasses.replace(r, information=1 - r.information) if flipped(r.agent_id) else r
+        for r in reports_of(scenario)]
+    return scenario, run_scenario(scenario)
+
+
+def priced_and_paid(scenario, result):
+    """For each agent: its id, its number of ledger records, its slot's
+    branch utility in the certifier at the replayed verdict, and the
+    utility settlement paid it."""
+    config, agents, profile = scenario.config, scenario.agents, result.certification.profile
+    verdict, book = run_campaign(config, profile.plays())
+    assert verdict is result.outcome.verdict is result.certification.expected_verdict
+    play = _path(config, agents, profile, book)
+    paid_in = [r.agent_id for r in book.ledger]
+    for slot in _slots(config, agents, profile, play):
+        branch = slot.own if verdict is Verdict.PROVISIONED else slot.expired
+        securities = 0.0 if slot.cf is None else slot.allocation(slot.amount, slot.issued)
+        priced = branch(slot.amount, securities, slot.others_for + slot.amount,
+                        slot.others_against)
+        yield (slot.agent.id, paid_in.count(slot.agent.id), priced,
+               result.outcome.payouts[slot.agent.id].realized)
 
 
 def priced_and_settled(mech):
@@ -299,30 +325,78 @@ def priced_and_settled(mech):
     rejection likely and reports provision as likely; the others report
     truthfully. Returns the certifier's verdict, agent 0's branch utility
     in its evaluator at the replayed verdict, and its settled utility."""
-    scenario = generate_scenario(ScenarioTemplate(mech, 6), seed=3)
-    reports = belief_reports(scenario)
-    reports[0] = dataclasses.replace(reports[0], information=1 - reports[0].information)
-    scenario.explicit_reports = reports
-    result = run_scenario(scenario)
-    certification, verdict = result.certification, result.outcome.verdict
-    assert certification.expected_verdict is verdict
-    config, agents, profile = scenario.config, scenario.agents, certification.profile
-    assert profile.belief_rewards[0] > 0.0
-    play = _path(config, agents, profile, run_campaign(config, profile.plays())[1])
-    slot = next(s for s in _slots(config, agents, profile, play) if s.agent.id == 0)
-    branch = slot.own if verdict is Verdict.PROVISIONED else slot.expired
-    securities = 0.0 if slot.cf is None else slot.allocation(slot.amount, slot.issued)
-    priced = branch(slot.amount, securities, slot.others_for + slot.amount,
-                    slot.others_against)
-    return certification.certified, priced, result.outcome.payouts[0].realized
+    scenario, result = flipped_run(mech, 6, 3, lambda agent_id: agent_id == 0)
+    assert result.certification.profile.belief_rewards[0] > 0.0
+    (_, _, priced, settled), = [found for found in priced_and_paid(scenario, result)
+                                if found[0] == 0]
+    return result.certification.certified, priced, settled
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the certifier attaches a belief reward to the "
-                   "branch the agent's belief side wins, settlement to the branch its "
-                   "reported side wins")
 def test_certifier_prices_a_misreported_belief_reward_where_settlement_pays_it():
     found = {mech: priced_and_settled(mech) for mech in (Mechanism.PPRX, Mechanism.PPSX)}
     assert all(certified for certified, _, _ in found.values())
     assert {mech: priced for mech, (_, priced, _) in found.items()} == {
         mech: settled for mech, (_, _, settled) in found.items()}
+
+
+# each mechanism's flipped-report sweep: slots compared, scenarios certified
+SWEEP = {Mechanism.PPRX: (382, 14), Mechanism.PPSX: (170, 30)}
+
+
+@pytest.mark.parametrize("mech", [Mechanism.PPRX, Mechanism.PPSX])
+def test_every_reporter_is_priced_what_settlement_pays(mech):
+    # every third agent reports the side it does not believe: each slot
+    # the certifier prices at the replayed verdict is what settlement pays
+    # (priced at the belief side instead, 193 of the two sweeps' 541 slots
+    # differ)
+    slots = certified = 0
+    for n in (6, 12, 24):
+        for seed in range(1, 11):
+            scenario, result = flipped_run(mech, n, seed, lambda agent_id: agent_id % 3 == 0)
+            certified += result.certification.certified
+            for agent_id, records, priced, settled in priced_and_paid(scenario, result):
+                if records != 1:
+                    continue
+                assert math.isclose(priced, settled, rel_tol=1e-12), (n, seed, agent_id)
+                slots += 1
+    # a misreport can pay: 16 of the 30 PPRx scenarios are not certified
+    assert (slots, certified) == SWEEP[mech]
+
+
+def test_certify_reports_a_profitable_misreport():
+    # negative control: agent 0 believes provision likely and reports
+    # rejection, so its belief reward is paid on expiry; it plays just short
+    # of the pivot, the campaign expires, and it keeps its stake, its bonus
+    # share and its reward (priced at its belief side, the play certifies)
+    scenario, result = flipped_run(Mechanism.PPRX, 6, 1, lambda agent_id: agent_id == 0)
+    config, agents, profile = scenario.config, scenario.agents, result.certification.profile
+    assert agents[0].belief_side is BeliefSide.PROVISION_LIKELY
+    assert profile.sides[0] is BeliefSide.REJECTION_LIKELY
+    deviation, = result.certification.deviations
+    assert (deviation.agent_id, deviation.kind, deviation.detail) == (
+        0, "contribution", "x=1.05008 on for (was 1.05008)")
+    assert f"{deviation.utility_gain:.6g}" == "4.25322"
+    # replay the deviation through the engine and settlement
+    _, book = run_campaign(config, profile.plays())
+    slot = next(s for s in _slots(config, agents, profile, _path(config, agents, profile, book))
+                if s.agent.id == 0)
+    best_x, best, _ = slot.best(slot.top())
+    deviated = [dataclasses.replace(a, amount=best_x) if a.agent_id == 0 else a
+                for a in profile.plays()]
+    ledger = score_reports(scenario.explicit_reports)
+    rewards = bbr_rewards(ledger, config.belief_budget)
+
+    def realized(actions):
+        verdict, book = run_campaign(config, actions)
+        outcome = settle(config, agents, verdict, book, belief_rewards=rewards, beliefs=ledger)
+        return verdict, outcome.payouts[0].realized
+
+    (played, base), (expired, gained) = realized(profile.plays()), realized(deviated)
+    assert (played, expired) == (Verdict.PROVISIONED, Verdict.EXPIRED)
+    assert math.isclose(gained, best, rel_tol=1e-12)
+    # the prescribed play is priced as provision with the agent's belief p
+    # and expiry otherwise; the expiry branch is continuous in the amount,
+    # and x is short of the play by the pivot's band alone, so the gain is
+    # p times what the deviation's settlement gains over the play's
+    p = agents[0].provision_belief
+    assert math.isclose(p * (gained - base), deviation.utility_gain, rel_tol=1e-6)

@@ -6,15 +6,14 @@ import pytest
 from provpoint.beliefs import (
     BeliefReport,
     bbr_rewards,
-    default_report,
+    belief_reports,
     quadratic_score,
     rbts_scores,
     score_reports,
     side_rewards,
-    winning_side_for,
 )
 from provpoint.costfn import CostFunction
-from provpoint.mechanisms import pprx_utility, ppsx_utility
+from provpoint.mechanisms import belief_paid, pprx_utility, ppsx_utility
 from provpoint.model import (
     AgentProfile,
     BeliefSide,
@@ -119,7 +118,7 @@ def test_prefix_weights_worked_example():
     assert ledger.weights[0] == pytest.approx(1.0)
     assert ledger.weights[1] == pytest.approx(1.0 / 3.0)
     assert ledger.weights[2] == pytest.approx(1.0 / 4.0)
-    rewards = bbr_rewards(ledger, BeliefSide.PROVISION_LIKELY, 1.0)
+    rewards = bbr_rewards(ledger, 1.0)
     assert rewards[0] == pytest.approx(12.0 / 19.0)
     assert rewards[1] == pytest.approx(4.0 / 19.0)
     assert rewards[2] == pytest.approx(3.0 / 19.0)
@@ -129,7 +128,7 @@ def test_prefix_weights_worked_example():
 def test_bbr_rewards_refuse_a_nonpositive_budget(budget):
     ledger = score_reports([report(i, 1, 0.5) for i in range(3)])
     with pytest.raises(ValueError, match=f"belief budget must be positive, got {budget}"):
-        bbr_rewards(ledger, BeliefSide.PROVISION_LIKELY, budget)
+        bbr_rewards(ledger, budget)
 
 
 def test_equal_scores_decreasing_weights():
@@ -143,20 +142,28 @@ def test_equal_scores_decreasing_weights():
 
 
 def test_single_winner_takes_budget():
+    # each side splits the whole budget; on provision the lone
+    # provision-likely reporter collects all of it and the others nothing
     reports = [report(0, 0, 0.4, tick=0), report(1, 1, 0.6, tick=1),
                report(2, 1, 0.7, tick=2)]
     ledger = score_reports(reports)
-    rewards = bbr_rewards(ledger, BeliefSide.PROVISION_LIKELY, 5.0)
+    rewards = bbr_rewards(ledger, 5.0)
     assert rewards[0] == pytest.approx(5.0)
-    assert rewards[1] == 0.0 and rewards[2] == 0.0
+    assert rewards[1] + rewards[2] == pytest.approx(5.0)
+    paid = {r.agent_id: belief_paid(r.side, True, rewards[r.agent_id]) for r in ledger.reports}
+    assert paid == {0: rewards[0], 1: 0.0, 2: 0.0}
 
 
 def test_empty_winning_side_flagged():
-    reports = [report(i, 1, 0.5, tick=i) for i in range(3)]
-    ledger = score_reports(reports)
-    rewards = bbr_rewards(ledger, BeliefSide.PROVISION_LIKELY, 5.0)
-    assert ledger.empty_winning_side
-    assert all(v == 0.0 for v in rewards.values())
+    # every report is rejection-likely and the project is provisioned:
+    # nobody is paid, and the run notes why
+    reports = [{"agent_id": i, "information": 1, "prediction": 0.5, "tick": i}
+               for i in range(3)]
+    result = two_phase_result([optimist(i) for i in range(3)],
+                              [stake(i) for i in range(3)], reports)
+    assert result.outcome.verdict is Verdict.PROVISIONED
+    assert all(p.belief_reward == 0.0 for p in result.outcome.payouts.values())
+    assert result.notes == ["no belief reward paid: no report is on the winning side"]
 
 
 def test_zero_scores_split_equally():
@@ -165,9 +172,9 @@ def test_zero_scores_split_equally():
     ledger = score_reports(reports)
     ledger.scores = {i: 0.0 for i in range(4)}
     ledger.weights = {i: 0.0 for i in range(4)}
-    rewards = bbr_rewards(ledger, BeliefSide.PROVISION_LIKELY, 6.0)
-    assert ledger.zero_score_split
+    rewards = bbr_rewards(ledger, 6.0)
     assert rewards[0] == rewards[1] == rewards[2] == pytest.approx(2.0)
+    assert rewards[3] == 6.0
 
 
 def test_budget_balance():
@@ -191,9 +198,12 @@ def test_duplicate_reports_rejected():
 
 
 def test_winning_side_mapping():
-    assert winning_side_for(Verdict.PROVISIONED) is BeliefSide.PROVISION_LIKELY
-    assert winning_side_for(Verdict.REJECTED) is BeliefSide.REJECTION_LIKELY
-    assert winning_side_for(Verdict.EXPIRED) is BeliefSide.REJECTION_LIKELY
+    # the provision-likely side collects on provision; the rejection-likely
+    # side on rejection and on expiry, when the project did not happen
+    assert belief_paid(BeliefSide.PROVISION_LIKELY, True, 2.0) == 2.0
+    assert belief_paid(BeliefSide.PROVISION_LIKELY, False, 2.0) == 0.0
+    assert belief_paid(BeliefSide.REJECTION_LIKELY, True, 2.0) == 0.0
+    assert belief_paid(BeliefSide.REJECTION_LIKELY, False, 2.0) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +251,9 @@ def optimist(i):
             "arrival_contribution": i}
 
 
-def two_phase_run(agents, actions, reports=None, h0=12.0):
-    """Parse a PPRx scenario with explicit plays (and reports, when given),
-    run it, and return the settled outcome."""
+def two_phase_result(agents, actions, reports=None, h0=12.0):
+    """Parse a PPRx scenario with explicit plays (and reports, when given)
+    and run it."""
     data = {
         "version": 1,
         "config": {"mechanism": "PPRx", "provision_point": h0, "belief_budget": 6.0,
@@ -254,7 +264,12 @@ def two_phase_run(agents, actions, reports=None, h0=12.0):
     }
     if reports is not None:
         data["explicit_reports"] = reports
-    return run_scenario(parse_scenario_dict(data)).outcome
+    return run_scenario(parse_scenario_dict(data))
+
+
+def two_phase_run(agents, actions, reports=None, h0=12.0):
+    """The settled outcome of ``two_phase_result``."""
+    return two_phase_result(agents, actions, reports, h0).outcome
 
 
 def stake(i):
@@ -307,7 +322,10 @@ def test_default_report_is_truthful():
     agent = AgentProfile(id=4, valuation=3.0, belief_epsilon=0.2,
                          belief_side=BeliefSide.REJECTION_LIKELY,
                          arrival_belief=2)
-    rep = default_report(agent)
+    rep, = belief_reports([agent])
     assert rep.information == 1
     assert rep.prediction == pytest.approx(0.7)
     assert rep.tick == 2
+    # explicit reports are scored as filed
+    explicit = [report(4, 0, 0.1)]
+    assert belief_reports([agent], explicit) is explicit

@@ -542,8 +542,8 @@ NON_FINITE = re.compile(r"\b(?:Infinity|NaN|inf|nan)\b")
     ("ppsn_four_arrivals", ("config", "cost_params", "liquidity"), 1e-320),
 ])
 def test_no_report_holds_a_non_finite_number(shipped, leaf, value, tmp_path, capsys):
-    # ROADMAP item 13's two inputs: every report that run (csv and json)
-    # and certify write is free of Infinity, NaN, inf and nan
+    # ROADMAP item 13's two inputs: every report that check, run (csv and
+    # json) and certify write is free of Infinity, NaN, inf and nan
     document = json.loads((SCENARIOS / f"{shipped}.json").read_text())
     node = document
     for key in leaf[:-1]:
@@ -551,12 +551,13 @@ def test_no_report_holds_a_non_finite_number(shipped, leaf, value, tmp_path, cap
     node[leaf[-1]] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(document))
-    for label, args in (("run_csv", ["run", "--format", "csv"]),
+    for label, args in (("check", ["check"]),
+                        ("run_csv", ["run", "--format", "csv"]),
                         ("run_json", ["run", "--format", "json"]),
                         ("certify", ["certify"])):
         main([*args, "--scenario", str(path), "--out", str(tmp_path / label)])
     capsys.readouterr()
     written = sorted(p for p in tmp_path.glob("*/*") if p.is_file())
-    assert len(written) >= 12
+    assert len(written) >= 13
     for report in written:
         assert not NON_FINITE.search(report.read_text()), report

@@ -87,7 +87,7 @@ def _placed(config: CampaignConfig, slot: _Evaluator, **changes) -> _Evaluator:
     fields = {name: getattr(slot, name) for name in (
         "amount", "others_for", "others_against", "issued", "bound", "rival_viable",
         "closed")}
-    placed = _Evaluator(config, slot.agent, slot.market, slot.reward)
+    placed = _Evaluator(config, slot.agent, slot.market, slot.reward, slot.side)
     placed.place(**{**fields, **changes})
     return placed
 
@@ -149,7 +149,7 @@ def bound_ppsn(a, cf, issued):
 
 
 def bound_ppsx(a, cf, issued, reward):
-    return cf.contribution_for(securities_ppsx(a, reward), issued)
+    return cf.contribution_for(securities_ppsx(a, a.belief_side, reward), issued)
 
 
 def test_bound_ppsn_values():
@@ -168,12 +168,15 @@ def test_bound_ppsn_values():
 
 def test_bound_pprx_values():
     plus = agent(10.0, eps=0.0, side=BeliefSide.PROVISION_LIKELY)
-    assert bound_pprx(plus, 20.0, 5.0, 2.0) == pytest.approx(9.6)
+    assert bound_pprx(plus, BeliefSide.PROVISION_LIKELY, 20.0, 5.0, 2.0) == pytest.approx(9.6)
     minus = agent(10.0, eps=0.0, side=BeliefSide.REJECTION_LIKELY)
-    assert bound_pprx(minus, 20.0, 5.0, 0.0) == pytest.approx(8.0)
-    # large reward drives the rejection-minded numerator negative: clamp
+    assert bound_pprx(minus, BeliefSide.REJECTION_LIKELY, 20.0, 5.0, 0.0) == pytest.approx(8.0)
+    # the reward sits on the reported side's branch, not the believed one's:
+    # a provision-minded agent reporting rejection nets it out
+    assert bound_pprx(plus, BeliefSide.REJECTION_LIKELY, 20.0, 5.0, 2.0) == pytest.approx(6.4)
+    # large reward drives the rejection-side numerator negative: clamp
     assert bound_pprx(agent(1.0, eps=0.3, side=BeliefSide.REJECTION_LIKELY),
-                      20.0, 5.0, 5.0) == 0.0
+                      BeliefSide.REJECTION_LIKELY, 20.0, 5.0, 5.0) == 0.0
 
 
 def test_bound_ppsx_values():
@@ -241,8 +244,8 @@ def test_construct_proportional_fill():
     config = pprx_config(h0=12.0, belief=6.0, contribution=5.0)
     rewards = {0: 2.0, 1: 2.0, 2: 0.0}
     profile = construct_profile(config, agents, rewards)
-    b0 = bound_pprx(agents[0], 12.0, 5.0, 2.0)
-    scale = 12.0 / (2 * b0 + bound_pprx(agents[2], 12.0, 5.0, 0.0))
+    b0 = bound_pprx(agents[0], agents[0].belief_side, 12.0, 5.0, 2.0)
+    scale = 12.0 / (2 * b0 + bound_pprx(agents[2], agents[2].belief_side, 12.0, 5.0, 0.0))
     assert profile.entries[0].amount == pytest.approx(scale * b0)
     assert sum(e.amount for e in profile.entries.values()) == pytest.approx(12.0)
 
@@ -557,7 +560,7 @@ def _checks_and_slots(case):
     explicit plays, where agent 3 stakes on the rejection market first."""
     if case == OFF_PREFERENCE:
         scenario = parse_scenario(GOLDEN_GENERATED / case / "scenario.json")
-        profile = profile_from_actions(scenario, {})
+        profile = profile_from_actions(scenario, {}, {})
     else:
         mechanism, n = case
         scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
@@ -688,8 +691,8 @@ def test_ordering_gap_pprx():
     upper, lower, gap = contribution_ordering_gap(config, plus, minus,
                                                   belief_reward=2.0)
     assert gap > 0.0
-    assert upper == bound_pprx(plus, 20.0, 5.0, 2.0)
-    assert lower == bound_pprx(minus, 20.0, 5.0, 2.0)
+    assert upper == bound_pprx(plus, plus.belief_side, 20.0, 5.0, 2.0)
+    assert lower == bound_pprx(minus, minus.belief_side, 20.0, 5.0, 2.0)
 
 
 def test_ordering_gap_ppsx():
@@ -785,7 +788,7 @@ def _verdict_distribution(config: CampaignConfig, agent: AgentProfile,
 
 def _branch_utility(config: CampaignConfig, agent: AgentProfile, market: Market,
                     amount: float, securities: float, total_for: float,
-                    total_against: float, belief_reward: float,
+                    total_against: float, belief_reward: float, side: BeliefSide,
                     verdict: Verdict) -> float:
     mech = config.mechanism
     provisioned = verdict is Verdict.PROVISIONED
@@ -795,13 +798,13 @@ def _branch_utility(config: CampaignConfig, agent: AgentProfile, market: Market,
         return pprn_utility(agent, market, amount, total_for, total_against,
                             config.refund_budget, verdict)  # type: ignore[arg-type]
     if mech is Mechanism.PPRX:
-        return pprx_utility(agent, agent.belief_side, amount, total_for,
+        return pprx_utility(agent, side, amount, total_for,
                             config.contribution_budget, belief_reward, provisioned)  # type: ignore[arg-type]
     if mech is Mechanism.PPS:
         return pps_utility(agent, amount, securities, provisioned)
     if mech is Mechanism.PPSN:
         return ppsn_utility(agent, market, amount, securities, verdict)
-    return ppsx_utility(agent, agent.belief_side, amount, securities, belief_reward,
+    return ppsx_utility(agent, side, amount, securities, belief_reward,
                         provisioned)
 
 
@@ -822,7 +825,7 @@ def _expected_utility(config: CampaignConfig, slot: _Evaluator, market: Market,
         config, slot.agent, market, others + effective, slot.rival_viable)
     return sum(
         weight * _branch_utility(config, slot.agent, market, effective, securities,
-                                 total_for, total_against, slot.reward, verdict)
+                                 total_for, total_against, slot.reward, slot.side, verdict)
         for verdict, weight in distribution
     )
 
@@ -1008,7 +1011,7 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     for agent, market, prescribed, rival_viable, state, after, follower_plays in (
             _reference_probes(config, agents, profile)):
         priced: list[float] = []
-        slot = _Evaluator(config, agent, market, 0.0)
+        slot = _Evaluator(config, agent, market, 0.0, agent.belief_side)
         slot.place(prescribed, 0.0, 0.0, 0.0, 0.0, False)
         _delay_deviations(slot, lambda amount, issued: priced.append(issued) or 0.0,
                           0.0, state, after, follower_plays, math.inf, "")
@@ -1049,10 +1052,10 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
                                  seed=seed)
     config, agents = scenario.config, scenario.agents
-    rewards = construct_profile(config, agents).belief_rewards
+    profile = construct_profile(config, agents)
     order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
-    arrivals = _arrivals(config, order, rewards)
-    plays = equilibrium._plays(config, order, rewards)
+    arrivals = _arrivals(config, order, profile.belief_rewards)
+    plays = equilibrium._plays(config, order, profile)
     bought = prefix_sums(plays)
     empty = new_states(config)
     raised = {m: f * config.target(m) for f, m in zip(fractions, mechanism.markets)}
@@ -1205,7 +1208,7 @@ def test_rival_bracket_matches_the_walk(monkeypatch):
             ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=n), seed=seed)
         config, agents = scenario.config, scenario.agents
         order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
-        plays = equilibrium._plays(config, order, {})
+        plays = equilibrium._plays(config, order, EquilibriumProfile())
         bought = prefix_sums(plays)
         first %= n + 1
         rival = own.other
@@ -1398,7 +1401,7 @@ def _mix(config: CampaignConfig, slot: _Evaluator, amount: float) -> float:
     total_against = slot.others_against + (0.0 if for_market else amount)
     return sum(
         weight * _branch_utility(config, slot.agent, slot.market, amount, securities,
-                                 total_for, total_against, slot.reward, verdict)
+                                 total_for, total_against, slot.reward, slot.side, verdict)
         for verdict, weight in _verdict_distribution(
             config, slot.agent, slot.market, math.inf, slot.rival_viable))
 
@@ -1446,7 +1449,7 @@ def _public_bound(config: CampaignConfig, agent: AgentProfile, issued: float,
                                            config.refund_budget),
         Mechanism.PPS: lambda: bound_pps(agent, cf, issued),
         Mechanism.PPSN: lambda: bound_ppsn(agent, cf, issued),
-        Mechanism.PPRX: lambda: bound_pprx(agent, config.provision_point,
+        Mechanism.PPRX: lambda: bound_pprx(agent, agent.belief_side, config.provision_point,
                                            config.contribution_budget, reward),
         Mechanism.PPSX: lambda: bound_ppsx(agent, cf, issued, reward),
     }[config.mechanism]()
@@ -1479,7 +1482,7 @@ def test_securities_rows_bound_at_their_quantity(mechanism):
         for issued in (0.0, 2.5, 40.0):
             assert (contribution_bound(config, a, issued=issued, belief_reward=reward)
                     == config.cost_params.contribution_for(
-                        row.securities(config, a, reward), issued))
+                        row.securities(config, a, reward, a.belief_side), issued))
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))

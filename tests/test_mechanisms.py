@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from provpoint.beliefs import bbr_rewards, default_report, score_reports, winning_side_for
+from provpoint.beliefs import bbr_rewards, belief_reports, score_reports
 from provpoint.costfn import EXP_LIMIT, CostFunction
 from provpoint.mechanisms import (
     Action,
@@ -429,7 +429,7 @@ def test_settle_two_phase_requires_rewards():
                             belief_budget=2.0, contribution_budget=1.0,
                             deadline_contribution=5, deadline_belief=2)
     agents = [agent(10.0, 0), agent(5.0, 1), agent(4.0, 2)]
-    beliefs = score_reports([default_report(a) for a in agents])
+    beliefs = score_reports(belief_reports(agents))
     verdict, dual = run_campaign(config, [Action(0, 10.0, Market.FOR, 3)])
     with pytest.raises(ValueError, match="belief_rewards"):
         settle(config, agents, verdict, dual)
@@ -508,16 +508,17 @@ def test_engine_invariants(mech, n, actions, filed):
     if mech.two_phase:
         # scoring needs three reports, so at most n - 3 are omitted
         omitted = [a.id for a, kind in zip(agents, filed) if kind == "omitted"][:n - 3]
-        for a, kind in zip(agents, filed):
-            report = default_report(a)
+        for a, report, kind in zip(agents, belief_reports(agents), filed):
             if kind == "flipped":
                 report = dataclasses.replace(report, information=1 - report.information)
             if a.id not in omitted:
                 reports.append(report)
         beliefs = score_reports(reports)
-        rewards = bbr_rewards(beliefs, winning_side_for(verdict), config.belief_budget)
-        assert sum(rewards.values()) <= config.belief_budget * (1 + 1e-12)
+        rewards = bbr_rewards(beliefs, config.belief_budget)
     outcome = settle(config, agents, verdict, dual, belief_rewards=rewards, beliefs=beliefs)
+    if mech.two_phase:
+        paid = sum(p.belief_reward for p in outcome.payouts.values())
+        assert paid <= config.belief_budget * (1 + 1e-12)
     sides, securities = reference_settlement_columns(config, agents, dual, reports)
     for a in agents:
         payout = outcome.payouts[a.id]

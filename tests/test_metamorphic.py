@@ -9,10 +9,17 @@ import dataclasses
 import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from provpoint.equilibrium import certify_ne, construct_profile
-from provpoint.model import Mechanism, Verdict
+from provpoint.equilibrium import (
+    MET_REL_TOL,
+    EquilibriumProfile,
+    certify_ne,
+    construct_profile,
+    contribution_bound,
+)
+from provpoint.model import Market, Mechanism, Verdict
 from provpoint.runner import run_scenario
 from provpoint.scenario import (
     ScenarioTemplate,
@@ -118,3 +125,57 @@ def test_a_replica_economy_keeps_the_verdict_and_each_amount(mechanism, count, s
     for copy in copies:
         assert math.isclose(big.entries[copy.id].amount,
                             profile.entries[copy.id % count].amount, rel_tol=1e-9), copy.id
+
+
+def plant_overbound_stake(config, agents, profile):
+    """Push the lowest-id provision-side stake to 1.05 times its bound,
+    the excess taken from the rest of its side, so the side still fills
+    exactly; returns the pushed agent's id."""
+    side = sorted(i for i, e in profile.entries.items() if e.market is Market.FOR)
+    pushed, rest = side[0], side[1:]
+    stake = 1.05 * contribution_bound(config, agents[pushed])
+    excess = stake - profile.entries[pushed].amount
+    rest_total = sum(profile.entries[i].amount for i in rest)
+    assert 0.0 < excess < rest_total
+    for i in rest:
+        entry = profile.entries[i]
+        profile.entries[i] = dataclasses.replace(
+            entry, amount=entry.amount * (1.0 - excess / rest_total))
+    profile.entries[pushed] = dataclasses.replace(profile.entries[pushed], amount=stake)
+    return pushed
+
+
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("mechanism", [Mechanism.PPR, Mechanism.PPRN])
+def test_a_replica_economy_reports_each_copy_of_a_planted_deviation(mechanism, k):
+    # ROADMAP item 24: an overbound stake planted at n is reported for every
+    # copy at k * n with the same gain, and nothing else is reported there.
+    # The refund share x / pool * budget keeps its value when the pool and
+    # the budget are both times k. The one difference is the pivot band:
+    # a target counts as met MET_REL_TOL of it short, so at k * n the
+    # deviation stops k times as much money short of the stake, and its
+    # share of the budget moves the gain by (k - 1) * MET_REL_TOL * budget
+    reported = 0
+    for count in (6, 12):
+        for seed in range(1, 11):
+            scenario = generate_scenario(ScenarioTemplate(mechanism, count), seed)
+            config, agents = scenario.config, scenario.agents
+            profile = construct_profile(config, agents)
+            pushed = plant_overbound_stake(config, agents, profile)
+            original = certify_ne(config, agents, profile).deviations
+            assert any(d.agent_id == pushed and d.kind == "contribution"
+                       for d in original), (count, seed)
+            big_config, copies = replica(config, agents, k)
+            big = EquilibriumProfile({c.id: dataclasses.replace(
+                profile.entries[c.id % count], agent_id=c.id) for c in copies})
+            found = certify_ne(big_config, copies, big).deviations
+            assert sorted((d.agent_id % count, d.kind) for d in found) == sorted(
+                (d.agent_id, d.kind) for d in original for _ in range(k)), (count, seed)
+            gains = {(d.agent_id, d.kind): d.utility_gain for d in original}
+            for d in found:
+                assert math.isclose(d.utility_gain, gains[d.agent_id % count, d.kind],
+                                    rel_tol=1e-12,
+                                    abs_tol=k * MET_REL_TOL * config.refund_budget), (
+                    count, seed, d)
+            reported += len(found)
+    assert reported >= 20 * k

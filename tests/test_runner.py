@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from provpoint import runner
+from provpoint.beliefs import belief_reports
 from provpoint.equilibrium import certify_ne, certify_spe
 from provpoint.mechanisms import Action, DualMarketState
 from provpoint.model import BeliefSide, Market, Mechanism, Verdict
@@ -116,7 +117,7 @@ def test_pprx_settles_each_agent_on_its_reported_side(tmp_path):
     # report and settles on its belief side, as every truthful agent does
     scenario = generate_scenario(
         ScenarioTemplate(mechanism=Mechanism.PPRX, agent_count=5), seed=3)
-    reports = runner.belief_reports(scenario)
+    reports = belief_reports(scenario.agents)
     reports[0] = dataclasses.replace(reports[0], information=1 - reports[0].information)
     scenario.explicit_reports = [r for r in reports if r.agent_id != 1]
     assert run_scenario(scenario, out_dir=tmp_path).outcome.verdict is Verdict.PROVISIONED
@@ -136,7 +137,7 @@ def test_profile_from_actions_rejects_multiple_plays():
         Action(agent_id=0, amount=1.0, market=Market.FOR, tick=2),
     ]
     with pytest.raises(ScenarioError, match="at most one action"):
-        profile_from_actions(scenario, {})
+        profile_from_actions(scenario, {}, {})
 
 
 def test_infeasible_profile_noted(tmp_path):
@@ -160,7 +161,7 @@ def test_spe_checks_the_on_path_entry_on_its_own_market():
     # on the path, the subgame-perfect check sweeps the market the entry
     # stakes on, as the Nash check does, not the agent's preferred one
     scenario = off_preference_ppsn()
-    profile = profile_from_actions(scenario, {})
+    profile = profile_from_actions(scenario, {}, {})
     ne, spe = (certify(scenario.config, scenario.agents, profile)
                for certify in (certify_ne, certify_spe))
     ne_found = [(d.detail, d.utility_gain) for d in ne.deviations if d.agent_id == 3]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from provpoint import scenario as scenario_module
-from provpoint.beliefs import default_report
+from provpoint.beliefs import belief_reports
 from provpoint.equilibrium import certify_ne, check_conditions, construct_profile
 from provpoint.mechanisms import Action
 from provpoint.model import Market, Mechanism, aggregate_valuations, derive_preference
@@ -53,7 +53,7 @@ def test_round_trip_identity(tmp_path):
             Action(a.id, 1.0, derive_preference(a), a.arrival_contribution)
             for a in scenario.agents]
         if mechanism.two_phase:
-            scenario.explicit_reports = [default_report(a) for a in scenario.agents]
+            scenario.explicit_reports = belief_reports(scenario.agents)
         scenarios.append(scenario)
     for scenario in scenarios:
         assert parse_scenario_dict(scenario_to_dict(scenario)) == scenario
@@ -510,7 +510,7 @@ def test_generated_scenarios_with_explicit_plays_round_trip(mechanism, count, se
             Action(a.id, 1.0, derive_preference(a), a.arrival_contribution)
             for a in scenario.agents]
         if mechanism.two_phase:
-            scenario.explicit_reports = [default_report(a) for a in scenario.agents]
+            scenario.explicit_reports = belief_reports(scenario.agents)
     data = json.loads(json.dumps(scenario_to_dict(scenario)))
     assert (json.dumps(scenario_to_dict(parse_scenario_dict(data)), sort_keys=True)
             == json.dumps(data, sort_keys=True))
