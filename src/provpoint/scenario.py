@@ -62,12 +62,6 @@ class Scenario:
     seed: int = 0
 
 
-def _require(data: dict, key: str, context: str):
-    if key not in data:
-        raise ScenarioError(f"{context}: missing required field '{key}'")
-    return data[key]
-
-
 def _name(root: str, *path) -> str:
     """The name of the field at ``path`` below ``root`` (an index as
     ``[i]``, a field as ``.name``): ``scenario.agents[3].id``. Each reader
@@ -133,12 +127,23 @@ def _pair(raw, at: tuple, key) -> tuple[float, float]:
     return _number(raw[0], (*at, key), 0), _number(raw[1], (*at, key), 1)
 
 
+def _records(cls, raw, at: tuple, key) -> list:
+    """A list of ``cls`` records, entry ``i`` named ``<key>[i]``. Lists
+    occur only at the top level, so ``at`` is the root alone."""
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{_name(*at, key)}: expected a list, got {raw!r}")
+    (root,) = at
+    return [_record(cls, entry, root, key, i) for i, entry in enumerate(raw)]
+
+
 def _reader(hint):
     """The reader of a field annotated ``hint`` (``X | None`` reads as X)."""
     if isinstance(hint, types.UnionType):
         (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
     if typing.get_origin(hint) is tuple:
         return _pair
+    if typing.get_origin(hint) is list:
+        return partial(_records, *typing.get_args(hint))
     if is_dataclass(hint):
         return lambda raw, at, key: _record(hint, raw, *at, key)
     if issubclass(hint, enum.Enum):
@@ -146,13 +151,26 @@ def _reader(hint):
     return {int: _integer, float: _number, bool: _flag}[hint]
 
 
+def _or_default(default, read, raw, at: tuple, key):
+    """``raw`` read by ``read``, or ``default`` when ``raw`` is null."""
+    return default if raw is None else read(raw, at, key)
+
+
 @cache
 def _fields(cls) -> tuple[frozenset[str], tuple]:
     """The field names of dataclass ``cls``, and (name, default, reader)
-    per field; a field without a default (MISSING) is required."""
+    per field; a field without a default (MISSING) is required. A field
+    with a default factory (an immutable record) takes one value the
+    factory builds, when absent or null."""
     hints = typing.get_type_hints(cls)
-    entries = tuple((f.name, f.default, _reader(hints[f.name])) for f in fields(cls))
-    return frozenset(name for name, _, _ in entries), entries
+    entries = []
+    for f in fields(cls):
+        default, read = f.default, _reader(hints[f.name])
+        if f.default_factory is not MISSING:
+            default = f.default_factory()
+            read = partial(_or_default, default, read)
+        entries.append((f.name, default, read))
+    return frozenset(name for name, _, _ in entries), tuple(entries)
 
 
 def _record(cls, raw, *at):
@@ -182,46 +200,17 @@ def _record(cls, raw, *at):
         raise ScenarioError(f"{_name(*at)}: {exc}") from None
 
 
-def _entries(data: dict, key: str, cls) -> list | None:
-    """The optional list ``data[key]`` read as ``cls`` records; None when
-    the list is absent or null."""
-    raw = data.get(key)
-    if raw is None:
-        return None
-    if not isinstance(raw, list):
-        raise ScenarioError(f"scenario.{key}: expected a list, got {raw!r}")
-    return [_record(cls, entry, "scenario", key, i) for i, entry in enumerate(raw)]
-
-
 def parse_scenario_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario: top level must be an object")
-    version = _require(data, "version", "scenario")
+    if "version" not in data:
+        raise ScenarioError("scenario: missing required field 'version'")
+    version = data["version"]
     if version != SCENARIO_VERSION or isinstance(version, bool):
         raise ScenarioError(
             f"scenario.version: expected {SCENARIO_VERSION}, got {version!r}")
-    known = {"version", *(f.name for f in fields(Scenario))}
-    for key in data:
-        if key not in known:
-            raise ScenarioError(f"scenario.{key}: unknown field")
-    config = _record(CampaignConfig, _require(data, "config", "scenario"),
-                     "scenario", "config")
-    raw_agents = _require(data, "agents", "scenario")
-    if not isinstance(raw_agents, list) or not raw_agents:
-        raise ScenarioError("scenario.agents: expected a nonempty list")
-    agents = [_record(AgentProfile, raw, "scenario", "agents", i)
-              for i, raw in enumerate(raw_agents)]
-    ids = {a.id for a in agents}
-    if len(ids) != len(agents):
-        raise ScenarioError("scenario.agents: agent ids must be unique")
-    flags = data.get("analysis")
-    scenario = Scenario(
-        config=config, agents=agents,
-        explicit_actions=_entries(data, "explicit_actions", Action),
-        explicit_reports=_entries(data, "explicit_reports", BeliefReport),
-        analysis=(AnalysisFlags() if flags is None
-                  else _record(AnalysisFlags, flags, "scenario", "analysis")),
-        seed=_integer(data.get("seed", 0), ("scenario",), "seed"))
+    scenario = _record(Scenario, {k: v for k, v in data.items() if k != "version"},
+                       "scenario")
     validate_scenario(scenario)
     return scenario
 
@@ -229,12 +218,16 @@ def parse_scenario_dict(data: dict) -> Scenario:
 def validate_scenario(scenario: Scenario) -> None:
     """Cross-field invariants the dataclass validators cannot see alone."""
     config, agents = scenario.config, scenario.agents
+    if not agents:
+        raise ScenarioError("scenario.agents: expected a nonempty list")
+    known = {a.id for a in agents}
+    if len(known) != len(agents):
+        raise ScenarioError("scenario.agents: agent ids must be unique")
     mech = config.mechanism
     if mech.two_phase and len(agents) < 3:
         raise ScenarioError(
             f"scenario.agents: {mech.value} belief scoring requires at least "
             f"3 agents, got {len(agents)}")
-    known = {a.id for a in agents}
     for a in agents:  # each context is formatted only to raise
         if a.arrival_contribution > config.deadline_contribution:
             raise ScenarioError(

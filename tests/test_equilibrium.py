@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import random
 from itertools import zip_longest
 from pathlib import Path
 
@@ -1355,6 +1356,53 @@ def test_certify_ne_flags_overbound_stake_at_any_n(mechanism):
             report = certify_ne(config, agents, profile)
             assert any(d.agent_id == pushed and d.kind == "contribution"
                        for d in report.deviations), (n, seed)
+
+
+def expiring_variants(profile, rng):
+    """Profiles short of the constructed one: every amount scaled by 0,
+    0.5, 0.9 or 0.99; a quarter or a half of the agents zeroed, drawn by
+    ``rng``; and one agent per market, drawn by ``rng``, carrying 0.999 of
+    its side's total while everyone else plays 0."""
+    def scaled(amount_of):
+        return EquilibriumProfile(
+            {i: dataclasses.replace(e, amount=amount_of(i, e)) for i, e in
+             profile.entries.items()},
+            belief_rewards=profile.belief_rewards, sides=profile.sides)
+
+    ids = sorted(profile.entries)
+    for factor in (0.0, 0.5, 0.9, 0.99):
+        yield scaled(lambda i, e: factor * e.amount)
+    for share in (0.25, 0.5):
+        zeroed = set(rng.sample(ids, round(share * len(ids))))
+        yield scaled(lambda i, e: 0.0 if i in zeroed else e.amount)
+    carriers = {}
+    for market in {e.market for e in profile.entries.values()}:
+        side = [i for i in ids if profile.entries[i].market is market]
+        carriers[rng.choice(side)] = 0.999 * profile.total(market)
+    yield scaled(lambda i, e: carriers.get(i, 0.0))
+
+
+def test_no_expiring_profile_is_certified():
+    # the converse of provisioning at equilibrium (ROADMAP item 6): a
+    # profile whose play expires is never certified. In PPRN and PPSN a
+    # rejection is a fill too, so only a play in which no market fills
+    # counts; a zeroed variant that still fills is skipped
+    expiring = 0
+    for mechanism in Mechanism:
+        certify = certify_spe if mechanism.sequential else certify_ne
+        for n in (6, 24):
+            for seed in range(1, 6):
+                scenario = generate_scenario(ScenarioTemplate(mechanism, n), seed)
+                config, agents = scenario.config, scenario.agents
+                profile = construct_profile(config, agents)
+                for variant in expiring_variants(profile, random.Random(seed)):
+                    verdict, book = run_campaign(config, variant.plays())
+                    if verdict is not Verdict.EXPIRED:
+                        continue
+                    expiring += 1
+                    report = certify(config, agents, variant, book=book)
+                    assert not report.certified, (mechanism, n, seed, variant.entries)
+    assert expiring >= 409  # of 420 variants, as measured: the test is not vacuous
 
 
 @settings(deadline=None, max_examples=3)

@@ -467,6 +467,11 @@ MISTYPED_FIELDS = [
                                        "one of: provision_likely, rejection_likely"),
     (("config", "mechanism"), {"a": 1}, "scenario.config.mechanism: '{'a': 1}' is not "
                                         "one of: PPR, PPS, PPRN, PPSN, PPRx, PPSx"),
+    (("agents",), 5, "scenario.agents: expected a list, got 5"),
+    (("agents",), [], "scenario.agents: expected a nonempty list"),
+    (("explicit_reports",), 3, "scenario.explicit_reports: expected a list, got 3"),
+    (("explicit_reports",), ["x"],
+     "scenario.explicit_reports[0]: expected an object, got 'x'"),
 ]
 
 
