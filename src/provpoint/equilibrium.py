@@ -38,13 +38,14 @@ Market flips are not checked, so PPRN's and PPSN's true-preference claim is
 not certified: at fixed totals and even odds the half-sum of the PROVISIONED
 and REJECTED utilities is the same on either market (0.5 * (v - x + share),
 0.5 * (v - 2x + s)), and what else a flipped agent faces is not defined.
-Refund-bonus timing never enters utilities, so timing deviations are vacuous
-for that family; for the securities family the delay walk reprices the
-allocation at the later slot. Utilities never fall as the allocation grows,
-and waits never fall, so a delay is two numbers, the issuances after the
-first and after the last wait: the one that allocates more is scored when
-it allocates more than the prescribed play does, and reported as the
-slot's one timing deviation when it gains.
+Timing deviations are vacuous in both families, so neither certifier
+searches them. Refund-bonus timing never enters utilities. In the
+securities family a delay changes only the issuance the same amount is
+priced at, and it gains nothing: money only rises, so a later slot's
+priced issuance is never lower (on PPSN's smaller leg too); an LMSR
+allocation never rises with issuance (``securities_for``); and every
+securities utility is nondecreasing in the allocation. A delayed play of
+the same amount therefore buys at most what the on-time play buys.
 
 In the securities family a bound buys exactly the rules row's security
 quantity, so ``construct_profile`` (from empty markets) and the SPE
@@ -53,13 +54,13 @@ certifier (at its off-path probe states) walk followers through the kernel
 follower.
 
 Each certification reads the checked play off the engine's book of it into
-one record (``_path``: the play order, the money each agent found and the
-closing play, in one pass over the ledger, with no second replay) and
-builds one evaluator per agent from it (``_slots``), placed at the agent's
-on-path slot with its bound. Each indifference check of the report is its
-slot's two utility rows, the own branch's and the alternative's, evaluated
-at the bound with every target filled (``_Evaluator.indifference``), so
-it checks the bound against the payoff rule that settlement pays. Both
+one record (``_path``: the play order and the money each agent found, in
+one pass over the ledger, with no second replay) and builds one evaluator
+per agent from it (``_slots``), placed at the agent's on-path slot with
+its bound. Each indifference check of the report is its slot's two utility
+rows, the own branch's and the alternative's, evaluated at the bound with
+every target filled (``_Evaluator.indifference``), so it checks the bound
+against the payoff rule that settlement pays. Both
 certifiers check the slots the same way (``_Evaluator.check``). The
 evaluator computes once what every slot of its agent shares (weights,
 utility rows, ``_met``'s threshold, the cost function); a slot is plain
@@ -78,7 +79,6 @@ from itertools import zip_longest
 from .mechanisms import (
     Action,
     DualMarketState,
-    Waits,
     new_states,
     prefix_sums,
     ppr_utility,
@@ -422,7 +422,7 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
     plays = _plays(config, order, profile)
     raised = [0.0, 0.0]
     book = new_states(config)
-    amounts, _, _ = book.walk(raised, plays)
+    amounts, _ = book.walk(raised, plays)
     for agent, (market, _), amount in zip_longest(order, plays, amounts, fillvalue=0.0):
         profile.entries[agent.id] = Action(agent.id, amount, market,
                                            agent.arrival_contribution)
@@ -450,15 +450,12 @@ class _Play:
     """The certification's one record of the checked play, read off the
     engine's ``book`` of it (``_path``): the play ``order`` (entry tick,
     then id), the money (FOR, AGAINST) each agent of it ``found`` raised
-    and then the book's own, the index of the ``closing`` play
-    (``len(order)`` while the book is open) and, for a sequential
-    mechanism, the order's ``plays`` as the kernel walks followers
-    (``_plays``) and their ``prefix_sums``, ``bought``."""
+    and, for a sequential mechanism, the order's ``plays`` as the kernel
+    walks followers (``_plays``) and their ``prefix_sums``, ``bought``."""
 
     book: DualMarketState
     order: list[AgentProfile]
     found: list[tuple[float, float]]
-    closing: int
     plays: list[tuple[Market, float]] | None
     bought: dict[Market, list[float]] | None
 
@@ -471,16 +468,15 @@ def _path(config: CampaignConfig, agents: list[AgentProfile], profile: Equilibri
     """The record of the profile's play as the engine's ``book`` of it
     settled, in one pass over the ledger, which holds the accepted plays in
     play order: a record moves the money by the amount it accepted, and the
-    last one sets it to the book's, because a fill assigns the target; the
-    engine stops at the first fill, so that record closes a closed book. A
+    last one sets it to the book's, because a fill assigns the target. A
     zero play or a play after the close moves nothing. Raises ValueError
     naming the agent unless each nonzero play made while the book is open
     has its record, on its market and of its amount (the closing record may
     be smaller), and no record is left unread."""
     order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
     ledger, closed = book.ledger, book.closed
-    k, money, found, closing = 0, [0.0, 0.0], [], len(order)
-    for idx, agent in enumerate(order):
+    k, money, found = 0, [0.0, 0.0], []
+    for agent in order:
         found.append((money[0], money[1]))
         entry = profile.entries[agent.id]
         if k < len(ledger) and ledger[k].agent_id == agent.id:
@@ -490,19 +486,18 @@ def _path(config: CampaignConfig, agents: list[AgentProfile], profile: Equilibri
                 raise ValueError(_NOT_IN_BOOK.format(agent.id))
             k += 1
             if k == len(ledger):
-                money, closing = book.raised, (idx if closed else closing)
+                money = book.raised
             else:
                 money[record.market is not _FOR] += record.amount
         elif entry.amount > 0.0 and (k < len(ledger) or not closed):
             raise ValueError(_NOT_IN_BOOK.format(agent.id))
     if k < len(ledger):
         raise ValueError(_NOT_IN_BOOK.format(ledger[k].agent_id))
-    found.append(tuple(book.raised))
     plays = bought = None
     if config.mechanism.sequential:
         plays = _plays(config, order, profile)
         bought = prefix_sums(plays)
-    return _Play(book, order, found, closing, plays, bought)
+    return _Play(book, order, found, plays, bought)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +815,7 @@ class _Evaluator:
         return True
 
     def check(self, report: EquilibriumReport, epsilon: float,
-              state: tuple[float, float] | None = None, waits: Waits | None = None) -> None:
+              state: tuple[float, float] | None = None) -> None:
         """Add the placed slot's profitable deviations to ``report``: a
         nonzero play at a closed book; at an open one (unless it is the
         expiry corner) those ``sweep`` finds."""
@@ -834,21 +829,13 @@ class _Evaluator:
                     self.amount))
             return
         if not self.corner(report, self.rival_viable):
-            self.sweep(report, epsilon, state, waits)
+            self.sweep(report, epsilon, state)
 
     def sweep(self, report: EquilibriumReport, epsilon: float,
-              state: tuple[float, float] | None, waits: Waits | None) -> None:
+              state: tuple[float, float] | None) -> None:
         """Add the placed slot's best contribution, exact over its pieces,
-        when it gains more than epsilon and, given the ``waits`` of an SPE
-        probe ``state`` (which names its deviations), its one timing
-        deviation. ``waits`` counts the later plays that leave the book open
-        once the agent has played and gives the issuance a delayed
-        contribution is priced at after the first and the last of them.
-        Waits never fall, an allocation is monotone in issuance and every
-        securities utility is nondecreasing in it, so the wait that
-        allocates more gains at least as much as any wait, and a wait that
-        allocates no more than the prescribed play does here gains nothing:
-        only a larger allocation is scored."""
+        when it gains more than epsilon; an SPE probe ``state`` names the
+        deviation. Delays are not searched (vacuous: module docstring)."""
         amount = self.amount
         prescribed = None if self.cf is None else self.allocation(amount, self.issued)
         best_x, best, base = self.best(self.top(), prescribed)
@@ -857,18 +844,6 @@ class _Evaluator:
                 self.agent.id, "contribution", _state_prefix(state)
                 + f"x={best_x:.6g} on {self.market.value} (was {amount:.6g})",
                 best - base))
-        if not waits or not waits[0]:
-            return
-        count, first, last = waits
-        early, late = self.allocation(amount, first), self.allocation(amount, last)
-        waited, issued, securities = (count, last, late) if late > early else (1, first, early)
-        if securities <= prescribed:
-            return
-        gain = self.eu(amount, issued, securities=securities) - base
-        if gain > epsilon:
-            report.deviations.append(Deviation(
-                self.agent.id, "timing",
-                _state_prefix(state) + f"delay past {waited} later arrivals", gain))
 
 
 def _slots(config: CampaignConfig, agents: list[AgentProfile],
@@ -961,10 +936,10 @@ def certify_ne(config: CampaignConfig, agents: list[AgentProfile],
                book: DualMarketState | None = None) -> EquilibriumReport:
     """Search every agent's unilateral deviations against the fixed profile.
 
-    Certifies when at no agent's on-path slot a contribution or
-    (vacuously, for the refund-bonus family) a retiming gains more than
-    epsilon. The report carries ``conditions``, the caller's
-    ``check_conditions`` result, or evaluates them when none is given.
+    Certifies when at no agent's on-path slot a contribution gains more
+    than epsilon; a retiming gains nothing (module docstring). The report
+    carries ``conditions``, the caller's ``check_conditions`` result, or
+    evaluates them when none is given.
     ``book`` is the engine's book of the profile's play, from
     ``run_campaign``; without one the profile's ``plays`` are run here.
     """
@@ -1042,12 +1017,11 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     subgame state, walking arrivals with followers' plays rolled out and
     then held fixed (one-shot deviations over a finite horizon).
 
-    Each agent's on-path slot is ``certify_ne``'s, with the path's later
-    plays as its waits; at its off-path probe states, placed by that slot's
-    bound, the agent and its followers play their bounds. Covers
-    contribution deviations and delay: repricing the agent's allocation
-    after the first or the last later arrival that leaves the book open.
-    ``conditions`` and ``book`` are as for ``certify_ne``.
+    Each agent's on-path slot is ``certify_ne``'s; at its off-path probe
+    states, placed by that slot's bound, the agent and its followers play
+    their bounds. Covers contribution deviations; a delay gains nothing
+    (module docstring), so none is searched. ``conditions`` and ``book``
+    are as for ``certify_ne``.
     """
     if not config.mechanism.sequential:
         raise ValueError(f"{config.mechanism.value} has no sequential subgame "
@@ -1057,28 +1031,19 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
     report.kind = "subgame-perfect"
     if play is None:
         return report
-    # on the path, the later plays are the profile's: no play before the
-    # closing one is truncated, so the money each play found is their
-    # prefix sum; off the path, followers play their bounds: each buys its
-    # security quantity, so the kernel walks them by it (by prefix sum
-    # where it can); each market's target issuance, where a single market's
-    # walk closes, and each agent's quantity are fixed for the whole
+    # off the path, followers play their bounds: each buys its security
+    # quantity, so the kernel walks them by it (by prefix sum where it
+    # can); each market's target issuance, where a single market's walk
+    # closes, and each agent's quantity are fixed for the whole
     # certification
-    final, found, closing, plays, bought = (play.book, play.found, play.closing,
-                                            play.plays, play.bought)
+    final, found, plays, bought = play.book, play.found, play.plays, play.bought
     cf = config.cost_params
     target_issued = {m: cf.issued_at(config.target(m)) for m in config.mechanism.markets}
     dual = config.mechanism.dual_market
     for idx, ((own_market, quantity), slot) in enumerate(zip(plays, slots)):
         closes_at = target_issued[own_market]
         on_path, *off_path = _probe_states(config, *found[idx], slot.bound, own_market)
-        # waits: the later plays that leave the book open, and the issuance
-        # the delayed contribution is priced at after the first and the last
-        count = closing - idx - 1
-        waits = (0, 0.0, 0.0) if count <= 0 else (count, *(final.priced_at(
-            slot.market, *(x + (y - z) for x, y, z in zip(on_path, found[k], found[idx + 1])))
-            for k in (idx + 2, closing)))
-        slot.check(report, eps, on_path, waits)
+        slot.check(report, eps, on_path)
         if slot.market is not own_market:  # an explicit play off the agent's preference
             slot = _Evaluator(config, slot.agent, own_market, slot.reward, slot.side)
         for state in off_path:
@@ -1092,11 +1057,11 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             # the bound: the rules row's quantity for this agent, at this issuance
             bound = cf.contribution_for(quantity, issued)
             # paid: the followers' money per market, for the totals
-            prescribed, paid, waits = final.follow(*state, own_market, bound, plays, bought,
-                                                   idx + 1, closes_at)
+            prescribed, paid = final.follow(*state, own_market, bound, plays, bought,
+                                            idx + 1, closes_at)
             slot.place(prescribed, state[0] + paid[0], state[1] + paid[1], issued, bound,
                        rival_viable)
-            slot.sweep(report, eps, state, waits)
+            slot.sweep(report, eps, state)
     return report
 
 

@@ -17,10 +17,10 @@ current price: ``DualMarketState.walk`` plays them one by one, under
 pass. ``DualMarketState.follow`` answers where markets holding given money
 go after one play and such followers, from prefix sums on a single market
 (against the target's issuance, which the caller prices once) and by one
-``walk`` under min-leg pricing, as the followers' money and two ``Waits``
-issuances. Both take the money as plain floats (``closed_at`` and
-``priced_at`` read a state the same way), and the book lends only its
-targets and pricing, so a state off the ledger is two numbers.
+``walk`` under min-leg pricing, as the money the followers pay in. Both
+take the money as plain floats (``closed_at`` and ``priced_at`` read a
+state the same way), and the book lends only its targets and pricing, so a
+state off the ledger is two numbers.
 
 Payoffs follow one rule for all six mechanisms, and the payoff rule section
 below holds all of it: ``returned``, ``belief_paid`` and one ``*_utility``
@@ -71,10 +71,6 @@ from .model import (
 _FOR = Market.FOR
 _PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
 _PROVISION_LIKELY = BeliefSide.PROVISION_LIKELY
-
-# Delay waits: how many later plays leave the book open, and the issuance after
-# the first and after the last of them; (0, 0.0, 0.0) when there are none
-Waits = tuple[int, float, float]
 
 
 @dataclass
@@ -150,8 +146,7 @@ class DualMarketState:
         return amount
 
     def walk(self, raised: list[float], plays: list[tuple[Market, float]], first: int = 0,
-             only: Market | None = None
-             ) -> tuple[list[float], tuple[float, float], tuple[float, float]]:
+             only: Market | None = None) -> tuple[list[float], tuple[float, float]]:
         """Walk the arrivals of ``plays`` from ``first`` on, each buying its
         security quantity on its market at ``priced_at``, until the book
         closes; with ``only``, the arrivals on that market alone. Each
@@ -159,10 +154,8 @@ class DualMarketState:
         amount fills the market exactly. Advances the money ``raised``
         (FOR, AGAINST) in place, on plain floats; this book lends its
         targets and pricing and is left as it is. Returns the money each
-        walked arrival pays in; their money per market (FOR, AGAINST),
-        summed from 0.0 in walk order; and that money before the payment
-        that closes the book (all of it when none does), which is the money
-        after the last arrival that leaves the book open.
+        walked arrival pays in, and their money per market (FOR, AGAINST),
+        summed from 0.0 in walk order.
 
         A payment is ``contribution_for``'s closed form b * log1p(u * expm1(q
         / b)), operation for operation, with the priced leg's issuance and
@@ -175,7 +168,7 @@ class DualMarketState:
         paid: list[float] = []
         money = [0.0, 0.0]
         if raised[0] >= target[0] or raised[1] >= target[1]:
-            return paid, (0.0, 0.0), (0.0, 0.0)
+            return paid, (0.0, 0.0)
         priced = issued = price = None
         for k in range(first, len(plays)):
             market, quantity = plays[k]
@@ -197,20 +190,15 @@ class DualMarketState:
                 amount, raised[i] = remaining, target[i]
             else:
                 raised[i] += amount
-                if not raised[i] >= target[i]:
-                    money[i] += amount
-                    paid.append(amount)
-                    continue
-            # this payment closes the book
-            before = money[0], money[1]
             money[i] += amount
             paid.append(amount)
-            return paid, (money[0], money[1]), before
-        return paid, (money[0], money[1]), (money[0], money[1])
+            if raised[i] >= target[i]:
+                break  # this payment closes the book
+        return paid, (money[0], money[1])
 
     def follow(self, raised_for: float, raised_against: float, side: Market, amount: float,
                plays: list[tuple[Market, float]], bought: dict[Market, list[float]],
-               first: int, target_issued: float) -> tuple[float, tuple[float, float], Waits]:
+               first: int, target_issued: float) -> tuple[float, tuple[float, float]]:
         """Where a play of ``amount`` on ``side`` and the followers' bounds
         take these markets from the money ``raised_for``, ``raised_against``.
 
@@ -219,20 +207,17 @@ class DualMarketState:
         the quantity the arrivals before ``k`` buy on market m
         (``prefix_sums``); ``target_issued`` is the issuance at ``side``'s
         target (``issued_at``), one number per market, which the caller
-        prices once. Returns the amount accepted from the play; the
+        prices once. Returns the amount accepted from the play and the
         money the followers pay into each market while the book is open, as
-        (FOR, AGAINST); and the ``Waits``: how many followers leave the book
-        open, and the issuance ``side`` prices at without the play, after
-        the first and after the last of them. The play and the followers
-        are paid on plain floats, under ``play``'s rule.
+        (FOR, AGAINST). The play and the followers are paid on plain floats,
+        under ``play``'s rule.
 
         On a single market a bound buys exactly its quantity at any
         issuance, so issuance after each follower is a prefix sum, and one
         bisect against ``target_issued`` finds the follower who closes the
         book. Under ``min_leg`` a bound is priced at the smaller leg, which
         the other market moves, so ``walk`` plays the followers one by one
-        and, in the same pass, sums their money and the money after the
-        last wait; the money after the first wait is the first payment.
+        and sums their money.
         """
         cf = self.cf
         i = side is not _FOR
@@ -245,43 +230,18 @@ class DualMarketState:
             accepted = amount
             after[i] += amount
         if self.closed_at(*after):
-            return accepted, (0.0, 0.0), (0, 0.0, 0.0)
+            return accepted, (0.0, 0.0)
         if self.min_leg:
-            paid, money, last = self.walk(after, plays, first)
-            # each payment but a closing one left ``after`` open, which
-            # holds at least as much on each market as these markets
-            count = len(paid) - 1 if self.closed_at(*after) else len(paid)
-            waits = (0, 0.0, 0.0)
-            if count:
-                late = self.priced_at(side, raised_for + last[0], raised_against + last[1])
-                # wait 1: these markets plus the first payment, on its market
-                x = paid[0]
-                head = (x, 0.0) if plays[first][0] is _FOR else (0.0, x)
-                waits = (count, late if count == 1 else self.priced_at(
-                    side, raised_for + head[0], raised_against + head[1]), late)
-            return accepted, money, waits
+            return accepted, self.walk(after, plays, first)[1]
         bought = bought[side]
         start = cf.issued_at(after[i])
         # a follower that buys nothing leaves the book open, even where
         # the money short of the target is too little to move the issuance
         end = bisect_left(bought, target_issued - start + bought[first],
                           bisect_right(bought, bought[first], first + 1))
-        closes = end < len(bought)
-        count = end - first - 1 if closes else len(bought) - 1 - first
-        raised = raised_against if i else raised_for
-        paid = (target - after[i] if closes
+        paid = (target - after[i] if end < len(bought)
                 else cf.contribution_for(bought[-1] - bought[first], start))
-        waits = (0, 0.0, 0.0)
-        if count:
-            # wait k: these markets plus the money the first k followers
-            # pay, which after the last wait is ``paid`` unless a follower
-            # closes the book
-            held = bought[first]
-            late = cf.issued_at(raised + (cf.contribution_for(bought[first + count] - held, start)
-                                          if closes else paid))
-            waits = (count, late if count == 1 else cf.issued_at(raised + cf.contribution_for(
-                bought[first + 1] - held, start)), late)
-        return accepted, (0.0, paid) if i else (paid, 0.0), waits
+        return accepted, (0.0, paid) if i else (paid, 0.0)
 
 
 def prefix_sums(plays: list[tuple[Market, float]]) -> dict[Market, list[float]]:

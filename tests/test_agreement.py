@@ -86,19 +86,16 @@ def replayed_path(config, agents, profile):
     """The certifiers' former path, kept as the reference for ``_path``:
     the profile's plays replayed once through a book of its own, as the
     engine plays them; the play order, the money (FOR, AGAINST) each agent
-    of it found, the book's money after the last play, and the index of
-    the play that closed the book (``len(order)`` if none)."""
+    of it found, and the book's money after the last play."""
     order = sorted(agents, key=lambda a: (profile.entries[a.id].tick, a.id))
     book = new_states(config)
-    found, closing = [], len(order)
-    for idx, agent in enumerate(order):
+    found = []
+    for agent in order:
         found.append(tuple(book.raised))
         if not book.closed:
             entry = profile.entries[agent.id]
             book.play(entry.market, entry.amount)
-            if book.closed:
-                closing = idx
-    return order, found, tuple(book.raised), closing
+    return order, found, tuple(book.raised)
 
 
 SCENARIO_OF = {}  # (mechanism, n) -> a generated scenario
@@ -128,16 +125,15 @@ def test_path_reads_the_replay_off_the_engines_book(mech, plays):
         entries[agent.id] = Action(agent.id, share * config.target(market), market, tick)
     profile = EquilibriumProfile(entries=entries)
     play = _path(config, agents, profile, run_campaign(config, profile.plays())[1])
-    order, found, final, closing = replayed_path(config, agents, profile)
+    order, found, final = replayed_path(config, agents, profile)
     assert play.order == order
-    assert play.found == [*found, final]
+    assert play.found == found
     assert tuple(play.book.raised) == final
-    assert play.closing == closing
     if plays == ROUNDED_FILL and mech is Mechanism.PPR:
         first, filled = play.book.ledger
         assert first.amount + filled.amount != config.provision_point == play.found[2][0]
         # agent 1's record closes the book; agent 2 finds it closed
-        assert play.closing == closing == 1
+        assert play.book.closed_at(*play.found[2])
 
 
 @pytest.mark.parametrize("share", [0.0, 0.5])

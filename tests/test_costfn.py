@@ -115,14 +115,48 @@ def test_allocation_slope_grid():
             assert slope > 1.0, (x, q, slope)
 
 
-def test_allocation_decreasing_in_issuance():
-    cf = CostFunction()
-    for x in (0.1, 1.0, 5.0):
-        prev = cf.securities_for(x, 0.0)
-        for q in (0.5, 1.0, 2.0, 5.0, 10.0):
-            cur = cf.securities_for(x, q)
-            assert cur < prev, (x, q)
-            prev = cur
+# Two premises of the certifier's claim that a delay never gains in the
+# securities family: a fixed amount never buys more at a higher issuance, and
+# issuance never falls as the money raised grows (money only rises, so a later
+# slot is priced no lower). Each issuance is drawn as its exponent
+# (fixed_leg - q) / b, so the closed form and the log space past EXP_LIMIT
+# are both reached.
+@settings(max_examples=500)
+@given(b=st.floats(0.01, 1000.0), fixed_over_b=st.floats(0.0, 1000.0),
+       amount=st.floats(0.0, 1e4),
+       exponents=st.tuples(st.floats(-1000.0, 1000.0), st.floats(-1000.0, 1000.0)),
+       raised=st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)))
+@example(b=1.0, fixed_over_b=0.0, amount=1.0, exponents=(0.0, -5.0), raised=(1.0, 2.0))
+@example(b=1.0, fixed_over_b=900.0, amount=1.0, exponents=(850.0, 720.0), raised=(0.0, 5e-324))
+def test_allocation_never_rises_with_issuance(b, fixed_over_b, amount, exponents, raised):
+    cf = CostFunction(liquidity=b, fixed_leg=fixed_over_b * b)
+    low, high = sorted(max(0.0, cf.fixed_leg - t * b) for t in exponents)
+    assert cf.securities_for(amount, high) <= cf.securities_for(amount, low)
+    less, more = sorted(raised)
+    assert cf.issued_at(less) <= cf.issued_at(more)
+
+
+@settings(max_examples=300)
+@given(b=st.floats(0.01, 1000.0), fixed_over_b=st.floats(EXP_LIMIT + 1.0, 1000.0),
+       amount=st.floats(0.0, 1e4))
+def test_allocation_never_rises_across_the_log_space_switch(b, fixed_over_b, amount):
+    # the adjacent issuances where (fixed_leg - q) / b crosses EXP_LIMIT, and
+    # eight floats on each side: the allocation never rises from one to the next
+    cf = CostFunction(liquidity=b, fixed_leg=fixed_over_b * b)
+
+    def log_space(q):
+        return (cf.fixed_leg - q) / b >= EXP_LIMIT
+
+    low, high = 0.0, cf.fixed_leg
+    assert log_space(low) and not log_space(high)
+    while math.nextafter(low, math.inf) < high:
+        mid = low + (high - low) / 2
+        low, high = (mid, high) if log_space(mid) else (low, mid)
+    issued = [low, high]
+    for _ in range(8):
+        issued = [math.nextafter(issued[0], 0.0), *issued, math.nextafter(issued[-1], math.inf)]
+    allocations = [cf.securities_for(amount, q) for q in issued]
+    assert all(later <= earlier for earlier, later in zip(allocations, allocations[1:]))
 
 
 def test_contribution_increasing_in_issuance():

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from provpoint import equilibrium, mechanisms
 from provpoint.costfn import CostFunction
 from provpoint.equilibrium import (
-    Deviation,
     EquilibriumProfile,
     _met,
     _own_win_weight,
@@ -356,23 +355,6 @@ def test_certify_spe_post_target_arrival_plays_zero():
     assert not report.certified
     assert any(d.agent_id == 1 and "market closed but profile prescribes x=1" in d.detail
                for d in report.deviations)
-
-
-def test_certify_spe_flags_allocation_rising_with_issuance(monkeypatch):
-    # negative control for the delay walk: with securities that grow with
-    # issuance, waiting for later arrivals pays, and must be reported
-    config = CampaignConfig(mechanism=Mechanism.PPS, provision_point=10.0,
-                            cost_params=CostFunction(liquidity=30.0),
-                            deadline_contribution=5)
-    agents = [agent(6.0, i, arrival_contribution=i) for i in range(4)]
-    profile = construct_profile(config, agents)
-    assert certify_spe(config, agents, profile).certified
-    securities_for = CostFunction.securities_for
-    monkeypatch.setattr(CostFunction, "securities_for",
-                        lambda cf, amount, issued:
-                        securities_for(cf, amount, issued) + issued)
-    report = certify_spe(config, agents, profile)
-    assert any(d.kind == "timing" for d in report.deviations)
 
 
 def test_certify_spe_infeasible_profile_not_certified():
@@ -831,13 +813,6 @@ def _expected_utility(config: CampaignConfig, slot: _Evaluator, market: Market,
     )
 
 
-def _wait_ends(waits) -> list[float]:
-    """The issuances after the first and after the last of a probe state's
-    ``Waits``; none when there are no waits."""
-    count, first, last = waits
-    return [first, last] if count else []
-
-
 @pytest.mark.parametrize("n", [4, 16])
 @pytest.mark.parametrize("mechanism", list(Mechanism))
 def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
@@ -847,42 +822,32 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
     cf = config.cost_params
     profile = construct_profile(config, agents)
     slots = equilibrium._slots(config, agents, profile, _engine_path(config, agents, profile))
-    delayed = []  # (slot, the issuances of its delay waits)
     if mechanism.sequential:
         sweep = _Evaluator.sweep
 
-        def sweeping(slot, report, epsilon, state, waits):
+        def sweeping(slot, report, epsilon, state):
             slots.append(_placed(config, slot))
-            delayed.append((slots[-1], _wait_ends(waits)))
-            return sweep(slot, report, epsilon, state, waits)
+            return sweep(slot, report, epsilon, state)
 
         monkeypatch.setattr(_Evaluator, "sweep", sweeping)
         certify_spe(config, agents, profile)
         monkeypatch.undo()
-        # four arrivals may fill before anyone waits
-        assert any(waits for _, waits in delayed) or n == 4
     for slot in slots:
         top = slot.top()
         for k in range(50):
             x = top * k / 49
             assert slot.eu(x, slot.issued) == _expected_utility(config, slot, slot.market, x, cf)
-    for slot, waits in delayed:
-        for issued in waits:
-            repriced = _placed(config, slot, issued=issued)
-            assert (slot.eu(slot.amount, issued)
-                    == _expected_utility(config, repriced, slot.market, slot.amount, cf))
 
 
 # ---------------------------------------------------------------------------
 # SPE follower walks against the replays they replaced
 # ---------------------------------------------------------------------------
-# The three functions below are the SPE certifier's former play-by-play
-# rollout, rival-fill replay and two-book delay walk, kept verbatim as the
-# reference. The certifier reads both answers off one kernel query per
-# probe state (DualMarketState.follow): for PPSN a walk play by play, whose
-# payments must be equal with ==, and for PPS and PPSx prefix sums. Every
-# closing index and number of waits must be equal; the waits' issuances,
-# read off prefix sums for all three, may differ by rounding alone.
+# The two functions below are the SPE certifier's former play-by-play
+# rollout and rival-fill replay, kept verbatim as the reference. The
+# certifier reads the followers' money off one kernel query per probe state
+# (DualMarketState.follow): for PPSN a walk play by play, whose payments
+# must be equal with ==, and for PPS and PPSx prefix sums, which may differ
+# from the summed payments by rounding alone.
 
 
 def _rollout(config: CampaignConfig, book: DualMarketState,
@@ -920,40 +885,13 @@ def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Mark
     return book.raised[i] >= book.target[i]
 
 
-def _delay_deviations(slot: _Evaluator, eu, base: float, before: DualMarketState,
-                      after: DualMarketState,
-                      follower_plays: list[tuple[Market, float]], epsilon: float,
-                      prefix: str) -> list[Deviation]:
-    """Reprice the prescribed contribution after each number of later
-    arrivals; allocations never improve with waiting, so any gain is a
-    defect worth reporting. ``after`` holds the agent's contribution and
-    stops the walk once a target would close the book; ``before`` leaves it
-    out and prices the delayed allocation. Only that price changes with the
-    wait, so each wait re-evaluates ``eu`` at the new issuance."""
-    found: list[Deviation] = []
-    if after.closed:
-        return found  # the contribution itself closes the book
-    before, after = _copy(before), _copy(after)
-    for waited, (market, amount) in enumerate(follower_plays, start=1):
-        after.play(market, amount)
-        if after.closed:
-            break  # book closes; no later slot exists for the contribution
-        before.play(market, amount)
-        gain = eu(slot.amount, before.price_issuance(slot.market)) - base
-        if gain > epsilon:
-            found.append(Deviation(slot.agent.id, "timing",
-                                   prefix + f"delay past {waited} later arrivals",
-                                   gain))
-    return found
-
-
 def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
                       profile: EquilibriumProfile):
     """Every probe state certify_spe sweeps, in its order, with the follower
     plays the former walks were given: the profile's on the path, a rollout
     off it. Yields (agent, market, prescribed amount, rival viable, state,
-    state after the prescribed play, follower plays); the kernel's rival
-    answer is checked against ``_rival_fills`` on the way."""
+    follower plays); the kernel's rival answer is checked against
+    ``_rival_fills`` on the way."""
     play = _engine_path(config, agents, profile)
     slots = equilibrium._slots(config, agents, profile, play)
     final, plays = play.book, play.plays
@@ -987,7 +925,7 @@ def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
             if config.mechanism.dual_market and market is Market.AGAINST and not rival:
                 continue  # the expiry corner is noted, not swept
             yield (agent, market, prescribed, config.mechanism.dual_market and rival,
-                   state, after, follower_plays)
+                   state, follower_plays)
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
@@ -997,37 +935,32 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
                                  seed=n)
     config, agents = scenario.config, scenario.agents
     profile = construct_profile(config, agents)
-    swept = []  # (slot, its delay walk's waits) per swept probe state
+    swept = []  # the slot of each swept probe state
     sweep = _Evaluator.sweep
 
-    def sweeping(slot, report, epsilon, state, waits):
-        swept.append((_placed(config, slot), waits))
-        return sweep(slot, report, epsilon, state, waits)
+    def sweeping(slot, report, epsilon, state):
+        swept.append(_placed(config, slot))
+        return sweep(slot, report, epsilon, state)
 
     monkeypatch.setattr(_Evaluator, "sweep", sweeping)
     certify_spe(config, agents, profile)
     monkeypatch.undo()
 
-    expected = []
-    for agent, market, prescribed, rival_viable, state, after, follower_plays in (
+    expected, others = [], []
+    for agent, market, prescribed, rival_viable, state, follower_plays in (
             _reference_probes(config, agents, profile)):
-        priced: list[float] = []
-        slot = _Evaluator(config, agent, market, 0.0, agent.belief_side)
-        slot.place(prescribed, 0.0, 0.0, 0.0, 0.0, False)
-        _delay_deviations(slot, lambda amount, issued: priced.append(issued) or 0.0,
-                          0.0, state, after, follower_plays, math.inf, "")
-        expected.append((agent.id, market, prescribed, rival_viable, priced))
-    # four arrivals may fill before anyone waits
-    assert any(priced for *_, priced in expected) or n == 4
-    got = [(slot.agent.id, slot.market, slot.amount, slot.rival_viable, waits)
-           for slot, waits in swept]
-    assert [row[:4] + (row[4][0],) for row in got] == [
-        row[:4] + (len(row[4]),) for row in expected]
-    tolerance = 1e-12 * max(config.cost_params.issued_at(config.target(m))
-                            for m in mechanism.markets)
-    for (*_, waits), (*_, reference) in zip(got, expected):
-        assert all(abs(a - b) <= tolerance
-                   for a, b in zip(_wait_ends(waits), reference[:1] + reference[-1:]))
+        expected.append((agent.id, market, prescribed, rival_viable))
+        # everyone else's money: the state's and the followers' payments
+        others.append(tuple(state.raised[i] + sum(x for m, x in follower_plays if m is side)
+                            for i, side in enumerate(Market)))
+    got = [(slot.agent.id, slot.market, slot.amount, slot.rival_viable) for slot in swept]
+    assert got == expected
+    # the on-path totals are the profile's, summed in another order, and
+    # a single market's followers pay off prefix sums: equal up to rounding
+    tolerance = 1e-12 * max(config.target(m) for m in mechanism.markets)
+    for slot, reference in zip(swept, others):
+        assert (slot.others_for, slot.others_against) == pytest.approx(
+            reference, rel=1e-12, abs=tolerance)
 
 
 SECURITIES = [Mechanism.PPS, Mechanism.PPSN, Mechanism.PPSX]
@@ -1071,19 +1004,15 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     # walk from the state, over every arrival and over each market alone
     for only in (None, *mechanism.markets):
         walked = list(state.raised)
-        paid, money, last = state.walk(walked, plays, first, only)
+        paid, money = state.walk(walked, plays, first, only)
         reference = _copy(state)
         walked_arrivals = [f for f in arrivals[first:] if only in (None, f[1])]
         expected = _rollout(config, reference, walked_arrivals)
         assert paid == expected
-        # the money per market, summed in walk order, and that money
-        # before a payment that closed the book
+        # the money per market, summed in walk order
         sums = [0.0, 0.0]
-        for (_, market, _), x in zip(walked_arrivals, paid[:-1] if reference.closed else paid):
+        for (_, market, _), x in zip(walked_arrivals, paid):
             sums[market is Market.AGAINST] += x
-        assert last == tuple(sums)
-        if reference.closed:
-            sums[walked_arrivals[len(paid) - 1][1] is Market.AGAINST] += paid[-1]
         assert money == tuple(sums)
         assert walked == reference.raised
         assert _legal(_at(state, *walked))
@@ -1092,24 +1021,16 @@ def test_kernel_walks_match_play_by_play(mechanism, n, seed, fractions, hair, mo
     _, side, reward = arrivals[mover]
     bound = contribution_bound(config, arrivals[mover][0],
                                issued=state.price_issuance(side), belief_reward=reward)
-    accepted, totals, waits = state.follow(*state.raised, side, bound, plays, bought, first,
-                                           config.cost_params.issued_at(config.target(side)))
+    accepted, totals = state.follow(*state.raised, side, bound, plays, bought, first,
+                                    config.cost_params.issued_at(config.target(side)))
     after = _copy(state)
     assert accepted == after.play(side, bound)
     amounts = _rollout(config, after, arrivals[first:]) if not after.closed else []
     assert _legal(after)
     followed = [(m, x) for (_, m, _), x in zip(arrivals[first:], amounts)]
-    before = _copy(state)
-    expected_waits = []
-    for market, x in followed[:-1] if after.closed else followed:
-        before.play(market, x)
-        expected_waits.append(before.price_issuance(side))
-    assert waits[0] == len(expected_waits)
-    # waits are read off prefix sums: equal up to rounding
+    # a single market's totals are read off prefix sums: equal up to rounding
     tolerance = 1e-12 * max(config.cost_params.issued_at(config.target(m))
                             for m in mechanism.markets)
-    assert all(abs(a - b) <= tolerance for a, b in
-               zip(_wait_ends(waits), expected_waits[:1] + expected_waits[-1:]))
     expected_totals = tuple(sum(x for m, x in followed if m is market) for market in Market)
     if mechanism.dual_market:
         assert totals == expected_totals
@@ -1165,9 +1086,8 @@ def test_certifiers_build_no_contribution_record(monkeypatch):
 
 
 def test_ppsn_follow_sums_without_prefix_sums(monkeypatch):
-    # follow's running sums give the followers' money and the first and
-    # last waits, without prefix sums of the walked payments: also where a
-    # wait gains, under the rising-allocation control
+    # follow's running sums give the followers' money without prefix sums
+    # of the walked payments
     summed, followed = [], []
     prefix = mechanisms.prefix_sums
     monkeypatch.setattr(mechanisms, "prefix_sums",
@@ -1180,8 +1100,6 @@ def test_ppsn_follow_sums_without_prefix_sums(monkeypatch):
     config, agents = scenario.config, scenario.agents
     profile = construct_profile(config, agents)
     assert certify_spe(config, agents, profile).certified
-    _rising_allocations(monkeypatch)
-    assert any(d.kind == "timing" for d in certify_spe(config, agents, profile).deviations)
     assert followed
     assert summed == []
 
@@ -1239,8 +1157,9 @@ def test_rival_bracket_matches_the_walk(monkeypatch):
 @pytest.mark.parametrize("n", [8, 32])
 @pytest.mark.parametrize("mechanism", SECURITIES)
 def test_eu_is_nondecreasing_in_the_allocation(mechanism, n, monkeypatch):
-    # the delay walk scores the wait with the largest allocation only: at the
-    # prescribed amount, eu must depend on the issuance through the
+    # a premise of the certifier's claim that a delay never gains (with
+    # allocations never rising with issuance and money never falling): at
+    # the prescribed amount, eu must depend on the issuance through the
     # allocation alone, and never fall as it grows
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=n),
                                  seed=1)
@@ -1265,63 +1184,6 @@ def test_eu_is_nondecreasing_in_the_allocation(mechanism, n, monkeypatch):
                          for issued in grid), key=lambda point: point[0])
         for (low, before), (high, after) in zip(points, points[1:]):
             assert after >= before if high > low else after == before
-
-
-def _rising_allocations(monkeypatch) -> None:
-    """Negative control: allocations rise with issuance, so the best wait is
-    no longer the first, and waiting pays."""
-    securities_for = CostFunction.securities_for
-    monkeypatch.setattr(CostFunction, "securities_for",
-                        lambda cf, amount, issued:
-                        securities_for(cf, amount, issued) + 0.01 * issued)
-
-
-@pytest.mark.parametrize("mechanism", SECURITIES)
-def test_delay_walk_reports_the_best_wait_when_allocations_rise(mechanism, monkeypatch):
-    # each swept probe state reports one timing deviation exactly when a
-    # walk that prices and scores every wait play by play finds any, with
-    # that walk's largest gain, at a wait where the walk reaches it
-    _rising_allocations(monkeypatch)
-    sweep = _Evaluator.sweep
-    swept = []  # (slot, base, epsilon, prefix, timing deviations) per probe state
-
-    def sweeping(slot, report, epsilon, state, waits):
-        before = len(report.deviations)
-        sweep(slot, report, epsilon, state, waits)
-        found = [d for d in report.deviations[before:] if d.kind == "timing"]
-        _, _, base = slot.best(slot.top())
-        swept.append((_placed(config, slot), base, epsilon,
-                      equilibrium._state_prefix(state), found))
-
-    monkeypatch.setattr(_Evaluator, "sweep", sweeping)
-    timing = 0
-    for seed in range(4):
-        for n in (6, 16, 40):
-            scenario = generate_scenario(
-                ScenarioTemplate(mechanism=mechanism, agent_count=n), seed=seed)
-            config, agents = scenario.config, scenario.agents
-            profile = construct_profile(config, agents)
-            swept.clear()
-            certify_spe(config, agents, profile)
-            probes = list(_reference_probes(config, agents, profile))
-            assert len(swept) == len(probes)
-            for (slot, base, epsilon, prefix, found), (
-                    agent, market, prescribed, _, state, after, follower_plays) in zip(
-                    swept, probes):
-                assert (slot.agent, slot.market, slot.amount) == (agent, market, prescribed)
-                reference = _delay_deviations(slot, slot.eu, base, state, after,
-                                              follower_plays, epsilon, prefix)
-                assert len(found) == (1 if reference else 0)
-                if reference:
-                    (deviation,) = found
-                    largest = max(d.utility_gain for d in reference)
-                    assert deviation.kind == "timing"
-                    assert deviation.utility_gain == pytest.approx(largest, rel=1e-9)
-                    assert any(d.detail == deviation.detail
-                               and d.utility_gain == pytest.approx(largest, rel=1e-9)
-                               for d in reference)
-                timing += len(found)
-    assert timing
 
 
 # ---------------------------------------------------------------------------

@@ -81,13 +81,13 @@ def test_off_preference_play_matches_golden(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["pps_half_plays", "ppsn_half_plays", "ppsx_half_plays"])
 def test_half_plays_match_golden(name, tmp_path, capsys, monkeypatch):
-    # generated scenarios (n=16; PPSN n=24, whose off-path states then delay
-    # profitably under the control) whose explicit plays are the constructed
-    # ones at half their amounts: every on-path slot gains by contributing more.
-    # Under the real cost function the bounds stay best responses off the
-    # path and no delay gains, so the scenario is certified again with every
-    # allocation raised by 0.01 per security issued; off-path contribution
-    # deviations and timing deviations then pin eu, follow and the waits
+    # generated scenarios (n=16; PPSN n=24) whose explicit plays are the
+    # constructed ones at half their amounts: every on-path slot gains by
+    # contributing more. Under the real cost function the bounds stay best
+    # responses off the path, so the scenario is certified again with every
+    # allocation raised by 0.01 per security issued; the off-path
+    # contribution deviations then pin eu and follow. No delay is searched,
+    # so the control reports no timing deviation
     expected_dir = GENERATED / name
     scenario = str(expected_dir / "scenario.json")
     assert main(["certify", "--scenario", scenario, "--out", str(tmp_path / "real")]) == 3
