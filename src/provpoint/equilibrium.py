@@ -352,19 +352,21 @@ def _fill_side(agents: list[AgentProfile], bounds: dict[int, float], target: flo
     """Scale bounds proportionally so the side sums to ``target`` exactly.
 
     Returns None when the bounds cannot cover the target (or cannot while
-    staying strictly interior, for the strict-inequality mechanisms). The
-    last agent in id order absorbs the float residue so the sum is exact.
+    staying strictly interior, for the strict-inequality mechanisms), a NaN
+    sum included. The last agent in id order with a positive bound absorbs
+    the float residue so the sum is exact; an agent whose bound is 0 plays 0.
     """
     total = plain_sum(bounds[a.id] for a in agents)
     limit = total * (1.0 - STRICT_MARGIN) if strict else total
-    if limit < target:
+    if not limit >= target:
         return None
     scale = target / total
     amounts = {a.id: scale * bounds[a.id] for a in agents}
-    ordered = sorted(a.id for a in agents)
-    residue = target - plain_sum(amounts[i] for i in ordered[:-1])
+    ordered = sorted(amounts)
+    absorber = max(i for i in ordered if bounds[i] > 0.0)
+    residue = target - plain_sum(amounts[i] for i in ordered if i != absorber)
     # the residue can dip a few ulps negative when the partial sums overshoot
-    amounts[ordered[-1]] = max(0.0, residue)
+    amounts[absorber] = max(0.0, residue)
     return amounts
 
 
@@ -1063,51 +1065,3 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
                        rival_viable)
             slot.sweep(report, eps, state)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Analysis helpers
-# ---------------------------------------------------------------------------
-
-
-def contribution_ordering_gap(config: CampaignConfig, optimist: AgentProfile,
-                              pessimist: AgentProfile, *, issued: float = 0.0,
-                              belief_reward: float = 0.0) -> tuple[float, float, float]:
-    """Bound gap between a matched provision-minded / rejection-minded pair.
-
-    The pair must agree on valuation, belief offset, and arrival, and sit on
-    opposite sides; the gap is positive whenever the belief reward is
-    positive (or, for the refund-bonus variant, the beliefs are strictly
-    asymmetric), showing optimists are asked to contribute more.
-    """
-    if not config.mechanism.two_phase:
-        raise ValueError("ordering gap applies to the belief-phase mechanisms only")
-    if optimist.belief_side is not BeliefSide.PROVISION_LIKELY:
-        raise ValueError("first agent must be provision-minded")
-    if pessimist.belief_side is not BeliefSide.REJECTION_LIKELY:
-        raise ValueError("second agent must be rejection-minded")
-    if optimist.valuation != pessimist.valuation:
-        raise ValueError("pair must share the same valuation")
-    if optimist.belief_epsilon != pessimist.belief_epsilon:
-        raise ValueError("pair must share the same belief offset")
-    if optimist.arrival_contribution != pessimist.arrival_contribution:
-        raise ValueError("pair must share the same arrival")
-    upper = contribution_bound(config, optimist, issued=issued,
-                               belief_reward=belief_reward)
-    lower = contribution_bound(config, pessimist, issued=issued,
-                               belief_reward=belief_reward)
-    return upper, lower, upper - lower
-
-
-def combined_mechanism_gap(agent: AgentProfile, reward_securities: float) -> float:
-    """Expected-utility edge of contributing with (vs against) one's true
-    preference when a dual-market securities run naively adds belief rewards.
-
-    Equals (rejection belief - provision belief) * securities for a
-    provision-minded agent: nonpositive, so such an agent prefers the lying
-    side whenever it holds securities and any belief asymmetry; mirrored for
-    rejection-minded agents.
-    """
-    if reward_securities < 0:
-        raise ValueError("securities must be nonnegative")
-    return (1.0 - 2.0 * agent.provision_belief) * reward_securities + 0.0

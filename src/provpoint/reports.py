@@ -160,16 +160,18 @@ def summary_text(config: CampaignConfig, agents: list[AgentProfile],
 def misreport_gap_rows(epsilons: list[float], securities: list[float]) -> list[tuple]:
     """Expected gain of truthful play vs lying, for a provision-minded agent
     holding the given securities, over a belief-offset grid: one tuple per
-    point in ``MISREPORT_GAP_COLUMNS`` order."""
-    from .equilibrium import combined_mechanism_gap
-    from .model import BeliefSide
+    point in ``MISREPORT_GAP_COLUMNS`` order.
 
+    When a dual-market securities run naively adds belief rewards, the gain
+    is (rejection belief - provision belief) * securities, with provision
+    belief 0.5 + eps: nonpositive, so a provision-minded agent holding
+    securities prefers the lying side whenever its beliefs are asymmetric.
+    """
     rows = []
     for eps in epsilons:
-        agent = AgentProfile(id=0, valuation=1.0, belief_epsilon=eps,
-                             belief_side=BeliefSide.PROVISION_LIKELY)
         for quantity in securities:
-            rows.append((eps, quantity, combined_mechanism_gap(agent, quantity)))
+            # + 0.0 turns the -0.0 of a zero quantity into 0.0
+            rows.append((eps, quantity, (1.0 - 2.0 * (0.5 + eps)) * quantity + 0.0))
     return rows
 
 

@@ -71,13 +71,11 @@ def _name(root: str, *path) -> str:
 
 
 def _enum_value(enum_cls, raw, at: tuple, key):
+    """The member of ``enum_cls`` whose value is the JSON string ``raw``."""
     if type(raw) is str and raw in enum_cls._value2member_map_:
         return enum_cls._value2member_map_[raw]
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        valid = ", ".join(e.value for e in enum_cls)
-        raise ScenarioError(f"{_name(*at, key)}: '{raw}' is not one of: {valid}") from None
+    valid = ", ".join(e.value for e in enum_cls)
+    raise ScenarioError(f"{_name(*at, key)}: '{raw}' is not one of: {valid}")
 
 
 _FLOAT_MAX = sys.float_info.max

@@ -21,7 +21,6 @@ from provpoint.equilibrium import (
     check_conditions,
     construct_profile,
     contribution_bound,
-    contribution_ordering_gap,
 )
 from provpoint.mechanisms import Action, ppsn_utility, run_campaign
 from provpoint.model import (
@@ -177,8 +176,8 @@ def test_criterion_4_ppsx_spe_and_ordering():
                                 belief_side=BeliefSide.PROVISION_LIKELY)
             minus = AgentProfile(id=1, valuation=theta, belief_epsilon=eps,
                                  belief_side=BeliefSide.REJECTION_LIKELY)
-            _, _, gap = contribution_ordering_gap(config, plus, minus,
-                                                  belief_reward=reward)
+            gap = (contribution_bound(config, plus, belief_reward=reward)
+                   - contribution_bound(config, minus, belief_reward=reward))
             assert gap > 0.0, (theta, eps)
 
 

@@ -8,7 +8,9 @@ and the SHA-256 of stdout and of every file written. The corpus:
 * one ``gen`` scenario per mechanism at n = 6, 64 and 256 (seed 1); the
   generated input is hashed too;
 * the two inputs of ROADMAP item 13: ``pprn_six_agents`` with agent 0's
-  valuation at 1e308, and ``ppsn_four_arrivals`` with liquidity 1e-320.
+  valuation at 1e308, and ``ppsn_four_arrivals`` with liquidity 1e-320;
+* ``demo``, which reads no scenario: its exit code and the SHA-256 of its
+  stdout and of ``demo.csv``.
 
 The test regenerates each input's outputs and compares the hashes. A
 changed hash is a change in what the program writes: a change that makes
@@ -41,7 +43,7 @@ EXTREME = {
     "ppsn_four_arrivals-liquidity-1e-320": (
         "ppsn_four_arrivals", ("config", "cost_params", "liquidity"), 1e-320),
 }
-CORPUS = [*SHIPPED, *GENERATED, *EXTREME]
+CORPUS = [*SHIPPED, *GENERATED, *EXTREME, "demo"]
 INVOCATIONS = {"run_csv": ["run", "--format", "csv"],
                "run_json": ["run", "--format", "json"],
                "certify": ["certify"]}
@@ -58,8 +60,18 @@ def call(argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
+def outputs(argv: list[str], out: Path) -> dict:
+    """The exit code of one call writing to ``out``, and the hashes of its
+    stdout and of every file it wrote."""
+    code, stdout = call([*argv, "--out", str(out)])
+    return {"exit": code, "stdout": sha256(stdout.encode()),
+            "files": {p.name: sha256(p.read_bytes()) for p in sorted(out.iterdir())}}
+
+
 def entry_for(name: str, work: Path) -> dict:
     """The manifest entry of one corpus input, built in ``work``."""
+    if name == "demo":
+        return {"demo": outputs(["demo"], work / "demo")}
     entry = {}
     scenario = work / "scenario.json"
     if name in SHIPPED:
@@ -80,19 +92,13 @@ def entry_for(name: str, work: Path) -> dict:
         node[leaf[-1]] = value
         scenario.write_text(json.dumps(document))
     for label, args in INVOCATIONS.items():
-        out = work / label
-        code, stdout = call([*args, "--scenario", str(scenario), "--out", str(out)])
-        entry[label] = {
-            "exit": code,
-            "stdout": sha256(stdout.encode()),
-            "files": {p.name: sha256(p.read_bytes()) for p in sorted(out.iterdir())},
-        }
+        entry[label] = outputs([*args, "--scenario", str(scenario)], work / label)
     return entry
 
 
 def test_manifest_covers_the_corpus():
     assert sorted(json.loads(MANIFEST.read_text())) == sorted(CORPUS)
-    assert len(CORPUS) == 25
+    assert len(CORPUS) == 26
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -21,10 +21,8 @@ from provpoint.equilibrium import (
     certify_ne,
     certify_spe,
     check_conditions,
-    combined_mechanism_gap,
     construct_profile,
     contribution_bound,
-    contribution_ordering_gap,
     securities_pps,
     securities_ppsn,
     securities_ppsx,
@@ -277,6 +275,12 @@ def test_construct_infeasible_reported():
     profile = construct_profile(pprn_config(budget=18.0), agents)
     assert not profile.feasible
     assert "short" in profile.reason
+    # targets whose sum overflows make every bound NaN: no side can fill
+    config = pprn_config(h_for=1e308, h_against=1e308)
+    assert math.isnan(contribution_bound(config, agents[0]))
+    profile = construct_profile(config, agents)
+    assert not profile.feasible
+    assert not certify_ne(config, agents, profile).certified
 
 
 # ---------------------------------------------------------------------------
@@ -658,81 +662,74 @@ def test_report_serializes():
 
 
 # ---------------------------------------------------------------------------
-# Analysis helpers
+# Belief ordering: a provision-minded agent is asked for more
 # ---------------------------------------------------------------------------
 
 
-def matched_pair(eps):
-    plus = agent(10.0, 0, eps=eps, side=BeliefSide.PROVISION_LIKELY)
-    minus = agent(10.0, 1, eps=eps, side=BeliefSide.REJECTION_LIKELY)
-    return plus, minus
+def flipped_bounds(config, a, belief_reward=0.0):
+    """The agent's bound believing provision likely, and believing rejection
+    likely, all else equal."""
+    return tuple(contribution_bound(config, dataclasses.replace(a, belief_side=side),
+                                    belief_reward=belief_reward)
+                 for side in (BeliefSide.PROVISION_LIKELY, BeliefSide.REJECTION_LIKELY))
 
 
 def test_ordering_gap_pprx():
-    plus, minus = matched_pair(0.1)
+    plus = agent(10.0, eps=0.1)
     config = pprx_config(h0=20.0, belief=6.0, contribution=5.0)
-    upper, lower, gap = contribution_ordering_gap(config, plus, minus,
-                                                  belief_reward=2.0)
-    assert gap > 0.0
-    assert upper == bound_pprx(plus, plus.belief_side, 20.0, 5.0, 2.0)
-    assert lower == bound_pprx(minus, minus.belief_side, 20.0, 5.0, 2.0)
+    upper, lower = flipped_bounds(config, plus, belief_reward=2.0)
+    assert upper > lower
+    assert upper == bound_pprx(plus, BeliefSide.PROVISION_LIKELY, 20.0, 5.0, 2.0)
+    minus = dataclasses.replace(plus, belief_side=BeliefSide.REJECTION_LIKELY)
+    assert lower == bound_pprx(minus, BeliefSide.REJECTION_LIKELY, 20.0, 5.0, 2.0)
 
 
 def test_ordering_gap_ppsx():
-    plus, minus = matched_pair(0.1)
     cf = CostFunction()
     config = ppsx_config(h0=20.0, belief=6.0, liquidity=1.0)
-    upper, lower, gap = contribution_ordering_gap(config, plus, minus,
-                                                  belief_reward=2.0)
+    upper, lower = flipped_bounds(config, agent(10.0, eps=0.1), belief_reward=2.0)
     assert upper == pytest.approx(cf.contribution_for(12.0, 0.0), rel=1e-12)
     assert lower == pytest.approx(cf.contribution_for(8.0, 0.0), rel=1e-12)
-    assert gap > 0.0
+    assert upper > lower
 
 
 def test_ordering_gap_degenerate_symmetric():
-    plus, minus = matched_pair(0.0)
     config = pprx_config(h0=20.0, belief=6.0, contribution=5.0)
-    _, _, gap = contribution_ordering_gap(config, plus, minus, belief_reward=0.0)
-    assert gap == pytest.approx(0.0, abs=1e-12)
+    upper, lower = flipped_bounds(config, agent(10.0, eps=0.0))
+    assert upper == lower
 
 
 def test_ordering_gap_asymmetric_beliefs_alone():
     # no reward at stake: the refund-bonus gap still opens on beliefs alone
-    plus, minus = matched_pair(0.2)
     config = pprx_config(h0=20.0, belief=6.0, contribution=5.0)
-    _, _, gap = contribution_ordering_gap(config, plus, minus, belief_reward=0.0)
-    assert gap > 0.0
+    upper, lower = flipped_bounds(config, agent(10.0, eps=0.2))
+    assert upper > lower
 
 
-def test_ordering_gap_rejects_unmatched():
-    plus, _ = matched_pair(0.1)
-    minus = agent(9.0, 1, eps=0.1, side=BeliefSide.REJECTION_LIKELY)
-    with pytest.raises(ValueError, match="valuation"):
-        contribution_ordering_gap(pprx_config(), plus, minus)
-    with pytest.raises(ValueError, match="provision-minded"):
-        contribution_ordering_gap(pprx_config(), minus, minus)
-    with pytest.raises(ValueError, match="second agent must be rejection-minded"):
-        contribution_ordering_gap(pprx_config(), plus, plus)
-    offset = agent(10.0, 1, eps=0.2, side=BeliefSide.REJECTION_LIKELY)
-    with pytest.raises(ValueError, match="pair must share the same belief offset"):
-        contribution_ordering_gap(pprx_config(), plus, offset)
-    later = agent(10.0, 1, eps=0.1, side=BeliefSide.REJECTION_LIKELY, arrival_contribution=1)
-    with pytest.raises(ValueError, match="pair must share the same arrival"):
-        contribution_ordering_gap(pprx_config(), plus, later)
-    with pytest.raises(ValueError, match="belief-phase"):
-        contribution_ordering_gap(pprn_config(), plus, minus)
-
-
-def test_combined_mechanism_gap():
-    assert combined_mechanism_gap(agent(1.0, eps=0.1), 3.0) == pytest.approx(-0.6)
-    assert combined_mechanism_gap(agent(1.0, eps=0.0), 3.0) == 0.0
-    assert combined_mechanism_gap(agent(1.0, eps=0.1), 0.0) == 0.0
-    # mirrored sign for a rejection-minded agent
-    assert combined_mechanism_gap(
-        agent(-1.0, eps=0.1, side=BeliefSide.REJECTION_LIKELY), 3.0
-    ) == pytest.approx(0.6)
-    with pytest.raises(ValueError):
-        combined_mechanism_gap(agent(1.0), -1.0)
+@pytest.mark.parametrize("mechanism", [Mechanism.PPRX, Mechanism.PPSX])
+def test_a_provision_minded_agent_is_asked_for_more(mechanism):
+    # The paper's ordering claim over generated scenarios: every agent, at
+    # its priced belief reward, has a strictly larger bound believing
+    # provision likely than believing rejection likely. Controls on the same
+    # agents: with no reward and symmetric beliefs the bounds are equal, and
+    # with no reward at offset 0.2 only the refund bonus keeps a gap.
+    checked = 0
+    for n in (6, 24, 256, 1024):
+        for seed in range(1, 11):
+            scenario = generate_scenario(
+                ScenarioTemplate(mechanism=mechanism, agent_count=n), seed=seed)
+            config = scenario.config
+            rewards = construct_profile(config, scenario.agents).belief_rewards
+            for a in scenario.agents:
+                upper, lower = flipped_bounds(config, a, rewards[a.id])
+                assert upper > lower, (n, seed, a.id, upper, lower)
+                upper, lower = flipped_bounds(config, dataclasses.replace(a, belief_epsilon=0.0))
+                assert upper == lower, (n, seed, a.id, upper, lower)
+                upper, lower = flipped_bounds(config, dataclasses.replace(a, belief_epsilon=0.2))
+                assert (upper > lower if mechanism is Mechanism.PPRX else upper == lower), (
+                    n, seed, a.id, upper, lower)
+                checked += 1
+    assert checked >= 13_100
 
 
 # ---------------------------------------------------------------------------

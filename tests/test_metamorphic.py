@@ -128,21 +128,15 @@ def test_a_replica_economy_keeps_the_verdict_and_each_amount(mechanism, count, s
     assert big.feasible == profile.feasible
     assert (certify_ne(big_config, copies, big).certified
             == certify_ne(config, agents, profile).certified)
-    # the last agent in id order on each side absorbs _fill_side's float
-    # residue, a few ulps of its target, at n and at k * n: where that
-    # agent's bound is clamped at 0 (a PPRx rejection-likely report), the
-    # residue is all of its amount, so its copies match in units of the target
-    absorbers = {max(i for i, e in profile.entries.items() if e.market is m)
-                 for m in mechanism.markets}
+    # every copy plays its original's amount, within its bound: _fill_side's
+    # float residue goes to an agent with a positive bound, at n and at k * n
     for copy in copies:
-        if copy.id % count in absorbers:
-            entry = big.entries[copy.id]
-            assert math.isclose(entry.amount, profile.entries[copy.id % count].amount,
-                                rel_tol=1e-9,
-                                abs_tol=1e-12 * big_config.target(entry.market)), copy.id
-            continue
-        assert math.isclose(big.entries[copy.id].amount,
-                            profile.entries[copy.id % count].amount, rel_tol=1e-9), copy.id
+        entry = big.entries[copy.id]
+        assert math.isclose(entry.amount, profile.entries[copy.id % count].amount,
+                            rel_tol=1e-9), copy.id
+        assert entry.amount <= contribution_bound(
+            big_config, copy, belief_reward=big.belief_rewards.get(copy.id, 0.0),
+            side=big.sides.get(copy.id)), copy.id
 
 
 def plant_overbound_stake(config, agents, profile):

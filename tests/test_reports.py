@@ -15,6 +15,7 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from provpoint import reports
@@ -144,3 +145,14 @@ def text_tables(draw):
 def test_table_matches_the_ljust_table(table):
     headers, rows = table
     assert reports._table(headers, rows) == _ljust_table(headers, rows)
+
+
+def test_misreport_gap_rows():
+    # (rejection belief - provision belief) * securities for a
+    # provision-minded agent at offset eps, and 0.0, not -0.0, at no securities
+    rows = reports.misreport_gap_rows([0.1, 0.0], [3.0, 0.0])
+    assert [row[:2] for row in rows] == [(0.1, 3.0), (0.1, 0.0), (0.0, 3.0), (0.0, 0.0)]
+    gaps = [row[2] for row in rows]
+    assert gaps[0] == pytest.approx(-0.6)
+    assert gaps[1:] == [0.0, 0.0, 0.0]
+    assert all(math.copysign(1.0, gap) == 1.0 for gap in gaps[1:])
