@@ -695,22 +695,19 @@ class _Evaluator:
         self.pivot = pivot
         self.alt = self.rival if rival_viable else self.expired
 
-    def eu(self, amount: float, issued: float, alt_only: bool = False,
-           securities: float | None = None) -> float:
+    def eu(self, amount: float, *, alt_only: bool = False) -> float:
         """Expected utility of playing ``amount`` with the allocation priced
-        at ``issued`` (``securities``, when the caller has priced it);
-        ``alt_only`` scores the alternative branch alone. The amount is
-        truncated to the market's remaining capacity, as the engine
-        truncates it."""
+        at the slot's issuance; ``alt_only`` scores the alternative branch
+        alone. The amount is truncated to the market's remaining capacity,
+        as the engine truncates it."""
         # max(0.0, min(amount, capacity)), NaN included, without the two calls
         capacity = self.capacity
         effective = capacity if capacity < amount else amount
         if not effective > 0.0:
             effective = 0.0
-        if securities is None:
-            # one allocation serves both branches; only the securities utilities read it
-            cf = self.cf
-            securities = 0.0 if cf is None else cf.securities_for(effective, issued)
+        # one allocation serves both branches; only the securities utilities read it
+        cf = self.cf
+        securities = 0.0 if cf is None else cf.securities_for(effective, self.issued)
         if self.for_market:
             total_for, total_against = self.others_for + effective, self.others_against
         else:
@@ -739,37 +736,21 @@ class _Evaluator:
             return max(self.sweep_cap, amount)
         return max(self.bound, amount)
 
-    def allocation(self, amount: float, issued: float) -> float:
-        """The securities ``amount``, truncated as ``eu`` truncates it,
-        buys at ``issued``."""
-        capacity = self.capacity
-        effective = capacity if capacity < amount else amount
-        return self.cf.securities_for(effective if effective > 0.0 else 0.0, issued)
-
-    def best(self, top: float, prescribed: float | None = None) -> tuple[float, float, float]:
+    def best(self, top: float) -> tuple[float, float, float]:
         """The supremum of eu over [0, top], the x where it is reached, and
-        eu at the prescribed play, which lies in [0, top] (``prescribed``:
-        the allocation it buys, when the caller has priced it). The
-        supremum is the alternative branch's left limit at the pivot, or
-        the best of 0, ``top``, the pivot, the stationary point and the
-        prescribed play. The capacity needs no evaluation: eu there equals
-        eu at ``top`` when top is past it, and is clipped to ``top``
-        otherwise. Past the capacity eu is constant, so of the points in
-        ascending order only the first at or past it is scored. A left
-        limit is approached by plays just below the pivot; the limit and
-        the mix at the pivot share one allocation (the prescribed play's,
-        where the play is the pivot)."""
-        eu, issued, pivot, amount, capacity = (self.eu, self.issued, self.pivot,
-                                               self.amount, self.capacity)
+        eu at the prescribed play, which lies in [0, top]. The supremum is
+        the alternative branch's left limit at the pivot, or the best of 0,
+        ``top``, the pivot, the stationary point and the prescribed play.
+        The capacity needs no evaluation: eu there equals eu at ``top`` when
+        top is past it, and is clipped to ``top`` otherwise. Past the
+        capacity eu is constant, so of the points in ascending order only
+        the first at or past it is scored. A left limit is approached by
+        plays just below the pivot."""
+        eu, pivot, amount, capacity = self.eu, self.pivot, self.amount, self.capacity
         best_x, best = 0.0, -math.inf
-        limit = at_limit = None
         if pivot > 0.0:
-            best_x = limit = min(pivot, top)
-            if limit == amount:
-                at_limit = prescribed
-            elif self.cf is not None:
-                at_limit = self.allocation(limit, issued)
-            best = eu(limit, issued, True, at_limit)
+            best_x = min(pivot, top)
+            best = eu(best_x, alt_only=True)
         # 0, top and the prescribed play lie in [0, top]; the pivot and the
         # stationary point are clipped to it
         points = {0.0, top, min(max(pivot, 0.0), top), amount}
@@ -779,8 +760,7 @@ class _Evaluator:
         past = False
         for x in sorted(points):
             if not past:
-                value = eu(x, issued, securities=(at_limit if x == limit else
-                                                  prescribed if x == amount else None))
+                value = eu(x)
                 past = x >= capacity
             if x == amount:
                 base = value
@@ -838,13 +818,11 @@ class _Evaluator:
         """Add the placed slot's best contribution, exact over its pieces,
         when it gains more than epsilon; an SPE probe ``state`` names the
         deviation. Delays are not searched (vacuous: module docstring)."""
-        amount = self.amount
-        prescribed = None if self.cf is None else self.allocation(amount, self.issued)
-        best_x, best, base = self.best(self.top(), prescribed)
+        best_x, best, base = self.best(self.top())
         if best - base > epsilon:
             report.deviations.append(Deviation(
                 self.agent.id, "contribution", _state_prefix(state)
-                + f"x={best_x:.6g} on {self.market.value} (was {amount:.6g})",
+                + f"x={best_x:.6g} on {self.market.value} (was {self.amount:.6g})",
                 best - base))
 
 

@@ -309,7 +309,8 @@ def priced_and_paid(scenario, result):
     paid_in = [r.agent_id for r in book.ledger]
     for slot in _slots(config, agents, profile, play):
         branch = slot.own if verdict is Verdict.PROVISIONED else slot.expired
-        securities = 0.0 if slot.cf is None else slot.allocation(slot.amount, slot.issued)
+        accepted = max(0.0, min(slot.amount, slot.capacity))  # what the engine accepts
+        securities = 0.0 if slot.cf is None else slot.cf.securities_for(accepted, slot.issued)
         priced = branch(slot.amount, securities, slot.others_for + slot.amount,
                         slot.others_against)
         yield (slot.agent.id, paid_in.count(slot.agent.id), priced,

@@ -833,7 +833,7 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
         top = slot.top()
         for k in range(50):
             x = top * k / 49
-            assert slot.eu(x, slot.issued) == _expected_utility(config, slot, slot.market, x, cf)
+            assert slot.eu(x) == _expected_utility(config, slot, slot.market, x, cf)
 
 
 # ---------------------------------------------------------------------------
@@ -1177,7 +1177,8 @@ def test_eu_is_nondecreasing_in_the_allocation(mechanism, n, monkeypatch):
     grid = [top * k / 64 for k in range(65)]
     for slot in recorded:
         effective = max(0.0, min(slot.amount, slot.capacity))  # what the engine accepts
-        points = sorted(((cf.securities_for(effective, issued), slot.eu(slot.amount, issued))
+        points = sorted(((cf.securities_for(effective, issued),
+                          _placed(config, slot, issued=issued).eu(slot.amount))
                          for issued in grid), key=lambda point: point[0])
         for (low, before), (high, after) in zip(points, points[1:]):
             assert after >= before if high > low else after == before
@@ -1264,6 +1265,37 @@ def test_no_expiring_profile_is_certified():
     assert expiring >= 409  # of 420 variants, as measured: the test is not vacuous
 
 
+def test_the_constructed_play_fills_a_target_and_certifies():
+    # provisioning at equilibrium (ROADMAP item 6): where every condition
+    # holds, the constructed profile is feasible, the engine's replay of it
+    # fills one market with exactly its target, and the certifier certifies
+    # that replay. Single-market mechanisms provision; in PPRN and PPSN the
+    # rejection side may fill first
+    rejected = collections.Counter()
+    for mechanism in Mechanism:
+        certify = certify_spe if mechanism.sequential else certify_ne
+        for n in (6, 24, 256, 1024):
+            for seed in range(1, 4):
+                scenario = generate_scenario(ScenarioTemplate(mechanism, n), seed)
+                config, agents = scenario.config, scenario.agents
+                case = (mechanism, n, seed)
+                conditions = check_conditions(config, agents)
+                assert all(c.satisfied for c in conditions), case
+                profile = construct_profile(config, agents)
+                assert profile.feasible, case
+                verdict, book = run_campaign(config, profile.plays())
+                assert verdict in ((Verdict.PROVISIONED, Verdict.REJECTED)
+                                   if mechanism.dual_market else (Verdict.PROVISIONED,)), case
+                filled = Market.FOR if verdict is Verdict.PROVISIONED else Market.AGAINST
+                assert book.raised[filled is Market.AGAINST] == config.target(filled), case
+                assert certify(config, agents, profile, conditions=conditions,
+                               book=book).certified, case
+                if verdict is Verdict.REJECTED:
+                    rejected[mechanism] += 1
+    # of 12 cases each, as measured: both verdicts are reached
+    assert rejected == {Mechanism.PPRN: 4, Mechanism.PPSN: 8}, rejected
+
+
 @settings(deadline=None, max_examples=3)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**6))
 @pytest.mark.parametrize("mechanism", list(Mechanism))
@@ -1291,7 +1323,7 @@ def test_exact_best_response_dominates_dense_grid(mechanism, extra, seed):
         tolerance = 1e-12 * (abs(slot.agent.valuation) + slot.reward)
         _, best, _ = slot.best(top)
         grid = [top * k / 4000 for k in range(4001)]
-        values = [slot.eu(x, slot.issued) for x in grid]
+        values = [slot.eu(x) for x in grid]
         assert best >= max(values) - tolerance
         # short of the pivot, eu is the alternative branch alone
         below = [v for x, v in zip(grid, values) if x < slot.pivot]
