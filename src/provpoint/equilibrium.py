@@ -80,13 +80,8 @@ from .mechanisms import (
     Action,
     DualMarketState,
     new_states,
+    payoff,
     prefix_sums,
-    ppr_utility,
-    pprn_utility,
-    pprx_utility,
-    pps_utility,
-    ppsn_utility,
-    ppsx_utility,
     run_campaign,
 )
 from .beliefs import bbr_rewards, belief_reports, score_reports
@@ -105,10 +100,15 @@ from .model import (
 MET_REL_TOL = 1e-9  # a total short of its target by this share of it is met
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
 
-# Bound once for the utilities and the rules rows: every member lookup on an
+# Bound once for the rules rows and the evaluator: every member lookup on an
 # enum class costs a few hundred ns on Python 3.11.
 _FOR, _AGAINST = Market.FOR, Market.AGAINST
 _PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
+
+# One name per mechanism for the one payoff rule. The benchmark's tracer
+# (perfbench/tracing.py) counts payoff evaluations by wrapping these names on
+# this module, and the rules rows look them up when they run.
+ppr_utility = pprn_utility = pps_utility = ppsn_utility = pprx_utility = ppsx_utility = payoff
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +171,19 @@ def bound_pprx(agent: AgentProfile, side: BeliefSide, provision_point: float,
 class Rules:
     """What one mechanism's theory says, each entry a function of the config:
 
-    * ``bound(config, agent, issued, reward, side)``: the refund family's
+    * ``bound(config, agent, reward, side)``: the refund family's
       contribution cap;
     * ``utility(config, agent, market, reward, side, verdict)``: the utility of a
       contribution to ``market`` under ``verdict``, as
-      ``u(amount, securities, total_for, total_against)``, where only the
-      securities utilities read the ``securities`` the amount buys; it is
-      the mechanism's ``*_utility`` row of the payoff rule in
-      ``mechanisms``, with the config's arguments bound. The bound is the
-      amount at which the own branch's row and the alternative's are
-      indifferent, and the report's check of that equation evaluates these
-      rows at the bound (``_Evaluator.indifference``);
+      ``u(amount, securities, total_for, total_against)``:
+      ``mechanisms.payoff`` with the mechanism's arguments fixed (the
+      market ``for`` outside PPRN and PPSN; the pool the FOR total, both
+      totals in PPRN, 0 in the securities family; the config's budget,
+      ``None`` in the securities family; no reward outside PPRx and PPSx).
+      The bound is the amount at which the own branch's row and the
+      alternative's are indifferent, and the report's check of that
+      equation evaluates these rows at the bound
+      (``_Evaluator.indifference``);
     * ``conditions(config, net, totals)``: the existence inequalities as
       ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market;
     * ``securities(config, agent, reward, side)``: the securities family's
@@ -190,10 +192,11 @@ class Rules:
       followers by it (``DualMarketState.walk`` and ``follow``).
 
     ``reward`` and ``side``, the agent's belief reward and reported side,
-    enter only the PPRx and PPSx rows.
+    matter only in the PPRx and PPSx rows.
 
-    Entries call the ``*_utility`` functions by this module's names when
-    they run, so wrappers on those names see each call.
+    Each ``utility`` entry calls ``payoff`` by its mechanism's
+    ``*_utility`` name in this module when it runs, so a wrapper on that
+    name sees each call.
     """
 
     utility: Callable[..., Callable[..., float]]
@@ -228,24 +231,24 @@ def _belief_conditions(config, net):
 
 RULES: dict[Mechanism, Rules] = {
     Mechanism.PPR: Rules(
-        bound=lambda config, agent, issued, reward, side: bound_ppr(
+        bound=lambda config, agent, reward, side: bound_ppr(
             agent, config.provision_point, config.refund_budget),
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: ppr_utility(
-                agent, amount, total_for, config.refund_budget,
-                verdict is _PROVISIONED)),
+                agent, _FOR, side, verdict, amount, total_for, config.refund_budget,
+                securities, 0.0)),
         conditions=lambda config, net, totals: [
             *_below_valuations(config, totals),
             ("refund_budget_positive", 0.0, config.refund_budget, True),
             ("refund_budget_below_cap", config.refund_budget,
              totals[_FOR] - config.provision_point, True)]),
     Mechanism.PPRN: Rules(
-        bound=lambda config, agent, issued, reward, side: bound_pprn(
+        bound=lambda config, agent, reward, side: bound_pprn(
             agent, *config.provision_point_pair, config.refund_budget),
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: pprn_utility(
-                agent, market, amount, total_for, total_against,
-                config.refund_budget, verdict)),
+                agent, market, side, verdict, amount, total_for + total_against,
+                config.refund_budget, securities, 0.0)),
         conditions=lambda config, net, totals: [
             *_below_valuations(config, totals),
             ("refund_budget_positive", 0.0, config.refund_budget, True),
@@ -255,30 +258,29 @@ RULES: dict[Mechanism, Rules] = {
     Mechanism.PPS: Rules(
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: pps_utility(
-                agent, amount, securities, verdict is _PROVISIONED)),
+                agent, _FOR, side, verdict, amount, 0.0, None, securities, 0.0)),
         conditions=_securities_conditions,
         securities=lambda config, agent, reward, side: securities_pps(agent)),
     Mechanism.PPSN: Rules(
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: ppsn_utility(
-                agent, market, amount, securities, verdict)),
+                agent, market, side, verdict, amount, 0.0, None, securities, 0.0)),
         conditions=_securities_conditions,
         securities=lambda config, agent, reward, side: securities_ppsn(agent)),
     Mechanism.PPRX: Rules(
-        bound=lambda config, agent, issued, reward, side: bound_pprx(
+        bound=lambda config, agent, reward, side: bound_pprx(
             agent, side, config.provision_point, config.contribution_budget, reward),
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: pprx_utility(
-                agent, side, amount, total_for,
-                config.contribution_budget, reward, verdict is _PROVISIONED)),
+                agent, _FOR, side, verdict, amount, total_for,
+                config.contribution_budget, securities, reward)),
         conditions=lambda config, net, totals: [
             *_belief_conditions(config, net),
             ("contribution_budget_positive", 0.0, config.contribution_budget, True)]),
     Mechanism.PPSX: Rules(
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: ppsx_utility(
-                agent, side, amount, securities, reward,
-                verdict is _PROVISIONED)),
+                agent, _FOR, side, verdict, amount, 0.0, None, securities, reward)),
         conditions=lambda config, net, totals: _belief_conditions(config, net),
         securities=lambda config, agent, reward, side: securities_ppsx(agent, side, reward)),
 }
@@ -295,7 +297,7 @@ def contribution_bound(config: CampaignConfig, agent: AgentProfile, *,
     if row.securities is not None:
         return config.cost_params.contribution_for(
             row.securities(config, agent, belief_reward, side), issued)
-    return row.bound(config, agent, issued, belief_reward, side)
+    return row.bound(config, agent, belief_reward, side)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,12 @@ state the same way), and the book lends only its targets and pricing, so a
 state off the ledger is two numbers.
 
 Payoffs follow one rule for all six mechanisms, and the payoff rule section
-below holds all of it: ``returned``, ``belief_paid`` and one ``*_utility``
-row per mechanism, each row one expression. An agent receives its
-valuation exactly when the project is provisioned, pays its contribution,
-gets money back (``returned``) unless its own market won, and in PPRx and
-PPSx collects its belief reward on the branch its reported side wins
-(``belief_paid``), its share of the belief budget's one split
+below holds all of it: ``returned``, ``belief_paid`` and ``payoff``, one
+expression that each mechanism applies with some arguments fixed. An agent
+receives its valuation exactly when the project is provisioned, pays its
+contribution, gets money back (``returned``) unless its own market won, and in
+PPRx and PPSx collects its belief reward on the branch its reported side
+wins (``belief_paid``), its share of the belief budget's one split
 (``beliefs.bbr_rewards``), which the certifier prices. ``settle`` pays each
 ledger record what ``returned`` says and each agent what ``belief_paid``
 says, and writes each agent's settlement row.
@@ -40,7 +40,7 @@ Verdict conventions:
     (the project neither happened nor was its rejection certified).
 
 Refund-bonus timing never matters (the bonus split only reads amounts), so
-ticks are recorded in the ledger but do not enter those utilities.
+ticks are recorded in the ledger but do not enter ``payoff``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .model import (
 # Python 3.11, and the kernel's walks and the payoffs look them up per follower
 # and per evaluation.
 _FOR = Market.FOR
-_PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
+_PROVISIONED, _REJECTED = Verdict.PROVISIONED, Verdict.REJECTED
 _PROVISION_LIKELY = BeliefSide.PROVISION_LIKELY
 
 
@@ -291,68 +291,17 @@ def belief_paid(side: BeliefSide, provisioned: bool, reward: float) -> float:
     return reward if (side is _PROVISION_LIKELY) == provisioned else 0.0
 
 
-def ppr_utility(agent: AgentProfile, amount: float, total: float, budget: float,
-                provisioned: bool) -> float:
-    """Single-market refund-bonus utility: valuation minus contribution on
-    provision, else the proportional bonus (contribution itself returned)."""
+def payoff(agent: AgentProfile, market: Market, side: BeliefSide, verdict: Verdict,
+           amount: float, pool: float, budget: float | None, securities: float,
+           reward: float) -> float:
+    """The utility of paying ``amount`` into ``market`` under ``verdict``:
+    ``returned`` reads the ``pool``, ``budget`` and ``securities``, and
+    ``belief_paid`` the ``side`` and ``reward``. Each mechanism fixes some
+    of them (its ``equilibrium.RULES`` row)."""
+    provisioned = verdict is _PROVISIONED
     return ((agent.valuation if provisioned else 0.0) - amount
-            + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, total, budget))
-
-
-def pps_utility(agent: AgentProfile, amount: float, securities: float,
-                provisioned: bool) -> float:
-    """Single-market securities utility of paying ``amount`` for
-    ``securities``: valuation minus contribution on provision, else
-    securities minus contribution (nonnegative by slope > 1)."""
-    return ((agent.valuation if provisioned else 0.0) - amount
-            + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, 0.0, None,
-                       securities))
-
-
-def pprn_utility(agent: AgentProfile, reported: Market, amount: float,
-                 total_for: float, total_against: float, budget: float,
-                 verdict: Verdict) -> float:
-    """Dual-market refund-bonus utility under the reported side.
-
-    The bonus pool for both sides is the combined total, so losing-side
-    contributors are compensated from the same budget. A rejected FOR
-    contribution and an expired one settle identically (refund branch); an
-    AGAINST contribution forfeits its amount on rejection, collects valuation
-    plus bonus when the project goes through anyway, and on expiry collects
-    the bonus without any valuation term.
-    """
-    return ((agent.valuation if verdict is _PROVISIONED else 0.0) - amount
-            + returned(reported, verdict, amount, total_for + total_against, budget))
-
-
-def ppsn_utility(agent: AgentProfile, market: Market, amount: float,
-                 securities: float, verdict: Verdict) -> float:
-    """Dual-market securities utility of paying ``amount`` into ``market``
-    for ``securities``."""
-    return ((agent.valuation if verdict is _PROVISIONED else 0.0) - amount
-            + returned(market, verdict, amount, 0.0, None, securities))
-
-
-def pprx_utility(agent: AgentProfile, side: BeliefSide, amount: float, total: float,
-                 contribution_budget: float, belief_reward: float,
-                 provisioned: bool) -> float:
-    """Refund-bonus contribution utility with the belief reward attached to
-    the branch the agent's reported side wins."""
-    return ((agent.valuation if provisioned else 0.0) - amount
-            + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, total,
-                       contribution_budget)
-            + belief_paid(side, provisioned, belief_reward))
-
-
-def ppsx_utility(agent: AgentProfile, side: BeliefSide, amount: float,
-                 securities: float, belief_reward: float, provisioned: bool) -> float:
-    """Securities contribution utility of paying ``amount`` for
-    ``securities``, with the belief reward attached to the branch the
-    agent's reported side wins."""
-    return ((agent.valuation if provisioned else 0.0) - amount
-            + returned(_FOR, _PROVISIONED if provisioned else _EXPIRED, amount, 0.0, None,
-                       securities)
-            + belief_paid(side, provisioned, belief_reward))
+            + returned(market, verdict, amount, pool, budget, securities)
+            + belief_paid(side, provisioned, reward))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from provpoint.equilibrium import (
     construct_profile,
     contribution_bound,
 )
-from provpoint.mechanisms import Action, ppsn_utility, run_campaign
+from provpoint.mechanisms import Action, payoff, run_campaign
 from provpoint.model import (
     AgentProfile,
     BeliefSide,
@@ -116,14 +116,14 @@ def test_criterion_2_ppsn_spe():
             flip = ContributionRecord(agent_id=agent.id, amount=entry.amount,
                                       tick=0, market=entry.market.other,
                                       securities=allocated[agent.id])
-            eu_stay = 0.5 * (ppsn_utility(agent, stay.market, stay.amount,
-                                          stay.securities, Verdict.PROVISIONED)
-                             + ppsn_utility(agent, stay.market, stay.amount,
-                                            stay.securities, Verdict.REJECTED))
-            eu_flip = 0.5 * (ppsn_utility(agent, flip.market, flip.amount,
-                                          flip.securities, Verdict.PROVISIONED)
-                             + ppsn_utility(agent, flip.market, flip.amount,
-                                            flip.securities, Verdict.REJECTED))
+            def ppsn_payoff(rec, verdict):
+                return payoff(agent, rec.market, agent.belief_side, verdict, rec.amount,
+                              0.0, None, rec.securities, 0.0)
+
+            eu_stay = 0.5 * (ppsn_payoff(stay, Verdict.PROVISIONED)
+                             + ppsn_payoff(stay, Verdict.REJECTED))
+            eu_flip = 0.5 * (ppsn_payoff(flip, Verdict.PROVISIONED)
+                             + ppsn_payoff(flip, Verdict.REJECTED))
             assert abs(eu_stay - eu_flip) <= epsilon
     assert clip_seen, "no scenario exercised the late-arrival clipping case"
     assert time.monotonic() - started < 60.0

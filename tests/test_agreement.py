@@ -19,13 +19,8 @@ from provpoint.equilibrium import (
 )
 from provpoint.mechanisms import (
     Action,
-    ppr_utility,
-    pprn_utility,
-    pprx_utility,
-    pps_utility,
-    ppsn_utility,
-    ppsx_utility,
     new_states,
+    payoff,
     run_campaign,
     settle,
 )
@@ -169,26 +164,18 @@ def test_certifier_refuses_a_record_of_no_play():
 
 
 def utility_at(scenario, agent, rec, verdict, dual, reward):
-    """The mechanism's utility function for one record at ``verdict``."""
+    """The payoff rule for one record at ``verdict``, with the arguments the
+    mechanism's rules row fixes: the pool is the FOR total, both totals in
+    PPRN and 0 in the securities family."""
     config = scenario.config
     mech = config.mechanism
-    provisioned = verdict is Verdict.PROVISIONED
     total_for, total_against = dual.raised
-    if mech is Mechanism.PPR:
-        return ppr_utility(agent, rec.amount, total_for, config.refund_budget,
-                           provisioned)
-    if mech is Mechanism.PPRN:
-        return pprn_utility(agent, rec.market, rec.amount, total_for, total_against,
-                            config.refund_budget, verdict)
-    if mech is Mechanism.PPS:
-        return pps_utility(agent, rec.amount, rec.securities, provisioned)
-    if mech is Mechanism.PPSN:
-        return ppsn_utility(agent, rec.market, rec.amount, rec.securities, verdict)
-    side = {r.agent_id: r.side for r in reports_of(scenario)}[agent.id]
-    if mech is Mechanism.PPRX:
-        return pprx_utility(agent, side, rec.amount, total_for,
-                            config.contribution_budget, reward, provisioned)
-    return ppsx_utility(agent, side, rec.amount, rec.securities, reward, provisioned)
+    pool = (0.0 if mech.uses_securities else
+            total_for + total_against if mech is Mechanism.PPRN else total_for)
+    side = ({r.agent_id: r.side for r in reports_of(scenario)}[agent.id] if mech.two_phase
+            else agent.belief_side)
+    return payoff(agent, rec.market, side, verdict, rec.amount, pool, config.bonus_budget,
+                  rec.securities, reward)
 
 
 @pytest.mark.parametrize("share", [1.0, 0.5])

@@ -13,7 +13,7 @@ from provpoint.beliefs import (
     side_rewards,
 )
 from provpoint.costfn import CostFunction
-from provpoint.mechanisms import belief_paid, pprx_utility, ppsx_utility
+from provpoint.mechanisms import belief_paid, payoff
 from provpoint.model import (
     AgentProfile,
     BeliefSide,
@@ -213,14 +213,14 @@ def test_winning_side_mapping():
 
 def test_pprx_utility():
     plus = AgentProfile(id=0, valuation=10.0)
-    assert pprx_utility(plus, BeliefSide.PROVISION_LIKELY, 5.0, 20.0, 5.0, 2.0,
-                        provisioned=True) == 7.0
-    assert pprx_utility(plus, BeliefSide.REJECTION_LIKELY, 5.0, 20.0, 5.0, 2.0,
-                        provisioned=True) == 5.0
-    assert pprx_utility(plus, BeliefSide.REJECTION_LIKELY, 4.0, 20.0, 5.0, 2.0,
-                        provisioned=False) == 3.0
-    assert pprx_utility(plus, BeliefSide.PROVISION_LIKELY, 0.0, 0.0, 5.0, 2.0,
-                        provisioned=False) == 0.0
+    assert payoff(plus, Market.FOR, BeliefSide.PROVISION_LIKELY, Verdict.PROVISIONED,
+                  5.0, 20.0, 5.0, 0.0, 2.0) == 7.0
+    assert payoff(plus, Market.FOR, BeliefSide.REJECTION_LIKELY, Verdict.PROVISIONED,
+                  5.0, 20.0, 5.0, 0.0, 2.0) == 5.0
+    assert payoff(plus, Market.FOR, BeliefSide.REJECTION_LIKELY, Verdict.EXPIRED,
+                  4.0, 20.0, 5.0, 0.0, 2.0) == 3.0
+    assert payoff(plus, Market.FOR, BeliefSide.PROVISION_LIKELY, Verdict.EXPIRED,
+                  0.0, 0.0, 5.0, 0.0, 2.0) == 0.0
 
 
 def test_ppsx_utility():
@@ -228,16 +228,16 @@ def test_ppsx_utility():
     agent = AgentProfile(id=0, valuation=10.0)
     five = ContributionRecord(agent_id=0, amount=5.0, tick=0, market=Market.FOR,
                               securities=cf.securities_for(5.0, 0.0))
-    assert ppsx_utility(agent, BeliefSide.PROVISION_LIKELY, five.amount,
-                        five.securities, 2.0, provisioned=True) == 7.0
+    assert payoff(agent, Market.FOR, BeliefSide.PROVISION_LIKELY, Verdict.PROVISIONED,
+                  five.amount, 0.0, None, five.securities, 2.0) == 7.0
     rec = ContributionRecord(agent_id=0, amount=1.0, tick=0, market=Market.FOR,
                              securities=cf.securities_for(1.0, 0.0))
-    assert ppsx_utility(agent, BeliefSide.REJECTION_LIKELY, rec.amount,
-                        rec.securities, 2.0, provisioned=False) == pytest.approx(
+    assert payoff(agent, Market.FOR, BeliefSide.REJECTION_LIKELY, Verdict.EXPIRED,
+                  rec.amount, 0.0, None, rec.securities, 2.0) == pytest.approx(
         math.log(2 * math.e - 1) - 1.0 + 2.0, rel=1e-12)
     zero = ContributionRecord(agent_id=0, amount=0.0, tick=0, market=Market.FOR)
-    assert ppsx_utility(agent, BeliefSide.PROVISION_LIKELY, zero.amount,
-                        zero.securities, 0.0, provisioned=False) == 0.0
+    assert payoff(agent, Market.FOR, BeliefSide.PROVISION_LIKELY, Verdict.EXPIRED,
+                  zero.amount, 0.0, None, zero.securities, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

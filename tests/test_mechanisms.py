@@ -10,15 +10,13 @@ from provpoint.mechanisms import (
     Action,
     DualMarketState,
     new_states,
-    ppr_utility,
-    pprn_utility,
-    pps_utility,
-    ppsn_utility,
+    payoff,
     run_campaign,
     settle,
 )
 from provpoint.model import (
     AgentProfile,
+    BeliefSide,
     CampaignConfig,
     ContributionRecord,
     Market,
@@ -45,45 +43,54 @@ def ppsn_book_config(h_for=100.0, h_against=100.0):
 # ---------------------------------------------------------------------------
 
 
+# The payoff rule as the one-phase mechanisms apply it: no belief reward, so
+# the side pays nothing.
+def one_phase(who, market, verdict, amount, pool, budget, securities=0.0):
+    return payoff(who, market, BeliefSide.PROVISION_LIKELY, verdict, amount, pool, budget,
+                  securities, 0.0)
+
+
 def test_ppr_utility():
-    assert ppr_utility(agent(10.0), 4.0, 20.0, 5.0, provisioned=True) == 6.0
-    assert ppr_utility(agent(10.0), 4.0, 20.0, 5.0, provisioned=False) == 1.0
-    assert ppr_utility(agent(10.0), 0.0, 20.0, 5.0, provisioned=False) == 0.0
+    assert one_phase(agent(10.0), Market.FOR, Verdict.PROVISIONED, 4.0, 20.0, 5.0) == 6.0
+    assert one_phase(agent(10.0), Market.FOR, Verdict.EXPIRED, 4.0, 20.0, 5.0) == 1.0
+    assert one_phase(agent(10.0), Market.FOR, Verdict.EXPIRED, 0.0, 20.0, 5.0) == 0.0
     # zero-pool refund defined as zero
-    assert ppr_utility(agent(10.0), 0.0, 0.0, 5.0, provisioned=False) == 0.0
+    assert one_phase(agent(10.0), Market.FOR, Verdict.EXPIRED, 0.0, 0.0, 5.0) == 0.0
 
 
 def test_pps_utility():
     cf = CostFunction()
     rec = ContributionRecord(agent_id=0, amount=1.0, tick=0, market=Market.FOR,
                              securities=cf.securities_for(1.0, 0.0))
-    assert pps_utility(agent(10.0), rec.amount, rec.securities, provisioned=True) == 9.0
-    assert pps_utility(agent(10.0), rec.amount, rec.securities,
-                       provisioned=False) == pytest.approx(
-        math.log(2 * math.e - 1) - 1.0, rel=1e-12)
+    assert one_phase(agent(10.0), Market.FOR, Verdict.PROVISIONED, rec.amount, 0.0, None,
+                     rec.securities) == 9.0
+    assert one_phase(agent(10.0), Market.FOR, Verdict.EXPIRED, rec.amount, 0.0, None,
+                     rec.securities) == pytest.approx(math.log(2 * math.e - 1) - 1.0, rel=1e-12)
     zero = ContributionRecord(agent_id=0, amount=0.0, tick=0, market=Market.FOR)
-    assert pps_utility(agent(10.0), zero.amount, zero.securities, provisioned=False) == 0.0
+    assert one_phase(agent(10.0), Market.FOR, Verdict.EXPIRED, zero.amount, 0.0, None,
+                     zero.securities) == 0.0
 
 
 def test_pprn_utility_reported_for():
-    assert pprn_utility(agent(10.0), Market.FOR, 5.0, 10.0, 5.0, 10.0,
-                        Verdict.PROVISIONED) == 5.0
-    assert pprn_utility(agent(10.0), Market.FOR, 5.0, 10.0, 20.0, 6.0,
-                        Verdict.REJECTED) == 1.0
-    assert pprn_utility(agent(10.0), Market.FOR, 5.0, 10.0, 20.0, 6.0,
-                        Verdict.EXPIRED) == 1.0
+    # PPRN's pool is both markets' total
+    assert one_phase(agent(10.0), Market.FOR, Verdict.PROVISIONED, 5.0, 10.0 + 5.0,
+                     10.0) == 5.0
+    assert one_phase(agent(10.0), Market.FOR, Verdict.REJECTED, 5.0, 10.0 + 20.0,
+                     6.0) == 1.0
+    assert one_phase(agent(10.0), Market.FOR, Verdict.EXPIRED, 5.0, 10.0 + 20.0,
+                     6.0) == 1.0
 
 
 def test_pprn_utility_reported_against():
-    assert pprn_utility(agent(-8.0), Market.AGAINST, 3.0, 0.0, 5.0, 10.0,
-                        Verdict.REJECTED) == -3.0
+    assert one_phase(agent(-8.0), Market.AGAINST, Verdict.REJECTED, 3.0, 0.0 + 5.0,
+                     10.0) == -3.0
     # provision despite the against stake: valuation suffered, stake refunded
     # with its bonus share from the common pool
-    assert pprn_utility(agent(-8.0), Market.AGAINST, 3.0, 27.0, 3.0, 10.0,
-                        Verdict.PROVISIONED) == pytest.approx(-7.0)
+    assert one_phase(agent(-8.0), Market.AGAINST, Verdict.PROVISIONED, 3.0, 27.0 + 3.0,
+                     10.0) == pytest.approx(-7.0)
     # expiry pays the refund branch with no valuation term
-    assert pprn_utility(agent(-8.0), Market.AGAINST, 3.0, 27.0, 3.0, 10.0,
-                        Verdict.EXPIRED) == pytest.approx(1.0)
+    assert one_phase(agent(-8.0), Market.AGAINST, Verdict.EXPIRED, 3.0, 27.0 + 3.0,
+                     10.0) == pytest.approx(1.0)
 
 
 def test_ppsn_allocate_first_contribution():
@@ -222,19 +229,20 @@ def _walk_play_by_play(cf: CostFunction, min_leg: bool, targets: list[float],
 def test_ppsn_utility():
     rec_for = ContributionRecord(agent_id=0, amount=5.0, tick=0,
                                  market=Market.FOR, securities=8.0)
-    assert ppsn_utility(agent(10.0), rec_for.market, rec_for.amount, rec_for.securities,
-                        Verdict.PROVISIONED) == 5.0
-    assert ppsn_utility(agent(10.0), rec_for.market, rec_for.amount, rec_for.securities,
-                        Verdict.REJECTED) == 3.0
+    assert one_phase(agent(10.0), rec_for.market, Verdict.PROVISIONED, rec_for.amount, 0.0,
+                     None, rec_for.securities) == 5.0
+    assert one_phase(agent(10.0), rec_for.market, Verdict.REJECTED, rec_for.amount, 0.0,
+                     None, rec_for.securities) == 3.0
     rec_against = ContributionRecord(agent_id=0, amount=3.0, tick=0,
                                      market=Market.AGAINST, securities=8.0)
-    assert ppsn_utility(agent(-8.0), rec_against.market, rec_against.amount,
-                        rec_against.securities, Verdict.REJECTED) == -3.0
+    assert one_phase(agent(-8.0), rec_against.market, Verdict.REJECTED, rec_against.amount,
+                     0.0, None, rec_against.securities) == -3.0
     # reward exactly at the valuation magnitude: provision leaves -x
-    assert ppsn_utility(agent(-8.0), rec_against.market, rec_against.amount,
-                        rec_against.securities, Verdict.PROVISIONED) == pytest.approx(-3.0)
-    assert ppsn_utility(agent(-8.0), rec_against.market, rec_against.amount,
-                        rec_against.securities, Verdict.EXPIRED) == 5.0
+    assert one_phase(agent(-8.0), rec_against.market, Verdict.PROVISIONED,
+                     rec_against.amount, 0.0, None,
+                     rec_against.securities) == pytest.approx(-3.0)
+    assert one_phase(agent(-8.0), rec_against.market, Verdict.EXPIRED, rec_against.amount,
+                     0.0, None, rec_against.securities) == 5.0
 
 
 # ---------------------------------------------------------------------------
