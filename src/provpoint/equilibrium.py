@@ -1,12 +1,15 @@
 """Equilibrium bounds, constructed profiles, existence checks, certification.
 
 Each mechanism's theory gives a closed-form cap on what an agent is willing
-to contribute. ``construct_profile`` turns those caps into a concrete play
-(scaled so the winning side's total meets its target exactly), and the
+to contribute: ``refund_cap``, or the payment for ``security_quantity``.
+Both are the belief-phase mechanism's; the paper builds PPRx and PPSx by
+adding belief rewards to PPR and PPS, so the base caps are theirs at even
+odds and no reward. ``construct_profile`` turns those caps into a concrete
+play (scaled so the winning side's total meets its target exactly), and the
 certifiers search for profitable unilateral deviations, holding everyone
-else's contributed amounts fixed. An agent's best contribution is exact:
-its expected utility is piecewise in the amount (``_Evaluator``), so the
-maximum is at a piece's endpoint, its left limit or its stationary point.
+else's contributed amounts fixed. An agent's best contribution is exact: its
+expected utility is piecewise in the amount (``_Evaluator``), so the maximum
+is at a piece's endpoint, its left limit or its stationary point.
 
 Deviation semantics
 -------------------
@@ -47,9 +50,9 @@ allocation never rises with issuance (``securities_for``); and every
 securities utility is nondecreasing in the allocation. A delayed play of
 the same amount therefore buys at most what the on-time play buys.
 
-In the securities family a bound buys exactly the rules row's security
-quantity, so ``construct_profile`` (from empty markets) and the SPE
-certifier (at its off-path probe states) walk followers through the kernel
+In the securities family a bound buys exactly its security quantity, so
+``construct_profile`` (from empty markets) and the SPE certifier (at its
+off-path probe states) walk followers through the kernel
 (``DualMarketState.walk`` and ``follow``), without a bound or a play per
 follower.
 
@@ -100,10 +103,11 @@ from .model import (
 MET_REL_TOL = 1e-9  # a total short of its target by this share of it is met
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
 
-# Bound once for the rules rows and the evaluator: every member lookup on an
-# enum class costs a few hundred ns on Python 3.11.
+# Bound once for the rules rows, the caps and the evaluator: every member
+# lookup on an enum class costs a few hundred ns on Python 3.11.
 _FOR, _AGAINST = Market.FOR, Market.AGAINST
 _PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
+_PROVISION_LIKELY = BeliefSide.PROVISION_LIKELY
 
 # One name per mechanism for the one payoff rule. The benchmark's tracer
 # (perfbench/tracing.py) counts payoff evaluations by wrapping these names on
@@ -112,54 +116,34 @@ ppr_utility = pprn_utility = pps_utility = ppsn_utility = pprx_utility = ppsx_ut
 
 
 # ---------------------------------------------------------------------------
-# Closed-form contribution bounds and the securities they buy
+# One cap per family
 # ---------------------------------------------------------------------------
 
 
-def bound_ppr(agent: AgentProfile, provision_point: float, refund_budget: float) -> float:
-    """Single-market refund-bonus cap: indifference at a just-filled pot."""
-    return provision_point / (refund_budget + provision_point) * max(agent.valuation, 0.0)
-
-
-def bound_pprn(agent: AgentProfile, target_for: float, target_against: float,
-               refund_budget: float) -> float:
-    """Dual-market refund-bonus cap, identical in form for both preferences."""
-    total = target_for + target_against
-    return total / (refund_budget + total) * abs(agent.valuation)
-
-
-def securities_pps(agent: AgentProfile) -> float:
-    """Securities a PPS agent's bound buys: its valuation, floored at zero."""
-    return max(agent.valuation, 0.0)
-
-
-def securities_ppsn(agent: AgentProfile) -> float:
-    """Securities a PPSN agent's bound buys: its valuation's magnitude, on
-    the market of its preference."""
-    return abs(agent.valuation)
-
-
-def securities_ppsx(agent: AgentProfile, side: BeliefSide, belief_reward: float) -> float:
-    """Securities a PPSx agent's bound buys: the belief reward folded into
-    the valuation (added when the reported ``side`` is provision-likely,
-    netted out otherwise), clamped at zero."""
-    signed = belief_reward if side is BeliefSide.PROVISION_LIKELY else -belief_reward
-    return max(agent.valuation + signed, 0.0)
-
-
-def bound_pprx(agent: AgentProfile, side: BeliefSide, provision_point: float,
-               contribution_budget: float, belief_reward: float) -> float:
-    """Belief-weighted refund-bonus cap with the belief reward on the branch
-    the reported ``side`` wins; a rejection-likely report nets the reward
-    out and clamps at zero since contributions cannot be negative."""
-    p = agent.provision_belief
+def refund_cap(config: CampaignConfig, agent: AgentProfile, side: BeliefSide,
+               reward: float) -> float:
+    """The refund family's cap, PPRx's: where a just-met pot and a refunded
+    stake with its bonus share are indifferent at the agent's provision
+    belief ``p`` (1/2 in PPR and PPRN, as ``_own_win_weight`` weighs them),
+    the pot the targets' sum and the budget the refund-bonus pool. The
+    belief reward sits on the branch the reported ``side`` wins; a
+    rejection-likely report nets it out, clamped at zero."""
+    p = agent.provision_belief if config.mechanism.two_phase else 0.5
     q = 1.0 - p
-    if side is BeliefSide.PROVISION_LIKELY:
-        numerator = p * (agent.valuation + belief_reward)
+    pot = config.target_sum
+    if side is _PROVISION_LIKELY:
+        numerator = p * (abs(agent.valuation) + reward)
     else:
-        numerator = p * agent.valuation - q * belief_reward
-    denominator = q * contribution_budget + p * provision_point
-    return max(0.0, numerator / denominator * provision_point)
+        numerator = p * abs(agent.valuation) - q * reward
+    return max(0.0, numerator / (q * config.bonus_budget + p * pot) * pot)
+
+
+def security_quantity(agent: AgentProfile, side: BeliefSide, reward: float) -> float:
+    """The securities a securities-family bound buys, PPSx's: the
+    valuation's magnitude plus the belief reward on a provision-likely
+    report, minus it otherwise, clamped at zero."""
+    signed = reward if side is _PROVISION_LIKELY else -reward
+    return max(abs(agent.valuation) + signed, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +153,9 @@ def bound_pprx(agent: AgentProfile, side: BeliefSide, provision_point: float,
 
 @dataclass(frozen=True)
 class Rules:
-    """What one mechanism's theory says, each entry a function of the config:
+    """What one mechanism's theory says beyond its cap, each entry a
+    function of the config:
 
-    * ``bound(config, agent, reward, side)``: the refund family's
-      contribution cap;
     * ``utility(config, agent, market, reward, side, verdict)``: the utility of a
       contribution to ``market`` under ``verdict``, as
       ``u(amount, securities, total_for, total_against)``:
@@ -185,11 +168,9 @@ class Rules:
       equation evaluates these rows at the bound
       (``_Evaluator.indifference``);
     * ``conditions(config, net, totals)``: the existence inequalities as
-      ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market;
-    * ``securities(config, agent, reward, side)``: the securities family's
-      security quantity, in place of a cap: the bound is the payment for it
-      at the issuance (``cf.contribution_for``), and the kernel walks
-      followers by it (``DualMarketState.walk`` and ``follow``).
+      ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market.
+      They differ between a base mechanism and its belief-phase one, so
+      each mechanism has its own.
 
     ``reward`` and ``side``, the agent's belief reward and reported side,
     matter only in the PPRx and PPSx rows.
@@ -201,8 +182,6 @@ class Rules:
 
     utility: Callable[..., Callable[..., float]]
     conditions: Callable[..., list[tuple[str, float, float, bool]]]
-    bound: Callable[..., float] | None = None
-    securities: Callable[..., float] | None = None
 
 
 _SIDE_NAMES = {_FOR: "provision", _AGAINST: "rejection"}
@@ -231,8 +210,6 @@ def _belief_conditions(config, net):
 
 RULES: dict[Mechanism, Rules] = {
     Mechanism.PPR: Rules(
-        bound=lambda config, agent, reward, side: bound_ppr(
-            agent, config.provision_point, config.refund_budget),
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: ppr_utility(
                 agent, _FOR, side, verdict, amount, total_for, config.refund_budget,
@@ -243,8 +220,6 @@ RULES: dict[Mechanism, Rules] = {
             ("refund_budget_below_cap", config.refund_budget,
              totals[_FOR] - config.provision_point, True)]),
     Mechanism.PPRN: Rules(
-        bound=lambda config, agent, reward, side: bound_pprn(
-            agent, *config.provision_point_pair, config.refund_budget),
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: pprn_utility(
                 agent, market, side, verdict, amount, total_for + total_against,
@@ -259,17 +234,13 @@ RULES: dict[Mechanism, Rules] = {
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: pps_utility(
                 agent, _FOR, side, verdict, amount, 0.0, None, securities, 0.0)),
-        conditions=_securities_conditions,
-        securities=lambda config, agent, reward, side: securities_pps(agent)),
+        conditions=_securities_conditions),
     Mechanism.PPSN: Rules(
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: ppsn_utility(
                 agent, market, side, verdict, amount, 0.0, None, securities, 0.0)),
-        conditions=_securities_conditions,
-        securities=lambda config, agent, reward, side: securities_ppsn(agent)),
+        conditions=_securities_conditions),
     Mechanism.PPRX: Rules(
-        bound=lambda config, agent, reward, side: bound_pprx(
-            agent, side, config.provision_point, config.contribution_budget, reward),
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: pprx_utility(
                 agent, _FOR, side, verdict, amount, total_for,
@@ -281,23 +252,22 @@ RULES: dict[Mechanism, Rules] = {
         utility=lambda config, agent, market, reward, side, verdict: (
             lambda amount, securities, total_for, total_against: ppsx_utility(
                 agent, _FOR, side, verdict, amount, 0.0, None, securities, reward)),
-        conditions=lambda config, net, totals: _belief_conditions(config, net),
-        securities=lambda config, agent, reward, side: securities_ppsx(agent, side, reward)),
+        conditions=lambda config, net, totals: _belief_conditions(config, net)),
 }
 
 
 def contribution_bound(config: CampaignConfig, agent: AgentProfile, *,
                        issued: float = 0.0, belief_reward: float = 0.0,
                        side: BeliefSide | None = None) -> float:
-    """The mechanism's bound at the given issuance context; the belief
+    """The mechanism's bound at the given issuance context: its refund cap,
+    or the payment at ``issued`` for its security quantity; the belief
     reward is on the branch the reported ``side`` (by default the belief
     side) wins."""
-    row = RULES[config.mechanism]
     side = side or agent.belief_side
-    if row.securities is not None:
+    if config.mechanism.uses_securities:
         return config.cost_params.contribution_for(
-            row.securities(config, agent, belief_reward, side), issued)
-    return row.bound(config, agent, belief_reward, side)
+            security_quantity(agent, side, belief_reward), issued)
+    return refund_cap(config, agent, side, belief_reward)
 
 
 @dataclass(frozen=True)
@@ -439,13 +409,12 @@ def construct_profile(config: CampaignConfig, agents: list[AgentProfile],
 def _plays(config: CampaignConfig, order: list[AgentProfile],
            profile: EquilibriumProfile) -> list[tuple[Market, float]]:
     """For each agent of ``order``, its own market (the one its equilibrium
-    play goes to) and the security quantity its bound buys there (the rules
-    row's ``securities``, at the profile's belief reward and side): what the
-    kernel's walks play."""
-    securities = RULES[config.mechanism].securities
+    play goes to) and the security quantity its bound buys there
+    (``security_quantity``, at the profile's belief reward and side): what
+    the kernel's walks play."""
     rewards, sides = profile.belief_rewards, profile.sides
-    return [(own_market(config, a), securities(config, a, rewards.get(a.id, 0.0),
-                                               sides.get(a.id, a.belief_side)))
+    return [(own_market(config, a), security_quantity(a, sides.get(a.id, a.belief_side),
+                                                      rewards.get(a.id, 0.0)))
             for a in order]
 
 
@@ -1036,7 +1005,7 @@ def certify_spe(config: CampaignConfig, agents: list[AgentProfile],
             if slot.corner(report, rival_viable):
                 continue
             issued = final.priced_at(own_market, *state)
-            # the bound: the rules row's quantity for this agent, at this issuance
+            # the bound: the agent's security quantity, at this issuance
             bound = cf.contribution_for(quantity, issued)
             # paid: the followers' money per market, for the totals
             prescribed, paid = final.follow(*state, own_market, bound, plays, bought,

@@ -7,6 +7,7 @@ Belief-phase ticks and contribution-phase ticks live on separate clocks.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -177,6 +178,9 @@ class CampaignConfig:
             h_for, h_against = self.provision_point_pair
             if h_for <= 0 or h_against <= 0:
                 raise ValueError("both provision_point_pair targets must be positive")
+            if not math.isfinite(h_for + h_against):
+                raise ValueError("provision_point_pair targets must have a finite sum, "
+                                 f"got {h_for} + {h_against}")
         for name in ("refund_budget", "belief_budget", "contribution_budget"):
             value = getattr(self, name)
             if value is not None and value <= 0:

@@ -15,12 +15,12 @@ from provpoint.cli import main
 from provpoint.costfn import CostFunction
 from provpoint.equilibrium import (
     EquilibriumProfile,
-    bound_pprn,
     certify_ne,
     certify_spe,
     check_conditions,
     construct_profile,
     contribution_bound,
+    refund_cap,
 )
 from provpoint.mechanisms import Action, payoff, run_campaign
 from provpoint.model import (
@@ -205,7 +205,7 @@ def test_criterion_5_negative_controls():
     profile.entries[2] = Action(2, 0.5, Market.FOR, 5)
     for i in (3, 4):
         profile.entries[i] = Action(i, 7.5, Market.AGAINST, 5)
-    assert 19.0 > bound_pprn(agents[0], 20.0, 15.0, 5.0)
+    assert 19.0 > refund_cap(config, agents[0], BeliefSide.PROVISION_LIKELY, 0.0)
     report = certify_ne(config, agents, profile)
     assert not report.certified
     assert any(d.agent_id == 0 for d in report.deviations)

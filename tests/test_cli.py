@@ -313,6 +313,29 @@ def test_non_finite_scenario_exit_code(pprn_scenario, tmp_path, capsys, value):
         one_error_line(capsys, "scenario.agents[0].valuation: must be finite")
 
 
+NEGATIVE_ZERO = re.compile(r"-0(?:\.0+)?(?![\d.e])")
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_a_negative_zero_valuation_writes_no_negative_zero(mechanism, tmp_path, capsys):
+    # a JSON -0.0 valuation passes the nonnegative check; each cap takes the
+    # valuation's magnitude, so no report carries the sign into a bound, a
+    # play or a summary line
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=6),
+                                 seed=1)
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    raw = json.loads(path.read_text())
+    raw["agents"][2]["valuation"] = -0.0
+    path.write_text(json.dumps(raw))
+    for label, args in (("certify", ["certify"]), ("run_csv", ["run", "--format", "csv"]),
+                        ("run_json", ["run", "--format", "json"])):
+        assert main([*args, "--scenario", str(path), "--out", str(tmp_path / label)]) == 0
+        assert not NEGATIVE_ZERO.search(capsys.readouterr().out)
+        for report in sorted((tmp_path / label).iterdir()):
+            assert not NEGATIVE_ZERO.search(report.read_text()), report
+
+
 @pytest.mark.parametrize("path,value,needle", [
     (("agents", 0, "arrival_contribution"), 1.5,
      "scenario.agents[0].arrival_contribution: expected an integer"),
@@ -392,6 +415,9 @@ REPORTS = [{"agent_id": i, "information": 0, "prediction": 0.5} for i in range(5
      "scenario.analysis.conditions_only: unknown field"),
     ("pprn_six_agents", ("analysis", "run_campaign"), False,
      "scenario.analysis.run_campaign: unknown field"),
+    ("pprn_six_agents", ("config", "provision_point_pair"), [1e308, 1e308],
+     "scenario.config: provision_point_pair targets must have a finite sum, "
+     "got 1e+308 + 1e+308"),
 ])
 def test_invalid_scenario_field_exit_code(tmp_path, capsys, shipped, path, value, needle):
     raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())

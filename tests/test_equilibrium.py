@@ -15,17 +15,13 @@ from provpoint.equilibrium import (
     _met,
     _own_win_weight,
     _Evaluator,
-    bound_ppr,
-    bound_pprn,
-    bound_pprx,
     certify_ne,
     certify_spe,
     check_conditions,
     construct_profile,
     contribution_bound,
-    securities_pps,
-    securities_ppsn,
-    securities_ppsx,
+    refund_cap,
+    security_quantity,
 )
 from provpoint.mechanisms import (
     Action,
@@ -92,6 +88,11 @@ def agent(theta, aid=0, eps=0.0, side=BeliefSide.PROVISION_LIKELY, **kw):
                         belief_side=side, **kw)
 
 
+def ppr_config(h0=10.0, budget=5.0):
+    return CampaignConfig(mechanism=Mechanism.PPR, provision_point=h0,
+                          refund_budget=budget, deadline_contribution=5)
+
+
 def pprn_config(h_for=20.0, h_against=15.0, budget=5.0):
     return CampaignConfig(mechanism=Mechanism.PPRN,
                           provision_point_pair=(h_for, h_against),
@@ -123,28 +124,27 @@ def ppsx_config(h0=8.0, belief=6.0, liquidity=40.0):
 # ---------------------------------------------------------------------------
 
 
+def cap(config, a, side=BeliefSide.PROVISION_LIKELY, reward=0.0):
+    return refund_cap(config, a, side, reward)
+
+
 def test_bound_pprn_values():
-    assert bound_pprn(agent(10.0), 50.0, 50.0, 10.0) == pytest.approx(
+    assert cap(pprn_config(50.0, 50.0, 10.0), agent(10.0)) == pytest.approx(
         100.0 / 110.0 * 10.0)
-    assert bound_pprn(agent(10.0), 50.0, 50.0, 1e-12) == pytest.approx(
+    assert cap(pprn_config(50.0, 50.0, 1e-12), agent(10.0)) == pytest.approx(
         10.0, rel=1e-9)
-    assert bound_pprn(agent(0.0), 50.0, 50.0, 10.0) == 0.0
-    assert bound_pprn(agent(-10.0), 50.0, 50.0, 10.0) == pytest.approx(
+    assert cap(pprn_config(50.0, 50.0, 10.0), agent(0.0)) == 0.0
+    assert cap(pprn_config(50.0, 50.0, 10.0), agent(-10.0)) == pytest.approx(
         100.0 / 110.0 * 10.0)
 
 
 # The securities family's bounds: the payment at the issuance for the
-# security quantity the bound buys.
-def bound_pps(a, cf, issued):
-    return cf.contribution_for(securities_pps(a), issued)
+# security quantity the bound buys; PPS and PPSN carry no belief reward.
+def bound_ppsx(a, cf, issued, reward=0.0):
+    return cf.contribution_for(security_quantity(a, a.belief_side, reward), issued)
 
 
-def bound_ppsn(a, cf, issued):
-    return cf.contribution_for(securities_ppsn(a), issued)
-
-
-def bound_ppsx(a, cf, issued, reward):
-    return cf.contribution_for(securities_ppsx(a, a.belief_side, reward), issued)
+bound_pps = bound_ppsn = bound_ppsx
 
 
 def test_bound_ppsn_values():
@@ -162,16 +162,17 @@ def test_bound_ppsn_values():
 
 
 def test_bound_pprx_values():
+    config = pprx_config(h0=20.0, contribution=5.0)
     plus = agent(10.0, eps=0.0, side=BeliefSide.PROVISION_LIKELY)
-    assert bound_pprx(plus, BeliefSide.PROVISION_LIKELY, 20.0, 5.0, 2.0) == pytest.approx(9.6)
+    assert cap(config, plus, BeliefSide.PROVISION_LIKELY, 2.0) == pytest.approx(9.6)
     minus = agent(10.0, eps=0.0, side=BeliefSide.REJECTION_LIKELY)
-    assert bound_pprx(minus, BeliefSide.REJECTION_LIKELY, 20.0, 5.0, 0.0) == pytest.approx(8.0)
+    assert cap(config, minus, BeliefSide.REJECTION_LIKELY, 0.0) == pytest.approx(8.0)
     # the reward sits on the reported side's branch, not the believed one's:
     # a provision-minded agent reporting rejection nets it out
-    assert bound_pprx(plus, BeliefSide.REJECTION_LIKELY, 20.0, 5.0, 2.0) == pytest.approx(6.4)
+    assert cap(config, plus, BeliefSide.REJECTION_LIKELY, 2.0) == pytest.approx(6.4)
     # large reward drives the rejection-side numerator negative: clamp
-    assert bound_pprx(agent(1.0, eps=0.3, side=BeliefSide.REJECTION_LIKELY),
-                      BeliefSide.REJECTION_LIKELY, 20.0, 5.0, 5.0) == 0.0
+    assert cap(config, agent(1.0, eps=0.3, side=BeliefSide.REJECTION_LIKELY),
+               BeliefSide.REJECTION_LIKELY, 5.0) == 0.0
 
 
 def test_bound_ppsx_values():
@@ -186,7 +187,7 @@ def test_bound_ppsx_values():
 
 
 def test_bound_ppr_pps_base_mechanisms():
-    assert bound_ppr(agent(10.0), 10.0, 5.0) == pytest.approx(10.0 / 15.0 * 10.0)
+    assert cap(ppr_config(10.0, 5.0), agent(10.0)) == pytest.approx(10.0 / 15.0 * 10.0)
     cf = CostFunction()
     assert bound_pps(agent(1.0), cf, 0.0) == pytest.approx(
         math.log((1 + math.e) / 2), rel=1e-12)
@@ -239,8 +240,8 @@ def test_construct_proportional_fill():
     config = pprx_config(h0=12.0, belief=6.0, contribution=5.0)
     rewards = {0: 2.0, 1: 2.0, 2: 0.0}
     profile = construct_profile(config, agents, rewards)
-    b0 = bound_pprx(agents[0], agents[0].belief_side, 12.0, 5.0, 2.0)
-    scale = 12.0 / (2 * b0 + bound_pprx(agents[2], agents[2].belief_side, 12.0, 5.0, 0.0))
+    b0 = cap(config, agents[0], reward=2.0)
+    scale = 12.0 / (2 * b0 + cap(config, agents[2]))
     assert profile.entries[0].amount == pytest.approx(scale * b0)
     assert sum(e.amount for e in profile.entries.values()) == pytest.approx(12.0)
 
@@ -272,12 +273,10 @@ def test_construct_infeasible_reported():
     profile = construct_profile(pprn_config(budget=18.0), agents)
     assert not profile.feasible
     assert "short" in profile.reason
-    # targets whose sum overflows make every bound NaN: no side can fill
-    config = pprn_config(h_for=1e308, h_against=1e308)
-    assert math.isnan(contribution_bound(config, agents[0]))
-    profile = construct_profile(config, agents)
-    assert not profile.feasible
-    assert not certify_ne(config, agents, profile).certified
+    # targets whose sum overflows are refused when the config is built, so
+    # no verdict is decided by the overflow of every cap's pot
+    with pytest.raises(ValueError, match="finite sum"):
+        pprn_config(h_for=1e308, h_against=1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ def test_certify_ne_flags_overbound_profile():
         profile.entries[i] = Action(i, 28.0 / 3, Market.FOR, 5)
     for i in (3, 4):
         profile.entries[i] = Action(i, 7.5, Market.AGAINST, 5)
-    assert 28.0 / 3 > bound_pprn(agents[0], 28.0, 15.0, 5.0)
+    assert 28.0 / 3 > cap(config, agents[0])
     report = certify_ne(config, agents, profile)
     assert not report.certified
     assert any(d.kind == "contribution" for d in report.deviations)
@@ -741,9 +740,9 @@ def test_ordering_gap_pprx():
     config = pprx_config(h0=20.0, belief=6.0, contribution=5.0)
     upper, lower = flipped_bounds(config, plus, belief_reward=2.0)
     assert upper > lower
-    assert upper == bound_pprx(plus, BeliefSide.PROVISION_LIKELY, 20.0, 5.0, 2.0)
+    assert upper == cap(config, plus, BeliefSide.PROVISION_LIKELY, 2.0)
     minus = dataclasses.replace(plus, belief_side=BeliefSide.REJECTION_LIKELY)
-    assert lower == bound_pprx(minus, BeliefSide.REJECTION_LIKELY, 20.0, 5.0, 2.0)
+    assert lower == cap(config, minus, BeliefSide.REJECTION_LIKELY, 2.0)
 
 
 def test_ordering_gap_ppsx():
@@ -1432,52 +1431,107 @@ def test_stationary_point_maximizes_the_mix(mechanism):
 # ---------------------------------------------------------------------------
 
 
-def _public_bound(config: CampaignConfig, agent: AgentProfile, issued: float,
-                  reward: float) -> float:
-    """The exported ``bound_*`` function of the config's mechanism; for the
-    securities family, the payment for the exported security quantity."""
-    cf = config.cost_params
-    return {
-        Mechanism.PPR: lambda: bound_ppr(agent, config.provision_point,
-                                         config.refund_budget),
-        Mechanism.PPRN: lambda: bound_pprn(agent, *config.provision_point_pair,
-                                           config.refund_budget),
-        Mechanism.PPS: lambda: bound_pps(agent, cf, issued),
-        Mechanism.PPSN: lambda: bound_ppsn(agent, cf, issued),
-        Mechanism.PPRX: lambda: bound_pprx(agent, agent.belief_side, config.provision_point,
-                                           config.contribution_budget, reward),
-        Mechanism.PPSX: lambda: bound_ppsx(agent, cf, issued, reward),
-    }[config.mechanism]()
+def _pre_merge_bound(config: CampaignConfig, who: AgentProfile, side: BeliefSide,
+                     reward: float, issued: float) -> float:
+    """Each mechanism's closed-form bound as it was written before the
+    families shared ``refund_cap`` and ``security_quantity``, in its own
+    order of operations; the securities family's is the payment for its
+    own security quantity."""
+    mechanism, v = config.mechanism, who.valuation
+    if mechanism is Mechanism.PPR:
+        pot = config.provision_point
+        return pot / (config.refund_budget + pot) * max(v, 0.0)
+    if mechanism is Mechanism.PPRN:
+        total = config.provision_point_pair[0] + config.provision_point_pair[1]
+        return total / (config.refund_budget + total) * abs(v)
+    provision = side is BeliefSide.PROVISION_LIKELY
+    if mechanism is Mechanism.PPRX:
+        p = who.provision_belief
+        q = 1.0 - p
+        numerator = p * (v + reward) if provision else p * v - q * reward
+        pot = config.provision_point
+        return max(0.0, numerator / (q * config.contribution_budget + p * pot) * pot)
+    quantity = {Mechanism.PPS: lambda: max(v, 0.0),
+                Mechanism.PPSN: lambda: abs(v),
+                Mechanism.PPSX: lambda: max(v + (reward if provision else -reward), 0.0),
+                }[mechanism]()
+    return config.cost_params.contribution_for(quantity, issued)
+
+
+def _bound_config(mechanism: Mechanism, targets: tuple[float, float],
+                  budget: float) -> CampaignConfig:
+    """``_ROW_CONFIGS``' config with the given targets and budget, where the
+    mechanism has them."""
+    config = _ROW_CONFIGS[mechanism]
+    if mechanism.dual_market:
+        config = dataclasses.replace(config, provision_point_pair=targets)
+    else:
+        config = dataclasses.replace(config, provision_point=targets[0])
+    if mechanism in _BUDGET_FIELD:
+        config = dataclasses.replace(config, **{_BUDGET_FIELD[mechanism]: budget})
+    return config
+
+
+# PPR's and PPRN's cap is PPRx's at p = 1/2: 0.5 v / (0.5 B + 0.5 P) * P,
+# where the pre-merge forms computed P / (B + P) * v. Both round P v / (B +
+# P) from the same B + P, once in a different place; measured over 1e8
+# log-uniform draws (P in [1e-3, 1e8], B in [1e-9, 1e6], v in [1e-6, 1e6])
+# they differ by at most 2 ulps. Where v / (B + P) is subnormal the quotient
+# rounds to a multiple of the least subnormal, which the product by P
+# scales: 5e7 more draws reaching down to v = 1e-323 stayed within
+# BASE_CAP_ULPS ulps plus (1 + P) least subnormals.
+BASE_CAP_ULPS = 2
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
-def test_contribution_bound_is_the_public_bound(mechanism):
-    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=8),
-                                 seed=1)
-    config = scenario.config
-    rewards = construct_profile(config, scenario.agents).belief_rewards
-    for a in scenario.agents:
-        reward = rewards.get(a.id, 0.0)
-        for issued in (0.0, 2.5, 40.0):
-            assert (contribution_bound(config, a, issued=issued, belief_reward=reward)
-                    == _public_bound(config, a, issued, reward))
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(valuation=st.floats(-100.0, 100.0), eps=st.floats(0.0, 0.5),
+       side=st.sampled_from(list(BeliefSide)), reward=st.floats(0.0, 10.0),
+       targets=st.tuples(st.floats(1e-3, 1e4), st.floats(1e-3, 1e4)),
+       budget=st.floats(1e-6, 100.0), issued=st.floats(0.0, 100.0))
+@example(valuation=-0.0, eps=0.0, side=BeliefSide.PROVISION_LIKELY, reward=0.0,
+         targets=(10.0, 5.0), budget=5.0, issued=0.0)
+@example(valuation=-0.0, eps=0.0, side=BeliefSide.REJECTION_LIKELY, reward=0.0,
+         targets=(10.0, 5.0), budget=5.0, issued=0.0)
+def test_contribution_bound_is_the_public_bound(mechanism, valuation, eps, side, reward,
+                                                targets, budget, issued):
+    # the bound through the family's one cap against the mechanism's own
+    # closed form, the one it was published with (_pre_merge_bound): PPRx
+    # and the securities rows to the bit, so every security quantity the
+    # kernel's walks buy is the row's own; PPR and PPRN within
+    # BASE_CAP_ULPS. No bound is -0.0, though a valuation of -0.0 passes
+    # parsing and the pre-merge PPR, PPS and PPSx forms gave -0.0 for it, so
+    # the closed form is compared with its zero made positive. Single-market
+    # mechanisms admit nonnegative valuations only; the base mechanisms
+    # carry no belief reward.
+    who = agent(valuation if mechanism.dual_market or valuation >= 0.0 else -valuation,
+                eps=eps, side=side)
+    config = _bound_config(mechanism, targets, budget)
+    r = reward if mechanism.two_phase else 0.0
+    got = contribution_bound(config, who, issued=issued, belief_reward=r)
+    want = _pre_merge_bound(config, who, side, r, issued) + 0.0
+    assert math.copysign(1.0, got) == 1.0, got
+    if mechanism in (Mechanism.PPR, Mechanism.PPRN):
+        slack = BASE_CAP_ULPS * math.ulp(want) + (1.0 + config.target_sum) * 5e-324
+        assert abs(got - want) <= slack, (got, want)
+    else:
+        assert got.hex() == want.hex(), (got, want)
 
 
 @pytest.mark.parametrize("mechanism", SECURITIES)
 def test_securities_rows_bound_at_their_quantity(mechanism):
-    # every securities bound is the payment for the row's quantity, which is
-    # what the kernel's walks buy
+    # every securities bound is the payment for the agent's security
+    # quantity, which is what the kernel's walks buy
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=8),
                                  seed=1)
     config = scenario.config
-    row = equilibrium.RULES[mechanism]
     rewards = construct_profile(config, scenario.agents).belief_rewards
     for a in scenario.agents:
         reward = rewards.get(a.id, 0.0)
         for issued in (0.0, 2.5, 40.0):
             assert (contribution_bound(config, a, issued=issued, belief_reward=reward)
                     == config.cost_params.contribution_for(
-                        row.securities(config, a, reward, a.belief_side), issued))
+                        security_quantity(a, a.belief_side, reward), issued))
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))

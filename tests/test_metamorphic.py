@@ -1,9 +1,10 @@
 """Metamorphic relations of the whole run: a transformed scenario that is the
 same game must get the same findings. The game is homogeneous of degree one
 in money (the LMSR cost scales with its quantities, liquidity and fixed
-leg), PPRN and PPSN treat their two markets alike, and a PPR, PPRN or
-PPRx economy copied k times, with its targets and budgets times k, is the
-same game for each copy."""
+leg), PPRN and PPSN treat their two markets alike, a PPR, PPRN or PPRx
+economy copied k times, with its targets and budgets times k, is the same
+game for each copy, and PPRx and PPSx with even beliefs and no belief
+reward are PPR and PPS."""
 
 import dataclasses
 import json
@@ -16,10 +17,11 @@ from provpoint.equilibrium import (
     MET_REL_TOL,
     EquilibriumProfile,
     certify_ne,
+    certify_spe,
     construct_profile,
     contribution_bound,
 )
-from provpoint.model import Market, Mechanism, Verdict
+from provpoint.model import BeliefSide, Market, Mechanism, Verdict
 from provpoint.runner import run_scenario
 from provpoint.scenario import (
     ScenarioTemplate,
@@ -114,7 +116,7 @@ def test_a_replica_economy_keeps_the_verdict_and_each_amount(mechanism, count, s
     # ROADMAP item 24: the refund-bonus bounds depend on the budget per
     # target, so each copy plays its original's amount. A PPRx copy is
     # given its original's belief reward and reported side, which leaves
-    # bound_pprx unchanged: the belief split of k * n reports is not that
+    # PPRx's cap unchanged: the belief split of k * n reports is not that
     # of n reports times k
     scenario = generate_scenario(ScenarioTemplate(mechanism, count), seed)
     config, agents = scenario.config, scenario.agents
@@ -191,3 +193,67 @@ def test_a_replica_economy_reports_each_copy_of_a_planted_deviation(mechanism, k
                     count, seed, d)
             reported += len(found)
     assert reported >= 20 * k
+
+
+BELIEF_PHASE = {Mechanism.PPR: Mechanism.PPRX, Mechanism.PPS: Mechanism.PPSX}
+
+
+def certified_play(config, agents, rewards=None, sides=None, epsilon=None):
+    """Each amount the constructed profile plays, the certificate and each
+    deviation's detail and gain, every float as its bits."""
+    profile = construct_profile(config, agents, rewards, sides)
+    certify = certify_spe if config.mechanism.sequential else certify_ne
+    report = certify(config, agents, profile, epsilon)
+    return ([(i, e.amount.hex()) for i, e in sorted(profile.entries.items())],
+            report.certified,
+            [(d.agent_id, d.kind, d.detail, d.utility_gain.hex()) for d in report.deviations])
+
+
+def recast(config, agents, epsilon=lambda a: 0.0, reward=lambda a: 0.0):
+    """A PPR or PPS economy as PPRx or PPSx: each agent's belief offset
+    ``epsilon(agent)`` on the provision-likely side, its belief reward
+    ``reward(agent)`` and its report provision-likely; PPRx's contribution
+    budget is PPR's refund budget. The belief budget only sizes rewards,
+    which are given here."""
+    budget = ({"refund_budget": None, "contribution_budget": config.refund_budget}
+              if config.mechanism is Mechanism.PPR else {})
+    belief = dataclasses.replace(
+        config, mechanism=BELIEF_PHASE[config.mechanism], belief_budget=1.0,
+        deadline_belief=config.deadline_contribution - 1, **budget)
+    recast_agents = [dataclasses.replace(a, belief_epsilon=epsilon(a),
+                                         belief_side=BeliefSide.PROVISION_LIKELY)
+                     for a in agents]
+    return (belief, recast_agents, {a.id: reward(a) for a in agents},
+            {a.id: BeliefSide.PROVISION_LIKELY for a in agents})
+
+
+@pytest.mark.parametrize("count", [6, 24, 256])
+@pytest.mark.parametrize("mechanism", [Mechanism.PPR, Mechanism.PPS])
+def test_a_belief_phase_mechanism_at_even_odds_and_no_reward_is_its_base(mechanism,
+                                                                         count):
+    # ROADMAP item 30: the paper builds PPRx and PPSx by adding belief
+    # rewards to PPR and PPS. With every belief at even odds, every report
+    # provision-likely and every reward 0 the belief-phase mechanism plays,
+    # certifies and reports each deviation exactly as its base, to the bit
+    for seed in range(1, 11):
+        scenario = generate_scenario(ScenarioTemplate(mechanism, count), seed)
+        config, agents = scenario.config, scenario.agents
+        belief, recast_agents, rewards, sides = recast(config, agents)
+        for epsilon in (None, 0.0):
+            assert (certified_play(belief, recast_agents, rewards, sides, epsilon)
+                    == certified_play(config, agents, epsilon=epsilon)), (seed, epsilon)
+
+
+@pytest.mark.parametrize("mechanism", [Mechanism.PPR, Mechanism.PPS])
+def test_a_belief_reward_or_uneven_odds_break_the_reduction(mechanism):
+    # negative controls: a nonzero reward for every other agent breaks both
+    # relations; uneven provision beliefs break PPR's, whose cap weighs them
+    # (a PPSx security quantity does not)
+    scenario = generate_scenario(ScenarioTemplate(mechanism, 24), 1)
+    config, agents = scenario.config, scenario.agents
+    base = certified_play(config, agents)
+    rewarded = recast(config, agents, reward=lambda a: 0.5 * (a.id % 2))
+    assert certified_play(*rewarded) != base
+    if mechanism is Mechanism.PPR:
+        uneven = recast(config, agents, epsilon=lambda a: 0.1 * (a.id % 3))
+        assert certified_play(*uneven) != base
