@@ -10,7 +10,7 @@ raised total by ``CostFunction.issued_at``. The engine sorts an action
 list into play order, (tick, agent id), replays it through ``play``,
 records each accepted contribution in the ledger, discards everything
 after the first fill, and hands the frozen book to ``settle``, the report
-writers and the certifiers; nothing replays or re-sorts it. The securities
+writers and the certifier; nothing replays or re-sorts it. The securities
 family's prescribed followers each buy their security quantity at the
 current price: ``DualMarketState.walk`` plays them one by one, under
 ``play``'s truncation rule, and sums their money per market in the same

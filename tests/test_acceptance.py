@@ -15,8 +15,7 @@ from provpoint.cli import main
 from provpoint.costfn import CostFunction
 from provpoint.equilibrium import (
     EquilibriumProfile,
-    certify_ne,
-    certify_spe,
+    certify,
     check_conditions,
     construct_profile,
     contribution_bound,
@@ -71,7 +70,7 @@ def test_criterion_1_pprn_nash():
         assert any(a.valuation >= 0 for a in agents)
         profile = construct_profile(config, agents)
         assert profile.feasible
-        report = certify_ne(config, agents, profile)  # eps 1e-6*target
+        report = certify(config, agents, profile)  # eps 1e-6*target
         assert report.certified, (seed, report.deviations[:3])
         verdict, dual = run_campaign(config, profile.plays())
         assert verdict in (Verdict.PROVISIONED, Verdict.REJECTED)
@@ -94,7 +93,7 @@ def test_criterion_2_ppsn_spe():
         profile = construct_profile(config, agents)
         assert profile.feasible
         scale = max(config.provision_point_pair)
-        report = certify_spe(config, agents, profile)
+        report = certify(config, agents, profile)
         assert report.certified, (seed, report.deviations[:3])
         for check in report.indifference:
             entry = profile.entries[check.agent_id]
@@ -140,7 +139,7 @@ def test_criterion_3_pprx_nash():
         assert checks["target_within_valuation_plus_belief_budget"].satisfied
         profile = construct_profile(config, agents)
         assert profile.feasible
-        report = certify_ne(config, agents, profile)
+        report = certify(config, agents, profile)
         assert report.certified, (seed, report.deviations[:3])
         for check in report.indifference:
             if check.clamped:
@@ -159,7 +158,7 @@ def test_criterion_4_ppsx_spe_and_ordering():
         assert all(c.satisfied for c in check_conditions(config, agents))
         profile = construct_profile(config, agents)
         assert profile.feasible
-        report = certify_spe(config, agents, profile)
+        report = certify(config, agents, profile)
         assert report.certified, (seed, report.deviations[:3])
     # matched optimist/pessimist pairs: the optimist's cap is strictly larger
     # whenever a positive belief reward is at stake
@@ -206,7 +205,7 @@ def test_criterion_5_negative_controls():
     for i in (3, 4):
         profile.entries[i] = Action(i, 7.5, Market.AGAINST, 5)
     assert 19.0 > refund_cap(config, agents[0], BeliefSide.PROVISION_LIKELY, 0.0)
-    report = certify_ne(config, agents, profile)
+    report = certify(config, agents, profile)
     assert not report.certified
     assert any(d.agent_id == 0 for d in report.deviations)
 
@@ -227,7 +226,7 @@ def test_criterion_5_negative_controls():
     forced.entries[0] = Action(0, 3.8, Market.FOR, 0)
     forced.entries[1] = Action(1, 1.0, Market.AGAINST, 1)
     forced.entries[2] = Action(2, 1.0, Market.AGAINST, 2)
-    report = certify_ne(config, agents, forced)
+    report = certify(config, agents, forced)
     assert not report.certified
     assert any(d.agent_id == 0 and d.kind == "contribution"
                for d in report.deviations)

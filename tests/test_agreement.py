@@ -13,9 +13,9 @@ from provpoint.equilibrium import (
     EquilibriumProfile,
     _path,
     _slots,
-    certify_ne,
-    certify_spe,
+    certify,
     construct_profile,
+    tolerance,
 )
 from provpoint.mechanisms import (
     Action,
@@ -55,7 +55,6 @@ def test_profile_verdict_is_engine_verdict(mech):
         profile = construct_profile(scenario.config, scenario.agents)
         assert profile.feasible
         verdict, dual = run_campaign(scenario.config, profile.plays())
-        certify = certify_spe if mech.sequential else certify_ne
         report = certify(scenario.config, scenario.agents, profile)
         assert report.expected_verdict is verdict
         verdicts.add(verdict)
@@ -143,7 +142,6 @@ def test_certifier_refuses_a_book_that_does_not_hold_the_play(mech, share):
     plays = [dataclasses.replace(a, amount=a.amount * share) for a in profile.plays()]
     _, book = run_campaign(config, plays if share else [])
     first = min(profile.plays(), key=lambda a: (a.tick, a.agent_id)).agent_id
-    certify = certify_spe if mech.sequential else certify_ne
     with pytest.raises(ValueError, match=f"^agent {first}: the book does not hold"):
         certify(config, agents, profile, book=book)
 
@@ -158,9 +156,9 @@ def test_certifier_refuses_a_record_of_no_play():
     last = max(half.plays(), key=lambda a: (a.tick, a.agent_id))
     _, book = run_campaign(config, [*half.plays(), last])
     with pytest.raises(ValueError, match=f"^agent {last.agent_id}: the book does not hold"):
-        certify_ne(config, agents, half, book=book)
+        certify(config, agents, half, book=book)
     _, own = run_campaign(config, half.plays())
-    assert certify_ne(config, agents, half, book=own).expected_verdict is Verdict.EXPIRED
+    assert certify(config, agents, half, book=own).expected_verdict is Verdict.EXPIRED
 
 
 def utility_at(scenario, agent, rec, verdict, dual, reward):
@@ -270,8 +268,46 @@ def test_an_earlier_deviation_untruncates_a_later_play():
 def test_certify_ne_reports_the_untruncating_deviation():
     scenario = parse_scenario(SCENARIOS / "ppr_explicit_plays.json")
     profile = profile_from_actions(scenario, {}, {})
-    report = certify_ne(scenario.config, scenario.agents, profile)
+    report = certify(scenario.config, scenario.agents, profile)
     assert any(d.agent_id == 0 for d in report.deviations)
+
+
+def race_scenario():
+    """Finding (b): ``gen`` PPRN n=6 seed 9, where every constructed play is
+    at the deadline tick, so the engine takes them in id order."""
+    return generate_scenario(ScenarioTemplate(Mechanism.PPRN, 6), seed=9)
+
+
+def test_paying_the_rival_target_wins_the_deadline_race():
+    # agent 2 pays the whole AGAINST target instead of its prescribed 8.31;
+    # 11.70 of it is accepted and fills AGAINST before agent 3's FOR play,
+    # so the verdict flips and agent 2 keeps 2.34 more, far above epsilon
+    scenario = race_scenario()
+    config = scenario.config
+    played = construct_profile(config, scenario.agents).plays()
+    deviated = [dataclasses.replace(a, amount=config.target(Market.AGAINST))
+                if a.agent_id == 2 else a for a in played]
+    verdicts, accepted = [], []
+    for actions in (played, deviated):
+        verdict, book = run_campaign(config, actions)
+        verdicts.append(verdict)
+        accepted.append([r.amount for r in book.ledger if r.agent_id == 2])
+    assert verdicts == [Verdict.PROVISIONED, Verdict.REJECTED]
+    assert accepted[0] == [pytest.approx(8.3135, abs=1e-4)]
+    assert accepted[1] == [pytest.approx(11.7004, abs=1e-4)]
+    before, after = (settled_utility(scenario, actions, 2) for actions in (played, deviated))
+    assert before == pytest.approx(-14.0420, abs=1e-4)
+    assert after == pytest.approx(-11.7004, abs=1e-4)
+    assert after - before == pytest.approx(2.3416, abs=1e-4)
+    assert after - before > tolerance(config, None)
+
+
+@pytest.mark.xfail(strict=True, reason="finding (b): ROADMAP items 2 and 28")
+def test_certify_reports_the_race_winning_deviation():
+    scenario = race_scenario()
+    report = certify(scenario.config, scenario.agents,
+                     construct_profile(scenario.config, scenario.agents))
+    assert any(d.agent_id == 2 for d in report.deviations)
 
 
 def flipped_run(mech, n, seed, flipped):

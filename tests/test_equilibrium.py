@@ -15,8 +15,7 @@ from provpoint.equilibrium import (
     _met,
     _own_win_weight,
     _Evaluator,
-    certify_ne,
-    certify_spe,
+    certify,
     check_conditions,
     construct_profile,
     contribution_bound,
@@ -262,7 +261,7 @@ def test_construct_pprn_fills_both_sides():
     assert profile.total(Market.FOR) == pytest.approx(20.0, rel=1e-12)
     assert profile.total(Market.AGAINST) == pytest.approx(15.0, rel=1e-12)
     # 30 for vs 24 against: the certifier's replay provisions
-    assert certify_ne(pprn_config(), agents, profile).expected_verdict is Verdict.PROVISIONED
+    assert certify(pprn_config(), agents, profile).expected_verdict is Verdict.PROVISIONED
     for a in agents:
         assert profile.entries[a.id].amount < contribution_bound(pprn_config(), a)
 
@@ -291,7 +290,7 @@ def pprn_agents():
 def test_certify_ne_pprn():
     config = pprn_config()
     profile = construct_profile(config, pprn_agents())
-    report = certify_ne(config, pprn_agents(), profile)
+    report = certify(config, pprn_agents(), profile)
     assert report.certified
     assert report.deviations == []
     for check in report.indifference:
@@ -308,7 +307,7 @@ def test_certify_ne_flags_overbound_profile():
     for i in (3, 4):
         profile.entries[i] = Action(i, 7.5, Market.AGAINST, 5)
     assert 28.0 / 3 > cap(config, agents[0])
-    report = certify_ne(config, agents, profile)
+    report = certify(config, agents, profile)
     assert not report.certified
     assert any(d.kind == "contribution" for d in report.deviations)
 
@@ -316,7 +315,7 @@ def test_certify_ne_flags_overbound_profile():
 def test_certify_ne_infeasible_profile_not_certified():
     config = pprn_config(budget=18.0)
     profile = construct_profile(config, pprn_agents())
-    report = certify_ne(config, pprn_agents(), profile)
+    report = certify(config, pprn_agents(), profile)
     assert not report.feasible and not report.certified
 
 
@@ -328,7 +327,7 @@ def test_certify_spe_ppsn():
               agent(-8.0, 3, arrival_contribution=3)]
     profile = construct_profile(config, agents)
     assert profile.feasible
-    report = certify_spe(config, agents, profile)
+    report = certify(config, agents, profile)
     assert report.certified, report.deviations[:3]
     # the second optimist clips to the remaining target on path; its report
     # bound is priced at the min leg it found, the untouched rejection side
@@ -347,11 +346,11 @@ def test_certify_spe_post_target_arrival_plays_zero():
     assert profile.entries[0].amount == pytest.approx(5.0)  # fills alone
     assert profile.entries[1].amount == 0.0
     assert profile.entries[2].amount == 0.0
-    report = certify_spe(config, agents, profile)
+    report = certify(config, agents, profile)
     assert report.certified
     # negative control: a post-fill arrival prescribed a positive play
     profile.entries[1] = Action(1, 1.0, Market.FOR, 1)
-    report = certify_spe(config, agents, profile)
+    report = certify(config, agents, profile)
     assert not report.certified
     assert any(d.agent_id == 1 and "market closed but profile prescribes x=1" in d.detail
                for d in report.deviations)
@@ -365,7 +364,7 @@ def test_certify_spe_infeasible_profile_not_certified():
     agents = [agent(6.0, i, arrival_contribution=i) for i in range(4)]
     profile = construct_profile(config, agents)
     assert not profile.feasible
-    report = certify_spe(config, agents, profile)
+    report = certify(config, agents, profile)
     assert not report.feasible and not report.certified
     # the reason is written once, in the profile's row, not repeated as a note
     assert report.to_dict()["profile"]["reason"] == profile.reason
@@ -380,12 +379,6 @@ def test_certify_spe_infeasible_profile_not_certified():
 def test_construct_profile_needs_three_agents_to_score_beliefs():
     with pytest.raises(ValueError, match="belief-phase mechanisms require at least 3 agents"):
         construct_profile(pprx_config(), [agent(10.0, 0), agent(8.0, 1)])
-
-
-def test_certify_spe_rejects_simultaneous_mechanisms():
-    with pytest.raises(ValueError, match="sequential"):
-        certify_spe(pprn_config(), pprn_agents(),
-                    construct_profile(pprn_config(), pprn_agents()))
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
@@ -405,7 +398,6 @@ def test_rules_rows_call_utilities_by_the_module_names(mechanism, monkeypatch):
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=6),
                                  seed=1)
     config, agents = scenario.config, scenario.agents
-    certify = certify_spe if mechanism.sequential else certify_ne
     assert certify(config, agents, construct_profile(config, agents)).certified
     own = f"{mechanism.value.lower()}_utility"
     assert calls[own] > 0
@@ -478,8 +470,8 @@ def test_payoff_bound_by_each_row_is_that_rows_expression(valuation, amount, tot
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
 def test_each_certification_replays_the_path_once(mechanism, monkeypatch):
-    # one replay and one set of on-path slots per certification; both
-    # certifiers check each on-path slot once, as built, not a copy of it
+    # one replay and one set of on-path slots per certification, which
+    # checks each on-path slot once, as built, not a copy of it
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=16),
                                  seed=3)
     config, agents = scenario.config, scenario.agents
@@ -502,16 +494,11 @@ def test_each_certification_replays_the_path_once(mechanism, monkeypatch):
     monkeypatch.setattr(equilibrium, "_path", counting)
     monkeypatch.setattr(equilibrium, "_slots", building)
     monkeypatch.setattr(_Evaluator, "check", checking)
-    certifiers = [certify_ne, certify_spe] if mechanism.sequential else [certify_ne]
-    for certify in certifiers:
-        replays.clear()
-        built.clear()
-        checked.clear()
-        certify(config, agents, profile)
-        assert len(replays) == 1
-        assert len(built) == 1
-        assert len(checked) == len(built[0])
-        assert all(slot is on_path for slot, on_path in zip(checked, built[0]))
+    certify(config, agents, profile)
+    assert len(replays) == 1
+    assert len(built) == 1
+    assert len(checked) == len(built[0])
+    assert all(slot is on_path for slot, on_path in zip(checked, built[0]))
 
 
 def test_certify_spe_flags_overbound_play():
@@ -528,7 +515,7 @@ def test_certify_spe_flags_overbound_play():
     assert second.amount > 0.6
     profile.entries[0] = dataclasses.replace(first, amount=first.amount + 0.6)
     profile.entries[1] = dataclasses.replace(second, amount=second.amount - 0.6)
-    report = certify_spe(config, agents, profile)
+    report = certify(config, agents, profile)
     assert not report.certified
     assert any(d.agent_id == 0 and d.kind == "contribution"
                for d in report.deviations)
@@ -566,7 +553,7 @@ def test_certify_ne_pprx():
               agent(9.0, 3, eps=0.05, side=BeliefSide.REJECTION_LIKELY)]
     config = pprx_config()
     profile = construct_profile(config, agents)
-    report = certify_ne(config, agents, profile)
+    report = certify(config, agents, profile)
     assert report.certified
     for check in report.indifference:
         if not check.clamped:
@@ -584,7 +571,7 @@ def test_certify_spe_ppsx():
     config = ppsx_config()
     profile = construct_profile(config, agents)
     assert profile.feasible
-    report = certify_spe(config, agents, profile)
+    report = certify(config, agents, profile)
     assert report.certified, report.deviations[:3]
 
 
@@ -615,9 +602,9 @@ def _checks_and_slots(case):
                                      seed=1)
         profile = construct_profile(scenario.config, scenario.agents)
     config = scenario.config
-    report, _, _, slots = equilibrium._base_report(config, scenario.agents, profile, None,
-                                                   None, None)
-    return config, report.indifference, slots
+    slots = equilibrium._slots(config, scenario.agents, profile,
+                               _engine_path(config, scenario.agents, profile))
+    return config, [slot.indifference(config) for slot in slots], slots
 
 
 def _closed_form_indifference(config: CampaignConfig, agent: AgentProfile, bound: float,
@@ -711,7 +698,7 @@ def test_indifference_check_reads_the_payoff_row(mechanism, monkeypatch):
 def test_report_serializes():
     config = pprn_config()
     profile = construct_profile(config, pprn_agents())
-    report = certify_ne(config, pprn_agents(), profile)
+    report = certify(config, pprn_agents(), profile)
     data = report.to_dict()
     assert data["certified"] is True
     assert data["mechanism"] == "PPRN"
@@ -879,7 +866,7 @@ def test_slot_evaluator_matches_reference(mechanism, n, monkeypatch):
             return sweep(slot, report, epsilon, state)
 
         monkeypatch.setattr(_Evaluator, "sweep", sweeping)
-        certify_spe(config, agents, profile)
+        certify(config, agents, profile)
         monkeypatch.undo()
     for slot in slots:
         top = slot.top()
@@ -936,7 +923,7 @@ def _rival_fills(config: CampaignConfig, book: DualMarketState, own_market: Mark
 
 def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
                       profile: EquilibriumProfile):
-    """Every probe state certify_spe sweeps, in its order, with the follower
+    """Every probe state certify sweeps, in its order, with the follower
     plays the former walks were given: the profile's on the path, a rollout
     off it. Yields (agent, market, prescribed amount, rival viable, state,
     follower plays); the kernel's rival answer is checked against
@@ -992,7 +979,7 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
         return sweep(slot, report, epsilon, state)
 
     monkeypatch.setattr(_Evaluator, "sweep", sweeping)
-    certify_spe(config, agents, profile)
+    certify(config, agents, profile)
     monkeypatch.undo()
 
     expected, others = [], []
@@ -1105,14 +1092,14 @@ def test_spe_pricing_calls_grow_linearly(mechanism, monkeypatch):
             ScenarioTemplate(mechanism=mechanism, agent_count=n), seed=1)
         profile = construct_profile(scenario.config, scenario.agents)
         calls.clear()
-        assert certify_spe(scenario.config, scenario.agents, profile).certified
+        assert certify(scenario.config, scenario.agents, profile).certified
         counts.append(calls.total())
     assert counts[1] <= 5 * counts[0], counts
 
 
 def test_certifiers_build_no_contribution_record(monkeypatch):
-    # a ContributionRecord is the engine's ledger entry: both certifiers
-    # price every slot on plain numbers, without building one
+    # a ContributionRecord is the engine's ledger entry: the certifier
+    # prices every slot on plain numbers, without building one
     cases = []
     for mechanism in Mechanism:
         scenario = generate_scenario(
@@ -1129,8 +1116,7 @@ def test_certifiers_build_no_contribution_record(monkeypatch):
     assert len(built) == 1  # the hook sees every record built
     built.clear()
     for mechanism, config, agents, profile, book in cases:
-        for certify in (certify_ne, certify_spe) if mechanism.sequential else (certify_ne,):
-            assert certify(config, agents, profile, book=book).certified
+        assert certify(config, agents, profile, book=book).certified
     assert built == []
 
 
@@ -1148,7 +1134,7 @@ def test_ppsn_follow_sums_without_prefix_sums(monkeypatch):
         ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=64), seed=1)
     config, agents = scenario.config, scenario.agents
     profile = construct_profile(config, agents)
-    assert certify_spe(config, agents, profile).certified
+    assert certify(config, agents, profile).certified
     assert followed
     assert summed == []
 
@@ -1222,7 +1208,7 @@ def test_eu_is_nondecreasing_in_the_allocation(mechanism, n, monkeypatch):
         return sweep(slot, *args)
 
     monkeypatch.setattr(_Evaluator, "sweep", sweeping)
-    certify_spe(config, agents, construct_profile(config, agents))
+    certify(config, agents, construct_profile(config, agents))
     monkeypatch.undo()
     assert recorded
     top = 1.5 * max(cf.issued_at(config.target(m)) for m in mechanism.markets)
@@ -1265,7 +1251,7 @@ def test_certify_ne_flags_overbound_stake_at_any_n(mechanism):
                     entry, amount=entry.amount * (1.0 - excess / rest_total))
             profile.entries[pushed] = dataclasses.replace(
                 profile.entries[pushed], amount=stake)
-            report = certify_ne(config, agents, profile)
+            report = certify(config, agents, profile)
             assert any(d.agent_id == pushed and d.kind == "contribution"
                        for d in report.deviations), (n, seed)
 
@@ -1303,7 +1289,6 @@ def test_no_expiring_profile_is_certified():
     expiring = 0
     cases = [*((n, seed) for n in (6, 24) for seed in range(1, 6)), (256, 1), (1024, 1)]
     for mechanism in Mechanism:
-        certify = certify_spe if mechanism.sequential else certify_ne
         for n, seed in cases:
             if n == 1024 and mechanism is Mechanism.PPSN:
                 continue
@@ -1328,7 +1313,6 @@ def test_the_constructed_play_fills_a_target_and_certifies():
     # rejection side may fill first
     rejected = collections.Counter()
     for mechanism in Mechanism:
-        certify = certify_spe if mechanism.sequential else certify_ne
         for n in (6, 24, 256, 1024):
             for seed in range(1, 4):
                 scenario = generate_scenario(ScenarioTemplate(mechanism, n), seed)
@@ -1368,7 +1352,6 @@ def test_exact_best_response_dominates_dense_grid(mechanism, extra, seed):
         slots.append(_placed(config, slot))
         return sweep(slot, *args)
 
-    certify = certify_spe if mechanism.sequential else certify_ne
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Evaluator, "sweep", sweeping)
         certify(config, agents, construct_profile(config, agents))
@@ -1543,7 +1526,6 @@ def test_traced_certification_counts_bounds_and_utilities(mechanism):
     scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=6),
                                  seed=1)
     config, agents = scenario.config, scenario.agents
-    certify = certify_spe if mechanism.sequential else certify_ne
     tracer = Tracer()
     tracer.install()
     try:

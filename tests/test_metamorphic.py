@@ -3,12 +3,14 @@ same game must get the same findings. The game is homogeneous of degree one
 in money (the LMSR cost scales with its quantities, liquidity and fixed
 leg), PPRN and PPSN treat their two markets alike, a PPR, PPRN or PPRx
 economy copied k times, with its targets and budgets times k, is the same
-game for each copy, and PPRx and PPSx with even beliefs and no belief
-reward are PPR and PPS."""
+game for each copy, PPRx and PPSx with even beliefs and no belief reward
+are PPR and PPS, and agents relabelled with their arrivals kept are the
+same game."""
 
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 from provpoint.equilibrium import (
     MET_REL_TOL,
     EquilibriumProfile,
-    certify_ne,
-    certify_spe,
+    certify,
     construct_profile,
     contribution_bound,
 )
@@ -128,8 +129,8 @@ def test_a_replica_economy_keeps_the_verdict_and_each_amount(mechanism, count, s
         {c.id: profile.belief_rewards.get(c.id % count, 0.0) for c in copies},
         {c.id: profile.sides.get(c.id % count) for c in copies})
     assert big.feasible == profile.feasible
-    assert (certify_ne(big_config, copies, big).certified
-            == certify_ne(config, agents, profile).certified)
+    assert (certify(big_config, copies, big).certified
+            == certify(config, agents, profile).certified)
     # every copy plays its original's amount, within its bound: _fill_side's
     # float residue goes to an agent with a positive bound, at n and at k * n
     for copy in copies:
@@ -176,13 +177,13 @@ def test_a_replica_economy_reports_each_copy_of_a_planted_deviation(mechanism, k
             config, agents = scenario.config, scenario.agents
             profile = construct_profile(config, agents)
             pushed = plant_overbound_stake(config, agents, profile)
-            original = certify_ne(config, agents, profile).deviations
+            original = certify(config, agents, profile).deviations
             assert any(d.agent_id == pushed and d.kind == "contribution"
                        for d in original), (count, seed)
             big_config, copies = replica(config, agents, k)
             big = EquilibriumProfile({c.id: dataclasses.replace(
                 profile.entries[c.id % count], agent_id=c.id) for c in copies})
-            found = certify_ne(big_config, copies, big).deviations
+            found = certify(big_config, copies, big).deviations
             assert sorted((d.agent_id % count, d.kind) for d in found) == sorted(
                 (d.agent_id, d.kind) for d in original for _ in range(k)), (count, seed)
             gains = {(d.agent_id, d.kind): d.utility_gain for d in original}
@@ -202,7 +203,6 @@ def certified_play(config, agents, rewards=None, sides=None, epsilon=None):
     """Each amount the constructed profile plays, the certificate and each
     deviation's detail and gain, every float as its bits."""
     profile = construct_profile(config, agents, rewards, sides)
-    certify = certify_spe if config.mechanism.sequential else certify_ne
     report = certify(config, agents, profile, epsilon)
     return ([(i, e.amount.hex()) for i, e in sorted(profile.entries.items())],
             report.certified,
@@ -257,3 +257,40 @@ def test_a_belief_reward_or_uneven_odds_break_the_reduction(mechanism):
     if mechanism is Mechanism.PPR:
         uneven = recast(config, agents, epsilon=lambda a: 0.1 * (a.id % 3))
         assert certified_play(*uneven) != base
+
+
+def relabelled(agents, seed):
+    """``agents`` under a seeded permutation of their ids, each keeping its
+    valuation, beliefs and arrivals, listed by the new id."""
+    ids = [a.id for a in agents]
+    random.Random(seed).shuffle(ids)
+    return sorted((dataclasses.replace(a, id=new) for a, new in zip(agents, ids)),
+                  key=lambda a: a.id)
+
+
+def replayed_and_certified(config, agents):
+    """The engine's verdict of the constructed play, and its certificate."""
+    report = certify(config, agents, construct_profile(config, agents))
+    return report.expected_verdict, report.certified
+
+
+@pytest.mark.parametrize("mechanism", [
+    Mechanism.PPR, Mechanism.PPS, Mechanism.PPRX, Mechanism.PPSX,
+    pytest.param(Mechanism.PPRN, marks=pytest.mark.xfail(
+        strict=True, reason="finding (b): the deadline race goes by id (ROADMAP item 28)")),
+    pytest.param(Mechanism.PPSN, marks=pytest.mark.xfail(
+        strict=True, reason="same-tick arrivals race by id (ROADMAP item 28)")),
+], ids=lambda m: m.value)
+def test_relabelling_the_agents_keeps_the_verdict_and_the_certificate(mechanism):
+    # ids name agents and order same-tick plays; the game does not depend on
+    # them, so neither may the replayed verdict nor the certificate
+    flips = []
+    for count in (6, 24):
+        for seed in range(1, 11):
+            scenario = generate_scenario(ScenarioTemplate(mechanism, count), seed)
+            config, agents = scenario.config, scenario.agents
+            found = replayed_and_certified(config, agents)
+            for permutation in range(3):
+                if replayed_and_certified(config, relabelled(agents, permutation)) != found:
+                    flips.append((count, seed, permutation))
+    assert flips == []

@@ -6,7 +6,7 @@ import pytest
 
 from provpoint import runner
 from provpoint.beliefs import belief_reports
-from provpoint.equilibrium import certify_ne, certify_spe
+from provpoint.equilibrium import certify
 from provpoint.mechanisms import Action, DualMarketState
 from provpoint.model import BeliefSide, Market, Mechanism, Verdict
 from provpoint.runner import profile_from_actions, run_scenario
@@ -159,18 +159,15 @@ def test_infeasible_profile_noted(tmp_path):
 
 def test_spe_checks_the_on_path_entry_on_its_own_market():
     # on the path, the subgame-perfect check sweeps the market the entry
-    # stakes on, as the Nash check does, not the agent's preferred one
+    # stakes on, not the agent's preferred one
     scenario = off_preference_ppsn()
     profile = profile_from_actions(scenario, {}, {})
-    ne, spe = (certify(scenario.config, scenario.agents, profile)
-               for certify in (certify_ne, certify_spe))
-    ne_found = [(d.detail, d.utility_gain) for d in ne.deviations if d.agent_id == 3]
+    report = certify(scenario.config, scenario.agents, profile)
     on_path = "[state raised_for=0 raised_against=0] "
-    spe_found = [(d.detail.removeprefix(on_path), d.utility_gain)
-                 for d in spe.deviations
-                 if d.agent_id == 3 and d.detail.startswith(on_path)]
-    assert ne_found and ne_found[0][0].endswith("on against (was 1)")
-    assert spe_found == ne_found
+    found = [d.detail for d in report.deviations
+             if d.agent_id == 3 and d.detail.startswith(on_path)]
+    assert len(found) == 1
+    assert found[0].endswith("on against (was 1)")
 
 
 def test_summary_labels_each_certification_by_its_certifier(tmp_path):
@@ -211,3 +208,29 @@ def test_a_certified_run_replays_once(mechanism, monkeypatch):
     assert result.certification is not None
     assert len(books) == 1
     assert len(plays) == len(books[0].ledger) > 0
+
+
+@pytest.mark.parametrize("infeasible", [False, True], ids=["feasible", "infeasible"])
+@pytest.mark.parametrize("mechanism", list(Mechanism), ids=lambda m: m.value)
+def test_the_traced_certifier_span_counts_each_certification(mechanism, infeasible):
+    # the benchmark's tracer wraps the certifier by the runner's names for
+    # it: a certifying run counts exactly one equilibrium.certify call, and
+    # its report names the mechanism's own equilibrium notion
+    from perfbench.tracing import Tracer
+
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=6),
+                                 seed=1)
+    if infeasible:  # no bound sum reaches a target
+        scenario.agents = [dataclasses.replace(a, valuation=a.valuation * 1e-3)
+                           for a in scenario.agents]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        report = run_scenario(scenario).certification
+    finally:
+        tracer.remove()
+    assert tracer.snapshot()["equilibrium.certify.calls"] == 1
+    assert report.feasible is not infeasible
+    assert report.kind == ("subgame-perfect" if mechanism.sequential else "Nash")
+    timing = [note for note in report.notes if note.startswith("timing deviations vacuous")]
+    assert len(timing) == (0 if mechanism.sequential or infeasible else 1)

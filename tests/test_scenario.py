@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from provpoint import scenario as scenario_module
 from provpoint.beliefs import belief_reports
-from provpoint.equilibrium import certify_ne, check_conditions, construct_profile
+from provpoint.equilibrium import certify, check_conditions, construct_profile
 from provpoint.mechanisms import Action
 from provpoint.model import Market, Mechanism, aggregate_valuations, derive_preference
 from provpoint.scenario import (
@@ -285,7 +285,7 @@ def test_pprx_falls_back_to_a_smaller_contribution_budget():
     net = aggregate_valuations(agents)[0]
     assert config.contribution_budget == 0.15 * net * 0.25
     assert all(c.satisfied for c in check_conditions(config, agents))
-    assert certify_ne(config, agents, construct_profile(config, agents)).certified
+    assert certify(config, agents, construct_profile(config, agents)).certified
 
 
 def test_generation_constraint_holds_at_scale():
