@@ -119,6 +119,8 @@ def _cmd_certify(args) -> int:
     for dev in report.deviations[:10]:
         print(f"  agent {dev.agent_id} {dev.kind}: {dev.detail} "
               f"gain={dev.utility_gain:.6g}")
+    for line in reports.more_deviations(report, 10):
+        print(line)
     return EXIT_OK if report.certified else EXIT_NEGATIVE
 
 

@@ -11,7 +11,10 @@ else's contributed amounts fixed, under the mechanism's equilibrium notion:
 Nash for the deadline mechanisms (PPR, PPRN, PPRx), subgame-perfect for the
 arrival ones (PPS, PPSN, PPSx). An agent's best contribution is exact: its
 expected utility is piecewise in the amount (``_Evaluator``), so the maximum
-is at a piece's endpoint, its left limit or its stationary point.
+is at a piece's endpoint, its left limit or its stationary point. The
+utilities it weighs are the one payoff rule, ``mechanisms.payoff``, with the
+arguments a mechanism fixes read off its properties (``payoff_row``), and
+each mechanism's existence inequalities are its row of ``CONDITIONS``.
 
 Deviation semantics
 -------------------
@@ -68,10 +71,11 @@ every target filled (``_Evaluator.indifference``), so it checks the bound
 against the payoff rule that settlement pays. Both notions check the
 on-path slots the same way (``_Evaluator.check``); the subgame-perfect one
 adds off-path probe states. The evaluator computes once what every slot of
-its agent shares (weights, utility rows, ``_met``'s threshold, the cost
-function); a slot is plain numbers. For an arrival mechanism ``certify``
-places it at each of the agent's off-path probe states in turn, each a (FOR, AGAINST) pair of money raised, so a probe
-state builds no book and no per-state object.
+its agent shares (weights, ``payoff_row``'s rows, ``_met``'s threshold,
+the cost function); a slot is plain numbers. For an arrival mechanism
+``certify`` places it at each of the agent's off-path probe states in turn,
+each a (FOR, AGAINST) pair of money raised, so a probe state builds no book
+and no per-state object.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ from .model import (
 MET_REL_TOL = 1e-9  # a total short of its target by this share of it is met
 STRICT_MARGIN = 1e-9  # keeps strict-inequality bounds strictly interior
 
-# Bound once for the rules rows, the caps and the evaluator: every member
+# Bound once for the payoff rows, the caps and the evaluator: every member
 # lookup on an enum class costs a few hundred ns on Python 3.11.
 _FOR, _AGAINST = Market.FOR, Market.AGAINST
 _PROVISIONED, _REJECTED, _EXPIRED = Verdict.PROVISIONED, Verdict.REJECTED, Verdict.EXPIRED
@@ -113,7 +117,7 @@ _PROVISION_LIKELY = BeliefSide.PROVISION_LIKELY
 
 # One name per mechanism for the one payoff rule. The benchmark's tracer
 # (perfbench/tracing.py) counts payoff evaluations by wrapping these names on
-# this module, and the rules rows look them up when they run.
+# this module, and ``payoff_row`` looks them up as it builds a row.
 ppr_utility = pprn_utility = pps_utility = ppsn_utility = pprx_utility = ppsx_utility = payoff
 
 
@@ -122,15 +126,24 @@ ppr_utility = pprn_utility = pps_utility = ppsn_utility = pprx_utility = ppsx_ut
 # ---------------------------------------------------------------------------
 
 
+def _own_win_weight(config: CampaignConfig, agent: AgentProfile) -> float:
+    """Belief weight on the agent's own market winning while it stays in the
+    race: even odds for the symmetric mechanisms, the agent's own provision
+    probability for the belief-phase ones (whose one market is provision)."""
+    if config.mechanism.two_phase:
+        return agent.provision_belief
+    return 0.5
+
+
 def refund_cap(config: CampaignConfig, agent: AgentProfile, side: BeliefSide,
                reward: float) -> float:
     """The refund family's cap, PPRx's: where a just-met pot and a refunded
     stake with its bonus share are indifferent at the agent's provision
-    belief ``p`` (1/2 in PPR and PPRN, as ``_own_win_weight`` weighs them),
-    the pot the targets' sum and the budget the refund-bonus pool. The
-    belief reward sits on the branch the reported ``side`` wins; a
-    rejection-likely report nets it out, clamped at zero."""
-    p = agent.provision_belief if config.mechanism.two_phase else 0.5
+    belief ``p`` (``_own_win_weight``: 1/2 in PPR and PPRN), the pot the
+    targets' sum and the budget the refund-bonus pool. The belief reward
+    sits on the branch the reported ``side`` wins; a rejection-likely
+    report nets it out, clamped at zero."""
+    p = _own_win_weight(config, agent)
     q = 1.0 - p
     pot = config.target_sum
     if side is _PROVISION_LIKELY:
@@ -149,41 +162,41 @@ def security_quantity(agent: AgentProfile, side: BeliefSide, reward: float) -> f
 
 
 # ---------------------------------------------------------------------------
-# One rules row per mechanism
+# One payoff row builder and one conditions table
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rules:
-    """What one mechanism's theory says beyond its cap, each entry a
-    function of the config:
+def payoff_row(config: CampaignConfig, agent: AgentProfile, market: Market, reward: float,
+               side: BeliefSide, verdict: Verdict) -> Callable[..., float]:
+    """The utility of a contribution to ``market`` under ``verdict``, as
+    ``u(amount, securities, total_for, total_against)``: ``payoff`` with the
+    arguments the mechanism fixes read off its properties. The market is
+    ``for`` outside a dual market; the budget is the config's bonus budget;
+    the pool is 0 without a budget (securities family), both totals in a
+    dual market with one (PPRN), the FOR total otherwise; the belief
+    ``reward`` on the reported ``side`` counts only in a two-phase
+    mechanism. The bound is the amount at which the own branch's row and
+    the alternative's are indifferent (``_Evaluator.indifference``).
 
-    * ``utility(config, agent, market, reward, side, verdict)``: the utility of a
-      contribution to ``market`` under ``verdict``, as
-      ``u(amount, securities, total_for, total_against)``:
-      ``mechanisms.payoff`` with the mechanism's arguments fixed (the
-      market ``for`` outside PPRN and PPSN; the pool the FOR total, both
-      totals in PPRN, 0 in the securities family; the config's budget,
-      ``None`` in the securities family; no reward outside PPRx and PPSx).
-      The bound is the amount at which the own branch's row and the
-      alternative's are indifferent, and the report's check of that
-      equation evaluates these rows at the bound
-      (``_Evaluator.indifference``);
-    * ``conditions(config, net, totals)``: the existence inequalities as
-      ``(name, lhs, rhs, strict)``, ``totals`` the valuations per market.
-      They differ between a base mechanism and its belief-phase one, so
-      each mechanism has its own.
-
-    ``reward`` and ``side``, the agent's belief reward and reported side,
-    matter only in the PPRx and PPSx rows.
-
-    Each ``utility`` entry calls ``payoff`` by its mechanism's
-    ``*_utility`` name in this module when it runs, so a wrapper on that
-    name sees each call.
-    """
-
-    utility: Callable[..., Callable[..., float]]
-    conditions: Callable[..., list[tuple[str, float, float, bool]]]
+    The row calls ``payoff`` by its mechanism's ``*_utility`` name, looked up
+    on this module as the row is built, so a wrapper installed on that name
+    before the row is built sees each call."""
+    mech = config.mechanism
+    rule = globals()[f"{mech.value.lower()}_utility"]
+    if not mech.dual_market:
+        market = _FOR
+    if not mech.two_phase:
+        reward = 0.0
+    budget = config.bonus_budget
+    if budget is None:
+        return lambda amount, securities, total_for, total_against: rule(
+            agent, market, side, verdict, amount, 0.0, None, securities, reward)
+    if mech.dual_market:
+        return lambda amount, securities, total_for, total_against: rule(
+            agent, market, side, verdict, amount, total_for + total_against, budget,
+            securities, reward)
+    return lambda amount, securities, total_for, total_against: rule(
+        agent, market, side, verdict, amount, total_for, budget, securities, reward)
 
 
 _SIDE_NAMES = {_FOR: "provision", _AGAINST: "rejection"}
@@ -195,7 +208,7 @@ def _below_valuations(config: CampaignConfig, totals: dict[Market, float]) -> li
              totals[m], True) for m in config.mechanism.markets]
 
 
-# Row entries too long for a lambda; PPS and PPSN share theirs.
+# Table entries too long for a lambda; PPS and PPSN share theirs.
 def _securities_conditions(config, net, totals):
     cf = config.cost_params
     return _below_valuations(config, totals) + [
@@ -210,51 +223,28 @@ def _belief_conditions(config, net):
             ("belief_budget_positive", 0.0, config.belief_budget, True)]
 
 
-RULES: dict[Mechanism, Rules] = {
-    Mechanism.PPR: Rules(
-        utility=lambda config, agent, market, reward, side, verdict: (
-            lambda amount, securities, total_for, total_against: ppr_utility(
-                agent, _FOR, side, verdict, amount, total_for, config.refund_budget,
-                securities, 0.0)),
-        conditions=lambda config, net, totals: [
-            *_below_valuations(config, totals),
-            ("refund_budget_positive", 0.0, config.refund_budget, True),
-            ("refund_budget_below_cap", config.refund_budget,
-             totals[_FOR] - config.provision_point, True)]),
-    Mechanism.PPRN: Rules(
-        utility=lambda config, agent, market, reward, side, verdict: (
-            lambda amount, securities, total_for, total_against: pprn_utility(
-                agent, market, side, verdict, amount, total_for + total_against,
-                config.refund_budget, securities, 0.0)),
-        conditions=lambda config, net, totals: [
-            *_below_valuations(config, totals),
-            ("refund_budget_positive", 0.0, config.refund_budget, True),
-            *((f"refund_budget_below_{_SIDE_NAMES[m]}_cap", config.refund_budget,
-               config.target_sum * (totals[m] - config.target(m)) / config.target(m),
-               True) for m in config.mechanism.markets)]),
-    Mechanism.PPS: Rules(
-        utility=lambda config, agent, market, reward, side, verdict: (
-            lambda amount, securities, total_for, total_against: pps_utility(
-                agent, _FOR, side, verdict, amount, 0.0, None, securities, 0.0)),
-        conditions=_securities_conditions),
-    Mechanism.PPSN: Rules(
-        utility=lambda config, agent, market, reward, side, verdict: (
-            lambda amount, securities, total_for, total_against: ppsn_utility(
-                agent, market, side, verdict, amount, 0.0, None, securities, 0.0)),
-        conditions=_securities_conditions),
-    Mechanism.PPRX: Rules(
-        utility=lambda config, agent, market, reward, side, verdict: (
-            lambda amount, securities, total_for, total_against: pprx_utility(
-                agent, _FOR, side, verdict, amount, total_for,
-                config.contribution_budget, securities, reward)),
-        conditions=lambda config, net, totals: [
-            *_belief_conditions(config, net),
-            ("contribution_budget_positive", 0.0, config.contribution_budget, True)]),
-    Mechanism.PPSX: Rules(
-        utility=lambda config, agent, market, reward, side, verdict: (
-            lambda amount, securities, total_for, total_against: ppsx_utility(
-                agent, _FOR, side, verdict, amount, 0.0, None, securities, reward)),
-        conditions=lambda config, net, totals: _belief_conditions(config, net)),
+# Each mechanism's existence inequalities, ``conditions(config, net, totals)``
+# as ``(name, lhs, rhs, strict)`` with ``totals`` the valuations per market.
+# They differ between a base mechanism and its belief-phase one, so each
+# mechanism has its own.
+CONDITIONS: dict[Mechanism, Callable[..., list[tuple[str, float, float, bool]]]] = {
+    Mechanism.PPR: lambda config, net, totals: [
+        *_below_valuations(config, totals),
+        ("refund_budget_positive", 0.0, config.refund_budget, True),
+        ("refund_budget_below_cap", config.refund_budget,
+         totals[_FOR] - config.provision_point, True)],
+    Mechanism.PPRN: lambda config, net, totals: [
+        *_below_valuations(config, totals),
+        ("refund_budget_positive", 0.0, config.refund_budget, True),
+        *((f"refund_budget_below_{_SIDE_NAMES[m]}_cap", config.refund_budget,
+           config.target_sum * (totals[m] - config.target(m)) / config.target(m),
+           True) for m in config.mechanism.markets)],
+    Mechanism.PPS: _securities_conditions,
+    Mechanism.PPSN: _securities_conditions,
+    Mechanism.PPRX: lambda config, net, totals: [
+        *_belief_conditions(config, net),
+        ("contribution_budget_positive", 0.0, config.contribution_budget, True)],
+    Mechanism.PPSX: lambda config, net, totals: _belief_conditions(config, net),
 }
 
 
@@ -286,8 +276,8 @@ def check_conditions(config: CampaignConfig,
                      agents: list[AgentProfile]) -> list[ConditionCheck]:
     """Evaluate every equilibrium-existence inequality for the mechanism."""
     net, total_for, total_against = aggregate_valuations(agents)
-    rows = RULES[config.mechanism].conditions(
-        config, net, {_FOR: total_for, _AGAINST: total_against})
+    rows = CONDITIONS[config.mechanism](config, net,
+                                        {_FOR: total_for, _AGAINST: total_against})
     return [ConditionCheck(name, lhs < rhs if strict else lhs <= rhs, lhs, rhs)
             for name, lhs, rhs, strict in rows]
 
@@ -559,15 +549,6 @@ class EquilibriumReport:
         }
 
 
-def _own_win_weight(config: CampaignConfig, agent: AgentProfile) -> float:
-    """Belief weight on the agent's own market winning while it stays in the
-    race: even odds for the symmetric mechanisms, the agent's own provision
-    probability for the belief-phase ones (whose one market is provision)."""
-    if config.mechanism.two_phase:
-        return agent.provision_belief
-    return 0.5
-
-
 def _met(total: float, target: float) -> bool:
     return total >= target - MET_REL_TOL * target
 
@@ -623,13 +604,12 @@ class _Evaluator:
             own_weight = 1.0 - own_weight
         self.own_weight, self.alt_weight = own_weight, 1.0 - own_weight
         self.dual = dual = config.mechanism.dual_market
-        utility = RULES[config.mechanism].utility
-        self.own = utility(config, agent, market, reward, side,
-                           _PROVISIONED if for_market else _REJECTED)
-        self.expired = utility(config, agent, market, reward, side, _EXPIRED)
+        self.own = payoff_row(config, agent, market, reward, side,
+                              _PROVISIONED if for_market else _REJECTED)
+        self.expired = payoff_row(config, agent, market, reward, side, _EXPIRED)
         # the rival market's verdict can only be the alternative in a dual market
-        self.rival = (utility(config, agent, market, reward, side,
-                              _REJECTED if for_market else _PROVISIONED)
+        self.rival = (payoff_row(config, agent, market, reward, side,
+                                 _REJECTED if for_market else _PROVISIONED)
                       if dual else self.expired)
         self.cf = cf = config.cost_params  # set exactly for the securities family
         self.sweep_cap = abs(agent.valuation) + reward

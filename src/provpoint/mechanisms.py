@@ -297,7 +297,7 @@ def payoff(agent: AgentProfile, market: Market, side: BeliefSide, verdict: Verdi
     """The utility of paying ``amount`` into ``market`` under ``verdict``:
     ``returned`` reads the ``pool``, ``budget`` and ``securities``, and
     ``belief_paid`` the ``side`` and ``reward``. Each mechanism fixes some
-    of them (its ``equilibrium.RULES`` row)."""
+    of them, as ``equilibrium.payoff_row`` reads off its properties."""
     provisioned = verdict is _PROVISIONED
     return ((agent.valuation if provisioned else 0.0) - amount
             + returned(market, verdict, amount, pool, budget, securities)

@@ -90,6 +90,15 @@ def certification_json(report: EquilibriumReport) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def more_deviations(report: EquilibriumReport, shown: int) -> list[str]:
+    """The line closing a deviation list cut after ``shown`` entries, which
+    counts the rest (``certification.json`` lists them all); none when the
+    list is whole."""
+    total = len(report.deviations)
+    return ([f"  ... {total - shown} more deviations (certification.json lists all {total})"]
+            if total > shown else [])
+
+
 def _table(headers: list[str], rows: list[tuple[str, ...]]) -> str:
     """Left-aligned columns two spaces apart: one template pads a row's
     cells, and trailing spaces are stripped."""
@@ -151,6 +160,7 @@ def summary_text(config: CampaignConfig, agents: list[AgentProfile],
         for dev in report.deviations[:20]:
             parts.append(f"  deviation: agent {dev.agent_id} {dev.kind} "
                          f"{dev.detail} gain={dev.utility_gain:.6g}")
+        parts.extend(more_deviations(report, 20))
         for note in report.notes:
             parts.append(f"  note: {note}")
     parts.append("")

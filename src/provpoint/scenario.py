@@ -249,6 +249,8 @@ def validate_scenario(scenario: Scenario) -> None:
             raise ScenarioError(f"{context}.agent_id: unknown agent {action.agent_id}")
         if action.amount < 0:
             raise ScenarioError(f"{context}.amount: must be nonnegative")
+        if action.tick < 0:
+            raise ScenarioError(f"{context}.tick: must be nonnegative, got {action.tick}")
         if action.tick > config.deadline_contribution:
             raise ScenarioError(
                 f"{context}.tick: {action.tick} is past the contribution "

@@ -163,7 +163,7 @@ def test_certifier_refuses_a_record_of_no_play():
 
 def utility_at(scenario, agent, rec, verdict, dual, reward):
     """The payoff rule for one record at ``verdict``, with the arguments the
-    mechanism's rules row fixes: the pool is the FOR total, both totals in
+    mechanism fixes (``payoff_row``): the pool is the FOR total, both totals in
     PPRN and 0 in the securities family."""
     config = scenario.config
     mech = config.mechanism

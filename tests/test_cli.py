@@ -84,6 +84,24 @@ def test_certify_verb_negative_verdict(tmp_path):
     assert main(["certify", "--scenario", str(path)]) == 3
 
 
+def test_cut_deviation_lists_count_the_rest(tmp_path, capsys):
+    # at epsilon 0 every one of the 64 PPR agents has a deviation: stdout
+    # lists 10 and summary.txt 20, and each then counts the rest, which
+    # certification.json lists
+    path = tmp_path / "scenario.json"
+    save_scenario(generate_scenario(ScenarioTemplate(Mechanism.PPR, 64), seed=1), path)
+    out = tmp_path / "cert"
+    assert main(["certify", "--scenario", str(path), "--out", str(out),
+                 "--epsilon", "0"]) == 3
+    assert len(json.loads((out / "certification.json").read_text())["deviations"]) == 64
+    stdout = capsys.readouterr().out.splitlines()
+    assert [line.startswith("  agent ") for line in stdout[-11:]] == [True] * 10 + [False]
+    assert stdout[-1] == "  ... 54 more deviations (certification.json lists all 64)"
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert sum(line.startswith("  deviation: ") for line in summary) == 20
+    assert "  ... 44 more deviations (certification.json lists all 64)" in summary
+
+
 def test_gen_verb_roundtrip(tmp_path, capsys):
     template = tmp_path / "template.json"
     template.write_text(json.dumps({"mechanism": "PPSN", "agent_count": 4}))
@@ -418,6 +436,8 @@ REPORTS = [{"agent_id": i, "information": 0, "prediction": 0.5} for i in range(5
     ("pprn_six_agents", ("config", "provision_point_pair"), [1e308, 1e308],
      "scenario.config: provision_point_pair targets must have a finite sum, "
      "got 1e+308 + 1e+308"),
+    ("ppr_explicit_plays", ("explicit_actions", 0, "tick"), -3,
+     "scenario.explicit_actions[0].tick: must be nonnegative, got -3"),
 ])
 def test_invalid_scenario_field_exit_code(tmp_path, capsys, shipped, path, value, needle):
     raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())

@@ -384,7 +384,9 @@ def test_construct_profile_needs_three_agents_to_score_beliefs():
 @pytest.mark.parametrize("mechanism", list(Mechanism))
 def test_rules_rows_call_utilities_by_the_module_names(mechanism, monkeypatch):
     # a wrapper on a utility's name in this module, as the benchmark's tracer
-    # installs one, sees every evaluation of its own mechanism and no other's
+    # installs one, sees every evaluation of its own mechanism and no other's;
+    # the wrappers go on before any row is built, since ``payoff_row`` looks
+    # the name up as it builds a row, and the tracer relies on that too
     calls = {f"{m.value.lower()}_utility": 0 for m in Mechanism}
 
     def counted(name, fn):
@@ -445,7 +447,7 @@ _BUDGET_FIELD = {Mechanism.PPR: "refund_budget", Mechanism.PPRN: "refund_budget"
          reward=0.0, side=BeliefSide.PROVISION_LIKELY)
 def test_payoff_bound_by_each_row_is_that_rows_expression(valuation, amount, totals,
                                                           securities, budget, reward, side):
-    # the one payoff rule, bound as each rules row binds it, gives each
+    # the one payoff rule, bound as ``payoff_row`` binds it, gives each
     # mechanism's own expression to the bit, the sign of zero included (a
     # valuation of -0.0 passes parsing), on each market and verdict the
     # evaluator builds that row for
@@ -460,8 +462,7 @@ def test_payoff_bound_by_each_row_is_that_rows_expression(valuation, amount, tot
             verdicts = (own, Verdict.EXPIRED, rival) if mechanism.dual_market else (
                 own, Verdict.EXPIRED)
             for verdict in verdicts:
-                row = equilibrium.RULES[mechanism].utility(config, who, market, reward, side,
-                                                           verdict)
+                row = equilibrium.payoff_row(config, who, market, reward, side, verdict)
                 got = row(amount, securities, *totals)
                 want = _own_row(mechanism, who, market, side, verdict, amount, securities,
                                 *totals, budget, reward)
@@ -818,7 +819,7 @@ def _branch_utility(config: CampaignConfig, agent: AgentProfile, market: Market,
                     amount: float, securities: float, total_for: float,
                     total_against: float, belief_reward: float, side: BeliefSide,
                     verdict: Verdict) -> float:
-    # the payoff rule with the arguments the mechanism's rules row fixes
+    # the payoff rule with the arguments the mechanism fixes (``payoff_row``)
     mech = config.mechanism
     pool = (0.0 if mech.uses_securities else
             total_for + total_against if mech is Mechanism.PPRN else total_for)
