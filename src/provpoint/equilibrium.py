@@ -61,6 +61,24 @@ subgame-perfect probe states) walk followers through the kernel
 (``DualMarketState.walk`` and ``follow``), without a bound or a play per
 follower.
 
+PPSN prices a follower at the smaller leg, which the other market moves,
+so ``follow`` walks its followers one by one. ``certify`` first brackets
+their race (``_follower_race``): every price on the way lies between the
+price at the state's smaller leg and the price at the smaller target, so
+per-market prefix sums of the quantities q and of expm1(q / b) bound each
+market's money, and bisects find where it surely fills and before which it
+cannot. A state whose own market surely ends short of its met band takes no
+walk and no sweep: no amount up to the bound meets the target, and the
+alternative branch alone rises up to the bound, so the prescribed play is
+the best. A state whose own market surely fills first is placed without the
+walk, its own market's money the target less what the play leaves, and is
+certified when its gain is at most epsilon less a margin that covers the
+walk's rounding over the price (``_race_certifies``). Everything else takes
+the exact walk and sweep: a state the bracket cannot tell, a gain inside the
+margin, a quantity of ``EXP_LIMIT`` liquidities or more, and every state of
+a run whose epsilon is at most the margin, such as ``--epsilon 0``. So every
+reported deviation and every report byte comes from the walk.
+
 Each certification reads the checked play off the engine's book of it into
 one record (``_path``: the play order and the money each agent found, in
 one pass over the ledger, with no second replay) and builds one evaluator
@@ -81,6 +99,7 @@ and no per-state object.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -94,6 +113,7 @@ from .mechanisms import (
     run_campaign,
 )
 from .beliefs import bbr_rewards, belief_reports, score_reports
+from .costfn import EXP_LIMIT, CostFunction
 from .model import (
     AgentProfile,
     BeliefSide,
@@ -416,13 +436,17 @@ class _Play:
     engine's ``book`` of it (``_path``): the play ``order`` (entry tick,
     then id), the money (FOR, AGAINST) each agent of it ``found`` raised
     and, for a sequential mechanism, the order's ``plays`` as the kernel
-    walks followers (``_plays``) and their ``prefix_sums``, ``bought``."""
+    walks followers (``_plays``) and their ``prefix_sums``, ``bought``;
+    for PPSN also ``race``, each market's (FOR, AGAINST) prefix sums of the
+    plays' quantities q and of expm1(q / b), which bracket the followers'
+    race (``_race_sums``)."""
 
     book: DualMarketState
     order: list[AgentProfile]
     found: list[tuple[float, float]]
     plays: list[tuple[Market, float]] | None
     bought: dict[Market, list[float]] | None
+    race: tuple[tuple[list[float], list[float]], ...] | None = None
 
 
 _NOT_IN_BOOK = "agent {}: the book does not hold the profile's play"
@@ -458,11 +482,30 @@ def _path(config: CampaignConfig, agents: list[AgentProfile], profile: Equilibri
             raise ValueError(_NOT_IN_BOOK.format(agent.id))
     if k < len(ledger):
         raise ValueError(_NOT_IN_BOOK.format(ledger[k].agent_id))
-    plays = bought = None
+    plays = bought = race = None
     if config.mechanism.sequential:
         plays = _plays(config, order, profile)
         bought = prefix_sums(plays)
-    return _Play(book, order, found, plays, bought)
+        if config.mechanism.dual_market:
+            race = _race_sums(config.cost_params, plays, bought)
+    return _Play(book, order, found, plays, bought, race)
+
+
+def _race_sums(cf: CostFunction, plays: list[tuple[Market, float]],
+               bought: dict[Market, list[float]]
+               ) -> tuple[tuple[list[float], list[float]], ...] | None:
+    """Per market (FOR, AGAINST), the plays' prefix sums of their security
+    quantities q (``bought``) and of expm1(q / b), in ``prefix_sums``'
+    layout: what ``_follower_race`` bounds followers' payments by. None
+    where some q / b reaches ``EXP_LIMIT``, past which the walk pays in log
+    space, or a sum overflows."""
+    b = cf.liquidity
+    if any(quantity / b >= EXP_LIMIT for _, quantity in plays):
+        return None
+    grown = prefix_sums([(market, math.expm1(quantity / b)) for market, quantity in plays])
+    if not all(math.isfinite(grown[market][-1]) for market in Market):
+        return None
+    return tuple((bought[market], grown[market]) for market in Market)
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +906,152 @@ def _rival_fills(book: DualMarketState, raised_for: float, raised_against: float
     return walked[i] >= target
 
 
+RACE_PASSES = (1, 8, 64)  # the blocks of each of _follower_race's passes
+
+
+def _follower_race(book: DualMarketState, after_for: float, after_against: float,
+                   own_market: Market, first: int,
+                   sums: tuple[tuple[list[float], list[float]], ...], low: float,
+                   high: float) -> bool | None:
+    """How the PPSN followers' race from the open markets holding
+    ``after_for``, ``after_against`` ends, decided without a walk: True when
+    ``own_market`` surely fills first, False when it surely ends short of
+    its met band (``MET_REL_TOL``), None when the bracket cannot tell.
+
+    The followers are the arrivals of the plays from ``first`` on, and
+    ``sums`` holds each market's prefix sums of their quantities q and of
+    expm1(q / b) (``_race_sums``). A payment b * log1p(u * expm1(q / b)) at
+    marginal price u is at least u * q (the price only rises along a
+    purchase) and at most b * u * expm1(q / b) (log1p(x) <= x). While the
+    book is open the priced min leg only rises, from the starting state's
+    smaller leg to at most the smaller target, so every price lies between
+    ``low`` and ``high``, the prices there, and a run of followers pays
+    between the lower price times their quantity and b times the upper
+    price times their summed expm1. Within a block of followers the lower
+    price is the one at the least min leg the money bounds allow where the
+    block starts, and the upper one at the largest they allow where it
+    ends. Block by block, one bisect per bound and market finds the index
+    by which the market surely fills, and the one before which it cannot.
+    The own market fills first when it surely fills before the rival can;
+    it ends short when even its largest money, up to where the rival surely
+    fills, leaves it short of the band. The first pass is one block priced
+    at ``low`` and ``high``, with no pricing call; a state a pass leaves
+    undecided is bracketed again in more blocks (``RACE_PASSES``), up to
+    where the passes before found the book surely closed. Each need is
+    widened by the band plus the walk's rounding, (m + 5) * 2**-48 of the
+    target over m followers, and each difference of prefix sums by theirs,
+    (n + 2) * 2**-52 of the total over n plays."""
+    cf = book.cf
+    b = cf.liquidity
+    i = own_market is not _FOR
+    after, target = (after_for, after_against), book.target
+    need = (target[0] - after_for, target[1] - after_against)
+    n = len(sums[0][0]) - 1
+    widen = MET_REL_TOL + (n - first + 5) * 2.0 ** -48
+    rounding = (n + 2) * 2.0 ** -52
+    stop = n
+    for blocks in RACE_PASSES:
+        least, most = [0.0, 0.0], [0.0, 0.0]  # each market's money bounds at ``start``
+        sure, reach = [n + 1, n + 1], [n + 1, n + 1]
+        start, floor = first, low
+        for j in range(1, blocks + 1):
+            end = first + (stop - first) * j // blocks
+            if end == start:
+                continue
+            ceiling = high
+            if blocks > 1:
+                leg = min(after[m] + most[m] + b * high * (e[end] - e[start] + rounding * e[-1])
+                          for m, (_, e) in enumerate(sums))
+                if leg < min(target):
+                    ceiling = cf.price(cf.issued_at(leg))
+            paid_high = b * ceiling
+            for m in (0, 1):
+                q, e = sums[m]
+                if sure[m] > n:
+                    k = bisect_left(q, q[start] + rounding * q[-1]
+                                    + (need[m] + widen * target[m] - least[m]) / floor,
+                                    start, end + 1)
+                    if k <= end:
+                        sure[m] = k
+                if reach[m] > n:
+                    k = bisect_left(e, e[start] - rounding * e[-1]
+                                    + (need[m] - widen * target[m] - most[m]) / paid_high,
+                                    start, end + 1)
+                    if k <= end:
+                        reach[m] = k
+            if sure[i] < reach[1 - i]:
+                return True
+            if sure[1 - i] <= n:  # the rival surely fills in this block: the own market's most
+                e = sums[i][1]
+                most[i] += paid_high * (e[sure[1 - i]] - e[start] + rounding * e[-1])
+                break
+            for m in (0, 1):
+                q, e = sums[m]
+                least[m] += floor * max(0.0, q[end] - q[start] - rounding * q[-1])
+                most[m] += paid_high * (e[end] - e[start] + rounding * e[-1])
+            start = end
+            if blocks > 1:
+                floor = cf.price(cf.issued_at(min(after[0] + least[0], after[1] + least[1])))
+        if most[i] < need[i] - (MET_REL_TOL + widen) * target[i]:
+            return False
+        stop = min(stop, *sure)
+    return None
+
+
+def _race_certifies(slot: _Evaluator, play: _Play, state: tuple[float, float], bound: float,
+                    issued: float, first: int, high: float, rival_viable: bool,
+                    epsilon: float) -> bool:
+    """Whether the followers' race bracket (``_follower_race``) certifies
+    the open PPSN probe ``state``, where ``slot`` (on the agent's own market)
+    plays its ``bound`` at ``issued``, without ``follow``'s walk. False
+    sends the state to the exact walk and sweep.
+
+    A short own market certifies unswept: no amount up to the bound meets
+    the target, the search then stays inside [0, bound], and the
+    alternative branch alone is nondecreasing in the amount, so the sweep's
+    best is its value at the bound, the prescribed play. An own market that
+    fills first is placed with the others' money on it the state's plus the
+    target less the money the play leaves (the securities rows read no
+    total, so the rival's money does not matter), and certifies when its
+    gain is at most ``epsilon`` less a margin. The walk's exact money on it
+    differs from that by its rounding alone, d, at most (m + 5) * 2**-52 of
+    the target T over m followers (two running sums of at most T, one
+    closing difference and two additions). Under 4.5 million followers d
+    stays inside the met band, so the prescribed play meets the target
+    either way (past that every state is walked). Moving the others' money
+    by d moves each piece's end of the piecewise expected utility by d, and
+    every row's slope in the amount is at most 1 / u for u the marginal
+    price at ``issued`` (an allocation's slope is one over the price after
+    it, never below u), so the sweep's gain moves by at most 4 * d / u;
+    each of the two utilities that make the gain rounds by at most
+    2**-45 * (|valuation| + reward + T) / u, its terms' size. The margin,
+    2**-40 * (|valuation| + reward + (m + 5) * T) / u, covers both, and a
+    short slot's rounding too. Where ``epsilon`` does not exceed it, as at
+    ``--epsilon 0``, every state is walked."""
+    book = play.book
+    i = slot.market is not _FOR
+    target = slot.target
+    after = state[i] + bound
+    low = book.cf.price(issued)
+    if not (bound < target - state[i] and after < target and low > 0.0):
+        return False  # the play closes the book (follow walks nobody), or no price to bound
+    followers = len(play.plays) - first
+    margin = 2.0 ** -40 * (slot.sweep_cap + (followers + 5) * target) / low
+    if epsilon <= margin or (followers + 5) * 2.0 ** -52 >= MET_REL_TOL:
+        return False
+    race = _follower_race(book, *((state[0], after) if i else (after, state[1])), slot.market,
+                          first, play.race, low, high)
+    if race is None:
+        return False
+    if not race:
+        return True
+    others = state[i] + (target - after)
+    slot.place(bound, *((state[0], others) if i else (others, state[1])), issued, bound,
+               rival_viable)
+    _, best, base = slot.best(slot.top())
+    return best - base <= epsilon - margin
+
+
 def _probe_states(config: CampaignConfig, raised_for: float, raised_against: float,
                   bound: float, own_market: Market) -> list[tuple[float, float]]:
     """The on-path money (FOR, AGAINST) first, then synthetic
@@ -945,6 +1134,9 @@ def certify(config: CampaignConfig, agents: list[AgentProfile],
     cf = config.cost_params
     target_issued = {m: cf.issued_at(config.target(m)) for m in config.mechanism.markets}
     dual = config.mechanism.dual_market
+    # PPSN brackets the followers' race first (_race_certifies), its
+    # prices between each state's smaller leg and the smaller target
+    high = cf.price(cf.issued_at(min(book.target))) if play.race else None
     for idx, ((own_market, quantity), slot) in enumerate(zip(plays, slots)):
         closes_at = target_issued[own_market]
         on_path, *off_path = _probe_states(config, *found[idx], slot.bound, own_market)
@@ -961,6 +1153,9 @@ def certify(config: CampaignConfig, agents: list[AgentProfile],
             issued = book.priced_at(own_market, *state)
             # the bound: the agent's security quantity, at this issuance
             bound = cf.contribution_for(quantity, issued)
+            if high is not None and _race_certifies(slot, play, state, bound, issued, idx + 1,
+                                                    high, rival_viable, epsilon):
+                continue
             # paid: the followers' money per market, for the totals
             prescribed, paid = book.follow(*state, own_market, bound, plays, bought,
                                            idx + 1, closes_at)

@@ -980,7 +980,9 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
         return sweep(slot, report, epsilon, state)
 
     monkeypatch.setattr(_Evaluator, "sweep", sweeping)
-    certify(config, agents, profile)
+    # at epsilon 0 PPSN's race bracket is off (equilibrium._race_certifies),
+    # so every open probe state is walked and swept
+    certify(config, agents, profile, epsilon=0.0)
     monkeypatch.undo()
 
     expected, others = [], []
@@ -1098,6 +1100,28 @@ def test_spe_pricing_calls_grow_linearly(mechanism, monkeypatch):
     assert counts[1] <= 5 * counts[0], counts
 
 
+def test_ppsn_walks_few_open_probe_states(monkeypatch):
+    # PPSN's race bracket decides most open off-path probe states without
+    # follow's walk: on the n=512 seed-1 scenario at most a tenth of them
+    # may walk (every one of them did, 1,961, before the bracket)
+    scenario = generate_scenario(
+        ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=512), seed=1)
+    config, agents = scenario.config, scenario.agents
+    profile = construct_profile(config, agents)
+    book = new_states(config)
+    open_states, walks = [], []
+    probe_states = equilibrium._probe_states
+    monkeypatch.setattr(equilibrium, "_probe_states", lambda *args: open_states.extend(
+        s for s in probe_states(*args)[1:] if not book.closed_at(*s)) or probe_states(*args))
+    walk = DualMarketState.walk
+    monkeypatch.setattr(DualMarketState, "walk", lambda book, raised, plays, first=0, only=None:
+                        walks.append(only) or walk(book, raised, plays, first, only))
+    assert certify(config, agents, profile).certified
+    follower_walks = walks.count(None)  # _rival_fills walks the rival market alone
+    assert open_states and follower_walks <= 0.1 * len(open_states), (
+        follower_walks, len(open_states))
+
+
 def test_certifiers_build_no_contribution_record(monkeypatch):
     # a ContributionRecord is the engine's ledger entry: the certifier
     # prices every slot on plain numbers, without building one
@@ -1123,20 +1147,31 @@ def test_certifiers_build_no_contribution_record(monkeypatch):
 
 def test_ppsn_follow_sums_without_prefix_sums(monkeypatch):
     # follow's running sums give the followers' money without prefix sums
-    # of the walked payments
-    summed, followed = [], []
+    # of the walked payments; at n=64 the race bracket leaves some probe
+    # states undecided, so follow still walks
+    summed, following, walked = [], [], []
     prefix = mechanisms.prefix_sums
     monkeypatch.setattr(mechanisms, "prefix_sums",
                         lambda plays: summed.append(1) or prefix(plays))
-    follow = DualMarketState.follow
-    monkeypatch.setattr(DualMarketState, "follow",
-                        lambda book, *args: followed.append(1) or follow(book, *args))
+    follow, walk = DualMarketState.follow, DualMarketState.walk
+
+    def followed(book, *args):
+        following.append(1)
+        try:
+            return follow(book, *args)
+        finally:
+            following.pop()
+
+    monkeypatch.setattr(DualMarketState, "follow", followed)
+    monkeypatch.setattr(DualMarketState, "walk", lambda book, *args, **kw: walked.append(
+        bool(following)) or walk(book, *args, **kw))
     scenario = generate_scenario(
         ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=64), seed=1)
     config, agents = scenario.config, scenario.agents
     profile = construct_profile(config, agents)
+    walked.clear()
     assert certify(config, agents, profile).certified
-    assert followed
+    assert True in walked
     assert summed == []
 
 
@@ -1188,6 +1223,89 @@ def test_rival_bracket_matches_the_walk(monkeypatch):
 
     check()
     assert answers[True] and answers[False] and answers["walked"], answers
+
+
+def test_follower_race_bracket_matches_the_walk():
+    # _follower_race decides most PPSN probe states without follow's walk:
+    # from random states and movers, at a zero fixed leg and at one far
+    # above the liquidity, an own market it says fills first must fill
+    # first on a plain walk, and one it says ends short must end short of
+    # its met band there and in follow's totals; it must answer "own
+    # first", "short" and "undecided" each at least once
+    answers = collections.Counter()
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(n=st.integers(min_value=3, max_value=64),
+           seed=st.integers(min_value=0, max_value=10**6),
+           fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           hair=st.sampled_from([None, Market.FOR, Market.AGAINST]),
+           own=st.sampled_from([Market.FOR, Market.AGAINST]),
+           mover=st.integers(min_value=0, max_value=63),
+           fixed_leg=st.sampled_from([0.0, 8.0]))
+    def check(n, seed, fractions, hair, own, mover, fixed_leg):
+        config = generate_scenario(
+            ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=n), seed=seed).config
+        b = config.cost_params.liquidity
+        cf = CostFunction(b, fixed_leg * b)  # fixed_leg in liquidities
+        config = dataclasses.replace(config, cost_params=cf)
+        agents = generate_scenario(
+            ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=n), seed=seed).agents
+        order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
+        plays = equilibrium._plays(config, order, EquilibriumProfile())
+        bought = prefix_sums(plays)
+        sums = equilibrium._race_sums(cf, plays, bought)
+        book = new_states(config)
+        raised = [f * config.target(m) for f, m in zip(fractions, Market)]
+        if hair is not None:  # one leg a hair below its target
+            raised[hair is Market.AGAINST] = math.nextafter(config.target(hair), 0.0)
+        if book.closed_at(*raised):
+            return
+        mover %= n
+        first, i, target = mover + 1, own is Market.AGAINST, config.target(own)
+        issued = book.priced_at(own, *raised)
+        bound = cf.contribution_for(plays[mover][1], issued)
+        after = list(raised)
+        after[i] += bound
+        if after[i] >= target:
+            return  # the play closes the book: follow walks nobody
+        race = equilibrium._follower_race(book, *after, own, first, sums, cf.price(issued),
+                                          cf.price(cf.issued_at(min(book.target))))
+        answers[race] += 1
+        walked = list(after)
+        book.walk(walked, plays, first)
+        if race:
+            assert walked[i] >= target
+        elif race is False:
+            band = target - equilibrium.MET_REL_TOL * target
+            _, paid = book.follow(*raised, own, bound, plays, bought, first,
+                                  cf.issued_at(target))
+            assert walked[i] < band
+            assert raised[i] + paid[i] + bound < band
+
+    check()
+    assert answers[True] and answers[False] and answers[None], answers
+
+    # an own market with no follower left, inside its met band: the walk
+    # leaves it there, neither filled nor short, and the bracket cannot tell
+    config = generate_scenario(
+        ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=16), seed=1).config
+    agents = generate_scenario(
+        ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=16), seed=1).agents
+    order = sorted(agents, key=lambda a: (a.arrival_contribution, a.id))
+    plays = equilibrium._plays(config, order, EquilibriumProfile())
+    cf, book = config.cost_params, new_states(config)
+    own = plays[-1][0].other
+    first = max(k for k, (market, _) in enumerate(plays) if market is own) + 1
+    i, target = own is Market.AGAINST, config.target(own)
+    after = [0.0, 0.0]
+    after[i] = target - 0.5 * equilibrium.MET_REL_TOL * target
+    race = equilibrium._follower_race(
+        book, *after, own, first, equilibrium._race_sums(cf, plays, prefix_sums(plays)),
+        cf.price(cf.issued_at(0.0)), cf.price(cf.issued_at(min(book.target))))
+    walked = list(after)
+    book.walk(walked, plays, first)
+    assert target - equilibrium.MET_REL_TOL * target <= walked[i] < target
+    assert race is None
 
 
 @pytest.mark.parametrize("n", [8, 32])

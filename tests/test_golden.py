@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from provpoint import equilibrium
 from provpoint.cli import main
 from provpoint.costfn import CostFunction
 from provpoint.model import Mechanism
@@ -102,3 +103,56 @@ def test_half_plays_match_golden(name, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert ((tmp_path / "rising" / "certification.json").read_bytes()
             == (expected_dir / "certification_rising_allocations.json").read_bytes())
+
+
+def _certified_with_and_without_the_race_bracket(scenario: Path, out: Path, capsys,
+                                                monkeypatch) -> int:
+    """Certify ``scenario`` with PPSN's race bracket on and with it declining
+    every state; assert both runs write the same report bytes, stdout and
+    exit code, and return the number of states the bracket decided."""
+    race = equilibrium._follower_race
+    decided = []
+    monkeypatch.setattr(equilibrium, "_follower_race", lambda *args: decided.append(
+        race(*args)) or decided[-1])
+    runs = []
+    for name in ("bracket", "walk"):
+        code = main(["certify", "--scenario", str(scenario), "--out", str(out / name)])
+        runs.append((code, capsys.readouterr().out,
+                     *((out / name / f).read_bytes() for f in ("certification.json",
+                                                              "summary.txt"))))
+        monkeypatch.setattr(equilibrium, "_follower_race", lambda *args: None)
+    assert runs[0] == runs[1]
+    return sum(answer is not None for answer in decided)
+
+
+@pytest.mark.parametrize("agents", [4, 16, 64, 256])
+def test_ppsn_race_bracket_keeps_every_generated_report(agents, tmp_path, capsys,
+                                                       monkeypatch):
+    # the bracket (equilibrium._follower_race) decides PPSN probe states the
+    # exact walk would decide the same way, so declining every state
+    # changes no byte, stdout line or exit code; seeds 1-10
+    decided = 0
+    for seed in range(1, 11):
+        scenario = generate_scenario(
+            ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=agents), seed=seed)
+        path = tmp_path / f"seed{seed}.json"
+        save_scenario(scenario, path)
+        decided += _certified_with_and_without_the_race_bracket(
+            path, tmp_path / f"seed{seed}", capsys, monkeypatch)
+    assert decided or agents == 4
+
+
+@pytest.mark.parametrize("name", ["ppsn_four_arrivals", "ppsn_n64_seed15", "ppsn_half_plays",
+                                  "ppsn_off_preference"])
+def test_ppsn_race_bracket_keeps_every_golden(name, tmp_path, capsys, monkeypatch):
+    # the same on every PPSN golden's scenario: the shipped one, the
+    # generated n=64 one (seed 15), and the stored half plays and off
+    # preference play (both exit 3)
+    scenario = GENERATED / name / "scenario.json"
+    if name == "ppsn_four_arrivals":
+        scenario = ROOT / "scenarios" / f"{name}.json"
+    elif name == "ppsn_n64_seed15":
+        scenario = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(
+            ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=64), seed=15), scenario)
+    _certified_with_and_without_the_race_bracket(scenario, tmp_path, capsys, monkeypatch)
