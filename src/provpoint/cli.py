@@ -7,7 +7,11 @@ misreport-incentive table for the naive negative-valuation/asymmetric-belief
 combination.
 
 Exit codes: 0 success; 1 error (message on stderr, ``error:`` prefix);
-3 negative verdict (a condition violated, or certification not achieved).
+2 usage error (argparse's usage line, then ``provpoint <verb>: error: ...``
+on stderr); 3 negative verdict (a condition violated, or certification not
+achieved). ``main`` returns the code for every outcome, ``--help`` (0) and
+usage errors included, so it can be called many times in one process. A
+call naming a verb builds that verb's parser alone (``_parse_args``).
 """
 
 from __future__ import annotations
@@ -35,41 +39,29 @@ EXIT_ERROR = 1
 EXIT_NEGATIVE = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="provpoint",
-        description="Provision-point crowdfunding mechanisms: simulation and "
-                    "equilibrium certification.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_check(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--out", default=None)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="settlement report format")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="deviation tolerance (default: target*1e-6)")
 
-    p_check = sub.add_parser("check", help="evaluate existence conditions")
-    p_check.add_argument("--scenario", required=True)
-    p_check.add_argument("--out", default=None)
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", required=True, help="scenario JSON file")
+    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="settlement report format")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="deviation tolerance (default: target*1e-6)")
 
-    p_run = sub.add_parser("run", help="run the campaign and settle")
-    add_common(p_run)
 
-    p_certify = sub.add_parser("certify", help="certify the equilibrium profile")
-    add_common(p_certify)
+def _add_gen(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--template", required=True, help="template JSON file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None,
+                   help="scenario file to write (default: stdout)")
 
-    p_gen = sub.add_parser("gen", help="generate a scenario from a template")
-    p_gen.add_argument("--template", required=True, help="template JSON file")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", default=None,
-                       help="scenario file to write (default: stdout)")
 
-    p_demo = sub.add_parser(
-        "demo", help="misreport incentives of the naive combined mechanism")
-    p_demo.add_argument("--out", default=None, help="directory for demo.csv")
-    return parser
+def _add_demo(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default=None, help="directory for demo.csv")
 
 
 def _cmd_check(args) -> int:
@@ -150,18 +142,56 @@ def _cmd_demo(args) -> int:
     return EXIT_OK
 
 
+# verb -> (its line in the root parser's help, adds its arguments, handler)
+_VERBS = {
+    "check": ("evaluate existence conditions", _add_check, _cmd_check),
+    "run": ("run the campaign and settle", _add_common, _cmd_run),
+    "certify": ("certify the equilibrium profile", _add_common, _cmd_certify),
+    "gen": ("generate a scenario from a template", _add_gen, _cmd_gen),
+    "demo": ("misreport incentives of the naive combined mechanism",
+             _add_demo, _cmd_demo),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="provpoint",
+        description="Provision-point crowdfunding mechanisms: simulation and "
+                    "equilibrium certification.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for verb, (help_line, add_arguments, _) in _VERBS.items():
+        add_arguments(sub.add_parser(verb, help=help_line))
+    return parser
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The namespace ``_build_parser().parse_args(argv)`` gives, building one
+    parser for the named verb instead of all six where that is enough.
+
+    Everything after the verb is the verb parser's to parse, under the prog
+    (``provpoint <verb>``) that ``add_parser`` gives it, so the verb's help
+    and usage errors are the same bytes. Anything else (no verb, a root
+    option, an unknown verb, or arguments the verb leaves over, which the
+    root parser reports) goes to the full parser.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _VERBS:
+        parser = argparse.ArgumentParser(prog=f"provpoint {argv[0]}")
+        _VERBS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "check": _cmd_check,
-        "run": _cmd_run,
-        "certify": _cmd_certify,
-        "gen": _cmd_gen,
-        "demo": _cmd_demo,
-    }
     try:
-        return handlers[args.command](args)
+        args = _parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return exc.code
+    try:
+        return _VERBS[args.command][2](args)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,10 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from provpoint import cli
 from provpoint.cli import main
 from provpoint.model import Mechanism
 from provpoint.scenario import ScenarioTemplate, generate_scenario, save_scenario
@@ -607,3 +614,131 @@ def test_no_report_holds_a_non_finite_number(shipped, leaf, value, tmp_path, cap
     assert len(written) >= 13
     for report in written:
         assert not NON_FINITE.search(report.read_text()), report
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PPRN_SIX = str(SCENARIOS / "pprn_six_agents.json")
+
+
+def fresh_cli(argv, cwd):
+    """(exit code, stdout, stderr) of ``python -m provpoint.cli argv`` in a new
+    interpreter, the console script's ``sys.exit(main())``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "provpoint.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def files_under(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# check -> run -> certify -> gen -> demo -> certify, with a usage error after
+# the first certify; (argv, exit code). The first certify's --epsilon 0 and
+# --format json must not carry into the last, which certifies with the
+# default tolerance and writes settlement.csv.
+ONE_PROCESS = [
+    (["check", "--scenario", str(SCENARIOS / "ppr_explicit_plays.json"),
+      "--out", "check"], 0),
+    (["run", "--scenario", str(SCENARIOS / "pprx_five_beliefs.json"),
+      "--out", "run"], 0),
+    (["certify", "--scenario", PPRN_SIX, "--epsilon", "0", "--format", "json",
+      "--out", "certify-exact"], 3),
+    (["certify", "--out", "usage"], 2),
+    (["gen", "--template", "template.json", "--seed", "7",
+      "--out", "generated.json"], 0),
+    (["demo", "--out", "demo"], 0),
+    (["certify", "--scenario", PPRN_SIX, "--out", "certify"], 0),
+]
+
+
+def test_main_called_many_times_in_one_process(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    here, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    for root in (here, fresh):
+        root.mkdir()
+        (root / "template.json").write_text('{"mechanism": "PPSN", "agent_count": 5}')
+    monkeypatch.chdir(here)
+    capsys.readouterr()
+    for argv, code in ONE_PROCESS:
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh_cli(argv, fresh), argv
+        assert files_under(here) == files_under(fresh), argv
+    # each call builds its verb's parser alone, not the root and all five
+    assert built == [f"provpoint {argv[0]}" for argv, _ in ONE_PROCESS]
+    assert not (here / "usage").exists()
+    assert (here / "certify" / "settlement.csv").is_file()
+    assert not (here / "certify" / "settlement.json").exists()
+
+
+def parsed(parse, argv):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["--scenario", "x.json"], ["-h", "run"],
+    ["check", "--scenario", "x.json"], ["check", "--scenario=x.json", "--out", "o"],
+    ["check", "--scenario", "x.json", "--format", "json"],
+    ["run", "--scenario", "x.json", "--format", "json", "--epsilon", "1e-3"],
+    ["run", "--scen", "x.json", "--eps=0"], ["run", "--scenario", "x.json", "--format", "xml"],
+    ["run", "--scenario", "x.json", "extra"], ["run", "extra", "--scenario", "x.json"],
+    ["run", "--scenario", "x.json", "--", "extra"], ["run", "--", "--scenario", "x.json"],
+    ["run", "--scenario"], ["run", "--scenario", "x.json", "--epsilon"],
+    ["run", "--scenario", "x.json", "--bogus"], ["run", "--bogus", "-h"],
+    ["run", "--scenario", "x.json", "-e", "1"], ["run", "--scenario", "x.json", "certify"],
+    ["certify"], ["certify", "-h"], ["certify", "--scenario", "x.json", "--epsilon", "abc"],
+    ["certify", "--scenario", "a.json", "--scenario", "b.json", "--epsilon", "-1"],
+    ["gen", "--template", "t.json"], ["gen", "--template", "t.json", "--seed", "7", "--out", "g"],
+    ["gen", "--template", "t.json", "--seed", "1.5"], ["gen", "--help"],
+    ["demo"], ["demo", "--out", "d"], ["demo", "-h"], ["demo", "d"],
+])
+def test_verb_parser_matches_the_full_parser(argv):
+    # the one-verb parser's namespace, help, usage errors and exit codes are
+    # the full parser's, byte for byte
+    assert parsed(cli._parse_args, argv) == parsed(cli._build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv,last_line", [
+    (["certify"],
+     "provpoint certify: error: the following arguments are required: --scenario"),
+    (["certify", "--scenario", PPRN_SIX, "--epsilon", "abc"],
+     "provpoint certify: error: argument --epsilon: invalid float value: 'abc'"),
+])
+def test_usage_error_exit_code(argv, last_line, tmp_path, monkeypatch, capsys):
+    # exit 2 in process and through the console script: argparse's usage
+    # line, then one error line; nothing on stdout and no report written
+    argv = [*argv, "--out", "out"]
+    here, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    capsys.readouterr()
+    in_process = (main(argv), *capsys.readouterr())
+    for root, (code, out, err) in ((here, in_process), (fresh, fresh_cli(argv, fresh))):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: provpoint certify ")
+        assert err.splitlines()[-1] == last_line
+        assert not (root / "out").exists()
+
+
+def test_help_exit_code(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: provpoint ")
