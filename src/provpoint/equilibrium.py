@@ -72,12 +72,20 @@ walk and no sweep: no amount up to the bound meets the target, and the
 alternative branch alone rises up to the bound, so the prescribed play is
 the best. A state whose own market surely fills first is placed without the
 walk, its own market's money the target less what the play leaves, and is
-certified when its gain is at most epsilon less a margin that covers the
-walk's rounding over the price (``_race_certifies``). Everything else takes
-the exact walk and sweep: a state the bracket cannot tell, a gain inside the
-margin, a quantity of ``EXP_LIMIT`` liquidities or more, and every state of
-a run whose epsilon is at most the margin, such as ``--epsilon 0``. So every
-reported deviation and every report byte comes from the walk.
+certified where the slot's gain bracket certifies it, with a margin widened
+by the walk's rounding over the price (``_race_certifies``). Everything else
+takes the exact walk and sweep: a state the bracket cannot tell, a gain
+bound inside the margin, a quantity of ``EXP_LIMIT`` liquidities or more,
+and every state of a run whose epsilon is at most the margin, such as
+``--epsilon 0``. So every reported deviation and every report byte comes
+from the walk.
+
+A securities slot's sweep (``_Evaluator.sweep``) first tries its gain
+bracket (``_Evaluator.bracket``), a closed-form bound on the gain of a play
+that either leaves the own market short at the bound or meets it, and runs
+the exact search (``_Evaluator.best``) only where the bound does not fit
+under epsilon less a rounding margin. A certified slot reports nothing, so
+no report byte comes from the bracket either.
 
 Each certification reads the checked play off the engine's book of it into
 one record (``_path``: the play order and the money each agent found, in
@@ -764,6 +772,76 @@ class _Evaluator:
                 best_x, best = x, value
         return best_x, best, base
 
+    def bracket(self, epsilon: float, slack: float = 0.0) -> bool:
+        """Whether a closed-form bound on the placed securities slot's gain
+        certifies it, so that ``best`` need not run; ``slack`` widens the
+        rounding margin for a caller whose placement the exact one may
+        differ from by rounding. With w the own branch's weight and u the
+        marginal price at the slot's issuance:
+
+        * short: a play of at least the bound that leaves the own market
+          short. The search stays inside [0, play], where only the
+          alternative branch is in play, and it is nondecreasing, so the
+          gain is 0;
+        * met: a play a (truncated at the capacity) at which the own market
+          counts as met. Short of the pivot the alternative branch is at
+          most its value at a, so the left limit gains at most w * (alt(a)
+          - own(a)). On [pivot, a] the mix falls at most at slope w (the own
+          branch falls at slope 1, and an allocation rises at least as fast
+          as its payment, the price being below 1), and on (a, capacity] it
+          rises at most at slope 1 / u; both pieces are at most the met band
+          long. So the gain is at most w * max(0, alt(a) - own(a)) +
+          band * (w + 1 / u), alt(a) and own(a) read off the slot's own
+          payoff rows and one ``securities_for``, as ``eu`` prices a. A
+          pivot at or below 0 has no left limit, and the first term drops.
+
+        The margin covers the rounding. Every utility the search or the
+        bound reads sums terms of at most (|valuation| + reward + 2 T) / u
+        over the target T (an amount up to T, an allocation up to T / u),
+        and rounds by at most 2**-45 of that; the pivot and the capacity are
+        within two ulps of T of their exact values. 2**-40 times that size
+        covers the six utilities (the search's best and base, each a mix of
+        two, and the bound's two), and 2**-48 of epsilon the rounding of the
+        comparison and of the search's own best - base. The bracket declines
+        where epsilon does not exceed the margin, as at ``--epsilon 0``,
+        where a number it reads is not finite, and where u is not
+        positive."""
+        cf = self.cf
+        if cf is None:
+            return False
+        issued, amount, others = self.issued, self.amount, self.others
+        u = cf.price(issued)
+        if not u > 0.0:
+            return False
+        margin = (2.0 ** -40 * (self.sweep_cap + 2.0 * self.target) / u
+                  + 2.0 ** -48 * epsilon + slack)
+        if not (epsilon > margin and math.isfinite(margin + issued + others + amount
+                                                   + self.bound)):
+            return False
+        met_from = self.met_from
+        if others + amount < met_from:
+            return amount >= self.bound
+        capacity = self.capacity  # a truncated as eu truncates it
+        effective = capacity if capacity < amount else amount
+        if not effective > 0.0:
+            effective = 0.0
+        if others + effective < met_from:
+            return False
+        w = self.own_weight
+        gain = (self.target - met_from) * (w + 1.0 / u)
+        if self.pivot > 0.0:  # the alternative branch's left limit
+            securities = cf.securities_for(effective, issued)
+            if self.for_market:
+                total_for, total_against = self.others_for + effective, self.others_against
+            else:
+                total_for, total_against = self.others_for, self.others_against + effective
+            gap = (self.alt(effective, securities, total_for, total_against)
+                   - self.own(effective, securities, total_for, total_against))
+            if not math.isfinite(gap):
+                return False
+            gain += w * max(gap, 0.0)
+        return gain <= epsilon - margin
+
     def indifference(self, config: CampaignConfig) -> IndifferenceCheck:
         """The placed slot's bound against its defining equation, stated on
         the agent's own market (an explicit play may be off it): the own
@@ -813,7 +891,10 @@ class _Evaluator:
               state: tuple[float, float] | None) -> None:
         """Add the placed slot's best contribution, exact over its pieces,
         when it gains more than epsilon; an SPE probe ``state`` names the
-        deviation. Delays are not searched (vacuous: module docstring)."""
+        deviation. A slot the gain ``bracket`` certifies has none, and is
+        not searched. Delays are not searched (vacuous: module docstring)."""
+        if self.bracket(epsilon):
+            return
         best_x, best, base = self.best(self.top())
         if best - base > epsilon:
             report.deviations.append(Deviation(
@@ -1012,21 +1093,18 @@ def _race_certifies(slot: _Evaluator, play: _Play, state: tuple[float, float], b
     best is its value at the bound, the prescribed play. An own market that
     fills first is placed with the others' money on it the state's plus the
     target less the money the play leaves (the securities rows read no
-    total, so the rival's money does not matter), and certifies when its
-    gain is at most ``epsilon`` less a margin. The walk's exact money on it
-    differs from that by its rounding alone, d, at most (m + 5) * 2**-52 of
-    the target T over m followers (two running sums of at most T, one
-    closing difference and two additions). Under 4.5 million followers d
-    stays inside the met band, so the prescribed play meets the target
-    either way (past that every state is walked). Moving the others' money
-    by d moves each piece's end of the piecewise expected utility by d, and
-    every row's slope in the amount is at most 1 / u for u the marginal
+    total, so the rival's money does not matter), and certifies where the
+    slot's gain ``bracket`` does, its margin widened by the walk's rounding.
+    The walk's exact money on it differs from that by its rounding alone,
+    d, at most (m + 5) * 2**-52 of the target T over m followers (two
+    running sums of at most T, one closing difference and two additions).
+    Under 4.5 million followers d stays inside the met band, so the
+    prescribed play meets the target either way (past that every state is
+    walked). Moving the others' money by d moves the truncated play by at
+    most d, and the bracket's alt - own by at most d / u for u the marginal
     price at ``issued`` (an allocation's slope is one over the price after
-    it, never below u), so the sweep's gain moves by at most 4 * d / u;
-    each of the two utilities that make the gain rounds by at most
-    2**-45 * (|valuation| + reward + T) / u, its terms' size. The margin,
-    2**-40 * (|valuation| + reward + (m + 5) * T) / u, covers both, and a
-    short slot's rounding too. Where ``epsilon`` does not exceed it, as at
+    it, never below u); the widening, 2**-40 * (m + 5) * T / u, covers that
+    many times over. Where ``epsilon`` does not exceed it, as at
     ``--epsilon 0``, every state is walked."""
     book = play.book
     i = slot.market is not _FOR
@@ -1036,8 +1114,8 @@ def _race_certifies(slot: _Evaluator, play: _Play, state: tuple[float, float], b
     if not (bound < target - state[i] and after < target and low > 0.0):
         return False  # the play closes the book (follow walks nobody), or no price to bound
     followers = len(play.plays) - first
-    margin = 2.0 ** -40 * (slot.sweep_cap + (followers + 5) * target) / low
-    if epsilon <= margin or (followers + 5) * 2.0 ** -52 >= MET_REL_TOL:
+    slack = 2.0 ** -40 * (followers + 5) * target / low  # the walk's rounding
+    if epsilon <= slack or (followers + 5) * 2.0 ** -52 >= MET_REL_TOL:
         return False
     race = _follower_race(book, *((state[0], after) if i else (after, state[1])), slot.market,
                           first, play.race, low, high)
@@ -1048,8 +1126,7 @@ def _race_certifies(slot: _Evaluator, play: _Play, state: tuple[float, float], b
     others = state[i] + (target - after)
     slot.place(bound, *((state[0], others) if i else (others, state[1])), issued, bound,
                rival_viable)
-    _, best, base = slot.best(slot.top())
-    return best - base <= epsilon - margin
+    return slot.bracket(epsilon, slack)
 
 
 def _probe_states(config: CampaignConfig, raised_for: float, raised_against: float,

@@ -980,8 +980,9 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
         return sweep(slot, report, epsilon, state)
 
     monkeypatch.setattr(_Evaluator, "sweep", sweeping)
-    # at epsilon 0 PPSN's race bracket is off (equilibrium._race_certifies),
-    # so every open probe state is walked and swept
+    # at epsilon 0 PPSN's race bracket (equilibrium._race_certifies) and the
+    # slots' gain bracket (_Evaluator.bracket) are off, so every open probe
+    # state is walked and swept, and each sweep searches its slot exactly
     certify(config, agents, profile, epsilon=0.0)
     monkeypatch.undo()
 
@@ -1003,6 +1004,103 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
 
 
 SECURITIES = [Mechanism.PPS, Mechanism.PPSN, Mechanism.PPSX]
+
+
+def _securities_config(mechanism: Mechanism, target: float, liquidity: float,
+                       fixed_leg: float) -> CampaignConfig:
+    """A securities config with the given (FOR) target and cost function;
+    PPSN's rejection target is four fifths of it."""
+    cf = CostFunction(liquidity=liquidity, fixed_leg=fixed_leg)
+    if mechanism is Mechanism.PPSN:
+        return CampaignConfig(mechanism=mechanism, provision_point_pair=(target, 0.8 * target),
+                              cost_params=cf, deadline_contribution=5)
+    if mechanism is Mechanism.PPSX:
+        return CampaignConfig(mechanism=mechanism, provision_point=target, belief_budget=6.0,
+                              cost_params=cf, deadline_contribution=6, deadline_belief=4)
+    return CampaignConfig(mechanism=mechanism, provision_point=target, cost_params=cf,
+                          deadline_contribution=5)
+
+
+@settings(deadline=None, max_examples=1500, derandomize=True)
+@given(mechanism=st.sampled_from(SECURITIES), against=st.booleans(),
+       valuation=st.floats(0.0, 100.0), belief=st.floats(0.0, 0.5),
+       side=st.sampled_from(list(BeliefSide)),
+       reward=st.one_of(st.just(0.0), st.floats(0.0, 150.0)),
+       target=st.floats(1e-2, 1e4), liquidity=st.floats(0.1, 100.0),
+       fixed_leg=st.floats(0.0, 500.0), issued=st.floats(0.0, 2000.0),
+       play=st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 2.0)),
+       shortfall=st.one_of(st.floats(-3e-9, 3e-9), st.floats(0.0, 1.0)),
+       rival_viable=st.booleans(), tolerance=st.floats(-12.0, 0.0))
+@example(mechanism=Mechanism.PPS, against=False, valuation=5.0, belief=0.0,
+         side=BeliefSide.PROVISION_LIKELY, reward=0.0, target=10.0, liquidity=40.0,
+         fixed_leg=0.0, issued=0.0, play=1.0, shortfall=0.0, rival_viable=False,
+         tolerance=-6.0)  # met at the bound: certified
+@example(mechanism=Mechanism.PPSX, against=False, valuation=5.0, belief=0.2,
+         side=BeliefSide.REJECTION_LIKELY, reward=8.0, target=10.0, liquidity=40.0,
+         fixed_leg=0.0, issued=3.0, play=1.0, shortfall=0.5, rival_viable=False,
+         tolerance=-6.0)  # a clamped bound (quantity 0) that leaves the market short
+@example(mechanism=Mechanism.PPS, against=False, valuation=5.0, belief=0.0,
+         side=BeliefSide.PROVISION_LIKELY, reward=0.0, target=10.0, liquidity=10.0,
+         fixed_leg=92.1, issued=0.0, play=0.0, shortfall=5e-10, rival_viable=False,
+         tolerance=-7.0)  # met at 0 at u ~ 1e-4: the band's last ulps gain band / u
+def test_gain_bracket_certifies_only_slots_the_search_certifies(
+        mechanism, against, valuation, belief, side, reward, target, liquidity, fixed_leg,
+        issued, play, shortfall, rival_viable, tolerance):
+    # wherever the bracket (_Evaluator.bracket) certifies a securities slot,
+    # the exact search finds no gain above epsilon. The slot's own money
+    # and play are drawn around the met band (shortfall), at the bound, at
+    # 0 or anywhere up to twice the bound; a low issuance against a far
+    # fixed leg prices the allocation at a tiny u; a rejection-likely PPSx
+    # report whose reward exceeds the valuation clamps the bound at 0
+    config = _securities_config(mechanism, target, liquidity, fixed_leg)
+    market = Market.AGAINST if against and mechanism.dual_market else Market.FOR
+    who = agent(-valuation if market is Market.AGAINST else valuation, eps=belief, side=side)
+    r = reward if mechanism.two_phase else 0.0
+    bound = contribution_bound(config, who, issued=issued, belief_reward=r, side=side)
+    amount = play * bound
+    own_target = config.target(market)
+    others = max(0.0, own_target * (1.0 - shortfall) - amount)
+    rival = 0.3 * config.target(market.other) if mechanism.dual_market else 0.0
+    slot = _Evaluator(config, who, market, r, side)
+    slot.place(amount, *((others, rival) if market is Market.FOR else (rival, others)),
+               issued, bound, rival_viable)
+    epsilon = own_target * 10.0 ** tolerance
+    if slot.bracket(epsilon):
+        _, best, base = slot.best(slot.top())
+        assert best - base <= epsilon, (best - base, epsilon)
+
+
+@pytest.mark.parametrize("field", ["amount", "others_for", "issued", "bound"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_gain_bracket_declines_a_non_finite_slot(field, value):
+    # a PPS slot met at its bound certifies; the same slot with any one of
+    # its numbers not finite is left to the exact search
+    config = _securities_config(Mechanism.PPS, 10.0, 40.0, 0.0)
+    who = agent(5.0)
+    bound = contribution_bound(config, who)
+    numbers = {"amount": bound, "others_for": 10.0 - bound, "others_against": 0.0,
+               "issued": 0.0, "bound": bound, "rival_viable": False}
+    slot = _Evaluator(config, who, Market.FOR, 0.0, who.belief_side)
+    slot.place(**numbers)
+    assert slot.bracket(1e-5)
+    slot.place(**{**numbers, field: value})
+    assert not slot.bracket(1e-5)
+
+
+@pytest.mark.parametrize("mechanism", SECURITIES)
+def test_gain_bracket_certifies_no_slot_at_epsilon_zero(mechanism, monkeypatch):
+    # at --epsilon 0 no margin fits under epsilon, so the exact search
+    # decides every slot: the promise test_spe_walks_match_reference and
+    # the README rest on (the n=16 scenarios, seed 16)
+    scenario = generate_scenario(ScenarioTemplate(mechanism=mechanism, agent_count=16),
+                                 seed=16)
+    config, agents = scenario.config, scenario.agents
+    answers = []
+    bracket = _Evaluator.bracket
+    monkeypatch.setattr(_Evaluator, "bracket", lambda slot, *args: answers.append(
+        bracket(slot, *args)) or answers[-1])
+    certify(config, agents, construct_profile(config, agents), epsilon=0.0)
+    assert answers and not any(answers)
 
 
 def _legal(book: DualMarketState) -> bool:

@@ -87,7 +87,10 @@ def test_half_plays_match_golden(name, tmp_path, capsys, monkeypatch):
     # contributing more. Under the real cost function the bounds stay best
     # responses off the path, so the scenario is certified again with every
     # allocation raised by 0.01 per security issued; the off-path
-    # contribution deviations then pin eu and follow. No delay is searched,
+    # contribution deviations then pin eu and follow. The slots' gain
+    # bracket (equilibrium._Evaluator.bracket) reads its alt - own through
+    # the payoff rows and securities_for, so it sees the raised allocations
+    # too and leaves those slots to the exact search. No delay is searched,
     # so the control reports no timing deviation
     expected_dir = GENERATED / name
     scenario = str(expected_dir / "scenario.json")
@@ -105,24 +108,33 @@ def test_half_plays_match_golden(name, tmp_path, capsys, monkeypatch):
             == (expected_dir / "certification_rising_allocations.json").read_bytes())
 
 
-def _certified_with_and_without_the_race_bracket(scenario: Path, out: Path, capsys,
-                                                monkeypatch) -> int:
-    """Certify ``scenario`` with PPSN's race bracket on and with it declining
-    every state; assert both runs write the same report bytes, stdout and
-    exit code, and return the number of states the bracket decided."""
-    race = equilibrium._follower_race
+# each bracket the certifier may skip its exact work on: where it is, and
+# its answer when it declines
+BRACKETS = {"race": (equilibrium, "_follower_race", None),
+            "gain": (equilibrium._Evaluator, "bracket", False)}
+
+
+def _certified_with_and_without(bracket: str, scenario: Path, out: Path, capsys,
+                                monkeypatch) -> int:
+    """Certify ``scenario`` with the ``bracket`` on and with it declining
+    everywhere: PPSN's race bracket every probe state, the securities
+    slots' gain bracket every slot. Assert both runs write the same report
+    bytes, stdout and exit code, and return the number of times the bracket
+    decided."""
+    owner, name, declined = BRACKETS[bracket]
+    decide = getattr(owner, name)
     decided = []
-    monkeypatch.setattr(equilibrium, "_follower_race", lambda *args: decided.append(
-        race(*args)) or decided[-1])
+    monkeypatch.setattr(owner, name, lambda *args: decided.append(decide(*args))
+                        or decided[-1])
     runs = []
-    for name in ("bracket", "walk"):
-        code = main(["certify", "--scenario", str(scenario), "--out", str(out / name)])
+    for run in ("bracket", "declined"):
+        code = main(["certify", "--scenario", str(scenario), "--out", str(out / run)])
         runs.append((code, capsys.readouterr().out,
-                     *((out / name / f).read_bytes() for f in ("certification.json",
-                                                              "summary.txt"))))
-        monkeypatch.setattr(equilibrium, "_follower_race", lambda *args: None)
+                     *((out / run / f).read_bytes() for f in ("certification.json",
+                                                             "summary.txt"))))
+        monkeypatch.setattr(owner, name, lambda *args: declined)
     assert runs[0] == runs[1]
-    return sum(answer is not None for answer in decided)
+    return sum(answer is not declined for answer in decided)
 
 
 @pytest.mark.parametrize("agents", [4, 16, 64, 256])
@@ -137,8 +149,8 @@ def test_ppsn_race_bracket_keeps_every_generated_report(agents, tmp_path, capsys
             ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=agents), seed=seed)
         path = tmp_path / f"seed{seed}.json"
         save_scenario(scenario, path)
-        decided += _certified_with_and_without_the_race_bracket(
-            path, tmp_path / f"seed{seed}", capsys, monkeypatch)
+        decided += _certified_with_and_without("race", path, tmp_path / f"seed{seed}",
+                                               capsys, monkeypatch)
     assert decided or agents == 4
 
 
@@ -155,4 +167,47 @@ def test_ppsn_race_bracket_keeps_every_golden(name, tmp_path, capsys, monkeypatc
         scenario = tmp_path / "scenario.json"
         save_scenario(generate_scenario(
             ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=64), seed=15), scenario)
-    _certified_with_and_without_the_race_bracket(scenario, tmp_path, capsys, monkeypatch)
+    _certified_with_and_without("race", scenario, tmp_path, capsys, monkeypatch)
+
+
+SECURITIES = [Mechanism.PPS, Mechanism.PPSN, Mechanism.PPSX]
+
+
+@pytest.mark.parametrize("agents", [4, 16, 64, 256])
+@pytest.mark.parametrize("mechanism", SECURITIES)
+def test_gain_bracket_keeps_every_generated_report(mechanism, agents, tmp_path, capsys,
+                                                   monkeypatch):
+    # the gain bracket (equilibrium._Evaluator.bracket) certifies only
+    # securities slots that the exact search certifies too, so declining
+    # every slot changes no byte, stdout line or exit code; seeds 1-10
+    decided = 0
+    for seed in range(1, 11):
+        scenario = generate_scenario(
+            ScenarioTemplate(mechanism=mechanism, agent_count=agents), seed=seed)
+        path = tmp_path / f"seed{seed}.json"
+        save_scenario(scenario, path)
+        decided += _certified_with_and_without("gain", path, tmp_path / f"seed{seed}",
+                                               capsys, monkeypatch)
+    assert decided or agents < 16
+
+
+@pytest.mark.parametrize("name", [
+    "ppsn_four_arrivals", "ppsx_five_beliefs", "pps_n64_seed14", "ppsn_n64_seed15",
+    "ppsx_n64_seed16", "pps_half_plays", "ppsn_half_plays", "ppsx_half_plays",
+    "ppsn_off_preference"])
+def test_gain_bracket_keeps_every_golden(name, tmp_path, capsys, monkeypatch):
+    # the same on every securities golden's scenario: the two shipped ones,
+    # the generated n=64 ones (seeds 14-16), and the stored half plays and
+    # off preference play (all four exit 3)
+    if name in SCENARIOS:
+        scenario = ROOT / "scenarios" / f"{name}.json"
+    elif (GENERATED / name / "scenario.json").exists():
+        scenario = GENERATED / name / "scenario.json"
+    else:
+        mechanism, agents, seed = {"pps_n64_seed14": (Mechanism.PPS, 64, 14),
+                                   "ppsn_n64_seed15": (Mechanism.PPSN, 64, 15),
+                                   "ppsx_n64_seed16": (Mechanism.PPSX, 64, 16)}[name]
+        scenario = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(
+            ScenarioTemplate(mechanism=mechanism, agent_count=agents), seed=seed), scenario)
+    _certified_with_and_without("gain", scenario, tmp_path, capsys, monkeypatch)
