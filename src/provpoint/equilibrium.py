@@ -27,9 +27,11 @@ totals:
   agent's beliefs: an even split for the symmetric mechanisms, the agent's
   own win probability for the belief-phase mechanisms;
 * when the agent's contribution leaves its own market short, its side
-  cannot win: the alternative outcome is certain (the rival market's
-  verdict when that market fills, expiry otherwise), which is what blocks
-  free riding at pivotal slots;
+  cannot win: the alternative outcome is certain, which is what blocks
+  free riding at pivotal slots. It is provision when that can still fill,
+  for a rejection-side slot, and expiry otherwise: only provision pays
+  differently from expiry, charging a rejection-side play its valuation
+  (a ``for`` play gets the same back under rejection as under expiry);
 * contributions beyond a market's remaining capacity are truncated, exactly
   as the engine truncates them, so over-contributing cannot buy extra refund
   share; once a target is met the book is closed and the only legal play is
@@ -619,7 +621,7 @@ class _Evaluator:
     """One agent's expected utility on one market as a function of its
     amount x, at the slot ``place`` puts it at: its prescribed amount,
     everyone else's money per market, the issuance its allocation is priced
-    at, its bound, and whether the rival market fills without it.
+    at, its bound, and whether provision can still fill without it.
 
     At a slot eu is piecewise in x:
 
@@ -633,16 +635,17 @@ class _Evaluator:
 
     The outcome distribution is tied to the post-deviation totals: while
     the agent's own market reaches its target the race is priced by its
-    beliefs; otherwise the alternative is certain. The alternative is the
-    rival market's verdict when that side can still fill (its own
-    coalition's play is not stopped by this agent), expiry otherwise.
+    beliefs; otherwise the alternative is certain: provision when it can
+    still fill, for a rejection-side slot (the ``for`` coalition's play
+    is not stopped by this agent), expiry otherwise. A ``for`` slot's
+    alternative row is expiry's (module docstring).
     """
 
     __slots__ = ("agent", "market", "reward", "side", "for_market", "target", "met_from",
-                 "own_weight", "alt_weight", "own", "expired", "rival", "cf", "dual",
+                 "own_weight", "alt_weight", "own", "expired", "provision", "cf",
                  "sweep_cap", "pool_weight", "priced_at",
                  "amount", "others_for", "others_against", "issued", "bound",
-                 "rival_viable", "closed", "others", "capacity", "pivot", "alt")
+                 "provision_viable", "closed", "others", "capacity", "pivot", "alt")
 
     def __init__(self, config: CampaignConfig, agent: AgentProfile, market: Market,
                  reward: float, side: BeliefSide) -> None:
@@ -654,14 +657,12 @@ class _Evaluator:
         if not for_market:
             own_weight = 1.0 - own_weight
         self.own_weight, self.alt_weight = own_weight, 1.0 - own_weight
-        self.dual = dual = config.mechanism.dual_market
         self.own = payoff_row(config, agent, market, reward, side,
                               _PROVISIONED if for_market else _REJECTED)
         self.expired = payoff_row(config, agent, market, reward, side, _EXPIRED)
-        # the rival market's verdict can only be the alternative in a dual market
-        self.rival = (payoff_row(config, agent, market, reward, side,
-                                 _REJECTED if for_market else _PROVISIONED)
-                      if dual else self.expired)
+        # an ``against`` slot, which only a dual market has (``config.target``)
+        self.provision = (self.expired if for_market else
+                          payoff_row(config, agent, market, reward, side, _PROVISIONED))
         self.cf = cf = config.cost_params  # set exactly for the securities family
         self.sweep_cap = abs(agent.valuation) + reward
         # The mix's slope is -own_weight + alt_weight * (alternative's
@@ -681,12 +682,13 @@ class _Evaluator:
                 self.priced_at = cf.fixed_leg + cf.liquidity * math.log(alt_weight / own_weight)
 
     def place(self, amount: float, others_for: float, others_against: float,
-              issued: float, bound: float, rival_viable: bool, closed: bool = False) -> None:
-        """Put the evaluator at a slot; ``closed``: a target was already met
-        when the agent moved."""
+              issued: float, bound: float, provision_viable: bool, closed: bool = False) -> None:
+        """Put the evaluator at a slot; ``provision_viable``: provision can
+        still fill without the agent (read on ``against`` alone); ``closed``:
+        a target was already met when the agent moved."""
         self.amount, self.others_for, self.others_against = amount, others_for, others_against
         self.issued, self.bound = issued, bound
-        self.rival_viable, self.closed = rival_viable, closed
+        self.provision_viable, self.closed = provision_viable, closed
         self.others = others = others_for if self.for_market else others_against
         self.capacity = max(0.0, self.target - others)
         met_from = self.met_from
@@ -697,7 +699,7 @@ class _Evaluator:
         while others + pivot < met_from:
             pivot = math.nextafter(pivot, math.inf)
         self.pivot = pivot
-        self.alt = self.rival if rival_viable else self.expired
+        self.alt = self.provision if provision_viable else self.expired
 
     def eu(self, amount: float, *, alt_only: bool = False) -> float:
         """Expected utility of playing ``amount`` with the allocation priced
@@ -855,16 +857,16 @@ class _Evaluator:
         securities = 0.0 if self.cf is None else self.cf.securities_for(bound, self.issued)
         totals = config.provision_point_pair or (config.provision_point, 0.0)
         lhs = rows.own(bound, securities, *totals)
-        rhs = rows.rival(bound, securities, *totals)
+        rhs = rows.provision(bound, securities, *totals)
         if config.mechanism is Mechanism.PPRX:
             lhs, rhs = rows.own_weight * lhs, rows.alt_weight * rhs
         return IndifferenceCheck(self.agent.id, bound, lhs, rhs)
 
-    def corner(self, report: EquilibriumReport, rival_viable: bool) -> bool:
+    def corner(self, report: EquilibriumReport, provision_viable: bool) -> bool:
         """Whether a slot is the expiry corner, which ``report`` then notes:
         with the provision side dead, a rejection-side agent's choice is out
         of the equilibrium claims' reach, so the corner is noted, not swept."""
-        if not (self.dual and not self.for_market and not rival_viable):
+        if self.for_market or provision_viable:
             return False
         if EXPIRY_CORNER_NOTE not in report.notes:
             report.notes.append(EXPIRY_CORNER_NOTE)
@@ -884,7 +886,7 @@ class _Evaluator:
                     + f"market closed but profile prescribes x={self.amount:.6g}",
                     self.amount))
             return
-        if not self.corner(report, self.rival_viable):
+        if not self.corner(report, self.provision_viable):
             self.sweep(report, epsilon, state)
 
     def sweep(self, report: EquilibriumReport, epsilon: float,
@@ -909,8 +911,9 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
     everyone else's amounts at settlement, capped at its bound at the
     slot's issuance. Sequential mechanisms' slots see the markets as their
     agents found them on the profile's ``play``, in its order, and PPSN's
-    rival coalition walks as the record's ``plays``; deadline mechanisms'
-    agents all move at once, against empty markets."""
+    provision coalition walks as the record's ``plays``; deadline mechanisms'
+    agents all move at once, against empty markets. Only an open
+    rejection-side slot asks ``_provision_fills``."""
     sequential, final = config.mechanism.sequential, play.book
     if sequential:
         order, found = play.order, play.found
@@ -924,13 +927,10 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
         others_for = final_for - (entry.amount if entry.market is Market.FOR else 0.0)
         others_against = final_against - (
             entry.amount if entry.market is Market.AGAINST else 0.0)
-        rival_viable = False
-        if config.mechanism.dual_market:
-            rival = entry.market.other
-            rival_total = others_against if rival is Market.AGAINST else others_for
-            rival_viable = _met(rival_total, config.target(rival)) or (
-                sequential and _rival_fills(final, *raised, entry.market, play.plays,
-                                            idx + 1, play.bought))
+        closed = final.closed_at(*raised)
+        provision_viable = entry.market is _AGAINST and not closed and (
+            _met(others_for, config.target(_FOR)) or sequential and _provision_fills(
+                final, *raised, play.plays, idx + 1, play.bought))
         issued = final.priced_at(entry.market, *raised)
         reward = profile.belief_rewards.get(agent.id, 0.0)
         side = profile.sides.get(agent.id, agent.belief_side)
@@ -938,19 +938,20 @@ def _slots(config: CampaignConfig, agents: list[AgentProfile],
         slot.place(entry.amount, others_for, others_against, issued,
                    contribution_bound(config, agent, issued=issued, belief_reward=reward,
                                       side=side),
-                   rival_viable, final.closed_at(*raised))
+                   provision_viable, closed)
         slots.append(slot)
     return slots
 
 
 def tolerance(config: CampaignConfig, epsilon: float | None) -> float:
-    """The certifier's deviation tolerance, ``epsilon`` or by default a
-    millionth of the larger target; a ValueError unless finite and >= 0."""
+    """The certifier's deviation tolerance, ``epsilon`` (-0.0 as 0.0) or by
+    default a millionth of the larger target; a ValueError unless finite
+    and >= 0."""
     if epsilon is None:
         epsilon = max(config.provision_point_pair or (config.provision_point,)) * 1e-6
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
-    return epsilon
+    return epsilon + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -958,33 +959,30 @@ def tolerance(config: CampaignConfig, epsilon: float | None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rival_fills(book: DualMarketState, raised_for: float, raised_against: float,
-                 own_market: Market, plays: list[tuple[Market, float]], first: int,
-                 bought: dict[Market, list[float]]) -> bool:
-    """Whether the rival market's coalition among the arrivals of ``plays``
-    from ``first`` on, playing its prescribed strategy from the state where
-    ``book``'s markets hold the given money, still reaches its target (the
-    agent's own side frozen; issuance coupling priced at the frozen leg).
-    ``bought`` is ``prefix_sums`` of the plays' quantities. The priced min
-    leg only rises, and a payment is convex in the quantity and zero at
-    zero, so the coalition's money is at least its quantity Q times the
-    marginal price at the lowest issuance and at most the payment for Q at
-    the highest: only a remaining target inside that band, widened by
-    ``MET_REL_TOL`` of the target, is walked."""
-    rival = own_market.other
-    cf, i = book.cf, rival is not _FOR
-    target = book.target[i]
-    raised, leg = (raised_against, raised_for) if i else (raised_for, raised_against)
-    if not book.closed_at(raised_for, raised_against):
-        quantity = bought[rival][-1] - bought[rival][first]
-        need, slack = target - raised, MET_REL_TOL * target
-        if cf.price(cf.issued_at(min(leg, raised))) * quantity >= need + slack:
-            return True
-        if cf.contribution_for(quantity, cf.issued_at(min(leg, target))) < need - slack:
-            return False
+def _provision_fills(book: DualMarketState, raised_for: float, raised_against: float,
+                     plays: list[tuple[Market, float]], first: int,
+                     bought: dict[Market, list[float]]) -> bool:
+    """Whether provision can still fill without a rejection-side agent: the
+    ``for`` coalition among the arrivals of ``plays`` from ``first`` on,
+    playing its prescribed strategy from the open state where ``book``'s
+    markets hold the given money, reaches its target (the ``against``
+    market frozen; issuance coupling priced at the frozen leg). ``bought``
+    is ``prefix_sums`` of the plays' quantities. The priced min leg only
+    rises, and a payment is convex in the quantity and zero at zero, so the
+    coalition's money is at least its quantity Q times the marginal price
+    at the lowest issuance and at most the payment for Q at the highest:
+    only a remaining target inside that band, widened by ``MET_REL_TOL`` of
+    the target, is walked."""
+    cf, target = book.cf, book.target[0]
+    quantity = bought[_FOR][-1] - bought[_FOR][first]
+    need, slack = target - raised_for, MET_REL_TOL * target
+    if cf.price(cf.issued_at(min(raised_against, raised_for))) * quantity >= need + slack:
+        return True
+    if cf.contribution_for(quantity, cf.issued_at(min(raised_against, target))) < need - slack:
+        return False
     walked = [raised_for, raised_against]
-    book.walk(walked, plays, first, only=rival)
-    return walked[i] >= target
+    book.walk(walked, plays, first, only=_FOR)
+    return walked[0] >= target
 
 
 RACE_PASSES = (1, 8, 64)  # the blocks of each of _follower_race's passes
@@ -1080,7 +1078,7 @@ def _follower_race(book: DualMarketState, after_for: float, after_against: float
 
 
 def _race_certifies(slot: _Evaluator, play: _Play, state: tuple[float, float], bound: float,
-                    issued: float, first: int, high: float, rival_viable: bool,
+                    issued: float, first: int, high: float, provision_viable: bool,
                     epsilon: float) -> bool:
     """Whether the followers' race bracket (``_follower_race``) certifies
     the open PPSN probe ``state``, where ``slot`` (on the agent's own market)
@@ -1125,7 +1123,7 @@ def _race_certifies(slot: _Evaluator, play: _Play, state: tuple[float, float], b
         return True
     others = state[i] + (target - after)
     slot.place(bound, *((state[0], others) if i else (others, state[1])), issued, bound,
-               rival_viable)
+               provision_viable)
     return slot.bracket(epsilon, slack)
 
 
@@ -1210,7 +1208,6 @@ def certify(config: CampaignConfig, agents: list[AgentProfile],
     found, plays, bought = play.found, play.plays, play.bought
     cf = config.cost_params
     target_issued = {m: cf.issued_at(config.target(m)) for m in config.mechanism.markets}
-    dual = config.mechanism.dual_market
     # PPSN brackets the followers' race first (_race_certifies), its
     # prices between each state's smaller leg and the smaller target
     high = cf.price(cf.issued_at(min(book.target))) if play.race else None
@@ -1223,21 +1220,21 @@ def certify(config: CampaignConfig, agents: list[AgentProfile],
         for state in off_path:
             if book.closed_at(*state):
                 continue  # an arrival at a closed book plays zero
-            rival_viable = dual and _rival_fills(book, *state, own_market, plays, idx + 1,
-                                                 bought)
-            if slot.corner(report, rival_viable):
+            provision_viable = own_market is _AGAINST and _provision_fills(
+                book, *state, plays, idx + 1, bought)
+            if slot.corner(report, provision_viable):
                 continue
             issued = book.priced_at(own_market, *state)
             # the bound: the agent's security quantity, at this issuance
             bound = cf.contribution_for(quantity, issued)
             if high is not None and _race_certifies(slot, play, state, bound, issued, idx + 1,
-                                                    high, rival_viable, epsilon):
+                                                    high, provision_viable, epsilon):
                 continue
             # paid: the followers' money per market, for the totals
             prescribed, paid = book.follow(*state, own_market, bound, plays, bought,
                                            idx + 1, closes_at)
             slot.place(prescribed, state[0] + paid[0], state[1] + paid[1], issued, bound,
-                       rival_viable)
+                       provision_viable)
             slot.sweep(report, epsilon, state)
     return report
 

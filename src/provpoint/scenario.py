@@ -83,9 +83,9 @@ _FLOAT_MAX = sys.float_info.max
 
 def _number(raw, at: tuple, key) -> float:
     """A numeric field as a float: a JSON number, not a boolean, a string,
-    NaN or an infinity."""
+    NaN or an infinity; -0.0 reads as 0.0 (``+ 0.0`` moves no other float)."""
     if type(raw) is float and -_FLOAT_MAX <= raw <= _FLOAT_MAX:  # NaN fails
-        return raw
+        return raw + 0.0
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"{_name(*at, key)}: expected a number, got {raw!r}")
     try:

@@ -361,6 +361,31 @@ def test_a_negative_zero_valuation_writes_no_negative_zero(mechanism, tmp_path, 
             assert not NEGATIVE_ZERO.search(report.read_text()), report
 
 
+@pytest.mark.parametrize("name,options,path", [
+    ("pprn_six_agents", ["--epsilon", "-0"], None),
+    ("ppr_explicit_plays", [], ("explicit_actions", 0, "amount")),
+])
+def test_a_negative_zero_epsilon_or_amount_writes_no_negative_zero(name, options, path,
+                                                                   tmp_path, capsys):
+    # a -0 tolerance and a -0.0 explicit play pass the nonnegative checks;
+    # each reads as 0.0, so no report or stdout line carries the sign
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    if path is not None:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = -0.0
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    for label, args in (("certify", ["certify"]), ("run_csv", ["run", "--format", "csv"]),
+                        ("run_json", ["run", "--format", "json"])):
+        assert main([*args, *options, "--scenario", str(scenario),
+                     "--out", str(tmp_path / label)]) in (0, 3)
+        assert not NEGATIVE_ZERO.search(capsys.readouterr().out)
+        for report in sorted((tmp_path / label).iterdir()):
+            assert not NEGATIVE_ZERO.search(report.read_text()), report
+
+
 @pytest.mark.parametrize("path,value,needle", [
     (("agents", 0, "arrival_contribution"), 1.5,
      "scenario.agents[0].arrival_contribution: expected an integer"),

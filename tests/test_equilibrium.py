@@ -75,7 +75,7 @@ def _placed(config: CampaignConfig, slot: _Evaluator, **changes) -> _Evaluator:
     """A new evaluator for ``slot``'s agent and market, placed at its slot
     with ``changes`` to the slot's fields."""
     fields = {name: getattr(slot, name) for name in (
-        "amount", "others_for", "others_against", "issued", "bound", "rival_viable",
+        "amount", "others_for", "others_against", "issued", "bound", "provision_viable",
         "closed")}
     placed = _Evaluator(config, slot.agent, slot.market, slot.reward, slot.side)
     placed.place(**{**fields, **changes})
@@ -449,18 +449,17 @@ def test_payoff_bound_by_each_row_is_that_rows_expression(valuation, amount, tot
                                                           securities, budget, reward, side):
     # the one payoff rule, bound as ``payoff_row`` binds it, gives each
     # mechanism's own expression to the bit, the sign of zero included (a
-    # valuation of -0.0 passes parsing), on each market and verdict the
-    # evaluator builds that row for
+    # valuation of -0.0 reaches the rows through the API), on each market
+    # and verdict the evaluator builds that row for: the own branch's,
+    # expiry's and, for a rejection-side slot, provision's
     who = agent(valuation)
     for mechanism in Mechanism:
         config = _ROW_CONFIGS[mechanism]
         if mechanism in _BUDGET_FIELD:
             config = dataclasses.replace(config, **{_BUDGET_FIELD[mechanism]: budget})
         for market in mechanism.markets:
-            own = Verdict.PROVISIONED if market is Market.FOR else Verdict.REJECTED
-            rival = Verdict.REJECTED if market is Market.FOR else Verdict.PROVISIONED
-            verdicts = (own, Verdict.EXPIRED, rival) if mechanism.dual_market else (
-                own, Verdict.EXPIRED)
+            verdicts = ((Verdict.PROVISIONED, Verdict.EXPIRED) if market is Market.FOR
+                        else (Verdict.REJECTED, Verdict.EXPIRED, Verdict.PROVISIONED))
             for verdict in verdicts:
                 row = equilibrium.payoff_row(config, who, market, reward, side, verdict)
                 got = row(amount, securities, *totals)
@@ -842,7 +841,7 @@ def _expected_utility(config: CampaignConfig, slot: _Evaluator, market: Market,
     total_for = slot.others_for + (effective if market is Market.FOR else 0.0)
     total_against = slot.others_against + (effective if market is Market.AGAINST else 0.0)
     distribution = _verdict_distribution(
-        config, slot.agent, market, others + effective, slot.rival_viable)
+        config, slot.agent, market, others + effective, slot.provision_viable)
     return sum(
         weight * _branch_utility(config, slot.agent, market, effective, securities,
                                  total_for, total_against, slot.reward, slot.side, verdict)
@@ -926,9 +925,11 @@ def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
                       profile: EquilibriumProfile):
     """Every probe state certify sweeps, in its order, with the follower
     plays the former walks were given: the profile's on the path, a rollout
-    off it. Yields (agent, market, prescribed amount, rival viable, state,
-    follower plays); the kernel's rival answer is checked against
-    ``_rival_fills`` on the way."""
+    off it. Yields (agent, market, prescribed amount, provision viable,
+    state, follower plays). Only a rejection-side state asks whether
+    provision can still fill, and there the kernel's answer
+    (``equilibrium._provision_fills``) is checked against the reference
+    replay ``_rival_fills`` on the way."""
     play = _engine_path(config, agents, profile)
     slots = equilibrium._slots(config, agents, profile, play)
     final, plays = play.book, play.plays
@@ -956,13 +957,14 @@ def _reference_probes(config: CampaignConfig, agents: list[AgentProfile],
                 amounts = _rollout(config, _copy(after), followers)
                 follower_plays = [(m, x) for (_, m, _), x in
                                   zip_longest(followers, amounts, fillvalue=0.0)]
-            rival = _rival_fills(config, state, market, followers)
-            assert equilibrium._rival_fills(final, *money, market, plays, idx + 1,
-                                            play.bought) == rival
-            if config.mechanism.dual_market and market is Market.AGAINST and not rival:
-                continue  # the expiry corner is noted, not swept
-            yield (agent, market, prescribed, config.mechanism.dual_market and rival,
-                   state, follower_plays)
+            provision = False
+            if market is Market.AGAINST:
+                provision = _rival_fills(config, state, market, followers)
+                assert equilibrium._provision_fills(final, *money, plays, idx + 1,
+                                                    play.bought) == provision
+                if not provision:
+                    continue  # the expiry corner is noted, not swept
+            yield agent, market, prescribed, provision, state, follower_plays
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
@@ -987,13 +989,14 @@ def test_spe_walks_match_reference(mechanism, n, monkeypatch):
     monkeypatch.undo()
 
     expected, others = [], []
-    for agent, market, prescribed, rival_viable, state, follower_plays in (
+    for agent, market, prescribed, provision_viable, state, follower_plays in (
             _reference_probes(config, agents, profile)):
-        expected.append((agent.id, market, prescribed, rival_viable))
+        expected.append((agent.id, market, prescribed, provision_viable))
         # everyone else's money: the state's and the followers' payments
         others.append(tuple(state.raised[i] + sum(x for m, x in follower_plays if m is side)
                             for i, side in enumerate(Market)))
-    got = [(slot.agent.id, slot.market, slot.amount, slot.rival_viable) for slot in swept]
+    got = [(slot.agent.id, slot.market, slot.amount, slot.provision_viable)
+           for slot in swept]
     assert got == expected
     # the on-path totals are the profile's, summed in another order, and
     # a single market's followers pay off prefix sums: equal up to rounding
@@ -1030,22 +1033,22 @@ def _securities_config(mechanism: Mechanism, target: float, liquidity: float,
        fixed_leg=st.floats(0.0, 500.0), issued=st.floats(0.0, 2000.0),
        play=st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 2.0)),
        shortfall=st.one_of(st.floats(-3e-9, 3e-9), st.floats(0.0, 1.0)),
-       rival_viable=st.booleans(), tolerance=st.floats(-12.0, 0.0))
+       provision_viable=st.booleans(), tolerance=st.floats(-12.0, 0.0))
 @example(mechanism=Mechanism.PPS, against=False, valuation=5.0, belief=0.0,
          side=BeliefSide.PROVISION_LIKELY, reward=0.0, target=10.0, liquidity=40.0,
-         fixed_leg=0.0, issued=0.0, play=1.0, shortfall=0.0, rival_viable=False,
+         fixed_leg=0.0, issued=0.0, play=1.0, shortfall=0.0, provision_viable=False,
          tolerance=-6.0)  # met at the bound: certified
 @example(mechanism=Mechanism.PPSX, against=False, valuation=5.0, belief=0.2,
          side=BeliefSide.REJECTION_LIKELY, reward=8.0, target=10.0, liquidity=40.0,
-         fixed_leg=0.0, issued=3.0, play=1.0, shortfall=0.5, rival_viable=False,
+         fixed_leg=0.0, issued=3.0, play=1.0, shortfall=0.5, provision_viable=False,
          tolerance=-6.0)  # a clamped bound (quantity 0) that leaves the market short
 @example(mechanism=Mechanism.PPS, against=False, valuation=5.0, belief=0.0,
          side=BeliefSide.PROVISION_LIKELY, reward=0.0, target=10.0, liquidity=10.0,
-         fixed_leg=92.1, issued=0.0, play=0.0, shortfall=5e-10, rival_viable=False,
+         fixed_leg=92.1, issued=0.0, play=0.0, shortfall=5e-10, provision_viable=False,
          tolerance=-7.0)  # met at 0 at u ~ 1e-4: the band's last ulps gain band / u
 def test_gain_bracket_certifies_only_slots_the_search_certifies(
         mechanism, against, valuation, belief, side, reward, target, liquidity, fixed_leg,
-        issued, play, shortfall, rival_viable, tolerance):
+        issued, play, shortfall, provision_viable, tolerance):
     # wherever the bracket (_Evaluator.bracket) certifies a securities slot,
     # the exact search finds no gain above epsilon. The slot's own money
     # and play are drawn around the met band (shortfall), at the bound, at
@@ -1063,7 +1066,7 @@ def test_gain_bracket_certifies_only_slots_the_search_certifies(
     rival = 0.3 * config.target(market.other) if mechanism.dual_market else 0.0
     slot = _Evaluator(config, who, market, r, side)
     slot.place(amount, *((others, rival) if market is Market.FOR else (rival, others)),
-               issued, bound, rival_viable)
+               issued, bound, provision_viable)
     epsilon = own_target * 10.0 ** tolerance
     if slot.bracket(epsilon):
         _, best, base = slot.best(slot.top())
@@ -1079,7 +1082,7 @@ def test_gain_bracket_declines_a_non_finite_slot(field, value):
     who = agent(5.0)
     bound = contribution_bound(config, who)
     numbers = {"amount": bound, "others_for": 10.0 - bound, "others_against": 0.0,
-               "issued": 0.0, "bound": bound, "rival_viable": False}
+               "issued": 0.0, "bound": bound, "provision_viable": False}
     slot = _Evaluator(config, who, Market.FOR, 0.0, who.belief_side)
     slot.place(**numbers)
     assert slot.bracket(1e-5)
@@ -1215,7 +1218,7 @@ def test_ppsn_walks_few_open_probe_states(monkeypatch):
     monkeypatch.setattr(DualMarketState, "walk", lambda book, raised, plays, first=0, only=None:
                         walks.append(only) or walk(book, raised, plays, first, only))
     assert certify(config, agents, profile).certified
-    follower_walks = walks.count(None)  # _rival_fills walks the rival market alone
+    follower_walks = walks.count(None)  # _provision_fills walks the for market alone
     assert open_states and follower_walks <= 0.1 * len(open_states), (
         follower_walks, len(open_states))
 
@@ -1273,11 +1276,12 @@ def test_ppsn_follow_sums_without_prefix_sums(monkeypatch):
     assert summed == []
 
 
-def test_rival_bracket_matches_the_walk(monkeypatch):
-    # _rival_fills decides most states by its bracket, without a walk: from
-    # random PPSN states, and with the rival's money swept over its target
-    # from each, its answer must be a plain walk's, and it must answer
-    # "fills", "does not fill" and "walked" each at least once
+def test_provision_bracket_matches_the_walk(monkeypatch):
+    # _provision_fills decides most states by its bracket, without a walk:
+    # from random open PPSN states, and with the for market's money swept
+    # over its target from each, its answer must be a plain walk's of the
+    # for market alone, and it must answer "fills", "short" and "walked"
+    # each at least once
     walk = DualMarketState.walk
     walked = []
     monkeypatch.setattr(DualMarketState, "walk",
@@ -1289,9 +1293,8 @@ def test_rival_bracket_matches_the_walk(monkeypatch):
            seed=st.integers(min_value=0, max_value=10**6),
            fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
            hair=st.sampled_from([None, Market.FOR, Market.AGAINST]),
-           own=st.sampled_from([Market.FOR, Market.AGAINST]),
            first=st.integers(min_value=0, max_value=64))
-    def check(n, seed, fractions, hair, own, first):
+    def check(n, seed, fractions, hair, first):
         scenario = generate_scenario(
             ScenarioTemplate(mechanism=Mechanism.PPSN, agent_count=n), seed=seed)
         config, agents = scenario.config, scenario.agents
@@ -1299,28 +1302,28 @@ def test_rival_bracket_matches_the_walk(monkeypatch):
         plays = equilibrium._plays(config, order, EquilibriumProfile())
         bought = prefix_sums(plays)
         first %= n + 1
-        rival = own.other
+        target = config.target(Market.FOR)
         raised = [f * config.target(m) for f, m in zip(fractions, Market)]
         if hair is not None:  # one leg a hair below its target
             raised[hair is Market.AGAINST] = math.nextafter(config.target(hair), 0.0)
         states = [raised]
         for k in range(32):
             swept = list(raised)
-            swept[rival is Market.AGAINST] = k / 32 * config.target(rival)
+            swept[0] = k / 32 * target
             states.append(swept)
         book = new_states(config)
         for raised in states:
             if book.closed_at(*raised):
                 continue
             walked.clear()
-            fills = equilibrium._rival_fills(book, *raised, own, plays, first, bought)
-            answers["walked" if walked else fills] += 1
+            fills = equilibrium._provision_fills(book, *raised, plays, first, bought)
+            answers["walked" if walked else "fills" if fills else "short"] += 1
             reference = list(raised)
-            walk(book, reference, plays, first, only=rival)
-            assert fills == (reference[rival is Market.AGAINST] >= config.target(rival))
+            walk(book, reference, plays, first, only=Market.FOR)
+            assert fills == (reference[0] >= target)
 
     check()
-    assert answers[True] and answers[False] and answers["walked"], answers
+    assert answers["fills"] and answers["short"] and answers["walked"], answers
 
 
 def test_follower_race_bracket_matches_the_walk():
@@ -1597,7 +1600,7 @@ def _mix(config: CampaignConfig, slot: _Evaluator, amount: float) -> float:
         weight * _branch_utility(config, slot.agent, slot.market, amount, securities,
                                  total_for, total_against, slot.reward, slot.side, verdict)
         for verdict, weight in _verdict_distribution(
-            config, slot.agent, slot.market, math.inf, slot.rival_viable))
+            config, slot.agent, slot.market, math.inf, slot.provision_viable))
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))

@@ -245,6 +245,37 @@ def test_ppsn_utility():
                      0.0, None, rec_against.securities) == 5.0
 
 
+@settings(deadline=None, max_examples=500)
+@given(valuation=st.floats(-100.0, 100.0),
+       amount=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+       pool=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+       budget=st.one_of(st.none(), st.floats(1e-6, 50.0)),
+       securities=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+       reward=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+       side=st.sampled_from(list(BeliefSide)))
+def test_only_provision_pays_differently_from_expiry(valuation, amount, pool, budget,
+                                                     securities, reward, side):
+    # the certifier's alternative for a provision-side slot is expiry's row
+    # (equilibrium._Evaluator): on the for market rejection pays what expiry
+    # pays, to the bit, in every mechanism (the belief reward counts only in
+    # a two-phase one). Negative control: on against, provision differs
+    # from expiry by the valuation term
+    who = agent(valuation)
+    for mechanism in Mechanism:
+        r = reward if mechanism.two_phase else 0.0
+        for market in mechanism.markets:
+            args = (amount, pool, budget, securities, r)
+            expired = payoff(who, market, side, Verdict.EXPIRED, *args)
+            if market is Market.FOR:
+                rejected = payoff(who, market, side, Verdict.REJECTED, *args)
+                assert rejected.hex() == expired.hex(), (mechanism, rejected, expired)
+            else:
+                provisioned = payoff(who, market, side, Verdict.PROVISIONED, *args)
+                scale = abs(valuation) + amount + abs(expired)
+                assert abs(provisioned - expired - valuation) <= 2.0 ** -50 * scale, (
+                    mechanism, provisioned, expired)
+
+
 # ---------------------------------------------------------------------------
 # Campaign engine
 # ---------------------------------------------------------------------------
